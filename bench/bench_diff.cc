@@ -1,9 +1,11 @@
 // bench_diff: the CI regression gate over BENCH_*.json files.
 //
 // Compares two benchmark JSON files in the BENCH_delta_chase.json
-// schema (size_ladder / depth_ladder arrays of per-config results),
-// prints a per-config delta table, and exits nonzero when any matched
-// config's mean delay regressed by more than the threshold.
+// schema (size_ladder / depth_ladder arrays of per-config rows), prints
+// a per-series delta table, and exits nonzero when any gated series'
+// mean delay regressed by more than the threshold. A *series* is any
+// member of a row that is an object carrying "mean_delay_ms" (e.g.
+// "incremental"); every series of a baseline row is gated.
 //
 //   bench_diff BASELINE.json NEW.json [--threshold PCT] [--min-abs-ms X]
 //
@@ -11,8 +13,8 @@
 // threshold (default 15%) and an absolute floor (--min-abs-ms, default
 // 0.05 ms) that keeps sub-scheduler-quantum noise on tiny configs from
 // flapping the gate. Configs present in only one file are reported and
-// fail the diff (exit 2): a silently shrinking ladder is how a gate
-// rots.
+// fail the diff (exit 2), and so does a baseline series the fresh row
+// lacks: a silently shrinking ladder is how a gate rots.
 //
 // Exit codes: 0 = no regression, 1 = regression, 2 = usage/schema.
 
@@ -38,10 +40,8 @@ struct EngineResult {
   double max_delay_ms = 0;
 };
 
-struct ConfigResult {
-  EngineResult scratch;
-  EngineResult incremental;
-};
+// Series name ("incremental", ...) -> result.
+using ConfigResult = std::map<std::string, EngineResult>;
 
 // "size_ladder/400 atoms" -> result
 using ResultMap = std::map<std::string, ConfigResult>;
@@ -77,12 +77,14 @@ Status ParseBenchFile(const JsonValue& json, ResultMap* results) {
                                        std::to_string(i) + "] has no config");
       }
       ConfigResult result;
-      result.scratch = ParseEngine(entry.Get("scratch"));
-      result.incremental = ParseEngine(entry.Get("incremental"));
-      if (result.scratch.mean_delay_ms < 0 ||
-          result.incremental.mean_delay_ms < 0) {
+      for (const auto& [name, value] : entry.members()) {
+        if (value.is_object() && value.Get("mean_delay_ms").is_number()) {
+          result[name] = ParseEngine(value);
+        }
+      }
+      if (result.empty()) {
         return Status::InvalidArgument("config '" + config +
-                                       "' is missing mean_delay_ms");
+                                       "' has no series with mean_delay_ms");
       }
       (*results)[std::string(ladder) + "/" + config] = result;
     }
@@ -139,7 +141,7 @@ int Main(int argc, char** argv) {
 
   std::printf("bench_diff: %s -> %s (threshold %+.1f%%, abs floor %.3f ms)\n",
               files[0].c_str(), files[1].c_str(), threshold_pct, min_abs_ms);
-  std::printf("%-34s %-12s %10s %10s %8s  %s\n", "config", "engine",
+  std::printf("%-34s %-12s %10s %10s %8s  %s\n", "config", "series",
               "base(ms)", "new(ms)", "delta", "verdict");
 
   bool regression = false;
@@ -152,22 +154,23 @@ int Main(int argc, char** argv) {
       mismatch = true;
       continue;
     }
-    const struct {
-      const char* name;
-      const EngineResult& old_run;
-      const EngineResult& new_run;
-    } engines[] = {{"scratch", base.scratch, it->second.scratch},
-                   {"incremental", base.incremental, it->second.incremental}};
-    for (const auto& engine : engines) {
-      const double old_ms = engine.old_run.mean_delay_ms;
-      const double new_ms = engine.new_run.mean_delay_ms;
+    for (const auto& [series, old_run] : base) {
+      auto fresh_series = it->second.find(series);
+      if (fresh_series == it->second.end()) {
+        std::printf("%-34s %-12s MISSING from %s\n", config.c_str(),
+                    series.c_str(), files[1].c_str());
+        mismatch = true;
+        continue;
+      }
+      const double old_ms = old_run.mean_delay_ms;
+      const double new_ms = fresh_series->second.mean_delay_ms;
       const double delta_pct =
           old_ms > 0 ? (new_ms - old_ms) / old_ms * 100.0 : 0.0;
       const bool regressed = delta_pct > threshold_pct &&
                              new_ms - old_ms > min_abs_ms;
       if (regressed) regression = true;
       std::printf("%-34s %-12s %10.3f %10.3f %+7.1f%%  %s\n", config.c_str(),
-                  engine.name, old_ms, new_ms, delta_pct,
+                  series.c_str(), old_ms, new_ms, delta_pct,
                   regressed ? "REGRESSION" : "ok");
     }
   }
@@ -182,7 +185,8 @@ int Main(int argc, char** argv) {
 
   if (mismatch) {
     std::fprintf(stderr,
-                 "bench_diff: config sets differ between the two files\n");
+                 "bench_diff: the fresh file lacks a baseline config or "
+                 "series, or adds a config\n");
     return 2;
   }
   if (regression) {

@@ -1,14 +1,11 @@
-// Delta-chase microbench: per-question delay of the scratch conflict
-// engine (full re-chase + AllConflicts before every question) against
-// the incremental engine (maintained chased base + index-anchored
-// conflict census) on the Fig. 5 synthetic workload.
+// Delta-chase microbench: per-question delay of the maintained conflict
+// engine (maintained chased base + index-anchored conflict census) on
+// the Fig. 5 synthetic workload.
 //
 // Two ladders, both TGD-heavy so the chase dominates the delay:
 //   size   — growing fact count at fixed depth, the Fig. 5 (b) shape;
 //   depth  — fixed size, conflict depth d1..d4 with growing TGD sets,
 //            the Fig. 5 (c) shape.
-// Both engines see the same KBs, seeds and random users, so they ask
-// the same number of questions and the delay ratio isolates the engine.
 //
 // `--json` appends a machine-readable baseline (the BENCH_delta_chase.json
 // format) after the tables; the checked-in baseline is produced with
@@ -47,13 +44,10 @@ struct Comparison {
   size_t num_facts = 0;
   size_t num_tgds = 0;
   int depth = 0;
-  EngineRun scratch;
   EngineRun incremental;
-  double speedup = 0;  // scratch mean delay / incremental mean delay
 };
 
-EngineRun RunEngine(const SyntheticKbOptions& gen_options,
-                    ConflictEngineKind engine) {
+EngineRun RunEngine(const SyntheticKbOptions& gen_options) {
   SampleStats delays;
   SampleStats questions;
   for (int rep = 0; rep < g_repetitions; ++rep) {
@@ -61,12 +55,9 @@ EngineRun RunEngine(const SyntheticKbOptions& gen_options,
     options.seed = gen_options.seed + static_cast<uint64_t>(rep);
     StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
     KBREPAIR_CHECK(generated.ok()) << generated.status();
-    InquiryOptions inquiry_options;
-    inquiry_options.conflict_engine = engine;
     const StrategyRun run =
         RunStrategy(generated->kb, Strategy::kOptiMcd, /*repetitions=*/1,
-                    /*base_seed=*/777 + static_cast<uint64_t>(rep),
-                    inquiry_options);
+                    /*base_seed=*/777 + static_cast<uint64_t>(rep));
     delays.AddAll(run.delays.samples());
     questions.AddAll(run.questions.samples());
   }
@@ -86,20 +77,16 @@ Comparison Compare(const SyntheticKbOptions& options,
   c.num_facts = options.num_facts;
   c.num_tgds = options.num_tgds;
   c.depth = options.conflict_depth;
-  c.scratch = RunEngine(options, ConflictEngineKind::kScratch);
-  c.incremental = RunEngine(options, ConflictEngineKind::kIncremental);
-  c.speedup = c.incremental.mean_delay_ms > 0
-                  ? c.scratch.mean_delay_ms / c.incremental.mean_delay_ms
-                  : 0;
+  c.incremental = RunEngine(options);
   return c;
 }
 
 void PrintComparison(const Comparison& c) {
-  PrintRow({c.label, FormatDouble(c.scratch.mean_delay_ms, 2),
-            FormatDouble(c.incremental.mean_delay_ms, 2),
-            FormatDouble(c.speedup, 2) + "x",
-            FormatDouble(c.scratch.questions, 1)},
-           {18, 16, 16, 10, 12});
+  PrintRow({c.label, FormatDouble(c.incremental.mean_delay_ms, 2),
+            FormatDouble(c.incremental.median_delay_ms, 2),
+            FormatDouble(c.incremental.max_delay_ms, 2),
+            FormatDouble(c.incremental.questions, 1)},
+           {18, 12, 12, 12, 12});
 }
 
 std::string ComparisonJson(const Comparison& c) {
@@ -114,9 +101,7 @@ std::string ComparisonJson(const Comparison& c) {
          "\", \"num_facts\": " + std::to_string(c.num_facts) +
          ", \"num_tgds\": " + std::to_string(c.num_tgds) +
          ", \"conflict_depth\": " + std::to_string(c.depth) +
-         ",\n     \"scratch\": " + engine_json(c.scratch) +
-         ",\n     \"incremental\": " + engine_json(c.incremental) +
-         ",\n     \"speedup\": " + FormatDouble(c.speedup, 2) + "}";
+         ",\n     \"incremental\": " + engine_json(c.incremental) + "}";
 }
 
 }  // namespace
@@ -148,7 +133,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Delta-chase microbench — per-question delay (ms), opti-mcd, "
-      "scratch vs incremental engine, %d repetition(s)%s\n",
+      "maintained conflict engine, %d repetition(s)%s\n",
       g_repetitions, quick ? ", quick ladder" : "");
 
   const std::vector<size_t> sizes =
@@ -158,9 +143,9 @@ int main(int argc, char** argv) {
 
   std::vector<Comparison> size_ladder;
   PrintHeader("size ladder — depth 2, 60 TGDs, 30% inconsistency");
-  PrintRow({"size", "scratch (ms)", "incremental (ms)", "speedup",
+  PrintRow({"size", "mean (ms)", "median (ms)", "max (ms)",
             "avg #questions"},
-           {18, 16, 16, 10, 12});
+           {18, 12, 12, 12, 12});
   for (size_t num_facts : sizes) {
     SyntheticKbOptions options;
     options.seed = 21;
@@ -184,9 +169,9 @@ int main(int argc, char** argv) {
   std::vector<Comparison> depth_ladder;
   PrintHeader(
       "depth ladder — 400 atoms, 100% inconsistent, 150 CDDs, d1..d4");
-  PrintRow({"depth", "scratch (ms)", "incremental (ms)", "speedup",
+  PrintRow({"depth", "mean (ms)", "median (ms)", "max (ms)",
             "avg #questions"},
-           {18, 16, 16, 10, 12});
+           {18, 12, 12, 12, 12});
   for (int depth = 1; depth <= max_depth; ++depth) {
     SyntheticKbOptions options;
     options.seed = 13;  // the Fig. 5 (c) seed

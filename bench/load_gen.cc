@@ -9,11 +9,11 @@
 // LatencyHistogram, so the reported p50/p95/p99 use the same bucketing
 // as the daemon's /metrics.
 //
-// The run repeats once per engine (scratch, incremental) and emits one
-// BENCH_*.json in the size_ladder schema bench_diff already gates on:
+// The run emits one BENCH_*.json in the size_ladder schema bench_diff
+// gates on, its one series keyed by the conflict engine's name:
 //
 //   {"bench":"load_gen", ..., "size_ladder":[
-//     {"config":"...", "scratch":{"mean_delay_ms":...}, "incremental":{...}}]}
+//     {"config":"...", "incremental":{"mean_delay_ms":...}}]}
 //
 // --quick runs a seconds-scale configuration for CI; the default
 // configuration sustains 10k concurrent sessions against a 4-shard
@@ -127,12 +127,11 @@ class Driver {
  public:
   Driver(int fd, size_t thread_index, size_t first_session,
          size_t session_count, const LoadOptions& options,
-         const std::string& engine, LatencyHistogram* histogram)
+         LatencyHistogram* histogram)
       : fd_(fd),
         thread_index_(thread_index),
         first_session_(first_session),
         options_(options),
-        engine_(engine),
         histogram_(histogram) {
     sessions_.resize(session_count);
     for (size_t i = 0; i < session_count; ++i) {
@@ -277,7 +276,6 @@ class Driver {
       params.Set("num_facts",
                  JsonValue::Number(static_cast<int64_t>(options_.num_facts)));
       params.Set("strategy", JsonValue::String("random"));
-      params.Set("engine", JsonValue::String(engine_));
       params.Set("seed",
                  JsonValue::Number(static_cast<int64_t>(
                      options_.seed + first_session_ + i)));
@@ -350,7 +348,6 @@ class Driver {
   const size_t thread_index_;
   const size_t first_session_;
   const LoadOptions& options_;
-  const std::string engine_;
   LatencyHistogram* histogram_;
   std::vector<SessionState> sessions_;
   size_t live_ = 0;
@@ -363,7 +360,7 @@ class Driver {
 };
 
 // ------------------------------------------------------------------
-// One full load run (one engine): spawn, connect, drive, verify, reap.
+// One full load run: spawn, connect, drive, verify, reap.
 
 struct RunResult {
   double wall_seconds = 0;
@@ -372,8 +369,7 @@ struct RunResult {
   LatencyHistogram histogram;
 };
 
-Status RunOnce(const LoadOptions& options, const std::string& engine,
-               RunResult* out) {
+Status RunOnce(const LoadOptions& options, RunResult* out) {
   // Listener endpoints under mkstemp names; the daemon replaces both.
   char sock_tmpl[] = "/tmp/kbrepair_load_sock_XXXXXX";
   char port_tmpl[] = "/tmp/kbrepair_load_port_XXXXXX";
@@ -419,7 +415,7 @@ Status RunOnce(const LoadOptions& options, const std::string& engine,
     const size_t share = options.sessions / options.connections +
                          (i < options.sessions % options.connections ? 1 : 0);
     drivers.push_back(std::make_unique<Driver>(
-        fds[i], i, next_session, share, options, engine, &out->histogram));
+        fds[i], i, next_session, share, options, &out->histogram));
     next_session += share;
   }
 
@@ -615,19 +611,16 @@ int Main(int argc, char** argv) {
             JsonValue::Number(static_cast<int64_t>(options.shards)));
   entry.Set("num_facts",
             JsonValue::Number(static_cast<int64_t>(options.num_facts)));
-  for (const char* engine : {"scratch", "incremental"}) {
-    RunResult run;
-    const Status outcome = RunOnce(options, engine, &run);
-    if (!outcome.ok()) {
-      std::cerr << "load_gen (" << engine << "): " << outcome.ToString()
-                << "\n";
-      return 1;
-    }
-    std::cerr << "load_gen: " << engine << " engine: " << options.sessions
-              << " sessions, " << run.turns << " timed turns in "
-              << run.wall_seconds << "s (" << run.retries << " retries)\n";
-    entry.Set(engine, EngineJson(run));
+  RunResult run;
+  const Status outcome = RunOnce(options, &run);
+  if (!outcome.ok()) {
+    std::cerr << "load_gen: " << outcome.ToString() << "\n";
+    return 1;
   }
+  std::cerr << "load_gen: " << options.sessions << " sessions, " << run.turns
+            << " timed turns in " << run.wall_seconds << "s (" << run.retries
+            << " retries)\n";
+  entry.Set("incremental", EngineJson(run));
 
   JsonValue out = JsonValue::Object();
   out.Set("bench", JsonValue::String("load_gen"));

@@ -6,9 +6,8 @@
 // then a full cold reconstruction — LoadRecordedSession (parse + CRC
 // check) followed by SessionTimeline::Create (validation replay through
 // the engine) and ReplayVerify (byte-compare of every regenerated
-// entry). The "scratch" column replays with the recorded scratch
-// engine; "incremental" forces --engine incremental over the same WAL,
-// which is the diff-engines workload.
+// entry). The one series is keyed by the conflict engine's name,
+// "incremental".
 //
 //   replay_throughput [--quick] [--out PATH] [--reps N]
 //
@@ -101,12 +100,10 @@ StatusOr<size_t> RecordWal(const JsonValue& params, const std::string& dir,
 }
 
 // One timed unit: cold load + validation replay + byte-exact verify.
-Status ReplayOnce(const std::string& wal_path, const std::string& engine_name,
-                  size_t* questions_out) {
+Status ReplayOnce(const std::string& wal_path, size_t* questions_out) {
   KBREPAIR_ASSIGN_OR_RETURN(debug::RecordedSession recorded,
                             debug::LoadRecordedSession(wal_path));
   debug::TimelineOptions options;
-  options.engine_override = engine_name;
   options.checkpoint_every = 0;  // throughput, not time travel
   KBREPAIR_ASSIGN_OR_RETURN(
       debug::SessionTimeline timeline,
@@ -116,14 +113,13 @@ Status ReplayOnce(const std::string& wal_path, const std::string& engine_name,
   return Status::Ok();
 }
 
-StatusOr<Sample> Measure(const std::string& wal_path,
-                         const std::string& engine_name, size_t reps) {
+StatusOr<Sample> Measure(const std::string& wal_path, size_t reps) {
   std::vector<double> times;
   times.reserve(reps);
   size_t questions = 0;
   for (size_t rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    KBREPAIR_RETURN_IF_ERROR(ReplayOnce(wal_path, engine_name, &questions));
+    KBREPAIR_RETURN_IF_ERROR(ReplayOnce(wal_path, &questions));
     const auto end = std::chrono::steady_clock::now();
     times.push_back(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
@@ -194,27 +190,22 @@ int Main(int argc, char** argv) {
       break;
     }
     const std::string wal_path = dir + "/" + session_id + ".wal";
-    const StatusOr<Sample> scratch = Measure(wal_path, "scratch", reps);
-    const StatusOr<Sample> incremental = Measure(wal_path, "incremental", reps);
-    if (!scratch.ok() || !incremental.ok()) {
+    const StatusOr<Sample> incremental = Measure(wal_path, reps);
+    if (!incremental.ok()) {
       std::cerr << config.label << ": replay failed: "
-                << (!scratch.ok() ? scratch.status() : incremental.status())
-                << "\n";
+                << incremental.status() << "\n";
       exit_code = 1;
       break;
     }
-    std::fprintf(stderr,
-                 "%-12s %3zu questions  scratch %.3f ms  incremental %.3f ms"
-                 "  (%zu reps)\n",
-                 config.label.c_str(), scratch->questions, scratch->mean_ms,
+    std::fprintf(stderr, "%-12s %3zu questions  %.3f ms  (%zu reps)\n",
+                 config.label.c_str(), incremental->questions,
                  incremental->mean_ms, reps);
     JsonValue entry = JsonValue::Object();
     entry.Set("config", JsonValue::String(config.label));
     entry.Set("num_facts",
               JsonValue::Number(static_cast<int64_t>(config.num_facts)));
     entry.Set("questions",
-              JsonValue::Number(static_cast<int64_t>(scratch->questions)));
-    entry.Set("scratch", SampleJson(*scratch));
+              JsonValue::Number(static_cast<int64_t>(incremental->questions)));
     entry.Set("incremental", SampleJson(*incremental));
     ladder_json.Append(std::move(entry));
   }

@@ -175,11 +175,8 @@ StatusOr<std::string> ProvenanceInspector::CensusReport(
 
 std::string ProvenanceInspector::PiReport() const {
   std::ostringstream out;
-  out << "phase " << engine_->current_phase() << ", engine "
-      << (engine_->active_engine() == ConflictEngineKind::kScratch
-              ? "scratch"
-              : "incremental")
-      << "\n";
+  out << "phase " << engine_->current_phase() << ", engine rebuilds "
+      << engine_->progress().engine_rebuilds << "\n";
   const PositionSet& pi = engine_->current_pi();
   const PositionSet& propagated = engine_->propagated_positions();
   out << "|Pi| = " << pi.size() << " (" << propagated.size()

@@ -3,7 +3,7 @@
 //   kbrepair-debug SESSION.wal                 interactive debugger
 //   kbrepair-debug --exec "goto 5; census" SESSION.wal
 //   kbrepair-debug --replay-verify WALDIR...   verify byte-identical replay
-//   kbrepair-debug --diff-engines SESSION.wal  first scratch/incremental split
+//   kbrepair-debug --diff-engines SESSION.wal  first census/replay split
 //
 // Exit codes: 0 all recordings verified / no divergence / repl clean,
 // 1 a verification failure, divergence, or failed command, 2 usage.
@@ -30,13 +30,14 @@ namespace {
 int Usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options] SESSION.wal|WALDIR...\n"
-         "  --engine scratch|incremental  replay through this conflict engine\n"
+
          "  --checkpoint-every N          parked-cursor ladder stride (default 8)\n"
          "  --chase-threads N             override the recording's chase threads\n"
          "  --replay-verify               check each recording replays to a\n"
          "                                byte-identical transcript, then exit\n"
-         "  --diff-engines                replay through both engines lockstep,\n"
-         "                                report the first diverging step\n"
+         "  --diff-engines                replay checking the maintained census\n"
+         "                                against the reference census; report\n"
+         "                                the first diverging step\n"
          "  --exec \"CMD; CMD; ...\"        run debugger commands, then exit\n"
          "  --failpoints SPEC             arm failpoints (name[=skip:]count,...)\n"
          "  --quiet                       per-recording results only\n";
@@ -159,16 +160,12 @@ int RunDiffEngines(const Options& options) {
       return 1;
     }
     if (!result->diverged) {
-      std::cout << path << ": engines agree on all "
+      std::cout << path << ": census and replay agree on all "
                 << recorded->steps.size() << " entries\n";
       continue;
     }
     ++diverged;
-    std::cout << path << ": diverged at step " << result->step << ": "
-              << result->reason << "\n  recorded:    "
-              << result->recorded_entry << "\n  scratch:     "
-              << result->scratch_entry << "\n  incremental: "
-              << result->incremental_entry << "\n";
+    std::cout << path << ": " << FormatDivergence(*result);
   }
   return diverged == 0 ? 0 : 1;
 }
@@ -185,11 +182,7 @@ int Main(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--engine") {
-      const char* v = next_value(i, "--engine");
-      if (v == nullptr) return Usage(argv[0]);
-      options.timeline.engine_override = v;
-    } else if (arg == "--checkpoint-every") {
+    if (arg == "--checkpoint-every") {
       const char* v = next_value(i, "--checkpoint-every");
       if (v == nullptr) return Usage(argv[0]);
       options.timeline.checkpoint_every =

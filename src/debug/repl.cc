@@ -31,10 +31,6 @@ std::optional<uint64_t> ParseNumber(const std::string& token) {
   return static_cast<uint64_t>(value);
 }
 
-const char* EngineName(ConflictEngineKind kind) {
-  return kind == ConflictEngineKind::kScratch ? "scratch" : "incremental";
-}
-
 constexpr char kHelp[] =
     "commands:\n"
     "  info                     recording summary\n"
@@ -44,16 +40,17 @@ constexpr char kHelp[] =
     "  run                      step forward until a breakpoint or the end\n"
     "  question                 the question pending at this position\n"
     "  census                   conflict census at this position\n"
-    "  pi                       phase, engine, frozen positions\n"
+    "  pi                       phase, engine rebuilds, frozen positions\n"
     "  facts                    working fact base\n"
     "  cone ATOM                provenance report for one atom id\n"
     "  hash                     content hash of the working facts\n"
     "  break conflict PRED      stop when a conflict involves predicate PRED\n"
-    "  break demotion           stop when the engine demotes to scratch\n"
+    "  break rebuild            stop when a conflict engine is rebuilt\n"
     "  break fix ATOM           stop when an answer rewrites atom ATOM\n"
     "  break list | break clear\n"
     "  fork CHOICE [SEED]       what-if: answer CHOICE here, simulate the rest\n"
-    "  diff                     replay through both engines, report divergence\n"
+    "  diff                     replay checking the census against the\n"
+    "                           reference, report the first divergence\n"
     "  quit\n";
 
 }  // namespace
@@ -62,8 +59,8 @@ std::string DebugRepl::Breakpoint::ToString() const {
   switch (kind) {
     case kConflictPred:
       return "conflict involving predicate '" + predicate + "'";
-    case kDemotion:
-      return "engine demotion";
+    case kRebuild:
+      return "engine rebuild";
     case kFix:
       return "fix touching atom " + std::to_string(atom);
   }
@@ -81,9 +78,10 @@ StatusOr<std::string> DebugRepl::CheckBreakpoints() {
   std::optional<std::vector<Conflict>> census;
   for (const Breakpoint& bp : breakpoints_) {
     switch (bp.kind) {
-      case Breakpoint::kDemotion: {
-        const bool was_demoted = pos >= 2 && timeline_->note(pos - 2).demoted;
-        if (note.demoted && !was_demoted) return bp.ToString();
+      case Breakpoint::kRebuild: {
+        const size_t before =
+            pos >= 2 ? timeline_->note(pos - 2).engine_rebuilds : 0;
+        if (note.engine_rebuilds > before) return bp.ToString();
         break;
       }
       case Breakpoint::kFix:
@@ -150,9 +148,8 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     if (!rec.path.empty()) *out_ << "  (" << rec.path << ")";
     *out_ << "\nentries: " << timeline_->num_entries() << "  questions: "
           << timeline_->num_questions() << "  position: "
-          << timeline_->position() << "\nengine: "
-          << EngineName(timeline_->inquiry_options().conflict_engine)
-          << "  active: " << EngineName(timeline_->engine().active_engine())
+          << timeline_->position() << "\nengine rebuilds: "
+          << timeline_->engine().progress().engine_rebuilds
           << "\nclosed: " << (rec.closed ? "yes" : "no")
           << "  torn tail dropped: " << (rec.dropped_torn_tail ? "yes" : "no")
           << "\n";
@@ -170,7 +167,9 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
             << "  chose " << note.chosen << "/" << note.num_fixes << "  "
             << note.chosen_text << "  conflicts left "
             << note.conflicts_remaining;
-      if (note.demoted) *out_ << "  [demoted]";
+      if (note.engine_rebuilds > 0) {
+        *out_ << "  [rebuilds " << note.engine_rebuilds << "]";
+      }
       *out_ << "\n";
     }
     return Status::Ok();
@@ -268,8 +267,8 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     if (tokens.size() >= 3 && tokens[1] == "conflict") {
       bp.kind = Breakpoint::kConflictPred;
       bp.predicate = tokens[2];
-    } else if (tokens.size() >= 2 && tokens[1] == "demotion") {
-      bp.kind = Breakpoint::kDemotion;
+    } else if (tokens.size() >= 2 && tokens[1] == "rebuild") {
+      bp.kind = Breakpoint::kRebuild;
     } else if (tokens.size() >= 3 && tokens[1] == "fix") {
       const std::optional<uint64_t> atom = ParseNumber(tokens[2]);
       if (!atom.has_value()) {
@@ -279,7 +278,7 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
       bp.atom = *atom;
     } else {
       return Status::InvalidArgument(
-          "usage: break conflict PRED | break demotion | break fix ATOM | "
+          "usage: break conflict PRED | break rebuild | break fix ATOM | "
           "break list | break clear");
     }
     breakpoints_.push_back(bp);
@@ -320,14 +319,11 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     KBREPAIR_ASSIGN_OR_RETURN(EngineDivergence divergence,
                               DiffEngines(timeline_->recorded(), options));
     if (!divergence.diverged) {
-      *out_ << "no divergence: both engines replay the recording\n";
+      *out_ << "no divergence: the replay matches the recording and the "
+               "reference census at every step\n";
       return Status::Ok();
     }
-    *out_ << "diverged at step " << divergence.step << ": "
-          << divergence.reason << "\n  recorded:    "
-          << divergence.recorded_entry << "\n  scratch:     "
-          << divergence.scratch_entry << "\n  incremental: "
-          << divergence.incremental_entry << "\n";
+    *out_ << FormatDivergence(divergence);
     return Status::Ok();
   }
   return Status::InvalidArgument("unknown command '" + cmd +

@@ -3,10 +3,10 @@
 // A thin command layer over SessionTimeline + ProvenanceInspector:
 // step/back/goto move the cursor, question/census/pi/cone/facts/hash
 // inspect the current step, break+run scan forward for a condition
-// (a conflict involving a predicate, an engine demotion, a fix touching
+// (a conflict involving a predicate, an engine rebuild, a fix touching
 // a fact), fork answers the pending question differently and lets a
 // seeded simulated user finish the branch, diff replays the recording
-// through both conflict engines side by side. Commands are plain lines
+// checking the maintained census against the reference at every step. Commands are plain lines
 // ("goto 12", "break conflict emp"), so the same loop serves the
 // interactive prompt, `--exec "cmds;..."`, and the tests.
 
@@ -41,7 +41,7 @@ class DebugRepl {
 
  private:
   struct Breakpoint {
-    enum Kind { kConflictPred, kDemotion, kFix };
+    enum Kind { kConflictPred, kRebuild, kFix };
     Kind kind = kConflictPred;
     std::string predicate;  // kConflictPred
     AtomId atom = 0;        // kFix

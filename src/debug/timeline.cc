@@ -1,5 +1,6 @@
 #include "debug/timeline.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -13,13 +14,6 @@ namespace kbrepair {
 namespace debug {
 
 namespace {
-
-StatusOr<ConflictEngineKind> EngineOverrideFromName(const std::string& name) {
-  if (name == "scratch") return ConflictEngineKind::kScratch;
-  if (name == "incremental") return ConflictEngineKind::kIncremental;
-  return Status::InvalidArgument("unknown engine override '" + name +
-                                 "' (expected 'scratch' or 'incremental')");
-}
 
 std::string EntryWhere(const RecordedStep& rec, size_t index) {
   return "WAL record " + std::to_string(rec.record_index) + " (byte offset " +
@@ -58,11 +52,6 @@ StatusOr<SessionTimeline> SessionTimeline::Create(RecordedSession recorded,
   KBREPAIR_ASSIGN_OR_RETURN(
       timeline.inquiry_options_,
       InquiryOptionsFromParams(timeline.recorded_.create_params));
-  if (!timeline.options_.engine_override.empty()) {
-    KBREPAIR_ASSIGN_OR_RETURN(
-        timeline.inquiry_options_.conflict_engine,
-        EngineOverrideFromName(timeline.options_.engine_override));
-  }
   if (timeline.options_.chase_threads > 0) {
     timeline.inquiry_options_.chase_options.num_threads =
         timeline.options_.chase_threads;
@@ -174,8 +163,7 @@ Status SessionTimeline::AdvanceCursor(Cursor& cursor, StepNote* note) const {
     const QuestionRecord& record = cursor.engine->progress().records.back();
     note->phase = record.phase;
     note->conflicts_remaining = record.conflicts_remaining;
-    note->demoted =
-        cursor.engine->active_engine() != inquiry_options_.conflict_engine;
+    note->engine_rebuilds = cursor.engine->progress().engine_rebuilds;
   }
   cursor.step = i + 1;
   return Status::Ok();
@@ -362,6 +350,44 @@ StatusOr<ForkBranch> SessionTimeline::Fork(size_t from_step,
   return branch;
 }
 
+namespace {
+
+// One "cdd:[support...]" line per conflict, sorted: the census identity
+// that does not depend on the order a chase derived atoms in.
+std::string CensusRendering(const std::vector<Conflict>& census) {
+  std::vector<std::string> lines;
+  lines.reserve(census.size());
+  for (const Conflict& c : census) {
+    std::string line = std::to_string(c.cdd_index) + ":[";
+    for (size_t k = 0; k < c.support.size(); ++k) {
+      if (k > 0) line += ",";
+      line += std::to_string(c.support[k]);
+    }
+    lines.push_back(line + "]");
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+// The census InspectCensus should report, recomputed from scratch
+// against a clone of the symbol table.
+StatusOr<std::vector<Conflict>> ReferenceCensus(const InquiryEngine& engine,
+                                                const KnowledgeBase& kb,
+                                                const InquiryOptions& opts) {
+  if (engine.finished()) return std::vector<Conflict>{};
+  std::unique_ptr<SymbolTable> symbols = kb.symbols().Clone();
+  ConflictFinder finder(symbols.get(), &kb.tgds(), &kb.cdds(),
+                        opts.chase_options);
+  if (opts.two_phase && engine.current_phase() == 1) {
+    return finder.NaiveConflicts(engine.working_facts());
+  }
+  return finder.AllConflicts(engine.working_facts());
+}
+
+}  // namespace
+
 StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
                                        TimelineOptions options) {
   if (recorded.create_params.Get("base").is_string()) {
@@ -369,43 +395,21 @@ StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
         "recording belongs to a base-forked session; diff-engines needs the "
         "create params alone to rebuild the KB");
   }
-  struct Side {
-    std::shared_ptr<const SharedKbSnapshot> snapshot;
-    std::unique_ptr<KnowledgeBase> kb;
-    std::unique_ptr<InquiryEngine> engine;
-  };
-  const auto make_side = [&](ConflictEngineKind kind) -> StatusOr<Side> {
-    Side side;
-    KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions opts,
-                              InquiryOptionsFromParams(recorded.create_params));
-    opts.conflict_engine = kind;
-    if (options.chase_threads > 0) {
-      opts.chase_options.num_threads = options.chase_threads;
-    }
-    std::string label;
-    KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                              BuildKbFromParams(recorded.create_params,
-                                                &label));
-    KBREPAIR_ASSIGN_OR_RETURN(
-        side.snapshot,
-        BuildSharedKbSnapshot(std::move(kb), label, opts.chase_options));
-    side.kb = std::make_unique<KnowledgeBase>(side.snapshot->Fork());
-    side.engine = std::make_unique<InquiryEngine>(side.kb.get(), opts);
-    KBREPAIR_RETURN_IF_ERROR(side.engine->BeginShared(side.snapshot->Seed()));
-    return side;
-  };
-  KBREPAIR_ASSIGN_OR_RETURN(Side scratch,
-                            make_side(ConflictEngineKind::kScratch));
-  KBREPAIR_ASSIGN_OR_RETURN(Side incremental,
-                            make_side(ConflictEngineKind::kIncremental));
+  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions opts,
+                            InquiryOptionsFromParams(recorded.create_params));
+  if (options.chase_threads > 0) {
+    opts.chase_options.num_threads = options.chase_threads;
+  }
+  std::string label;
+  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase base,
+                            BuildKbFromParams(recorded.create_params, &label));
+  KBREPAIR_ASSIGN_OR_RETURN(
+      std::shared_ptr<const SharedKbSnapshot> snapshot,
+      BuildSharedKbSnapshot(std::move(base), label, opts.chase_options));
+  KnowledgeBase kb = snapshot->Fork();
+  InquiryEngine engine(&kb, opts);
+  KBREPAIR_RETURN_IF_ERROR(engine.BeginShared(snapshot->Seed()));
 
-  // How one side sees the recorded entry: the transcript record it
-  // would regenerate, or why it cannot.
-  struct SideView {
-    const Question* question = nullptr;
-    std::optional<size_t> choice;
-    std::string regen;
-  };
   EngineDivergence out;
   for (size_t i = 0; i < recorded.steps.size(); ++i) {
     const RecordedStep& rec = recorded.steps[i];
@@ -415,59 +419,63 @@ StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
         static_cast<size_t>(rec.entry.Get("chosen").AsInt(0));
     const bool duplicate_of_previous =
         i > 0 && rec.entry.Dump() == recorded.steps[i - 1].entry.Dump();
-    const auto observe = [&](Side& side) -> StatusOr<SideView> {
-      SideView view;
-      KBREPAIR_ASSIGN_OR_RETURN(view.question, side.engine->NextQuestion());
-      if (view.question == nullptr) {
-        view.regen = "<consistent>";
-        return view;
-      }
-      view.choice =
-          MatchRecordedFixJson(fixes_json.at(chosen), *view.question,
-                               side.engine->View(), side.kb->symbols());
-      if (view.choice.has_value()) {
-        view.regen = SessionTranscript::EntryToJson(
-                         TranscriptEntry{*view.question, *view.choice},
-                         side.kb->symbols())
-                         .Dump();
-      } else {
-        view.regen =
-            "<no matching fix> question=" +
-            QuestionToWireJson(*view.question, side.engine->View()).Dump();
-      }
-      return view;
-    };
-    KBREPAIR_ASSIGN_OR_RETURN(SideView s, observe(scratch));
-    KBREPAIR_ASSIGN_OR_RETURN(SideView d, observe(incremental));
-    // A ghost both sides reject is skipped, exactly as in recovery.
-    if (duplicate_of_previous && !s.choice.has_value() &&
-        !d.choice.has_value()) {
-      continue;
+    out.step = i + 1;
+    out.recorded_entry = rec.entry.Dump();
+
+    KBREPAIR_ASSIGN_OR_RETURN(const Question* question, engine.NextQuestion());
+    KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> maintained,
+                              engine.InspectCensus());
+    KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> reference,
+                              ReferenceCensus(engine, kb, opts));
+    std::optional<size_t> choice;
+    if (question == nullptr) {
+      out.replayed_entry = "<consistent>";
+    } else {
+      choice = MatchRecordedFixJson(fixes_json.at(chosen), *question,
+                                    engine.View(), kb.symbols());
+      out.replayed_entry =
+          choice.has_value()
+              ? SessionTranscript::EntryToJson(
+                    TranscriptEntry{*question, *choice}, kb.symbols())
+                    .Dump()
+              : "<no matching fix> question=" +
+                    QuestionToWireJson(*question, engine.View()).Dump();
     }
-    const std::string recorded_dump = rec.entry.Dump();
-    const bool s_matches = s.choice.has_value() && s.regen == recorded_dump;
-    const bool d_matches = d.choice.has_value() && d.regen == recorded_dump;
-    if (!s_matches || !d_matches) {
+
+    const std::string maintained_text = CensusRendering(maintained);
+    const std::string reference_text = CensusRendering(reference);
+    if (maintained_text != reference_text) {
       out.diverged = true;
-      out.step = i + 1;
-      out.recorded_entry = recorded_dump;
-      out.scratch_entry = s.regen;
-      out.incremental_entry = d.regen;
-      if (!s_matches && !d_matches) {
-        out.reason = "both engines diverge from the recording at " +
-                     EntryWhere(rec, i);
-      } else if (!d_matches) {
-        out.reason =
-            "incremental engine diverges from the recording at " +
-            EntryWhere(rec, i) + " (scratch still matches)";
-      } else {
-        out.reason = "scratch engine diverges from the recording at " +
-                     EntryWhere(rec, i) + " (incremental still matches)";
-      }
+      out.reason = "maintained census diverges from the reference census at " +
+                   EntryWhere(rec, i) + " (" +
+                   std::to_string(maintained.size()) + " vs " +
+                   std::to_string(reference.size()) + " conflicts)";
+      out.maintained_census = maintained_text;
+      out.reference_census = reference_text;
       return out;
     }
-    KBREPAIR_RETURN_IF_ERROR(scratch.engine->Answer(*s.choice));
-    KBREPAIR_RETURN_IF_ERROR(incremental.engine->Answer(*d.choice));
+    // A ghost the replay rejects is skipped, exactly as in recovery.
+    if (!choice.has_value() && duplicate_of_previous) continue;
+    if (!choice.has_value() || out.replayed_entry != out.recorded_entry) {
+      out.diverged = true;
+      out.reason = "replay diverges from the recording at " +
+                   EntryWhere(rec, i) + " (censuses agree)";
+      return out;
+    }
+    KBREPAIR_RETURN_IF_ERROR(engine.Answer(*choice));
+  }
+  return EngineDivergence{};
+}
+
+std::string FormatDivergence(const EngineDivergence& divergence) {
+  std::string out = "diverged at step " + std::to_string(divergence.step) +
+                    ": " + divergence.reason +
+                    "\n  recorded: " + divergence.recorded_entry +
+                    "\n  replayed: " + divergence.replayed_entry + "\n";
+  if (!divergence.maintained_census.empty() ||
+      !divergence.reference_census.empty()) {
+    out += "  maintained census:\n" + divergence.maintained_census +
+           "  reference census:\n" + divergence.reference_census;
   }
   return out;
 }

@@ -42,11 +42,6 @@ namespace kbrepair {
 namespace debug {
 
 struct TimelineOptions {
-  // "" = honour the WAL's create params; "scratch" / "incremental"
-  // replay the recording through the other engine (the cross-engine
-  // replay envelope: identical dialogues given the recorded
-  // record_convergence mode).
-  std::string engine_override;
   // Stride of the pre-warmed parked-cursor ladder (0 disables
   // pre-warming; backward seeks then replay from step 0 or from
   // cursors parked by earlier seeks).
@@ -74,9 +69,9 @@ struct StepNote {
   int chosen_arg = 0;
   std::string chosen_text;    // "(p(a,b), 2, c)" rendering of the fix
   size_t conflicts_remaining = 0;
-  // The incremental engine had demoted to scratch by the end of this
-  // step (sticky; the dialogue itself is unaffected by demotion).
-  bool demoted = false;
+  // Conflict-engine rebuilds so far, as of the end of this step
+  // (cumulative; the dialogue itself is unaffected by a rebuild).
+  size_t engine_rebuilds = 0;
 };
 
 // A what-if branch forked off the timeline: the common prefix of the
@@ -96,16 +91,20 @@ struct ForkBranch {
   uint64_t final_state_hash = 0;
 };
 
-// First step at which two engines disagree while replaying one WAL.
+// First step at which a replay of one WAL stops agreeing: with the
+// reference census, or with the recording.
 struct EngineDivergence {
   bool diverged = false;
   size_t step = 0;         // 1-based recorded entry index of divergence
   std::string reason;
-  // The diverging step as each side regenerated it (transcript-entry
-  // JSON, or a note when the side offered no matching question).
-  std::string scratch_entry;
-  std::string incremental_entry;
   std::string recorded_entry;
+  // The step as the replay regenerated it (transcript-entry JSON, or a
+  // note when it offered no matching question).
+  std::string replayed_entry;
+  // Both censuses at the step as "cdd:[support...]" lines, when they
+  // differ (empty otherwise).
+  std::string maintained_census;
+  std::string reference_census;
 };
 
 class SessionTimeline {
@@ -211,14 +210,20 @@ class SessionTimeline {
   std::map<size_t, Cursor> parked_;
 };
 
-// Replays one recording through the scratch and the incremental engine
-// side by side and pinpoints the first step where they disagree — with
-// each other, or with the recording itself. Unlike SessionTimeline,
-// neither side's replay needs to *succeed*: a side that stops matching
-// the recording is exactly the finding. `options.engine_override` is
-// ignored (both engines always run).
+// Replays one recording through the engine and, before every recorded
+// answer, compares the census the engine selects from (InspectCensus)
+// with the reference census recomputed from scratch on a cloned symbol
+// table — the naive conflicts in phase one, ConflictFinder::AllConflicts
+// otherwise — by (CDD index, original support). Reports the first step
+// where the two differ or where the replay stops matching the
+// recording. Unlike SessionTimeline, the replay need not *succeed*:
+// where it stops matching is exactly the finding.
 StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
                                        TimelineOptions options = {});
+
+// Multi-line report of a divergence: the reason, then the recorded and
+// replayed entries and, for a census split, both censuses.
+std::string FormatDivergence(const EngineDivergence& divergence);
 
 }  // namespace debug
 }  // namespace kbrepair

@@ -1,7 +1,6 @@
 #include "repair/inquiry.h"
 
 #include <algorithm>
-#include <iostream>
 #include <map>
 #include <unordered_map>
 
@@ -23,16 +22,6 @@ const char* StrategyName(Strategy strategy) {
       return "opti-mcd";
     case Strategy::kOptiLearn:
       return "opti-learn";
-  }
-  return "unknown";
-}
-
-const char* ConflictEngineName(ConflictEngineKind kind) {
-  switch (kind) {
-    case ConflictEngineKind::kScratch:
-      return "scratch";
-    case ConflictEngineKind::kIncremental:
-      return "incremental";
   }
   return "unknown";
 }
@@ -79,22 +68,23 @@ struct InquiryEngine::Session {
   trace::PhaseTotals pending_phase_totals;
 
   Mode mode;
-  // The engine in use this round: options.conflict_engine until a
-  // delta-engine failure demotes the session to kScratch for good.
-  ConflictEngineKind active_engine;
   ConflictTracker tracker;                // used in kPhaseOne only
-  // Maintained chased-conflict engine (ConflictEngineKind::kIncremental).
-  // Created lazily at the first round or census that needs chased
-  // conflicts, then notified of every subsequent fix.
+  // Maintained chased-conflict engine. Created lazily at the first round
+  // or census that needs chased conflicts, then notified of every
+  // subsequent fix; dropped on a failure and rebuilt on next use.
   std::unique_ptr<DeltaConflictEngine> delta;
-  // Maintained Π-skeleton census (kIncremental): empty() is the
-  // Π-repairability verdict. Mirrors every Π change as a rewrite of the
+  // Maintained Π-skeleton census: empty() is the Π-repairability
+  // verdict. Mirrors every Π change as a rewrite of the
   // affected position (fix value, frozen facts value, or — on unfreeze —
   // the position's stable scratch null).
   std::unique_ptr<DeltaConflictEngine> skeleton_delta;
   std::optional<Question> pending;        // awaiting an Answer()
   double pending_delay = 0.0;             // delay captured at generation
   bool done = false;                      // consistent; dialogue over
+  // The last record's conflicts_remaining could not be counted at
+  // answer time (the census engine failed to build); the next round
+  // settles it.
+  bool census_owed = false;
 
   // Frozen snapshot prototypes armed by BeginShared(): the lazy engine
   // constructors adopt them and replay the session's own Π/fix history
@@ -114,7 +104,6 @@ struct InquiryEngine::Session {
       : facts(kb->facts()),
         rng(options.seed),
         mode(options.two_phase ? Mode::kPhaseOne : Mode::kBasic),
-        active_engine(options.conflict_engine),
         tracker(&finder),
         finder(&kb->symbols(), &kb->tgds(), &kb->cdds(),
                options.chase_options),
@@ -286,6 +275,27 @@ struct McdRanking {
   }
 };
 
+// Replays one position rewrite onto a live maintained engine. A failed
+// rewrite leaves the engine stale, so it is dropped, to be rebuilt cold
+// from the working facts on next use.
+void RewriteOrDrop(std::unique_ptr<DeltaConflictEngine>& engine,
+                   const Position& p, TermId value, InquiryResult& result) {
+  if (engine == nullptr) return;
+  const Status status = engine->OnFixApplied(p.atom, p.arg, value);
+  if (status.ok()) return;
+  engine.reset();
+  ++result.engine_rebuilds;
+}
+
+// Drops a half-built engine after a failed initialization. Anything but
+// a deadline counts as a rebuild; a deadline is retried as-is.
+Status DropFailedInit(std::unique_ptr<DeltaConflictEngine>& engine,
+                      const Status& status, InquiryResult& result) {
+  engine.reset();
+  if (status.code() != StatusCode::kDeadlineExceeded) ++result.engine_rebuilds;
+  return status;
+}
+
 McdRanking RankPositions(const std::vector<const Conflict*>& conflicts,
                          const FactBase& facts, const std::vector<Cdd>& cdds,
                          const QuestionGenerator& generator,
@@ -317,21 +327,10 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
   trace::ScopedSpan span("inquiry.select_question",
                          trace::Phase::kQuestionGen);
 
-  // In incremental mode the Π-repairability verdict comes off the
-  // maintained skeleton census instead of a per-Scope skeleton chase.
-  std::optional<bool> base_repairable;
-  if (session.active_engine == ConflictEngineKind::kIncremental) {
-    const Status status = EnsureSkeletonEngine(session);
-    if (status.ok()) {
-      base_repairable = session.skeleton_delta->empty();
-    } else if (status.code() == StatusCode::kDeadlineExceeded) {
-      return status;  // nothing stale yet; the command can be retried
-    } else {
-      DemoteToScratch(session, status);
-      // base_repairable stays unset: question generation falls back to
-      // the per-scope skeleton chase.
-    }
-  }
+  // The Π-repairability verdict comes off the maintained skeleton
+  // census instead of a per-Scope skeleton chase.
+  KBREPAIR_RETURN_IF_ERROR(EnsureSkeletonEngine(session));
+  const std::optional<bool> base_repairable = session.skeleton_delta->empty();
 
   if (options_.strategy == Strategy::kOptiMcd ||
       options_.strategy == Strategy::kOptiLearn) {
@@ -402,7 +401,6 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
 }
 
 Status InquiryEngine::EnsureDeltaEngine(Session& session) {
-  KBREPAIR_DCHECK(session.active_engine == ConflictEngineKind::kIncremental);
   if (session.delta != nullptr) return Status::Ok();
 
   if (session.delta_proto != nullptr) {
@@ -429,12 +427,13 @@ Status InquiryEngine::EnsureDeltaEngine(Session& session) {
   const Status status = session.delta->Initialize(session.facts);
   // A half-initialized engine must not be mistaken for a live one by the
   // next round's lazy-creation check.
-  if (!status.ok()) session.delta.reset();
+  if (!status.ok()) {
+    return DropFailedInit(session.delta, status, session.result);
+  }
   return status;
 }
 
 Status InquiryEngine::EnsureSkeletonEngine(Session& session) {
-  KBREPAIR_DCHECK(session.active_engine == ConflictEngineKind::kIncremental);
   if (session.skeleton_delta != nullptr) return Status::Ok();
 
   if (session.skeleton_proto != nullptr) {
@@ -466,21 +465,10 @@ Status InquiryEngine::EnsureSkeletonEngine(Session& session) {
       &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
   const Status status = session.skeleton_delta->Initialize(
       session.repairability.BuildSkeleton(session.facts, session.pi));
-  if (!status.ok()) session.skeleton_delta.reset();
+  if (!status.ok()) {
+    return DropFailedInit(session.skeleton_delta, status, session.result);
+  }
   return status;
-}
-
-void InquiryEngine::DemoteToScratch(Session& session, const Status& cause) {
-  session.active_engine = ConflictEngineKind::kScratch;
-  session.delta.reset();
-  session.skeleton_delta.reset();
-  ++session.result.engine_fallbacks;
-  std::cerr << "[kbrepair] incremental conflict engine demoted to scratch: "
-            << cause << "\n";
-}
-
-ConflictEngineKind InquiryEngine::active_engine() const {
-  return step_ != nullptr ? step_->active_engine : options_.conflict_engine;
 }
 
 int InquiryEngine::current_phase() const {
@@ -503,6 +491,12 @@ const IncrementalChase* InquiryEngine::delta_chase() const {
   return step_->delta != nullptr ? &step_->delta->chase() : nullptr;
 }
 
+std::optional<std::vector<Conflict>> InquiryEngine::chased_census() const {
+  KBREPAIR_CHECK(step_ != nullptr);
+  if (step_->delta == nullptr) return std::nullopt;
+  return step_->delta->CanonicalConflicts();
+}
+
 std::optional<size_t> InquiryEngine::skeleton_census_size() const {
   KBREPAIR_CHECK(step_ != nullptr);
   if (step_->skeleton_delta == nullptr) return std::nullopt;
@@ -519,8 +513,8 @@ StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
   if (session.delta != nullptr) {
     return session.delta->CanonicalConflicts();
   }
-  // Scratch phase two / basic: chase against a cloned symbol table so
-  // inspection cannot mint nulls into the live one.
+  // No live engine: the reference census, chased against a cloned
+  // symbol table so inspection cannot mint nulls into the live one.
   std::unique_ptr<SymbolTable> symbols = kb_->symbols().Clone();
   ConflictFinder finder(symbols.get(), &kb_->tgds(), &kb_->cdds(),
                         options_.chase_options);
@@ -534,131 +528,53 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
   trace::ScopedSpan span("inquiry.next_question");
   const trace::PhaseTotals phases_before = trace::ThreadPhaseTotals();
   WallTimer compute_timer;
+  if (session.census_owed) {
+    KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
+    session.result.records.back().conflicts_remaining = session.delta->size();
+    session.census_owed = false;
+  }
   while (true) {
     std::vector<Conflict> chase_conflicts;  // owns phase-2/basic conflicts
     std::vector<const Conflict*> conflicts;
 
-    switch (session.mode) {
-      case Session::Mode::kPhaseOne: {
-        // --- Phase one: naive conflicts with incremental maintenance.
-        if (session.tracker.empty()) {
-          session.mode = Session::Mode::kPhaseTwo;
-          continue;
-        }
-        conflicts.reserve(session.tracker.size());
-        for (const auto& [id, conflict] : session.tracker.conflicts()) {
-          conflicts.push_back(&conflict);
-        }
-        break;
+    if (session.mode == Session::Mode::kPhaseOne) {
+      // --- Phase one: naive conflicts with incremental maintenance.
+      if (session.tracker.empty()) {
+        session.mode = Session::Mode::kPhaseTwo;
+        continue;
       }
-      case Session::Mode::kPhaseTwo: {
-        // --- Phase two: conflicts surfacing through the chase.
-        bool have_census = false;
-        if (session.active_engine == ConflictEngineKind::kIncremental) {
-          // The maintained census is current; selection sees the whole
-          // set (CHECKCONSISTENCY-OPT's early stop buys nothing here).
-          const Status status = EnsureDeltaEngine(session);
-          if (status.ok()) {
-            chase_conflicts = session.delta->CanonicalConflicts();
-            have_census = true;
-          } else if (status.code() == StatusCode::kDeadlineExceeded) {
-            return status;
-          } else {
-            DemoteToScratch(session, status);
-          }
-        }
-        if (!have_census &&
-            (options_.strategy == Strategy::kOptiMcd ||
-             options_.record_convergence != ConvergenceRecording::kOff)) {
-          // The ranking needs the whole conflict set.
-          KBREPAIR_ASSIGN_OR_RETURN(
-              chase_conflicts, session.finder.AllConflicts(session.facts));
-          CanonicalizeConflicts(chase_conflicts, session.facts.size());
-          have_census = true;
-        }
-        if (!have_census) {
-          // CHECKCONSISTENCY-OPT: stop the chase at the first violation
-          // and question it.
-          ChaseEngine engine(&kb_->symbols(), &kb_->tgds(), &kb_->cdds(),
-                             options_.chase_options);
-          KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased,
-                                    engine.Run(session.facts));
-          if (chased.violation().has_value()) {
-            Conflict conflict;
-            conflict.cdd_index = chased.violation()->cdd_index;
-            conflict.matched = chased.violation()->matched;
-            conflict.support = chased.OriginalSupport(conflict.matched);
-            chase_conflicts.push_back(std::move(conflict));
-          }
-        }
-        if (chase_conflicts.empty()) {
-          session.done = true;
-          return Status::Ok();
-        }
-        if (options_.strategy == Strategy::kOptiProp) {
-          KBREPAIR_RETURN_IF_ERROR(
-              ApplyPendingPropagation(session, [&](AtomId atom) {
-                for (const Conflict& c : chase_conflicts) {
-                  if (std::binary_search(c.support.begin(), c.support.end(),
-                                         atom)) {
-                    return true;
-                  }
-                }
-                return false;
-              }));
-        }
-        conflicts.reserve(chase_conflicts.size());
-        for (const Conflict& c : chase_conflicts) conflicts.push_back(&c);
-        break;
+      conflicts.reserve(session.tracker.size());
+      for (const auto& [id, conflict] : session.tracker.conflicts()) {
+        conflicts.push_back(&conflict);
       }
-      case Session::Mode::kBasic: {
-        // Plain Algorithm 3: allconflicts before every question —
-        // recomputed from scratch or read off the maintained engine.
-        bool have_census = false;
-        if (session.active_engine == ConflictEngineKind::kIncremental) {
-          const Status status = EnsureDeltaEngine(session);
-          if (status.ok()) {
-            chase_conflicts = session.delta->CanonicalConflicts();
-            have_census = true;
-          } else if (status.code() == StatusCode::kDeadlineExceeded) {
-            return status;
-          } else {
-            DemoteToScratch(session, status);
-          }
-        }
-        if (!have_census) {
-          KBREPAIR_ASSIGN_OR_RETURN(
-              chase_conflicts, session.finder.AllConflicts(session.facts));
-          CanonicalizeConflicts(chase_conflicts, session.facts.size());
-        }
-        if (chase_conflicts.empty()) {
-          session.done = true;
-          return Status::Ok();
-        }
-        if (options_.strategy == Strategy::kOptiProp) {
-          KBREPAIR_RETURN_IF_ERROR(
-              ApplyPendingPropagation(session, [&](AtomId atom) {
-                for (const Conflict& c : chase_conflicts) {
-                  if (std::binary_search(c.support.begin(), c.support.end(),
-                                         atom)) {
-                    return true;
-                  }
-                }
-                return false;
-              }));
-        }
-        conflicts.reserve(chase_conflicts.size());
-        for (const Conflict& c : chase_conflicts) conflicts.push_back(&c);
-        break;
+    } else {
+      // --- Phase two / Algorithm 3: the chased census, read off the
+      // maintained engine. Selection sees the whole set.
+      KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
+      chase_conflicts = session.delta->CanonicalConflicts();
+      if (chase_conflicts.empty()) {
+        session.done = true;
+        return Status::Ok();
       }
+      if (options_.strategy == Strategy::kOptiProp) {
+        ApplyPendingPropagation(session, [&](AtomId atom) {
+          for (const Conflict& c : chase_conflicts) {
+            if (std::binary_search(c.support.begin(), c.support.end(),
+                                   atom)) {
+              return true;
+            }
+          }
+          return false;
+        });
+      }
+      conflicts.reserve(chase_conflicts.size());
+      for (const Conflict& c : chase_conflicts) conflicts.push_back(&c);
     }
 
     KBREPAIR_ASSIGN_OR_RETURN(Question question,
                               SelectQuestion(session, conflicts));
     if (question.fixes.empty()) {
-      KBREPAIR_ASSIGN_OR_RETURN(const bool unfroze,
-                                UnfreezePropagated(session));
-      if (unfroze) continue;
+      if (UnfreezePropagated(session)) continue;
       return Status::Internal(
           "no sound question exists; knowledge base is not Π-repairable");
     }
@@ -710,24 +626,15 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
   if (in_phase_one) {
     session.tracker.OnFixApplied(session.facts, fix.atom);
   }
-  if (session.delta != nullptr) {
-    // The maintained engine mirrors every fix from the moment it is
-    // created (lazy creation snapshots the then-current facts). A
-    // maintenance failure — including a deadline firing mid-replay —
-    // leaves the mirror stale, so the engines are dropped and the
-    // session continues on scratch; the answer itself already took
-    // effect and must not fail.
-    const Status status =
-        session.delta->OnFixApplied(fix.atom, fix.arg, fix.value);
-    if (!status.ok()) DemoteToScratch(session, status);
-  }
-  if (session.skeleton_delta != nullptr) {
-    // The fixed position joined Π, so the skeleton now carries its real
-    // value instead of the position's scratch null.
-    const Status status =
-        session.skeleton_delta->OnFixApplied(fix.atom, fix.arg, fix.value);
-    if (!status.ok()) DemoteToScratch(session, status);
-  }
+  // The maintained engines mirror every fix from the moment they are
+  // created (lazy creation snapshots the then-current facts). The fixed
+  // position joined Π, so the skeleton now carries its real value
+  // instead of the position's scratch null. A failed rewrite drops the
+  // engine for a rebuild; the answer itself already took effect and
+  // must not fail.
+  RewriteOrDrop(session.delta, fix.position(), fix.value, session.result);
+  RewriteOrDrop(session.skeleton_delta, fix.position(), fix.value,
+                session.result);
 
   if (options_.strategy == Strategy::kOptiProp) {
     // Defer freezing until conflicts are up to date for this round;
@@ -736,10 +643,9 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
       if (p != fix.position()) session.pending_propagation.push_back(p);
     }
     if (in_phase_one) {
-      KBREPAIR_RETURN_IF_ERROR(
-          ApplyPendingPropagation(session, [&](AtomId atom) {
-            return session.tracker.NumConflictsTouching(atom) > 0;
-          }));
+      ApplyPendingPropagation(session, [&](AtomId atom) {
+        return session.tracker.NumConflictsTouching(atom) > 0;
+      });
     }
   }
 
@@ -749,22 +655,12 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
            ConvergenceRecording::kDiscoveredConflicts &&
        !in_phase_one);
   if (census_needed) {
-    bool have_count = false;
-    if (session.active_engine == ConflictEngineKind::kIncremental) {
-      // The fix is already applied, so even a deadline here must not
-      // fail the answer; fall back to a scratch count instead.
-      const Status status = EnsureDeltaEngine(session);
-      if (status.ok()) {
-        record.conflicts_remaining = session.delta->size();
-        have_count = true;
-      } else {
-        DemoteToScratch(session, status);
-      }
-    }
-    if (!have_count) {
-      KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> all,
-                                session.finder.AllConflicts(session.facts));
-      record.conflicts_remaining = all.size();
+    // The fix is already applied, so even a deadline here must not fail
+    // the answer; the next round settles the count instead.
+    if (EnsureDeltaEngine(session).ok()) {
+      record.conflicts_remaining = session.delta->size();
+    } else {
+      session.census_owed = true;
     }
   } else if (in_phase_one) {
     record.conflicts_remaining = session.tracker.size();
@@ -783,44 +679,35 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
   return Status::Ok();
 }
 
-StatusOr<bool> InquiryEngine::UnfreezePropagated(Session& session) {
+bool InquiryEngine::UnfreezePropagated(Session& session) {
   if (session.propagated.empty()) return false;
   for (const Position& p : session.propagated) {
     session.pi.erase(p);
-    if (session.skeleton_delta != nullptr) {
-      // Leaving Π reverts the position to its stable scratch null. A
-      // replay failure strands the skeleton mid-update: demote (which
-      // nulls the pointer, so remaining positions skip the replay).
-      const Status status = session.skeleton_delta->OnFixApplied(
-          p.atom, p.arg,
-          session.repairability.SkeletonNullFor(session.facts, p));
-      if (!status.ok()) DemoteToScratch(session, status);
-    }
+    // Leaving Π reverts the position to its stable scratch null.
+    RewriteOrDrop(session.skeleton_delta, p,
+                  session.repairability.SkeletonNullFor(session.facts, p),
+                  session.result);
   }
   session.propagated.clear();
   return true;
 }
 
 template <typename TouchFn>
-Status InquiryEngine::ApplyPendingPropagation(Session& session,
-                                              TouchFn&& touches) {
+void InquiryEngine::ApplyPendingPropagation(Session& session,
+                                            TouchFn&& touches) {
   for (const Position& p : session.pending_propagation) {
     if (session.pi.count(p) > 0) continue;
     if (!touches(p.atom)) {
       session.pi.insert(p);
       session.propagated.insert(p);
       ++session.result.propagated_positions;
-      if (session.skeleton_delta != nullptr) {
-        // Freezing exposes the position's current value to the skeleton.
-        const Status status = session.skeleton_delta->OnFixApplied(
-            p.atom, p.arg,
-            session.facts.atom(p.atom).args[static_cast<size_t>(p.arg)]);
-        if (!status.ok()) DemoteToScratch(session, status);
-      }
+      // Freezing exposes the position's current value to the skeleton.
+      RewriteOrDrop(session.skeleton_delta, p,
+                    session.facts.atom(p.atom).args[static_cast<size_t>(p.arg)],
+                    session.result);
     }
   }
   session.pending_propagation.clear();
-  return Status::Ok();
 }
 
 }  // namespace kbrepair

@@ -8,14 +8,26 @@
 // when the user is an oracle, outputs exactly the oracle's repair
 // (Proposition 4.8).
 //
-// Two engine modes:
-//  * two_phase = false — plain Algorithm 3: allconflicts(K) is recomputed
-//    on the chased base before every question.
+// Two algorithm modes:
+//  * two_phase = false — plain Algorithm 3: allconflicts(K) on the chased
+//    base before every question.
 //  * two_phase = true  — Algorithm 4: phase one resolves *naive* conflicts
 //    (visible without chasing) with incremental maintenance
-//    (UPDATECONFLICTS); phase two runs the ⊥-detecting chase and resolves
-//    the conflicts it uncovers, projected onto the original facts through
-//    chase provenance.
+//    (UPDATECONFLICTS); phase two resolves the conflicts the chase
+//    uncovers, projected onto the original facts through chase
+//    provenance.
+//
+// Chased conflicts (phase two, Algorithm 3) and the per-round
+// Π-repairability verdict come from one conflict engine: the maintained
+// delta engine of repair/delta_conflicts.h. It keeps the chased base and
+// its canonical census current across fixes, and a second instance keeps
+// the census of the Π-skeleton, whose emptiness is the verdict. When a
+// maintenance or initialization step fails, the affected engine is
+// dropped and rebuilt cold from the current working facts the next time
+// it is needed (counted in InquiryResult::engine_rebuilds). The scratch
+// implementations — ConflictFinder::AllConflicts and
+// RepairabilityChecker::IsPiRepairable — remain the references the
+// tests compare it against.
 //
 // Strategies (Section 5):
 //  * random    — random conflict, question on all of its positions;
@@ -67,21 +79,13 @@ enum class Strategy {
 // "random", "opti-join", "opti-prop", "opti-mcd", "opti-learn".
 const char* StrategyName(Strategy strategy);
 
-// How chased conflicts (phase two / Algorithm 3) are computed.
+// How chased conflicts (phase two / Algorithm 3) are computed. One
+// value: the delta-chase conflict engine (repair/delta_conflicts.h), a
+// maintained chased base with provenance-guided retraction plus
+// index-anchored conflict maintenance.
 enum class ConflictEngineKind {
-  // Re-chase the working base and re-enumerate every CDD body before
-  // each question. The reference implementation and test oracle.
-  kScratch,
-  // Delta-chase conflict engine (repair/delta_conflicts.h): a maintained
-  // chased base with provenance-guided retraction plus index-anchored
-  // conflict maintenance. Produces the same dialogue per-seed for KBs
-  // whose conflict-feeding TGDs are full (see DESIGN.md, "Delta-chase
-  // invariants"); the differential suite enforces it.
   kIncremental,
 };
-
-// "scratch" / "incremental".
-const char* ConflictEngineName(ConflictEngineKind kind);
 
 // What the per-question conflicts_remaining field records.
 enum class ConvergenceRecording {
@@ -113,11 +117,10 @@ struct InquiryOptions {
 
   ConvergenceRecording record_convergence = ConvergenceRecording::kOff;
 
-  // Scratch recomputation vs the maintained delta-chase engine. With
-  // kIncremental, the non-mcd phase-two rounds select from the full
-  // maintained census instead of CHECKCONSISTENCY-OPT's first violation
-  // (the census is already paid for).
-  ConflictEngineKind conflict_engine = ConflictEngineKind::kScratch;
+  // Always kIncremental: there is nothing to choose. The field stays
+  // only because the benchmark driver (perfbench/src/dialogue_large.cc)
+  // still assigns it.
+  ConflictEngineKind conflict_engine = ConflictEngineKind::kIncremental;
 
   ChaseOptions chase_options;
 };
@@ -167,10 +170,10 @@ struct InquiryResult {
   // candidate fixes enumerated / filtered out by Algorithm 2.
   size_t question_candidates = 0;
   size_t question_filtered = 0;
-  // Times the incremental conflict engine was demoted to scratch after a
-  // maintenance error or invariant violation (graceful degradation; 0 or
-  // 1 per dialogue in practice — demotion is sticky).
-  size_t engine_fallbacks = 0;
+  // Times a maintained conflict engine was dropped after a failed
+  // maintenance or initialization step, to be rebuilt cold from the
+  // working facts on next use. The dialogue is unaffected.
+  size_t engine_rebuilds = 0;
 
   size_t num_questions() const { return records.size(); }
   double ConflictsPerQuestion() const {
@@ -241,12 +244,6 @@ class InquiryEngine {
   // True when the dialogue reached consistency (NextQuestion == nullptr).
   bool finished() const;
 
-  // The conflict engine actually in use: options().conflict_engine until
-  // a maintenance error demotes an incremental session to kScratch (see
-  // DemoteToScratch). The dialogue is unaffected by a demotion — the
-  // scratch engine recomputes the same canonical census.
-  ConflictEngineKind active_engine() const;
-
   // The working fact base of the in-progress session. Requires started().
   const FactBase& working_facts() const;
   // Rounds recorded so far (facts/result totals are filled by Finish()).
@@ -277,17 +274,21 @@ class InquiryEngine {
 
   // The conflict census the engine would select from at this point, in
   // canonical order: the naive tracker in phase one, the maintained
-  // delta census when the incremental engine is live, otherwise a full
-  // chased census computed against a *clone* of the symbol table —
-  // fresh nulls minted by the inspection chase never touch the live
-  // table. Conflicts are AtomId-based, so the cloned-table census is
-  // identical to what the live finder would report.
+  // delta census when that engine is live, otherwise (before the first
+  // Algorithm 3 question, or after a dropped engine awaits its rebuild)
+  // the reference census computed against a *clone* of the symbol table
+  // — fresh nulls minted by the inspection chase never touch the live
+  // table.
   StatusOr<std::vector<Conflict>> InspectCensus() const;
 
-  // Maintained chased base of the live incremental conflict engine, or
-  // nullptr (scratch sessions, demoted sessions, engine not created
-  // yet). Provenance cones can be walked off its Derivation DAG without
-  // re-chasing.
+  // The maintained chased census in canonical order, or nullopt while
+  // the delta engine is not live (not needed yet, or dropped and
+  // awaiting its rebuild).
+  std::optional<std::vector<Conflict>> chased_census() const;
+
+  // Maintained chased base of the live delta engine, or nullptr (engine
+  // not created yet, or dropped and awaiting its rebuild). Provenance
+  // cones can be walked off its Derivation DAG without re-chasing.
   const IncrementalChase* delta_chase() const;
 
   // Size of the maintained Π-skeleton census when that engine is live
@@ -298,11 +299,12 @@ class InquiryEngine {
   struct Session;  // per-run mutable state
 
   // Lazily constructs + initializes the delta conflict engine from the
-  // current working facts (kIncremental only). No-op when already live.
+  // current working facts. No-op when already live. On failure nothing
+  // is live and the next call starts over, so a deadline is retry-safe.
   Status EnsureDeltaEngine(Session& session);
 
-  // Lazily constructs + initializes the maintained Π-skeleton census
-  // (kIncremental only): a second delta engine over the skeleton of the
+  // Lazily constructs + initializes the maintained Π-skeleton census:
+  // a second delta engine over the skeleton of the
   // current (facts, Π), whose emptiness is the Π-repairability verdict
   // question generation needs each round. Every later Π change is
   // replayed onto it as a position rewrite. No-op when already live.
@@ -313,13 +315,6 @@ class InquiryEngine {
   Status ComputeNextQuestion(Session& session);
   Status ApplyAnswer(Session& session, size_t choice);
 
-  // Graceful degradation: drops the maintained delta engines and flips
-  // the session to the scratch reference engine, logging and counting
-  // `cause`. Called on any delta-engine initialization or maintenance
-  // failure other than a deadline during initialization (which is
-  // retryable and propagates instead — nothing is stale yet).
-  void DemoteToScratch(Session& session, const Status& cause);
-
   // Picks a conflict + question for the current round from `conflicts`.
   // Returns an empty question when no sound question exists (the caller
   // then unfreezes propagated positions or errors out).
@@ -327,13 +322,13 @@ class InquiryEngine {
                                     const std::vector<const Conflict*>& conflicts);
 
   // Removes every propagation-frozen position from Π. Returns true if
-  // anything was unfrozen. (Status: the skeleton engine replays each
-  // unfreeze as a rewrite back to the position's stable scratch null.)
-  StatusOr<bool> UnfreezePropagated(Session& session);
+  // anything was unfrozen. The skeleton engine replays each unfreeze as
+  // a rewrite back to the position's stable scratch null.
+  bool UnfreezePropagated(Session& session);
 
   // Freezes pending opti-prop positions that no longer touch a conflict.
   template <typename TouchFn>
-  Status ApplyPendingPropagation(Session& session, TouchFn&& touches);
+  void ApplyPendingPropagation(Session& session, TouchFn&& touches);
 
   KnowledgeBase* kb_;
   InquiryOptions options_;

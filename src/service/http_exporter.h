@@ -5,7 +5,8 @@
 //   GET /healthz  liveness — 200 as long as the thread is serving
 //   GET /readyz   readiness — 503 with one cause per line while the
 //                 service is degraded (shutdown, worker stall, recent
-//                 WAL fsync failure or engine demotion)
+//                 WAL fsync failure, WAL disk degraded, memory
+//                 pressure)
 //   GET /statusz  JSON snapshot: sessions, queue depth, uptime, build
 //                 and flag info
 //

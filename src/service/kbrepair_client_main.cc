@@ -491,7 +491,6 @@ struct ClientOptions {
   size_t workers = 4;
   std::string kb = "synthetic";
   std::string strategy = "random";
-  std::string engine = "scratch";
   // When non-empty: register one shared base KB under this name (built
   // from --kb/--seed) before driving, fork every session from it with
   // `create {"base": NAME}`, and after the drive check the base ledger
@@ -543,7 +542,6 @@ JsonValue CreateParams(const ClientOptions& options, uint64_t seed_i) {
     params.Set("base", JsonValue::String(options.base));
   }
   params.Set("strategy", JsonValue::String(options.strategy));
-  params.Set("engine", JsonValue::String(options.engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed_i)));
   if (options.chase_threads != 1) {
     params.Set("chase_threads",
@@ -562,7 +560,6 @@ JsonValue OracleParams(const ClientOptions& options, uint64_t seed_i) {
              JsonValue::Number(static_cast<int64_t>(
                  options.base.empty() ? seed_i : options.seed)));
   params.Set("strategy", JsonValue::String(options.strategy));
-  params.Set("engine", JsonValue::String(options.engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed_i)));
   if (options.chase_threads != 1) {
     params.Set("chase_threads",
@@ -1062,7 +1059,7 @@ std::string MakeTempPath(const char* pattern) {
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--server PATH] [--server-arg ARG]... [--sessions N]"
-               " [--workers N] [--kb NAME] [--strategy NAME] [--engine NAME]"
+               " [--workers N] [--kb NAME] [--strategy NAME]"
                " [--base NAME] [--chase-threads N] [--seed S]"
                " [--trace-dir DIR] [--http-port N]"
                " [--transport stdio|unix|tcp] [--connections N]"
@@ -1102,8 +1099,6 @@ int Main(int argc, char** argv) {
       options.kb = v;
     } else if (arg == "--strategy" && (v = next_value())) {
       options.strategy = v;
-    } else if (arg == "--engine" && (v = next_value())) {
-      options.engine = v;
     } else if (arg == "--base" && (v = next_value())) {
       options.base = v;
     } else if (arg == "--chase-threads" && (v = next_value())) {

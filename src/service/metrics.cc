@@ -186,14 +186,6 @@ const char* StrategyLabelName(size_t index) {
   return "unknown";
 }
 
-const char* EngineLabelName(size_t index) {
-  switch (index) {
-    case 0: return "scratch";
-    case 1: return "incremental";
-  }
-  return "unknown";
-}
-
 bool LabeledMetrics::Touched() const {
   if (sessions.load(std::memory_order_relaxed) != 0) return true;
   if (questions.load(std::memory_order_relaxed) != 0) return true;
@@ -273,8 +265,8 @@ JsonValue ServiceMetrics::ToJson() const {
                      transcript_write_failures.load(std::memory_order_relaxed)));
   durability.Set("sessions_recovered",
                  JsonValue::Number(sessions_recovered.load(std::memory_order_relaxed)));
-  durability.Set("engine_fallbacks",
-                 JsonValue::Number(engine_fallbacks.load(std::memory_order_relaxed)));
+  durability.Set("engine_rebuilds",
+                 JsonValue::Number(engine_rebuilds.load(std::memory_order_relaxed)));
   durability.Set("worker_stalls",
                  JsonValue::Number(worker_stalls.load(std::memory_order_relaxed)));
   durability.Set("wal_disk_full_failures",
@@ -308,15 +300,10 @@ JsonValue ServiceMetrics::ToJson() const {
             JsonValue::Number(base_forks.load(std::memory_order_relaxed)));
   bases.Set("fork_latency", base_fork_latency.ToJson());
 
-  JsonValue by_strategy_engine = JsonValue::Object();
+  JsonValue by_strategy = JsonValue::Object();
   for (size_t s = 0; s < kNumStrategyLabels; ++s) {
-    for (size_t e = 0; e < kNumEngineLabels; ++e) {
-      const LabeledMetrics& labeled = by_label[s][e];
-      if (!labeled.Touched()) continue;
-      by_strategy_engine.Set(std::string(StrategyLabelName(s)) + "/" +
-                                 EngineLabelName(e),
-                             labeled.ToJson());
-    }
+    if (!by_label[s].Touched()) continue;
+    by_strategy.Set(StrategyLabelName(s), by_label[s].ToJson());
   }
 
   JsonValue out = JsonValue::Object();
@@ -328,7 +315,7 @@ JsonValue ServiceMetrics::ToJson() const {
   out.Set("turn_delay", turn_delay.ToJson());
   out.Set("request_latency", request_latency.ToJson());
   out.Set("queue_wait", queue_wait.ToJson());
-  out.Set("by_strategy_engine", std::move(by_strategy_engine));
+  out.Set("by_strategy", std::move(by_strategy));
   return out;
 }
 
@@ -357,7 +344,7 @@ void ServiceMetrics::MergeFrom(const ServiceMetrics& other) {
   add(wal_compactions, other.wal_compactions);
   add(transcript_write_failures, other.transcript_write_failures);
   add(sessions_recovered, other.sessions_recovered);
-  add(engine_fallbacks, other.engine_fallbacks);
+  add(engine_rebuilds, other.engine_rebuilds);
   add(worker_stalls, other.worker_stalls);
   add(wal_disk_full_failures, other.wal_disk_full_failures);
   add(rejected_degraded, other.rejected_degraded);
@@ -396,15 +383,12 @@ void ServiceMetrics::MergeFrom(const ServiceMetrics& other) {
     }
   };
   take_latest(last_wal_fsync_failure_ns, other.last_wal_fsync_failure_ns);
-  take_latest(last_engine_demotion_ns, other.last_engine_demotion_ns);
   take_latest(last_wal_disk_full_ns, other.last_wal_disk_full_ns);
   turn_delay.MergeFrom(other.turn_delay);
   request_latency.MergeFrom(other.request_latency);
   queue_wait.MergeFrom(other.queue_wait);
   for (size_t s = 0; s < kNumStrategyLabels; ++s) {
-    for (size_t e = 0; e < kNumEngineLabels; ++e) {
-      by_label[s][e].MergeFrom(other.by_label[s][e]);
-    }
+    by_label[s].MergeFrom(other.by_label[s]);
   }
 }
 
@@ -440,7 +424,7 @@ std::string EscapeLabelValue(const std::string& value) {
   return out;
 }
 
-// {strategy="opti-mcd",engine="scratch"} — empty for no labels.
+// {strategy="opti-mcd",phase="chase"} — empty for no labels.
 std::string LabelSet(
     const std::vector<std::pair<std::string, std::string>>& labels) {
   if (labels.empty()) return "";
@@ -576,9 +560,10 @@ void AppendPrometheusText(const ServiceMetrics& metrics, std::string* out) {
   AppendCounter(out, "kbrepair_sessions_recovered_total",
                 "Sessions rebuilt from their WAL at startup.",
                 load(metrics.sessions_recovered));
-  AppendCounter(out, "kbrepair_engine_fallbacks_total",
-                "Incremental-engine demotions to the scratch engine.",
-                load(metrics.engine_fallbacks));
+  AppendCounter(out, "kbrepair_engine_rebuilds_total",
+                "Conflict engines dropped after a failed maintenance step "
+                "and rebuilt cold.",
+                load(metrics.engine_rebuilds));
   AppendCounter(out, "kbrepair_worker_stalls_total",
                 "Commands the watchdog flagged as stalling a worker.",
                 load(metrics.worker_stalls));
@@ -635,51 +620,45 @@ void AppendPrometheusText(const ServiceMetrics& metrics, std::string* out) {
                   "census adoption).",
                   metrics.base_fork_latency);
 
-  // Per-strategy / per-engine breakdown. HELP/TYPE once per metric
-  // name, then one labeled series per touched label pair.
+  // Per-strategy breakdown. HELP/TYPE once per metric name, then one
+  // labeled series per touched strategy.
   AppendHelpType(out, "kbrepair_strategy_sessions_total",
-                 "Sessions opened, by strategy and active engine.",
-                 "counter");
+                 "Sessions opened, by strategy.", "counter");
   AppendHelpType(out, "kbrepair_strategy_questions_total",
-                 "Questions served, by strategy and active engine.",
-                 "counter");
+                 "Questions served, by strategy.", "counter");
   AppendHelpType(out, "kbrepair_strategy_answers_total",
-                 "Answers applied, by strategy and active engine.",
-                 "counter");
+                 "Answers applied, by strategy.", "counter");
   std::string labeled_histograms;
   AppendHelpType(&labeled_histograms, "kbrepair_strategy_turn_delay_seconds",
-                 "Per-question engine delay, by strategy and active engine.",
-                 "histogram");
+                 "Per-question engine delay, by strategy.", "histogram");
   std::string phase_histograms;
   AppendHelpType(&phase_histograms, "kbrepair_phase_seconds",
                  "Per-command time attributed to each pipeline phase, by "
-                 "strategy and active engine.",
+                 "strategy.",
                  "histogram");
   bool any_phase = false;
   for (size_t s = 0; s < kNumStrategyLabels; ++s) {
-    for (size_t e = 0; e < kNumEngineLabels; ++e) {
-      const LabeledMetrics& labeled = metrics.by_label[s][e];
-      if (!labeled.Touched()) continue;
-      const std::vector<std::pair<std::string, std::string>> labels = {
-          {"strategy", StrategyLabelName(s)}, {"engine", EngineLabelName(e)}};
-      *out += "kbrepair_strategy_sessions_total" + LabelSet(labels) + " " +
-              std::to_string(load(labeled.sessions)) + "\n";
-      *out += "kbrepair_strategy_questions_total" + LabelSet(labels) + " " +
-              std::to_string(load(labeled.questions)) + "\n";
-      *out += "kbrepair_strategy_answers_total" + LabelSet(labels) + " " +
-              std::to_string(load(labeled.answers)) + "\n";
-      AppendHistogramSeries(&labeled_histograms,
-                            "kbrepair_strategy_turn_delay_seconds", labels,
-                            labeled.turn_delay);
-      for (size_t p = 0; p < trace::kNumPhases; ++p) {
-        if (labeled.phases[p].count() == 0) continue;
-        any_phase = true;
-        auto phase_labels = labels;
-        phase_labels.emplace_back(
-            "phase", trace::PhaseName(static_cast<trace::Phase>(p)));
-        AppendHistogramSeries(&phase_histograms, "kbrepair_phase_seconds",
-                              phase_labels, labeled.phases[p]);
-      }
+    const LabeledMetrics& labeled = metrics.by_label[s];
+    if (!labeled.Touched()) continue;
+    const std::vector<std::pair<std::string, std::string>> labels = {
+        {"strategy", StrategyLabelName(s)}};
+    *out += "kbrepair_strategy_sessions_total" + LabelSet(labels) + " " +
+            std::to_string(load(labeled.sessions)) + "\n";
+    *out += "kbrepair_strategy_questions_total" + LabelSet(labels) + " " +
+            std::to_string(load(labeled.questions)) + "\n";
+    *out += "kbrepair_strategy_answers_total" + LabelSet(labels) + " " +
+            std::to_string(load(labeled.answers)) + "\n";
+    AppendHistogramSeries(&labeled_histograms,
+                          "kbrepair_strategy_turn_delay_seconds", labels,
+                          labeled.turn_delay);
+    for (size_t p = 0; p < trace::kNumPhases; ++p) {
+      if (labeled.phases[p].count() == 0) continue;
+      any_phase = true;
+      auto phase_labels = labels;
+      phase_labels.emplace_back(
+          "phase", trace::PhaseName(static_cast<trace::Phase>(p)));
+      AppendHistogramSeries(&phase_histograms, "kbrepair_phase_seconds",
+                            phase_labels, labeled.phases[p]);
     }
   }
   *out += labeled_histograms;

@@ -89,16 +89,13 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_micros_{0};
 };
 
-// Label axes for the per-strategy / per-engine breakdown. The indices
-// are assigned by the session layer (see RepairSession), which maps its
-// Strategy / ConflictEngineKind enums onto these names.
+// Label axis for the per-strategy breakdown. The indices are assigned
+// by the session layer (see RepairSession), which maps its Strategy
+// enum onto these names.
 inline constexpr size_t kNumStrategyLabels = 5;
-inline constexpr size_t kNumEngineLabels = 2;
 const char* StrategyLabelName(size_t index);  // "random", "opti-join", ...
-const char* EngineLabelName(size_t index);    // "scratch", "incremental"
 
-// Counters and phase-latency histograms for one (strategy, engine)
-// label pair. Phase histograms are indexed by trace::Phase and record
+// Counters and phase-latency histograms for one strategy label. Phase histograms are indexed by trace::Phase and record
 // the per-command time attributed to that phase; turn_delay records the
 // engine-compute delay of each question (Prop. 4.10's measured bound).
 struct LabeledMetrics {
@@ -146,7 +143,7 @@ struct ServiceMetrics {
   std::atomic<uint64_t> wal_compactions{0};
   std::atomic<uint64_t> transcript_write_failures{0};
   std::atomic<uint64_t> sessions_recovered{0};   // rebuilt from WALs
-  std::atomic<uint64_t> engine_fallbacks{0};     // incremental -> scratch
+  std::atomic<uint64_t> engine_rebuilds{0};      // dropped conflict engines
   std::atomic<uint64_t> worker_stalls{0};        // watchdog flags
 
   // Shared-base registry (service/base_registry.h). The gauges are kept
@@ -180,7 +177,6 @@ struct ServiceMetrics {
   // event (0 = never happened). The HTTP exporter's /readyz degrades
   // for a hold-down window after each (see SessionManager's readiness).
   std::atomic<int64_t> last_wal_fsync_failure_ns{0};
-  std::atomic<int64_t> last_engine_demotion_ns{0};
   std::atomic<int64_t> last_wal_disk_full_ns{0};
 
   // Per-turn question-production delay (Prop. 4.10's service-latency
@@ -195,15 +191,12 @@ struct ServiceMetrics {
   // registration) — the latency the copy-on-write split keeps O(delta).
   LatencyHistogram base_fork_latency;
 
-  // The per-strategy / per-engine breakdown, indexed by the label
-  // helpers above. Untouched label pairs are skipped in ToJson().
-  std::array<std::array<LabeledMetrics, kNumEngineLabels>,
-             kNumStrategyLabels>
-      by_label;
+  // The per-strategy breakdown, indexed by StrategyLabelName's axis.
+  // Untouched strategies are skipped in ToJson().
+  std::array<LabeledMetrics, kNumStrategyLabels> by_label;
 
-  LabeledMetrics& ForLabels(size_t strategy_index, size_t engine_index) {
-    return by_label[strategy_index % kNumStrategyLabels]
-                   [engine_index % kNumEngineLabels];
+  LabeledMetrics& ForLabels(size_t strategy_index) {
+    return by_label[strategy_index % kNumStrategyLabels];
   }
 
   JsonValue ToJson() const;
@@ -223,9 +216,8 @@ int64_t MonotonicNowNs();
 // Renders `metrics` in the Prometheus text exposition format (0.0.4):
 // HELP/TYPE comments, `kbrepair_*` counters and gauges, and every
 // latency histogram as cumulative `_bucket{le=...}` / `_sum` / `_count`
-// series (per-strategy/per-engine histograms carry `strategy` and
-// `engine` labels, phase histograms additionally `phase`). Appended to
-// *out.
+// series (per-strategy histograms carry a `strategy` label, phase
+// histograms additionally `phase`). Appended to *out.
 void AppendPrometheusText(const ServiceMetrics& metrics, std::string* out);
 
 // Per-shard breakdown for a sharded daemon: a compact set of

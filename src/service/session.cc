@@ -20,13 +20,6 @@ StatusOr<Strategy> StrategyFromName(const std::string& name) {
   return Status::InvalidArgument("unknown strategy '" + name + "'");
 }
 
-StatusOr<ConflictEngineKind> ConflictEngineFromName(const std::string& name) {
-  if (name == "scratch") return ConflictEngineKind::kScratch;
-  if (name == "incremental") return ConflictEngineKind::kIncremental;
-  return Status::InvalidArgument("unknown engine '" + name +
-                                 "' (expected 'scratch' or 'incremental')");
-}
-
 JsonValue FactsToJson(const FactBase& facts, const SymbolTable& symbols) {
   JsonValue out = JsonValue::Array();
   for (AtomId id = 0; id < facts.size(); ++id) {
@@ -79,10 +72,10 @@ std::optional<size_t> MatchRecordedFixJson(const JsonValue& recorded,
 
 namespace {
 
-// Attributes the phase time a command spends to the session's
-// (strategy, engine) metrics slot when it leaves scope. The manager
-// serializes a session's commands on one worker thread, so the
-// thread-local accumulator delta is exactly this command's work.
+// Attributes the phase time a command spends to the session's strategy
+// metrics slot when it leaves scope. The manager serializes a session's
+// commands on one worker thread, so the thread-local accumulator delta
+// is exactly this command's work.
 class ScopedPhaseAttribution {
  public:
   ScopedPhaseAttribution(const RepairSession& session, ServiceMetrics* metrics)
@@ -224,10 +217,13 @@ StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
     options.max_questions =
         static_cast<size_t>(params.Get("max_questions").AsInt());
   }
-  if (params.Get("engine").is_string()) {
-    KBREPAIR_ASSIGN_OR_RETURN(
-        options.conflict_engine,
-        ConflictEngineFromName(params.Get("engine").AsString()));
+  // One conflict engine remains; naming it stays accepted so existing
+  // clients and WALs keep working.
+  if (params.Get("engine").is_string() &&
+      params.Get("engine").AsString() != "incremental") {
+    return Status::InvalidArgument(
+        "unknown engine '" + params.Get("engine").AsString() +
+        "' (the only conflict engine is 'incremental')");
   }
   if (params.Get("record_convergence").is_string()) {
     const std::string mode = params.Get("record_convergence").AsString();
@@ -403,35 +399,26 @@ void RepairSession::ArmDeadline(int64_t budget_ms) {
 
 void RepairSession::DisarmDeadline() { cancel_->Disarm(); }
 
-void RepairSession::ReportEngineFallbacks(size_t total_fallbacks,
-                                          ServiceMetrics* metrics) {
-  if (total_fallbacks <= reported_fallbacks_) return;
+void RepairSession::ReportEngineRebuilds(size_t total_rebuilds,
+                                         ServiceMetrics* metrics) {
+  if (total_rebuilds <= reported_rebuilds_) return;
   if (metrics != nullptr) {
-    metrics->engine_fallbacks.fetch_add(total_fallbacks - reported_fallbacks_,
-                                        std::memory_order_relaxed);
-    // Readiness signal: a demotion means the incremental latency bound
-    // regressed to the scratch engine's; /readyz degrades for the
-    // hold-down window.
-    metrics->last_engine_demotion_ns.store(MonotonicNowNs(),
-                                           std::memory_order_relaxed);
+    metrics->engine_rebuilds.fetch_add(total_rebuilds - reported_rebuilds_,
+                                       std::memory_order_relaxed);
   }
-  logging::Warn("session", "incremental engine demoted to scratch")
+  logging::Warn("session", "conflict engine dropped for a cold rebuild")
       .With("session", id_)
-      .With("fallbacks", total_fallbacks - reported_fallbacks_);
-  reported_fallbacks_ = total_fallbacks;
+      .With("rebuilds", total_rebuilds - reported_rebuilds_);
+  reported_rebuilds_ = total_rebuilds;
 }
 
 size_t RepairSession::strategy_label() const {
   return static_cast<size_t>(options_.strategy);
 }
 
-size_t RepairSession::engine_label() const {
-  return engine_->active_engine() == ConflictEngineKind::kIncremental ? 1 : 0;
-}
-
 void RepairSession::RecordOpened(ServiceMetrics* metrics) const {
   if (metrics == nullptr) return;
-  metrics->ForLabels(strategy_label(), engine_label())
+  metrics->ForLabels(strategy_label())
       .sessions.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -439,7 +426,7 @@ void RepairSession::ObservePhases(ServiceMetrics* metrics,
                                   const trace::PhaseTotals& delta) const {
   if (metrics == nullptr) return;
   LabeledMetrics& labeled =
-      metrics->ForLabels(strategy_label(), engine_label());
+      metrics->ForLabels(strategy_label());
   for (size_t p = 0; p < trace::kNumPhases; ++p) {
     if (delta.seconds[p] > 0.0) labeled.phases[p].Observe(delta.seconds[p]);
   }
@@ -457,7 +444,7 @@ StatusOr<JsonValue> RepairSession::Ask(ServiceMetrics* metrics) {
   ScopedPhaseAttribution attribution(*this, metrics);
   KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
                             engine_->NextQuestion());
-  ReportEngineFallbacks(engine_->progress().engine_fallbacks, metrics);
+  ReportEngineRebuilds(engine_->progress().engine_rebuilds, metrics);
   JsonValue out = JsonValue::Object();
   out.Set("session", JsonValue::String(id_));
   const size_t answered = engine_->progress().records.size();
@@ -470,7 +457,7 @@ StatusOr<JsonValue> RepairSession::Ask(ServiceMetrics* metrics) {
     question_outstanding_ = true;
     if (metrics != nullptr) {
       metrics->questions_served.fetch_add(1, std::memory_order_relaxed);
-      metrics->ForLabels(strategy_label(), engine_label())
+      metrics->ForLabels(strategy_label())
           .questions.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -552,7 +539,7 @@ StatusOr<JsonValue> RepairSession::Answer(const JsonValue& params,
   KBREPAIR_RETURN_IF_ERROR(engine_->Answer(choice));
   transcript_.Record(recorded, choice);
   question_outstanding_ = false;
-  ReportEngineFallbacks(engine_->progress().engine_fallbacks, metrics);
+  ReportEngineRebuilds(engine_->progress().engine_rebuilds, metrics);
 
   if (wal_ != nullptr &&
       wal_->appends_since_compaction() >= wal_compact_every_) {
@@ -581,7 +568,7 @@ StatusOr<JsonValue> RepairSession::Answer(const JsonValue& params,
     metrics->answers_applied.fetch_add(1, std::memory_order_relaxed);
     metrics->turn_delay.Observe(record.delay_seconds);
     LabeledMetrics& labeled =
-        metrics->ForLabels(strategy_label(), engine_label());
+        metrics->ForLabels(strategy_label());
     labeled.answers.fetch_add(1, std::memory_order_relaxed);
     labeled.turn_delay.Observe(record.delay_seconds);
   }
@@ -602,15 +589,6 @@ JsonValue RepairSession::StatusInfo() const {
   out.Set("kb", JsonValue::String(kb_label_));
   if (base_) out.Set("base", JsonValue::String(base_.name()));
   out.Set("strategy", JsonValue::String(StrategyName(options_.strategy)));
-  out.Set("engine",
-          JsonValue::String(ConflictEngineName(options_.conflict_engine)));
-  // Graceful degradation is visible: after a fallback the active engine
-  // differs from the requested one.
-  out.Set("engine_active",
-          JsonValue::String(ConflictEngineName(engine_->active_engine())));
-  out.Set("engine_degraded",
-          JsonValue::Bool(engine_->active_engine() !=
-                          options_.conflict_engine));
   out.Set("seed", JsonValue::Number(static_cast<int64_t>(options_.seed)));
   const char* state = "active";
   if (closed_) {
@@ -709,7 +687,7 @@ StatusOr<JsonValue> RepairSession::Close(const JsonValue& params,
   const bool consistent = engine_->finished();
   KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine_->Finish());
   closed_ = true;
-  ReportEngineFallbacks(result.engine_fallbacks, metrics);
+  ReportEngineRebuilds(result.engine_rebuilds, metrics);
   // The session ended cleanly; there is nothing left to recover.
   if (wal_ != nullptr) {
     const Status removed = wal_->Remove();

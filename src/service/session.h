@@ -43,8 +43,8 @@ StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
 
 // Parses strategy/seed/two_phase/max_questions/engine/chase_threads/
 // record_convergence ("off" | "total" | "discovered") from `create`
-// params. record_convergence is dialogue-relevant for scratch two-phase
-// non-mcd runs, so WALs that should replay across engines record it.
+// params. "engine" may be absent or "incremental"; anything else
+// (including the retired "scratch") is InvalidArgument.
 StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params);
 
 // Matches a WAL-recorded fix (wire JSON: atom/arg numbers plus
@@ -148,12 +148,9 @@ class RepairSession {
   // shutdown (when a transcript directory is configured).
   JsonValue TranscriptJson() const;
 
-  // Indices into the metrics label axes (StrategyLabelName /
-  // EngineLabelName) for this session's strategy and *active* conflict
-  // engine — after a demotion the attribution follows the engine
-  // actually doing the work.
+  // Index into the metrics label axis (StrategyLabelName) for this
+  // session's strategy.
   size_t strategy_label() const;
-  size_t engine_label() const;
 
   // Bumps the labeled session counter; the manager calls this once when
   // the session is registered (create or recovery).
@@ -177,8 +174,8 @@ class RepairSession {
   RepairSession(std::string id, std::string kb_label, KnowledgeBase kb,
                 InquiryOptions options, JsonValue create_params);
 
-  // Folds any new engine demotions into the metrics (idempotent).
-  void ReportEngineFallbacks(size_t total_fallbacks, ServiceMetrics* metrics);
+  // Folds any new engine rebuilds into the metrics (idempotent).
+  void ReportEngineRebuilds(size_t total_rebuilds, ServiceMetrics* metrics);
 
   // Shared WAL-replay loop behind Recover()/RecoverFromBase().
   static Status ReplayWalEntries(RepairSession* session,
@@ -204,7 +201,7 @@ class RepairSession {
   SessionTranscript transcript_;
   std::unique_ptr<SessionWal> wal_;
   size_t wal_compact_every_ = 64;
-  size_t reported_fallbacks_ = 0;
+  size_t reported_rebuilds_ = 0;
   bool question_outstanding_ = false;  // served but not yet answered
   bool closed_ = false;
 };

@@ -376,7 +376,7 @@ void SessionManager::RunCreate(Task task) {
       id = "s-" + std::to_string(++next_session_);
     }
   }
-  // Correlate every log line below (WAL failures, engine demotions in
+  // Correlate every log line below (WAL failures, engine rebuilds in
   // the census) with the session being created.
   logging::ScopedSessionId log_scope(id);
   // Log the create before building the session: a crash between the two
@@ -455,7 +455,7 @@ void SessionManager::RunCreate(Task task) {
   }
   std::unique_ptr<RepairSession> session = std::move(created).value();
   // The initial census (Begin) ran on this thread; attribute its phase
-  // time to the session's (strategy, engine) slot.
+  // time to the session's strategy slot.
   session->ObservePhases(&metrics_,
                          trace::ThreadPhaseTotals().Since(phases_before));
   session->RecordOpened(&metrics_);
@@ -494,7 +494,7 @@ void SessionManager::RunSessionCommand(const std::string& key) {
   // Queue wait includes time parked behind earlier commands of the same
   // session — that is real scheduling delay, not execution time.
   metrics_.queue_wait.Observe(task.timer.ElapsedSeconds());
-  // Every log line the handler emits (WAL append, compaction, demotion,
+  // Every log line the handler emits (WAL append, compaction, engine rebuild,
   // deadline) carries this session id without explicit plumbing.
   logging::ScopedSessionId log_scope(key);
 
@@ -616,9 +616,9 @@ std::vector<std::string> SessionManager::ReadinessCauses() {
       break;  // one cause line is enough
     }
   }
-  // Recent degrading events keep the instance out of rotation for a
+  // A recent fsync failure keeps the instance out of rotation for a
   // hold-down window: a disk that failed one fsync is likely to fail
-  // the next, and a demoted engine means the latency bound regressed.
+  // the next.
   const int64_t hold_ns =
       static_cast<int64_t>(kReadinessHoldDownSeconds * 1e9);
   const int64_t mono_now = MonotonicNowNs();
@@ -626,11 +626,6 @@ std::vector<std::string> SessionManager::ReadinessCauses() {
       metrics_.last_wal_fsync_failure_ns.load(std::memory_order_relaxed);
   if (last_fsync != 0 && mono_now - last_fsync < hold_ns) {
     causes.push_back("recent-wal-fsync-failure");
-  }
-  const int64_t last_demotion =
-      metrics_.last_engine_demotion_ns.load(std::memory_order_relaxed);
-  if (last_demotion != 0 && mono_now - last_demotion < hold_ns) {
-    causes.push_back("recent-engine-demotion");
   }
   // Level-based (no hold-down): these clear the instant the condition
   // does, because the reaper probe / evictions are what resolve them.

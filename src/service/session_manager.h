@@ -148,8 +148,8 @@ class SessionManager {
   // Readiness-failure causes for the HTTP exporter's /readyz: empty
   // while the service is healthy. Degrading conditions: shutdown in
   // progress, a worker currently past the stall threshold, and a WAL
-  // fsync failure or engine demotion within the last
-  // kReadinessHoldDownSeconds. Thread-safe.
+  // fsync failure within the last kReadinessHoldDownSeconds.
+  // Thread-safe.
   std::vector<std::string> ReadinessCauses();
   static constexpr double kReadinessHoldDownSeconds = 30.0;
 

@@ -53,7 +53,7 @@ Status WriteFully(int fd, const std::string& data, const std::string& path,
 
 // Outcome of interpreting one line as a v2 framed record.
 enum class FrameParse {
-  kNotFramed,  // no leading length digits: a header or bare v1 record
+  kNotFramed,  // no leading length digits: not a v2 record line
   kOk,         // payload extracted, length and CRC32C verified
   kTorn,       // fewer payload bytes than declared — a write torn by a crash
   kCorrupt,    // structurally framed but fails verification — bit-rot
@@ -131,9 +131,8 @@ StatusOr<std::unique_ptr<SessionWal>> SessionWal::Open(
     ::close(fd);
     return status;
   }
-  // Only a fresh (empty) file gets the v2 header; appending framed
-  // records to an existing v1 file is fine, the reader discriminates
-  // per line.
+  // Only a fresh (empty) file gets the v2 header; a non-empty one
+  // already carries it.
   return std::unique_ptr<SessionWal>(
       new SessionWal(path, fd, /*needs_header=*/st.st_size == 0));
 }
@@ -296,34 +295,29 @@ Status WalReader::Next(WalRecordRef* out, bool* done) {
 
     std::string payload;
     std::string frame_error;
-    std::string record_text;
     switch (ParseFramedLine(line, unterminated, &payload, &frame_error)) {
       case FrameParse::kOk:
-        record_text = std::move(payload);
         break;
       case FrameParse::kTorn:
         return torn();
       case FrameParse::kCorrupt:
         return Status::InvalidArgument(where + ": " + frame_error);
       case FrameParse::kNotFramed:
-        // Bare v1 record: no checksum to verify, fall back to the
-        // legacy policy (a garbled final line is a tear, anything
-        // earlier is corruption).
-        record_text = line;
-        break;
+        // Crash mid-append: the guarded command was never acknowledged,
+        // so an unterminated final line loses nothing promised durable.
+        // A v2 writer frames every record and a torn frame keeps its
+        // leading length digits, so a complete unframed line — garbage,
+        // or a bare record of a v1 log — is corruption, not a tear.
+        if (unterminated) return torn();
+        return Status::InvalidArgument(
+            where + ": unframed record (v1 WALs are no longer read)");
+    }
+    if (!v2_header_) {
+      return Status::InvalidArgument(where + ": record before the WAL header");
     }
 
-    StatusOr<JsonValue> parsed = JsonValue::Parse(record_text);
+    StatusOr<JsonValue> parsed = JsonValue::Parse(payload);
     if (!parsed.ok() || !parsed->is_object()) {
-      // Crash mid-append: the guarded command was never acknowledged,
-      // so dropping the line loses nothing that was promised durable.
-      // That leniency only extends to a *terminated* final line in
-      // legacy v1 files — a v2 writer frames every record, and a torn
-      // frame always keeps its leading length digits, so terminated
-      // garbage under a v2 header is corruption, not a tear.
-      if (unterminated || (pos_ >= contents_.size() && !v2_header_)) {
-        return torn();
-      }
       return Status::InvalidArgument(where + ": unparseable record");
     }
     out->record = std::move(*parsed);

@@ -20,9 +20,8 @@
 // length present but CRC32C mismatch, or corruption anywhere before the
 // final line — the file is rejected and recovery quarantines it rather
 // than silently replaying a garbled history). v1 files (bare JSON
-// lines, no header, no checksums) are still readable: record lines are
-// self-discriminating, so logs written by older builds — including v1
-// files that later builds appended framed records to — recover fine.
+// lines, no header, no checksums) are no longer read: recovery
+// quarantines them like any other unreadable log.
 //
 // Record payload shapes (one JSON object per line):
 //   {"op":"create","params":{...}}          the create request params
@@ -116,8 +115,7 @@ struct WalRecordRef {
   uint64_t byte_offset = 0;
 };
 
-// Streaming WAL record reader. Decodes v2 framing (and bare v1 lines)
-// one record at a time, reporting each record's index and byte offset.
+// Streaming WAL record reader. Decodes v2 framing one record at a time, reporting each record's index and byte offset.
 // A torn final line (crash mid-append) ends the stream and is reported
 // via dropped_torn_tail(); framing/CRC corruption anywhere else is an
 // error carrying the record index and byte offset.

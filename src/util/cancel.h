@@ -5,8 +5,8 @@
 // the only places the engine can spend unbounded time — poll it and bail
 // out with DeadlineExceeded. Cancellation is checked *before* state is
 // mutated at each step, so a cancelled command leaves the structure it
-// was working on unusable only when the caller is told so (the service
-// reacts by demoting the session to the scratch engine, see
+// was working on unusable only when the caller is told so (the inquiry
+// engine then drops that structure and rebuilds it on next use, see
 // repair/inquiry.h).
 //
 // Thread model: one thread arms/disarms, any thread polls. All accesses

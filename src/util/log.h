@@ -18,8 +18,8 @@
 //    "suppressed_prior": N for the lines dropped in between;
 //  * a thread-local session id (ScopedSessionId, set by the scheduler
 //    around each session command) is attached automatically, so every
-//    WAL / deadline / demotion event correlates without plumbing the id
-//    through each call site.
+//    WAL / deadline / engine-rebuild event correlates without plumbing
+//    the id through each call site.
 //
 // Sinks: stderr by default, or an append-mode file (--log-file).
 

@@ -6,13 +6,16 @@
 // private session over an identically generated KB. Four layers:
 //
 //  * Engine-level lockstep over the full 208-dialogue differential
-//    matrix (4 strategies x 2 phase modes x 2 workloads x 13 seeds,
-//    engine kind alternating by seed), mirroring
-//    incremental_conflict_test.cc with the incremental side replaced by
+//    matrix (4 strategies x 2 phase modes x 2 workloads x 13 seeds),
+//    mirroring incremental_conflict_test.cc with one side replaced by
 //    a snapshot fork. Snapshots are cached per (seed, with_tgds) so the
-//    matrix also exercises many forks of one base.
-//  * The same lockstep across all five strategies x both conflict
-//    engines on one base (adds opti-learn, which the matrix omits).
+//    matrix also exercises many forks of one base. The fork either
+//    adopts the snapshot's frozen conflict-engine prototypes ("_inc"
+//    cases, even seeds) or builds its engines from scratch over the
+//    forked facts ("_scr" cases, odd seeds) — the path a fork takes
+//    after an engine rebuild.
+//  * The same lockstep across all five strategies x both fork engine
+//    paths on one base (adds opti-learn, which the matrix omits).
 //  * Service-level: a SessionManager session created from a registered
 //    base must produce byte-identical ask transcripts and close output
 //    to a private-KB session (no null bijection — the snapshot
@@ -123,7 +126,9 @@ const std::shared_ptr<const SharedKbSnapshot>& CachedSnapshot(
 struct ForkCase {
   uint64_t seed;
   Strategy strategy;
-  ConflictEngineKind engine;
+  // The fork adopts the snapshot's frozen engine prototypes; otherwise
+  // it builds its conflict engines from scratch.
+  bool adopt_prototypes;
   bool two_phase;
   bool with_tgds;
 };
@@ -141,7 +146,6 @@ void RunLockstep(const ForkCase& param) {
 
   InquiryOptions options;
   options.strategy = param.strategy;
-  options.conflict_engine = param.engine;
   options.two_phase = param.two_phase;
   options.seed = param.seed * 17 + 3;
   options.record_convergence = ConvergenceRecording::kTotalConflicts;
@@ -149,8 +153,13 @@ void RunLockstep(const ForkCase& param) {
   InquiryEngine cold(&kb_private, options);
   InquiryEngine forked(&kb_fork, options);
 
+  SharedBeginSeed seed = snapshot->Seed();
+  if (!param.adopt_prototypes) {
+    seed.delta_proto = nullptr;
+    seed.skeleton_proto = nullptr;
+  }
   ASSERT_TRUE(cold.Begin().ok());
-  ASSERT_TRUE(forked.BeginShared(snapshot->Seed()).ok());
+  ASSERT_TRUE(forked.BeginShared(seed).ok());
 
   NullBijection nulls;
   Rng chooser(param.seed * 101 + 13);
@@ -237,7 +246,7 @@ std::string CaseName(const ::testing::TestParamInfo<ForkCase>& info) {
   for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
-  name += c.engine == ConflictEngineKind::kIncremental ? "_inc" : "_scr";
+  name += c.adopt_prototypes ? "_inc" : "_scr";
   name += c.two_phase ? "_2ph" : "_basic";
   name += c.with_tgds ? "_tgd" : "_flat";
   name += "_s" + std::to_string(c.seed);
@@ -254,16 +263,14 @@ std::vector<ForkCase> MakeMatrixCases() {
   std::vector<ForkCase> cases;
   const Strategy strategies[] = {Strategy::kRandom, Strategy::kOptiJoin,
                                  Strategy::kOptiProp, Strategy::kOptiMcd};
-  // The 208-dialogue differential matrix, engine kind alternating by
-  // seed so both conflict engines run against forks across the sweep.
+  // The 208-dialogue differential matrix, the fork's engine path
+  // alternating by seed so both run against forks across the sweep.
   for (const Strategy strategy : strategies) {
     for (const bool two_phase : {false, true}) {
       for (const bool with_tgds : {false, true}) {
         for (uint64_t seed = 1; seed <= 13; ++seed) {
-          const ConflictEngineKind engine =
-              seed % 2 == 0 ? ConflictEngineKind::kIncremental
-                            : ConflictEngineKind::kScratch;
-          cases.push_back({seed, strategy, engine, two_phase, with_tgds});
+          cases.push_back(
+              {seed, strategy, seed % 2 == 0, two_phase, with_tgds});
         }
       }
     }
@@ -275,16 +282,15 @@ INSTANTIATE_TEST_SUITE_P(Matrix, ForkDifferential,
                          ::testing::ValuesIn(MakeMatrixCases()), CaseName);
 
 // All five strategies (including opti-learn, absent from the matrix)
-// crossed with both engines on one TGD-bearing base.
+// crossed with both fork engine paths on one TGD-bearing base.
 std::vector<ForkCase> MakeStrategyEngineCases() {
   std::vector<ForkCase> cases;
   const Strategy strategies[] = {Strategy::kRandom, Strategy::kOptiJoin,
                                  Strategy::kOptiProp, Strategy::kOptiMcd,
                                  Strategy::kOptiLearn};
   for (const Strategy strategy : strategies) {
-    for (const ConflictEngineKind engine :
-         {ConflictEngineKind::kScratch, ConflictEngineKind::kIncremental}) {
-      cases.push_back({3, strategy, engine, /*two_phase=*/true,
+    for (const bool adopt_prototypes : {false, true}) {
+      cases.push_back({3, strategy, adopt_prototypes, /*two_phase=*/true,
                        /*with_tgds=*/true});
     }
   }
@@ -314,8 +320,6 @@ TEST(ForkIsolation, InterleavedSiblingForksStayIndependent) {
     d->kb = snapshot->Fork();
     InquiryOptions options;
     options.strategy = i % 2 == 0 ? Strategy::kRandom : Strategy::kOptiMcd;
-    options.conflict_engine = i % 3 == 0 ? ConflictEngineKind::kIncremental
-                                         : ConflictEngineKind::kScratch;
     options.seed = 900 + i;
     d->engine = std::make_unique<InquiryEngine>(&d->kb, options);
     d->chooser = Rng(7000 + i * 31);
@@ -394,12 +398,13 @@ JsonValue RegisterBaseCommand(const std::string& name, uint64_t kb_seed) {
   return params;
 }
 
+// An empty `engine` leaves the param out (the default engine).
 JsonValue SessionParams(uint64_t seed, const std::string& strategy,
-                        const std::string& engine) {
+                        const std::string& engine = "") {
   JsonValue params = JsonValue::Object();
   params.Set("command", JsonValue::String("create"));
   params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
+  if (!engine.empty()) params.Set("engine", JsonValue::String(engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
 }
@@ -446,14 +451,14 @@ StatusOr<ServiceRun> DriveService(SessionManager& manager,
 }
 
 // Base-forked service sessions are byte-identical to private ones —
-// whole wire transcripts, not just final repairs — across strategies
-// and engines.
+// whole wire transcripts, not just final repairs — across strategies,
+// with the engine param named and left out.
 TEST(ServiceForkEquivalence, TranscriptsByteIdenticalAcrossStrategies) {
   const uint64_t kb_seed = 20180326;
   for (const char* strategy :
        {"random", "opti-join", "opti-prop", "opti-mcd", "opti-learn"}) {
-    for (const char* engine : {"scratch", "incremental"}) {
-      SCOPED_TRACE(std::string(strategy) + "/" + engine);
+    for (const char* engine : {"", "incremental"}) {
+      SCOPED_TRACE(std::string(strategy) + "/engine=" + engine);
 
       ServiceConfig private_config;
       private_config.num_workers = 2;
@@ -492,7 +497,7 @@ TEST(ServiceForkEquivalence, TranscriptsByteIdenticalAcrossStrategies) {
 TEST(ServiceForkEquivalence, UnknownBaseIsNotFound) {
   ServiceConfig config;
   SessionManager manager(config);
-  JsonValue params = SessionParams(1, "random", "scratch");
+  JsonValue params = SessionParams(1, "random");
   params.Set("base", JsonValue::String("nope"));
   StatusOr<JsonValue> created = manager.Execute(MakeRequest(params));
   ASSERT_FALSE(created.ok());
@@ -609,7 +614,7 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   ServiceConfig ref_config;
   ref_config.num_workers = 2;
   SessionManager ref_manager(ref_config);
-  JsonValue ref_params = SessionParams(seed, "random", "scratch");
+  JsonValue ref_params = SessionParams(seed, "random");
   ref_params.Set("kb", JsonValue::String("synthetic"));
   ref_params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
   StatusOr<ServiceRun> ref = DriveService(ref_manager, ref_params, seed);
@@ -624,7 +629,7 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
       {KBREPAIRD_PATH, "--workers", "2", "--wal-dir", wal_dir.path}));
   ASSERT_TRUE(daemon.Call(RegisterBaseCommand("crash-base", seed)).ok());
 
-  JsonValue create = SessionParams(seed, "random", "scratch");
+  JsonValue create = SessionParams(seed, "random");
   create.Set("base", JsonValue::String("crash-base"));
   StatusOr<JsonValue> created = daemon.Call(std::move(create));
   ASSERT_TRUE(created.ok()) << created.status();

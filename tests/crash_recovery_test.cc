@@ -5,7 +5,9 @@
 //  * In-process: drive a SessionManager with a WAL dir, drop it
 //    mid-dialogue, start a fresh manager with recover=true and compare
 //    snapshots and close outputs byte-for-byte against an uninterrupted
-//    reference — across three strategies and both conflict engines.
+//    reference — across three strategies, each once with the conflict
+//    engine rebuilt from scratch before the crash (the "Scratch"
+//    cases, via the delta.corrupt failpoint) and once without.
 //  * Daemon-level: spawn the real kbrepaird (KBREPAIRD_PATH), kill -9 it
 //    mid-dialogue, restart with --recover-dir, and finish the dialogue;
 //    the repaired fact base must match the uninterrupted run exactly.
@@ -24,21 +26,24 @@
 
 #include "service/session_manager.h"
 #include "service/wal.h"
+#include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
 
 namespace kbrepair {
 namespace {
 
+// An empty `engine` leaves the param out (the default engine).
 JsonValue CreateParams(uint64_t seed, const std::string& strategy,
-                       const std::string& engine, int64_t num_facts = 40) {
+                       const std::string& engine = "",
+                       int64_t num_facts = 40) {
   JsonValue params = JsonValue::Object();
   params.Set("command", JsonValue::String("create"));
   params.Set("kb", JsonValue::String("synthetic"));
   params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
   params.Set("num_facts", JsonValue::Number(num_facts));
   params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
+  if (!engine.empty()) params.Set("engine", JsonValue::String(engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
 }
@@ -138,13 +143,17 @@ StatusOr<ReferenceRun> RunReference(const JsonValue& create_params,
   return run;
 }
 
-void RoundTrip(const std::string& strategy, const std::string& engine,
+// With `rebuild`, the conflict engine is dropped and rebuilt from
+// scratch on the second answer before the crash (and the create names
+// no engine); otherwise the create names "incremental" explicitly.
+void RoundTrip(const std::string& strategy, bool rebuild,
                size_t wal_compact_every, int64_t num_facts = 40) {
-  SCOPED_TRACE("strategy=" + strategy + " engine=" + engine +
+  SCOPED_TRACE("strategy=" + strategy +
+               " rebuild=" + (rebuild ? "yes" : "no") +
                " compact_every=" + std::to_string(wal_compact_every));
   const uint64_t seed = 20180326;
-  const JsonValue create_params =
-      CreateParams(seed, strategy, engine, num_facts);
+  const JsonValue create_params = CreateParams(
+      seed, strategy, rebuild ? "" : "incremental", num_facts);
 
   StatusOr<ReferenceRun> ref = RunReference(create_params, seed, 3);
   ASSERT_TRUE(ref.ok()) << ref.status();
@@ -167,6 +176,7 @@ void RoundTrip(const std::string& strategy, const std::string& engine,
     StatusOr<JsonValue> created = manager.Execute(MakeRequest(create_params));
     ASSERT_TRUE(created.ok()) << created.status();
     session = created->Get("session").AsString();
+    if (rebuild) failpoint::Arm("delta.corrupt", /*skip=*/1, /*fail=*/1);
     for (size_t i = 0; i < 3; ++i) {
       StatusOr<JsonValue> asked =
           manager.Execute(SessionCommand("ask", session));
@@ -175,6 +185,15 @@ void RoundTrip(const std::string& strategy, const std::string& engine,
       ASSERT_TRUE(
           manager.Execute(AnswerCommand(session, ref->choices[i])).ok());
     }
+    failpoint::Reset();
+    StatusOr<JsonValue> metrics = manager.Execute(MakeRequest([] {
+      JsonValue params = JsonValue::Object();
+      params.Set("command", JsonValue::String("metrics"));
+      return params;
+    }()));
+    ASSERT_TRUE(metrics.ok());
+    EXPECT_EQ(metrics->Get("durability").Get("engine_rebuilds").AsInt(0),
+              rebuild ? 1 : 0);
   }
 
   // Phase two: recover from the WAL and finish the dialogue.
@@ -234,28 +253,29 @@ void RoundTrip(const std::string& strategy, const std::string& engine,
   EXPECT_FALSE(gone.ok());
 }
 
-TEST(CrashRecoveryTest, RandomScratch) { RoundTrip("random", "scratch", 64); }
+// "Scratch": the engine is rebuilt from scratch before the crash.
+TEST(CrashRecoveryTest, RandomScratch) { RoundTrip("random", true, 64); }
 TEST(CrashRecoveryTest, RandomIncremental) {
-  RoundTrip("random", "incremental", 64);
+  RoundTrip("random", false, 64);
 }
 // The opti-* dialogues converge in ≤3 questions on the 40-fact KB, so
 // they run on a larger one that leaves room to crash mid-dialogue.
 TEST(CrashRecoveryTest, OptiMcdScratch) {
-  RoundTrip("opti-mcd", "scratch", 64, 80);
+  RoundTrip("opti-mcd", true, 64, 80);
 }
 TEST(CrashRecoveryTest, OptiMcdIncremental) {
-  RoundTrip("opti-mcd", "incremental", 64, 80);
+  RoundTrip("opti-mcd", false, 64, 80);
 }
 TEST(CrashRecoveryTest, OptiPropScratch) {
-  RoundTrip("opti-prop", "scratch", 64, 80);
+  RoundTrip("opti-prop", true, 64, 80);
 }
 TEST(CrashRecoveryTest, OptiPropIncremental) {
-  RoundTrip("opti-prop", "incremental", 64, 80);
+  RoundTrip("opti-prop", false, 64, 80);
 }
 
 // Compaction every 2 appends forces recovery through snapshot records.
 TEST(CrashRecoveryTest, RecoversThroughCompactedWal) {
-  RoundTrip("random", "scratch", 2);
+  RoundTrip("random", false, 2);
 }
 
 TEST(CrashRecoveryTest, CorruptWalIsQuarantinedNotFatal) {
@@ -278,7 +298,7 @@ TEST(CrashRecoveryTest, CorruptWalIsQuarantinedNotFatal) {
   EXPECT_EQ(::stat((wal_dir.path + "/s-9.wal.corrupt").c_str(), &st), 0);
   // And fresh sessions still allocate ids past the quarantined one.
   StatusOr<JsonValue> created = manager.Execute(
-      MakeRequest(CreateParams(7, "random", "scratch")));
+      MakeRequest(CreateParams(7, "random")));
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_EQ(created->Get("session").AsString(), "s-10");
 }
@@ -291,14 +311,15 @@ TEST(CrashRecoveryTest, ClosedWalIsDroppedOnRecovery) {
     config.wal_dir = wal_dir.path;
     SessionManager manager(config);
     StatusOr<JsonValue> created = manager.Execute(
-        MakeRequest(CreateParams(11, "random", "scratch")));
+        MakeRequest(CreateParams(11, "random")));
     ASSERT_TRUE(created.ok()) << created.status();
     session = created->Get("session").AsString();
     // Interrupt the close *after* its WAL record: simulate by writing
     // the close record and crashing before Finish by hand.
-    std::ofstream out(wal_dir.path + "/" + session + ".wal",
-                      std::ios::app);
-    out << "{\"op\":\"close\"}\n";
+    StatusOr<std::unique_ptr<SessionWal>> wal =
+        SessionWal::Open(wal_dir.path, session);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->Append(SessionWal::CloseRecord()).ok());
   }
   ServiceConfig config;
   config.wal_dir = wal_dir.path;
@@ -309,6 +330,43 @@ TEST(CrashRecoveryTest, ClosedWalIsDroppedOnRecovery) {
   EXPECT_FALSE(manager.Execute(SessionCommand("status", session)).ok());
   struct stat st;
   EXPECT_NE(::stat((wal_dir.path + "/" + session + ".wal").c_str(), &st), 0);
+  EXPECT_NE(
+      ::stat((wal_dir.path + "/" + session + ".wal.corrupt").c_str(), &st), 0);
+}
+
+// Logs this build cannot replay take the quarantine path: a bare v1
+// log, and a pre-upgrade v2 log whose create params name the retired
+// scratch engine. A log naming "incremental" still recovers.
+TEST(CrashRecoveryTest, V1AndScratchWalsAreQuarantined) {
+  TempDir wal_dir;
+  {
+    std::ofstream out(wal_dir.path + "/s-1.wal");
+    out << SessionWal::CreateRecord(CreateParams(3, "random")).Dump() << "\n";
+  }
+  JsonValue scratch = CreateParams(4, "random", "scratch");
+  JsonValue incremental = CreateParams(5, "random", "incremental");
+  for (const auto& [id, params] :
+       {std::make_pair("s-2", &scratch), std::make_pair("s-3", &incremental)}) {
+    StatusOr<std::unique_ptr<SessionWal>> wal =
+        SessionWal::Open(wal_dir.path, id);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->Append(SessionWal::CreateRecord(*params)).ok());
+  }
+
+  ServiceConfig config;
+  config.wal_dir = wal_dir.path;
+  config.recover = true;
+  SessionManager manager(config);
+  struct stat st;
+  for (const char* id : {"s-1", "s-2"}) {
+    SCOPED_TRACE(id);
+    EXPECT_FALSE(manager.Execute(SessionCommand("status", id)).ok());
+    const std::string path = wal_dir.path + "/" + id + ".wal";
+    EXPECT_NE(::stat(path.c_str(), &st), 0);
+    EXPECT_EQ(::stat((path + ".corrupt").c_str(), &st), 0);
+  }
+  EXPECT_TRUE(manager.Execute(SessionCommand("status", "s-3")).ok());
+  EXPECT_EQ(::stat((wal_dir.path + "/s-3.wal").c_str(), &st), 0);
 }
 
 #ifdef KBREPAIRD_PATH
@@ -417,7 +475,7 @@ class DaemonHandle {
 
 TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
   const uint64_t seed = 424242;
-  const JsonValue create_params = CreateParams(seed, "random", "scratch");
+  const JsonValue create_params = CreateParams(seed, "random");
 
   StatusOr<ReferenceRun> ref = RunReference(create_params, seed, 2);
   ASSERT_TRUE(ref.ok()) << ref.status();

@@ -1,12 +1,12 @@
 // kbrepair-debug timeline harness over the 208-dialogue differential
 // matrix: every WAL the matrix produces must (a) replay to a
-// byte-identical transcript through both conflict engines, (b) report
-// the exact conflict census the live session saw at any step reached by
-// backward seeking, and (c) support what-if forks whose branch
-// transcripts are themselves deterministic replayable sessions ending
-// consistent. Plus: fsync-ghost skipping, base-fork rejection, and
-// diff-engines pinpointing the first diverging step of tampered and
-// failpoint-diverged recordings.
+// byte-identical transcript with the census matching the reference
+// census at every step, (b) report the exact conflict census the live
+// session saw at any step reached by backward seeking, and (c) support
+// what-if forks whose branch transcripts are themselves deterministic
+// replayable sessions ending consistent. Plus: fsync-ghost skipping,
+// base-fork rejection, and diff-engines pinpointing the first diverging
+// step of tampered and failpoint-diverged recordings.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -70,7 +70,7 @@ JsonValue CreateParams(const MatrixCase& c) {
   p.Set("strategy", JsonValue::String(StrategyName(c.strategy)));
   p.Set("two_phase", JsonValue::Bool(c.two_phase));
   p.Set("seed", JsonValue::Number(static_cast<int64_t>(c.seed * 17 + 3)));
-  // Cross-engine replay equivalence needs the recorded convergence mode.
+  // Keeps the chased census live from the first answer on.
   p.Set("record_convergence", JsonValue::String("total"));
   p.Set("chase_threads",
         JsonValue::Number(static_cast<int64_t>(ChaseThreadsFromEnv())));
@@ -234,25 +234,17 @@ TEST_P(DebugTimelineMatrix, ReplaysSeeksAndForks) {
     EXPECT_EQ(CensusSignature(*census), live->censuses[interior]);
   }
 
-  // The same WAL through the *other* engine: byte-identical transcript
-  // and final state (the cross-engine replay envelope).
+  // The same WAL under diff-engines: the census the replay selects
+  // from matches the reference census at every step.
   {
-    TimelineOptions cross;
-    cross.engine_override = "incremental";
-    cross.checkpoint_every = 0;
-    StatusOr<SessionTimeline> other =
-        SessionTimeline::Create(*recorded, cross);
-    ASSERT_TRUE(other.ok()) << other.status();
-    const Status verified = other->ReplayVerify();
-    ASSERT_TRUE(verified.ok()) << verified;
-    ASSERT_TRUE(other->SeekTo(other->num_entries()).ok());
-    EXPECT_EQ(other->StateHash(), live->final_hash);
+    StatusOr<EngineDivergence> diff = DiffEngines(*recorded);
+    ASSERT_TRUE(diff.ok()) << diff.status();
+    EXPECT_FALSE(diff->diverged) << FormatDivergence(*diff);
   }
 
   // Fork with a flipped answer at the interior step; the branch runs
   // through the real engine and its transcript must itself be a
-  // deterministic replayable session ending consistent — on both
-  // engines.
+  // deterministic replayable session ending consistent.
   const StepNote& note = timeline->note(interior);
   const size_t alt =
       note.num_fixes > 1 ? (note.chosen + 1) % note.num_fixes : 0;
@@ -262,20 +254,19 @@ TEST_P(DebugTimelineMatrix, ReplaysSeeksAndForks) {
   EXPECT_TRUE(branch->completed);
   EXPECT_GE(branch->num_questions, 1u);
   EXPECT_EQ(branch->entries.size(), interior + branch->num_questions);
-  for (const char* engine : {"scratch", "incremental"}) {
+  {
     TimelineOptions branch_options;
-    branch_options.engine_override = engine;
     branch_options.checkpoint_every = 0;
     StatusOr<SessionTimeline> verify = SessionTimeline::Create(
         RecordedSessionFromEntries(params, branch->entries), branch_options);
-    ASSERT_TRUE(verify.ok()) << engine << ": " << verify.status();
+    ASSERT_TRUE(verify.ok()) << verify.status();
     const Status verified = verify->ReplayVerify();
-    ASSERT_TRUE(verified.ok()) << engine << ": " << verified;
+    ASSERT_TRUE(verified.ok()) << verified;
     ASSERT_TRUE(verify->SeekTo(verify->num_entries()).ok());
-    EXPECT_EQ(verify->StateHash(), branch->final_state_hash) << engine;
+    EXPECT_EQ(verify->StateHash(), branch->final_state_hash);
     StatusOr<std::vector<Conflict>> census = verify->Census();
     ASSERT_TRUE(census.ok()) << census.status();
-    EXPECT_TRUE(census->empty()) << engine << ": branch ended inconsistent";
+    EXPECT_TRUE(census->empty()) << "branch ended inconsistent";
   }
 
   // The fork left the main cursor where it was.
@@ -375,7 +366,8 @@ TEST_F(DebugTimelineTest, ForkAtConsistentEndIsRejected) {
   EXPECT_NE(branch.status().message().find("consistent"), std::string::npos);
 }
 
-// Two healthy engines agree on every step of a healthy recording.
+// A healthy replay matches the recording and the reference census at
+// every step.
 TEST_F(DebugTimelineTest, DiffEnginesAgreeOnHealthyRecording) {
   const JsonValue params = CreateParams(BaseCase());
   StatusOr<LiveRecording> live = RecordDialogue(params);
@@ -387,8 +379,9 @@ TEST_F(DebugTimelineTest, DiffEnginesAgreeOnHealthyRecording) {
   EXPECT_FALSE(result->diverged) << result->reason;
 }
 
-// Tampering a mid-recording answer makes the tail unreplayable for BOTH
-// engines; diff-engines pinpoints the first step after the tamper.
+// Tampering a mid-recording answer makes the tail unreplayable;
+// diff-engines pinpoints the first step after the tamper, with the
+// censuses still agreeing.
 TEST_F(DebugTimelineTest, DiffEnginesPinpointsTamperedStep) {
   const JsonValue params = CreateParams(BaseCase());
   StatusOr<LiveRecording> live = RecordDialogue(params);
@@ -421,18 +414,21 @@ TEST_F(DebugTimelineTest, DiffEnginesPinpointsTamperedStep) {
   // to affect the immediately following questions.
   EXPECT_GE(result->step, tamper + 2) << result->reason;
   EXPECT_LE(result->step, entries.size()) << result->reason;
-  EXPECT_NE(result->reason.find("both engines"), std::string::npos)
+  EXPECT_NE(result->reason.find("replay diverges from the recording"),
+            std::string::npos)
+      << result->reason;
+  EXPECT_NE(result->reason.find("censuses agree"), std::string::npos)
       << result->reason;
 }
 
-// With the delta census failpoint armed, the incremental engine's
-// census silently loses a conflict while scratch keeps matching the
-// recording: diff-engines must blame the incremental side.
+// With the delta census failpoint armed, the maintained census silently
+// loses a conflict: diff-engines must report the census split against
+// the reference census.
 TEST_F(DebugTimelineTest, DiffEnginesBlamesFailpointedIncrementalEngine) {
   // The drop only perturbs questions selected from the maintained
   // phase-two census, so hunt the matrix for a dialogue that ends in
   // phase two: its final answer resolves the last chased conflict,
-  // which the failpointed incremental engine no longer sees.
+  // which the failpointed maintained census no longer holds.
   JsonValue params = JsonValue::Null();
   std::optional<LiveRecording> live;
   for (uint64_t seed = 1; seed <= 13 && !live; ++seed) {
@@ -455,10 +451,12 @@ TEST_F(DebugTimelineTest, DiffEnginesBlamesFailpointedIncrementalEngine) {
   failpoint::Reset();
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->diverged) << "census drop did not perturb the dialogue";
-  EXPECT_NE(result->reason.find("incremental"), std::string::npos)
+  EXPECT_NE(result->reason.find("maintained census diverges from the "
+                                 "reference census"),
+            std::string::npos)
       << result->reason;
-  EXPECT_NE(result->reason.find("scratch still matches"), std::string::npos)
-      << result->reason;
+  EXPECT_LE(result->step, recorded.steps.size()) << result->reason;
+  EXPECT_NE(result->maintained_census, result->reference_census);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Fault-injection matrix: every registered failpoint is armed and the
 // specified outcome asserted — a clean error envelope, an engine
-// fallback, or DeadlineExceeded. In every case the service keeps
+// rebuild, or DeadlineExceeded. In every case the service keeps
 // serving and no acknowledged state is lost.
 //
 // Registered failpoints:
 //   wal.append      WAL write fails      -> command rejected Unavailable
 //   wal.fsync       WAL durability fails -> rejected + counted, retryable
 //   chase.saturate  chase blows up       -> error envelope, no crash
-//   delta.corrupt   delta engine diverges-> demoted to scratch, dialogue
-//                                          continues correctly
+//   delta.corrupt   delta engine diverges-> dropped and rebuilt cold,
+//                                          dialogue continues unchanged
 //   fs.atomic_write transcript/compaction write fails -> counted, logged
 //   fs.fsync        durability step of atomic writes fails
 //   worker.stall    wedged worker        -> DeadlineExceeded + watchdog
@@ -21,6 +21,7 @@
 #include <string>
 
 #include "repair/inquiry.h"
+#include "service/protocol.h"
 #include "service/session.h"
 #include "service/session_manager.h"
 #include "util/cancel.h"
@@ -31,14 +32,13 @@
 namespace kbrepair {
 namespace {
 
-JsonValue CreateParams(uint64_t seed, const std::string& engine) {
+JsonValue CreateParams(uint64_t seed) {
   JsonValue params = JsonValue::Object();
   params.Set("command", JsonValue::String("create"));
   params.Set("kb", JsonValue::String("synthetic"));
   params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
   params.Set("num_facts", JsonValue::Number(int64_t{40}));
   params.Set("strategy", JsonValue::String("random"));
-  params.Set("engine", JsonValue::String(engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
 }
@@ -151,7 +151,7 @@ TEST_F(FaultInjectionTest, CancelTokenExpires) {
 TEST_F(FaultInjectionTest, ChaseHonorsCancelToken) {
   // An engine built with a pre-expired token must refuse to chase,
   // surfacing DeadlineExceeded instead of burning the worker.
-  const JsonValue params = CreateParams(1, "scratch");
+  const JsonValue params = CreateParams(1);
   std::string label;
   StatusOr<KnowledgeBase> kb = BuildKbFromParams(params, &label);
   ASSERT_TRUE(kb.ok()) << kb.status();
@@ -190,7 +190,7 @@ TEST_F(FaultInjectionTest, TranscriptWriteFailureIsCountedNotFatal) {
   config.transcript_dir = transcripts.path;
   SessionManager manager(config);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -221,7 +221,7 @@ TEST_F(FaultInjectionTest, WalAppendFailureRejectsCreate) {
 
   failpoint::Arm("wal.append", 0, -1);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kUnavailable);
   // No session registered, no stray WAL file.
@@ -230,7 +230,7 @@ TEST_F(FaultInjectionTest, WalAppendFailureRejectsCreate) {
   // The service survives: disarm and the same create succeeds.
   failpoint::Reset();
   StatusOr<JsonValue> retried =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_TRUE(retried.ok()) << retried.status();
   const JsonValue metrics = GetMetrics(manager);
   EXPECT_GE(metrics.Get("traffic").Get("rejected_commands").AsInt(0), 1);
@@ -243,7 +243,7 @@ TEST_F(FaultInjectionTest, WalFsyncFailureRejectsAnswerRetryably) {
   config.wal_dir = wal_dir.path;
   SessionManager manager(config);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -281,63 +281,80 @@ TEST_F(FaultInjectionTest, ChaseSaturationFaultIsACleanError) {
 
   failpoint::Arm("chase.saturate", 0, -1);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_FALSE(created.ok());  // error envelope, not a crash
 
   failpoint::Reset();
   StatusOr<JsonValue> retried =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_TRUE(retried.ok()) << retried.status();
   const JsonValue metrics = GetMetrics(manager);
   EXPECT_GE(metrics.Get("sessions").Get("failed").AsInt(0), 1);
 }
 
-TEST_F(FaultInjectionTest, DeltaCorruptionDemotesToScratchMidSession) {
+TEST_F(FaultInjectionTest, DeltaCorruptionRebuildsEngineMidSession) {
   ServiceConfig config;
   config.num_workers = 1;
   SessionManager manager(config);
-  StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(7, "incremental")));
+  const JsonValue params = CreateParams(7);
+  StatusOr<JsonValue> created = manager.Execute(MakeRequest(params));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
-  StatusOr<JsonValue> status = manager.Execute(SessionCommand("status", session));
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status->Get("engine_active").AsString(), "incremental");
-  EXPECT_FALSE(status->Get("engine_degraded").AsBool(true));
+  // The in-process reference: the same dialogue with no fault armed.
+  std::string label;
+  StatusOr<KnowledgeBase> kb = BuildKbFromParams(params, &label);
+  ASSERT_TRUE(kb.ok()) << kb.status();
+  StatusOr<InquiryOptions> options = InquiryOptionsFromParams(params);
+  ASSERT_TRUE(options.ok()) << options.status();
+  InquiryEngine reference(&*kb, *options);
+  ASSERT_TRUE(reference.Begin().ok());
 
-  StatusOr<JsonValue> asked = manager.Execute(SessionCommand("ask", session));
-  ASSERT_TRUE(asked.ok()) << asked.status();
-  ASSERT_FALSE(asked->Get("done").AsBool(false));
-
-  // The engine's post-fix invariant check "detects divergence" on the
-  // next answer; the session demotes itself instead of failing.
-  failpoint::Arm("delta.corrupt", 0, 1);
-  StatusOr<JsonValue> answered = manager.Execute(AnswerCommand(session, 0));
-  ASSERT_TRUE(answered.ok()) << answered.status();
-  failpoint::Reset();
-
-  status = manager.Execute(SessionCommand("status", session));
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(status->Get("engine_active").AsString(), "scratch");
-  EXPECT_TRUE(status->Get("engine_degraded").AsBool(false));
-
-  // The dialogue still completes on the scratch engine.
-  for (int i = 0; i < 100000; ++i) {
-    StatusOr<JsonValue> next = manager.Execute(SessionCommand("ask", session));
-    ASSERT_TRUE(next.ok()) << next.status();
-    if (next->Get("done").AsBool(false)) break;
-    ASSERT_TRUE(manager.Execute(AnswerCommand(session, 0)).ok());
+  // Always answer 0; the engine's post-fix invariant check "detects
+  // divergence" on the first answer. The session drops the engine and
+  // rebuilds it cold instead of failing, and every question stays
+  // byte-identical to the reference's.
+  for (int turn = 0; turn < 100000; ++turn) {
+    StatusOr<JsonValue> asked = manager.Execute(SessionCommand("ask", session));
+    ASSERT_TRUE(asked.ok()) << asked.status();
+    StatusOr<const Question*> expected = reference.NextQuestion();
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    if (asked->Get("done").AsBool(false)) {
+      EXPECT_EQ(*expected, nullptr) << "service finished before the engine";
+      break;
+    }
+    ASSERT_NE(*expected, nullptr) << "engine finished before the service";
+    EXPECT_EQ(asked->Get("question").Dump(),
+              QuestionToWireJson(**expected, reference.View()).Dump())
+        << "turn " << turn;
+    if (turn == 0) failpoint::Arm("delta.corrupt", 0, 1);
+    StatusOr<JsonValue> answered = manager.Execute(AnswerCommand(session, 0));
+    ASSERT_TRUE(answered.ok()) << answered.status();
+    if (turn == 0) {
+      EXPECT_EQ(failpoint::Hits("delta.corrupt"), 1u);
+      failpoint::Reset();
+    }
+    ASSERT_TRUE(reference.Answer(0).ok());
   }
   JsonValue close = JsonValue::Object();
   close.Set("command", JsonValue::String("close"));
   close.Set("session", JsonValue::String(session));
+  close.Set("include_facts", JsonValue::Bool(true));
   StatusOr<JsonValue> closed = manager.Execute(MakeRequest(close));
   ASSERT_TRUE(closed.ok()) << closed.status();
   EXPECT_TRUE(closed->Get("consistent").AsBool(false));
+  StatusOr<InquiryResult> repaired = reference.Finish();
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  JsonValue expected_facts = JsonValue::Array();
+  for (AtomId id = 0; id < repaired->facts.size(); ++id) {
+    expected_facts.Append(
+        JsonValue::String(repaired->facts.atom(id).ToString(kb->symbols())));
+  }
+  EXPECT_EQ(closed->Get("facts").Dump(), expected_facts.Dump());
+  EXPECT_EQ(repaired->engine_rebuilds, 0u);
 
   const JsonValue metrics = GetMetrics(manager);
-  EXPECT_GE(metrics.Get("durability").Get("engine_fallbacks").AsInt(0), 1);
+  EXPECT_EQ(metrics.Get("durability").Get("engine_rebuilds").AsInt(0), 1);
 }
 
 // ------------------------------------------------------------------
@@ -349,7 +366,7 @@ TEST_F(FaultInjectionTest, WorkerStallIsDetectedAndDeadlined) {
   config.deadline_ms = 50;  // stall threshold 4x = 200ms
   SessionManager manager(config);
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(5, "scratch")));
+      manager.Execute(MakeRequest(CreateParams(5)));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
 #include "repair/consistency.h"
 #include "repair/user.h"
+#include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace kbrepair {
 namespace {
@@ -364,6 +367,75 @@ TEST(InquiryTest, EqualityCddEndToEnd) {
   StatusOr<InquiryResult> result = engine.Run(user);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(Consistent(kb, result->facts));
+}
+
+// A failed maintenance step drops the conflict engines and the next
+// round rebuilds them cold: the answer still succeeds, the census it
+// could not count is settled by the next round, and the dialogue is the
+// one an unfaulted engine holds.
+TEST(InquiryTest, FailedMaintenanceRebuildsWithoutChangingTheDialogue) {
+  SyntheticKbOptions kb_options;
+  kb_options.seed = 3;
+  kb_options.num_facts = 100;
+  kb_options.inconsistency_ratio = 0.25;
+  kb_options.num_cdds = 5;
+  kb_options.num_tgds = 6;
+  kb_options.conflict_depth = 2;
+  kb_options.routed_violation_share = 0.5;
+  InquiryOptions options;
+  options.strategy = Strategy::kOptiJoin;
+  options.record_convergence = ConvergenceRecording::kTotalConflicts;
+
+  // Answers with seeded choices; arms chase.saturate around the second
+  // answer when `fault` is set. Returns the per-round record + the
+  // repaired facts as text.
+  const auto run = [&](bool fault, size_t* rebuilds) {
+    StatusOr<SyntheticKb> gen = GenerateSyntheticKb(kb_options);
+    EXPECT_TRUE(gen.ok()) << gen.status();
+    InquiryEngine engine(&gen->kb, options);
+    EXPECT_TRUE(engine.Begin().ok());
+    Rng chooser(17);
+    std::string out;
+    for (size_t round = 0;; ++round) {
+      StatusOr<const Question*> q = engine.NextQuestion();
+      EXPECT_TRUE(q.ok()) << q.status();
+      if (!q.ok() || *q == nullptr) break;
+      if (round > 0) {
+        out += " left=" +
+               std::to_string(engine.progress().records.back()
+                                  .conflicts_remaining) + "\n";
+      }
+      const size_t choice = chooser.UniformIndex((*q)->fixes.size());
+      const Fix& fix = (*q)->fixes[choice];
+      out += std::to_string(fix.atom) + "/" + std::to_string(fix.arg) +
+             "=" + gen->kb.symbols().term_name(fix.value);
+      // Fails the chased-census rewrite, the skeleton rewrite, and the
+      // cold re-initialization of the census the record needs.
+      if (fault && round == 1) failpoint::Arm("chase.saturate", 0, 3);
+      const Status answered = engine.Answer(choice);
+      failpoint::Reset();
+      EXPECT_TRUE(answered.ok()) << answered;
+      if (fault && round == 1) {
+        EXPECT_EQ(engine.progress().records.back().conflicts_remaining, 0u)
+            << "the census should be owed to the next round";
+      }
+    }
+    StatusOr<InquiryResult> result = engine.Finish();
+    EXPECT_TRUE(result.ok()) << result.status();
+    *rebuilds = result->engine_rebuilds;
+    for (AtomId id = 0; id < result->facts.size(); ++id) {
+      out += result->facts.atom(id).ToString(gen->kb.symbols()) + "\n";
+    }
+    return out;
+  };
+
+  size_t clean_rebuilds = 0;
+  size_t faulted_rebuilds = 0;
+  const std::string clean = run(false, &clean_rebuilds);
+  const std::string faulted = run(true, &faulted_rebuilds);
+  EXPECT_EQ(clean_rebuilds, 0u);
+  EXPECT_EQ(faulted_rebuilds, 3u);
+  EXPECT_EQ(faulted, clean);
 }
 
 }  // namespace

@@ -127,10 +127,10 @@ TEST(LatencyHistogramTest, PropertyQuantilesMonotoneUnderRandomStreams) {
 TEST(LabeledMetricsTest, UntouchedPairsAreSkippedInServiceJson) {
   ServiceMetrics metrics;
   JsonValue empty = metrics.ToJson();
-  EXPECT_TRUE(empty.Get("by_strategy_engine").is_object());
-  EXPECT_EQ(empty.Get("by_strategy_engine").size(), 0u);
+  EXPECT_TRUE(empty.Get("by_strategy").is_object());
+  EXPECT_EQ(empty.Get("by_strategy").size(), 0u);
 
-  LabeledMetrics& labeled = metrics.ForLabels(3, 1);  // opti-mcd/incremental
+  LabeledMetrics& labeled = metrics.ForLabels(3);  // opti-mcd
   labeled.sessions.fetch_add(1);
   labeled.answers.fetch_add(2);
   labeled.turn_delay.Observe(0.25);
@@ -138,7 +138,7 @@ TEST(LabeledMetricsTest, UntouchedPairsAreSkippedInServiceJson) {
 
   JsonValue out = metrics.ToJson();
   const JsonValue& slot =
-      out.Get("by_strategy_engine").Get("opti-mcd/incremental");
+      out.Get("by_strategy").Get("opti-mcd");
   ASSERT_TRUE(slot.is_object());
   EXPECT_EQ(slot.Get("sessions").AsInt(-1), 1);
   EXPECT_EQ(slot.Get("answers").AsInt(-1), 2);
@@ -152,9 +152,8 @@ TEST(LabeledMetricsTest, ForLabelsGuardsOutOfRangeIndices) {
   ServiceMetrics metrics;
   // Out-of-range indices wrap instead of indexing out of bounds; the
   // session layer only hands in enum values, this is belt-and-braces.
-  metrics.ForLabels(kNumStrategyLabels + 1, kNumEngineLabels + 1)
-      .sessions.fetch_add(1);
-  EXPECT_EQ(metrics.by_label[1][1].sessions.load(), 1u);
+  metrics.ForLabels(kNumStrategyLabels + 1).sessions.fetch_add(1);
+  EXPECT_EQ(metrics.by_label[1].sessions.load(), 1u);
 }
 
 TEST(LabeledMetricsTest, LabelNamesAreStable) {
@@ -163,8 +162,6 @@ TEST(LabeledMetricsTest, LabelNamesAreStable) {
   EXPECT_STREQ(StrategyLabelName(2), "opti-prop");
   EXPECT_STREQ(StrategyLabelName(3), "opti-mcd");
   EXPECT_STREQ(StrategyLabelName(4), "opti-learn");
-  EXPECT_STREQ(EngineLabelName(0), "scratch");
-  EXPECT_STREQ(EngineLabelName(1), "incremental");
   EXPECT_STREQ(StrategyLabelName(99), "unknown");
 }
 

@@ -119,7 +119,7 @@ TEST(ParallelChaseTest, ExistentialNullsAreThreadCountInvariant) {
 
 // One full dialogue's observable transcript, rendered to strings.
 std::string DialogueTranscript(uint64_t seed, size_t num_threads,
-                               ConflictEngineKind engine_kind) {
+                               bool two_phase) {
   StatusOr<SyntheticKb> gen = GenerateSyntheticKb(KbOptions(seed));
   EXPECT_TRUE(gen.ok()) << gen.status();
   KnowledgeBase& kb = gen->kb;
@@ -128,7 +128,7 @@ std::string DialogueTranscript(uint64_t seed, size_t num_threads,
   options.strategy = Strategy::kOptiJoin;
   options.seed = seed * 17 + 3;
   options.record_convergence = ConvergenceRecording::kTotalConflicts;
-  options.conflict_engine = engine_kind;
+  options.two_phase = two_phase;
   options.chase_options.num_threads = num_threads;
 
   InquiryEngine engine(&kb, options);
@@ -164,11 +164,10 @@ std::string DialogueTranscript(uint64_t seed, size_t num_threads,
 
 TEST(ParallelChaseTest, DialoguesAreThreadCountInvariant) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
-    for (const ConflictEngineKind kind :
-         {ConflictEngineKind::kScratch, ConflictEngineKind::kIncremental}) {
-      const std::string baseline = DialogueTranscript(seed, 1, kind);
+    for (const bool two_phase : {true, false}) {
+      const std::string baseline = DialogueTranscript(seed, 1, two_phase);
       EXPECT_FALSE(baseline.empty());
-      EXPECT_EQ(baseline, DialogueTranscript(seed, 4, kind))
+      EXPECT_EQ(baseline, DialogueTranscript(seed, 4, two_phase))
           << "seed " << seed;
     }
   }

@@ -18,14 +18,14 @@ namespace kbrepair {
 namespace {
 
 JsonValue CreateParams(uint64_t seed, const std::string& strategy = "random",
-                       const std::string& engine = "scratch") {
+                       const std::string& engine = "") {
   JsonValue params = JsonValue::Object();
   params.Set("command", JsonValue::String("create"));
   params.Set("kb", JsonValue::String("synthetic"));
   params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
   params.Set("num_facts", JsonValue::Number(static_cast<int64_t>(30)));
   params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
+  if (!engine.empty()) params.Set("engine", JsonValue::String(engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
 }

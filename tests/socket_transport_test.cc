@@ -3,7 +3,7 @@
 //
 // Spawns the real kbrepaird twice — once on stdin/stdout pipes, once
 // with --listen-unix and --shards 2 — and replays the same scripted
-// repair dialogue for every strategy x engine cell, with the same
+// repair dialogue for every strategy x engine-param cell, with the same
 // request ids. The recorded response transcripts must match byte for
 // byte (the close response is compared through a fingerprint that
 // drops its wall-clock timing fields, which legitimately differ).
@@ -218,7 +218,7 @@ JsonValue CreateParams(uint64_t seed, const std::string& strategy,
   params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
   params.Set("num_facts", JsonValue::Number(static_cast<int64_t>(30)));
   params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
+  if (!engine.empty()) params.Set("engine", JsonValue::String(engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
 }
@@ -308,7 +308,8 @@ std::vector<Cell> FullMatrix() {
   std::vector<Cell> cells;
   for (const char* strategy :
        {"random", "opti-join", "opti-prop", "opti-mcd", "opti-learn"}) {
-    for (const char* engine : {"scratch", "incremental"}) {
+    // The engine param named, and left out (the default).
+    for (const char* engine : {"", "incremental"}) {
       cells.push_back({strategy, engine});
     }
   }
@@ -433,7 +434,7 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
         return;
       }
       LineChannel channel(*fd, *fd);
-      JsonValue create = CreateParams(500 + t, "random", "scratch");
+      JsonValue create = CreateParams(500 + t, "random", "");
       create.Set("id", JsonValue::String("t" + std::to_string(t)));
       if (!channel.WriteLine(create.Dump()).ok()) {
         ++failures;

@@ -4,7 +4,7 @@
 // command must return a well-formed span tree covering scheduler →
 // session → inquiry → chase → WAL, the sink file must hold the same
 // spans as parseable JSON lines, and `metrics` must report the
-// random/scratch label pair with coherent phase histograms.
+// random strategy label with coherent phase histograms.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -23,14 +23,13 @@ namespace kbrepair {
 namespace {
 
 JsonValue CreateParams(uint64_t seed, const std::string& strategy,
-                       const std::string& engine, int64_t num_facts = 40) {
+                       int64_t num_facts = 40) {
   JsonValue params = JsonValue::Object();
   params.Set("command", JsonValue::String("create"));
   params.Set("kb", JsonValue::String("synthetic"));
   params.Set("kb_seed", JsonValue::Number(static_cast<int64_t>(seed)));
   params.Set("num_facts", JsonValue::Number(num_facts));
   params.Set("strategy", JsonValue::String(strategy));
-  params.Set("engine", JsonValue::String(engine));
   params.Set("seed", JsonValue::Number(static_cast<int64_t>(seed)));
   return params;
 }
@@ -74,7 +73,7 @@ struct TempDir {
 // Drives one session for up to `turns` questions and closes it.
 void DriveSession(SessionManager& manager, uint64_t seed, int turns) {
   StatusOr<JsonValue> created =
-      manager.Execute(MakeRequest(CreateParams(seed, "random", "scratch")));
+      manager.Execute(MakeRequest(CreateParams(seed, "random")));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
   for (int turn = 0; turn < turns; ++turn) {
@@ -182,7 +181,7 @@ TEST(TraceServiceTest, ThreeSessionRunYieldsSpanTreeAndLabeledMetrics) {
   EXPECT_EQ(file_spans.size(), spans.size());
   CheckSpanTree(file_spans, /*expect_wal=*/true);
 
-  // --- metrics: the random/scratch pair saw all three sessions, and
+  // --- metrics: the random strategy saw all three sessions, and
   // its phase histograms report coherent quantiles.
   JsonValue metrics_params = JsonValue::Object();
   metrics_params.Set("command", JsonValue::String("metrics"));
@@ -191,14 +190,14 @@ TEST(TraceServiceTest, ThreeSessionRunYieldsSpanTreeAndLabeledMetrics) {
   EXPECT_GE(metrics->Get("queue_wait").Get("count").AsInt(0), 1);
 
   const JsonValue& labeled =
-      metrics->Get("by_strategy_engine").Get("random/scratch");
+      metrics->Get("by_strategy").Get("random");
   ASSERT_TRUE(labeled.is_object())
       << "metrics: " << metrics->Dump();
   EXPECT_EQ(labeled.Get("sessions").AsInt(-1), 3);
   EXPECT_GE(labeled.Get("questions").AsInt(0), 3);
   EXPECT_GE(labeled.Get("answers").AsInt(0), 3);
   ExpectQuantilesCoherent(labeled.Get("turn_delay"));
-  // The random/scratch sessions must have spent attributable time in
+  // The random sessions must have spent attributable time in
   // the chase and conflict scan at least.
   ExpectQuantilesCoherent(labeled.Get("phase_chase"));
   ExpectQuantilesCoherent(labeled.Get("phase_conflict_scan"));

@@ -142,10 +142,10 @@ TEST_F(WalTest, CompactionCollapsesLogToOneSnapshotRecord) {
 TEST_F(WalTest, TornTailIsDroppedNotFatal) {
   // A crash mid-append leaves a half-written last line; the guarded
   // command was never acknowledged, so dropping it loses nothing.
-  WriteRaw("s-4",
-           SessionWal::CreateRecord(Params(3)).Dump() + "\n" +
-               SessionWal::AnswerRecord(Entry(1)).Dump() + "\n" +
-               "{\"op\":\"answer\",\"chos");
+  WriteRaw("s-4", kHeaderV2 +
+                      Framed(SessionWal::CreateRecord(Params(3)).Dump()) +
+                      Framed(SessionWal::AnswerRecord(Entry(1)).Dump()) +
+                      "{\"op\":\"answer\",\"chos");
   StatusOr<WalRecovery> recovered = ReadWalFile(WalPath("s-4"), "s-4");
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered->dropped_torn_tail);
@@ -205,31 +205,19 @@ TEST_F(WalTest, V2FilesOpenWithHeaderAndFramedRecords) {
   EXPECT_EQ(line + "\n", expect_create);
 }
 
-TEST_F(WalTest, V1LogsWithoutHeaderStillRecover) {
-  // A log written by an older build: bare JSON lines, no header, no
-  // checksums.
+TEST_F(WalTest, V1LogsAreRejected) {
+  // A log written by an older build — bare JSON lines, no header, no
+  // checksums — is no longer read; recovery quarantines it
+  // (CrashRecoveryTest.V1AndScratchWalsAreQuarantined).
   WriteRaw("v1-1", SessionWal::CreateRecord(Params(5)).Dump() + "\n" +
                        SessionWal::AnswerRecord(Entry(2)).Dump() + "\n");
   StatusOr<WalRecovery> recovered = ReadWalFile(WalPath("v1-1"), "v1-1");
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(recovered->create_params.Dump(), Params(5).Dump());
-  ASSERT_EQ(recovered->entries.size(), 1u);
-  EXPECT_EQ(recovered->entries[0].Get("chosen").AsInt(-1), 2);
-}
-
-TEST_F(WalTest, V2AppendsOntoV1LogRecoverTogether) {
-  // An upgraded daemon continuing a pre-upgrade session: the old bare
-  // lines stay, new appends arrive framed (and headerless — only a
-  // fresh file earns the header).
-  WriteRaw("mix-1", SessionWal::CreateRecord(Params(6)).Dump() + "\n");
-  auto wal = SessionWal::Open(dir_, "mix-1");
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(3))).ok());
-  StatusOr<WalRecovery> recovered = ReadWalFile(WalPath("mix-1"), "mix-1");
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(recovered->create_params.Dump(), Params(6).Dump());
-  ASSERT_EQ(recovered->entries.size(), 1u);
-  EXPECT_EQ(recovered->entries[0].Get("chosen").AsInt(-1), 3);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().message().find("v1"), std::string::npos)
+      << recovered.status();
+  // Framed records without the v2 header are rejected too.
+  WriteRaw("v1-2", Framed(SessionWal::CreateRecord(Params(5)).Dump()));
+  EXPECT_FALSE(ReadWalFile(WalPath("v1-2"), "v1-2").ok());
 }
 
 // Builds a known-good v2 log (create + 3 answers) and returns its raw
