@@ -343,7 +343,6 @@ std::string SaturationRow(size_t num_facts) {
   KnowledgeBase& kb = generated.kb;
   const auto run_at = [&kb](size_t threads) {
     ChaseOptions options;
-    options.stop_on_violation = false;
     options.num_threads = threads;
     ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr, options);
     return MeasureMs(16, [&] {

@@ -1,56 +1,14 @@
 #include "chase/chase.h"
 
-#include <algorithm>
-#include <limits>
-#include <optional>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "chase/wave.h"
-#include "kb/homomorphism.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/trace.h"
 
 namespace kbrepair {
 
 const Derivation& ChaseResult::derivation(AtomId id) const {
-  KBREPAIR_CHECK(!IsOriginal(id));
-  return derivations_[id - num_original_];
-}
-
-std::vector<AtomId> ChaseResult::OriginalSupport(AtomId id) const {
-  return OriginalSupport(std::vector<AtomId>{id});
-}
-
-std::vector<AtomId> ChaseResult::OriginalSupport(
-    const std::vector<AtomId>& ids) const {
-  if (support_epoch_.size() < facts_.size()) {
-    support_epoch_.resize(facts_.size(), 0);
-  }
-  if (support_epoch_counter_ == std::numeric_limits<uint32_t>::max()) {
-    std::fill(support_epoch_.begin(), support_epoch_.end(), 0);
-    support_epoch_counter_ = 0;
-  }
-  const uint32_t epoch = ++support_epoch_counter_;
-  std::vector<AtomId>& frontier = support_frontier_;
-  frontier.assign(ids.begin(), ids.end());
-  std::vector<AtomId> support;
-  while (!frontier.empty()) {
-    const AtomId id = frontier.back();
-    frontier.pop_back();
-    if (support_epoch_[id] == epoch) continue;
-    support_epoch_[id] = epoch;
-    if (IsOriginal(id)) {
-      support.push_back(id);
-    } else {
-      const Derivation& d = derivation(id);
-      frontier.insert(frontier.end(), d.parents.begin(), d.parents.end());
-    }
-  }
-  std::sort(support.begin(), support.end());
-  return support;
+  const Derivation* derivation = chase_.derivation_or_null(id);
+  KBREPAIR_CHECK(derivation != nullptr);
+  return *derivation;
 }
 
 ChaseEngine::ChaseEngine(SymbolTable* symbols, const std::vector<Tgd>* tgds,
@@ -60,192 +18,12 @@ ChaseEngine::ChaseEngine(SymbolTable* symbols, const std::vector<Tgd>* tgds,
   KBREPAIR_CHECK(tgds != nullptr);
 }
 
-namespace {
-
-// Per-wave-slot Phase A findings. Written by exactly one worker; read
-// sequentially in Phase B.
-struct SlotResult {
-  std::vector<PendingTrigger> triggers;
-  std::optional<ChaseViolation> violation;  // slot's first, body order
-};
-
-}  // namespace
-
 StatusOr<ChaseResult> ChaseEngine::Run(const FactBase& facts) const {
   trace::ScopedSpan span("chase.saturate", trace::Phase::kChase);
-  KBREPAIR_FAILPOINT("chase.saturate",
-                     Status::Internal("injected chase saturation fault"));
-  if (options_.cancel != nullptr) {
-    KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("chase"));
-  }
-  ChaseResult result;
-  result.facts_ = facts;
-  result.num_original_ = facts.size();
-  result.arena_ = std::make_shared<Arena>();
-
-  // Index rules and constraints by body-atom predicate for anchored
-  // (semi-naive) evaluation: predicate -> [(rule index, body position)].
-  std::unordered_map<int32_t, std::vector<std::pair<size_t, size_t>>>
-      tgd_anchor_index;
-  for (size_t r = 0; r < tgds_->size(); ++r) {
-    const std::vector<Atom>& body = (*tgds_)[r].body();
-    for (size_t j = 0; j < body.size(); ++j) {
-      tgd_anchor_index[body[j].predicate].emplace_back(r, j);
-    }
-  }
-  std::unordered_map<int32_t, std::vector<std::pair<size_t, size_t>>>
-      cdd_anchor_index;
-  if (cdds_ != nullptr) {
-    for (size_t c = 0; c < cdds_->size(); ++c) {
-      const std::vector<Atom>& body = (*cdds_)[c].body();
-      for (size_t j = 0; j < body.size(); ++j) {
-        cdd_anchor_index[body[j].predicate].emplace_back(c, j);
-      }
-    }
-  }
-
-  // Seed with the alive atoms only: an input base may carry tombstones
-  // (forked sessions retract), and a dead atom must neither anchor
-  // triggers nor witness violations.
-  std::vector<AtomId> wave;
-  wave.reserve(result.facts_.size());
-  for (AtomId id = 0; id < result.facts_.size(); ++id) {
-    if (result.facts_.alive(id)) wave.push_back(id);
-  }
-
-  HomomorphismFinder finder(symbols_, &result.facts_);
-  WaveExecutor exec(options_.num_threads);
-  std::vector<SlotResult> slots;
-  std::vector<AtomId> next;
-  std::vector<Atom> head_query;
-  std::vector<Binding> head_bindings;
-  size_t steps = 0;
-
-  while (!wave.empty()) {
-    if (options_.cancel != nullptr) {
-      KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("chase"));
-    }
-    if (slots.size() < wave.size()) slots.resize(wave.size());
-
-    // --- Phase A: enumerate triggers (and CDD violations) against the
-    // wave-start snapshot. Read-only on the fact base; each slot writes
-    // its own SlotResult and its worker's arena.
-    const bool check_cdds =
-        cdds_ != nullptr && !result.violation_.has_value();
-    exec.ForEachSlot(wave.size(), [&](size_t s, Arena& arena) {
-      SlotResult& slot = slots[s];
-      slot.triggers.clear();
-      slot.violation.reset();
-      const AtomId current = wave[s];
-      const PredicateId pred = result.facts_.atom(current).predicate;
-
-      // ⊥-detection: does a CDD body have a homomorphism using the
-      // current atom? (CHECKCONSISTENCY-OPT.)
-      if (check_cdds) {
-        auto it = cdd_anchor_index.find(pred);
-        if (it != cdd_anchor_index.end()) {
-          for (const auto& [cdd_index, body_pos] : it->second) {
-            finder.FindAllPinnedViews(
-                (*cdds_)[cdd_index].body(), body_pos, current,
-                [&, cdd_index = cdd_index](const HomomorphismView& view) {
-                  ChaseViolation violation;
-                  violation.cdd_index = cdd_index;
-                  violation.matched.assign(view.matched,
-                                           view.matched + view.num_matched);
-                  slot.violation = std::move(violation);
-                  return false;  // first violation per slot suffices
-                });
-            if (slot.violation.has_value()) break;
-          }
-        }
-      }
-
-      // TGD triggers anchored at the current atom.
-      auto it = tgd_anchor_index.find(pred);
-      if (it == tgd_anchor_index.end()) return;
-      for (const auto& [tgd_index, body_pos] : it->second) {
-        finder.FindAllPinnedViews(
-            (*tgds_)[tgd_index].body(), body_pos, current,
-            [&, tgd_index = tgd_index](const HomomorphismView& view) {
-              PendingTrigger trigger;
-              trigger.tgd_index = tgd_index;
-              trigger.matched = arena.Copy(view.matched, view.num_matched);
-              trigger.bindings =
-                  arena.Copy(view.bindings, view.num_bindings);
-              slot.triggers.push_back(trigger);
-              return true;
-            });
-      }
-    });
-
-    // --- Phase B: deterministic sequential merge in slot order. All
-    // mutation (violation recording, restricted test, fresh nulls, atom
-    // insertion) happens here, so the output is independent of how
-    // Phase A was scheduled.
-    next.clear();
-    for (size_t s = 0; s < wave.size(); ++s) {
-      if (options_.cancel != nullptr && (++steps & 63) == 0) {
-        KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("chase"));
-      }
-      SlotResult& slot = slots[s];
-      if (slot.violation.has_value() && !result.violation_.has_value()) {
-        result.violation_ = std::move(slot.violation);
-        if (options_.stop_on_violation) return result;
-      }
-      for (const PendingTrigger& trigger : slot.triggers) {
-        const Tgd& tgd = (*tgds_)[trigger.tgd_index];
-        // Restricted-chase test against the LIVE base: skip if the head
-        // is already satisfied under the trigger's frontier bindings
-        // (existentials free) — including by atoms fired earlier this
-        // wave.
-        head_query.clear();
-        for (const Atom& head_atom : tgd.head()) {
-          head_query.push_back(SubstituteTerms(
-              head_atom, trigger.bindings.ptr, trigger.bindings.len));
-        }
-        if (finder.Exists(head_query)) continue;
-
-        // Fire: instantiate existential variables with fresh nulls.
-        head_bindings.assign(trigger.bindings.begin(),
-                             trigger.bindings.end());
-        const size_t num_frontier = head_bindings.size();
-        for (TermId var : tgd.existential_variables()) {
-          head_bindings.push_back(Binding{var, symbols_->MakeFreshNull()});
-        }
-        for (const Atom& head_atom : tgd.head()) {
-          const Atom instance = SubstituteTerms(
-              head_atom, head_bindings.data(), head_bindings.size());
-          // Avoid duplicating a ground atom that already exists. Atoms
-          // carrying fresh nulls are new by construction.
-          bool has_fresh_null = false;
-          for (TermId arg : instance.args) {
-            for (size_t k = num_frontier; k < head_bindings.size(); ++k) {
-              has_fresh_null =
-                  has_fresh_null || head_bindings[k].term == arg;
-            }
-          }
-          if (!has_fresh_null && result.facts_.Contains(instance)) {
-            continue;
-          }
-          if (result.facts_.size() >= options_.max_atoms) {
-            return Status::Internal(
-                "chase exceeded max_atoms; TGD set likely not weakly "
-                "acyclic or cap too low");
-          }
-          const AtomId new_id = result.facts_.Add(instance);
-          Derivation derivation;
-          derivation.tgd_index = trigger.tgd_index;
-          derivation.parents =
-              result.arena_->Copy(trigger.matched.ptr, trigger.matched.len);
-          result.derivations_.push_back(derivation);
-          next.push_back(new_id);
-        }
-      }
-    }
-
-    exec.ResetArenas();
-    wave.swap(next);
-  }
+  ChaseResult result(IncrementalChase(symbols_, tgds_, options_, cdds_));
+  IncrementalChase& chase = result.chase_;
+  KBREPAIR_RETURN_IF_ERROR(chase.Saturate(chase.Reset(facts), "chase"));
+  chase.initialized_ = true;
   return result;
 }
 

@@ -13,17 +13,38 @@
 
 namespace kbrepair {
 
-IncrementalChase::IncrementalChase(SymbolTable* symbols,
-                                   const std::vector<Tgd>* tgds,
-                                   ChaseOptions options)
-    : symbols_(symbols), tgds_(tgds), options_(options) {
-  KBREPAIR_CHECK(symbols != nullptr);
-  KBREPAIR_CHECK(tgds != nullptr);
+namespace {
+
+// Anchors of the rule bodies for semi-naive evaluation: predicate ->
+// [(rule index, body position)].
+template <typename Rule>
+std::unordered_map<int32_t, std::vector<std::pair<size_t, size_t>>>
+IndexBodies(const std::vector<Rule>& rules) {
+  std::unordered_map<int32_t, std::vector<std::pair<size_t, size_t>>> index;
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const std::vector<Atom>& body = rules[r].body();
+    for (size_t j = 0; j < body.size(); ++j) {
+      index[body[j].predicate].emplace_back(r, j);
+    }
+  }
+  return index;
 }
 
-Status IncrementalChase::Initialize(const FactBase& facts) {
-  KBREPAIR_CHECK(facts.num_alive() == facts.size());
+}  // namespace
+
+IncrementalChase::IncrementalChase(SymbolTable* symbols,
+                                   const std::vector<Tgd>* tgds,
+                                   ChaseOptions options,
+                                   const std::vector<Cdd>* cdds)
+    : symbols_(symbols), tgds_(tgds), cdds_(cdds), options_(options) {
+  KBREPAIR_CHECK(symbols != nullptr);
+  KBREPAIR_CHECK(tgds != nullptr);
+  if (cdds_ != nullptr) cdd_anchor_index_ = IndexBodies(*cdds_);
+}
+
+std::vector<AtomId> IncrementalChase::Reset(const FactBase& facts) {
   initialized_ = false;
+  violation_.reset();
   chased_ = facts;
   num_original_ = facts.size();
   derivations_.Clear();
@@ -32,20 +53,20 @@ Status IncrementalChase::Initialize(const FactBase& facts) {
   suppressed_by_witness_.Clear();
   derivation_arena_ = std::make_shared<Arena>();
   retained_arenas_.clear();
+  anchor_index_ = std::make_shared<const AnchorIndex>(IndexBodies(*tgds_));
 
-  auto anchors = std::make_shared<AnchorIndex>();
-  for (size_t r = 0; r < tgds_->size(); ++r) {
-    const std::vector<Atom>& body = (*tgds_)[r].body();
-    for (size_t j = 0; j < body.size(); ++j) {
-      (*anchors)[body[j].predicate].emplace_back(r, j);
-    }
+  std::vector<AtomId> seed;
+  seed.reserve(chased_.size());
+  for (AtomId id = 0; id < chased_.size(); ++id) {
+    if (chased_.alive(id)) seed.push_back(id);
   }
-  anchor_index_ = std::move(anchors);
+  return seed;
+}
 
-  std::vector<AtomId> work;
-  work.reserve(chased_.size());
-  for (AtomId id = 0; id < chased_.size(); ++id) work.push_back(id);
-  KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(work)));
+Status IncrementalChase::Initialize(const FactBase& facts) {
+  std::vector<AtomId> seed = Reset(facts);
+  trace::ScopedSpan span("chase.delta_saturate", trace::Phase::kDeltaChase);
+  KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(seed), "delta chase"));
   initialized_ = true;
   return Status::Ok();
 }
@@ -69,6 +90,7 @@ void IncrementalChase::AdoptShared(const IncrementalChase& frozen) {
   anchor_index_ = frozen.anchor_index_;
   suppressed_ = frozen.suppressed_;
   suppressed_by_witness_ = frozen.suppressed_by_witness_;
+  violation_ = frozen.violation_;
   // The prototype's derivation spans stay alive through the retained
   // arena chain; this fork's own derivations go into a fresh arena the
   // prototype never sees.
@@ -82,17 +104,6 @@ void IncrementalChase::AdoptShared(const IncrementalChase& frozen) {
   total_added_ = frozen.total_added_;
   total_refired_ = frozen.total_refired_;
   initialized_ = true;
-}
-
-AtomId IncrementalChase::FindAtom(const Atom& atom) const {
-  AtomSpan candidates =
-      atom.args.empty()
-          ? chased_.AtomsWithPredicate(atom.predicate)
-          : chased_.AtomsWithTermAt(atom.predicate, 0, atom.args[0]);
-  for (AtomId id : candidates) {
-    if (chased_.atom(id) == atom) return id;
-  }
-  return kInvalidAtom;
 }
 
 void IncrementalChase::RecordSuppressed(
@@ -129,8 +140,8 @@ Status IncrementalChase::FireTrigger(size_t tgd_index, const AtomId* matched,
     if (!has_fresh_null) {
       // Ground duplicate: remember the trigger keyed by the blocking
       // atom so retraction can revive it.
-      const AtomId duplicate = FindAtom(instance);
-      if (duplicate != kInvalidAtom) {
+      AtomId duplicate = 0;
+      if (chased_.Contains(instance, &duplicate)) {
         RecordSuppressed(tgd_index,
                          std::vector<AtomId>(matched, matched + num_matched),
                          std::vector<Binding>(bindings,
@@ -159,37 +170,60 @@ Status IncrementalChase::FireTrigger(size_t tgd_index, const AtomId* matched,
   return Status::Ok();
 }
 
-Status IncrementalChase::Saturate(std::vector<AtomId> wave) {
-  trace::ScopedSpan span("chase.delta_saturate", trace::Phase::kDeltaChase);
+Status IncrementalChase::Saturate(std::vector<AtomId> wave,
+                                  const char* cancel_label) {
   KBREPAIR_FAILPOINT("chase.saturate",
                      Status::Internal("injected chase saturation fault"));
   if (options_.cancel != nullptr) {
-    KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("delta chase"));
+    KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
   }
   HomomorphismFinder finder(symbols_, &chased_);
   WaveExecutor exec(options_.num_threads);
   // Per-slot Phase A findings; written by one worker each, merged in
   // slot order by Phase B.
-  std::vector<std::vector<PendingTrigger>> slots;
+  struct Slot {
+    std::vector<PendingTrigger> triggers;
+    std::optional<ChaseViolation> violation;  // slot's first, body order
+  };
+  std::vector<Slot> slots;
   std::vector<AtomId> next;
   std::vector<Atom> head_query;
   size_t steps = 0;
 
   while (!wave.empty()) {
     if (options_.cancel != nullptr) {
-      KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("delta chase"));
+      KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
     }
     if (slots.size() < wave.size()) slots.resize(wave.size());
 
-    // --- Phase A: enumerate triggers anchored at each wave atom against
-    // the wave-start snapshot (read-only; same discipline as the scratch
-    // engine, so both reach competing triggers in the same order).
+    // --- Phase A: enumerate the CDD violations and TGD triggers anchored
+    // at each wave atom against the wave-start snapshot (read-only).
     exec.ForEachSlot(wave.size(), [&](size_t s, Arena& arena) {
-      std::vector<PendingTrigger>& triggers = slots[s];
-      triggers.clear();
+      Slot& slot = slots[s];
+      slot.triggers.clear();
+      slot.violation.reset();
       const AtomId current = wave[s];
       if (!chased_.alive(current)) return;
       const PredicateId pred = chased_.atom(current).predicate;
+
+      // ⊥-detection: does a CDD body have a homomorphism using the
+      // current atom? (CHECKCONSISTENCY-OPT.)
+      auto cdd_it = cdd_anchor_index_.find(pred);
+      if (cdd_it != cdd_anchor_index_.end()) {
+        for (const auto& [cdd_index, body_pos] : cdd_it->second) {
+          finder.FindAllPinnedViews(
+              (*cdds_)[cdd_index].body(), body_pos, current,
+              [&, cdd_index = cdd_index](const HomomorphismView& view) {
+                slot.violation = ChaseViolation{
+                    cdd_index, std::vector<AtomId>(
+                                   view.matched,
+                                   view.matched + view.num_matched)};
+                return false;  // first violation per slot suffices
+              });
+          if (slot.violation.has_value()) break;
+        }
+      }
+
       auto it = anchor_index_->find(pred);
       if (it == anchor_index_->end()) return;
       for (const auto& [tgd_index, body_pos] : it->second) {
@@ -201,21 +235,30 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave) {
               trigger.matched = arena.Copy(view.matched, view.num_matched);
               trigger.bindings =
                   arena.Copy(view.bindings, view.num_bindings);
-              triggers.push_back(trigger);
+              slot.triggers.push_back(trigger);
               return true;
             });
       }
     });
 
-    // --- Phase B: deterministic sequential fire/suppress in slot order
-    // against the live base.
+    // --- Phase B: deterministic sequential merge in slot order against
+    // the live base. All mutation (violation recording, restricted test,
+    // fresh nulls, atom insertion) happens here, so the output is
+    // independent of how Phase A was scheduled.
     next.clear();
     for (size_t s = 0; s < wave.size(); ++s) {
       if (options_.cancel != nullptr && (++steps & 63) == 0) {
-        KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check("delta chase"));
+        KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
       }
-      for (const PendingTrigger& trigger : slots[s]) {
+      if (slots[s].violation.has_value()) {
+        violation_ = std::move(slots[s].violation);
+        return Status::Ok();
+      }
+      for (const PendingTrigger& trigger : slots[s].triggers) {
         const Tgd& tgd = (*tgds_)[trigger.tgd_index];
+        // Restricted-chase test: skip if the head is already satisfied
+        // under the trigger's frontier bindings (existentials free) —
+        // including by atoms fired earlier this wave.
         head_query.clear();
         for (const Atom& head_atom : tgd.head()) {
           head_query.push_back(SubstituteTerms(
@@ -278,6 +321,10 @@ StatusOr<IncrementalChase::Delta> IncrementalChase::ApplyFix(AtomId atom,
                                                              TermId value) {
   KBREPAIR_CHECK(initialized_);
   KBREPAIR_CHECK(IsOriginal(atom));
+  if (violation_.has_value()) {
+    return Status::FailedPrecondition(
+        "chase stopped at a CDD violation; it cannot apply fixes");
+  }
   Delta delta;
   delta.modified = atom;
 
@@ -368,7 +415,11 @@ StatusOr<IncrementalChase::Delta> IncrementalChase::ApplyFix(AtomId atom,
         fired.bindings.data(), fired.bindings.size(), &work));
   }
 
-  KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(work)));
+  {
+    trace::ScopedSpan span("chase.delta_saturate",
+                           trace::Phase::kDeltaChase);
+    KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(work), "delta chase"));
+  }
 
   for (AtomId id = static_cast<AtomId>(size_before); id < chased_.size();
        ++id) {

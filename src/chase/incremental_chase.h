@@ -1,11 +1,30 @@
-// Delta chase: a long-lived chased base Cl(F) maintained across position
-// fixes instead of being rebuilt from scratch after every answer.
+// The chase kernel: the one restricted-chase saturation loop, and a
+// long-lived chased base Cl(F) maintained across position fixes.
 //
-// The scratch engine re-runs the restricted chase on the whole working
-// base before every question — the dominant cost behind the paper's
-// Fig. 5 per-question delay (Prop. 4.10). But a position fix (A, i, t)
-// touches exactly one atom, and chase provenance tells us precisely which
-// derived facts depended on it. IncrementalChase exploits that:
+// The restricted (a.k.a. standard) chase fires a TGD trigger only if its
+// head is not already satisfied by an extension of the trigger's
+// frontier bindings, which — together with weak acyclicity — guarantees
+// termination and keeps Cl(F) small. Existential head variables are
+// instantiated with fresh labeled nulls from the shared symbol table.
+// Every derived atom records its trigger (TGD index plus body-matched
+// parent atoms), so a violation on the chased base can be traced back to
+// the original facts that support it (GENERATEQUESTION-CHASE, §5).
+//
+// Saturate() is the only saturation loop in the code base. Three entry
+// points drive it: Initialize() (a session's maintained base), ApplyFix()
+// (delta re-saturation) and ChaseEngine::Run (chase/chase.h), the
+// from-scratch facade every one-shot chase goes through. When the chase
+// is built with CDDs, each wave also searches the constraint bodies
+// anchored at its atoms and the saturation stops at the first violation
+// in slot order — the paper's CHECKCONSISTENCY-OPT: "⊥ is seen as a
+// unary predicate; if, during the chase, the constant ⊥ is produced then
+// the knowledge base is inconsistent".
+//
+// Delta maintenance. A position fix (A, i, t) touches exactly one atom,
+// and chase provenance tells us precisely which derived facts depended
+// on it. Rather than re-chasing the whole working base before every
+// question (the cost behind the paper's Fig. 5 per-question delay,
+// Prop. 4.10), ApplyFix:
 //
 //   1. *Mirror* — the original atoms [0, num_original) of the maintained
 //      base mirror the caller's working facts; ApplyFix first replays the
@@ -50,17 +69,54 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "chase/chase.h"
 #include "kb/fact_base.h"
 #include "kb/symbol_table.h"
+#include "rules/cdd.h"
 #include "rules/tgd.h"
+#include "util/arena.h"
+#include "util/cancel.h"
 #include "util/cow.h"
 #include "util/status.h"
 
 namespace kbrepair {
+
+// A CDD-body homomorphism found during the chase: the violated CDD and,
+// per body atom, the matched fact of the chased base.
+struct ChaseViolation {
+  size_t cdd_index = 0;
+  std::vector<AtomId> matched;
+};
+
+// Trigger that produced a derived atom. The parent list lives in the
+// arena of the chase that minted the derivation, not in a per-derivation
+// heap node.
+struct Derivation {
+  size_t tgd_index = 0;
+  ArenaSpan<AtomId> parents;  // body-matched atoms, in body order
+};
+
+struct ChaseOptions {
+  // Hard cap on the number of alive atoms in the chased base; exceeding
+  // it returns Internal. A weakly-acyclic chase stays polynomial, so this
+  // is a safety valve against misuse, not an expected limit.
+  size_t max_atoms = 1000000;
+
+  // Cooperative cancellation: saturation loops poll this token and abort
+  // with DeadlineExceeded once it expires. Shared by every chase-running
+  // component built from the same options (finder, repairability checker,
+  // delta engines), so one armed deadline bounds a whole engine command.
+  std::shared_ptr<CancelToken> cancel;
+
+  // Worker threads for the wave-parallel trigger enumeration (Phase A of
+  // each saturation wave); 1 = fully sequential. The wave algorithm is
+  // identical for every value, so atom ids, fresh-null names, provenance
+  // and transcripts are byte-identical across thread counts.
+  size_t num_threads = 1;
+};
 
 class IncrementalChase {
  public:
@@ -71,13 +127,17 @@ class IncrementalChase {
     std::vector<AtomId> added;      // new derived atoms, ascending
   };
 
-  // `symbols` is mutated (fresh nulls); both pointers must outlive the
-  // chase. `options.stop_on_violation` is ignored — the maintained base
-  // is always fully saturated.
+  // `symbols` is mutated (fresh nulls); the pointers must outlive the
+  // chase. With `cdds`, every saturation also checks the constraint
+  // bodies and stops at the first violation (CHECKCONSISTENCY-OPT); a
+  // chase stopped that way refuses ApplyFix.
   IncrementalChase(SymbolTable* symbols, const std::vector<Tgd>* tgds,
-                   ChaseOptions options = {});
+                   ChaseOptions options = {},
+                   const std::vector<Cdd>* cdds = nullptr);
 
-  // Full chase of a copy of `facts`. Resets all maintained state.
+  // Full chase of a copy of `facts`, seeded with its alive atoms (an
+  // input may carry tombstones; a dead atom neither anchors triggers nor
+  // witnesses violations). Resets all maintained state.
   Status Initialize(const FactBase& facts);
 
   // Flattens the maintained state (chased base, provenance, ledger) into
@@ -99,8 +159,9 @@ class IncrementalChase {
   // (atom, arg, value) to its own working base; replays it on the
   // mirror, retracts the cone of the fixed atom, re-checks suppressed
   // triggers and re-saturates. `atom` must be an original atom.
-  // (Takes the raw triple rather than repair::Fix to keep chase/ below
-  // repair/ in the layering.)
+  // FailedPrecondition when the chase stopped at a violation. (Takes
+  // the raw triple rather than repair::Fix to keep chase/ below repair/
+  // in the layering.)
   StatusOr<Delta> ApplyFix(AtomId atom, int arg, TermId value);
 
   // The maintained chased base. Contains tombstoned atoms; check
@@ -112,6 +173,13 @@ class IncrementalChase {
 
   // The rule set the maintained base is saturated under.
   const std::vector<Tgd>* tgds() const { return tgds_; }
+
+  // First CDD violation when the chase was built with CDDs and stopped
+  // at one; empty means none (with CDDs: the chased facts are
+  // consistent).
+  const std::optional<ChaseViolation>& violation() const {
+    return violation_;
+  }
 
   // Original atoms transitively supporting `ids` through provenance.
   // Deduplicated, ascending. All ids must be alive. Reuses an
@@ -137,6 +205,8 @@ class IncrementalChase {
   size_t ledger_size() const { return suppressed_.size(); }
 
  private:
+  friend class ChaseEngine;
+
   // A trigger that was blocked — by head satisfaction or by a ground
   // duplicate — remembered so retraction of its witness can revive it.
   // Bindings are flat (ledger entries are revalidated with the same
@@ -161,14 +231,15 @@ class IncrementalChase {
                         std::vector<Binding> bindings,
                         const std::vector<AtomId>& witnesses);
 
-  // Runs the wave-based chase loop until the work frontier empties,
-  // evaluating TGD triggers anchored at each wave atom. Same wave
-  // discipline as ChaseEngine::Run, so the maintained base and a
-  // from-scratch run reach competing triggers in the same order.
-  Status Saturate(std::vector<AtomId> work);
+  // Resets all maintained state to a copy of `facts` and returns its
+  // alive atoms, the seed wave of a full chase.
+  std::vector<AtomId> Reset(const FactBase& facts);
 
-  // First alive atom equal to `atom`, or kInvalidAtom.
-  AtomId FindAtom(const Atom& atom) const;
+  // The saturation loop (chase/wave.h): runs waves until the work
+  // frontier empties, or until the first CDD violation when the chase
+  // has CDDs. The caller opens the trace span; `cancel_label` names the
+  // work in DeadlineExceeded errors.
+  Status Saturate(std::vector<AtomId> wave, const char* cancel_label);
 
   // Marks derived atom `id` dead and detaches it from provenance maps.
   void RetractAtom(AtomId id);
@@ -176,21 +247,27 @@ class IncrementalChase {
   // Ledger entries currently keyed under `witness`, compacted.
   std::vector<size_t> TakeSuppressedByWitness(AtomId witness);
 
+  // (body predicate) -> [(rule index, body position)].
+  using AnchorIndex =
+      std::unordered_map<int32_t, std::vector<std::pair<size_t, size_t>>>;
+
   SymbolTable* symbols_;
   const std::vector<Tgd>* tgds_;
+  const std::vector<Cdd>* cdds_;
   ChaseOptions options_;
+  // Anchors of the CDD bodies; empty without CDDs.
+  AnchorIndex cdd_anchor_index_;
 
   bool initialized_ = false;
+  std::optional<ChaseViolation> violation_;
   FactBase chased_;
   size_t num_original_ = 0;
   // Derivation of atom id (valid while alive); index id - num_original_.
   CowVector<Derivation> derivations_;
   // parent atom -> alive derived children (lazily pruned).
   CowMap<AtomId, std::vector<AtomId>> children_;
-  // (rule body predicate) -> [(tgd index, body position)]. Immutable
-  // after Initialize, shared between a frozen prototype and its forks.
-  using AnchorIndex =
-      std::unordered_map<int32_t, std::vector<std::pair<size_t, size_t>>>;
+  // Anchors of the TGD bodies. Immutable after Initialize, shared
+  // between a frozen prototype and its forks.
   std::shared_ptr<const AnchorIndex> anchor_index_;
 
   CowVector<SuppressedTrigger> suppressed_;
@@ -214,9 +291,6 @@ class IncrementalChase {
   size_t total_added_ = 0;
   size_t total_refired_ = 0;
 };
-
-// Sentinel for FindAtom misses.
-inline constexpr AtomId kInvalidAtom = static_cast<AtomId>(-1);
 
 }  // namespace kbrepair
 

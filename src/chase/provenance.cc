@@ -2,16 +2,9 @@
 
 namespace kbrepair {
 
-DerivationFn DerivationsOf(const ChaseResult& result) {
-  return [&result](AtomId id) -> const Derivation* {
-    if (result.IsOriginal(id)) return nullptr;
-    return &result.derivation(id);
-  };
-}
-
 namespace {
 
-void WalkNode(AtomId id, size_t depth, const DerivationFn& derivation_of,
+void WalkNode(AtomId id, size_t depth, const IncrementalChase& chase,
               size_t max_nodes, size_t* visited,
               const std::function<void(const ProvenanceNode&)>& visit) {
   if (max_nodes != 0 && *visited >= max_nodes) return;
@@ -19,32 +12,33 @@ void WalkNode(AtomId id, size_t depth, const DerivationFn& derivation_of,
   ProvenanceNode node;
   node.id = id;
   node.depth = depth;
-  node.derivation = derivation_of(id);
+  node.derivation = chase.derivation_or_null(id);
   visit(node);
   if (node.derivation == nullptr) return;
   for (const AtomId parent : node.derivation->parents) {
-    WalkNode(parent, depth + 1, derivation_of, max_nodes, visited, visit);
+    WalkNode(parent, depth + 1, chase, max_nodes, visited, visit);
   }
 }
 
 }  // namespace
 
-void WalkSupportCone(AtomId root, const DerivationFn& derivation_of,
+void WalkSupportCone(AtomId root, const IncrementalChase& chase,
                      size_t max_nodes,
                      const std::function<void(const ProvenanceNode&)>& visit) {
   size_t visited = 0;
-  WalkNode(root, 0, derivation_of, max_nodes, &visited, visit);
+  WalkNode(root, 0, chase, max_nodes, &visited, visit);
 }
 
-std::vector<AtomId> ForwardCone(AtomId original, size_t num_atoms,
-                                const DerivationFn& derivation_of) {
+std::vector<AtomId> ForwardCone(AtomId original,
+                                const IncrementalChase& chase) {
+  const size_t num_atoms = chase.facts().size();
   // Parents precede children, so one ascending pass over the base
   // closes the cone transitively.
   std::vector<bool> in_cone(num_atoms, false);
   if (original < num_atoms) in_cone[original] = true;
   std::vector<AtomId> cone;
   for (AtomId id = 0; id < num_atoms; ++id) {
-    const Derivation* derivation = derivation_of(id);
+    const Derivation* derivation = chase.derivation_or_null(id);
     if (derivation == nullptr) continue;
     for (const AtomId parent : derivation->parents) {
       if (parent < num_atoms && in_cone[parent]) {
@@ -57,13 +51,13 @@ std::vector<AtomId> ForwardCone(AtomId original, size_t num_atoms,
   return cone;
 }
 
-std::string RenderSupportCone(AtomId root, const FactBase& chased,
+std::string RenderSupportCone(AtomId root, const IncrementalChase& chase,
                               const SymbolTable& symbols,
-                              const DerivationFn& derivation_of,
                               size_t max_nodes) {
+  const FactBase& chased = chase.facts();
   std::string out;
   size_t visits = 0;
-  WalkSupportCone(root, derivation_of, max_nodes,
+  WalkSupportCone(root, chase, max_nodes,
                   [&](const ProvenanceNode& node) {
                     ++visits;
                     out.append(node.depth * 2, ' ');

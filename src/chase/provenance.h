@@ -1,15 +1,14 @@
 // Provenance cone walks over the Derivation DAG.
 //
-// Both chase engines record, for every derived atom, the TGD and the
-// body-matched parent atoms that produced it (chase.h Derivation). This
-// header turns that DAG into something an operator can read: the
-// *support cone* of an atom — the derivation tree rooted at it, walked
-// down through parents to the original facts — and the *forward cone*
-// of an original atom — every derived atom whose proof uses it. Both
-// walks are engine-agnostic: the caller supplies a lookup callback
-// (`DerivationFn`) that returns an atom's Derivation or nullptr for
-// originals, so the same code serves a fresh ChaseResult and the
-// incremental engine's maintained base (kbrepair-debug uses both).
+// The chase kernel (chase/incremental_chase.h) records, for every
+// derived atom, the TGD and the body-matched parent atoms that produced
+// it. This header turns that DAG into something an operator can read:
+// the *support cone* of an atom — the derivation tree rooted at it,
+// walked down through parents to the original facts — and the *forward
+// cone* of an original atom — every derived atom whose proof uses it.
+// There is one source of derivations, so the walks take the chase
+// directly: a session's maintained base, or the chase inside a one-shot
+// ChaseResult (ChaseResult::chase()); kbrepair-debug uses both.
 
 #ifndef KBREPAIR_CHASE_PROVENANCE_H_
 #define KBREPAIR_CHASE_PROVENANCE_H_
@@ -18,20 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
-#include "kb/fact_base.h"
+#include "chase/incremental_chase.h"
 #include "kb/symbol_table.h"
-#include "rules/tgd.h"
 
 namespace kbrepair {
-
-// Lookup used by the walks: the derivation of `id`, or nullptr when the
-// atom is original (or unknown to the source). Must stay valid for the
-// duration of the walk.
-using DerivationFn = std::function<const Derivation*(AtomId)>;
-
-// Adapts a ChaseResult into a DerivationFn.
-DerivationFn DerivationsOf(const ChaseResult& result);
 
 // One visited node of a support-cone walk.
 struct ProvenanceNode {
@@ -46,15 +35,14 @@ struct ProvenanceNode {
 // structure is a DAG (parents always have smaller ids than children), so
 // the walk terminates; shared sub-cones are visited once per occurrence,
 // capped at `max_nodes` total visits (0 = unlimited).
-void WalkSupportCone(AtomId root, const DerivationFn& derivation_of,
+void WalkSupportCone(AtomId root, const IncrementalChase& chase,
                      size_t max_nodes,
                      const std::function<void(const ProvenanceNode&)>& visit);
 
-// Derived atoms (ascending) whose support cone contains `original`; the
-// forward direction of the DAG. `num_atoms` bounds the scan — pass the
-// chased base's size.
-std::vector<AtomId> ForwardCone(AtomId original, size_t num_atoms,
-                                const DerivationFn& derivation_of);
+// Alive derived atoms (ascending) whose support cone contains
+// `original`; the forward direction of the DAG.
+std::vector<AtomId> ForwardCone(AtomId original,
+                                const IncrementalChase& chase);
 
 // Renders the support cone of `root` as an indented tree:
 //
@@ -63,11 +51,9 @@ std::vector<AtomId> ForwardCone(AtomId original, size_t num_atoms,
 //     q(b,_N3)  [tgd 0]
 //       r(b)  [original]
 //
-// `chased` must be the base the ids refer to. Output is truncated (with
-// a trailing note) past `max_nodes` visits.
-std::string RenderSupportCone(AtomId root, const FactBase& chased,
+// Output is truncated (with a trailing note) past `max_nodes` visits.
+std::string RenderSupportCone(AtomId root, const IncrementalChase& chase,
                               const SymbolTable& symbols,
-                              const DerivationFn& derivation_of,
                               size_t max_nodes = 256);
 
 }  // namespace kbrepair

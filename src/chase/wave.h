@@ -1,11 +1,11 @@
-// Wave-based saturation scaffolding shared by the scratch and delta
-// chase engines.
+// Wave-based saturation scaffolding of the chase kernel
+// (IncrementalChase::Saturate, the one saturation loop).
 //
-// Both engines saturate by alternating two phases over a *wave* — the
+// The kernel saturates by alternating two phases over a *wave* — the
 // snapshot of the current work queue:
 //
 //   Phase A (read-only, parallelizable): for every wave slot, enumerate
-//   the TGD triggers (and, for the scratch engine, CDD violations)
+//   the TGD triggers (and, when the chase has CDDs, the CDD violations)
 //   anchored at that slot's atom against the wave-start fact base. Each
 //   slot's findings are copied into a per-worker arena and recorded in
 //   slot-owned storage, so workers never contend.

@@ -16,14 +16,12 @@ namespace debug {
 namespace {
 
 // Chased view of the session: the saturated base the census matched
-// against, with a derivation lookup over it. Either borrows the
-// incremental engine's maintained base or owns a fresh inspection chase
-// (cloned symbol table, so fresh nulls never touch the live session).
+// against. Either borrows the incremental engine's maintained chase or
+// owns a fresh inspection chase (cloned symbol table, so fresh nulls
+// never touch the live session).
 struct ChasedView {
-  const FactBase* facts = nullptr;
+  const IncrementalChase* chase = nullptr;
   const SymbolTable* symbols = nullptr;
-  size_t num_original = 0;
-  DerivationFn derivation_of;
   // Owning storage for the fresh-chase path.
   std::unique_ptr<SymbolTable> cloned_symbols;
   std::unique_ptr<ChaseResult> result;
@@ -34,27 +32,17 @@ StatusOr<ChasedView> MakeChasedView(const InquiryEngine& engine,
                                     ChaseOptions options) {
   ChasedView view;
   if (const IncrementalChase* delta = engine.delta_chase()) {
-    view.facts = &delta->facts();
+    view.chase = delta;
     view.symbols = &kb.symbols();
-    view.num_original = delta->num_original();
-    view.derivation_of = [delta](AtomId id) {
-      return delta->derivation_or_null(id);
-    };
     return view;
   }
   view.cloned_symbols = kb.symbols().Clone();
-  options.stop_on_violation = false;
   ChaseEngine chase(view.cloned_symbols.get(), &kb.tgds(), nullptr, options);
   KBREPAIR_ASSIGN_OR_RETURN(ChaseResult result,
                             chase.Run(engine.working_facts()));
   view.result = std::make_unique<ChaseResult>(std::move(result));
-  view.facts = &view.result->facts();
+  view.chase = &view.result->chase();
   view.symbols = view.cloned_symbols.get();
-  view.num_original = view.result->num_original();
-  const ChaseResult* r = view.result.get();
-  view.derivation_of = [r](AtomId id) -> const Derivation* {
-    return r->IsOriginal(id) ? nullptr : &r->derivation(id);
-  };
   return view;
 }
 
@@ -63,8 +51,9 @@ std::string RenderAtomId(AtomId id, const FactBase& working,
   if (id < working.size()) {
     return working.atom(id).ToString(*chased.symbols);
   }
-  if (id < chased.facts->size()) {
-    return chased.facts->atom(id).ToString(*chased.symbols) + " [derived]";
+  if (id < chased.chase->facts().size()) {
+    return chased.chase->facts().atom(id).ToString(*chased.symbols) +
+           " [derived]";
   }
   return "<atom " + std::to_string(id) + ">";
 }
@@ -110,21 +99,21 @@ StatusOr<std::string> ProvenanceInspector::AtomReport(AtomId atom) const {
 
   out << "support cone:\n";
   {
-    std::istringstream cone(RenderSupportCone(
-        atom, *chased.facts, *chased.symbols, chased.derivation_of));
+    std::istringstream cone(
+        RenderSupportCone(atom, *chased.chase, *chased.symbols));
     std::string line;
     while (std::getline(cone, line)) out << "  " << line << "\n";
   }
 
-  if (atom < chased.num_original) {
-    const std::vector<AtomId> forward =
-        ForwardCone(atom, chased.facts->size(), chased.derivation_of);
+  if (chased.chase->IsOriginal(atom)) {
+    const FactBase& chased_facts = chased.chase->facts();
+    const std::vector<AtomId> forward = ForwardCone(atom, *chased.chase);
     out << "forward cone: " << forward.size() << " derived atom(s)\n";
     constexpr size_t kMaxForward = 16;
     for (size_t i = 0; i < forward.size() && i < kMaxForward; ++i) {
-      if (!chased.facts->alive(forward[i])) continue;
+      if (!chased_facts.alive(forward[i])) continue;
       out << "  " << forward[i] << "  "
-          << chased.facts->atom(forward[i]).ToString(*chased.symbols) << "\n";
+          << chased_facts.atom(forward[i]).ToString(*chased.symbols) << "\n";
     }
     if (forward.size() > kMaxForward) {
       out << "  ... (" << forward.size() - kMaxForward << " more)\n";

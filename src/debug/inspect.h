@@ -29,8 +29,8 @@ class ProvenanceInspector {
  public:
   // Both pointers must outlive the inspector; the engine must be
   // started. `chase_options` configures the fallback inspection chase
-  // (stop_on_violation is forced off — the census needs full
-  // saturation).
+  // (run without CDDs, so it saturates fully — the census needs the
+  // whole chased base).
   ProvenanceInspector(const InquiryEngine* engine, const KnowledgeBase* kb,
                       ChaseOptions chase_options = {});
 

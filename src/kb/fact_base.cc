@@ -55,14 +55,16 @@ AtomSpan FactBase::AtomsWithTermAt(PredicateId pred, int pos,
   return by_probe_.Find(ProbeKey(pred, pos, term));
 }
 
-bool FactBase::Contains(const Atom& atom) const {
-  if (atom.args.empty()) {
-    return !AtomsWithPredicate(atom.predicate).empty();
-  }
+bool FactBase::Contains(const Atom& atom, AtomId* found) const {
   // Probe the most selective first-argument posting list, then compare.
-  AtomSpan candidates = AtomsWithTermAt(atom.predicate, 0, atom.args[0]);
+  AtomSpan candidates =
+      atom.args.empty() ? AtomsWithPredicate(atom.predicate)
+                        : AtomsWithTermAt(atom.predicate, 0, atom.args[0]);
   for (AtomId id : candidates) {
-    if (atoms_[id] == atom) return true;
+    if (atoms_[id] == atom) {
+      if (found != nullptr) *found = id;
+      return true;
+    }
   }
   return false;
 }

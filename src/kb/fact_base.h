@@ -87,8 +87,10 @@ class FactBase {
   // contract as AtomsWithPredicate.
   AtomSpan AtomsWithTermAt(PredicateId pred, int pos, TermId term) const;
 
-  // True if some fact equals `atom` (used by the restricted chase).
-  bool Contains(const Atom& atom) const;
+  // True if some alive fact equals `atom`; the first such fact's id (in
+  // index order) goes to *found when non-null. The restricted chase's
+  // ground-duplicate test.
+  bool Contains(const Atom& atom, AtomId* found = nullptr) const;
 
   // Distinct terms appearing at argument `pos` of `pred`:
   // adom(p, i, F) in the paper.

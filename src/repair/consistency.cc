@@ -31,9 +31,7 @@ StatusOr<bool> ConsistencyChecker::IsConsistentNaive(
 
 StatusOr<bool> ConsistencyChecker::IsConsistentOpt(
     const FactBase& facts) const {
-  ChaseOptions options = chase_options_;
-  options.stop_on_violation = true;
-  ChaseEngine engine(symbols_, tgds_, cdds_, options);
+  ChaseEngine engine(symbols_, tgds_, cdds_, chase_options_);
   KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(facts));
   return !chased.violation().has_value();
 }

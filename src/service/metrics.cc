@@ -224,81 +224,219 @@ JsonValue LabeledMetrics::ToJson() const {
   return out;
 }
 
+namespace {
+
+// --- The metrics table ---------------------------------------------------
+//
+// Every ServiceMetrics counter, gauge and histogram is one row, in
+// rendering order. The row drives all three surfaces: the JSON `metrics`
+// payload (group object + key; a null group puts the key at top level),
+// the Prometheus exposition (name, HELP and TYPE), and MergeFrom (how a
+// shard's value folds into the aggregate). Rows without a JSON key or a
+// Prometheus name are not rendered there. Adding a metric is adding a
+// row.
+
+enum class MetricType { kCounter, kGauge, kHistogram };
+
+enum class MergeRule {
+  kSum,     // counters, gauges, histograms (bucket-wise)
+  kLatest,  // readiness timestamps: the most recent event wins
+};
+
+struct MetricRow {
+  const char* group;      // JSON group object; nullptr = top level
+  const char* key;        // JSON key; nullptr = not in JSON
+  const char* prom_name;  // Prometheus name; nullptr = not exported
+  const char* help;
+  MetricType type;
+  MergeRule merge;
+  // Exactly the member matching `type` is set.
+  std::atomic<uint64_t> ServiceMetrics::* counter;
+  std::atomic<int64_t> ServiceMetrics::* gauge;
+  LatencyHistogram ServiceMetrics::* histogram;
+};
+
+constexpr MetricRow Counter(const char* group, const char* key,
+                            const char* prom_name, const char* help,
+                            std::atomic<uint64_t> ServiceMetrics::* field) {
+  return {group, key, prom_name, help, MetricType::kCounter,
+          MergeRule::kSum, field, nullptr, nullptr};
+}
+
+constexpr MetricRow Gauge(const char* group, const char* key,
+                          const char* prom_name, const char* help,
+                          std::atomic<int64_t> ServiceMetrics::* field,
+                          MergeRule merge = MergeRule::kSum) {
+  return {group, key, prom_name, help, MetricType::kGauge,
+          merge, nullptr, field, nullptr};
+}
+
+constexpr MetricRow Histogram(const char* group, const char* key,
+                              const char* prom_name, const char* help,
+                              LatencyHistogram ServiceMetrics::* field) {
+  return {group, key, prom_name, help, MetricType::kHistogram,
+          MergeRule::kSum, nullptr, nullptr, field};
+}
+
+using M = ServiceMetrics;
+
+// Gauges that only shard 0 keeps current (registry and governor) merge
+// by summing too: the other shards contribute zero. wal_degraded is a
+// per-shard 0/1 flag, so its sum counts degraded shards.
+constexpr MetricRow kMetricRows[] = {
+    Counter("sessions", "opened", "kbrepair_sessions_opened_total",
+            "Sessions created (including recovered ones).",
+            &M::sessions_opened),
+    Counter("sessions", "completed", "kbrepair_sessions_completed_total",
+            "Sessions closed via the close command.",
+            &M::sessions_completed),
+    Counter("sessions", "evicted", "kbrepair_sessions_evicted_total",
+            "Sessions reaped by the idle TTL.", &M::sessions_evicted),
+    Counter("sessions", "failed", "kbrepair_sessions_failed_total",
+            "Session create/step/recovery failures.", &M::sessions_failed),
+    Gauge("sessions", "active", "kbrepair_sessions_active",
+          "Sessions currently registered and not closed.",
+          &M::sessions_active),
+    Counter("traffic", "questions_served", "kbrepair_questions_served_total",
+            "Questions handed to clients.", &M::questions_served),
+    Counter("traffic", "answers_applied", "kbrepair_answers_applied_total",
+            "Answers applied to a session's dialogue.",
+            &M::answers_applied),
+    Counter("traffic", "requests_total", "kbrepair_requests_total",
+            "Wire commands received (including rejected ones).",
+            &M::requests_total),
+    Counter("traffic", "errors_total", "kbrepair_errors_total",
+            "Wire commands answered with an error envelope.",
+            &M::errors_total),
+    Counter("traffic", "rejected_overload",
+            "kbrepair_rejected_overload_total",
+            "Commands rejected because the ready queue was full.",
+            &M::rejected_overload),
+    Counter("traffic", "rejected_commands",
+            "kbrepair_rejected_commands_total",
+            "Commands refused at admission (overload, shutdown, WAL append "
+            "failure).",
+            &M::rejected_commands),
+    Counter("traffic", "deadline_exceeded",
+            "kbrepair_deadline_exceeded_total",
+            "Commands cut off by the per-command deadline.",
+            &M::deadline_exceeded),
+    Counter("durability", "wal_appends", "kbrepair_wal_appends_total",
+            "Durable WAL appends (fsync'd before execution).",
+            &M::wal_appends),
+    Counter("durability", "wal_fsync_failures",
+            "kbrepair_wal_fsync_failures_total",
+            "WAL appends whose fsync failed (command rejected).",
+            &M::wal_fsync_failures),
+    Counter("durability", "wal_compactions", "kbrepair_wal_compactions_total",
+            "Session WALs snapshot-compacted.", &M::wal_compactions),
+    Counter("durability", "transcript_write_failures",
+            "kbrepair_transcript_write_failures_total",
+            "Transcript flushes that failed.",
+            &M::transcript_write_failures),
+    Counter("durability", "sessions_recovered",
+            "kbrepair_sessions_recovered_total",
+            "Sessions rebuilt from their WAL at startup.",
+            &M::sessions_recovered),
+    Counter("durability", "engine_rebuilds", "kbrepair_engine_rebuilds_total",
+            "Conflict engines dropped after a failed maintenance step and "
+            "rebuilt cold.",
+            &M::engine_rebuilds),
+    Counter("durability", "worker_stalls", "kbrepair_worker_stalls_total",
+            "Commands the watchdog flagged as stalling a worker.",
+            &M::worker_stalls),
+    Counter("durability", "wal_disk_full_failures",
+            "kbrepair_wal_disk_full_failures_total",
+            "WAL appends that hit ENOSPC/EIO (shard entered degraded mode).",
+            &M::wal_disk_full_failures),
+    Counter("durability", "rejected_degraded",
+            "kbrepair_rejected_degraded_total",
+            "Commands rejected ResourceExhausted while the owning shard was "
+            "disk-degraded.",
+            &M::rejected_degraded),
+    Gauge("durability", "wal_degraded", "kbrepair_wal_degraded",
+          "Shards currently in disk-degraded read-only mode.",
+          &M::wal_degraded),
+    Gauge("resources", "mem_estimated_bytes", "kbrepair_mem_estimated_bytes",
+          "Governor estimate of session + base memory in use.",
+          &M::mem_estimated_bytes),
+    Gauge("resources", "mem_budget_bytes", "kbrepair_mem_budget_bytes",
+          "Configured memory budget (--mem-budget; 0 = unlimited).",
+          &M::mem_budget_bytes),
+    Gauge("resources", "mem_pressure", "kbrepair_mem_pressure",
+          "1 while the governor is shedding new sessions.",
+          &M::mem_pressure),
+    Counter("resources", "rejected_pressure",
+            "kbrepair_rejected_pressure_total",
+            "Creates shed by the memory governor.", &M::rejected_pressure),
+    Counter("resources", "pressure_evictions",
+            "kbrepair_pressure_evictions_total",
+            "Idle sessions evicted early to relieve memory pressure.",
+            &M::pressure_evictions),
+    Gauge("bases", "registered", "kbrepair_bases_registered",
+          "Shared base KBs currently registered.", &M::bases_registered),
+    Gauge("bases", "rss_bytes", "kbrepair_base_rss_bytes",
+          "Approximate resident bytes of the shared base segments.",
+          &M::base_rss_bytes),
+    Counter("bases", "forks", "kbrepair_base_forks_total",
+            "Sessions forked from a shared base.", &M::base_forks),
+    Gauge(nullptr, nullptr, nullptr, nullptr, &M::last_wal_fsync_failure_ns,
+          MergeRule::kLatest),
+    Gauge(nullptr, nullptr, nullptr, nullptr, &M::last_wal_disk_full_ns,
+          MergeRule::kLatest),
+    Histogram(nullptr, "turn_delay", "kbrepair_turn_delay_seconds",
+              "Engine compute delay producing each question (Prop. 4.10's "
+              "measured bound).",
+              &M::turn_delay),
+    Histogram(nullptr, "request_latency", "kbrepair_request_latency_seconds",
+              "End-to-end per-command service time (submission to "
+              "completion).",
+              &M::request_latency),
+    Histogram(nullptr, "queue_wait", "kbrepair_queue_wait_seconds",
+              "Time a command waited in the ready queue before a worker "
+              "picked it up.",
+              &M::queue_wait),
+    Histogram("bases", "fork_latency", "kbrepair_base_fork_latency_seconds",
+              "Time to fork a session from a shared base (KB fork + census "
+              "adoption).",
+              &M::base_fork_latency),
+};
+
+}  // namespace
+
 JsonValue ServiceMetrics::ToJson() const {
-  JsonValue sessions = JsonValue::Object();
-  sessions.Set("opened",
-               JsonValue::Number(sessions_opened.load(std::memory_order_relaxed)));
-  sessions.Set("completed",
-               JsonValue::Number(sessions_completed.load(std::memory_order_relaxed)));
-  sessions.Set("evicted",
-               JsonValue::Number(sessions_evicted.load(std::memory_order_relaxed)));
-  sessions.Set("failed",
-               JsonValue::Number(sessions_failed.load(std::memory_order_relaxed)));
-  sessions.Set("active",
-               JsonValue::Number(sessions_active.load(std::memory_order_relaxed)));
-
-  JsonValue traffic = JsonValue::Object();
-  traffic.Set("questions_served",
-              JsonValue::Number(questions_served.load(std::memory_order_relaxed)));
-  traffic.Set("answers_applied",
-              JsonValue::Number(answers_applied.load(std::memory_order_relaxed)));
-  traffic.Set("requests_total",
-              JsonValue::Number(requests_total.load(std::memory_order_relaxed)));
-  traffic.Set("errors_total",
-              JsonValue::Number(errors_total.load(std::memory_order_relaxed)));
-  traffic.Set("rejected_overload",
-              JsonValue::Number(rejected_overload.load(std::memory_order_relaxed)));
-  traffic.Set("rejected_commands",
-              JsonValue::Number(rejected_commands.load(std::memory_order_relaxed)));
-  traffic.Set("deadline_exceeded",
-              JsonValue::Number(deadline_exceeded.load(std::memory_order_relaxed)));
-
-  JsonValue durability = JsonValue::Object();
-  durability.Set("wal_appends",
-                 JsonValue::Number(wal_appends.load(std::memory_order_relaxed)));
-  durability.Set("wal_fsync_failures",
-                 JsonValue::Number(wal_fsync_failures.load(std::memory_order_relaxed)));
-  durability.Set("wal_compactions",
-                 JsonValue::Number(wal_compactions.load(std::memory_order_relaxed)));
-  durability.Set("transcript_write_failures",
-                 JsonValue::Number(
-                     transcript_write_failures.load(std::memory_order_relaxed)));
-  durability.Set("sessions_recovered",
-                 JsonValue::Number(sessions_recovered.load(std::memory_order_relaxed)));
-  durability.Set("engine_rebuilds",
-                 JsonValue::Number(engine_rebuilds.load(std::memory_order_relaxed)));
-  durability.Set("worker_stalls",
-                 JsonValue::Number(worker_stalls.load(std::memory_order_relaxed)));
-  durability.Set("wal_disk_full_failures",
-                 JsonValue::Number(
-                     wal_disk_full_failures.load(std::memory_order_relaxed)));
-  durability.Set("rejected_degraded",
-                 JsonValue::Number(rejected_degraded.load(std::memory_order_relaxed)));
-  durability.Set("wal_degraded",
-                 JsonValue::Number(wal_degraded.load(std::memory_order_relaxed)));
-
-  JsonValue resources = JsonValue::Object();
-  resources.Set("mem_estimated_bytes",
-                JsonValue::Number(
-                    mem_estimated_bytes.load(std::memory_order_relaxed)));
-  resources.Set("mem_budget_bytes",
-                JsonValue::Number(mem_budget_bytes.load(std::memory_order_relaxed)));
-  resources.Set("mem_pressure",
-                JsonValue::Number(mem_pressure.load(std::memory_order_relaxed)));
-  resources.Set("rejected_pressure",
-                JsonValue::Number(rejected_pressure.load(std::memory_order_relaxed)));
-  resources.Set("pressure_evictions",
-                JsonValue::Number(
-                    pressure_evictions.load(std::memory_order_relaxed)));
-
-  JsonValue bases = JsonValue::Object();
-  bases.Set("registered",
-            JsonValue::Number(bases_registered.load(std::memory_order_relaxed)));
-  bases.Set("rss_bytes",
-            JsonValue::Number(base_rss_bytes.load(std::memory_order_relaxed)));
-  bases.Set("forks",
-            JsonValue::Number(base_forks.load(std::memory_order_relaxed)));
-  bases.Set("fork_latency", base_fork_latency.ToJson());
+  // Top-level members in first-appearance order; a group is one member
+  // holding its rows' keys.
+  std::vector<std::pair<std::string, JsonValue>> members;
+  for (const MetricRow& row : kMetricRows) {
+    if (row.key == nullptr) continue;
+    JsonValue value;
+    switch (row.type) {
+      case MetricType::kCounter:
+        value = JsonValue::Number(
+            (this->*row.counter).load(std::memory_order_relaxed));
+        break;
+      case MetricType::kGauge:
+        value = JsonValue::Number(
+            (this->*row.gauge).load(std::memory_order_relaxed));
+        break;
+      case MetricType::kHistogram:
+        value = (this->*row.histogram).ToJson();
+        break;
+    }
+    if (row.group == nullptr) {
+      members.emplace_back(row.key, std::move(value));
+      continue;
+    }
+    auto group = std::find_if(
+        members.begin(), members.end(),
+        [&](const auto& member) { return member.first == row.group; });
+    if (group == members.end()) {
+      members.emplace_back(row.group, JsonValue::Object());
+      group = members.end() - 1;
+    }
+    group->second.Set(row.key, std::move(value));
+  }
 
   JsonValue by_strategy = JsonValue::Object();
   for (size_t s = 0; s < kNumStrategyLabels; ++s) {
@@ -307,86 +445,39 @@ JsonValue ServiceMetrics::ToJson() const {
   }
 
   JsonValue out = JsonValue::Object();
-  out.Set("sessions", std::move(sessions));
-  out.Set("traffic", std::move(traffic));
-  out.Set("durability", std::move(durability));
-  out.Set("resources", std::move(resources));
-  out.Set("bases", std::move(bases));
-  out.Set("turn_delay", turn_delay.ToJson());
-  out.Set("request_latency", request_latency.ToJson());
-  out.Set("queue_wait", queue_wait.ToJson());
+  for (auto& [key, value] : members) out.Set(key, std::move(value));
   out.Set("by_strategy", std::move(by_strategy));
   return out;
 }
 
 void ServiceMetrics::MergeFrom(const ServiceMetrics& other) {
-  const auto add = [](std::atomic<uint64_t>& into,
-                      const std::atomic<uint64_t>& from) {
-    into.fetch_add(from.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  };
-  add(sessions_opened, other.sessions_opened);
-  add(sessions_completed, other.sessions_completed);
-  add(sessions_evicted, other.sessions_evicted);
-  add(sessions_failed, other.sessions_failed);
-  sessions_active.fetch_add(
-      other.sessions_active.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  add(questions_served, other.questions_served);
-  add(answers_applied, other.answers_applied);
-  add(requests_total, other.requests_total);
-  add(errors_total, other.errors_total);
-  add(rejected_overload, other.rejected_overload);
-  add(rejected_commands, other.rejected_commands);
-  add(deadline_exceeded, other.deadline_exceeded);
-  add(wal_appends, other.wal_appends);
-  add(wal_fsync_failures, other.wal_fsync_failures);
-  add(wal_compactions, other.wal_compactions);
-  add(transcript_write_failures, other.transcript_write_failures);
-  add(sessions_recovered, other.sessions_recovered);
-  add(engine_rebuilds, other.engine_rebuilds);
-  add(worker_stalls, other.worker_stalls);
-  add(wal_disk_full_failures, other.wal_disk_full_failures);
-  add(rejected_degraded, other.rejected_degraded);
-  add(rejected_pressure, other.rejected_pressure);
-  add(pressure_evictions, other.pressure_evictions);
-  // Per-shard 0/1 flag: the aggregate counts degraded shards.
-  wal_degraded.fetch_add(other.wal_degraded.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  // Governor gauges live on exactly one shard's metrics (like the
-  // registry gauges below), so summing is the correct aggregation.
-  mem_estimated_bytes.fetch_add(
-      other.mem_estimated_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  mem_budget_bytes.fetch_add(
-      other.mem_budget_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  mem_pressure.fetch_add(other.mem_pressure.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  add(base_forks, other.base_forks);
-  // Registry gauges live on exactly one shard's metrics, so summing is
-  // the correct aggregation.
-  bases_registered.fetch_add(
-      other.bases_registered.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  base_rss_bytes.fetch_add(
-      other.base_rss_bytes.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  base_fork_latency.MergeFrom(other.base_fork_latency);
-  const auto take_latest = [](std::atomic<int64_t>& into,
-                              const std::atomic<int64_t>& from) {
-    const int64_t candidate = from.load(std::memory_order_relaxed);
-    int64_t seen = into.load(std::memory_order_relaxed);
-    while (candidate > seen &&
-           !into.compare_exchange_weak(seen, candidate,
-                                       std::memory_order_relaxed)) {
+  for (const MetricRow& row : kMetricRows) {
+    switch (row.type) {
+      case MetricType::kCounter:
+        (this->*row.counter)
+            .fetch_add((other.*row.counter).load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+        break;
+      case MetricType::kGauge: {
+        std::atomic<int64_t>& into = this->*row.gauge;
+        const int64_t from =
+            (other.*row.gauge).load(std::memory_order_relaxed);
+        if (row.merge == MergeRule::kSum) {
+          into.fetch_add(from, std::memory_order_relaxed);
+          break;
+        }
+        int64_t seen = into.load(std::memory_order_relaxed);
+        while (from > seen &&
+               !into.compare_exchange_weak(seen, from,
+                                           std::memory_order_relaxed)) {
+        }
+        break;
+      }
+      case MetricType::kHistogram:
+        (this->*row.histogram).MergeFrom(other.*row.histogram);
+        break;
     }
-  };
-  take_latest(last_wal_fsync_failure_ns, other.last_wal_fsync_failure_ns);
-  take_latest(last_wal_disk_full_ns, other.last_wal_disk_full_ns);
-  turn_delay.MergeFrom(other.turn_delay);
-  request_latency.MergeFrom(other.request_latency);
-  queue_wait.MergeFrom(other.queue_wait);
+  }
   for (size_t s = 0; s < kNumStrategyLabels; ++s) {
     by_label[s].MergeFrom(other.by_label[s]);
   }
@@ -456,18 +547,6 @@ void AppendHelpType(std::string* out, const std::string& name,
   *out += "# TYPE " + name + " " + std::string(type) + "\n";
 }
 
-void AppendCounter(std::string* out, const std::string& name,
-                   const std::string& help, uint64_t value) {
-  AppendHelpType(out, name, help, "counter");
-  *out += name + " " + std::to_string(value) + "\n";
-}
-
-void AppendGauge(std::string* out, const std::string& name,
-                 const std::string& help, int64_t value) {
-  AppendHelpType(out, name, help, "gauge");
-  *out += name + " " + std::to_string(value) + "\n";
-}
-
 // One histogram's cumulative series under an optional label set. The
 // bucket lines come from LatencyHistogram::CumulativeBuckets() — the
 // same snapshot path the JSON `metrics` command renders — so the two
@@ -494,13 +573,6 @@ void AppendHistogramSeries(
           "\n";
 }
 
-void AppendHistogram(std::string* out, const std::string& name,
-                     const std::string& help,
-                     const LatencyHistogram& histogram) {
-  AppendHelpType(out, name, help, "histogram");
-  AppendHistogramSeries(out, name, {}, histogram);
-}
-
 }  // namespace
 
 void AppendPrometheusText(const ServiceMetrics& metrics, std::string* out) {
@@ -508,117 +580,27 @@ void AppendPrometheusText(const ServiceMetrics& metrics, std::string* out) {
     return counter.load(std::memory_order_relaxed);
   };
 
-  AppendCounter(out, "kbrepair_sessions_opened_total",
-                "Sessions created (including recovered ones).",
-                load(metrics.sessions_opened));
-  AppendCounter(out, "kbrepair_sessions_completed_total",
-                "Sessions closed via the close command.",
-                load(metrics.sessions_completed));
-  AppendCounter(out, "kbrepair_sessions_evicted_total",
-                "Sessions reaped by the idle TTL.",
-                load(metrics.sessions_evicted));
-  AppendCounter(out, "kbrepair_sessions_failed_total",
-                "Session create/step/recovery failures.",
-                load(metrics.sessions_failed));
-  AppendGauge(out, "kbrepair_sessions_active",
-              "Sessions currently registered and not closed.",
-              metrics.sessions_active.load(std::memory_order_relaxed));
-  AppendCounter(out, "kbrepair_questions_served_total",
-                "Questions handed to clients.",
-                load(metrics.questions_served));
-  AppendCounter(out, "kbrepair_answers_applied_total",
-                "Answers applied to a session's dialogue.",
-                load(metrics.answers_applied));
-  AppendCounter(out, "kbrepair_requests_total",
-                "Wire commands received (including rejected ones).",
-                load(metrics.requests_total));
-  AppendCounter(out, "kbrepair_errors_total",
-                "Wire commands answered with an error envelope.",
-                load(metrics.errors_total));
-  AppendCounter(out, "kbrepair_rejected_overload_total",
-                "Commands rejected because the ready queue was full.",
-                load(metrics.rejected_overload));
-  AppendCounter(out, "kbrepair_rejected_commands_total",
-                "Commands refused at admission (overload, shutdown, WAL "
-                "append failure).",
-                load(metrics.rejected_commands));
-  AppendCounter(out, "kbrepair_deadline_exceeded_total",
-                "Commands cut off by the per-command deadline.",
-                load(metrics.deadline_exceeded));
-  AppendCounter(out, "kbrepair_wal_appends_total",
-                "Durable WAL appends (fsync'd before execution).",
-                load(metrics.wal_appends));
-  AppendCounter(out, "kbrepair_wal_fsync_failures_total",
-                "WAL appends whose fsync failed (command rejected).",
-                load(metrics.wal_fsync_failures));
-  AppendCounter(out, "kbrepair_wal_compactions_total",
-                "Session WALs snapshot-compacted.",
-                load(metrics.wal_compactions));
-  AppendCounter(out, "kbrepair_transcript_write_failures_total",
-                "Transcript flushes that failed.",
-                load(metrics.transcript_write_failures));
-  AppendCounter(out, "kbrepair_sessions_recovered_total",
-                "Sessions rebuilt from their WAL at startup.",
-                load(metrics.sessions_recovered));
-  AppendCounter(out, "kbrepair_engine_rebuilds_total",
-                "Conflict engines dropped after a failed maintenance step "
-                "and rebuilt cold.",
-                load(metrics.engine_rebuilds));
-  AppendCounter(out, "kbrepair_worker_stalls_total",
-                "Commands the watchdog flagged as stalling a worker.",
-                load(metrics.worker_stalls));
-  AppendCounter(out, "kbrepair_wal_disk_full_failures_total",
-                "WAL appends that hit ENOSPC/EIO (shard entered degraded "
-                "mode).",
-                load(metrics.wal_disk_full_failures));
-  AppendCounter(out, "kbrepair_rejected_degraded_total",
-                "Commands rejected ResourceExhausted while the owning shard "
-                "was disk-degraded.",
-                load(metrics.rejected_degraded));
-  AppendGauge(out, "kbrepair_wal_degraded",
-              "Shards currently in disk-degraded read-only mode.",
-              metrics.wal_degraded.load(std::memory_order_relaxed));
-  AppendGauge(out, "kbrepair_mem_estimated_bytes",
-              "Governor estimate of session + base memory in use.",
-              metrics.mem_estimated_bytes.load(std::memory_order_relaxed));
-  AppendGauge(out, "kbrepair_mem_budget_bytes",
-              "Configured memory budget (--mem-budget; 0 = unlimited).",
-              metrics.mem_budget_bytes.load(std::memory_order_relaxed));
-  AppendGauge(out, "kbrepair_mem_pressure",
-              "1 while the governor is shedding new sessions.",
-              metrics.mem_pressure.load(std::memory_order_relaxed));
-  AppendCounter(out, "kbrepair_rejected_pressure_total",
-                "Creates shed by the memory governor.",
-                load(metrics.rejected_pressure));
-  AppendCounter(out, "kbrepair_pressure_evictions_total",
-                "Idle sessions evicted early to relieve memory pressure.",
-                load(metrics.pressure_evictions));
-  AppendGauge(out, "kbrepair_bases_registered",
-              "Shared base KBs currently registered.",
-              metrics.bases_registered.load(std::memory_order_relaxed));
-  AppendGauge(out, "kbrepair_base_rss_bytes",
-              "Approximate resident bytes of the shared base segments.",
-              metrics.base_rss_bytes.load(std::memory_order_relaxed));
-  AppendCounter(out, "kbrepair_base_forks_total",
-                "Sessions forked from a shared base.",
-                load(metrics.base_forks));
-
-  AppendHistogram(out, "kbrepair_turn_delay_seconds",
-                  "Engine compute delay producing each question "
-                  "(Prop. 4.10's measured bound).",
-                  metrics.turn_delay);
-  AppendHistogram(out, "kbrepair_request_latency_seconds",
-                  "End-to-end per-command service time (submission to "
-                  "completion).",
-                  metrics.request_latency);
-  AppendHistogram(out, "kbrepair_queue_wait_seconds",
-                  "Time a command waited in the ready queue before a "
-                  "worker picked it up.",
-                  metrics.queue_wait);
-  AppendHistogram(out, "kbrepair_base_fork_latency_seconds",
-                  "Time to fork a session from a shared base (KB fork + "
-                  "census adoption).",
-                  metrics.base_fork_latency);
+  for (const MetricRow& row : kMetricRows) {
+    if (row.prom_name == nullptr) continue;
+    switch (row.type) {
+      case MetricType::kCounter:
+        AppendHelpType(out, row.prom_name, row.help, "counter");
+        *out += std::string(row.prom_name) + " " +
+                std::to_string(load(metrics.*row.counter)) + "\n";
+        break;
+      case MetricType::kGauge:
+        AppendHelpType(out, row.prom_name, row.help, "gauge");
+        *out += std::string(row.prom_name) + " " +
+                std::to_string((metrics.*row.gauge)
+                                   .load(std::memory_order_relaxed)) +
+                "\n";
+        break;
+      case MetricType::kHistogram:
+        AppendHelpType(out, row.prom_name, row.help, "histogram");
+        AppendHistogramSeries(out, row.prom_name, {}, metrics.*row.histogram);
+        break;
+    }
+  }
 
   // Per-strategy breakdown. HELP/TYPE once per metric name, then one
   // labeled series per touched strategy.

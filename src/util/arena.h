@@ -10,7 +10,7 @@
 //  * per-worker scratch arenas hold the trigger frontier of one wave of
 //    parallel enumeration and are Reset() between waves;
 //  * a per-result arena owns every Derivation's parent list for the
-//    lifetime of the ChaseResult / IncrementalChase that minted it.
+//    lifetime of the IncrementalChase that minted it.
 //
 // Only trivially-copyable, trivially-destructible element types are
 // supported (AtomId, TermId, small PODs) — nothing in the arena is ever

@@ -47,8 +47,8 @@ enum class Phase : int {
   kRepairability = 0,  // Π-repairability checks (CHECKCONSISTENCY-OPT)
   kQuestionGen,        // sound-question generation (Algorithm 2)
   kApplyFix,           // fix application + census/skeleton maintenance
-  kChase,              // from-scratch saturation (ChaseEngine::Run)
-  kDeltaChase,         // delta re-saturation (IncrementalChase::Saturate)
+  kChase,              // one-shot chase (the ChaseEngine::Run facade)
+  kDeltaChase,         // maintained chase: Initialize + ApplyFix
   kConflictScan,       // homomorphism enumeration over CDD bodies
   kWalAppend,          // WAL append + fsync
   kNone,               // span carries no phase attribution

@@ -125,9 +125,7 @@ TEST(ChaseTest, ViolationDetectedAndChaseStops) {
     r(X, Y) :- p(X, Y).
     ! :- p(X, Y), q(Y, X).
   )");
-  ChaseOptions options;
-  options.stop_on_violation = true;
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds(), options);
+  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
   StatusOr<ChaseResult> chased = engine.Run(kb.facts());
   ASSERT_TRUE(chased.ok());
   ASSERT_TRUE(chased->violation().has_value());
@@ -243,6 +241,29 @@ TEST(ChaseTest, TombstonedInputAtomsDoNotWitnessViolations) {
   StatusOr<ChaseResult> chased = engine.Run(facts);
   ASSERT_TRUE(chased.ok());
   EXPECT_FALSE(chased->violation().has_value());
+}
+
+TEST(ChaseTest, ChaseStoppedAtViolationRefusesFixes) {
+  // A CDD-checking chase that is consistent maintains its base like any
+  // other; once a fix makes it stop at a violation, it is no longer a
+  // saturated base and refuses further fixes.
+  KnowledgeBase kb = Parse(R"(
+    p(a, b).
+    q(c, a).
+    r(X, Y) :- p(X, Y).
+    ! :- r(X, Y), q(Y, X).
+  )");
+  IncrementalChase chase(&kb.symbols(), &kb.tgds(), {}, &kb.cdds());
+  ASSERT_TRUE(chase.Initialize(kb.facts()).ok());
+  EXPECT_FALSE(chase.violation().has_value());
+  const TermId b = kb.symbols().InternConstant("b");
+  ASSERT_TRUE(chase.ApplyFix(1, 0, b).ok());  // q(b, a)
+  ASSERT_TRUE(chase.violation().has_value());
+  EXPECT_EQ(chase.OriginalSupport(chase.violation()->matched),
+            (std::vector<AtomId>{0, 1}));
+  StatusOr<IncrementalChase::Delta> refused =
+      chase.ApplyFix(1, 0, kb.symbols().InternConstant("c"));
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ChaseTest, ConstantsInHeadsAreInstantiated) {

@@ -208,17 +208,11 @@ std::set<std::vector<TermId>> CertainAnswersOver(
 
 class ChaseCrossCheck : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ChaseCrossCheck, CertainAnswersMatchNaiveFixpoint) {
-  RandomInstance instance = MakeRandomFacts(GetParam() + 100,
-                                            /*num_predicates=*/4,
-                                            /*num_constants=*/4,
-                                            /*num_facts=*/10);
-  Rng rng(GetParam() * 7 + 5);
+// Random layered TGDs (layering guarantees weak acyclicity): bodies over
+// the instance's predicates, heads over fresh layer predicates d0..d2,
+// sometimes with an existential. Returns the layer predicates.
+std::vector<PredicateId> AddLayeredTgds(RandomInstance& instance, Rng& rng) {
   SymbolTable& symbols = instance.kb.symbols();
-
-  // Random layered TGDs (layering guarantees weak acyclicity): bodies
-  // over p0/p1, heads over fresh layer predicates, sometimes with an
-  // existential.
   std::vector<PredicateId> layer2;
   for (int k = 0; k < 3; ++k) {
     layer2.push_back(symbols.InternPredicate("d" + std::to_string(k), 2));
@@ -237,11 +231,25 @@ TEST_P(ChaseCrossCheck, CertainAnswersMatchNaiveFixpoint) {
         {Atom(body_pred, body_args)},
         {Atom(layer2[static_cast<size_t>(k)], {x, existential ? z : x})},
         symbols);
-    ASSERT_TRUE(tgd.ok()) << tgd.status();
-    instance.kb.tgds().push_back(std::move(tgd).value());
+    EXPECT_TRUE(tgd.ok()) << tgd.status();
+    if (tgd.ok()) instance.kb.tgds().push_back(std::move(tgd).value());
   }
-  ASSERT_TRUE(
+  EXPECT_TRUE(
       CheckWeaklyAcyclic(instance.kb.tgds(), instance.kb.symbols()).ok());
+  return layer2;
+}
+
+TEST_P(ChaseCrossCheck, CertainAnswersMatchNaiveFixpoint) {
+  RandomInstance instance = MakeRandomFacts(GetParam() + 100,
+                                            /*num_predicates=*/4,
+                                            /*num_constants=*/4,
+                                            /*num_facts=*/10);
+  Rng rng(GetParam() * 7 + 5);
+  SymbolTable& symbols = instance.kb.symbols();
+  const std::vector<PredicateId> layer2 = AddLayeredTgds(instance, rng);
+  const TermId x = symbols.InternVariable("X");
+  const TermId y = symbols.InternVariable("Y");
+  const TermId z = symbols.InternVariable("Z");
 
   // Both chases.
   StatusOr<ChaseResult> engine_result =
@@ -274,6 +282,75 @@ TEST_P(ChaseCrossCheck, CertainAnswersMatchNaiveFixpoint) {
         << "seed " << GetParam() << " round " << round << ": "
         << AtomsToString(query, symbols);
   }
+}
+
+// CHECKCONSISTENCY-OPT against the naive reference: the ⊥-detecting
+// chase (CDDs supplied, stop at the first violation) reports a violation
+// exactly when some CDD body maps into the naive fixpoint. Both are
+// universal models, so CQ satisfaction agrees despite null renaming.
+TEST_P(ChaseCrossCheck, ViolationReportedIffCddMapsIntoNaiveFixpoint) {
+  RandomInstance instance = MakeRandomFacts(GetParam() + 100,
+                                            /*num_predicates=*/4,
+                                            /*num_constants=*/4,
+                                            /*num_facts=*/10);
+  Rng rng(GetParam() * 13 + 3);
+  SymbolTable& symbols = instance.kb.symbols();
+  const std::vector<PredicateId> layer2 = AddLayeredTgds(instance, rng);
+  const FactBase reference = NaiveReferenceChase(
+      instance.kb.facts(), instance.kb.tgds(), symbols);
+
+  std::vector<PredicateId> predicates = instance.predicates;
+  predicates.insert(predicates.end(), layer2.begin(), layer2.end());
+  const std::vector<TermId> vars = {symbols.InternVariable("X"),
+                                    symbols.InternVariable("Y"),
+                                    symbols.InternVariable("Z")};
+  size_t violated_rounds = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Cdd> cdds;
+    const size_t num_cdds = 1 + rng.UniformIndex(3);
+    for (size_t c = 0; c < num_cdds; ++c) {
+      std::vector<Atom> body;
+      const size_t num_atoms = 1 + rng.UniformIndex(2);
+      for (size_t j = 0; j < num_atoms; ++j) {
+        const PredicateId pred = rng.Choose(predicates);
+        std::vector<TermId> args;
+        for (int a = 0; a < symbols.predicate_arity(pred); ++a) {
+          args.push_back(rng.Bernoulli(0.85) ? rng.Choose(vars)
+                                             : rng.Choose(instance.constants));
+        }
+        body.emplace_back(pred, std::move(args));
+      }
+      StatusOr<Cdd> cdd = Cdd::Create(std::move(body), symbols);
+      ASSERT_TRUE(cdd.ok()) << cdd.status();
+      cdds.push_back(std::move(cdd).value());
+    }
+
+    bool expected = false;
+    HomomorphismFinder finder(&symbols, &reference);
+    for (const Cdd& cdd : cdds) {
+      expected = expected || finder.Exists(cdd.body());
+    }
+
+    ChaseEngine engine(&symbols, &instance.kb.tgds(), &cdds);
+    StatusOr<ChaseResult> chased = engine.Run(instance.kb.facts());
+    ASSERT_TRUE(chased.ok()) << chased.status();
+    ASSERT_EQ(chased->violation().has_value(), expected)
+        << "seed " << GetParam() << " round " << round;
+    if (!expected) continue;
+    ++violated_rounds;
+    // The reported match instantiates the violated CDD's body.
+    const ChaseViolation& violation = *chased->violation();
+    ASSERT_LT(violation.cdd_index, cdds.size());
+    const std::vector<Atom>& body = cdds[violation.cdd_index].body();
+    ASSERT_EQ(violation.matched.size(), body.size());
+    for (size_t j = 0; j < body.size(); ++j) {
+      EXPECT_EQ(chased->facts().atom(violation.matched[j]).predicate,
+                body[j].predicate);
+    }
+  }
+  // The random CDDs exercise both verdicts.
+  EXPECT_GT(violated_rounds, 0u);
+  EXPECT_LT(violated_rounds, 20u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaseCrossCheck,

@@ -43,18 +43,18 @@ SyntheticKbOptions KbOptions(uint64_t seed) {
   return options;
 }
 
-// Renders the full chased base + provenance + violation of one run. Each
+// Renders the chased base + provenance + violation of one run. Each
 // run generates its own KB (independent symbol table), so string
 // rendering is the cross-run-comparable form; a deterministic chase
 // mints nulls in the same order, making even null names line up.
-std::string ChaseFingerprint(uint64_t seed, size_t num_threads) {
+std::string RenderRun(uint64_t seed, size_t num_threads, bool with_cdds) {
   StatusOr<SyntheticKb> gen = GenerateSyntheticKb(KbOptions(seed));
   EXPECT_TRUE(gen.ok()) << gen.status();
   KnowledgeBase& kb = gen->kb;
   ChaseOptions options;
-  options.stop_on_violation = false;
   options.num_threads = num_threads;
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds(), options);
+  ChaseEngine engine(&kb.symbols(), &kb.tgds(),
+                     with_cdds ? &kb.cdds() : nullptr, options);
   StatusOr<ChaseResult> chased = engine.Run(kb.facts());
   EXPECT_TRUE(chased.ok()) << chased.status();
   std::string out;
@@ -79,6 +79,13 @@ std::string ChaseFingerprint(uint64_t seed, size_t num_threads) {
     out += "\n";
   }
   return out;
+}
+
+// The CDD-free full chase, then a separate CDD-checking run that stops
+// at the first violation.
+std::string ChaseFingerprint(uint64_t seed, size_t num_threads) {
+  return RenderRun(seed, num_threads, /*with_cdds=*/false) + "--\n" +
+         RenderRun(seed, num_threads, /*with_cdds=*/true);
 }
 
 TEST(ParallelChaseTest, SaturationIsThreadCountInvariant) {
