@@ -156,6 +156,7 @@ void BM_PiRepOptScopeFastPath(benchmark::State& state) {
   SyntheticKb generated = MakeKb(1000, 0.2);
   KnowledgeBase& kb = generated.kb;
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_CHECK(checker.EnsureSkeleton(kb.facts(), {}).ok());
   RepairabilityChecker::Scope scope(&checker, kb.facts(), {});
   const TermId fresh = kb.symbols().MakeFreshNull();
   const Fix fix{0, 0, fresh};
@@ -172,10 +173,12 @@ BENCHMARK(BM_PiRepOptScopeFastPath);
 void BM_PiRepOptScopeFullCheck(benchmark::State& state) {
   SyntheticKb generated = MakeKb(1000, 0.2);
   KnowledgeBase& kb = generated.kb;
-  // Freeze one position so its value collides and forces full checks.
+  // Freeze one position so its value collides and forces full checks,
+  // each a rewrite-and-revert probe of the maintained skeleton.
   const TermId frozen_value = kb.facts().atom(0).args[0];
   PositionSet pi = {Position{0, 0}};
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_CHECK(checker.EnsureSkeleton(kb.facts(), pi).ok());
   RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
   const Fix fix{1, 0, frozen_value};
   for (auto _ : state) {
@@ -235,6 +238,7 @@ void BM_SoundQuestionGeneration(benchmark::State& state) {
                                      &kb.cdds());
   ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   QuestionGenerator generator(&kb.symbols(), &repairability);
+  KBREPAIR_CHECK(repairability.EnsureSkeleton(kb.facts(), {}).ok());
   const std::vector<Conflict> conflicts =
       finder.NaiveConflicts(kb.facts());
   KBREPAIR_CHECK(!conflicts.empty());

@@ -73,11 +73,6 @@ struct InquiryEngine::Session {
   // or census that needs chased conflicts, then notified of every
   // subsequent fix; dropped on a failure and rebuilt on next use.
   std::unique_ptr<DeltaConflictEngine> delta;
-  // Maintained Π-skeleton census: empty() is the Π-repairability
-  // verdict. Mirrors every Π change as a rewrite of the
-  // affected position (fix value, frozen facts value, or — on unfreeze —
-  // the position's stable scratch null).
-  std::unique_ptr<DeltaConflictEngine> skeleton_delta;
   std::optional<Question> pending;        // awaiting an Answer()
   double pending_delay = 0.0;             // delay captured at generation
   bool done = false;                      // consistent; dialogue over
@@ -86,17 +81,17 @@ struct InquiryEngine::Session {
   // settles it.
   bool census_owed = false;
 
-  // Frozen snapshot prototypes armed by BeginShared(): the lazy engine
-  // constructors adopt them and replay the session's own Π/fix history
-  // instead of cold-initializing. Null on cold (non-forked) sessions.
+  // Frozen snapshot prototype armed by BeginShared(): the lazy engine
+  // constructor adopts it and replays the session's own fixes instead of
+  // cold-initializing. Null on cold (non-forked) sessions.
   const DeltaConflictEngine* delta_proto = nullptr;
-  const DeltaConflictEngine* skeleton_proto = nullptr;
 
-  // Helpers bound to the KB's rules.
+  // Helpers bound to the KB's rules. The repairability checker owns the
+  // maintained Π-skeleton, built by Begin and kept in step with every Π
+  // change.
   ConflictFinder finder;
   RepairabilityChecker repairability;
   QuestionGenerator generator;
-  ConsistencyChecker consistency;
   const std::vector<Cdd>* cdds;
   PreferenceModel preferences;
 
@@ -108,10 +103,8 @@ struct InquiryEngine::Session {
         finder(&kb->symbols(), &kb->tgds(), &kb->cdds(),
                options.chase_options),
         repairability(&kb->symbols(), &kb->tgds(), &kb->cdds(),
-                      options.chase_options),
+                      options.chase_options, &result.engine_rebuilds),
         generator(&kb->symbols(), &repairability),
-        consistency(&kb->symbols(), &kb->tgds(), &kb->cdds(),
-                    options.chase_options),
         cdds(&kb->cdds()),
         preferences(&kb->symbols()) {}
 };
@@ -130,10 +123,9 @@ Status InquiryEngine::Begin(PositionSet initial_pi) {
   Session& session = *step_;
   session.pi = std::move(initial_pi);
 
-  KBREPAIR_ASSIGN_OR_RETURN(
-      const bool repairable,
-      session.repairability.IsPiRepairable(session.facts, session.pi));
-  if (!repairable) {
+  KBREPAIR_RETURN_IF_ERROR(
+      session.repairability.EnsureSkeleton(session.facts, session.pi));
+  if (!session.repairability.skeleton()->empty()) {
     step_.reset();
     return Status::FailedPrecondition(
         "knowledge base is not Π-repairable for the initial Π");
@@ -175,7 +167,9 @@ Status InquiryEngine::BeginShared(const SharedBeginSeed& seed) {
   }
 
   session.delta_proto = seed.delta_proto;
-  session.skeleton_proto = seed.skeleton_proto;
+  if (seed.skeleton_proto != nullptr) {
+    session.repairability.AdoptSkeleton(*seed.skeleton_proto);
+  }
 
   session.total_timer.Restart();
   return Status::Ok();
@@ -275,27 +269,6 @@ struct McdRanking {
   }
 };
 
-// Replays one position rewrite onto a live maintained engine. A failed
-// rewrite leaves the engine stale, so it is dropped, to be rebuilt cold
-// from the working facts on next use.
-void RewriteOrDrop(std::unique_ptr<DeltaConflictEngine>& engine,
-                   const Position& p, TermId value, InquiryResult& result) {
-  if (engine == nullptr) return;
-  const Status status = engine->OnFixApplied(p.atom, p.arg, value);
-  if (status.ok()) return;
-  engine.reset();
-  ++result.engine_rebuilds;
-}
-
-// Drops a half-built engine after a failed initialization. Anything but
-// a deadline counts as a rebuild; a deadline is retried as-is.
-Status DropFailedInit(std::unique_ptr<DeltaConflictEngine>& engine,
-                      const Status& status, InquiryResult& result) {
-  engine.reset();
-  if (status.code() != StatusCode::kDeadlineExceeded) ++result.engine_rebuilds;
-  return status;
-}
-
 McdRanking RankPositions(const std::vector<const Conflict*>& conflicts,
                          const FactBase& facts, const std::vector<Cdd>& cdds,
                          const QuestionGenerator& generator,
@@ -327,10 +300,10 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
   trace::ScopedSpan span("inquiry.select_question",
                          trace::Phase::kQuestionGen);
 
-  // The Π-repairability verdict comes off the maintained skeleton
-  // census instead of a per-Scope skeleton chase.
-  KBREPAIR_RETURN_IF_ERROR(EnsureSkeletonEngine(session));
-  const std::optional<bool> base_repairable = session.skeleton_delta->empty();
+  // Rebuilds the maintained skeleton if a failure dropped it, before
+  // any RNG is consumed, so a failed rebuild is retry-safe.
+  KBREPAIR_RETURN_IF_ERROR(
+      session.repairability.EnsureSkeleton(session.facts, session.pi));
 
   if (options_.strategy == Strategy::kOptiMcd ||
       options_.strategy == Strategy::kOptiLearn) {
@@ -348,8 +321,7 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
             Question question,
             session.generator.SoundQuestion(
                 session.facts, session.pi, *conflict, *session.cdds,
-                PositionSelection::kResolvingPositions, position,
-                base_repairable));
+                PositionSelection::kResolvingPositions, position));
         if (!question.fixes.empty()) {
           if (options_.strategy == Strategy::kOptiLearn) {
             session.preferences.OrderQuestion(question, session.facts);
@@ -383,8 +355,7 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
     KBREPAIR_ASSIGN_OR_RETURN(
         Question question,
         session.generator.SoundQuestion(session.facts, session.pi, conflict,
-                                        *session.cdds, preferred,
-                                        std::nullopt, base_repairable));
+                                        *session.cdds, preferred));
     if (!question.fixes.empty()) return finalize(std::move(question));
     if (preferred == PositionSelection::kResolvingPositions) {
       // All resolving positions frozen or filtered: widen to every
@@ -392,8 +363,7 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
       KBREPAIR_ASSIGN_OR_RETURN(
           question, session.generator.SoundQuestion(
                         session.facts, session.pi, conflict, *session.cdds,
-                        PositionSelection::kAllPositions, std::nullopt,
-                        base_repairable));
+                        PositionSelection::kAllPositions));
       if (!question.fixes.empty()) return finalize(std::move(question));
     }
   }
@@ -426,47 +396,13 @@ Status InquiryEngine::EnsureDeltaEngine(Session& session) {
       &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
   const Status status = session.delta->Initialize(session.facts);
   // A half-initialized engine must not be mistaken for a live one by the
-  // next round's lazy-creation check.
+  // next round's lazy-creation check. Anything but a deadline counts as
+  // a rebuild; a deadline is retried as-is.
   if (!status.ok()) {
-    return DropFailedInit(session.delta, status, session.result);
-  }
-  return status;
-}
-
-Status InquiryEngine::EnsureSkeletonEngine(Session& session) {
-  if (session.skeleton_delta != nullptr) return Status::Ok();
-
-  if (session.skeleton_proto != nullptr) {
-    // Shared-base fork: adopt the frozen Π=∅ skeleton prototype and
-    // replay the current Π as position rewrites. Non-Π skeleton
-    // positions hold per-position scratch nulls independent of the
-    // facts' values, so rewriting exactly the frozen positions to their
-    // current working values reproduces skeleton(facts, Π) verbatim.
-    // Sorted for determinism (PositionSet iteration order is not).
-    session.skeleton_delta = std::make_unique<DeltaConflictEngine>(
-        &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
-    Status status =
-        session.skeleton_delta->InitializeFromShared(*session.skeleton_proto);
-    if (status.ok()) {
-      std::vector<Position> frozen(session.pi.begin(), session.pi.end());
-      std::sort(frozen.begin(), frozen.end());
-      for (const Position& p : frozen) {
-        status = session.skeleton_delta->OnFixApplied(
-            p.atom, p.arg,
-            session.facts.atom(p.atom).args[static_cast<size_t>(p.arg)]);
-        if (!status.ok()) break;
-      }
+    session.delta.reset();
+    if (status.code() != StatusCode::kDeadlineExceeded) {
+      ++session.result.engine_rebuilds;
     }
-    if (status.ok()) return status;
-    session.skeleton_delta.reset();
-  }
-
-  session.skeleton_delta = std::make_unique<DeltaConflictEngine>(
-      &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
-  const Status status = session.skeleton_delta->Initialize(
-      session.repairability.BuildSkeleton(session.facts, session.pi));
-  if (!status.ok()) {
-    return DropFailedInit(session.skeleton_delta, status, session.result);
   }
   return status;
 }
@@ -499,8 +435,9 @@ std::optional<std::vector<Conflict>> InquiryEngine::chased_census() const {
 
 std::optional<size_t> InquiryEngine::skeleton_census_size() const {
   KBREPAIR_CHECK(step_ != nullptr);
-  if (step_->skeleton_delta == nullptr) return std::nullopt;
-  return step_->skeleton_delta->size();
+  const DeltaConflictEngine* skeleton = step_->repairability.skeleton();
+  if (skeleton == nullptr) return std::nullopt;
+  return skeleton->size();
 }
 
 StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
@@ -632,9 +569,13 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
   // instead of the position's scratch null. A failed rewrite drops the
   // engine for a rebuild; the answer itself already took effect and
   // must not fail.
-  RewriteOrDrop(session.delta, fix.position(), fix.value, session.result);
-  RewriteOrDrop(session.skeleton_delta, fix.position(), fix.value,
-                session.result);
+  if (session.delta != nullptr &&
+      !session.delta->OnFixApplied(fix.atom, fix.arg, fix.value).ok()) {
+    session.delta.reset();
+    ++session.result.engine_rebuilds;
+  }
+  session.repairability.SyncSkeleton(session.facts, session.pi,
+                                     fix.position());
 
   if (options_.strategy == Strategy::kOptiProp) {
     // Defer freezing until conflicts are up to date for this round;
@@ -684,9 +625,7 @@ bool InquiryEngine::UnfreezePropagated(Session& session) {
   for (const Position& p : session.propagated) {
     session.pi.erase(p);
     // Leaving Π reverts the position to its stable scratch null.
-    RewriteOrDrop(session.skeleton_delta, p,
-                  session.repairability.SkeletonNullFor(session.facts, p),
-                  session.result);
+    session.repairability.SyncSkeleton(session.facts, session.pi, p);
   }
   session.propagated.clear();
   return true;
@@ -702,9 +641,7 @@ void InquiryEngine::ApplyPendingPropagation(Session& session,
       session.propagated.insert(p);
       ++session.result.propagated_positions;
       // Freezing exposes the position's current value to the skeleton.
-      RewriteOrDrop(session.skeleton_delta, p,
-                    session.facts.atom(p.atom).args[static_cast<size_t>(p.arg)],
-                    session.result);
+      session.repairability.SyncSkeleton(session.facts, session.pi, p);
     }
   }
   session.pending_propagation.clear();

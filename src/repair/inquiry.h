@@ -17,16 +17,18 @@
 //    uncovers, projected onto the original facts through chase
 //    provenance.
 //
-// Chased conflicts (phase two, Algorithm 3) and the per-round
-// Π-repairability verdict come from one conflict engine: the maintained
-// delta engine of repair/delta_conflicts.h. It keeps the chased base and
-// its canonical census current across fixes, and a second instance keeps
-// the census of the Π-skeleton, whose emptiness is the verdict. When a
-// maintenance or initialization step fails, the affected engine is
-// dropped and rebuilt cold from the current working facts the next time
-// it is needed (counted in InquiryResult::engine_rebuilds). The scratch
-// implementations — ConflictFinder::AllConflicts and
-// RepairabilityChecker::IsPiRepairable — remain the references the
+// Chased conflicts (phase two, Algorithm 3) and every Π-repairability
+// decision come from one conflict engine: the maintained delta engine of
+// repair/delta_conflicts.h. One instance keeps the chased base and its
+// canonical census current across fixes. A second, owned by the
+// session's RepairabilityChecker, keeps the census of the Π-skeleton:
+// Begin builds it and reads its verdict, each answer, opti-prop freeze
+// and unfreeze rewrites it, and sound-question filtering probes it for
+// every full Π-REPOPT check. When a maintenance, probe or initialization
+// step fails, the affected engine is dropped and rebuilt cold from the
+// current working facts (counted in InquiryResult::engine_rebuilds). The
+// scratch implementations — ConflictFinder::AllConflicts and the
+// repairability checker's one-shot Π-REP — remain the references the
 // tests compare it against.
 //
 // Strategies (Section 5):
@@ -48,7 +50,6 @@
 
 #include "chase/chase.h"
 #include "repair/conflict.h"
-#include "repair/consistency.h"
 #include "repair/fix.h"
 #include "repair/kb_snapshot.h"
 #include "repair/preference_model.h"
@@ -218,15 +219,17 @@ class InquiryEngine {
   //   }
   //   InquiryResult result = *engine.Finish();
 
-  // Starts a dialogue: checks Π-repairability, takes the initial
-  // conflict census. Discards any session in progress.
+  // Starts a dialogue: builds the maintained Π-skeleton and checks its
+  // Π-repairability verdict, takes the initial conflict census. Discards
+  // any session in progress.
   Status Begin(PositionSet initial_pi = {});
 
   // Begin(Π=∅) for a session whose KB was forked from a shared snapshot
-  // (repair/kb_snapshot.h): adopts the precomputed repairability verdict
-  // and conflict censuses instead of re-running the chases, and arms the
-  // lazy engine constructors with the seed's frozen prototypes. The seed
-  // and the structures it points to must outlive the session.
+  // (repair/kb_snapshot.h): adopts the precomputed repairability verdict,
+  // conflict censuses and skeleton prototype instead of re-running the
+  // chases, and arms the lazy chased-conflict engine constructor with
+  // the seed's frozen prototype. The seed and the structures it points
+  // to must outlive the session.
   Status BeginShared(const SharedBeginSeed& seed);
 
   // Produces (or returns the already-pending) next question. Returns
@@ -302,13 +305,6 @@ class InquiryEngine {
   // current working facts. No-op when already live. On failure nothing
   // is live and the next call starts over, so a deadline is retry-safe.
   Status EnsureDeltaEngine(Session& session);
-
-  // Lazily constructs + initializes the maintained Π-skeleton census:
-  // a second delta engine over the skeleton of the
-  // current (facts, Π), whose emptiness is the Π-repairability verdict
-  // question generation needs each round. Every later Π change is
-  // replayed onto it as a position rewrite. No-op when already live.
-  Status EnsureSkeletonEngine(Session& session);
 
   // Advances to the next pending question (or to done). No-op when a
   // question is already pending or the session is finished.

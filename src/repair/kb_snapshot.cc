@@ -90,14 +90,16 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
 
   // Replicate InquiryEngine::Begin(Π=∅) on the base *before* freezing,
   // so the frozen symbol table holds exactly the terms (scratch nulls,
-  // chase-minted nulls) a cold session's Begin would have interned.
+  // chase-minted nulls) a cold session's Begin would have interned. The
+  // skeleton Begin builds becomes the fork's skeleton prototype.
+  std::unique_ptr<DeltaConflictEngine> skeleton;
   {
     RepairabilityChecker repairability(&kb.symbols(), &kb.tgds(), &kb.cdds(),
                                        chase_options);
-    const PositionSet empty_pi;
-    KBREPAIR_ASSIGN_OR_RETURN(
-        snapshot->repairable,
-        repairability.IsPiRepairable(kb.facts(), empty_pi));
+    KBREPAIR_RETURN_IF_ERROR(
+        repairability.EnsureSkeleton(kb.facts(), PositionSet{}));
+    skeleton = repairability.ReleaseSkeleton();
+    snapshot->repairable = skeleton->empty();
     if (snapshot->repairable) {
       ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds(),
                             chase_options);
@@ -118,36 +120,24 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
     return std::shared_ptr<const SharedKbSnapshot>(snapshot);
   }
 
-  // Engine prototypes over a throwaway fork of the frozen table. The
-  // mint guard drops them if saturating interned any fresh symbol (the
+  skeleton->FreezeShared();
+  snapshot->skeleton_proto = std::move(skeleton);
+
+  // The chased-conflict prototype, over a throwaway fork of the frozen
+  // table. A cold session builds that engine lazily, after Begin, so the
+  // mint guard drops it if saturating interned any fresh symbol (the
   // fork's null counter would then run ahead of a cold session's).
   auto proto_symbols = std::make_unique<SymbolTable>();
   proto_symbols->ForkFrom(snapshot->kb.symbols());
   const size_t term_guard = proto_symbols->num_terms();
   const KnowledgeBase& base = snapshot->kb;
-
   auto delta = std::make_unique<DeltaConflictEngine>(
       proto_symbols.get(), &base.tgds(), &base.cdds(), chase_options);
-  Status status = delta->Initialize(base.facts());
-  bool protos_ok = status.ok() && proto_symbols->num_terms() == term_guard;
-
-  std::unique_ptr<DeltaConflictEngine> skeleton;
-  if (protos_ok) {
-    RepairabilityChecker repairability(proto_symbols.get(), &base.tgds(),
-                                       &base.cdds(), chase_options);
-    skeleton = std::make_unique<DeltaConflictEngine>(
-        proto_symbols.get(), &base.tgds(), &base.cdds(), chase_options);
-    status = skeleton->Initialize(
-        repairability.BuildSkeleton(base.facts(), PositionSet{}));
-    protos_ok = status.ok() && proto_symbols->num_terms() == term_guard;
-  }
-
-  if (protos_ok) {
+  const Status status = delta->Initialize(base.facts());
+  if (status.ok() && proto_symbols->num_terms() == term_guard) {
     delta->FreezeShared();
-    skeleton->FreezeShared();
     snapshot->proto_symbols = std::move(proto_symbols);
     snapshot->delta_proto = std::move(delta);
-    snapshot->skeleton_proto = std::move(skeleton);
   }
   return std::shared_ptr<const SharedKbSnapshot>(snapshot);
 }

@@ -3,29 +3,29 @@
 // and re-scanning a private copy.
 //
 // Building a snapshot replicates exactly the work InquiryEngine::Begin()
-// performs on a cold private KB — the Π-repairability skeleton check,
-// the chased conflict census, the naive census — *before* freezing the
-// symbol table, so the frozen base captures the precise post-Begin state
-// (including chase-minted nulls) every cold session would reach. A fork
-// then adopts the stored verdicts via InquiryEngine::BeginShared() and
-// the two maintained engines via their frozen prototypes:
+// performs on a cold private KB — building the maintained Π-skeleton and
+// reading its verdict, the chased conflict census, the naive census —
+// in the same order and *before* freezing the symbol table, so the
+// frozen base captures the precise post-Begin state (including
+// chase-minted nulls) every cold session would reach. A fork then adopts
+// the stored verdicts via InquiryEngine::BeginShared() and the two
+// maintained engines via their frozen prototypes:
 //
+//  * skeleton_proto — the Π=∅ skeleton engine that replicated Begin
+//                     built; forks adopt it as their live skeleton, just
+//                     as a cold Begin leaves its own.
 //  * delta_proto    — a DeltaConflictEngine saturated over the base
 //                     facts; forks adopt it and replay their own applied
 //                     fixes (recovery) on top.
-//  * skeleton_proto — a DeltaConflictEngine over the Π=∅ skeleton;
-//                     forks adopt it and replay the frozen positions of
-//                     their current Π as position rewrites (stable
-//                     per-position scratch nulls make that exact).
 //
-// Prototype envelope: the prototypes are only kept when building them
-// interned no fresh symbol (mint guard). A chase that mints fresh nulls
-// — existential TGDs firing — would advance the fork's null counter
-// differently from a cold session's lazy engine construction, breaking
-// byte-identity; those bases simply fall back to cold per-session engine
-// initialization while still sharing symbols/facts/census. Full
-// (existential-free) TGD sets — the synthetic and Durum Wheat workloads —
-// always keep their prototypes.
+// Mint guard: a cold session builds its chased-conflict engine lazily,
+// after Begin, so delta_proto is only kept when building it interned no
+// fresh symbol. A chase that mints fresh nulls — existential TGDs firing
+// — would advance the fork's null counter differently from a cold
+// session's lazy construction, breaking byte-identity; those bases fall
+// back to cold per-session construction of that engine while still
+// sharing symbols/facts/census and the skeleton. Full (existential-free)
+// TGD sets always keep both prototypes.
 
 #ifndef KBREPAIR_REPAIR_KB_SNAPSHOT_H_
 #define KBREPAIR_REPAIR_KB_SNAPSHOT_H_
@@ -51,7 +51,7 @@ struct SharedBeginSeed {
   size_t initial_conflicts = 0;
   size_t initial_naive_conflicts = 0;
   const std::vector<Conflict>* naive_census = nullptr;
-  // Null when the snapshot's mint guard dropped the prototypes.
+  // Null when the snapshot's mint guard dropped it.
   const DeltaConflictEngine* delta_proto = nullptr;
   const DeltaConflictEngine* skeleton_proto = nullptr;
 };
@@ -69,9 +69,9 @@ struct SharedKbSnapshot {
   size_t initial_naive_conflicts = 0;
   std::vector<Conflict> naive_census;
 
-  // Frozen engine prototypes (null when the mint guard fired). They
-  // intern into proto_symbols — a throwaway fork of the frozen table —
-  // so probing them can never pollute the shared base.
+  // Frozen engine prototypes. delta_proto (null when the mint guard
+  // fired) interns into proto_symbols — a throwaway fork of the frozen
+  // table — so building it can never pollute the shared base.
   std::unique_ptr<SymbolTable> proto_symbols;
   std::unique_ptr<DeltaConflictEngine> delta_proto;
   std::unique_ptr<DeltaConflictEngine> skeleton_proto;

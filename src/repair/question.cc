@@ -7,7 +7,7 @@
 namespace kbrepair {
 
 QuestionGenerator::QuestionGenerator(
-    SymbolTable* symbols, const RepairabilityChecker* repairability)
+    SymbolTable* symbols, RepairabilityChecker* repairability)
     : symbols_(symbols), repairability_(repairability) {
   KBREPAIR_CHECK(symbols != nullptr);
   KBREPAIR_CHECK(repairability != nullptr);
@@ -55,8 +55,7 @@ std::vector<Position> QuestionGenerator::RetrievePositions(
 StatusOr<Question> QuestionGenerator::SoundQuestion(
     const FactBase& facts, const PositionSet& pi, const Conflict& conflict,
     const std::vector<Cdd>& cdds, PositionSelection selection,
-    std::optional<Position> restrict_to,
-    std::optional<bool> base_repairable) const {
+    std::optional<Position> restrict_to) const {
   Question question;
   question.source_cdd = conflict.cdd_index;
 
@@ -72,8 +71,7 @@ StatusOr<Question> QuestionGenerator::SoundQuestion(
 
   // Build candidate fixes: per mutable position, active-domain values
   // different from the current one, plus one fresh null.
-  RepairabilityChecker::Scope scope(repairability_, facts, pi,
-                                    base_repairable);
+  RepairabilityChecker::Scope scope(repairability_, facts, pi);
   for (const Position& position : positions) {
     if (pi.count(position) > 0) continue;
     question.considered_positions.push_back(position);

@@ -10,7 +10,9 @@
 //      (opti-mcd);
 //   2. per position, the candidate values are the active domain minus the
 //      current value, plus a fresh labeled null unique to the position;
-//   3. each candidate is filtered through Π-REPOPT.
+//   3. each candidate is filtered through Π-REPOPT, which reads the
+//      repairability checker's maintained Π-skeleton; it must mirror the
+//      (facts, Π) passed in (see RepairabilityChecker::EnsureSkeleton).
 
 #ifndef KBREPAIR_REPAIR_QUESTION_H_
 #define KBREPAIR_REPAIR_QUESTION_H_
@@ -44,16 +46,13 @@ struct Question {
 
 class QuestionGenerator {
  public:
-  // `repairability` must outlive the generator.
+  // `repairability` must outlive the generator; its maintained skeleton
+  // is probed (and restored) by every full Π-REPOPT check.
   QuestionGenerator(SymbolTable* symbols,
-                    const RepairabilityChecker* repairability);
+                    RepairabilityChecker* repairability);
 
   // SOUNDQUESTION(K, Π, X). `restrict_to` (opti-mcd) limits the question
   // to a single position, which must belong to the conflict.
-  //
-  // `base_repairable`, when supplied, is the caller's maintained verdict
-  // for "the Π-skeleton of `facts` is consistent" and spares the
-  // repairability scope its own skeleton chase (see Scope).
   //
   // Returns an empty question iff K is not Π-repairable or all candidate
   // positions are frozen/filtered; Lemma 4.3 guarantees non-emptiness for
@@ -61,8 +60,7 @@ class QuestionGenerator {
   StatusOr<Question> SoundQuestion(
       const FactBase& facts, const PositionSet& pi, const Conflict& conflict,
       const std::vector<Cdd>& cdds, PositionSelection selection,
-      std::optional<Position> restrict_to = std::nullopt,
-      std::optional<bool> base_repairable = std::nullopt) const;
+      std::optional<Position> restrict_to = std::nullopt) const;
 
   // The positions RETRIEVE-POSITIONS yields for a conflict (deduplicated).
   // For conflicts whose homomorphism involves chase-derived atoms, the
@@ -81,7 +79,7 @@ class QuestionGenerator {
 
  private:
   SymbolTable* symbols_;
-  const RepairabilityChecker* repairability_;
+  RepairabilityChecker* repairability_;
   mutable size_t total_candidates_ = 0;
   mutable size_t total_filtered_ = 0;
   mutable size_t total_fast_paths_ = 0;

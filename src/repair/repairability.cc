@@ -1,5 +1,6 @@
 #include "repair/repairability.h"
 
+#include "repair/consistency.h"
 #include "util/logging.h"
 #include "util/trace.h"
 
@@ -21,15 +22,22 @@ namespace kbrepair {
 // atom can be *forced* to match through it except via lone variables,
 // which match v just as well. So if S is inconsistent, so is S[p:=v] for
 // every candidate v, and every fix fails the Π-REPOPT test.
+//
+// (3) Full check. Position p ∉ Π holds its scratch null in S, so
+// skeleton(F[p:=v], Π ∪ {p}) is exactly S[p:=v]: rewriting p on the
+// maintained skeleton and reading its census decides the candidate, and
+// rewriting p back to the scratch null restores S.
 
 RepairabilityChecker::RepairabilityChecker(SymbolTable* symbols,
                                            const std::vector<Tgd>* tgds,
                                            const std::vector<Cdd>* cdds,
-                                           ChaseOptions chase_options)
+                                           ChaseOptions chase_options,
+                                           size_t* engine_rebuilds)
     : symbols_(symbols),
       tgds_(tgds),
       cdds_(cdds),
-      chase_options_(chase_options) {
+      chase_options_(chase_options),
+      engine_rebuilds_(engine_rebuilds) {
   KBREPAIR_CHECK(symbols != nullptr);
   KBREPAIR_CHECK(tgds != nullptr);
   KBREPAIR_CHECK(cdds != nullptr);
@@ -87,12 +95,71 @@ StatusOr<bool> RepairabilityChecker::IsPiRepairable(
   return checker.IsConsistentOpt(skeleton);
 }
 
-RepairabilityChecker::Scope::Scope(const RepairabilityChecker* checker,
+Status RepairabilityChecker::EnsureSkeleton(const FactBase& facts,
+                                            const PositionSet& pi) {
+  if (skeleton_ != nullptr) return Status::Ok();
+  trace::ScopedSpan span("repair.repairability", trace::Phase::kRepairability);
+  skeleton_ = std::make_unique<DeltaConflictEngine>(symbols_, tgds_, cdds_,
+                                                    chase_options_);
+  const Status status = skeleton_->Initialize(BuildSkeleton(facts, pi));
+  // A half-initialized engine must not pass for a live one; a deadline
+  // is retried as-is rather than counted.
+  if (status.code() == StatusCode::kDeadlineExceeded) {
+    skeleton_.reset();
+  } else if (!status.ok()) {
+    DropSkeleton();
+  }
+  return status;
+}
+
+void RepairabilityChecker::AdoptSkeleton(
+    const DeltaConflictEngine& prototype) {
+  skeleton_ = std::make_unique<DeltaConflictEngine>(symbols_, tgds_, cdds_,
+                                                    chase_options_);
+  KBREPAIR_CHECK(skeleton_->InitializeFromShared(prototype).ok());
+}
+
+void RepairabilityChecker::SyncSkeleton(const FactBase& facts,
+                                        const PositionSet& pi,
+                                        const Position& p) {
+  if (skeleton_ == nullptr) return;
+  const TermId value =
+      pi.count(p) > 0 ? facts.atom(p.atom).args[static_cast<size_t>(p.arg)]
+                      : SkeletonNullFor(facts, p);
+  if (!skeleton_->OnFixApplied(p.atom, p.arg, value).ok()) DropSkeleton();
+}
+
+void RepairabilityChecker::DropSkeleton() {
+  skeleton_.reset();
+  if (engine_rebuilds_ != nullptr) ++*engine_rebuilds_;
+}
+
+StatusOr<bool> RepairabilityChecker::ProbeSkeleton(const FactBase& facts,
+                                                   const PositionSet& pi,
+                                                   const Fix& fix) {
+  trace::ScopedSpan span("repair.repairability", trace::Phase::kRepairability);
+  const TermId scratch = SkeletonNullFor(facts, fix.position());
+  Status status;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    KBREPAIR_RETURN_IF_ERROR(EnsureSkeleton(facts, pi));
+    status = skeleton_->OnFixApplied(fix.atom, fix.arg, fix.value);
+    const bool consistent = skeleton_->empty();
+    if (status.ok()) {
+      status = skeleton_->OnFixApplied(fix.atom, fix.arg, scratch);
+    }
+    if (status.ok()) return consistent;
+    // A failed rewrite or revert leaves the skeleton stale.
+    DropSkeleton();
+    if (status.code() == StatusCode::kDeadlineExceeded) break;
+  }
+  return status;
+}
+
+RepairabilityChecker::Scope::Scope(RepairabilityChecker* checker,
                                    const FactBase& facts,
-                                   const PositionSet& pi,
-                                   std::optional<bool> known_base_consistent)
+                                   const PositionSet& pi)
     : checker_(checker), facts_(&facts), pi_(&pi) {
-  KBREPAIR_CHECK(checker != nullptr);
+  KBREPAIR_CHECK(checker != nullptr && checker->skeleton_ != nullptr);
   for (const Position& position : pi) {
     if (position.atom < facts.size() &&
         position.arg < facts.atom(position.atom).arity()) {
@@ -100,27 +167,7 @@ RepairabilityChecker::Scope::Scope(const RepairabilityChecker* checker,
                              .args[static_cast<size_t>(position.arg)]];
     }
   }
-  if (known_base_consistent.has_value()) {
-    // The caller maintains the skeleton census incrementally; trust its
-    // verdict and defer materializing the skeleton until a full per-fix
-    // check needs one.
-    base_consistent_ = *known_base_consistent;
-    return;
-  }
-  EnsureSkeleton();
-  ConsistencyChecker consistency(checker->symbols_, checker->tgds_,
-                                 checker->cdds_, checker->chase_options_);
-  StatusOr<bool> consistent = consistency.IsConsistentOpt(skeleton_);
-  // A chase failure here means the cap was exceeded; treat the scope as
-  // unrepairable rather than crashing (questions will come out empty and
-  // the engine will surface an error).
-  base_consistent_ = consistent.ok() && consistent.value();
-}
-
-void RepairabilityChecker::Scope::EnsureSkeleton() {
-  if (skeleton_built_) return;
-  skeleton_ = checker_->BuildSkeleton(*facts_, *pi_);
-  skeleton_built_ = true;
+  base_consistent_ = checker->skeleton_->empty();
 }
 
 size_t RepairabilityChecker::Scope::PiUseCount(TermId value) const {
@@ -146,17 +193,7 @@ StatusOr<bool> RepairabilityChecker::Scope::FixKeepsRepairable(
   }
 
   ++num_full_checks_;
-  EnsureSkeleton();
-  const TermId saved =
-      skeleton_.atom(fix.atom).args[static_cast<size_t>(fix.arg)];
-  skeleton_.SetArg(fix.atom, fix.arg, value);
-  ConsistencyChecker consistency(checker_->symbols_, checker_->tgds_,
-                                 checker_->cdds_,
-                                 checker_->chase_options_);
-  StatusOr<bool> consistent = consistency.IsConsistentOpt(skeleton_);
-  skeleton_.SetArg(fix.atom, fix.arg, saved);
-  if (!consistent.ok()) return consistent.status();
-  return consistent.value();
+  return checker_->ProbeSkeleton(*facts_, *pi_, fix);
 }
 
 }  // namespace kbrepair

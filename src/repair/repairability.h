@@ -7,6 +7,15 @@
 // position. The skeleton is the "most repaired" KB compatible with
 // freezing Π, so K is Π-repairable iff the skeleton is consistent.
 //
+// Production code never chases a skeleton from scratch. The checker
+// maintains one skeleton per dialogue: a DeltaConflictEngine over
+// skeleton(F, Π), whose census is empty iff K is Π-repairable. Every Π
+// change is replayed onto it as a position rewrite — a fixed or frozen
+// position takes its value in F, an unfrozen one its scratch null — so
+// a verdict costs a delta chase. The one-shot skeleton chase of
+// Algorithm 1 (Π-REP below) is the reference that tests and benchmarks
+// compare the maintained skeleton against.
+//
 // Π-REPOPT exploits two observations (both proved in the file comments of
 // repairability.cc):
 //  * a candidate fix whose value is fresh — a brand-new null, or any term
@@ -16,13 +25,16 @@
 //  * if the current skeleton is already inconsistent, no single fix can
 //    make it consistent (nulls are the least-constraining values), so
 //    every candidate fails.
-// Only value-colliding candidates pay for a full skeleton consistency
-// check, and the skeleton is built once per question, not once per fix.
+// Only value-colliding candidates pay for a full check, and it runs on
+// the maintained skeleton: the candidate position p (p ∉ Π) is rewritten
+// to the candidate value, the census read, and p rewritten back to its
+// scratch null. That is exact, because skeleton(F[p:=v], Π ∪ {p}) is the
+// current skeleton with p := v.
 
 #ifndef KBREPAIR_REPAIR_REPAIRABILITY_H_
 #define KBREPAIR_REPAIR_REPAIRABILITY_H_
 
-#include <optional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -30,7 +42,7 @@
 #include "chase/chase.h"
 #include "kb/fact_base.h"
 #include "kb/symbol_table.h"
-#include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "repair/fix.h"
 #include "rules/cdd.h"
 #include "rules/tgd.h"
@@ -41,41 +53,53 @@ namespace kbrepair {
 class RepairabilityChecker {
  public:
   // Pointed-to objects must outlive the checker; `symbols` is mutated
-  // (scratch nulls and chase nulls).
+  // (scratch nulls and chase nulls). Every drop of a failed maintained
+  // skeleton is counted in `*engine_rebuilds` when given.
   RepairabilityChecker(SymbolTable* symbols, const std::vector<Tgd>* tgds,
                        const std::vector<Cdd>* cdds,
-                       ChaseOptions chase_options = {});
+                       ChaseOptions chase_options = {},
+                       size_t* engine_rebuilds = nullptr);
 
-  // Algorithm 1, Π-REP(K, Π): true iff K is Π-repairable.
+  // Algorithm 1, Π-REP(K, Π): true iff K is Π-repairable. The reference
+  // one-shot skeleton chase.
   StatusOr<bool> IsPiRepairable(const FactBase& facts,
                                 const PositionSet& pi) const;
 
-  // Builds the Π-skeleton of `facts`: non-Π positions become pairwise
-  // distinct scratch nulls. Scratch nulls are assigned by *flat position
-  // index* (atom-major, argument-minor), so the null standing in for a
-  // given position is stable across skeleton builds no matter how Π has
-  // grown — which is what lets an incrementally maintained skeleton
-  // (inquiry.cc) replay Π changes as position rewrites.
-  FactBase BuildSkeleton(const FactBase& facts, const PositionSet& pi) const;
+  // --- The maintained Π-skeleton -----------------------------------------
 
-  // The stable scratch null standing in for `p` in any skeleton of
-  // `facts` (see BuildSkeleton).
-  TermId SkeletonNullFor(const FactBase& facts, const Position& p) const;
+  // Builds the maintained skeleton of (facts, Π) cold unless one is live.
+  // On failure nothing is live, so the call is retry-safe; a failure
+  // other than a deadline counts as a rebuild.
+  Status EnsureSkeleton(const FactBase& facts, const PositionSet& pi);
 
-  // Per-question scratch implementing Π-REPOPT. Construct once per
-  // question over the *current* (facts, Π); then each candidate fix is
+  // Makes a frozen skeleton(F, ∅) prototype (repair/kb_snapshot.h) the
+  // live skeleton, for a dialogue over F that starts with Π = ∅.
+  void AdoptSkeleton(const DeltaConflictEngine& prototype);
+
+  // Position `p` changed in F or in Π: rewrites it on the live skeleton
+  // to its skeleton value under (facts, Π) — its value in F when p ∈ Π,
+  // else its scratch null. A failed rewrite drops the skeleton (counted)
+  // for EnsureSkeleton to rebuild. No-op when no skeleton is live.
+  void SyncSkeleton(const FactBase& facts, const PositionSet& pi,
+                    const Position& p);
+
+  // The live skeleton engine, or null (not built yet, or dropped).
+  const DeltaConflictEngine* skeleton() const { return skeleton_.get(); }
+
+  // Hands the live skeleton over (shared-base prototype building).
+  std::unique_ptr<DeltaConflictEngine> ReleaseSkeleton() {
+    return std::move(skeleton_);
+  }
+
+  // Per-question Π-REPOPT over the live skeleton, which must mirror the
+  // *current* (facts, Π) (see EnsureSkeleton); then each candidate fix is
   // tested with FixKeepsRepairable.
   class Scope {
    public:
-    // With `known_base_consistent` the caller vouches for the skeleton's
-    // consistency verdict (e.g. from a maintained skeleton census) and
-    // the Scope skips its own skeleton chase; the skeleton is then only
-    // materialized if a full per-fix check needs it.
-    Scope(const RepairabilityChecker* checker, const FactBase& facts,
-          const PositionSet& pi,
-          std::optional<bool> known_base_consistent = std::nullopt);
+    Scope(RepairabilityChecker* checker, const FactBase& facts,
+          const PositionSet& pi);
 
-    // True iff the base skeleton is consistent, i.e., K is Π-repairable.
+    // True iff the skeleton is consistent, i.e., K is Π-repairable.
     // When false, every FixKeepsRepairable call answers false.
     bool BaseRepairable() const { return base_consistent_; }
 
@@ -88,22 +112,15 @@ class RepairabilityChecker {
     size_t num_full_checks() const { return num_full_checks_; }
 
    private:
-    // Builds skeleton_ on demand (immediately when the Scope must chase
-    // it itself; lazily, for full checks only, when the verdict was
-    // supplied by the caller).
-    void EnsureSkeleton();
-
     // Occurrences of `value` at Π positions — identical to the
     // skeleton's term-use count for any candidate value, since every
     // non-Π skeleton position holds a scratch null candidates never
     // collide with.
     size_t PiUseCount(TermId value) const;
 
-    const RepairabilityChecker* checker_;
+    RepairabilityChecker* checker_;
     const FactBase* facts_;
     const PositionSet* pi_;
-    FactBase skeleton_;
-    bool skeleton_built_ = false;
     std::unordered_map<TermId, size_t> pi_value_counts_;
     bool base_consistent_ = false;
     size_t num_fast_paths_ = 0;
@@ -111,21 +128,40 @@ class RepairabilityChecker {
   };
 
  private:
-  friend class Scope;
+  // The Π-skeleton of `facts`: non-Π positions become pairwise distinct
+  // scratch nulls, assigned by *flat position index* (atom-major,
+  // argument-minor). The null standing in for a position is therefore
+  // the same in every skeleton of `facts` however Π has grown, which is
+  // what lets the maintained skeleton replay Π changes as rewrites.
+  FactBase BuildSkeleton(const FactBase& facts, const PositionSet& pi) const;
+
+  // The stable scratch null standing in for `p` in any skeleton of
+  // `facts` (see BuildSkeleton).
+  TermId SkeletonNullFor(const FactBase& facts, const Position& p) const;
+
+  // Full Π-REPOPT check of `fix` on the live skeleton. A failed rewrite
+  // drops the skeleton; it is rebuilt cold from (facts, Π) and the fix
+  // re-probed once, unless the failure was a deadline.
+  StatusOr<bool> ProbeSkeleton(const FactBase& facts, const PositionSet& pi,
+                               const Fix& fix);
+
+  void DropSkeleton();
 
   // Scratch null #index; the pool is reused across skeletons so the
-  // symbol table does not grow with every question.
+  // symbol table does not grow with every rebuild.
   TermId ScratchNull(size_t index) const;
 
   SymbolTable* symbols_;
   const std::vector<Tgd>* tgds_;
   const std::vector<Cdd>* cdds_;
   ChaseOptions chase_options_;
+  size_t* engine_rebuilds_;
   // Constants mentioned inside rule/constraint bodies or heads; a value
   // colliding with one of these can trigger a constraint even if no
   // other fact carries it.
   std::unordered_set<TermId> rule_constants_;
   mutable std::vector<TermId> scratch_nulls_;
+  std::unique_ptr<DeltaConflictEngine> skeleton_;
 };
 
 }  // namespace kbrepair

@@ -44,7 +44,7 @@ namespace trace {
 // The instrumented phases of the repair pipeline. Stable order — these
 // index fixed-size arrays in ServiceMetrics and QuestionRecord.
 enum class Phase : int {
-  kRepairability = 0,  // Π-repairability checks (CHECKCONSISTENCY-OPT)
+  kRepairability = 0,  // Π-skeleton builds and Π-REPOPT full checks
   kQuestionGen,        // sound-question generation (Algorithm 2)
   kApplyFix,           // fix application + census/skeleton maintenance
   kChase,              // one-shot chase (the ChaseEngine::Run facade)

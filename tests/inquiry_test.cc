@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
 #include "repair/consistency.h"
@@ -436,6 +440,88 @@ TEST(InquiryTest, FailedMaintenanceRebuildsWithoutChangingTheDialogue) {
   EXPECT_EQ(clean_rebuilds, 0u);
   EXPECT_EQ(faulted_rebuilds, 3u);
   EXPECT_EQ(faulted, clean);
+}
+
+// A full Π-REPOPT check whose rewrite or revert fails mid-probe drops
+// the maintained skeleton; the probe rebuilds it cold from (facts, Π)
+// and re-probes the same candidate. The ask succeeds and the dialogue is
+// the one an unfaulted engine holds.
+TEST(InquiryTest, FailedProbeRebuildsWithoutChangingTheDialogue) {
+  SyntheticKbOptions kb_options;
+  kb_options.seed = 3;
+  kb_options.num_facts = 100;
+  kb_options.inconsistency_ratio = 0.25;
+  kb_options.num_cdds = 5;
+  kb_options.num_tgds = 6;
+  kb_options.conflict_depth = 2;
+  kb_options.routed_violation_share = 0.5;
+  InquiryOptions options;
+  options.strategy = Strategy::kOptiJoin;
+
+  // Runs the dialogue with seeded choices, `delta.corrupt` armed to fail
+  // its hit number `fail_hit` (counting from 0; never when out of reach).
+  // Records the hit count before and after each NextQuestion call in
+  // `ask_hits`. Returns every question, the answers and the repaired
+  // facts as text.
+  const auto run = [&](int64_t fail_hit,
+                       std::vector<std::pair<uint64_t, uint64_t>>* ask_hits,
+                       size_t* rebuilds) {
+    StatusOr<SyntheticKb> gen = GenerateSyntheticKb(kb_options);
+    EXPECT_TRUE(gen.ok()) << gen.status();
+    const SymbolTable& symbols = gen->kb.symbols();
+    InquiryEngine engine(&gen->kb, options);
+    EXPECT_TRUE(engine.Begin().ok());
+    failpoint::Arm("delta.corrupt", fail_hit, 1);
+    Rng chooser(29);
+    std::string out;
+    while (true) {
+      const uint64_t before = failpoint::Hits("delta.corrupt");
+      StatusOr<const Question*> q = engine.NextQuestion();
+      EXPECT_TRUE(q.ok()) << q.status();
+      ask_hits->emplace_back(before, failpoint::Hits("delta.corrupt"));
+      if (!q.ok() || *q == nullptr) break;
+      for (const Fix& fix : (*q)->fixes) {
+        out += fix.ToString(symbols, engine.working_facts()) + " ";
+      }
+      const size_t choice = chooser.UniformIndex((*q)->fixes.size());
+      out += "-> " + std::to_string(choice) + "\n";
+      EXPECT_TRUE(engine.Answer(choice).ok());
+    }
+    failpoint::Reset();
+    StatusOr<InquiryResult> result = engine.Finish();
+    EXPECT_TRUE(result.ok()) << result.status();
+    *rebuilds = result->engine_rebuilds;
+    for (AtomId id = 0; id < result->facts.size(); ++id) {
+      out += result->facts.atom(id).ToString(symbols) + "\n";
+    }
+    return out;
+  };
+
+  // A clean run (the failpoint only counts) locates an ask whose full
+  // checks hit the failpoint: every hit inside NextQuestion is a probe's
+  // rewrite or its revert.
+  std::vector<std::pair<uint64_t, uint64_t>> clean_hits;
+  size_t clean_rebuilds = 0;
+  const std::string clean = run(int64_t{1} << 40, &clean_hits,
+                                &clean_rebuilds);
+  EXPECT_EQ(clean_rebuilds, 0u);
+  const auto probing_ask =
+      std::find_if(clean_hits.begin(), clean_hits.end(),
+                   [](const auto& hits) { return hits.second > hits.first; });
+  ASSERT_NE(probing_ask, clean_hits.end()) << "no ask ran a full check";
+  ASSERT_EQ((probing_ask->second - probing_ask->first) % 2, 0u);
+
+  // Fail the last probe's rewrite, then its revert.
+  for (const uint64_t offset : {2u, 1u}) {
+    SCOPED_TRACE("failing hit " + std::to_string(probing_ask->second - offset));
+    std::vector<std::pair<uint64_t, uint64_t>> faulted_hits;
+    size_t faulted_rebuilds = 0;
+    const std::string faulted =
+        run(static_cast<int64_t>(probing_ask->second - offset), &faulted_hits,
+            &faulted_rebuilds);
+    EXPECT_EQ(faulted_rebuilds, 1u);
+    EXPECT_EQ(faulted, clean);
+  }
 }
 
 }  // namespace

@@ -135,6 +135,7 @@ TEST_P(SoundQuestionProperty, NonEmptyAndSound) {
   QuestionGenerator generator(&kb.symbols(), &repairability);
 
   ASSERT_TRUE(repairability.IsPiRepairable(kb.facts(), {}).value());
+  ASSERT_TRUE(repairability.EnsureSkeleton(kb.facts(), {}).ok());
   const std::vector<Conflict> conflicts =
       finder.NaiveConflicts(kb.facts());
   ASSERT_FALSE(conflicts.empty());
@@ -250,6 +251,7 @@ TEST_P(MaintenanceProperty, IncrementalStructuresAgreeAlongInquiry) {
   RandomUser user(GetParam() + 5);
   InquiryView view{&kb.symbols(), &working};
   PositionSet pi;
+  ASSERT_TRUE(repairability.EnsureSkeleton(working, pi).ok());
 
   // Drive a phase-one style loop manually so we can cross-check the
   // incremental structures after every single fix.
@@ -267,6 +269,7 @@ TEST_P(MaintenanceProperty, IncrementalStructuresAgreeAlongInquiry) {
     const Fix fix = question->fixes[*choice];
     ApplyFix(working, fix);
     pi.insert(fix.position());
+    repairability.SyncSkeleton(working, pi, fix.position());
     tracker.OnFixApplied(working, fix.atom);
 
     // Incremental naive conflicts == recomputed naive conflicts.

@@ -15,6 +15,8 @@ KnowledgeBase Parse(const std::string& text) {
   return std::move(kb).value();
 }
 
+// Π-REPOPT probes the checker's maintained Π-skeleton, so every test
+// builds it over the (facts, Π) it then asks about.
 class QuestionTest : public ::testing::Test {
  protected:
   void Build(const std::string& text) {
@@ -49,6 +51,7 @@ TEST_F(QuestionTest, OffersActiveDomainValuesPlusFreshNull) {
     ! :- prescribed(X, Y), hasAllergy(Y, X).
   )");
   const Conflict conflict = FirstNaiveConflict();
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), {}).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), {}, conflict, kb_.cdds(),
       PositionSelection::kAllPositions);
@@ -91,6 +94,7 @@ TEST_F(QuestionTest, EveryOfferedFixKeepsKbRepairable) {
     ! :- p(X, Y), r(Y, Z).
   )");
   const Conflict conflict = FirstNaiveConflict();
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), {}).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), {}, conflict, kb_.cdds(),
       PositionSelection::kAllPositions);
@@ -113,6 +117,7 @@ TEST_F(QuestionTest, FrozenPositionsAreExcluded) {
   )");
   const Conflict conflict = FirstNaiveConflict();
   const PositionSet pi = {Position{0, 0}, Position{0, 1}};
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), pi).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), pi, conflict, kb_.cdds(),
       PositionSelection::kAllPositions);
@@ -135,6 +140,7 @@ TEST_F(QuestionTest, Lemma43NonEmptyWhenPiRepairable) {
   for (const Position& p : AllPositions(kb_.facts())) pi.insert(p);
   pi.erase(Position{1, 0});
   ASSERT_TRUE(repairability_->IsPiRepairable(kb_.facts(), pi).value());
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), pi).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), pi, conflict, kb_.cdds(),
       PositionSelection::kAllPositions);
@@ -151,6 +157,7 @@ TEST_F(QuestionTest, EmptyWhenNotPiRepairable) {
   // Freeze the joined pair: every fix must be filtered out.
   const PositionSet pi = {Position{0, 1}, Position{1, 0}};
   ASSERT_FALSE(repairability_->IsPiRepairable(kb_.facts(), pi).value());
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), pi).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), pi, conflict, kb_.cdds(),
       PositionSelection::kAllPositions);
@@ -178,6 +185,7 @@ TEST_F(QuestionTest, UnsoundFixesAreFiltered) {
   const std::vector<Conflict> conflicts =
       finder_->NaiveConflicts(kb_.facts());
   ASSERT_EQ(conflicts.size(), 2u);
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), {}).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), {}, conflicts[0], kb_.cdds(),
       PositionSelection::kAllPositions);
@@ -227,6 +235,7 @@ TEST_F(QuestionTest, RestrictToSinglePosition) {
     ! :- p(X, Y), q(Y, Z).
   )");
   const Conflict conflict = FirstNaiveConflict();
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), {}).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), {}, conflict, kb_.cdds(),
       PositionSelection::kAllPositions, Position{0, 1});
@@ -244,6 +253,7 @@ TEST_F(QuestionTest, RestrictToForeignPositionYieldsEmpty) {
   )");
   const Conflict conflict = FirstNaiveConflict();
   // Position of the r-atom is not part of the conflict.
+  ASSERT_TRUE(repairability_->EnsureSkeleton(kb_.facts(), {}).ok());
   StatusOr<Question> question = generator_->SoundQuestion(
       kb_.facts(), {}, conflict, kb_.cdds(),
       PositionSelection::kAllPositions, Position{2, 0});

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
 #include "repair/consistency.h"
 
@@ -160,12 +165,16 @@ TEST(RepairabilityTest, AgreesWithBruteForceOnSmallKbs) {
   }
 }
 
+// Π-REPOPT probes the checker's maintained Π-skeleton, so every Scope
+// test first builds that skeleton over the (facts, Π) it scopes.
+
 TEST(RepairabilityScopeTest, FreshNullFastPath) {
   KnowledgeBase kb = Parse(R"(
     p(a, b). q(b, d).
     ! :- p(X, Y), q(Y, Z).
   )");
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), {}).ok());
   RepairabilityChecker::Scope scope(&checker, kb.facts(), {});
   EXPECT_TRUE(scope.BaseRepairable());
   const TermId fresh = kb.symbols().MakeFreshNull();
@@ -183,6 +192,7 @@ TEST(RepairabilityScopeTest, CollidingValueTriggersFullCheck) {
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
   // Freeze p's second position (value b) and q's first (value c).
   const PositionSet pi = {Position{0, 1}, Position{1, 0}};
+  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), pi).ok());
   RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
   ASSERT_TRUE(scope.BaseRepairable());
   // Rewriting q's lone position to b collides with a Π value: full
@@ -193,6 +203,9 @@ TEST(RepairabilityScopeTest, CollidingValueTriggersFullCheck) {
   // Rewriting q's first position to b completes the frozen join: the
   // violation becomes permanent, so the fix must be filtered.
   EXPECT_FALSE(scope.FixKeepsRepairable(Fix{1, 0, b}).value());
+  // Each probe rewrote its position back: the skeleton is consistent
+  // again.
+  EXPECT_TRUE(checker.skeleton()->empty());
 }
 
 TEST(RepairabilityScopeTest, InconsistentBaseShortCircuits) {
@@ -203,6 +216,7 @@ TEST(RepairabilityScopeTest, InconsistentBaseShortCircuits) {
   // Freeze the joined pair: not Π-repairable.
   const PositionSet pi = {Position{0, 1}, Position{1, 0}};
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), pi).ok());
   RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
   EXPECT_FALSE(scope.BaseRepairable());
   const TermId fresh = kb.symbols().MakeFreshNull();
@@ -221,32 +235,46 @@ TEST(RepairabilityScopeTest, RuleConstantCollisionChecksFully) {
   const TermId shipped =
       kb.symbols().FindTerm(TermKind::kConstant, "shipped");
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), {}).ok());
   RepairabilityChecker::Scope scope(&checker, kb.facts(), {});
   ASSERT_TRUE(scope.BaseRepairable());
   EXPECT_TRUE(scope.FixKeepsRepairable(Fix{1, 1, shipped}).value());
   EXPECT_EQ(scope.num_full_checks(), 1u);
 }
 
-TEST(RepairabilityScopeTest, ScopeAgreesWithDirectPiRepCheck) {
-  KnowledgeBase kb = Parse(R"(
-    p(a, b). q(b, d). r(d, a).
-    ! :- p(X, Y), q(Y, Z), r(Z, W).
-  )");
-  RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+// (CDD index, original support) of every conflict, sorted.
+std::vector<std::pair<size_t, std::vector<AtomId>>> CensusKey(
+    const DeltaConflictEngine& engine) {
+  std::vector<std::pair<size_t, std::vector<AtomId>>> key;
+  for (const Conflict& c : engine.CanonicalConflicts()) {
+    key.emplace_back(c.cdd_index, c.support);
+  }
+  std::sort(key.begin(), key.end());
+  return key;
+}
+
+// For each Π = {pin}, runs every (target, value) probe on one Scope in a
+// row and checks each verdict against applying the fix and calling
+// IsPiRepairable directly. Afterwards the maintained skeleton must hold
+// the same original atoms and census (by CDD index and support) as a
+// skeleton built cold over the same (facts, Π): a revert that leaves
+// residue fails here.
+void ExpectScopeAgreesWithDirectCheck(KnowledgeBase& kb,
+                                      const std::vector<Position>& pins,
+                                      const std::vector<TermId>& values) {
   const std::vector<Position> positions = AllPositions(kb.facts());
-  const std::vector<TermId> values = {
-      kb.symbols().FindTerm(TermKind::kConstant, "a"),
-      kb.symbols().FindTerm(TermKind::kConstant, "b"),
-      kb.symbols().FindTerm(TermKind::kConstant, "d"),
-      kb.symbols().MakeFreshNull()};
-  // For several (Π, fix) combinations, Scope must agree with
-  // applying the fix and calling IsPiRepairable directly.
-  for (size_t pin = 0; pin < positions.size(); ++pin) {
-    PositionSet pi = {positions[pin]};
+  size_t full_checks = 0;
+  for (const Position& pin : pins) {
+    const PositionSet pi = {pin};
+    RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+    ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), pi).ok());
     RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
+    std::vector<TermId> pin_values = values;
+    pin_values.push_back(
+        kb.facts().atom(pin.atom).args[static_cast<size_t>(pin.arg)]);
     for (const Position& target : positions) {
       if (pi.count(target) > 0) continue;
-      for (const TermId value : values) {
+      for (const TermId value : pin_values) {
         const Fix fix{target.atom, target.arg, value};
         const bool scoped = scope.FixKeepsRepairable(fix).value();
         FactBase applied = kb.facts();
@@ -256,12 +284,62 @@ TEST(RepairabilityScopeTest, ScopeAgreesWithDirectPiRepCheck) {
         const bool direct =
             checker.IsPiRepairable(applied, pi_prime).value();
         ASSERT_EQ(scoped, direct)
-            << "pin " << pin << " target (" << target.atom << ","
-            << target.arg << ") value "
+            << "pin (" << pin.atom << "," << pin.arg << ") target ("
+            << target.atom << "," << target.arg << ") value "
             << kb.symbols().term_name(value);
       }
     }
+    full_checks += scope.num_full_checks();
+
+    RepairabilityChecker cold(&kb.symbols(), &kb.tgds(), &kb.cdds());
+    ASSERT_TRUE(cold.EnsureSkeleton(kb.facts(), pi).ok());
+    const FactBase& probed = checker.skeleton()->chase().facts();
+    const FactBase& fresh = cold.skeleton()->chase().facts();
+    for (AtomId id = 0; id < kb.facts().size(); ++id) {
+      ASSERT_EQ(probed.atom(id), fresh.atom(id)) << "atom " << id;
+    }
+    EXPECT_EQ(CensusKey(*checker.skeleton()), CensusKey(*cold.skeleton()))
+        << "pin (" << pin.atom << "," << pin.arg << ")";
   }
+  EXPECT_GT(full_checks, 0u);
+}
+
+TEST(RepairabilityScopeTest, ScopeAgreesWithDirectPiRepCheck) {
+  KnowledgeBase kb = Parse(R"(
+    p(a, b). q(b, d). r(d, a).
+    ! :- p(X, Y), q(Y, Z), r(Z, W).
+  )");
+  const std::vector<TermId> values = {
+      kb.symbols().FindTerm(TermKind::kConstant, "a"),
+      kb.symbols().FindTerm(TermKind::kConstant, "b"),
+      kb.symbols().FindTerm(TermKind::kConstant, "d"),
+      kb.symbols().MakeFreshNull()};
+  ExpectScopeAgreesWithDirectCheck(kb, AllPositions(kb.facts()), values);
+  if (HasFatalFailure()) return;
+
+  // Full and existential (noise) TGDs: every probe re-saturates the
+  // maintained skeleton, minting nulls, and retracts again.
+  SyntheticKbOptions options;
+  options.seed = 3;
+  options.num_facts = 24;
+  options.inconsistency_ratio = 0.3;
+  options.num_cdds = 3;
+  options.min_arity = 2;
+  options.max_arity = 3;
+  options.num_tgds = 4;
+  options.conflict_depth = 2;
+  options.routed_violation_share = 0.5;
+  options.num_noise_tgds = 3;
+  options.noise_tgd_fire_share = 1.0;
+  StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  KnowledgeBase& tgd_kb = generated->kb;
+  const std::vector<Position> positions = AllPositions(tgd_kb.facts());
+  std::vector<Position> pins;
+  for (size_t i = 0; i < positions.size(); i += 7) pins.push_back(positions[i]);
+  ExpectScopeAgreesWithDirectCheck(
+      tgd_kb, pins,
+      {tgd_kb.facts().atom(0).args[0], tgd_kb.symbols().MakeFreshNull()});
 }
 
 }  // namespace
