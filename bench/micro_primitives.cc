@@ -197,7 +197,7 @@ void BM_UpdateConflictsIncremental(benchmark::State& state) {
   ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   ConflictTracker tracker(&finder);
   FactBase working = kb.facts();
-  tracker.Initialize(working);
+  tracker.InitializeFromCensus(finder.NaiveConflicts(working));
   const TermId fresh = kb.symbols().MakeFreshNull();
   const TermId original = working.atom(0).args[0];
   bool flip = false;
@@ -326,7 +326,7 @@ std::string JoinRow(size_t num_facts) {
     KBREPAIR_CHECK(!conflicts.empty());
   });
   ConflictTracker tracker(&finder);
-  tracker.Initialize(working);
+  tracker.InitializeFromCensus(finder.NaiveConflicts(working));
   const QuickStats incremental = MeasureMs(12, [&] {
     working.SetArg(0, 0, flip ? original : fresh);
     flip = !flip;

@@ -237,15 +237,6 @@ ConflictTracker::ConflictTracker(const ConflictFinder* finder)
   KBREPAIR_CHECK(finder != nullptr);
 }
 
-void ConflictTracker::Initialize(const FactBase& facts) {
-  conflicts_.clear();
-  by_atom_.clear();
-  next_id_ = 0;
-  for (Conflict& conflict : finder_->NaiveConflicts(facts)) {
-    AddConflict(std::move(conflict));
-  }
-}
-
 void ConflictTracker::InitializeFromCensus(
     const std::vector<Conflict>& census) {
   conflicts_.clear();

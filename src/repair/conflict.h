@@ -115,21 +115,17 @@ std::string ConflictHypergraphToDot(const std::vector<Conflict>& conflicts,
 // Incremental *naive*-conflict maintenance (UPDATECONFLICTS in
 // Section 5) — the phase-one engine. It never chases: conflicts whose
 // homomorphisms pass through derived atoms are invisible to it by
-// design, and phase two handles them (scratch re-enumeration or the
-// maintained DeltaConflictEngine of repair/delta_conflicts.h, selected
-// by InquiryOptions::conflict_engine).
+// design, and phase two reads them off the maintained
+// DeltaConflictEngine of repair/delta_conflicts.h.
 class ConflictTracker {
  public:
   // The finder (and the structures it points to) must outlive the
   // tracker.
   explicit ConflictTracker(const ConflictFinder* finder);
 
-  // Computes the initial naive conflicts of `facts`.
-  void Initialize(const FactBase& facts);
-
-  // Initialize() from a precomputed census (the shared-base fork path):
-  // adds `census` in order, reproducing exactly the state Initialize()
-  // builds when `census` came from NaiveConflicts on the same facts.
+  // Resets the tracker to `census`, the naive conflicts of the working
+  // facts (ConflictFinder::NaiveConflicts, or a snapshot's copy of it),
+  // added in order.
   void InitializeFromCensus(const std::vector<Conflict>& census);
 
   // Notifies that some position of `atom` in `facts` was already

@@ -285,10 +285,10 @@ std::vector<Conflict> DeltaConflictEngine::CanonicalConflicts() const {
   out.reserve(conflicts_.size());
   for (const auto& [id, conflict] : conflicts_) out.push_back(conflict);
   CanonicalizeConflicts(out, chase_.num_original());
-  // Drops the last canonical conflict when armed. Only the incremental
-  // engine runs through here, so arming this diverges its dialogue from
-  // the scratch engine's at a deterministic step — the fault drill for
-  // kbrepair-debug --diff-engines.
+  // Drops the last canonical conflict when armed. Only the maintained
+  // engine runs through here, so arming this diverges its census from
+  // the scratch reference's at a deterministic step — the fault drill
+  // for kbrepair-debug --diff-engines.
   if (failpoint::ShouldFail("delta.census_drop") && !out.empty()) {
     out.pop_back();
   }

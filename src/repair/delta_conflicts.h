@@ -26,8 +26,9 @@
 // conflict using one was dropped in step 2 (newly derived ids are fresh).
 //
 // Cross-engine determinism. Derived-atom ids differ between a maintained
-// base and a from-scratch chase, and so does raw enumeration order. Both
-// engines therefore order conflicts by CanonicalConflictKey — the
+// base and a from-scratch chase (a rebuilt engine, or the
+// ConflictFinder::AllConflicts reference), and so does raw enumeration
+// order. Conflicts are therefore ordered by CanonicalConflictLess — the
 // engine-independent identity (cdd, matched pattern with derived ids
 // collapsed to a sentinel, original support) — before any RNG-consuming
 // selection. Conflicts tying on the full key are interchangeable for
@@ -58,9 +59,10 @@ namespace kbrepair {
 bool CanonicalConflictLess(const Conflict& a, const Conflict& b,
                            size_t num_original);
 
-// Sorts `conflicts` by CanonicalConflictLess. Both the scratch and the
-// incremental engine run their chased conflict sets through this before
-// selection, which is what makes their dialogues comparable per-seed.
+// Sorts `conflicts` by CanonicalConflictLess. The maintained engine runs
+// its census through this before selection, and so does every scratch
+// reference census it is compared against, which is what makes a
+// rebuilt engine's dialogue identical to a maintained one's per-seed.
 void CanonicalizeConflicts(std::vector<Conflict>& conflicts,
                            size_t num_original);
 
@@ -113,7 +115,7 @@ class DeltaConflictEngine {
   // conflict must match only alive atoms of the maintained base and
   // carry a non-empty original-atom support, and the matched index must
   // mirror the conflict map. Internal on violation — the inquiry engine
-  // treats that as divergence and falls back to the scratch engine
+  // treats that as divergence and drops the engine for a cold rebuild
   // rather than trusting a corrupt census.
   Status VerifyInvariants() const;
 

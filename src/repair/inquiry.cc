@@ -69,9 +69,9 @@ struct InquiryEngine::Session {
 
   Mode mode;
   ConflictTracker tracker;                // used in kPhaseOne only
-  // Maintained chased-conflict engine. Created lazily at the first round
-  // or census that needs chased conflicts, then notified of every
-  // subsequent fix; dropped on a failure and rebuilt on next use.
+  // Maintained chased-conflict engine. Built (or adopted) by Begin and
+  // notified of every fix; dropped on a failure and rebuilt cold on
+  // next use.
   std::unique_ptr<DeltaConflictEngine> delta;
   std::optional<Question> pending;        // awaiting an Answer()
   double pending_delay = 0.0;             // delay captured at generation
@@ -80,11 +80,6 @@ struct InquiryEngine::Session {
   // answer time (the census engine failed to build); the next round
   // settles it.
   bool census_owed = false;
-
-  // Frozen snapshot prototype armed by BeginShared(): the lazy engine
-  // constructor adopts it and replays the session's own fixes instead of
-  // cold-initializing. Null on cold (non-forked) sessions.
-  const DeltaConflictEngine* delta_proto = nullptr;
 
   // Helpers bound to the KB's rules. The repairability checker owns the
   // maintained Π-skeleton, built by Begin and kept in step with every Π
@@ -131,15 +126,15 @@ Status InquiryEngine::Begin(PositionSet initial_pi) {
         "knowledge base is not Π-repairable for the initial Π");
   }
 
-  // Initial conflict census for the effectiveness metrics.
-  KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> initial,
-                            session.finder.AllConflicts(session.facts));
-  session.result.initial_conflicts = initial.size();
-  session.result.initial_naive_conflicts =
-      session.finder.NaiveConflicts(session.facts).size();
-
+  // The chased-conflict engine lives from here on; its census is the
+  // initial conflict count of the effectiveness metrics.
+  KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
+  session.result.initial_conflicts = session.delta->size();
+  const std::vector<Conflict> naive =
+      session.finder.NaiveConflicts(session.facts);
+  session.result.initial_naive_conflicts = naive.size();
   if (session.mode == Session::Mode::kPhaseOne) {
-    session.tracker.Initialize(session.facts);
+    session.tracker.InitializeFromCensus(naive);
   }
 
   session.total_timer.Restart();
@@ -166,7 +161,12 @@ Status InquiryEngine::BeginShared(const SharedBeginSeed& seed) {
     session.tracker.InitializeFromCensus(*seed.naive_census);
   }
 
-  session.delta_proto = seed.delta_proto;
+  if (seed.delta_proto != nullptr) {
+    session.delta = std::make_unique<DeltaConflictEngine>(
+        &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
+    KBREPAIR_RETURN_IF_ERROR(
+        session.delta->InitializeFromShared(*seed.delta_proto));
+  }
   if (seed.skeleton_proto != nullptr) {
     session.repairability.AdoptSkeleton(*seed.skeleton_proto);
   }
@@ -372,32 +372,12 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
 
 Status InquiryEngine::EnsureDeltaEngine(Session& session) {
   if (session.delta != nullptr) return Status::Ok();
-
-  if (session.delta_proto != nullptr) {
-    // Shared-base fork: adopt the frozen prototype (saturated over the
-    // base facts) and replay this session's applied fixes in order —
-    // exactly the maintenance a live engine would have performed had it
-    // existed from the first answer.
-    session.delta = std::make_unique<DeltaConflictEngine>(
-        &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
-    Status status = session.delta->InitializeFromShared(*session.delta_proto);
-    for (const Fix& fix : session.result.applied_fixes) {
-      if (!status.ok()) break;
-      status = session.delta->OnFixApplied(fix.atom, fix.arg, fix.value);
-    }
-    if (status.ok()) return status;
-    // Adoption/replay failed (deadline, invariant trip): fall back to a
-    // cold initialization below rather than trusting a half-replayed
-    // census.
-    session.delta.reset();
-  }
-
   session.delta = std::make_unique<DeltaConflictEngine>(
       &kb_->symbols(), &kb_->tgds(), &kb_->cdds(), options_.chase_options);
   const Status status = session.delta->Initialize(session.facts);
   // A half-initialized engine must not be mistaken for a live one by the
-  // next round's lazy-creation check. Anything but a deadline counts as
-  // a rebuild; a deadline is retried as-is.
+  // next round's check. Anything but a deadline counts as a rebuild; a
+  // deadline is retried as-is.
   if (!status.ok()) {
     session.delta.reset();
     if (status.code() != StatusCode::kDeadlineExceeded) {
@@ -450,8 +430,9 @@ StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
   if (session.delta != nullptr) {
     return session.delta->CanonicalConflicts();
   }
-  // No live engine: the reference census, chased against a cloned
-  // symbol table so inspection cannot mint nulls into the live one.
+  // No live engine (dropped, awaiting its rebuild): the reference
+  // census, chased against a cloned symbol table so inspection cannot
+  // mint nulls into the live one.
   std::unique_ptr<SymbolTable> symbols = kb_->symbols().Clone();
   ConflictFinder finder(symbols.get(), &kb_->tgds(), &kb_->cdds(),
                         options_.chase_options);
@@ -563,11 +544,10 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
   if (in_phase_one) {
     session.tracker.OnFixApplied(session.facts, fix.atom);
   }
-  // The maintained engines mirror every fix from the moment they are
-  // created (lazy creation snapshots the then-current facts). The fixed
+  // Both maintained engines mirror every fix, in either phase. The fixed
   // position joined Π, so the skeleton now carries its real value
   // instead of the position's scratch null. A failed rewrite drops the
-  // engine for a rebuild; the answer itself already took effect and
+  // engine for a cold rebuild; the answer itself already took effect and
   // must not fail.
   if (session.delta != nullptr &&
       !session.delta->OnFixApplied(fix.atom, fix.arg, fix.value).ok()) {

@@ -19,15 +19,18 @@
 //
 // Chased conflicts (phase two, Algorithm 3) and every Π-repairability
 // decision come from one conflict engine: the maintained delta engine of
-// repair/delta_conflicts.h. One instance keeps the chased base and its
-// canonical census current across fixes. A second, owned by the
-// session's RepairabilityChecker, keeps the census of the Π-skeleton:
-// Begin builds it and reads its verdict, each answer, opti-prop freeze
-// and unfreeze rewrites it, and sound-question filtering probes it for
-// every full Π-REPOPT check. When a maintenance, probe or initialization
-// step fails, the affected engine is dropped and rebuilt cold from the
-// current working facts (counted in InquiryResult::engine_rebuilds). The
-// scratch implementations — ConflictFinder::AllConflicts and the
+// repair/delta_conflicts.h. Both instances share one lifecycle: Begin
+// builds them (BeginShared adopts a snapshot's frozen prototypes), every
+// answer maintains them in either phase, and a failed maintenance,
+// probe or initialization step drops the affected engine for a cold
+// rebuild from the current working facts (counted in
+// InquiryResult::engine_rebuilds). One instance keeps the chased base
+// and its canonical census current; its census at Begin is the initial
+// conflict count. The second, owned by the session's
+// RepairabilityChecker, keeps the census of the Π-skeleton: Begin reads
+// its verdict, each answer, opti-prop freeze and unfreeze rewrites it,
+// and sound-question filtering probes it for every full Π-REPOPT check.
+// The scratch implementations — ConflictFinder::AllConflicts and the
 // repairability checker's one-shot Π-REP — remain the references the
 // tests compare it against.
 //
@@ -220,16 +223,16 @@ class InquiryEngine {
   //   InquiryResult result = *engine.Finish();
 
   // Starts a dialogue: builds the maintained Π-skeleton and checks its
-  // Π-repairability verdict, takes the initial conflict census. Discards
-  // any session in progress.
+  // Π-repairability verdict, then builds the chased-conflict engine and
+  // takes the initial chased and naive censuses. Discards any session in
+  // progress.
   Status Begin(PositionSet initial_pi = {});
 
   // Begin(Π=∅) for a session whose KB was forked from a shared snapshot
   // (repair/kb_snapshot.h): adopts the precomputed repairability verdict,
-  // conflict censuses and skeleton prototype instead of re-running the
-  // chases, and arms the lazy chased-conflict engine constructor with
-  // the seed's frozen prototype. The seed and the structures it points
-  // to must outlive the session.
+  // conflict censuses and both frozen engine prototypes instead of
+  // re-running the chases. The seed and the structures it points to must
+  // outlive the session.
   Status BeginShared(const SharedBeginSeed& seed);
 
   // Produces (or returns the already-pending) next question. Returns
@@ -277,21 +280,19 @@ class InquiryEngine {
 
   // The conflict census the engine would select from at this point, in
   // canonical order: the naive tracker in phase one, the maintained
-  // delta census when that engine is live, otherwise (before the first
-  // Algorithm 3 question, or after a dropped engine awaits its rebuild)
-  // the reference census computed against a *clone* of the symbol table
-  // — fresh nulls minted by the inspection chase never touch the live
-  // table.
+  // delta census when that engine is live, otherwise (a dropped engine
+  // awaits its rebuild) the reference census computed against a *clone*
+  // of the symbol table — fresh nulls minted by the inspection chase
+  // never touch the live table.
   StatusOr<std::vector<Conflict>> InspectCensus() const;
 
-  // The maintained chased census in canonical order, or nullopt while
-  // the delta engine is not live (not needed yet, or dropped and
-  // awaiting its rebuild).
+  // The maintained chased census in canonical order, or nullopt while a
+  // dropped delta engine awaits its rebuild.
   std::optional<std::vector<Conflict>> chased_census() const;
 
-  // Maintained chased base of the live delta engine, or nullptr (engine
-  // not created yet, or dropped and awaiting its rebuild). Provenance
-  // cones can be walked off its Derivation DAG without re-chasing.
+  // Maintained chased base of the live delta engine, or nullptr while a
+  // dropped engine awaits its rebuild. Provenance cones can be walked
+  // off its Derivation DAG without re-chasing.
   const IncrementalChase* delta_chase() const;
 
   // Size of the maintained Π-skeleton census when that engine is live
@@ -301,9 +302,10 @@ class InquiryEngine {
  private:
   struct Session;  // per-run mutable state
 
-  // Lazily constructs + initializes the delta conflict engine from the
-  // current working facts. No-op when already live. On failure nothing
-  // is live and the next call starts over, so a deadline is retry-safe.
+  // Builds the delta conflict engine cold from the current working
+  // facts: at Begin, and after a failure dropped it. No-op when already
+  // live. On failure nothing is live and the next call starts over, so a
+  // deadline is retry-safe.
   Status EnsureDeltaEngine(Session& session);
 
   // Advances to the next pending question (or to done). No-op when a

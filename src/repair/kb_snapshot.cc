@@ -89,10 +89,12 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
   snapshot->chase_options = chase_options;
 
   // Replicate InquiryEngine::Begin(Π=∅) on the base *before* freezing,
-  // so the frozen symbol table holds exactly the terms (scratch nulls,
+  // in its order — skeleton, chased-conflict engine, naive census — so
+  // the frozen symbol table holds exactly the terms (scratch nulls,
   // chase-minted nulls) a cold session's Begin would have interned. The
-  // skeleton Begin builds becomes the fork's skeleton prototype.
+  // two engines Begin builds become the fork's prototypes.
   std::unique_ptr<DeltaConflictEngine> skeleton;
+  std::unique_ptr<DeltaConflictEngine> delta;
   {
     RepairabilityChecker repairability(&kb.symbols(), &kb.tgds(), &kb.cdds(),
                                        chase_options);
@@ -100,15 +102,16 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
         repairability.EnsureSkeleton(kb.facts(), PositionSet{}));
     skeleton = repairability.ReleaseSkeleton();
     snapshot->repairable = skeleton->empty();
-    if (snapshot->repairable) {
-      ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds(),
-                            chase_options);
-      KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> initial,
-                                finder.AllConflicts(kb.facts()));
-      snapshot->initial_conflicts = initial.size();
-      snapshot->naive_census = finder.NaiveConflicts(kb.facts());
-      snapshot->initial_naive_conflicts = snapshot->naive_census.size();
-    }
+  }
+  if (snapshot->repairable) {
+    delta = std::make_unique<DeltaConflictEngine>(&kb.symbols(), &kb.tgds(),
+                                                  &kb.cdds(), chase_options);
+    KBREPAIR_RETURN_IF_ERROR(delta->Initialize(kb.facts()));
+    snapshot->initial_conflicts = delta->size();
+    ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds(),
+                          chase_options);
+    snapshot->naive_census = finder.NaiveConflicts(kb.facts());
+    snapshot->initial_naive_conflicts = snapshot->naive_census.size();
   }
 
   kb.FreezeShared();
@@ -116,27 +119,10 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
   snapshot->approx_bytes = ApproxKbBytes(kb);
   snapshot->kb = std::move(kb);
 
-  if (!snapshot->repairable) {
-    return std::shared_ptr<const SharedKbSnapshot>(snapshot);
-  }
-
-  skeleton->FreezeShared();
-  snapshot->skeleton_proto = std::move(skeleton);
-
-  // The chased-conflict prototype, over a throwaway fork of the frozen
-  // table. A cold session builds that engine lazily, after Begin, so the
-  // mint guard drops it if saturating interned any fresh symbol (the
-  // fork's null counter would then run ahead of a cold session's).
-  auto proto_symbols = std::make_unique<SymbolTable>();
-  proto_symbols->ForkFrom(snapshot->kb.symbols());
-  const size_t term_guard = proto_symbols->num_terms();
-  const KnowledgeBase& base = snapshot->kb;
-  auto delta = std::make_unique<DeltaConflictEngine>(
-      proto_symbols.get(), &base.tgds(), &base.cdds(), chase_options);
-  const Status status = delta->Initialize(base.facts());
-  if (status.ok() && proto_symbols->num_terms() == term_guard) {
+  if (snapshot->repairable) {
+    skeleton->FreezeShared();
+    snapshot->skeleton_proto = std::move(skeleton);
     delta->FreezeShared();
-    snapshot->proto_symbols = std::move(proto_symbols);
     snapshot->delta_proto = std::move(delta);
   }
   return std::shared_ptr<const SharedKbSnapshot>(snapshot);

@@ -4,28 +4,17 @@
 //
 // Building a snapshot replicates exactly the work InquiryEngine::Begin()
 // performs on a cold private KB — building the maintained Π-skeleton and
-// reading its verdict, the chased conflict census, the naive census —
-// in the same order and *before* freezing the symbol table, so the
-// frozen base captures the precise post-Begin state (including
-// chase-minted nulls) every cold session would reach. A fork then adopts
-// the stored verdicts via InquiryEngine::BeginShared() and the two
-// maintained engines via their frozen prototypes:
+// reading its verdict, building the chased-conflict engine and reading
+// its census, the naive census — in the same order and *before* freezing
+// the symbol table, so the frozen base captures the precise post-Begin
+// state (including every null those chases mint) every cold session
+// would reach. A fork then adopts the stored verdicts via
+// InquiryEngine::BeginShared() and the two maintained engines via their
+// frozen prototypes, just as a cold Begin leaves its own:
 //
-//  * skeleton_proto — the Π=∅ skeleton engine that replicated Begin
-//                     built; forks adopt it as their live skeleton, just
-//                     as a cold Begin leaves its own.
-//  * delta_proto    — a DeltaConflictEngine saturated over the base
-//                     facts; forks adopt it and replay their own applied
-//                     fixes (recovery) on top.
-//
-// Mint guard: a cold session builds its chased-conflict engine lazily,
-// after Begin, so delta_proto is only kept when building it interned no
-// fresh symbol. A chase that mints fresh nulls — existential TGDs firing
-// — would advance the fork's null counter differently from a cold
-// session's lazy construction, breaking byte-identity; those bases fall
-// back to cold per-session construction of that engine while still
-// sharing symbols/facts/census and the skeleton. Full (existential-free)
-// TGD sets always keep both prototypes.
+//  * skeleton_proto — the Π=∅ skeleton engine;
+//  * delta_proto    — the DeltaConflictEngine saturated over the base
+//                     facts.
 
 #ifndef KBREPAIR_REPAIR_KB_SNAPSHOT_H_
 #define KBREPAIR_REPAIR_KB_SNAPSHOT_H_
@@ -36,7 +25,6 @@
 #include <vector>
 
 #include "chase/chase.h"
-#include "kb/symbol_table.h"
 #include "repair/conflict.h"
 #include "repair/delta_conflicts.h"
 #include "rules/knowledge_base.h"
@@ -51,7 +39,8 @@ struct SharedBeginSeed {
   size_t initial_conflicts = 0;
   size_t initial_naive_conflicts = 0;
   const std::vector<Conflict>* naive_census = nullptr;
-  // Null when the snapshot's mint guard dropped it.
+  // Set by every repairable snapshot. A null prototype leaves the fork to
+  // build that engine cold on first use, the path after a dropped engine.
   const DeltaConflictEngine* delta_proto = nullptr;
   const DeltaConflictEngine* skeleton_proto = nullptr;
 };
@@ -69,10 +58,8 @@ struct SharedKbSnapshot {
   size_t initial_naive_conflicts = 0;
   std::vector<Conflict> naive_census;
 
-  // Frozen engine prototypes. delta_proto (null when the mint guard
-  // fired) interns into proto_symbols — a throwaway fork of the frozen
-  // table — so building it can never pollute the shared base.
-  std::unique_ptr<SymbolTable> proto_symbols;
+  // Frozen engine prototypes, built by the replicated Begin() (null when
+  // the base is not repairable).
   std::unique_ptr<DeltaConflictEngine> delta_proto;
   std::unique_ptr<DeltaConflictEngine> skeleton_proto;
 
@@ -102,9 +89,9 @@ struct SharedKbSnapshot {
 // base registry can verify re-registration identity.
 uint64_t HashKnowledgeBase(const KnowledgeBase& kb);
 
-// Consumes `kb`, replicates Begin(Π=∅) on it, freezes it and builds the
-// engine prototypes (mint-guarded). Fails only if the replicated Begin
-// itself fails (e.g. chase atom cap).
+// Consumes `kb`, replicates Begin(Π=∅) on it — engine prototypes
+// included — and freezes it. Fails only if the replicated Begin itself
+// fails (e.g. chase atom cap).
 StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
     KnowledgeBase kb, std::string label, const ChaseOptions& chase_options);
 

@@ -70,9 +70,6 @@ JsonValue BaseInfoJson(const std::string& name, const SharedKbSnapshot& snap,
   out.Set("repairable", JsonValue::Bool(snap.repairable));
   out.Set("initial_conflicts",
           JsonValue::Number(static_cast<int64_t>(snap.initial_conflicts)));
-  // Whether forks adopt the saturated engine prototypes or cold-start
-  // their engines (the snapshot's mint guard fired).
-  out.Set("engine_protos", JsonValue::Bool(snap.delta_proto != nullptr));
   out.Set("refcount", JsonValue::Number(refcount));
   out.Set("forks", JsonValue::Number(forks));
   return out;

@@ -168,7 +168,7 @@ class ConflictTrackerTest : public ::testing::Test {
     finder_ = std::make_unique<ConflictFinder>(&kb_.symbols(), &kb_.tgds(),
                                                &kb_.cdds());
     tracker_ = std::make_unique<ConflictTracker>(finder_.get());
-    tracker_->Initialize(kb_.facts());
+    tracker_->InitializeFromCensus(finder_->NaiveConflicts(kb_.facts()));
   }
 
   KnowledgeBase kb_;

@@ -3,7 +3,7 @@
 // A session forked from a frozen SharedKbSnapshot (BeginShared + shared
 // symbol/fact segments) must be indistinguishable — question by
 // question, fix by fix, census by census, fact by fact — from a cold
-// private session over an identically generated KB. Four layers:
+// private session over an identically generated KB. Five layers:
 //
 //  * Engine-level lockstep over the full 208-dialogue differential
 //    matrix (4 strategies x 2 phase modes x 2 workloads x 13 seeds),
@@ -16,6 +16,9 @@
 //    after an engine rebuild.
 //  * The same lockstep across all five strategies x both fork engine
 //    paths on one base (adds opti-learn, which the matrix omits).
+//  * Existential TGDs: a fork adopting both prototypes of a base whose
+//    chase mints nulls matches a cold session term for term, with no
+//    null bijection.
 //  * Service-level: a SessionManager session created from a registered
 //    base must produce byte-identical ask transcripts and close output
 //    to a private-KB session (no null bijection — the snapshot
@@ -300,6 +303,90 @@ std::vector<ForkCase> MakeStrategyEngineCases() {
 INSTANTIATE_TEST_SUITE_P(AllStrategiesBothEngines, ForkDifferential,
                          ::testing::ValuesIn(MakeStrategyEngineCases()),
                          CaseName);
+
+// Existential TGDs mint nulls while the chase saturates. The snapshot
+// builds its chased-conflict prototype in Begin's order before freezing,
+// so a fork adopting both prototypes mints exactly the nulls a cold
+// session mints: no null bijection, the term names and the symbol-table
+// size must coincide round by round.
+TEST(ExistentialFork, AdoptingForkMatchesColdSessionTermForTerm) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const Strategy strategy : {Strategy::kRandom, Strategy::kOptiMcd}) {
+      for (const bool two_phase : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                     StrategyName(strategy) +
+                     (two_phase ? " two-phase" : " basic"));
+        SyntheticKbOptions kb_options = KbOptions(seed, /*with_tgds=*/true);
+        kb_options.num_noise_tgds = 4;
+        kb_options.noise_tgd_fire_share = 1.0;
+        StatusOr<SyntheticKb> gen_private = GenerateSyntheticKb(kb_options);
+        ASSERT_TRUE(gen_private.ok()) << gen_private.status();
+        KnowledgeBase& kb_private = gen_private->kb;
+        StatusOr<SyntheticKb> gen_base = GenerateSyntheticKb(kb_options);
+        ASSERT_TRUE(gen_base.ok()) << gen_base.status();
+        StatusOr<std::shared_ptr<const SharedKbSnapshot>> snapshot =
+            BuildSharedKbSnapshot(std::move(gen_base->kb), "noise",
+                                  ChaseOptions{});
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+        ASSERT_NE((*snapshot)->delta_proto, nullptr);
+        ASSERT_NE((*snapshot)->skeleton_proto, nullptr);
+        KnowledgeBase kb_fork = (*snapshot)->Fork();
+
+        InquiryOptions options;
+        options.strategy = strategy;
+        options.two_phase = two_phase;
+        options.seed = seed * 17 + 3;
+        InquiryEngine cold(&kb_private, options);
+        InquiryEngine forked(&kb_fork, options);
+        ASSERT_TRUE(cold.Begin().ok());
+        ASSERT_TRUE(forked.BeginShared((*snapshot)->Seed()).ok());
+        ASSERT_EQ(kb_private.symbols().num_terms(),
+                  kb_fork.symbols().num_terms());
+
+        Rng chooser(seed * 101 + 13);
+        for (size_t round = 0;; ++round) {
+          StatusOr<const Question*> q_c = cold.NextQuestion();
+          StatusOr<const Question*> q_f = forked.NextQuestion();
+          ASSERT_TRUE(q_c.ok()) << q_c.status();
+          ASSERT_TRUE(q_f.ok()) << q_f.status();
+          ASSERT_EQ(*q_c == nullptr, *q_f == nullptr) << "round " << round;
+          if (*q_c == nullptr) break;
+          ASSERT_EQ((*q_c)->fixes.size(), (*q_f)->fixes.size())
+              << "round " << round;
+          for (size_t f = 0; f < (*q_c)->fixes.size(); ++f) {
+            const Fix& fix_c = (*q_c)->fixes[f];
+            const Fix& fix_f = (*q_f)->fixes[f];
+            ASSERT_EQ(fix_c.position(), fix_f.position())
+                << "round " << round << " fix " << f;
+            ASSERT_EQ(kb_private.symbols().term_name(fix_c.value),
+                      kb_fork.symbols().term_name(fix_f.value))
+                << "round " << round << " fix " << f;
+          }
+          const size_t choice = chooser.UniformIndex((*q_c)->fixes.size());
+          ASSERT_TRUE(cold.Answer(choice).ok());
+          ASSERT_TRUE(forked.Answer(choice).ok());
+          ASSERT_EQ(kb_private.symbols().num_terms(),
+                    kb_fork.symbols().num_terms())
+              << "round " << round;
+        }
+
+        StatusOr<InquiryResult> result_c = cold.Finish();
+        StatusOr<InquiryResult> result_f = forked.Finish();
+        ASSERT_TRUE(result_c.ok()) << result_c.status();
+        ASSERT_TRUE(result_f.ok()) << result_f.status();
+        EXPECT_EQ(result_c->initial_conflicts, result_f->initial_conflicts);
+        EXPECT_EQ(result_c->engine_rebuilds, 0u);
+        EXPECT_EQ(result_f->engine_rebuilds, 0u);
+        ASSERT_EQ(result_c->facts.size(), result_f->facts.size());
+        for (AtomId id = 0; id < result_c->facts.size(); ++id) {
+          EXPECT_EQ(result_c->facts.atom(id).ToString(kb_private.symbols()),
+                    result_f->facts.atom(id).ToString(kb_fork.symbols()))
+              << "atom " << id;
+        }
+      }
+    }
+  }
+}
 
 // Many siblings of one base interleaved: mutations in one fork must
 // never leak into another or into the base.

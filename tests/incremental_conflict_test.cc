@@ -157,6 +157,18 @@ std::string RunDialogue(KnowledgeBase& kb, const InquiryOptions& options,
   EXPECT_TRUE(begun.ok()) << begun;
   if (!begun.ok()) return "";
 
+  // Begin's initial count comes off the engine it builds; it must equal
+  // the scratch census of the unrepaired base.
+  {
+    std::unique_ptr<SymbolTable> symbols = kb.symbols().Clone();
+    ConflictFinder finder(symbols.get(), &kb.tgds(), &kb.cdds(),
+                          options.chase_options);
+    StatusOr<std::vector<Conflict>> initial = finder.AllConflicts(kb.facts());
+    EXPECT_TRUE(initial.ok()) << initial.status();
+    if (!initial.ok()) return "";
+    EXPECT_EQ(engine.progress().initial_conflicts, initial->size());
+  }
+
   std::string transcript;
   Rng chooser(choice_seed);
   size_t round = 0;

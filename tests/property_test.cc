@@ -243,7 +243,7 @@ TEST_P(MaintenanceProperty, IncrementalStructuresAgreeAlongInquiry) {
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
   ConflictTracker tracker(&finder);
   FactBase working = kb.facts();
-  tracker.Initialize(working);
+  tracker.InitializeFromCensus(finder.NaiveConflicts(working));
 
   RepairabilityChecker repairability(&kb.symbols(), &kb.tgds(),
                                      &kb.cdds());
