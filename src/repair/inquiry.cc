@@ -313,7 +313,10 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
                                        *session.cdds, session.generator,
                                        session.pi);
     for (auto& [rank, positions] : ranking.groups) {
-      session.rng.Shuffle(positions);  // the paper breaks ties randomly
+      // The paper breaks ties randomly; sorting first keeps the draw
+      // independent of hash-map layout.
+      std::sort(positions.begin(), positions.end());
+      session.rng.Shuffle(positions);
       for (const Position& position : positions) {
         const Conflict* conflict =
             ranking.conflict_for[McdRanking::Key(position)];
@@ -465,6 +468,10 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
       for (const auto& [id, conflict] : session.tracker.conflicts()) {
         conflicts.push_back(&conflict);
       }
+      std::sort(conflicts.begin(), conflicts.end(),
+                [&](const Conflict* a, const Conflict* b) {
+                  return CanonicalConflictLess(*a, *b, session.facts.size());
+                });
     } else {
       // --- Phase two / Algorithm 3: the chased census, read off the
       // maintained engine. Selection sees the whole set.
