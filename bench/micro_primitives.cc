@@ -35,6 +35,7 @@
 #include "kb/homomorphism.h"
 #include "repair/conflict.h"
 #include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "repair/question.h"
 #include "repair/repairability.h"
 #include "util/logging.h"
@@ -194,18 +195,16 @@ BENCHMARK(BM_PiRepOptScopeFullCheck);
 void BM_UpdateConflictsIncremental(benchmark::State& state) {
   SyntheticKb generated = MakeKb(static_cast<size_t>(state.range(0)), 0.3);
   KnowledgeBase& kb = generated.kb;
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ConflictTracker tracker(&finder);
-  FactBase working = kb.facts();
-  tracker.InitializeFromCensus(finder.NaiveConflicts(working));
+  DeltaConflictEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_CHECK(engine.Initialize(kb.facts()).ok());
   const TermId fresh = kb.symbols().MakeFreshNull();
-  const TermId original = working.atom(0).args[0];
+  const TermId original = kb.facts().atom(0).args[0];
   bool flip = false;
   for (auto _ : state) {
-    working.SetArg(0, 0, flip ? original : fresh);
+    const Status status = engine.OnFixApplied(0, 0, flip ? original : fresh);
+    KBREPAIR_CHECK(status.ok()) << status;
     flip = !flip;
-    tracker.OnFixApplied(working, 0);
-    benchmark::DoNotOptimize(tracker.size());
+    benchmark::DoNotOptimize(engine.naive_size());
   }
 }
 BENCHMARK(BM_UpdateConflictsIncremental)->Arg(1000)->Arg(2000);
@@ -325,12 +324,12 @@ std::string JoinRow(size_t num_facts) {
     const std::vector<Conflict> conflicts = finder.NaiveConflicts(working);
     KBREPAIR_CHECK(!conflicts.empty());
   });
-  ConflictTracker tracker(&finder);
-  tracker.InitializeFromCensus(finder.NaiveConflicts(working));
+  DeltaConflictEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_CHECK(engine.Initialize(working).ok());
   const QuickStats incremental = MeasureMs(12, [&] {
-    working.SetArg(0, 0, flip ? original : fresh);
+    const Status status = engine.OnFixApplied(0, 0, flip ? original : fresh);
+    KBREPAIR_CHECK(status.ok()) << status;
     flip = !flip;
-    tracker.OnFixApplied(working, 0);
   });
   return RowJson("join " + std::to_string(num_facts) + " facts", scratch,
                  incremental);

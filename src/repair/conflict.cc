@@ -1,9 +1,9 @@
 #include "repair/conflict.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "chase/support.h"
-#include "repair/delta_conflicts.h"
 #include "util/logging.h"
 #include "util/trace.h"
 
@@ -73,35 +73,6 @@ std::vector<Conflict> ConflictFinder::NaiveConflicts(
       conflicts.push_back(std::move(conflict));
       return true;
     });
-  }
-  return conflicts;
-}
-
-std::vector<Conflict> ConflictFinder::NaiveConflictsTouching(
-    const FactBase& facts, AtomId anchor) const {
-  std::vector<Conflict> conflicts;
-  const PredicateId anchor_pred = facts.atom(anchor).predicate;
-  HomomorphismFinder finder(symbols_, &facts);
-  for (size_t c = 0; c < cdds_->size(); ++c) {
-    const std::vector<Atom>& body = (*cdds_)[c].body();
-    // Pin each body atom of the anchor's predicate to the anchor in
-    // turn. A homomorphism using the anchor at several body positions
-    // would be found once per pin, so keep it only when the pin is the
-    // first body position mapped to the anchor.
-    for (size_t pin = 0; pin < body.size(); ++pin) {
-      if (body[pin].predicate != anchor_pred) continue;
-      finder.FindAllPinned(body, pin, anchor, [&](const Homomorphism& hom) {
-        for (size_t j = 0; j < pin; ++j) {
-          if (hom.matched[j] == anchor) return true;  // counted earlier
-        }
-        Conflict conflict;
-        conflict.cdd_index = c;
-        conflict.matched = hom.matched;
-        conflict.support = DistinctSorted(hom.matched);
-        conflicts.push_back(std::move(conflict));
-        return true;
-      });
-    }
   }
   return conflicts;
 }
@@ -230,76 +201,6 @@ std::string ConflictHypergraphToDot(const std::vector<Conflict>& conflicts,
   }
   out += "}\n";
   return out;
-}
-
-ConflictTracker::ConflictTracker(const ConflictFinder* finder)
-    : finder_(finder) {
-  KBREPAIR_CHECK(finder != nullptr);
-}
-
-void ConflictTracker::InitializeFromCensus(
-    const std::vector<Conflict>& census) {
-  conflicts_.clear();
-  by_atom_.clear();
-  next_id_ = 0;
-  for (const Conflict& conflict : census) AddConflict(conflict);
-}
-
-void ConflictTracker::OnFixApplied(const FactBase& facts, AtomId atom) {
-  // Drop every conflict whose support contains the modified atom.
-  for (uint64_t id : ConflictsTouching(atom)) RemoveConflict(id);
-  // Re-evaluate only CDDs related to the atom, anchored at it. A
-  // re-found conflict cannot coincide with a surviving one: every
-  // re-found homomorphism uses `atom`, and all such conflicts were just
-  // removed. AddConflict asserts this in debug builds.
-  for (Conflict& conflict : finder_->NaiveConflictsTouching(facts, atom)) {
-    AddConflict(std::move(conflict));
-  }
-}
-
-std::vector<Conflict> ConflictTracker::CanonicalConflicts(
-    size_t num_original) const {
-  std::vector<Conflict> out;
-  out.reserve(conflicts_.size());
-  for (const auto& [id, conflict] : conflicts_) out.push_back(conflict);
-  CanonicalizeConflicts(out, num_original);
-  return out;
-}
-
-std::vector<uint64_t> ConflictTracker::ConflictsTouching(AtomId atom) const {
-  auto it = by_atom_.find(atom);
-  if (it == by_atom_.end()) return {};
-  return std::vector<uint64_t>(it->second.begin(), it->second.end());
-}
-
-size_t ConflictTracker::NumConflictsTouching(AtomId atom) const {
-  auto it = by_atom_.find(atom);
-  return it == by_atom_.end() ? 0 : it->second.size();
-}
-
-void ConflictTracker::AddConflict(Conflict conflict) {
-#ifndef NDEBUG
-  for (const auto& [existing_id, existing] : conflicts_) {
-    KBREPAIR_DCHECK(!existing.SameAs(conflict))
-        << "duplicate naive conflict added for CDD "
-        << conflict.cdd_index;
-  }
-#endif
-  const uint64_t id = next_id_++;
-  for (AtomId atom : conflict.support) by_atom_[atom].insert(id);
-  conflicts_.emplace(id, std::move(conflict));
-}
-
-void ConflictTracker::RemoveConflict(uint64_t id) {
-  auto it = conflicts_.find(id);
-  KBREPAIR_CHECK(it != conflicts_.end());
-  for (AtomId atom : it->second.support) {
-    auto atom_it = by_atom_.find(atom);
-    KBREPAIR_CHECK(atom_it != by_atom_.end());
-    atom_it->second.erase(id);
-    if (atom_it->second.empty()) by_atom_.erase(atom_it);
-  }
-  conflicts_.erase(it);
 }
 
 }  // namespace kbrepair

@@ -1,4 +1,4 @@
-// Conflicts (Definition 2.3) and their maintenance.
+// Conflicts (Definition 2.3) and their one-shot enumeration.
 //
 // A conflict is a pair (N, h): a CDD N and a homomorphism h of body(N)
 // into the chased base Cl(F). A *naive* conflict (Section 5) is one whose
@@ -7,27 +7,21 @@
 // atoms that (transitively, through chase provenance) ground it; for naive
 // conflicts the support is just the matched atoms.
 //
-// ConflictTracker implements UPDATECONFLICTS: it keeps the set of naive
-// conflicts up to date across position fixes by removing the conflicts
-// touching the modified atom and re-evaluating only the CDDs related to
-// that atom, anchored at it — instead of recomputing everything.
-// It also maintains per-position conflict membership, which is the
-// conflict-hypergraph degree used by the opti-mcd strategy.
+// ConflictFinder computes a census from scratch. UPDATECONFLICTS — keeping
+// the naive and chased censuses current across position fixes — is
+// DeltaConflictEngine (repair/delta_conflicts.h); the finder is the
+// reference it is tested against.
 
 #ifndef KBREPAIR_REPAIR_CONFLICT_H_
 #define KBREPAIR_REPAIR_CONFLICT_H_
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chase/chase.h"
 #include "kb/fact_base.h"
 #include "kb/homomorphism.h"
 #include "kb/symbol_table.h"
-#include "repair/fix.h"
 #include "rules/cdd.h"
 #include "rules/tgd.h"
 #include "util/status.h"
@@ -63,12 +57,6 @@ class ConflictFinder {
 
   // allconflicts_naive(K): CDD bodies evaluated directly on F.
   std::vector<Conflict> NaiveConflicts(const FactBase& facts) const;
-
-  // Naive conflicts whose homomorphism uses atom `anchor` (for
-  // UPDATECONFLICTS). Only CDDs with a body atom of the anchor's
-  // predicate are evaluated, pinned to the anchor.
-  std::vector<Conflict> NaiveConflictsTouching(const FactBase& facts,
-                                               AtomId anchor) const;
 
  private:
   SymbolTable* symbols_;
@@ -111,69 +99,6 @@ std::string ExplainConflict(const Conflict& conflict,
 std::string ConflictHypergraphToDot(const std::vector<Conflict>& conflicts,
                                     const FactBase& facts,
                                     const SymbolTable& symbols);
-
-// Incremental *naive*-conflict maintenance (UPDATECONFLICTS in
-// Section 5) — the phase-one engine. It never chases: conflicts whose
-// homomorphisms pass through derived atoms are invisible to it by
-// design, and phase two reads them off the maintained
-// DeltaConflictEngine of repair/delta_conflicts.h.
-class ConflictTracker {
- public:
-  // The finder (and the structures it points to) must outlive the
-  // tracker.
-  explicit ConflictTracker(const ConflictFinder* finder);
-
-  // Resets the tracker to `census`, the naive conflicts of the working
-  // facts (ConflictFinder::NaiveConflicts, or a snapshot's copy of it),
-  // added in order.
-  void InitializeFromCensus(const std::vector<Conflict>& census);
-
-  // Notifies that some position of `atom` in `facts` was already
-  // rewritten (which position does not matter: conflicts are indexed by
-  // supporting atom). Drops the conflicts whose support contains `atom`
-  // and re-evaluates only the CDDs related to it, anchored at it. Debug
-  // builds assert the re-found conflicts never duplicate (SameAs) a
-  // surviving one.
-  void OnFixApplied(const FactBase& facts, AtomId atom);
-
-  bool empty() const { return conflicts_.empty(); }
-  size_t size() const { return conflicts_.size(); }
-
-  // Live conflicts keyed by stable ids.
-  const std::unordered_map<uint64_t, Conflict>& conflicts() const {
-    return conflicts_;
-  }
-
-  // Live conflicts in canonical order (CanonicalizeConflicts over the
-  // tracked set). `num_original` is the working fact-base size — the
-  // tracker holds naive conflicts, so every id is original and any value
-  // >= the base size works. Inspection accessor for kbrepair-debug's
-  // phase-one census views.
-  std::vector<Conflict> CanonicalConflicts(size_t num_original) const;
-
-  // Ids of conflicts whose support contains `atom` (empty set if none).
-  std::vector<uint64_t> ConflictsTouching(AtomId atom) const;
-
-  // Number of live conflicts whose support contains `atom`.
-  size_t NumConflictsTouching(AtomId atom) const;
-
-  // The conflict-hypergraph degree of a position: the number of live
-  // conflicts whose support contains the position's atom. (Positions of
-  // one atom share the degree of the atom; the opti-mcd strategy ranks
-  // only resolving positions, so this is the rank it consumes.)
-  size_t PositionRank(const Position& position) const {
-    return NumConflictsTouching(position.atom);
-  }
-
- private:
-  void AddConflict(Conflict conflict);
-  void RemoveConflict(uint64_t id);
-
-  const ConflictFinder* finder_;
-  std::unordered_map<uint64_t, Conflict> conflicts_;
-  std::unordered_map<AtomId, std::unordered_set<uint64_t>> by_atom_;
-  uint64_t next_id_ = 0;
-};
 
 }  // namespace kbrepair
 

@@ -44,6 +44,12 @@ void CanonicalizeConflicts(std::vector<Conflict>& conflicts,
             });
 }
 
+bool DeltaConflictEngine::NaiveOrder::operator()(const Conflict* a,
+                                                 const Conflict* b) const {
+  if (a->cdd_index != b->cdd_index) return a->cdd_index < b->cdd_index;
+  return a->matched < b->matched;
+}
+
 DeltaConflictEngine::DeltaConflictEngine(SymbolTable* symbols,
                                          const std::vector<Tgd>* tgds,
                                          const std::vector<Cdd>* cdds,
@@ -90,6 +96,7 @@ Status DeltaConflictEngine::Initialize(const FactBase& facts) {
   KBREPAIR_RETURN_IF_ERROR(chase_.Initialize(facts));
   conflicts_.clear();
   by_matched_.clear();
+  naive_.clear();
   next_id_ = 0;
 
   HomomorphismFinder finder(symbols_, &chase_.facts());
@@ -115,6 +122,10 @@ Status DeltaConflictEngine::InitializeFromShared(
   conflicts_ = frozen.conflicts_;
   by_matched_ = frozen.by_matched_;
   next_id_ = frozen.next_id_;
+  naive_.clear();
+  for (const auto& [id, conflict] : conflicts_) {
+    if (IsNaive(conflict)) naive_.insert(&conflict);
+  }
   return Status::Ok();
 }
 
@@ -159,7 +170,17 @@ Status DeltaConflictEngine::OnFixApplied(AtomId atom, int arg,
 
 Status DeltaConflictEngine::VerifyInvariants() const {
   const size_t num_original = chase_.num_original();
+  size_t num_naive = 0;
   for (const auto& [id, conflict] : conflicts_) {
+    if (IsNaive(conflict)) {
+      ++num_naive;
+      const auto it = naive_.find(&conflict);
+      if (it == naive_.end() || *it != &conflict) {
+        return Status::Internal(
+            "delta conflict engine invariant violated: naive index out of "
+            "sync with the conflict map");
+      }
+    }
     if (conflict.support.empty()) {
       return Status::Internal(
           "delta conflict engine invariant violated: conflict with empty "
@@ -185,6 +206,11 @@ Status DeltaConflictEngine::VerifyInvariants() const {
             "sync with the conflict map");
       }
     }
+  }
+  if (num_naive != naive_.size()) {
+    return Status::Internal(
+        "delta conflict engine invariant violated: naive index out of sync "
+        "with the conflict map");
   }
   return Status::Ok();
 }
@@ -249,6 +275,22 @@ void DeltaConflictEngine::AddConflictsAnchoredAt(
   }
 }
 
+bool DeltaConflictEngine::IsNaive(const Conflict& conflict) const {
+  for (const AtomId m : conflict.matched) {
+    if (m >= chase_.num_original()) return false;
+  }
+  return true;
+}
+
+bool DeltaConflictEngine::NaiveConflictMatches(AtomId atom) const {
+  auto it = by_matched_.find(atom);
+  if (it == by_matched_.end()) return false;
+  for (const uint64_t id : it->second) {
+    if (IsNaive(conflicts_.at(id))) return true;
+  }
+  return false;
+}
+
 void DeltaConflictEngine::AddConflict(Conflict conflict) {
 #ifndef NDEBUG
   // A newly enumerated homomorphism must be genuinely new (see the
@@ -260,7 +302,9 @@ void DeltaConflictEngine::AddConflict(Conflict conflict) {
 #endif
   const uint64_t id = next_id_++;
   for (AtomId m : conflict.matched) by_matched_[m].insert(id);
-  conflicts_.emplace(id, std::move(conflict));
+  const Conflict& live =
+      conflicts_.emplace(id, std::move(conflict)).first->second;
+  if (IsNaive(live)) naive_.insert(&live);
 }
 
 void DeltaConflictEngine::DropConflictsMatching(AtomId atom) {
@@ -276,6 +320,7 @@ void DeltaConflictEngine::DropConflictsMatching(AtomId atom) {
       m_it->second.erase(id);
       if (m_it->second.empty()) by_matched_.erase(m_it);
     }
+    naive_.erase(&conflict_it->second);
     conflicts_.erase(conflict_it);
   }
 }

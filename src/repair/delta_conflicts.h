@@ -1,13 +1,9 @@
-// Index-anchored conflict maintenance over a maintained chased base — the
-// chased-case extension of ConflictTracker's UPDATECONFLICTS.
+// Index-anchored conflict maintenance over a maintained chased base —
+// UPDATECONFLICTS (Section 5) for naive and chased conflicts alike.
 //
-// ConflictTracker (conflict.h) keeps the *naive* conflicts incremental:
-// after a fix it re-evaluates only CDDs related to the touched predicate,
-// anchored at the modified atom. That stops at the fact base: conflicts
-// that only surface through the chase are recomputed from scratch every
-// round (ConflictFinder::AllConflicts). DeltaConflictEngine closes the
-// gap. It owns an IncrementalChase whose maintained base mirrors the
-// working facts; after a fix it
+// DeltaConflictEngine owns an IncrementalChase whose maintained base
+// mirrors the working facts, and keeps the conflict census of that base
+// current without recomputing it. After a fix it
 //
 //   1. replays the fix on the chase (retract cone / re-saturate),
 //   2. drops every live conflict whose homomorphism used the modified
@@ -20,10 +16,15 @@
 //
 // Dedup across anchors: a homomorphism using several changed atoms is
 // kept only when enumerated at its minimal changed atom, pinned at the
-// first body position mapping to it — the chased-base analogue of
-// NaiveConflictsTouching's pin-first rule. A re-found homomorphism cannot
+// first body position mapping to it. A re-found homomorphism cannot
 // coincide with a live conflict: it uses a changed atom, and every live
 // conflict using one was dropped in step 2 (newly derived ids are fresh).
+//
+// Naive conflicts. A conflict whose matched atoms are all original (ids
+// below num_original) is exactly a naive conflict of the working facts:
+// the maintained base restricted to original ids is F. Its canonical
+// support is its distinct matched atoms. The engine keeps these in an
+// ordered index, which is phase one's census (Algorithm 4).
 //
 // Cross-engine determinism. Derived-atom ids differ between a maintained
 // base and a from-scratch chase (a rebuilt engine, or the
@@ -38,6 +39,7 @@
 #define KBREPAIR_REPAIR_DELTA_CONFLICTS_H_
 
 #include <cstdint>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -100,6 +102,22 @@ class DeltaConflictEngine {
   bool empty() const { return conflicts_.empty(); }
   size_t size() const { return conflicts_.size(); }
 
+  // Orders naive conflicts by (cdd, matched): CanonicalConflictLess on
+  // conflicts whose matched atoms are all original, and a total order.
+  struct NaiveOrder {
+    bool operator()(const Conflict* a, const Conflict* b) const;
+  };
+  using NaiveIndex = std::set<const Conflict*, NaiveOrder>;
+
+  // The live naive conflicts (every matched atom original), in canonical
+  // order. The pointers stay valid until the next OnFixApplied or
+  // (re)initialization.
+  const NaiveIndex& naive_conflicts() const { return naive_; }
+  size_t naive_size() const { return naive_.size(); }
+
+  // True when some live naive conflict matches `atom`.
+  bool NaiveConflictMatches(AtomId atom) const;
+
   // Live conflicts in canonical order. Matched ids refer to the
   // maintained base (chase().facts()); supports are original atoms.
   // Subject to the `delta.census_drop` failpoint (drops the last
@@ -113,8 +131,8 @@ class DeltaConflictEngine {
 
   // Structural self-check, run after every OnFixApplied: each live
   // conflict must match only alive atoms of the maintained base and
-  // carry a non-empty original-atom support, and the matched index must
-  // mirror the conflict map. Internal on violation — the inquiry engine
+  // carry a non-empty original-atom support, and the matched and naive
+  // indexes must mirror the conflict map. Internal on violation — the inquiry engine
   // treats that as divergence and drops the engine for a cold rebuild
   // rather than trusting a corrupt census.
   Status VerifyInvariants() const;
@@ -138,6 +156,7 @@ class DeltaConflictEngine {
   void RefreshDerivedSupports(const std::unordered_set<int32_t>& changed_preds,
                               CanonicalSupportResolver& support);
 
+  bool IsNaive(const Conflict& conflict) const;
   void AddConflict(Conflict conflict);
   void DropConflictsMatching(AtomId atom);
 
@@ -157,6 +176,8 @@ class DeltaConflictEngine {
   std::unordered_map<uint64_t, Conflict> conflicts_;
   // Matched chased-base atom -> live conflict ids using it.
   std::unordered_map<AtomId, std::unordered_set<uint64_t>> by_matched_;
+  // The naive members of conflicts_, in canonical order.
+  NaiveIndex naive_;
   uint64_t next_id_ = 0;
 };
 

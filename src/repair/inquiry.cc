@@ -68,23 +68,22 @@ struct InquiryEngine::Session {
   trace::PhaseTotals pending_phase_totals;
 
   Mode mode;
-  ConflictTracker tracker;                // used in kPhaseOne only
-  // Maintained chased-conflict engine. Built (or adopted) by Begin and
-  // notified of every fix; dropped on a failure and rebuilt cold on
-  // next use.
+  // Maintained conflict engine: phase one reads its naive conflicts,
+  // phase two and Algorithm 3 its chased census. Built (or adopted) by
+  // Begin and notified of every fix; dropped on a failure and rebuilt
+  // cold on next use.
   std::unique_ptr<DeltaConflictEngine> delta;
   std::optional<Question> pending;        // awaiting an Answer()
   double pending_delay = 0.0;             // delay captured at generation
   bool done = false;                      // consistent; dialogue over
-  // The last record's conflicts_remaining could not be counted at
-  // answer time (the census engine failed to build); the next round
-  // settles it.
+  // The last answer's census reads (ReadAnswerCensus) could not run at
+  // answer time (the engine failed to rebuild); the next round settles
+  // them.
   bool census_owed = false;
 
   // Helpers bound to the KB's rules. The repairability checker owns the
   // maintained Π-skeleton, built by Begin and kept in step with every Π
   // change.
-  ConflictFinder finder;
   RepairabilityChecker repairability;
   QuestionGenerator generator;
   const std::vector<Cdd>* cdds;
@@ -94,9 +93,6 @@ struct InquiryEngine::Session {
       : facts(kb->facts()),
         rng(options.seed),
         mode(options.two_phase ? Mode::kPhaseOne : Mode::kBasic),
-        tracker(&finder),
-        finder(&kb->symbols(), &kb->tgds(), &kb->cdds(),
-               options.chase_options),
         repairability(&kb->symbols(), &kb->tgds(), &kb->cdds(),
                       options.chase_options, &result.engine_rebuilds),
         generator(&kb->symbols(), &repairability),
@@ -126,16 +122,11 @@ Status InquiryEngine::Begin(PositionSet initial_pi) {
         "knowledge base is not Π-repairable for the initial Π");
   }
 
-  // The chased-conflict engine lives from here on; its census is the
-  // initial conflict count of the effectiveness metrics.
+  // The conflict engine lives from here on; its censuses are the
+  // initial conflict counts of the effectiveness metrics.
   KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
   session.result.initial_conflicts = session.delta->size();
-  const std::vector<Conflict> naive =
-      session.finder.NaiveConflicts(session.facts);
-  session.result.initial_naive_conflicts = naive.size();
-  if (session.mode == Session::Mode::kPhaseOne) {
-    session.tracker.InitializeFromCensus(naive);
-  }
+  session.result.initial_naive_conflicts = session.delta->naive_size();
 
   session.total_timer.Restart();
   return Status::Ok();
@@ -155,11 +146,6 @@ Status InquiryEngine::BeginShared(const SharedBeginSeed& seed) {
 
   session.result.initial_conflicts = seed.initial_conflicts;
   session.result.initial_naive_conflicts = seed.initial_naive_conflicts;
-
-  if (session.mode == Session::Mode::kPhaseOne) {
-    KBREPAIR_CHECK(seed.naive_census != nullptr);
-    session.tracker.InitializeFromCensus(*seed.naive_census);
-  }
 
   if (seed.delta_proto != nullptr) {
     session.delta = std::make_unique<DeltaConflictEngine>(
@@ -427,11 +413,14 @@ StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
   KBREPAIR_CHECK(step_ != nullptr);
   const Session& session = *step_;
   if (session.done) return std::vector<Conflict>{};
-  if (session.mode == Session::Mode::kPhaseOne) {
-    return session.tracker.CanonicalConflicts(session.facts.size());
-  }
+  const bool naive = session.mode == Session::Mode::kPhaseOne;
   if (session.delta != nullptr) {
-    return session.delta->CanonicalConflicts();
+    if (!naive) return session.delta->CanonicalConflicts();
+    std::vector<Conflict> census;
+    for (const Conflict* conflict : session.delta->naive_conflicts()) {
+      census.push_back(*conflict);
+    }
+    return census;
   }
   // No live engine (dropped, awaiting its rebuild): the reference
   // census, chased against a cloned symbol table so inspection cannot
@@ -439,8 +428,12 @@ StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
   std::unique_ptr<SymbolTable> symbols = kb_->symbols().Clone();
   ConflictFinder finder(symbols.get(), &kb_->tgds(), &kb_->cdds(),
                         options_.chase_options);
-  KBREPAIR_ASSIGN_OR_RETURN(std::vector<Conflict> census,
-                            finder.AllConflicts(session.facts));
+  std::vector<Conflict> census;
+  if (naive) {
+    census = finder.NaiveConflicts(session.facts);
+  } else {
+    KBREPAIR_ASSIGN_OR_RETURN(census, finder.AllConflicts(session.facts));
+  }
   CanonicalizeConflicts(census, session.facts.size());
   return census;
 }
@@ -451,31 +444,26 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
   WallTimer compute_timer;
   if (session.census_owed) {
     KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
-    session.result.records.back().conflicts_remaining = session.delta->size();
+    ReadAnswerCensus(session, session.result.records.back());
     session.census_owed = false;
   }
   while (true) {
     std::vector<Conflict> chase_conflicts;  // owns phase-2/basic conflicts
     std::vector<const Conflict*> conflicts;
 
+    KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
     if (session.mode == Session::Mode::kPhaseOne) {
-      // --- Phase one: naive conflicts with incremental maintenance.
-      if (session.tracker.empty()) {
+      // --- Phase one: the maintained naive conflicts, in canonical
+      // order.
+      if (session.delta->naive_size() == 0) {
         session.mode = Session::Mode::kPhaseTwo;
         continue;
       }
-      conflicts.reserve(session.tracker.size());
-      for (const auto& [id, conflict] : session.tracker.conflicts()) {
-        conflicts.push_back(&conflict);
-      }
-      std::sort(conflicts.begin(), conflicts.end(),
-                [&](const Conflict* a, const Conflict* b) {
-                  return CanonicalConflictLess(*a, *b, session.facts.size());
-                });
+      conflicts.assign(session.delta->naive_conflicts().begin(),
+                       session.delta->naive_conflicts().end());
     } else {
-      // --- Phase two / Algorithm 3: the chased census, read off the
-      // maintained engine. Selection sees the whole set.
-      KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
+      // --- Phase two / Algorithm 3: the chased census. Selection sees
+      // the whole set.
       chase_conflicts = session.delta->CanonicalConflicts();
       if (chase_conflicts.empty()) {
         session.done = true;
@@ -547,10 +535,6 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
   session.pi.insert(fix.position());
   session.result.applied_fixes.push_back(fix);
 
-  const bool in_phase_one = session.mode == Session::Mode::kPhaseOne;
-  if (in_phase_one) {
-    session.tracker.OnFixApplied(session.facts, fix.atom);
-  }
   // Both maintained engines mirror every fix, in either phase. The fixed
   // position joined Π, so the skeleton now carries its real value
   // instead of the position's scratch null. A failed rewrite drops the
@@ -570,28 +554,18 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
     for (const Position& p : question.considered_positions) {
       if (p != fix.position()) session.pending_propagation.push_back(p);
     }
-    if (in_phase_one) {
-      ApplyPendingPropagation(session, [&](AtomId atom) {
-        return session.tracker.NumConflictsTouching(atom) > 0;
-      });
-    }
   }
 
-  const bool census_needed =
-      options_.record_convergence == ConvergenceRecording::kTotalConflicts ||
-      (options_.record_convergence ==
-           ConvergenceRecording::kDiscoveredConflicts &&
-       !in_phase_one);
-  if (census_needed) {
-    // The fix is already applied, so even a deadline here must not fail
-    // the answer; the next round settles the count instead.
+  if (session.mode == Session::Mode::kPhaseOne ||
+      options_.record_convergence != ConvergenceRecording::kOff) {
+    // A dropped engine is rebuilt before it is read. The fix is already
+    // applied, so even a deadline here must not fail the answer; the
+    // next round settles the reads instead.
     if (EnsureDeltaEngine(session).ok()) {
-      record.conflicts_remaining = session.delta->size();
+      ReadAnswerCensus(session, record);
     } else {
       session.census_owed = true;
     }
-  } else if (in_phase_one) {
-    record.conflicts_remaining = session.tracker.size();
   }
 
   apply_span.reset();
@@ -605,6 +579,24 @@ Status InquiryEngine::ApplyAnswer(Session& session, size_t choice) {
     return Status::Internal("inquiry exceeded max_questions");
   }
   return Status::Ok();
+}
+
+void InquiryEngine::ReadAnswerCensus(Session& session,
+                                     QuestionRecord& record) {
+  const DeltaConflictEngine& census = *session.delta;
+  if (session.mode == Session::Mode::kPhaseOne) {
+    if (options_.strategy == Strategy::kOptiProp) {
+      ApplyPendingPropagation(session, [&](AtomId atom) {
+        return census.NaiveConflictMatches(atom);
+      });
+    }
+    record.conflicts_remaining =
+        options_.record_convergence == ConvergenceRecording::kTotalConflicts
+            ? census.size()
+            : census.naive_size();
+  } else if (options_.record_convergence != ConvergenceRecording::kOff) {
+    record.conflicts_remaining = census.size();
+  }
 }
 
 bool InquiryEngine::UnfreezePropagated(Session& session) {

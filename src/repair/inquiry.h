@@ -17,21 +17,22 @@
 //    uncovers, projected onto the original facts through chase
 //    provenance.
 //
-// Chased conflicts (phase two, Algorithm 3) and every Π-repairability
-// decision come from one conflict engine: the maintained delta engine of
+// Conflicts of either phase and every Π-repairability decision come from
+// one conflict engine: the maintained delta engine of
 // repair/delta_conflicts.h. Both instances share one lifecycle: Begin
 // builds them (BeginShared adopts a snapshot's frozen prototypes), every
 // answer maintains them in either phase, and a failed maintenance,
 // probe or initialization step drops the affected engine for a cold
 // rebuild from the current working facts (counted in
 // InquiryResult::engine_rebuilds). One instance keeps the chased base
-// and its canonical census current; its census at Begin is the initial
-// conflict count. The second, owned by the session's
+// and its canonical census current: phase one reads its naive
+// (all-original) conflicts, phase two and Algorithm 3 the whole census,
+// and its censuses at Begin are the initial conflict counts. The second, owned by the session's
 // RepairabilityChecker, keeps the census of the Π-skeleton: Begin reads
 // its verdict, each answer, opti-prop freeze and unfreeze rewrites it,
 // and sound-question filtering probes it for every full Π-REPOPT check.
-// The scratch implementations — ConflictFinder::AllConflicts and the
-// repairability checker's one-shot Π-REP — remain the references the
+// The scratch implementations — ConflictFinder's AllConflicts and
+// NaiveConflicts and the repairability checker's one-shot Π-REP — remain the references the
 // tests compare it against.
 //
 // Strategies (Section 5):
@@ -93,14 +94,14 @@ enum class ConflictEngineKind {
 
 // What the per-question conflicts_remaining field records.
 enum class ConvergenceRecording {
-  // Cheap default: the naive-conflict tracker's size (phase one only).
+  // Cheap default: the engine's naive-conflict count (phase one only).
   kOff,
   // allconflicts(K) — chase included — recomputed after every answer.
   // The omniscient convergence series. Costly; leave off for delay
   // measurements.
   kTotalConflicts,
   // Conflicts as the two-phase algorithm *discovers* them: the naive
-  // tracker during phase one, the full chased census in phase two. This
+  // conflicts during phase one, the full chased census in phase two. This
   // is the counting behind the paper's Figure 4(b) fluctuations — the
   // count jumps up when the chase starts surfacing conflicts that were
   // invisible to phase one.
@@ -150,7 +151,7 @@ struct QuestionRecord {
   // Index of the chosen fix within the question — the user's scanning
   // effort; what opti-learn's re-ordering drives down.
   size_t chosen_index = 0;
-  // Conflicts remaining after the fix: naive-tracker count in phase one
+  // Conflicts remaining after the fix: naive-conflict count in phase one
   // (total chase conflicts when record_convergence is set).
   size_t conflicts_remaining = 0;
 };
@@ -279,11 +280,11 @@ class InquiryEngine {
   const PositionSet& propagated_positions() const;
 
   // The conflict census the engine would select from at this point, in
-  // canonical order: the naive tracker in phase one, the maintained
-  // delta census when that engine is live, otherwise (a dropped engine
-  // awaits its rebuild) the reference census computed against a *clone*
-  // of the symbol table — fresh nulls minted by the inspection chase
-  // never touch the live table.
+  // canonical order: the live engine's naive conflicts in phase one and
+  // its chased census in phase two; otherwise (a dropped engine awaits
+  // its rebuild) the same census recomputed by ConflictFinder against a
+  // *clone* of the symbol table — fresh nulls minted by the inspection
+  // chase never touch the live table.
   StatusOr<std::vector<Conflict>> InspectCensus() const;
 
   // The maintained chased census in canonical order, or nullopt while a
@@ -307,6 +308,13 @@ class InquiryEngine {
   // live. On failure nothing is live and the next call starts over, so a
   // deadline is retry-safe.
   Status EnsureDeltaEngine(Session& session);
+
+  // The census reads that follow an answer, on the live engine: in phase
+  // one, opti-prop's propagation test against the naive conflicts; the
+  // record's conflicts_remaining (naive in phase one unless
+  // record_convergence asks for the total, chased in phase two when
+  // recording is on).
+  void ReadAnswerCensus(Session& session, QuestionRecord& record);
 
   // Advances to the next pending question (or to done). No-op when a
   // question is already pending or the session is finished.

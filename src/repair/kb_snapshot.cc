@@ -89,7 +89,7 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
   snapshot->chase_options = chase_options;
 
   // Replicate InquiryEngine::Begin(Π=∅) on the base *before* freezing,
-  // in its order — skeleton, chased-conflict engine, naive census — so
+  // in its order — skeleton, then conflict engine — so
   // the frozen symbol table holds exactly the terms (scratch nulls,
   // chase-minted nulls) a cold session's Begin would have interned. The
   // two engines Begin builds become the fork's prototypes.
@@ -108,10 +108,7 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
                                                   &kb.cdds(), chase_options);
     KBREPAIR_RETURN_IF_ERROR(delta->Initialize(kb.facts()));
     snapshot->initial_conflicts = delta->size();
-    ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds(),
-                          chase_options);
-    snapshot->naive_census = finder.NaiveConflicts(kb.facts());
-    snapshot->initial_naive_conflicts = snapshot->naive_census.size();
+    snapshot->initial_naive_conflicts = delta->naive_size();
   }
 
   kb.FreezeShared();

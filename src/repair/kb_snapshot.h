@@ -4,8 +4,8 @@
 //
 // Building a snapshot replicates exactly the work InquiryEngine::Begin()
 // performs on a cold private KB — building the maintained Π-skeleton and
-// reading its verdict, building the chased-conflict engine and reading
-// its census, the naive census — in the same order and *before* freezing
+// reading its verdict, building the conflict engine and reading its
+// chased and naive censuses — in the same order and *before* freezing
 // the symbol table, so the frozen base captures the precise post-Begin
 // state (including every null those chases mint) every cold session
 // would reach. A fork then adopts the stored verdicts via
@@ -14,7 +14,8 @@
 //
 //  * skeleton_proto — the Π=∅ skeleton engine;
 //  * delta_proto    — the DeltaConflictEngine saturated over the base
-//                     facts.
+//                     facts; phase one of a fork reads its naive
+//                     conflicts.
 
 #ifndef KBREPAIR_REPAIR_KB_SNAPSHOT_H_
 #define KBREPAIR_REPAIR_KB_SNAPSHOT_H_
@@ -22,10 +23,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "chase/chase.h"
-#include "repair/conflict.h"
 #include "repair/delta_conflicts.h"
 #include "rules/knowledge_base.h"
 #include "util/status.h"
@@ -38,7 +37,6 @@ struct SharedBeginSeed {
   bool repairable = false;
   size_t initial_conflicts = 0;
   size_t initial_naive_conflicts = 0;
-  const std::vector<Conflict>* naive_census = nullptr;
   // Set by every repairable snapshot. A null prototype leaves the fork to
   // build that engine cold on first use, the path after a dropped engine.
   const DeltaConflictEngine* delta_proto = nullptr;
@@ -56,7 +54,6 @@ struct SharedKbSnapshot {
   bool repairable = false;
   size_t initial_conflicts = 0;
   size_t initial_naive_conflicts = 0;
-  std::vector<Conflict> naive_census;
 
   // Frozen engine prototypes, built by the replicated Begin() (null when
   // the base is not repairable).
@@ -78,7 +75,6 @@ struct SharedKbSnapshot {
     seed.repairable = repairable;
     seed.initial_conflicts = initial_conflicts;
     seed.initial_naive_conflicts = initial_naive_conflicts;
-    seed.naive_census = &naive_census;
     seed.delta_proto = delta_proto.get();
     seed.skeleton_proto = skeleton_proto.get();
     return seed;

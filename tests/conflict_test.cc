@@ -1,11 +1,14 @@
 #include "repair/conflict.h"
 
 #include <algorithm>
+#include <memory>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
+#include "repair/delta_conflicts.h"
 #include "repair/fix.h"
 #include "util/rng.h"
 
@@ -87,32 +90,6 @@ TEST(ConflictTest, GridClusterCountsAllHomomorphisms) {
   EXPECT_EQ(finder.NaiveConflicts(kb.facts()).size(), 6u);
 }
 
-TEST(ConflictTest, NaiveConflictsTouchingFindsOnlyAnchored) {
-  KnowledgeBase kb = Parse(R"(
-    p(j, a1). p(j, a2).
-    q(j, b1). q(j, b2).
-    ! :- p(X, Y), q(X, Z).
-  )");
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  // Anchored at the first p-atom: 1 x 2 conflicts.
-  EXPECT_EQ(finder.NaiveConflictsTouching(kb.facts(), 0).size(), 2u);
-  // Anchored at a q-atom: 2 x 1.
-  EXPECT_EQ(finder.NaiveConflictsTouching(kb.facts(), 2).size(), 2u);
-}
-
-TEST(ConflictTest, TouchingCountsHomUsingAnchorTwiceOnce) {
-  // CDD with two body atoms of the same predicate; the anchor can serve
-  // both. p(a,a) matches p(X,Y),p(Y,X) as a self-pair: exactly one
-  // conflict must be reported for the anchor.
-  KnowledgeBase kb = Parse(R"(
-    p(a, a).
-    ! :- p(X, Y), p(Y, X).
-  )");
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  EXPECT_EQ(finder.NaiveConflictsTouching(kb.facts(), 0).size(), 1u);
-  EXPECT_EQ(finder.NaiveConflicts(kb.facts()).size(), 1u);
-}
-
 TEST(ConflictTest, OverlapIndicatorsOnDisjointConflicts) {
   KnowledgeBase kb = Parse(R"(
     p(j1, a). q(j1, b).
@@ -161,70 +138,113 @@ TEST(ConflictTest, FiveByFiveGridHasScopeEight) {
   EXPECT_DOUBLE_EQ(ind.avg_scope, 8.0);
 }
 
+// UPDATECONFLICTS on naive conflicts: the naive index of the maintained
+// DeltaConflictEngine against the ConflictFinder::NaiveConflicts
+// reference, compared as (cdd, matched, support) after Initialize and
+// after every fix. Every KB carries a TGD whose derived atoms surface
+// chase-only conflicts, so the naive set is a strict subset of the
+// engine's census.
 class ConflictTrackerTest : public ::testing::Test {
  protected:
+  using Key = std::tuple<size_t, std::vector<AtomId>, std::vector<AtomId>>;
+
   void Build(const std::string& text) {
     kb_ = Parse(text);
     finder_ = std::make_unique<ConflictFinder>(&kb_.symbols(), &kb_.tgds(),
                                                &kb_.cdds());
-    tracker_ = std::make_unique<ConflictTracker>(finder_.get());
-    tracker_->InitializeFromCensus(finder_->NaiveConflicts(kb_.facts()));
+    engine_ = std::make_unique<DeltaConflictEngine>(
+        &kb_.symbols(), &kb_.tgds(), &kb_.cdds());
+    ASSERT_TRUE(engine_->Initialize(kb_.facts()).ok());
+    ASSERT_GT(engine_->size(), engine_->naive_size())
+        << "the KB must have chase-only conflicts";
+    ExpectNaiveMatchesReference();
+  }
+
+  // Applies the fix to the working facts and notifies the engine.
+  void ApplyAndNotify(AtomId atom, int arg, TermId value) {
+    ApplyFix(kb_.facts(), Fix{atom, arg, value});
+    ASSERT_TRUE(engine_->OnFixApplied(atom, arg, value).ok());
+    ExpectNaiveMatchesReference();
+  }
+
+  // The engine's naive conflicts, in its canonical order, equal the
+  // reference's sorted by (cdd, matched).
+  void ExpectNaiveMatchesReference() {
+    std::vector<Key> live;
+    for (const Conflict* c : engine_->naive_conflicts()) {
+      live.emplace_back(c->cdd_index, c->matched, c->support);
+    }
+    std::vector<Key> expected;
+    for (const Conflict& c : finder_->NaiveConflicts(kb_.facts())) {
+      expected.emplace_back(c.cdd_index, c.matched, c.support);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(live, expected);
+    EXPECT_EQ(engine_->naive_size(), expected.size());
   }
 
   KnowledgeBase kb_;
   std::unique_ptr<ConflictFinder> finder_;
-  std::unique_ptr<ConflictTracker> tracker_;
+  std::unique_ptr<DeltaConflictEngine> engine_;
 };
 
 TEST_F(ConflictTrackerTest, InitializeMatchesNaiveConflicts) {
   Build(R"(
     p(j, a1). p(j, a2).
     q(j, b1).
+    t(j, c1).
+    q(X, Y) :- t(X, Y).
     ! :- p(X, Y), q(X, Z).
   )");
-  EXPECT_EQ(tracker_->size(), 2u);
-  EXPECT_EQ(tracker_->NumConflictsTouching(0), 1u);
-  EXPECT_EQ(tracker_->NumConflictsTouching(2), 2u);
+  EXPECT_EQ(engine_->naive_size(), 2u);
+  EXPECT_EQ(engine_->size(), 4u);
+  EXPECT_TRUE(engine_->NaiveConflictMatches(0));
+  EXPECT_TRUE(engine_->NaiveConflictMatches(2));
+  // The t-atom supports only the chase-surfaced conflicts.
+  EXPECT_FALSE(engine_->NaiveConflictMatches(3));
 }
 
 TEST_F(ConflictTrackerTest, FixOnJoinPositionRemovesConflicts) {
   Build(R"(
     p(j, a1). p(j, a2).
     q(j, b1).
+    t(j, c1).
+    q(X, Y) :- t(X, Y).
     ! :- p(X, Y), q(X, Z).
   )");
-  // Break the join of the q-atom.
-  const TermId fresh = kb_.symbols().MakeFreshNull();
-  ApplyFix(kb_.facts(), Fix{2, 0, fresh});
-  tracker_->OnFixApplied(kb_.facts(), 2);
-  EXPECT_TRUE(tracker_->empty());
+  // Break the join of the q-atom: its naive conflicts go, the ones
+  // through the derived q-atom stay.
+  ApplyAndNotify(2, 0, kb_.symbols().MakeFreshNull());
+  EXPECT_EQ(engine_->naive_size(), 0u);
+  EXPECT_EQ(engine_->size(), 2u);
+  EXPECT_FALSE(engine_->NaiveConflictMatches(0));
 }
 
 TEST_F(ConflictTrackerTest, FixOnLonePositionKeepsConflicts) {
   Build(R"(
     p(j, a1).
     q(j, b1).
+    t(j, c1).
+    q(X, Y) :- t(X, Y).
     ! :- p(X, Y), q(X, Z).
   )");
-  const TermId fresh = kb_.symbols().MakeFreshNull();
-  ApplyFix(kb_.facts(), Fix{0, 1, fresh});
-  tracker_->OnFixApplied(kb_.facts(), 0);
+  ApplyAndNotify(0, 1, kb_.symbols().MakeFreshNull());
   // The lone position does not affect the homomorphism.
-  EXPECT_EQ(tracker_->size(), 1u);
+  EXPECT_EQ(engine_->naive_size(), 1u);
 }
 
 TEST_F(ConflictTrackerTest, FixCanIntroduceNewConflicts) {
   Build(R"(
     p(j, a1).
     q(k, b1).
+    t(j, c1).
+    q(X, Y) :- t(X, Y).
     ! :- p(X, Y), q(X, Z).
   )");
-  EXPECT_TRUE(tracker_->empty());
+  EXPECT_EQ(engine_->naive_size(), 0u);
   // Align the q-atom's join value with the p-atom: a conflict appears.
-  const TermId j = kb_.symbols().FindTerm(TermKind::kConstant, "j");
-  ApplyFix(kb_.facts(), Fix{1, 0, j});
-  tracker_->OnFixApplied(kb_.facts(), 1);
-  EXPECT_EQ(tracker_->size(), 1u);
+  ApplyAndNotify(1, 0, kb_.symbols().FindTerm(TermKind::kConstant, "j"));
+  EXPECT_EQ(engine_->naive_size(), 1u);
 }
 
 TEST_F(ConflictTrackerTest, AgreesWithFullRecomputeUnderRandomFixes) {
@@ -232,6 +252,8 @@ TEST_F(ConflictTrackerTest, AgreesWithFullRecomputeUnderRandomFixes) {
     p(j, a1). p(j, a2). p(k, a3).
     q(j, b1). q(k, b2). q(k, b3).
     r(j, k).
+    t(k, c1).
+    q(X, Y) :- t(X, Y).
     ! :- p(X, Y), q(X, Z).
     ! :- p(X, Y), r(X, Z), q(Z, W).
   )");
@@ -242,19 +264,14 @@ TEST_F(ConflictTrackerTest, AgreesWithFullRecomputeUnderRandomFixes) {
       kb_.symbols().FindTerm(TermKind::kConstant, "a1"),
       kb_.symbols().MakeFreshNull()};
   for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     const AtomId atom =
         static_cast<AtomId>(rng.UniformIndex(kb_.facts().size()));
     const int arg = static_cast<int>(
         rng.UniformIndex(static_cast<size_t>(kb_.facts().atom(atom).arity())));
-    ApplyFix(kb_.facts(), Fix{atom, arg, rng.Choose(values)});
-    tracker_->OnFixApplied(kb_.facts(), atom);
-
-    const std::vector<Conflict> expected =
-        finder_->NaiveConflicts(kb_.facts());
-    ASSERT_EQ(tracker_->size(), expected.size()) << "step " << step;
+    ApplyAndNotify(atom, arg, rng.Choose(values));
   }
 }
-
 
 TEST_F(ConflictTrackerTest, NoSameAsDuplicatesAcrossIncrementalUpdates) {
   // Two CDDs sharing body atoms: re-evaluation anchored at a fixed atom
@@ -266,6 +283,8 @@ TEST_F(ConflictTrackerTest, NoSameAsDuplicatesAcrossIncrementalUpdates) {
     p(j, a1). p(j, a2).
     q(j, b1).
     r(j, c1).
+    t(j, c2).
+    q(X, Y) :- t(X, Y).
     ! :- p(X, Y), q(X, Z).
     ! :- p(X, Y), r(X, Z).
   )");
@@ -275,36 +294,16 @@ TEST_F(ConflictTrackerTest, NoSameAsDuplicatesAcrossIncrementalUpdates) {
     // Break and restore the q-atom's join; the p/r conflicts survive both
     // updates untouched and must not be re-added.
     for (const TermId value : {fresh, j}) {
-      ApplyFix(kb_.facts(), Fix{2, 0, value});
-      tracker_->OnFixApplied(kb_.facts(), 2);
-      std::vector<const Conflict*> live;
-      for (const auto& [id, conflict] : tracker_->conflicts()) {
-        live.push_back(&conflict);
-      }
+      ApplyAndNotify(2, 0, value);
+      const std::vector<Conflict> live = engine_->CanonicalConflicts();
       for (size_t i = 0; i < live.size(); ++i) {
         for (size_t k = i + 1; k < live.size(); ++k) {
-          EXPECT_FALSE(live[i]->SameAs(*live[k]))
+          EXPECT_FALSE(live[i].SameAs(live[k]))
               << "duplicate conflict in round " << round;
         }
       }
-      ASSERT_EQ(tracker_->size(),
-                finder_->NaiveConflicts(kb_.facts()).size());
     }
   }
-}
-
-TEST_F(ConflictTrackerTest, PositionRankEqualsAtomDegree) {
-  Build(R"(
-    p(j, a1). p(j, a2).
-    q(j, b1).
-    ! :- p(X, Y), q(X, Z).
-  )");
-  // The q-atom supports both conflicts; its positions rank 2. Each
-  // p-atom supports one conflict; their positions rank 1.
-  EXPECT_EQ(tracker_->PositionRank(Position{2, 0}), 2u);
-  EXPECT_EQ(tracker_->PositionRank(Position{2, 1}), 2u);
-  EXPECT_EQ(tracker_->PositionRank(Position{0, 0}), 1u);
-  EXPECT_EQ(tracker_->PositionRank(Position{3, 0}), 0u);  // no atom 3
 }
 
 TEST(ConflictTest, SyntheticPlannedEqualsMeasured) {

@@ -524,5 +524,82 @@ TEST(InquiryTest, FailedProbeRebuildsWithoutChangingTheDialogue) {
   }
 }
 
+// A phase-one answer whose maintenance of the conflict engine fails
+// drops the engine; the answer rebuilds it before opti-prop's
+// propagation test and the naive count read it. The dialogue is the one
+// an unfaulted engine holds, at the cost of exactly one rebuild.
+TEST(InquiryTest, PhaseOneCorruptionRebuildsBeforePropagation) {
+  SyntheticKbOptions kb_options;
+  kb_options.seed = 3;
+  kb_options.num_facts = 100;
+  kb_options.inconsistency_ratio = 0.25;
+  kb_options.num_cdds = 5;
+  kb_options.num_tgds = 6;
+  kb_options.conflict_depth = 2;
+  kb_options.routed_violation_share = 0.5;
+  InquiryOptions options;
+  options.strategy = Strategy::kOptiProp;
+
+  // Runs the dialogue with seeded choices, failing the first
+  // `delta.corrupt` hit of answer `fault_round` (none when out of
+  // reach). Returns every question, answer, count and Π as text; lists
+  // in `propagating` the phase-one rounds whose answer froze positions.
+  const auto run = [&](size_t fault_round, std::vector<size_t>* propagating,
+                       size_t* rebuilds) {
+    StatusOr<SyntheticKb> gen = GenerateSyntheticKb(kb_options);
+    EXPECT_TRUE(gen.ok()) << gen.status();
+    const SymbolTable& symbols = gen->kb.symbols();
+    InquiryEngine engine(&gen->kb, options);
+    EXPECT_TRUE(engine.Begin().ok());
+    Rng chooser(41);
+    std::string out;
+    for (size_t round = 0;; ++round) {
+      StatusOr<const Question*> q = engine.NextQuestion();
+      EXPECT_TRUE(q.ok()) << q.status();
+      if (!q.ok() || *q == nullptr) break;
+      for (const Fix& fix : (*q)->fixes) {
+        out += fix.ToString(symbols, engine.working_facts()) + " ";
+      }
+      const size_t choice = chooser.UniformIndex((*q)->fixes.size());
+      const bool phase_one = engine.current_phase() == 1;
+      const size_t frozen = engine.propagated_positions().size();
+      if (round == fault_round) {
+        EXPECT_TRUE(phase_one);
+        failpoint::Arm("delta.corrupt", 0, 1);
+      }
+      EXPECT_TRUE(engine.Answer(choice).ok());
+      failpoint::Reset();
+      if (phase_one && engine.propagated_positions().size() > frozen) {
+        propagating->push_back(round);
+      }
+      out += "-> " + std::to_string(choice) + " left=" +
+             std::to_string(
+                 engine.progress().records.back().conflicts_remaining) +
+             " pi=" + std::to_string(engine.current_pi().size()) + "\n";
+    }
+    StatusOr<InquiryResult> result = engine.Finish();
+    EXPECT_TRUE(result.ok()) << result.status();
+    *rebuilds = result->engine_rebuilds;
+    for (AtomId id = 0; id < result->facts.size(); ++id) {
+      out += result->facts.atom(id).ToString(symbols) + "\n";
+    }
+    return out;
+  };
+
+  std::vector<size_t> propagating;
+  size_t clean_rebuilds = 0;
+  const std::string clean = run(SIZE_MAX, &propagating, &clean_rebuilds);
+  EXPECT_EQ(clean_rebuilds, 0u);
+  ASSERT_FALSE(propagating.empty()) << "no phase-one answer propagated";
+
+  std::vector<size_t> faulted_propagating;
+  size_t faulted_rebuilds = 0;
+  const std::string faulted =
+      run(propagating.front(), &faulted_propagating, &faulted_rebuilds);
+  EXPECT_EQ(faulted_rebuilds, 1u);
+  EXPECT_EQ(faulted_propagating, propagating);
+  EXPECT_EQ(faulted, clean);
+}
+
 }  // namespace
 }  // namespace kbrepair

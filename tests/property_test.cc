@@ -15,6 +15,7 @@
 #include "gen/synthetic.h"
 #include "repair/conflict.h"
 #include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "repair/inquiry.h"
 #include "repair/question.h"
 #include "repair/repairability.h"
@@ -241,9 +242,9 @@ TEST_P(MaintenanceProperty, IncrementalStructuresAgreeAlongInquiry) {
 
   ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ConflictTracker tracker(&finder);
+  DeltaConflictEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
   FactBase working = kb.facts();
-  tracker.InitializeFromCensus(finder.NaiveConflicts(working));
+  ASSERT_TRUE(engine.Initialize(working).ok());
 
   RepairabilityChecker repairability(&kb.symbols(), &kb.tgds(),
                                      &kb.cdds());
@@ -256,9 +257,9 @@ TEST_P(MaintenanceProperty, IncrementalStructuresAgreeAlongInquiry) {
   // Drive a phase-one style loop manually so we can cross-check the
   // incremental structures after every single fix.
   size_t steps = 0;
-  while (!tracker.empty() && steps < 60) {
+  while (engine.naive_size() > 0 && steps < 60) {
     ++steps;
-    const Conflict conflict = tracker.conflicts().begin()->second;
+    const Conflict conflict = **engine.naive_conflicts().begin();
     StatusOr<Question> question = generator.SoundQuestion(
         working, pi, conflict, kb.cdds(),
         PositionSelection::kAllPositions);
@@ -270,15 +271,16 @@ TEST_P(MaintenanceProperty, IncrementalStructuresAgreeAlongInquiry) {
     ApplyFix(working, fix);
     pi.insert(fix.position());
     repairability.SyncSkeleton(working, pi, fix.position());
-    tracker.OnFixApplied(working, fix.atom);
+    ASSERT_TRUE(engine.OnFixApplied(fix.atom, fix.arg, fix.value).ok());
 
     // Incremental naive conflicts == recomputed naive conflicts.
-    ASSERT_EQ(tracker.size(), finder.NaiveConflicts(working).size());
+    ASSERT_EQ(engine.naive_size(), finder.NaiveConflicts(working).size());
     // Naive and OPT consistency agree.
     ASSERT_EQ(checker.IsConsistentNaive(working).value(),
               checker.IsConsistentOpt(working).value());
   }
-  EXPECT_TRUE(tracker.empty()) << "phase one did not converge in bound";
+  EXPECT_EQ(engine.naive_size(), 0u)
+      << "phase one did not converge in bound";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaintenanceProperty,
