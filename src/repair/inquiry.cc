@@ -247,33 +247,26 @@ namespace {
 struct McdRanking {
   // (rank desc) -> positions with that rank.
   std::map<size_t, std::vector<Position>, std::greater<size_t>> groups;
-  std::unordered_map<uint64_t, const Conflict*> conflict_for;
-
-  static uint64_t Key(const Position& p) {
-    return (static_cast<uint64_t>(p.atom) << 8) ^
-           static_cast<uint64_t>(static_cast<uint32_t>(p.arg));
-  }
+  std::unordered_map<Position, const Conflict*, PositionHash> conflict_for;
 };
 
 McdRanking RankPositions(const std::vector<const Conflict*>& conflicts,
                          const FactBase& facts, const std::vector<Cdd>& cdds,
                          const QuestionGenerator& generator,
                          const PositionSet& pi) {
-  std::unordered_map<uint64_t, std::pair<Position, size_t>> counts;
+  std::unordered_map<Position, size_t, PositionHash> counts;
   McdRanking ranking;
   for (const Conflict* conflict : conflicts) {
     for (const Position& p : generator.RetrievePositions(
              facts, *conflict, cdds,
              PositionSelection::kResolvingPositions)) {
       if (pi.count(p) > 0) continue;
-      const uint64_t key = McdRanking::Key(p);
-      auto [it, inserted] = counts.emplace(key, std::make_pair(p, 0u));
-      ++it->second.second;
-      ranking.conflict_for.emplace(key, conflict);
+      ++counts[p];
+      ranking.conflict_for.emplace(p, conflict);
     }
   }
-  for (const auto& [key, entry] : counts) {
-    ranking.groups[entry.second].push_back(entry.first);
+  for (const auto& [position, rank] : counts) {
+    ranking.groups[rank].push_back(position);
   }
   return ranking;
 }
@@ -304,8 +297,7 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
       std::sort(positions.begin(), positions.end());
       session.rng.Shuffle(positions);
       for (const Position& position : positions) {
-        const Conflict* conflict =
-            ranking.conflict_for[McdRanking::Key(position)];
+        const Conflict* conflict = ranking.conflict_for[position];
         KBREPAIR_ASSIGN_OR_RETURN(
             Question question,
             session.generator.SoundQuestion(

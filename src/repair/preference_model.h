@@ -58,8 +58,8 @@ class PreferenceModel {
   };
 
   static uint64_t Key(PredicateId pred, int arg) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 8) |
-           static_cast<uint64_t>(static_cast<uint32_t>(arg) & 0xff);
+    return (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 32) |
+           static_cast<uint32_t>(arg);
   }
 
   const SymbolTable* symbols_;

@@ -16,8 +16,8 @@ class PositionGraph {
  public:
   int NodeFor(PredicateId pred, int pos) {
     const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 8) |
-        static_cast<uint64_t>(pos);
+        (static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 32) |
+        static_cast<uint32_t>(pos);
     auto [it, inserted] = node_ids_.emplace(key, num_nodes_);
     if (inserted) {
       ++num_nodes_;

@@ -40,6 +40,13 @@ TEST_F(FixTest, ValidFixSetRejectsConflictingValues) {
   EXPECT_FALSE(IsValidFixSet({Fix{0, 0, mike_}, Fix{0, 0, john_}}));
 }
 
+TEST_F(FixTest, ValidFixSetKeepsArgumentIndicesPast255Apart) {
+  // (0, 256) and (1, 0) are different positions: different values are
+  // fine. An 8-bit index field in the position key would merge them.
+  EXPECT_TRUE(IsValidFixSet({Fix{0, 256, mike_}, Fix{1, 0, john_}}));
+  EXPECT_FALSE(IsValidFixSet({Fix{0, 256, mike_}, Fix{0, 256, john_}}));
+}
+
 TEST_F(FixTest, ExampleThreeTwoApplication) {
   // Example 3.2: P = {(hasAllergy(john,aspirin), 2, X1),
   //                   (hasAllergy(mike,penicillin), 2, aspirin)}.

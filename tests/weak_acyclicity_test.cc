@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "parser/dlgp_parser.h"
+#include "rules/knowledge_base.h"
+
 namespace kbrepair {
 namespace {
 
@@ -104,6 +109,24 @@ TEST_F(WeakAcyclicityTest, BodyOnlyVariablesCreateNoEdges) {
   std::vector<Tgd> tgds;
   tgds.push_back(MakeTgd({Atom(p_, {x_, y_})}, {Atom(q_, {x_, x_})}));
   EXPECT_TRUE(IsWeaklyAcyclic(tgds, symbols_));
+}
+
+TEST(WeakAcyclicityWideTest, ArgumentIndicesPast255KeepDistinctNodes) {
+  // q(Z, X) :- p(V0, ..., V255, X) has one special edge, from (p, 256)
+  // to (q, 0), and no cycle. p and q get adjacent predicate ids, so a
+  // position key that keeps only 8 bits for the index merges the two
+  // nodes into a special self-loop.
+  std::string text = "p(";
+  std::string body = "p(";
+  for (int i = 0; i < 257; ++i) {
+    text += (i > 0 ? ", a" : "a") + std::to_string(i);
+    body += i < 256 ? "V" + std::to_string(i) + ", " : "X";
+  }
+  text += ").\nq(b, c).\nq(Z, X) :- " + body + ").\n";
+  StatusOr<KnowledgeBase> kb = ParseDlgp(text);
+  ASSERT_TRUE(kb.ok()) << kb.status();
+  ASSERT_EQ(kb->tgds().size(), 1u);
+  EXPECT_TRUE(kb->Validate().ok()) << kb->Validate();
 }
 
 }  // namespace
