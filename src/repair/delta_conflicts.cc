@@ -172,15 +172,7 @@ Status DeltaConflictEngine::VerifyInvariants() const {
   const size_t num_original = chase_.num_original();
   size_t num_naive = 0;
   for (const auto& [id, conflict] : conflicts_) {
-    if (IsNaive(conflict)) {
-      ++num_naive;
-      const auto it = naive_.find(&conflict);
-      if (it == naive_.end() || *it != &conflict) {
-        return Status::Internal(
-            "delta conflict engine invariant violated: naive index out of "
-            "sync with the conflict map");
-      }
-    }
+    if (IsNaive(conflict)) ++num_naive;
     if (conflict.support.empty()) {
       return Status::Internal(
           "delta conflict engine invariant violated: conflict with empty "
@@ -320,7 +312,7 @@ void DeltaConflictEngine::DropConflictsMatching(AtomId atom) {
       m_it->second.erase(id);
       if (m_it->second.empty()) by_matched_.erase(m_it);
     }
-    naive_.erase(&conflict_it->second);
+    if (IsNaive(conflict_it->second)) naive_.erase(&conflict_it->second);
     conflicts_.erase(conflict_it);
   }
 }
