@@ -131,10 +131,11 @@ class DeltaConflictEngine {
 
   // Structural self-check, run after every OnFixApplied: each live
   // conflict must match only alive atoms of the maintained base and
-  // carry a non-empty original-atom support, and the matched and naive
-  // indexes must mirror the conflict map. Internal on violation — the inquiry engine
-  // treats that as divergence and drops the engine for a cold rebuild
-  // rather than trusting a corrupt census.
+  // carry a non-empty original-atom support, the matched index must
+  // mirror the conflict map, and the naive index must hold as many
+  // conflicts as the map has naive ones. Internal on violation — the
+  // inquiry engine treats that as divergence and drops the engine for a
+  // cold rebuild rather than trusting a corrupt census.
   Status VerifyInvariants() const;
 
   const IncrementalChase& chase() const { return chase_; }

@@ -27,12 +27,13 @@
 // InquiryResult::engine_rebuilds). One instance keeps the chased base
 // and its canonical census current: phase one reads its naive
 // (all-original) conflicts, phase two and Algorithm 3 the whole census,
-// and its censuses at Begin are the initial conflict counts. The second, owned by the session's
-// RepairabilityChecker, keeps the census of the Π-skeleton: Begin reads
-// its verdict, each answer, opti-prop freeze and unfreeze rewrites it,
-// and sound-question filtering probes it for every full Π-REPOPT check.
-// The scratch implementations — ConflictFinder's AllConflicts and
-// NaiveConflicts and the repairability checker's one-shot Π-REP — remain the references the
+// and its censuses at Begin are the initial conflict counts. The
+// second, owned by the session's RepairabilityChecker, keeps the census
+// of the Π-skeleton: Begin reads its verdict, each answer, opti-prop
+// freeze and unfreeze rewrites it, and sound-question filtering probes
+// it for every full Π-REPOPT check. The scratch implementations —
+// ConflictFinder's AllConflicts and NaiveConflicts and the
+// repairability checker's one-shot Π-REP — remain the references the
 // tests compare it against.
 //
 // Strategies (Section 5):

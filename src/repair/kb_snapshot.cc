@@ -89,10 +89,10 @@ StatusOr<std::shared_ptr<const SharedKbSnapshot>> BuildSharedKbSnapshot(
   snapshot->chase_options = chase_options;
 
   // Replicate InquiryEngine::Begin(Π=∅) on the base *before* freezing,
-  // in its order — skeleton, then conflict engine — so
-  // the frozen symbol table holds exactly the terms (scratch nulls,
-  // chase-minted nulls) a cold session's Begin would have interned. The
-  // two engines Begin builds become the fork's prototypes.
+  // in its order — skeleton, then conflict engine — so the frozen
+  // symbol table holds exactly the terms (scratch nulls, chase-minted
+  // nulls) a cold session's Begin would have interned. The two engines
+  // Begin builds become the fork's prototypes.
   std::unique_ptr<DeltaConflictEngine> skeleton;
   std::unique_ptr<DeltaConflictEngine> delta;
   {
