@@ -14,7 +14,8 @@
 // understands (baseline: bench/baselines/BENCH_micro_primitives_quick
 // .json). The schema's two engine columns are reused per ladder:
 //   size_ladder  "join ..."        scratch = full naive-conflict rescan,
-//                                  incremental = UPDATECONFLICTS probe;
+//                                  incremental = one UPDATECONFLICTS step
+//                                  (DeltaConflictEngine::OnFixApplied);
 //   depth_ladder "saturation ..."  scratch = chase at --chase-threads 1,
 //                                  incremental = chase at 2 threads.
 // Each row therefore gates one hot primitive of the cache-dense chase
@@ -308,8 +309,9 @@ std::string RowJson(const std::string& config, const QuickStats& scratch,
          StatsJson(incremental) + "}";
 }
 
-// One join row: full naive rescan vs the incremental UPDATECONFLICTS
-// probe, both dominated by the columnar candidate scan.
+// One join row: full naive rescan vs one UPDATECONFLICTS step of the
+// maintained engine (a pinned re-enumeration plus its per-fix
+// self-check) on a TGD-free KB.
 std::string JoinRow(size_t num_facts) {
   SyntheticKb generated = MakeKb(num_facts, 0.3);
   KnowledgeBase& kb = generated.kb;
