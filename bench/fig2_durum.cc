@@ -15,9 +15,9 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "chase/chase.h"
 #include "gen/durum_wheat.h"
 #include "repair/conflict.h"
+#include "repair/delta_conflicts.h"
 #include "util/logging.h"
 
 namespace kbrepair {
@@ -32,30 +32,28 @@ void RunVersion(DurumWheatVersion version, const char* label) {
   KnowledgeBase& kb = durum->kb;
 
   // --- Characteristics table.
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  KBREPAIR_CHECK(chased.ok());
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<std::vector<Conflict>> all = finder.AllConflicts(kb.facts());
-  KBREPAIR_CHECK(all.ok());
-  const OverlapIndicators ind = ComputeOverlapIndicators(*all);
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_CHECK(census.Initialize(kb.facts()).ok());
+  const std::vector<Conflict> all = census.CanonicalConflicts();
+  const OverlapIndicators ind = ComputeOverlapIndicators(all);
   double atoms_per_conflict = 0;
-  for (const Conflict& conflict : *all) {
+  for (const Conflict& conflict : all) {
     atoms_per_conflict += static_cast<double>(conflict.support.size());
   }
-  if (!all->empty()) {
-    atoms_per_conflict /= static_cast<double>(all->size());
+  if (!all.empty()) {
+    atoms_per_conflict /= static_cast<double>(all.size());
   }
 
   PrintHeader(std::string("Figure 2 table — ") + label +
               " characteristics");
   const std::vector<int> widths = {26, 14};
   PrintRow({"Size (#atoms)", std::to_string(kb.facts().size())}, widths);
-  PrintRow({"ChaseSize (#atoms)", std::to_string(chased->facts().size())},
+  PrintRow({"ChaseSize (#atoms)",
+            std::to_string(census.chase().facts().size())},
            widths);
   PrintRow({"#TGDs", std::to_string(kb.tgds().size())}, widths);
   PrintRow({"#CDDs", std::to_string(kb.cdds().size())}, widths);
-  PrintRow({"Conflicts", std::to_string(all->size())}, widths);
+  PrintRow({"Conflicts", std::to_string(all.size())}, widths);
   PrintRow({"Avg # atoms per overlap",
             FormatDouble(ind.avg_atoms_per_overlap, 2)},
            widths);

@@ -16,6 +16,7 @@
 #include "bench_common.h"
 #include "gen/synthetic.h"
 #include "repair/conflict.h"
+#include "repair/delta_conflicts.h"
 #include "util/logging.h"
 
 namespace kbrepair {
@@ -69,13 +70,13 @@ int main() {
         GenerateSyntheticKb(Fig3Options(ratio, /*seed=*/100));
     KBREPAIR_CHECK(generated.ok()) << generated.status();
     KnowledgeBase& kb = generated->kb;
-    ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-    StatusOr<std::vector<Conflict>> all = finder.AllConflicts(kb.facts());
-    KBREPAIR_CHECK(all.ok());
-    const OverlapIndicators ind = ComputeOverlapIndicators(*all);
+    DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+    KBREPAIR_CHECK(census.Initialize(kb.facts()).ok());
+    const OverlapIndicators ind =
+        ComputeOverlapIndicators(census.CanonicalConflicts());
     PrintRow({FormatDouble(100 * ratio, 0) + "%",
               std::to_string(kb.facts().size()),
-              std::to_string(all->size()),
+              std::to_string(census.size()),
               FormatDouble(ind.avg_atoms_per_overlap, 2),
               FormatDouble(ind.avg_scope, 1),
               FormatDouble(100 * generated->info.join_position_share, 0) +

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "gen/synthetic.h"
 #include "kb/homomorphism.h"
 #include "repair/conflict.h"
@@ -65,6 +65,20 @@ SyntheticKb MakeKb(size_t num_facts, double ratio, size_t num_tgds = 0,
   return std::move(generated).value();
 }
 
+// A full naive-conflict rescan of `facts`: every CDD-body match
+// enumerated and materialized, as a from-scratch census would.
+size_t NaiveRescan(KnowledgeBase& kb, const FactBase& facts) {
+  HomomorphismFinder finder(&kb.symbols(), &facts);
+  std::vector<std::vector<AtomId>> matches;
+  for (const Cdd& cdd : kb.cdds()) {
+    finder.FindAll(cdd.body(), [&](const Homomorphism& hom) {
+      matches.push_back(hom.matched);
+      return true;
+    });
+  }
+  return matches.size();
+}
+
 void BM_ChaseSaturation(benchmark::State& state) {
   SyntheticKb generated =
       MakeKb(static_cast<size_t>(state.range(0)), 0.1, /*num_tgds=*/20,
@@ -72,10 +86,9 @@ void BM_ChaseSaturation(benchmark::State& state) {
   KnowledgeBase& kb = generated.kb;
   size_t derived = 0;
   for (auto _ : state) {
-    StatusOr<ChaseResult> chased =
-        RunChase(kb.facts(), kb.tgds(), kb.symbols());
-    KBREPAIR_CHECK(chased.ok());
-    derived = chased->num_derived();
+    IncrementalChase chase(&kb.symbols(), &kb.tgds());
+    KBREPAIR_CHECK(chase.Initialize(kb.facts()).ok());
+    derived = chase.facts().size() - chase.num_original();
     benchmark::DoNotOptimize(derived);
   }
   state.counters["derived_atoms"] = static_cast<double>(derived);
@@ -104,12 +117,11 @@ BENCHMARK(BM_CddBodyJoin)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
 void BM_AllConflicts(benchmark::State& state) {
   SyntheticKb generated = MakeKb(static_cast<size_t>(state.range(0)), 0.3);
   KnowledgeBase& kb = generated.kb;
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   size_t conflicts = 0;
   for (auto _ : state) {
-    StatusOr<std::vector<Conflict>> all = finder.AllConflicts(kb.facts());
-    KBREPAIR_CHECK(all.ok());
-    conflicts = all->size();
+    DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+    KBREPAIR_CHECK(census.Initialize(kb.facts()).ok());
+    conflicts = census.size();
     benchmark::DoNotOptimize(conflicts);
   }
   state.counters["conflicts"] = static_cast<double>(conflicts);
@@ -213,7 +225,6 @@ BENCHMARK(BM_UpdateConflictsIncremental)->Arg(1000)->Arg(2000);
 void BM_UpdateConflictsFullRecompute(benchmark::State& state) {
   SyntheticKb generated = MakeKb(static_cast<size_t>(state.range(0)), 0.3);
   KnowledgeBase& kb = generated.kb;
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   FactBase working = kb.facts();
   const TermId fresh = kb.symbols().MakeFreshNull();
   const TermId original = working.atom(0).args[0];
@@ -221,9 +232,7 @@ void BM_UpdateConflictsFullRecompute(benchmark::State& state) {
   for (auto _ : state) {
     working.SetArg(0, 0, flip ? original : fresh);
     flip = !flip;
-    const std::vector<Conflict> conflicts =
-        finder.NaiveConflicts(working);
-    benchmark::DoNotOptimize(conflicts.size());
+    benchmark::DoNotOptimize(NaiveRescan(kb, working));
   }
 }
 BENCHMARK(BM_UpdateConflictsFullRecompute)->Arg(1000)->Arg(2000);
@@ -236,16 +245,16 @@ void BM_SoundQuestionGeneration(benchmark::State& state) {
   KnowledgeBase& kb = generated.kb;
   RepairabilityChecker repairability(&kb.symbols(), &kb.tgds(),
                                      &kb.cdds());
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
   QuestionGenerator generator(&kb.symbols(), &repairability);
   KBREPAIR_CHECK(repairability.EnsureSkeleton(kb.facts(), {}).ok());
-  const std::vector<Conflict> conflicts =
-      finder.NaiveConflicts(kb.facts());
-  KBREPAIR_CHECK(!conflicts.empty());
+  KBREPAIR_CHECK(census.Initialize(kb.facts()).ok());
+  KBREPAIR_CHECK(census.naive_size() > 0);
+  const Conflict conflict = census.CanonicalNaiveConflicts().front();
   size_t question_size = 0;
   for (auto _ : state) {
     StatusOr<Question> question = generator.SoundQuestion(
-        kb.facts(), {}, conflicts.front(), kb.cdds(),
+        kb.facts(), {}, conflict, kb.cdds(),
         PositionSelection::kAllPositions);
     KBREPAIR_CHECK(question.ok());
     question_size = question->fixes.size();
@@ -315,7 +324,6 @@ std::string RowJson(const std::string& config, const QuickStats& scratch,
 std::string JoinRow(size_t num_facts) {
   SyntheticKb generated = MakeKb(num_facts, 0.3);
   KnowledgeBase& kb = generated.kb;
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   FactBase working = kb.facts();
   const TermId fresh = kb.symbols().MakeFreshNull();
   const TermId original = working.atom(0).args[0];
@@ -323,8 +331,7 @@ std::string JoinRow(size_t num_facts) {
   const QuickStats scratch = MeasureMs(12, [&] {
     working.SetArg(0, 0, flip ? original : fresh);
     flip = !flip;
-    const std::vector<Conflict> conflicts = finder.NaiveConflicts(working);
-    KBREPAIR_CHECK(!conflicts.empty());
+    KBREPAIR_CHECK(NaiveRescan(kb, working) > 0);
   });
   DeltaConflictEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
   KBREPAIR_CHECK(engine.Initialize(working).ok());
@@ -349,11 +356,11 @@ std::string SaturationRow(size_t num_facts) {
   const auto run_at = [&kb](size_t threads) {
     ChaseOptions options;
     options.num_threads = threads;
-    ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr, options);
     return MeasureMs(16, [&] {
-      StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-      KBREPAIR_CHECK(chased.ok()) << chased.status();
-      benchmark::DoNotOptimize(chased->num_derived());
+      IncrementalChase chase(&kb.symbols(), &kb.tgds(), options);
+      const Status status = chase.Initialize(kb.facts());
+      KBREPAIR_CHECK(status.ok()) << status;
+      benchmark::DoNotOptimize(chase.facts().size());
     });
   };
   return RowJson("saturation " + std::to_string(num_facts) + " facts d2",

@@ -7,10 +7,9 @@
 
 #include <cstdio>
 
-#include "chase/chase.h"
 #include "gen/durum_wheat.h"
-#include "repair/conflict.h"
 #include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "repair/inquiry.h"
 #include "repair/user.h"
 
@@ -28,12 +27,8 @@ int main(int argc, char** argv) {
   }
   KnowledgeBase& kb = durum->kb;
 
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<std::vector<Conflict>> conflicts =
-      finder.AllConflicts(kb.facts());
-  if (!chased.ok() || !conflicts.ok()) {
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  if (!census.Initialize(kb.facts()).ok()) {
     std::fprintf(stderr, "analysis failed\n");
     return 1;
   }
@@ -41,10 +36,10 @@ int main(int argc, char** argv) {
   std::printf("Durum Wheat %s\n",
               version == DurumWheatVersion::kV1 ? "v1" : "v2");
   std::printf("  facts: %zu   chased: %zu   TGDs: %zu   CDDs: %zu\n",
-              kb.facts().size(), chased->facts().size(), kb.tgds().size(),
-              kb.cdds().size());
+              kb.facts().size(), census.chase().facts().size(),
+              kb.tgds().size(), kb.cdds().size());
   std::printf("  conflicts: %zu (%zu naive, %zu chase-only)\n",
-              conflicts->size(), durum->info.planned_naive_conflicts,
+              census.size(), durum->info.planned_naive_conflicts,
               durum->info.planned_chase_conflicts);
 
   // A taste of the content, like the paper's excerpt table.

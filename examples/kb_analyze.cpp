@@ -20,12 +20,12 @@
 #include <map>
 #include <string>
 
-#include "chase/chase.h"
 #include "chase/query.h"
 #include "parser/dlgp_parser.h"
 #include "repair/conflict.h"
 #include "repair/consistency.h"
 #include "repair/cqa.h"
+#include "repair/delta_conflicts.h"
 #include "repair/inquiry.h"
 #include "repair/user.h"
 #include "util/stats.h"
@@ -88,26 +88,22 @@ int main(int argc, char** argv) {
             << kb.cdds().size() << " CDDs\n";
 
   std::cout << "\n== chase ==\n";
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  if (!chased.ok()) {
-    std::cerr << "chase failed: " << chased.status() << "\n";
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  if (Status status = census.Initialize(kb.facts()); !status.ok()) {
+    std::cerr << "chase failed: " << status << "\n";
     return 1;
   }
-  std::cout << "Cl(F): " << chased->facts().size() << " atoms ("
-            << chased->num_derived() << " derived)\n";
+  const IncrementalChase& chased = census.chase();
+  std::cout << "Cl(F): " << chased.facts().size() << " atoms ("
+            << chased.facts().size() - chased.num_original()
+            << " derived)\n";
 
   std::cout << "\n== conflicts ==\n";
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<std::vector<Conflict>> all = finder.AllConflicts(kb.facts());
-  if (!all.ok()) {
-    std::cerr << "conflict enumeration failed: " << all.status() << "\n";
-    return 1;
-  }
-  const size_t naive = finder.NaiveConflicts(kb.facts()).size();
-  const OverlapIndicators ind = ComputeOverlapIndicators(*all);
-  std::cout << all->size() << " conflicts (" << naive << " naive, "
-            << (all->size() - naive) << " chase-only)\n"
+  const std::vector<Conflict> all = census.CanonicalConflicts();
+  const size_t naive = census.naive_size();
+  const OverlapIndicators ind = ComputeOverlapIndicators(all);
+  std::cout << all.size() << " conflicts (" << naive << " naive, "
+            << (all.size() - naive) << " chase-only)\n"
             << "atoms in conflicts: " << ind.atoms_in_conflicts << " ("
             << FormatDouble(100.0 *
                                 static_cast<double>(ind.atoms_in_conflicts) /
@@ -121,7 +117,7 @@ int main(int argc, char** argv) {
 
   // Per-CDD violation counts.
   std::map<size_t, size_t> per_cdd;
-  for (const Conflict& conflict : *all) ++per_cdd[conflict.cdd_index];
+  for (const Conflict& conflict : all) ++per_cdd[conflict.cdd_index];
   for (const auto& [cdd, count] : per_cdd) {
     std::cout << "  " << count << "x  "
               << kb.cdds()[cdd].ToString(kb.symbols()) << "\n";
@@ -129,19 +125,19 @@ int main(int argc, char** argv) {
 
   if (explain) {
     std::cout << "\n== conflict explanations ==\n";
-    for (const Conflict& conflict : *all) {
+    for (const Conflict& conflict : all) {
       std::cout << ExplainConflict(conflict, kb.cdds(), kb.facts(),
-                                   kb.symbols(), &*chased);
+                                   kb.symbols(), &chased);
     }
   }
   if (dump_dot) {
     std::cout << "\n== conflict hypergraph (GraphViz) ==\n"
-              << ConflictHypergraphToDot(*all, kb.facts(), kb.symbols());
+              << ConflictHypergraphToDot(all, kb.facts(), kb.symbols());
   }
 
   // Hypergraph hot spots: atoms in the most conflicts.
   std::map<AtomId, size_t> degree;
-  for (const Conflict& conflict : *all) {
+  for (const Conflict& conflict : all) {
     for (AtomId id : conflict.support) ++degree[id];
   }
   std::vector<std::pair<size_t, AtomId>> hot;
@@ -154,7 +150,7 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  if (!all->empty()) {
+  if (!all.empty()) {
     std::cout << "\n== repair estimate (simulated user) ==\n";
     for (Strategy strategy :
          {Strategy::kRandom, Strategy::kOptiJoin, Strategy::kOptiProp,

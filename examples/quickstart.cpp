@@ -9,8 +9,8 @@
 #include <iostream>
 
 #include "parser/dlgp_parser.h"
-#include "repair/conflict.h"
 #include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "repair/inquiry.h"
 #include "repair/user.h"
 
@@ -57,11 +57,13 @@ int main() {
             << "\n\n";
 
   // Enumerate the conflicts (Example 2.4 finds exactly two).
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<std::vector<Conflict>> conflicts =
-      finder.AllConflicts(kb.facts());
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  if (Status status = census.Initialize(kb.facts()); !status.ok()) {
+    std::cerr << "conflict enumeration failed: " << status << "\n";
+    return 1;
+  }
   std::cout << "=== Conflicts (Example 2.4) ===\n";
-  for (const Conflict& conflict : conflicts.value()) {
+  for (const Conflict& conflict : census.CanonicalConflicts()) {
     std::cout << "violated CDD: "
               << kb.cdds()[conflict.cdd_index].ToString(kb.symbols())
               << "\n  supported by original facts:";

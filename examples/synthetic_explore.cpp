@@ -13,7 +13,7 @@
 #include <string>
 
 #include "gen/synthetic.h"
-#include "repair/conflict.h"
+#include "repair/delta_conflicts.h"
 #include "repair/inquiry.h"
 #include "repair/user.h"
 
@@ -36,11 +36,10 @@ void RunOne(const kbrepair::SyntheticKbOptions& options,
     return;
   }
   KnowledgeBase& kb = generated->kb;
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<std::vector<Conflict>> conflicts =
-      finder.AllConflicts(kb.facts());
-  if (!conflicts.ok()) return;
-  const OverlapIndicators ind = ComputeOverlapIndicators(*conflicts);
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  if (!census.Initialize(kb.facts()).ok()) return;
+  const OverlapIndicators ind =
+      ComputeOverlapIndicators(census.CanonicalConflicts());
 
   RandomUser user(7);
   InquiryOptions inquiry_options;
@@ -55,7 +54,7 @@ void RunOne(const kbrepair::SyntheticKbOptions& options,
   }
   std::printf("%-14s atoms=%-6zu conflicts=%-5zu scope=%-6.1f "
               "questions=%-5zu conflicts/q=%-6.2f meanDelay=%.2fms\n",
-              label.c_str(), kb.facts().size(), conflicts->size(),
+              label.c_str(), kb.facts().size(), census.size(),
               ind.avg_scope, result->num_questions(),
               result->ConflictsPerQuestion(),
               result->MeanDelaySeconds() * 1e3);

@@ -42,7 +42,7 @@ IncrementalChase::IncrementalChase(SymbolTable* symbols,
   if (cdds_ != nullptr) cdd_anchor_index_ = IndexBodies(*cdds_);
 }
 
-std::vector<AtomId> IncrementalChase::Reset(const FactBase& facts) {
+Status IncrementalChase::Initialize(const FactBase& facts) {
   initialized_ = false;
   violation_.reset();
   chased_ = facts;
@@ -60,13 +60,8 @@ std::vector<AtomId> IncrementalChase::Reset(const FactBase& facts) {
   for (AtomId id = 0; id < chased_.size(); ++id) {
     if (chased_.alive(id)) seed.push_back(id);
   }
-  return seed;
-}
-
-Status IncrementalChase::Initialize(const FactBase& facts) {
-  std::vector<AtomId> seed = Reset(facts);
-  trace::ScopedSpan span("chase.delta_saturate", trace::Phase::kDeltaChase);
-  KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(seed), "delta chase"));
+  trace::ScopedSpan span("chase.saturate", trace::Phase::kChase);
+  KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(seed), "chase"));
   initialized_ = true;
   return Status::Ok();
 }

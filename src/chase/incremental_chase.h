@@ -10,15 +10,19 @@
 // parent atoms), so a violation on the chased base can be traced back to
 // the original facts that support it (GENERATEQUESTION-CHASE, §5).
 //
-// Saturate() is the only saturation loop in the code base. Three entry
-// points drive it: Initialize() (a session's maintained base), ApplyFix()
-// (delta re-saturation) and ChaseEngine::Run (chase/chase.h), the
-// from-scratch facade every one-shot chase goes through. When the chase
-// is built with CDDs, each wave also searches the constraint bodies
-// anchored at its atoms and the saturation stops at the first violation
-// in slot order — the paper's CHECKCONSISTENCY-OPT: "⊥ is seen as a
-// unary predicate; if, during the chase, the constant ⊥ is produced then
-// the knowledge base is inconsistent".
+// Saturate() is the only saturation loop in the code base, and this
+// class is the only way into it. Two entry points drive it:
+// Initialize(), the full chase of a fact base — every one-shot chase
+// (consistency checks, query answering, inspection) and every
+// maintained base starts there, traced as `chase.saturate` under
+// trace::Phase::kChase — and ApplyFix(), the delta re-saturation after
+// a position fix, traced as `chase.delta_saturate` under
+// trace::Phase::kDeltaChase. When the chase is built with CDDs, each
+// wave also searches the constraint bodies anchored at its atoms and
+// the saturation stops at the first violation in slot order — the
+// paper's CHECKCONSISTENCY-OPT: "⊥ is seen as a unary predicate; if,
+// during the chase, the constant ⊥ is produced then the knowledge base
+// is inconsistent".
 //
 // Delta maintenance. A position fix (A, i, t) touches exactly one atom,
 // and chase provenance tells us precisely which derived facts depended
@@ -137,7 +141,9 @@ class IncrementalChase {
 
   // Full chase of a copy of `facts`, seeded with its alive atoms (an
   // input may carry tombstones; a dead atom neither anchors triggers nor
-  // witnesses violations). Resets all maintained state.
+  // witnesses violations). Resets all maintained state. Original atoms
+  // keep their ids [0, num_original); derived atoms follow. The caller
+  // must have validated weak acyclicity; only the atom cap is enforced.
   Status Initialize(const FactBase& facts);
 
   // Flattens the maintained state (chased base, provenance, ledger) into
@@ -205,8 +211,6 @@ class IncrementalChase {
   size_t ledger_size() const { return suppressed_.size(); }
 
  private:
-  friend class ChaseEngine;
-
   // A trigger that was blocked — by head satisfaction or by a ground
   // duplicate — remembered so retraction of its witness can revive it.
   // Bindings are flat (ledger entries are revalidated with the same
@@ -230,10 +234,6 @@ class IncrementalChase {
   void RecordSuppressed(size_t tgd_index, std::vector<AtomId> matched,
                         std::vector<Binding> bindings,
                         const std::vector<AtomId>& witnesses);
-
-  // Resets all maintained state to a copy of `facts` and returns its
-  // alive atoms, the seed wave of a full chase.
-  std::vector<AtomId> Reset(const FactBase& facts);
 
   // The saturation loop (chase/wave.h): runs waves until the work
   // frontier empties, or until the first CDD violation when the chase

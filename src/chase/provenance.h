@@ -7,8 +7,8 @@
 // walked down through parents to the original facts — and the *forward
 // cone* of an original atom — every derived atom whose proof uses it.
 // There is one source of derivations, so the walks take the chase
-// directly: a session's maintained base, or the chase inside a one-shot
-// ChaseResult (ChaseResult::chase()); kbrepair-debug uses both.
+// directly: a session's maintained base, or a one-shot IncrementalChase
+// run with Initialize(); kbrepair-debug uses both.
 
 #ifndef KBREPAIR_CHASE_PROVENANCE_H_
 #define KBREPAIR_CHASE_PROVENANCE_H_

@@ -35,11 +35,11 @@ StatusOr<QueryAnswers> AnswerQuery(const ConjunctiveQuery& query,
     }
   }
 
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), /*cdds=*/nullptr, options);
-  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(kb.facts()));
+  IncrementalChase chase(&kb.symbols(), &kb.tgds(), options);
+  KBREPAIR_RETURN_IF_ERROR(chase.Initialize(kb.facts()));
 
   QueryAnswers answers;
-  HomomorphismFinder finder(&kb.symbols(), &chased.facts());
+  HomomorphismFinder finder(&kb.symbols(), &chase.facts());
   finder.FindAll(query.body, [&](const Homomorphism& hom) {
     answers.boolean_result = true;
     if (query.answer_variables.empty()) return false;  // boolean: done

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "kb/atom.h"
 #include "rules/knowledge_base.h"
 #include "util/status.h"

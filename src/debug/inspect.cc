@@ -24,7 +24,7 @@ struct ChasedView {
   const SymbolTable* symbols = nullptr;
   // Owning storage for the fresh-chase path.
   std::unique_ptr<SymbolTable> cloned_symbols;
-  std::unique_ptr<ChaseResult> result;
+  std::unique_ptr<IncrementalChase> owned;
 };
 
 StatusOr<ChasedView> MakeChasedView(const InquiryEngine& engine,
@@ -37,11 +37,10 @@ StatusOr<ChasedView> MakeChasedView(const InquiryEngine& engine,
     return view;
   }
   view.cloned_symbols = kb.symbols().Clone();
-  ChaseEngine chase(view.cloned_symbols.get(), &kb.tgds(), nullptr, options);
-  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult result,
-                            chase.Run(engine.working_facts()));
-  view.result = std::make_unique<ChaseResult>(std::move(result));
-  view.chase = &view.result->chase();
+  view.owned = std::make_unique<IncrementalChase>(view.cloned_symbols.get(),
+                                                  &kb.tgds(), options);
+  KBREPAIR_RETURN_IF_ERROR(view.owned->Initialize(engine.working_facts()));
+  view.chase = view.owned.get();
   view.symbols = view.cloned_symbols.get();
   return view;
 }

@@ -17,7 +17,7 @@
 
 #include <string>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "repair/inquiry.h"
 #include "rules/knowledge_base.h"
 #include "util/status.h"

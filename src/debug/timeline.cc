@@ -1,9 +1,11 @@
 #include "debug/timeline.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <utility>
 
+#include "repair/delta_conflicts.h"
 #include "repair/session_log.h"
 #include "repair/user.h"
 #include "service/protocol.h"
@@ -371,19 +373,20 @@ std::string CensusRendering(const std::vector<Conflict>& census) {
   return out;
 }
 
-// The census InspectCensus should report, recomputed from scratch
-// against a clone of the symbol table.
+// The census InspectCensus should report, from a cold engine
+// initialized against a clone of the symbol table.
 StatusOr<std::vector<Conflict>> ReferenceCensus(const InquiryEngine& engine,
                                                 const KnowledgeBase& kb,
                                                 const InquiryOptions& opts) {
   if (engine.finished()) return std::vector<Conflict>{};
   std::unique_ptr<SymbolTable> symbols = kb.symbols().Clone();
-  ConflictFinder finder(symbols.get(), &kb.tgds(), &kb.cdds(),
-                        opts.chase_options);
+  DeltaConflictEngine cold(symbols.get(), &kb.tgds(), &kb.cdds(),
+                           opts.chase_options);
+  KBREPAIR_RETURN_IF_ERROR(cold.Initialize(engine.working_facts()));
   if (opts.two_phase && engine.current_phase() == 1) {
-    return finder.NaiveConflicts(engine.working_facts());
+    return cold.CanonicalNaiveConflicts();
   }
-  return finder.AllConflicts(engine.working_facts());
+  return cold.CanonicalConflicts();
 }
 
 }  // namespace

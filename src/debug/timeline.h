@@ -212,9 +212,9 @@ class SessionTimeline {
 
 // Replays one recording through the engine and, before every recorded
 // answer, compares the census the engine selects from (InspectCensus)
-// with the reference census recomputed from scratch on a cloned symbol
-// table — the naive conflicts in phase one, ConflictFinder::AllConflicts
-// otherwise — by (CDD index, original support). Reports the first step
+// with the reference census of a cold DeltaConflictEngine initialized on
+// a cloned symbol table — its naive conflicts in phase one, its whole
+// census otherwise — by (CDD index, original support). Reports the first step
 // where the two differ or where the replay stops matching the
 // recording. Unlike SessionTimeline, the replay need not *succeed*:
 // where it stops matching is exactly the finding.

@@ -1,6 +1,7 @@
 #include "gen/durum_wheat.h"
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,10 +33,6 @@ constexpr std::array<const char*, 12> kConstantStems = {
 
 StatusOr<DurumWheatKb> GenerateDurumWheatKb(
     const DurumWheatOptions& options) {
-  // The reconstruction is deterministic by design (the cluster layout is
-  // solved to hit the published characteristics exactly); the seed is
-  // reserved for future randomized padding.
-  (void)options.seed;
   DurumWheatKb result;
   KnowledgeBase& kb = result.kb;
   SymbolTable& symbols = kb.symbols();

@@ -39,7 +39,7 @@
 #ifndef KBREPAIR_GEN_DURUM_WHEAT_H_
 #define KBREPAIR_GEN_DURUM_WHEAT_H_
 
-#include <cstdint>
+#include <cstddef>
 
 #include "rules/knowledge_base.h"
 #include "util/status.h"
@@ -51,9 +51,11 @@ enum class DurumWheatVersion {
   kV2,  // 100 CDDs (extra constraints, same facts)
 };
 
+// The reconstruction is deterministic by design: the cluster layout is
+// solved to hit the published characteristics exactly, so there is no
+// seed.
 struct DurumWheatOptions {
   DurumWheatVersion version = DurumWheatVersion::kV1;
-  uint64_t seed = 20180326;  // EDBT 2018 opening day
 };
 
 struct DurumWheatInfo {

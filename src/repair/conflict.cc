@@ -1,81 +1,9 @@
 #include "repair/conflict.h"
 
-#include <algorithm>
+#include <string>
 #include <unordered_set>
 
-#include "chase/support.h"
-#include "util/logging.h"
-#include "util/trace.h"
-
 namespace kbrepair {
-
-namespace {
-
-// Distinct matched atoms, ascending — the support of a naive conflict.
-std::vector<AtomId> DistinctSorted(std::vector<AtomId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-}  // namespace
-
-ConflictFinder::ConflictFinder(SymbolTable* symbols,
-                               const std::vector<Tgd>* tgds,
-                               const std::vector<Cdd>* cdds,
-                               ChaseOptions chase_options)
-    : symbols_(symbols),
-      tgds_(tgds),
-      cdds_(cdds),
-      chase_options_(chase_options) {
-  KBREPAIR_CHECK(symbols != nullptr);
-  KBREPAIR_CHECK(tgds != nullptr);
-  KBREPAIR_CHECK(cdds != nullptr);
-}
-
-StatusOr<std::vector<Conflict>> ConflictFinder::AllConflicts(
-    const FactBase& facts) const {
-  ChaseEngine engine(symbols_, tgds_, /*cdds=*/nullptr, chase_options_);
-  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(facts));
-
-  trace::ScopedSpan span("conflicts.enumerate", trace::Phase::kConflictScan);
-  std::vector<Conflict> conflicts;
-  HomomorphismFinder finder(symbols_, &chased.facts());
-  // Supports go through the canonical resolver, not fire-time
-  // provenance, so they are a function of the chased base alone and
-  // comparable with the incremental engine's (see chase/support.h).
-  CanonicalSupportResolver support(symbols_, tgds_, &chased.facts(),
-                                   chased.num_original());
-  for (size_t c = 0; c < cdds_->size(); ++c) {
-    finder.FindAll((*cdds_)[c].body(), [&](const Homomorphism& hom) {
-      Conflict conflict;
-      conflict.cdd_index = c;
-      conflict.matched = hom.matched;
-      conflict.support = support.Support(hom.matched);
-      conflicts.push_back(std::move(conflict));
-      return true;
-    });
-  }
-  return conflicts;
-}
-
-std::vector<Conflict> ConflictFinder::NaiveConflicts(
-    const FactBase& facts) const {
-  trace::ScopedSpan span("conflicts.naive", trace::Phase::kConflictScan);
-  std::vector<Conflict> conflicts;
-  HomomorphismFinder finder(symbols_, &facts);
-  for (size_t c = 0; c < cdds_->size(); ++c) {
-    finder.FindAll((*cdds_)[c].body(), [&](const Homomorphism& hom) {
-      Conflict conflict;
-      conflict.cdd_index = c;
-      conflict.matched = hom.matched;
-      conflict.support = DistinctSorted(hom.matched);
-      conflicts.push_back(std::move(conflict));
-      return true;
-    });
-  }
-  return conflicts;
-}
 
 OverlapIndicators ComputeOverlapIndicators(
     const std::vector<Conflict>& conflicts) {
@@ -135,7 +63,7 @@ std::string ExplainConflict(const Conflict& conflict,
                             const std::vector<Cdd>& cdds,
                             const FactBase& facts,
                             const SymbolTable& symbols,
-                            const ChaseResult* chased) {
+                            const IncrementalChase* chased) {
   const Cdd& violated = cdds[conflict.cdd_index];
   std::string out = "violated constraint";
   if (!violated.label().empty()) out += " [" + violated.label() + "]";
@@ -144,12 +72,14 @@ std::string ExplainConflict(const Conflict& conflict,
   for (size_t j = 0; j < conflict.matched.size(); ++j) {
     const AtomId id = conflict.matched[j];
     out += "  " + body[j].ToString(symbols) + "  matched  ";
+    const Derivation* derivation =
+        chased != nullptr ? chased->derivation_or_null(id) : nullptr;
     if (id < facts.size()) {
       out += facts.atom(id).ToString(symbols);
-    } else if (chased != nullptr && id < chased->facts().size()) {
+    } else if (derivation != nullptr) {
       out += chased->facts().atom(id).ToString(symbols) +
-             "  (derived by TGD #" +
-             std::to_string(chased->derivation(id).tgd_index) + ")";
+             "  (derived by TGD #" + std::to_string(derivation->tgd_index) +
+             ")";
     } else {
       out += "<derived atom " + std::to_string(id) + ">";
     }

@@ -1,4 +1,4 @@
-// Conflicts (Definition 2.3) and their one-shot enumeration.
+// Conflicts (Definition 2.3) and what is reported about them.
 //
 // A conflict is a pair (N, h): a CDD N and a homomorphism h of body(N)
 // into the chased base Cl(F). A *naive* conflict (Section 5) is one whose
@@ -7,10 +7,11 @@
 // atoms that (transitively, through chase provenance) ground it; for naive
 // conflicts the support is just the matched atoms.
 //
-// ConflictFinder computes a census from scratch. UPDATECONFLICTS — keeping
-// the naive and chased censuses current across position fixes — is
-// DeltaConflictEngine (repair/delta_conflicts.h); the finder is the
-// reference it is tested against.
+// The census allconflicts(K) and its maintenance UPDATECONFLICTS are one
+// class, DeltaConflictEngine (repair/delta_conflicts.h): a one-shot
+// census is a throwaway engine's Initialize(). The scratch enumerator
+// the engine is tested against lives with the tests
+// (tests/support/conflict_finder.h).
 
 #ifndef KBREPAIR_REPAIR_CONFLICT_H_
 #define KBREPAIR_REPAIR_CONFLICT_H_
@@ -18,13 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "kb/fact_base.h"
-#include "kb/homomorphism.h"
 #include "kb/symbol_table.h"
 #include "rules/cdd.h"
-#include "rules/tgd.h"
-#include "util/status.h"
 
 namespace kbrepair {
 
@@ -42,27 +40,6 @@ struct Conflict {
   bool SameAs(const Conflict& other) const {
     return cdd_index == other.cdd_index && matched == other.matched;
   }
-};
-
-// Enumeration of conflicts.
-class ConflictFinder {
- public:
-  ConflictFinder(SymbolTable* symbols, const std::vector<Tgd>* tgds,
-                 const std::vector<Cdd>* cdds,
-                 ChaseOptions chase_options = {});
-
-  // allconflicts(K): all CDD-body homomorphisms into Cl(F), with original
-  // support computed through chase provenance.
-  StatusOr<std::vector<Conflict>> AllConflicts(const FactBase& facts) const;
-
-  // allconflicts_naive(K): CDD bodies evaluated directly on F.
-  std::vector<Conflict> NaiveConflicts(const FactBase& facts) const;
-
- private:
-  SymbolTable* symbols_;
-  const std::vector<Tgd>* tgds_;
-  const std::vector<Cdd>* cdds_;
-  ChaseOptions chase_options_;
 };
 
 // Structure indicators reported in the paper's experiment tables.
@@ -85,12 +62,13 @@ OverlapIndicators ComputeOverlapIndicators(
 // facts its body matched (marking chase-derived atoms), and the original
 // support set — what a data steward needs to understand a question.
 // `chased` may be null; it is required to render derived matched atoms
-// (matched ids >= facts.size()), which are otherwise labelled opaquely.
+// (matched ids >= facts.size()), which are otherwise labelled opaquely —
+// as is a matched id the chase holds no derivation for.
 std::string ExplainConflict(const Conflict& conflict,
                             const std::vector<Cdd>& cdds,
                             const FactBase& facts,
                             const SymbolTable& symbols,
-                            const ChaseResult* chased = nullptr);
+                            const IncrementalChase* chased = nullptr);
 
 // GraphViz DOT rendering of the conflict hypergraph: one box per
 // conflict, one ellipse per involved atom, an edge when the atom

@@ -20,9 +20,9 @@ ConsistencyChecker::ConsistencyChecker(SymbolTable* symbols,
 
 StatusOr<bool> ConsistencyChecker::IsConsistentNaive(
     const FactBase& facts) const {
-  ChaseEngine engine(symbols_, tgds_, /*cdds=*/nullptr, chase_options_);
-  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(facts));
-  HomomorphismFinder finder(symbols_, &chased.facts());
+  IncrementalChase chase(symbols_, tgds_, chase_options_);
+  KBREPAIR_RETURN_IF_ERROR(chase.Initialize(facts));
+  HomomorphismFinder finder(symbols_, &chase.facts());
   for (const Cdd& cdd : *cdds_) {
     if (finder.Exists(cdd.body())) return false;
   }
@@ -31,9 +31,9 @@ StatusOr<bool> ConsistencyChecker::IsConsistentNaive(
 
 StatusOr<bool> ConsistencyChecker::IsConsistentOpt(
     const FactBase& facts) const {
-  ChaseEngine engine(symbols_, tgds_, cdds_, chase_options_);
-  KBREPAIR_ASSIGN_OR_RETURN(ChaseResult chased, engine.Run(facts));
-  return !chased.violation().has_value();
+  IncrementalChase chase(symbols_, tgds_, chase_options_, cdds_);
+  KBREPAIR_RETURN_IF_ERROR(chase.Initialize(facts));
+  return !chase.violation().has_value();
 }
 
 StatusOr<bool> IsConsistent(KnowledgeBase& kb) {

@@ -16,7 +16,7 @@
 
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "kb/fact_base.h"
 #include "kb/symbol_table.h"
 #include "rules/cdd.h"

@@ -3,28 +3,23 @@
 #include <algorithm>
 #include <set>
 
-#include "repair/conflict.h"
 #include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "util/logging.h"
 
 namespace kbrepair {
 
 StatusOr<std::vector<NullRepair>> EnumerateMinimalNullRepairs(
     KnowledgeBase& kb, size_t max_positions) {
-  ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
-
-  KBREPAIR_ASSIGN_OR_RETURN(const bool consistent,
-                            checker.IsConsistentOpt(kb.facts()));
-  if (consistent) {
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_RETURN_IF_ERROR(census.Initialize(kb.facts()));
+  if (census.empty()) {
     return std::vector<NullRepair>{NullRepair{}};  // the empty repair
   }
 
   // Candidate positions: every position of every conflict-involved atom.
-  KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> conflicts,
-                            finder.AllConflicts(kb.facts()));
   std::set<Position> candidate_set;
-  for (const Conflict& conflict : conflicts) {
+  for (const Conflict& conflict : census.CanonicalConflicts()) {
     for (AtomId id : conflict.support) {
       const int arity = kb.facts().atom(id).arity();
       for (int arg = 0; arg < arity; ++arg) {
@@ -40,6 +35,12 @@ StatusOr<std::vector<NullRepair>> EnumerateMinimalNullRepairs(
         " candidate positions exceeds max_positions=" +
         std::to_string(max_positions));
   }
+  if (candidates.size() >= 64) {
+    return Status::InvalidArgument(
+        "CQA enumeration over " + std::to_string(candidates.size()) +
+        " candidate positions; a 64-bit subset mask holds at most 63");
+  }
+  ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
 
   // Enumerate subsets by increasing size; keep subset-minimal consistent
   // ones. A superset of a kept repair can be skipped outright.

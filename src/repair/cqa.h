@@ -46,7 +46,8 @@ struct NullRepair {
 // nulls restores consistency. Candidate positions are those of atoms
 // involved in at least one conflict (others can never matter).
 // InvalidArgument if the candidate count exceeds `max_positions`
-// (default 20; the enumeration is exponential).
+// (default 20; the enumeration is exponential) or reaches 64, whatever
+// the cap (subsets are 64-bit masks).
 StatusOr<std::vector<NullRepair>> EnumerateMinimalNullRepairs(
     KnowledgeBase& kb, size_t max_positions = 20);
 

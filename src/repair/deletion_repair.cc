@@ -1,10 +1,11 @@
 #include "repair/deletion_repair.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 
-#include "repair/conflict.h"
 #include "repair/consistency.h"
+#include "repair/delta_conflicts.h"
 #include "util/logging.h"
 
 namespace kbrepair {
@@ -33,11 +34,8 @@ FactBase DeletionRepair::Materialize(const FactBase& facts) const {
   return Subset(facts, kept);
 }
 
-StatusOr<DeletionRepair> GreedyDeletionRepair(KnowledgeBase& kb,
-                                              uint64_t seed) {
-  (void)seed;  // deterministic tie-breaking for now
+StatusOr<DeletionRepair> GreedyDeletionRepair(KnowledgeBase& kb) {
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
 
   DeletionRepair repair;
   repair.kept.assign(kb.facts().size(), true);
@@ -54,12 +52,12 @@ StatusOr<DeletionRepair> GreedyDeletionRepair(KnowledgeBase& kb,
         original_id.push_back(id);
       }
     }
-    KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> conflicts,
-                              finder.AllConflicts(subset));
-    if (conflicts.empty()) break;
+    DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+    KBREPAIR_RETURN_IF_ERROR(census.Initialize(subset));
+    if (census.empty()) break;
 
     std::unordered_map<AtomId, size_t> degree;
-    for (const Conflict& conflict : conflicts) {
+    for (const Conflict& conflict : census.CanonicalConflicts()) {
       for (AtomId id : conflict.support) ++degree[id];
     }
     AtomId victim = 0;
@@ -94,6 +92,11 @@ StatusOr<std::vector<DeletionRepair>> AllDeletionRepairs(
   if (n > max_atoms) {
     return Status::InvalidArgument(
         "AllDeletionRepairs is exponential; fact base exceeds max_atoms");
+  }
+  if (n >= 64) {
+    return Status::InvalidArgument(
+        "AllDeletionRepairs enumerates 64-bit subset masks; fact base has " +
+        std::to_string(n) + " atoms");
   }
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
 

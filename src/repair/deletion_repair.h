@@ -13,7 +13,6 @@
 #ifndef KBREPAIR_REPAIR_DELETION_REPAIR_H_
 #define KBREPAIR_REPAIR_DELETION_REPAIR_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "kb/fact_base.h"
@@ -37,14 +36,12 @@ struct DeletionRepair {
 // Greedy deletion repair: repeatedly remove the atom supporting the most
 // conflicts (ties: smallest id), then re-add removed atoms that do not
 // re-introduce an inconsistency, making the result subset-maximal.
-// `seed` is unused by the deterministic default but reserved for
-// randomized tie-breaking.
-StatusOr<DeletionRepair> GreedyDeletionRepair(KnowledgeBase& kb,
-                                              uint64_t seed = 0);
+StatusOr<DeletionRepair> GreedyDeletionRepair(KnowledgeBase& kb);
 
 // All maximal consistent subsets of F, for KBs with at most `max_atoms`
-// facts (exponential; intended for tests and pedagogy). Repairs are
-// returned in no particular order.
+// facts and fewer than 64 whatever the cap, since subsets are 64-bit
+// masks (exponential; intended for tests and pedagogy). InvalidArgument
+// past either limit. Repairs are returned in no particular order.
 StatusOr<std::vector<DeletionRepair>> AllDeletionRepairs(
     KnowledgeBase& kb, size_t max_atoms = 16);
 

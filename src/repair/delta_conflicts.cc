@@ -99,6 +99,7 @@ Status DeltaConflictEngine::Initialize(const FactBase& facts) {
   naive_.clear();
   next_id_ = 0;
 
+  trace::ScopedSpan span("conflicts.enumerate", trace::Phase::kConflictScan);
   HomomorphismFinder finder(symbols_, &chase_.facts());
   CanonicalSupportResolver support(symbols_, chase_.tgds(), &chase_.facts(),
                                    chase_.num_original());
@@ -322,13 +323,13 @@ std::vector<Conflict> DeltaConflictEngine::CanonicalConflicts() const {
   out.reserve(conflicts_.size());
   for (const auto& [id, conflict] : conflicts_) out.push_back(conflict);
   CanonicalizeConflicts(out, chase_.num_original());
-  // Drops the last canonical conflict when armed. Only the maintained
-  // engine runs through here, so arming this diverges its census from
-  // the scratch reference's at a deterministic step — the fault drill
-  // for kbrepair-debug --diff-engines.
-  if (failpoint::ShouldFail("delta.census_drop") && !out.empty()) {
-    out.pop_back();
-  }
+  return out;
+}
+
+std::vector<Conflict> DeltaConflictEngine::CanonicalNaiveConflicts() const {
+  std::vector<Conflict> out;
+  out.reserve(naive_.size());
+  for (const Conflict* conflict : naive_) out.push_back(*conflict);
   return out;
 }
 

@@ -1,9 +1,13 @@
-// Index-anchored conflict maintenance over a maintained chased base —
+// The conflict census allconflicts(K) (Algorithm 3) and its
+// index-anchored maintenance over a maintained chased base —
 // UPDATECONFLICTS (Section 5) for naive and chased conflicts alike.
 //
 // DeltaConflictEngine owns an IncrementalChase whose maintained base
-// mirrors the working facts, and keeps the conflict census of that base
-// current without recomputing it. After a fix it
+// mirrors the working facts. Initialize() chases the facts and takes the
+// full census; it is also every one-shot census in the code base (CQA,
+// deletion repairs, GreedyRFix, kbrepair-debug's reference), run on a
+// throwaway engine. The engine then keeps the census current without
+// recomputing it. After a fix it
 //
 //   1. replays the fix on the chase (retract cone / re-saturate),
 //   2. drops every live conflict whose homomorphism used the modified
@@ -27,9 +31,9 @@
 // ordered index, which is phase one's census (Algorithm 4).
 //
 // Cross-engine determinism. Derived-atom ids differ between a maintained
-// base and a from-scratch chase (a rebuilt engine, or the
-// ConflictFinder::AllConflicts reference), and so does raw enumeration
-// order. Conflicts are therefore ordered by CanonicalConflictLess — the
+// base and a from-scratch chase (a rebuilt or cold reference engine, or
+// the scratch census the tests compare against), and so does raw
+// enumeration order. Conflicts are therefore ordered by CanonicalConflictLess — the
 // engine-independent identity (cdd, matched pattern with derived ids
 // collapsed to a sentinel, original support) — before any RNG-consuming
 // selection. Conflicts tying on the full key are interchangeable for
@@ -115,13 +119,15 @@ class DeltaConflictEngine {
   const NaiveIndex& naive_conflicts() const { return naive_; }
   size_t naive_size() const { return naive_.size(); }
 
+  // Copies of the live naive conflicts, in the order of
+  // naive_conflicts().
+  std::vector<Conflict> CanonicalNaiveConflicts() const;
+
   // True when some live naive conflict matches `atom`.
   bool NaiveConflictMatches(AtomId atom) const;
 
   // Live conflicts in canonical order. Matched ids refer to the
   // maintained base (chase().facts()); supports are original atoms.
-  // Subject to the `delta.census_drop` failpoint (drops the last
-  // canonical conflict when armed — the diff-engines fault drill).
   std::vector<Conflict> CanonicalConflicts() const;
 
   // Live conflicts (canonical order) whose original-atom support

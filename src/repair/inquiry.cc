@@ -5,10 +5,28 @@
 #include <unordered_map>
 
 #include "repair/delta_conflicts.h"
+#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace kbrepair {
+
+namespace {
+
+// The live engine's chased census, canonical order — every read of it
+// in this file. Subject to the `delta.census_drop` failpoint, which
+// drops the last canonical conflict when armed: the maintained census
+// then diverges from a cold reference engine's at a deterministic step,
+// the fault drill for kbrepair-debug --diff-engines.
+std::vector<Conflict> LiveCensus(const DeltaConflictEngine& engine) {
+  std::vector<Conflict> census = engine.CanonicalConflicts();
+  if (failpoint::ShouldFail("delta.census_drop") && !census.empty()) {
+    census.pop_back();
+  }
+  return census;
+}
+
+}  // namespace
 
 const char* StrategyName(Strategy strategy) {
   switch (strategy) {
@@ -391,7 +409,7 @@ const IncrementalChase* InquiryEngine::delta_chase() const {
 std::optional<std::vector<Conflict>> InquiryEngine::chased_census() const {
   KBREPAIR_CHECK(step_ != nullptr);
   if (step_->delta == nullptr) return std::nullopt;
-  return step_->delta->CanonicalConflicts();
+  return LiveCensus(*step_->delta);
 }
 
 std::optional<size_t> InquiryEngine::skeleton_census_size() const {
@@ -407,27 +425,17 @@ StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
   if (session.done) return std::vector<Conflict>{};
   const bool naive = session.mode == Session::Mode::kPhaseOne;
   if (session.delta != nullptr) {
-    if (!naive) return session.delta->CanonicalConflicts();
-    std::vector<Conflict> census;
-    for (const Conflict* conflict : session.delta->naive_conflicts()) {
-      census.push_back(*conflict);
-    }
-    return census;
+    return naive ? session.delta->CanonicalNaiveConflicts()
+                 : LiveCensus(*session.delta);
   }
-  // No live engine (dropped, awaiting its rebuild): the reference
-  // census, chased against a cloned symbol table so inspection cannot
-  // mint nulls into the live one.
+  // No live engine (dropped, awaiting its rebuild): the census of a
+  // cold engine, chased against a cloned symbol table so inspection
+  // cannot mint nulls into the live one.
   std::unique_ptr<SymbolTable> symbols = kb_->symbols().Clone();
-  ConflictFinder finder(symbols.get(), &kb_->tgds(), &kb_->cdds(),
-                        options_.chase_options);
-  std::vector<Conflict> census;
-  if (naive) {
-    census = finder.NaiveConflicts(session.facts);
-  } else {
-    KBREPAIR_ASSIGN_OR_RETURN(census, finder.AllConflicts(session.facts));
-  }
-  CanonicalizeConflicts(census, session.facts.size());
-  return census;
+  DeltaConflictEngine cold(symbols.get(), &kb_->tgds(), &kb_->cdds(),
+                           options_.chase_options);
+  KBREPAIR_RETURN_IF_ERROR(cold.Initialize(session.facts));
+  return naive ? cold.CanonicalNaiveConflicts() : cold.CanonicalConflicts();
 }
 
 Status InquiryEngine::ComputeNextQuestion(Session& session) {
@@ -456,7 +464,7 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
     } else {
       // --- Phase two / Algorithm 3: the chased census. Selection sees
       // the whole set.
-      chase_conflicts = session.delta->CanonicalConflicts();
+      chase_conflicts = LiveCensus(*session.delta);
       if (chase_conflicts.empty()) {
         session.done = true;
         return Status::Ok();

@@ -31,8 +31,8 @@
 // second, owned by the session's RepairabilityChecker, keeps the census
 // of the Π-skeleton: Begin reads its verdict, each answer, opti-prop
 // freeze and unfreeze rewrites it, and sound-question filtering probes
-// it for every full Π-REPOPT check. The scratch implementations —
-// ConflictFinder's AllConflicts and NaiveConflicts and the
+// it for every full Π-REPOPT check. The scratch implementations — the
+// tests' from-scratch conflict census (tests/support) and the
 // repairability checker's one-shot Π-REP — remain the references the
 // tests compare it against.
 //
@@ -53,7 +53,7 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "repair/conflict.h"
 #include "repair/fix.h"
 #include "repair/kb_snapshot.h"
@@ -67,8 +67,6 @@
 #include "util/trace.h"
 
 namespace kbrepair {
-
-class IncrementalChase;  // chase/incremental_chase.h
 
 enum class Strategy {
   kRandom,
@@ -283,9 +281,11 @@ class InquiryEngine {
   // The conflict census the engine would select from at this point, in
   // canonical order: the live engine's naive conflicts in phase one and
   // its chased census in phase two; otherwise (a dropped engine awaits
-  // its rebuild) the same census recomputed by ConflictFinder against a
+  // its rebuild) the same census of a cold engine initialized against a
   // *clone* of the symbol table — fresh nulls minted by the inspection
-  // chase never touch the live table.
+  // chase never touch the live table. Reads of the live chased census
+  // (here, in chased_census() and in question selection) are subject to
+  // the `delta.census_drop` failpoint; the cold engine's never are.
   StatusOr<std::vector<Conflict>> InspectCensus() const;
 
   // The maintained chased census in canonical order, or nullopt while a

@@ -24,7 +24,7 @@
 #include <memory>
 #include <string>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "repair/delta_conflicts.h"
 #include "rules/knowledge_base.h"
 #include "util/status.h"

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "repair/conflict.h"
+#include "repair/delta_conflicts.h"
 #include "util/logging.h"
 
 namespace kbrepair {
@@ -57,19 +57,19 @@ StatusOr<bool> IsRFixExhaustive(const FactBase& facts,
 
 StatusOr<std::vector<Fix>> GreedyRFix(KnowledgeBase& kb) {
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  // One census for the whole loop: each fix is replayed on it
+  // (UPDATECONFLICTS) instead of re-chasing the working facts.
+  DeltaConflictEngine census(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  KBREPAIR_RETURN_IF_ERROR(census.Initialize(kb.facts()));
 
-  FactBase working = kb.facts();
   std::vector<Fix> fixes;
   // Null a resolving position of the atom supporting the most conflicts
   // (the conflict-hypergraph hub) until consistent. Naive conflicts
-  // first (cheap); fall back to chase conflicts.
-  while (true) {
-    std::vector<Conflict> conflicts = finder.NaiveConflicts(working);
-    if (conflicts.empty()) {
-      KBREPAIR_ASSIGN_OR_RETURN(conflicts, finder.AllConflicts(working));
-      if (conflicts.empty()) break;
-    }
+  // first, then the chased ones, each tier in canonical order.
+  while (!census.empty()) {
+    const std::vector<Conflict> conflicts =
+        census.naive_size() > 0 ? census.CanonicalNaiveConflicts()
+                                : census.CanonicalConflicts();
     std::unordered_map<AtomId, size_t> degree;
     for (const Conflict& conflict : conflicts) {
       for (AtomId id : conflict.support) ++degree[id];
@@ -91,14 +91,14 @@ StatusOr<std::vector<Fix>> GreedyRFix(KnowledgeBase& kb) {
       const Cdd& cdd = kb.cdds()[conflict.cdd_index];
       for (size_t j = 0; j < conflict.matched.size() && !found; ++j) {
         if (conflict.matched[j] != hub) continue;
-        if (conflict.matched[j] >= working.size()) continue;  // derived
         if (cdd.resolving_positions(j).empty()) continue;
         fix.arg = cdd.resolving_positions(j)[0];
         found = true;
       }
       if (found) break;
     }
-    ApplyFix(working, fix);
+    KBREPAIR_RETURN_IF_ERROR(
+        census.OnFixApplied(fix.atom, fix.arg, fix.value));
     fixes.push_back(fix);
   }
 

@@ -39,7 +39,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "kb/fact_base.h"
 #include "kb/symbol_table.h"
 #include "repair/delta_conflicts.h"

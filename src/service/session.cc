@@ -111,9 +111,6 @@ StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
     DurumWheatOptions options;
     options.version = name == "durum_wheat_v1" ? DurumWheatVersion::kV1
                                                : DurumWheatVersion::kV2;
-    if (params.Get("kb_seed").is_number()) {
-      options.seed = static_cast<uint64_t>(params.Get("kb_seed").AsInt());
-    }
     KBREPAIR_ASSIGN_OR_RETURN(DurumWheatKb durum,
                               GenerateDurumWheatKb(options));
     *label = name;

@@ -47,8 +47,8 @@ enum class Phase : int {
   kRepairability = 0,  // Π-skeleton builds and Π-REPOPT full checks
   kQuestionGen,        // sound-question generation (Algorithm 2)
   kApplyFix,           // fix application + census/skeleton maintenance
-  kChase,              // one-shot chase (the ChaseEngine::Run facade)
-  kDeltaChase,         // maintained chase: Initialize + ApplyFix
+  kChase,              // full chase: IncrementalChase::Initialize
+  kDeltaChase,         // delta re-saturation: IncrementalChase::ApplyFix
   kConflictScan,       // homomorphism enumeration over CDD bodies
   kWalAppend,          // WAL append + fsync
   kNone,               // span carries no phase attribution

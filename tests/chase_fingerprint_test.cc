@@ -1,8 +1,9 @@
-// Golden chase fingerprints: ChaseEngine::Run must reproduce, byte for
-// byte, the chased bases recorded in tests/data/chase_fingerprints.txt —
-// atom ids and renderings (fresh-null names included), every
-// derivation's TGD index and parents, and the first CDD violation — at
-// one and at four chase threads.
+// Golden chase fingerprints: the full chase (IncrementalChase::
+// Initialize) must reproduce, byte for byte, the chased bases recorded
+// in tests/data/chase_fingerprints.txt — atom ids and renderings
+// (fresh-null names included), every derivation's TGD index and
+// parents, and the first CDD violation — at one and at four chase
+// threads.
 //
 // Inputs: the knowledge bases of chase_test, tombstoned working bases,
 // four synthetic seeds with and without existential noise TGDs (plain,
@@ -22,7 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "gen/durum_wheat.h"
 #include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
@@ -120,18 +121,18 @@ std::string Fingerprint(KnowledgeBase& kb, const FactBase& facts,
   ChaseOptions options;
   options.max_atoms = 5000;
   options.num_threads = num_threads;
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(),
-                     with_cdds ? &kb.cdds() : nullptr, options);
-  StatusOr<ChaseResult> chased = engine.Run(facts);
-  if (!chased.ok()) return "error: " + chased.status().ToString() + "\n";
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), options,
+                          with_cdds ? &kb.cdds() : nullptr);
+  const Status status = chased.Initialize(facts);
+  if (!status.ok()) return "error: " + status.ToString() + "\n";
   std::ostringstream out;
-  out << "original " << chased->num_original() << " derived "
-      << chased->num_derived() << "\n";
-  for (AtomId id = 0; id < chased->facts().size(); ++id) {
-    out << id << (chased->facts().alive(id) ? " " : " dead ")
-        << chased->facts().atom(id).ToString(kb.symbols());
-    if (!chased->IsOriginal(id)) {
-      const Derivation& d = chased->derivation(id);
+  out << "original " << chased.num_original() << " derived "
+      << chased.facts().size() - chased.num_original() << "\n";
+  for (AtomId id = 0; id < chased.facts().size(); ++id) {
+    out << id << (chased.facts().alive(id) ? " " : " dead ")
+        << chased.facts().atom(id).ToString(kb.symbols());
+    if (!chased.IsOriginal(id)) {
+      const Derivation& d = *chased.derivation_or_null(id);
       out << " <- tgd " << d.tgd_index << " (";
       for (size_t j = 0; j < d.parents.size(); ++j) {
         out << (j == 0 ? "" : ",") << d.parents[j];
@@ -140,9 +141,9 @@ std::string Fingerprint(KnowledgeBase& kb, const FactBase& facts,
     }
     out << "\n";
   }
-  if (chased->violation().has_value()) {
-    out << "violation cdd " << chased->violation()->cdd_index << " (";
-    const std::vector<AtomId>& matched = chased->violation()->matched;
+  if (chased.violation().has_value()) {
+    out << "violation cdd " << chased.violation()->cdd_index << " (";
+    const std::vector<AtomId>& matched = chased.violation()->matched;
     for (size_t j = 0; j < matched.size(); ++j) {
       out << (j == 0 ? "" : ",") << matched[j];
     }

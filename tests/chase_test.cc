@@ -1,4 +1,4 @@
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 
 #include <gtest/gtest.h>
 
@@ -15,27 +15,30 @@ KnowledgeBase Parse(const std::string& text) {
   return std::move(kb).value();
 }
 
+// Atoms the chase derived beyond the original facts.
+size_t NumDerived(const IncrementalChase& chase) {
+  return chase.facts().size() - chase.num_original();
+}
+
 TEST(ChaseTest, PaperExample21DerivesPrescription) {
   KnowledgeBase kb = Parse(R"(
     hasPain(john, migraine).
     isPainKillerFor(nsaids, migraine).
     prescribed(X, Z) :- isPainKillerFor(X, Y), hasPain(Z, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_EQ(chased->num_original(), 2u);
-  EXPECT_EQ(chased->num_derived(), 1u);
-  const Atom& derived = chased->facts().atom(2);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_EQ(chased.num_original(), 2u);
+  EXPECT_EQ(NumDerived(chased), 1u);
+  const Atom& derived = chased.facts().atom(2);
   EXPECT_EQ(derived.ToString(kb.symbols()), "prescribed(nsaids,john)");
 }
 
 TEST(ChaseTest, NoTgdsMeansNoDerivation) {
   KnowledgeBase kb = Parse("p(a, b). q(b, c).");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_EQ(chased->num_derived(), 0u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_EQ(NumDerived(chased), 0u);
 }
 
 TEST(ChaseTest, ExistentialsBecomeFreshNulls) {
@@ -43,11 +46,10 @@ TEST(ChaseTest, ExistentialsBecomeFreshNulls) {
     person(john, x).
     hasParent(X, Z) :- person(X, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_EQ(chased->num_derived(), 1u);
-  const Atom& derived = chased->facts().atom(1);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_EQ(NumDerived(chased), 1u);
+  const Atom& derived = chased.facts().atom(1);
   EXPECT_TRUE(kb.symbols().IsNull(derived.args[1]));
 }
 
@@ -60,11 +62,10 @@ TEST(ChaseTest, RestrictedChaseDoesNotRefireSatisfiedHeads) {
     person(john, b).
     hasParent(X, Z) :- person(X, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
   // One hasParent(john, _) suffices for both person facts.
-  EXPECT_EQ(chased->num_derived(), 1u);
+  EXPECT_EQ(NumDerived(chased), 1u);
 }
 
 TEST(ChaseTest, GroundDuplicateHeadsAreNotAdded) {
@@ -73,10 +74,9 @@ TEST(ChaseTest, GroundDuplicateHeadsAreNotAdded) {
     q(a, b).
     q(X, Y) :- p(X, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_EQ(chased->num_derived(), 0u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_EQ(NumDerived(chased), 0u);
 }
 
 TEST(ChaseTest, MultiStepDerivationWithProvenance) {
@@ -85,15 +85,14 @@ TEST(ChaseTest, MultiStepDerivationWithProvenance) {
     p1(X, Y) :- p0(X, Y).
     p2(X, Y) :- p1(X, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_EQ(chased->num_derived(), 2u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_EQ(NumDerived(chased), 2u);
 
   // p2 atom derives from p1 which derives from p0 (atom 0).
   const AtomId p2_atom = 2;
-  EXPECT_FALSE(chased->IsOriginal(p2_atom));
-  const std::vector<AtomId> support = chased->OriginalSupport(p2_atom);
+  EXPECT_FALSE(chased.IsOriginal(p2_atom));
+  const std::vector<AtomId> support = chased.OriginalSupport({p2_atom});
   EXPECT_EQ(support, std::vector<AtomId>{0});
 }
 
@@ -103,19 +102,17 @@ TEST(ChaseTest, MultiAtomBodyProvenanceUnionsParents) {
     isPainKillerFor(nsaids, migraine).
     prescribed(X, Z) :- isPainKillerFor(X, Y), hasPain(Z, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  const std::vector<AtomId> support = chased->OriginalSupport(AtomId{2});
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  const std::vector<AtomId> support = chased.OriginalSupport({AtomId{2}});
   EXPECT_EQ(support, (std::vector<AtomId>{0, 1}));
 }
 
 TEST(ChaseTest, OriginalSupportOfOriginalIsItself) {
   KnowledgeBase kb = Parse("p(a, b).");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_EQ(chased->OriginalSupport(AtomId{0}), std::vector<AtomId>{0});
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_EQ(chased.OriginalSupport({AtomId{0}}), std::vector<AtomId>{0});
 }
 
 TEST(ChaseTest, ViolationDetectedAndChaseStops) {
@@ -125,12 +122,11 @@ TEST(ChaseTest, ViolationDetectedAndChaseStops) {
     r(X, Y) :- p(X, Y).
     ! :- p(X, Y), q(Y, X).
   )");
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_TRUE(chased->violation().has_value());
-  EXPECT_EQ(chased->violation()->cdd_index, 0u);
-  EXPECT_EQ(chased->violation()->matched.size(), 2u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), {}, &kb.cdds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_TRUE(chased.violation().has_value());
+  EXPECT_EQ(chased.violation()->cdd_index, 0u);
+  EXPECT_EQ(chased.violation()->matched.size(), 2u);
 }
 
 TEST(ChaseTest, ViolationOnlyAfterChaseStep) {
@@ -140,13 +136,12 @@ TEST(ChaseTest, ViolationOnlyAfterChaseStep) {
     r(X, Y) :- p(X, Y).
     ! :- r(X, Y), q(X, Y).
   )");
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_TRUE(chased->violation().has_value());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), {}, &kb.cdds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_TRUE(chased.violation().has_value());
   // The violation uses the derived r-atom; its support is the p-atom.
   const std::vector<AtomId> support =
-      chased->OriginalSupport(chased->violation()->matched);
+      chased.OriginalSupport(chased.violation()->matched);
   EXPECT_EQ(support, (std::vector<AtomId>{0, 1}));
 }
 
@@ -156,10 +151,9 @@ TEST(ChaseTest, NoViolationWhenConsistent) {
     q(c, d).
     ! :- p(X, Y), q(Y, X).
   )");
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_FALSE(chased->violation().has_value());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), {}, &kb.cdds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_FALSE(chased.violation().has_value());
 }
 
 TEST(ChaseTest, MaxAtomsCapReturnsInternal) {
@@ -171,10 +165,10 @@ TEST(ChaseTest, MaxAtomsCapReturnsInternal) {
   )");
   ChaseOptions options;
   options.max_atoms = 2;  // original 1 + cap after first derivation
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr, options);
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  EXPECT_FALSE(chased.ok());
-  EXPECT_EQ(chased.status().code(), StatusCode::kInternal);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), options);
+  const Status status = chased.Initialize(kb.facts());
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
 TEST(ChaseTest, MultiHeadTgdAddsAllHeadAtoms) {
@@ -182,13 +176,12 @@ TEST(ChaseTest, MultiHeadTgdAddsAllHeadAtoms) {
     p(a, b).
     q(X, Z), r(Z, Y) :- p(X, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_EQ(chased->num_derived(), 2u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_EQ(NumDerived(chased), 2u);
   // The shared existential Z is the same null in both head atoms.
-  const Atom& q_atom = chased->facts().atom(1);
-  const Atom& r_atom = chased->facts().atom(2);
+  const Atom& q_atom = chased.facts().atom(1);
+  const Atom& r_atom = chased.facts().atom(2);
   EXPECT_EQ(q_atom.args[1], r_atom.args[0]);
   EXPECT_TRUE(kb.symbols().IsNull(q_atom.args[1]));
 }
@@ -203,12 +196,11 @@ TEST(ChaseTest, DerivedAtomsTriggerFurtherRulesAndConstraints) {
     c3(X, Y) :- c2(X, Y).
     ! :- c3(X, Y), other(X, Y).
   )");
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_TRUE(chased->violation().has_value());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), {}, &kb.cdds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_TRUE(chased.violation().has_value());
   const std::vector<AtomId> support =
-      chased->OriginalSupport(chased->violation()->matched);
+      chased.OriginalSupport(chased.violation()->matched);
   EXPECT_EQ(support, (std::vector<AtomId>{0, 1}));
 }
 
@@ -223,10 +215,10 @@ TEST(ChaseTest, TombstonedInputAtomsDoNotAnchorTriggers) {
   )");
   FactBase facts = kb.facts();
   facts.Remove(0);  // tombstone p(a,b)
-  StatusOr<ChaseResult> chased = RunChase(facts, kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_EQ(chased->num_derived(), 1u);  // only q(c,d)
-  EXPECT_EQ(chased->facts().atom(2).ToString(kb.symbols()), "q(c,d)");
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(facts).ok());
+  ASSERT_EQ(NumDerived(chased), 1u);  // only q(c,d)
+  EXPECT_EQ(chased.facts().atom(2).ToString(kb.symbols()), "q(c,d)");
 }
 
 TEST(ChaseTest, TombstonedInputAtomsDoNotWitnessViolations) {
@@ -237,10 +229,9 @@ TEST(ChaseTest, TombstonedInputAtomsDoNotWitnessViolations) {
   )");
   FactBase facts = kb.facts();
   facts.Remove(1);  // tombstone q(b,a): the only violation needs it
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  StatusOr<ChaseResult> chased = engine.Run(facts);
-  ASSERT_TRUE(chased.ok());
-  EXPECT_FALSE(chased->violation().has_value());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), {}, &kb.cdds());
+  ASSERT_TRUE(chased.Initialize(facts).ok());
+  EXPECT_FALSE(chased.violation().has_value());
 }
 
 TEST(ChaseTest, ChaseStoppedAtViolationRefusesFixes) {
@@ -271,11 +262,10 @@ TEST(ChaseTest, ConstantsInHeadsAreInstantiated) {
     emp(alice).
     assigned(X, hq) :- emp(X).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_EQ(chased->num_derived(), 1u);
-  EXPECT_EQ(chased->facts().atom(1).ToString(kb.symbols()),
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_EQ(NumDerived(chased), 1u);
+  EXPECT_EQ(chased.facts().atom(1).ToString(kb.symbols()),
             "assigned(alice,hq)");
 }
 
@@ -287,14 +277,13 @@ TEST(ChaseTest, DiamondProvenanceUnionsAllPaths) {
     c(X, Y) :- a(X, Y).
     d(X, Y) :- b(X, Y), c(X, Y).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  ASSERT_EQ(chased->num_derived(), 3u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  ASSERT_EQ(NumDerived(chased), 3u);
   const AtomId d_atom = 3;
-  EXPECT_EQ(chased->facts().atom(d_atom).predicate,
+  EXPECT_EQ(chased.facts().atom(d_atom).predicate,
             kb.symbols().FindPredicate("d"));
-  EXPECT_EQ(chased->OriginalSupport(d_atom), std::vector<AtomId>{0});
+  EXPECT_EQ(chased.OriginalSupport({d_atom}), std::vector<AtomId>{0});
 }
 
 TEST(ChaseTest, RepeatedPredicateInBodySelfJoins) {
@@ -302,11 +291,10 @@ TEST(ChaseTest, RepeatedPredicateInBodySelfJoins) {
     edge(a, b). edge(b, c). edge(c, d).
     path(X, Z) :- edge(X, Y), edge(Y, Z).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
   // path(a,c) and path(b,d).
-  EXPECT_EQ(chased->num_derived(), 2u);
+  EXPECT_EQ(NumDerived(chased), 2u);
 }
 
 TEST(ChaseTest, DerivedAtomsFeedOtherRulesTransitively) {
@@ -316,15 +304,14 @@ TEST(ChaseTest, DerivedAtomsFeedOtherRulesTransitively) {
     mid(X, Y) :- base(X, Y).
     top(X, Z) :- mid(X, Y), base(Y, Z).
   )");
-  StatusOr<ChaseResult> chased =
-      RunChase(kb2.facts(), kb2.tgds(), kb2.symbols());
-  ASSERT_TRUE(chased.ok());
+  IncrementalChase chased(&kb2.symbols(), &kb2.tgds());
+  ASSERT_TRUE(chased.Initialize(kb2.facts()).ok());
   // mid(a,b), mid(b,c), top(a,c) — mid(b,c) joins base(b,c)? top uses
   // mid(X,Y), base(Y,Z): (a,b)x(b,c) -> top(a,c). mid(b,c) finds no
   // base(c,_).
   bool found_top = false;
-  for (AtomId id = 0; id < chased->facts().size(); ++id) {
-    found_top = found_top || chased->facts().atom(id).ToString(
+  for (AtomId id = 0; id < chased.facts().size(); ++id) {
+    found_top = found_top || chased.facts().atom(id).ToString(
                                  kb2.symbols()) == "top(a,c)";
   }
   EXPECT_TRUE(found_top);

@@ -10,6 +10,7 @@
 #include "parser/dlgp_parser.h"
 #include "repair/delta_conflicts.h"
 #include "repair/fix.h"
+#include "support/conflict_finder.h"
 #include "util/rng.h"
 
 namespace kbrepair {
@@ -351,15 +352,14 @@ TEST(ConflictTest, ExplainConflictMarksDerivedAtoms) {
     c1(X, Y) :- c0(X, Y).
     ! :- c1(X, Y), other(X, Y).
   )");
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr);
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  ASSERT_TRUE(chased.ok());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
   ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   StatusOr<std::vector<Conflict>> all = finder.AllConflicts(kb.facts());
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), 1u);
   const std::string with_chase = ExplainConflict(
-      all->front(), kb.cdds(), kb.facts(), kb.symbols(), &*chased);
+      all->front(), kb.cdds(), kb.facts(), kb.symbols(), &chased);
   EXPECT_NE(with_chase.find("derived by TGD #0"), std::string::npos);
   // Without the chase, the derived atom is labelled opaquely.
   const std::string without_chase = ExplainConflict(

@@ -13,6 +13,17 @@ KnowledgeBase Parse(const std::string& text) {
   return std::move(kb).value();
 }
 
+// The only conflicts are reached through an existential TGD: each
+// employee gets a department null, the null is carried into staff/2,
+// and a banned employee on staff violates the CDD. No conflict is naive.
+constexpr const char* kExistentialChain = R"(
+  emp(alice). emp(bob). emp(carol).
+  banned(alice). banned(bob).
+  dept(X, D) :- emp(X).
+  staff(D, X) :- dept(X, D).
+  ! :- staff(D, X), banned(X).
+)";
+
 TEST(CqaTest, ConsistentKbHasSingleEmptyRepair) {
   KnowledgeBase kb = Parse("p(a, b). ! :- p(X, Y), p(Y, X).");
   StatusOr<std::vector<NullRepair>> repairs =
@@ -76,6 +87,24 @@ TEST(CqaTest, RefusesOversizedEnumeration) {
   KnowledgeBase kb = Parse(text);
   StatusOr<std::vector<NullRepair>> repairs =
       EnumerateMinimalNullRepairs(kb, /*max_positions=*/10);
+  ASSERT_FALSE(repairs.ok());
+  EXPECT_EQ(repairs.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CqaTest, RefusesSixtyFourCandidatesWhateverTheCap) {
+  // 16 p-atoms x 16 q-atoms all join on j: 32 atoms, 64 candidate
+  // positions. A cap of 64 admits them, but the subset masks are 64-bit
+  // words, so the enumeration must refuse before building 2^64 masks.
+  std::string text;
+  for (int i = 0; i < 16; ++i) {
+    const std::string index = std::to_string(i);
+    text += "p(j, a" + index + ").\n";
+    text += "q(j, b" + index + ").\n";
+  }
+  text += "! :- p(X, Y), q(X, Z).\n";
+  KnowledgeBase kb = Parse(text);
+  StatusOr<std::vector<NullRepair>> repairs =
+      EnumerateMinimalNullRepairs(kb, /*max_positions=*/64);
   ASSERT_FALSE(repairs.ok());
   EXPECT_EQ(repairs.status().code(), StatusCode::kInvalidArgument);
 }
@@ -159,6 +188,28 @@ TEST(CqaTest, ConsistentKbCqaEqualsCertainAnswers) {
   EXPECT_EQ(result->num_repairs, 1u);
   EXPECT_EQ(result->consistent_answers.size(), 2u);
   EXPECT_TRUE(result->possible_answers.empty());
+}
+
+TEST(CqaTest, ExistentialChainCqa) {
+  // Each conflict needs emp(X) (through the department null) and
+  // banned(X); retracting either position breaks it. Two conflicts, two
+  // candidate positions each: four minimal repairs of two positions.
+  KnowledgeBase kb = Parse(kExistentialChain);
+  StatusOr<ConjunctiveQuery> query =
+      ParseDlgpQuery("?(X) :- emp(X).", kb);
+  ASSERT_TRUE(query.ok());
+  StatusOr<CqaResult> result = CqaAnswers(*query, kb);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->num_repairs, 4u);
+  ASSERT_EQ(result->consistent_answers.size(), 1u);
+  EXPECT_EQ(kb.symbols().term_name(result->consistent_answers[0][0]),
+            "carol");
+  // alice and bob keep their emp fact in the repairs that retract the
+  // banned side instead.
+  ASSERT_EQ(result->possible_answers.size(), 2u);
+  EXPECT_EQ(kb.symbols().term_name(result->possible_answers[0][0]),
+            "alice");
+  EXPECT_EQ(kb.symbols().term_name(result->possible_answers[1][0]), "bob");
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "chase/query.h"
 #include "kb/homomorphism.h"
 #include "repair/fix.h"
@@ -252,9 +252,8 @@ TEST_P(ChaseCrossCheck, CertainAnswersMatchNaiveFixpoint) {
   const TermId z = symbols.InternVariable("Z");
 
   // Both chases.
-  StatusOr<ChaseResult> engine_result =
-      RunChase(instance.kb.facts(), instance.kb.tgds(), symbols);
-  ASSERT_TRUE(engine_result.ok());
+  IncrementalChase chased(&symbols, &instance.kb.tgds());
+  ASSERT_TRUE(chased.Initialize(instance.kb.facts()).ok());
   const FactBase reference = NaiveReferenceChase(
       instance.kb.facts(), instance.kb.tgds(), symbols);
 
@@ -275,7 +274,7 @@ TEST_P(ChaseCrossCheck, CertainAnswersMatchNaiveFixpoint) {
     }
     const std::vector<TermId> answer_vars = {x};
     const auto engine_answers = CertainAnswersOver(
-        query, answer_vars, engine_result->facts(), symbols);
+        query, answer_vars, chased.facts(), symbols);
     const auto reference_answers =
         CertainAnswersOver(query, answer_vars, reference, symbols);
     ASSERT_EQ(engine_answers, reference_answers)
@@ -331,20 +330,19 @@ TEST_P(ChaseCrossCheck, ViolationReportedIffCddMapsIntoNaiveFixpoint) {
       expected = expected || finder.Exists(cdd.body());
     }
 
-    ChaseEngine engine(&symbols, &instance.kb.tgds(), &cdds);
-    StatusOr<ChaseResult> chased = engine.Run(instance.kb.facts());
-    ASSERT_TRUE(chased.ok()) << chased.status();
-    ASSERT_EQ(chased->violation().has_value(), expected)
+    IncrementalChase chased(&symbols, &instance.kb.tgds(), {}, &cdds);
+    ASSERT_TRUE(chased.Initialize(instance.kb.facts()).ok());
+    ASSERT_EQ(chased.violation().has_value(), expected)
         << "seed " << GetParam() << " round " << round;
     if (!expected) continue;
     ++violated_rounds;
     // The reported match instantiates the violated CDD's body.
-    const ChaseViolation& violation = *chased->violation();
+    const ChaseViolation& violation = *chased.violation();
     ASSERT_LT(violation.cdd_index, cdds.size());
     const std::vector<Atom>& body = cdds[violation.cdd_index].body();
     ASSERT_EQ(violation.matched.size(), body.size());
     for (size_t j = 0; j < body.size(); ++j) {
-      EXPECT_EQ(chased->facts().atom(violation.matched[j]).predicate,
+      EXPECT_EQ(chased.facts().atom(violation.matched[j]).predicate,
                 body[j].predicate);
     }
   }

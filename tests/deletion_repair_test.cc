@@ -25,6 +25,17 @@ constexpr const char* kFigure1a = R"(
   ! :- prescribed(X, Y), hasAllergy(Y, X).
 )";
 
+// The only conflicts are reached through an existential TGD: each
+// employee gets a department null, the null is carried into staff/2,
+// and a banned employee on staff violates the CDD. No conflict is naive.
+constexpr const char* kExistentialChain = R"(
+  emp(alice). emp(bob). emp(carol).
+  banned(alice). banned(bob).
+  dept(X, D) :- emp(X).
+  staff(D, X) :- dept(X, D).
+  ! :- staff(D, X), banned(X).
+)";
+
 TEST(DeletionRepairTest, Example12TwoRepairs) {
   // Example 1.2: the deletion repairs are F1 (drop hasAllergy(john,
   // aspirin)) and F2 (drop prescribed(aspirin, john)).
@@ -71,6 +82,22 @@ TEST(DeletionRepairTest, AllDeletionRepairsRefusesLargeKbs) {
   EXPECT_FALSE(AllDeletionRepairs(kb, /*max_atoms=*/16).ok());
 }
 
+TEST(DeletionRepairTest, AllDeletionRepairsRefusesSixtyFourAtoms) {
+  // A cap of 64 admits 64 atoms, but the subset masks are 64-bit words,
+  // so the enumeration must refuse rather than shift past the word.
+  KnowledgeBase kb;
+  const PredicateId p = kb.symbols().InternPredicate("p", 1);
+  for (int i = 0; i < 64; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    kb.facts().Add(Atom(p, {kb.symbols().InternConstant(name)}));
+  }
+  StatusOr<std::vector<DeletionRepair>> repairs =
+      AllDeletionRepairs(kb, /*max_atoms=*/64);
+  ASSERT_FALSE(repairs.ok());
+  EXPECT_EQ(repairs.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DeletionRepairTest, GreedyRepairIsConsistentAndMaximal) {
   KnowledgeBase kb = Parse(R"(
     p(j, a1). p(j, a2). p(j, a3).
@@ -103,6 +130,27 @@ TEST(DeletionRepairTest, GreedyHandlesChaseOnlyConflicts) {
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
   EXPECT_TRUE(
       checker.IsConsistentOpt(repair->Materialize(kb.facts())).value());
+}
+
+TEST(DeletionRepairTest, GreedyHandlesExistentialChainConflicts) {
+  KnowledgeBase kb = Parse(kExistentialChain);
+  StatusOr<DeletionRepair> repair = GreedyDeletionRepair(kb);
+  ASSERT_TRUE(repair.ok()) << repair.status();
+  // Every conflict atom has degree 1; ties break to the smallest id, so
+  // emp(alice) goes first, then emp(bob) on the recomputed census.
+  EXPECT_EQ(repair->kept,
+            (std::vector<bool>{false, false, true, true, true}));
+  ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  EXPECT_TRUE(
+      checker.IsConsistentOpt(repair->Materialize(kb.facts())).value());
+  // The greedy repair is one of the maximal consistent subsets.
+  StatusOr<std::vector<DeletionRepair>> all = AllDeletionRepairs(kb);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->size(), 4u);
+  EXPECT_TRUE(std::any_of(all->begin(), all->end(),
+                          [&](const DeletionRepair& other) {
+                            return other.kept == repair->kept;
+                          }));
 }
 
 TEST(DeletionRepairTest, UpdateRepairPreservesMoreThanDeletion) {

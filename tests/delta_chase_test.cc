@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
 #include "chase/incremental_chase.h"
 #include "gen/synthetic.h"
 #include "kb/fact_base.h"
@@ -112,14 +111,13 @@ TEST_P(DeltaChaseMetamorphic, FixThenChaseEqualsRetractThenResaturate) {
 
     // The retract/resaturate base must equal a fresh restricted chase of
     // the updated facts, atom for atom (modulo nulls and ids).
-    StatusOr<ChaseResult> scratch =
-        RunChase(facts, kb.tgds(), kb.symbols());
-    ASSERT_TRUE(scratch.ok()) << scratch.status();
-    EXPECT_EQ(AliveSignatures(scratch->facts(), kb.symbols()),
+    IncrementalChase scratch(&kb.symbols(), &kb.tgds());
+    ASSERT_TRUE(scratch.Initialize(facts).ok());
+    EXPECT_EQ(AliveSignatures(scratch.facts(), kb.symbols()),
               AliveSignatures(incremental.facts(), kb.symbols()))
         << "step " << step << " (fix atom " << fix.atom << " arg "
         << fix.arg << ")";
-    ASSERT_EQ(incremental.facts().num_alive(), scratch->facts().size())
+    ASSERT_EQ(incremental.facts().num_alive(), scratch.facts().size())
         << "step " << step;
 
     // Delta bookkeeping: retracted ids dead, added ids alive and derived.
@@ -139,8 +137,8 @@ TEST_P(DeltaChaseMetamorphic, AtomOrderPermutationInvariance) {
   ASSERT_TRUE(generated.ok()) << generated.status();
   KnowledgeBase& kb = generated->kb;
 
-  StatusOr<ChaseResult> base = RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(base.ok()) << base.status();
+  IncrementalChase base(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(base.Initialize(kb.facts()).ok());
 
   // Re-insert the original facts in a shuffled order.
   std::vector<AtomId> order(kb.facts().size());
@@ -152,11 +150,10 @@ TEST_P(DeltaChaseMetamorphic, AtomOrderPermutationInvariance) {
   FactBase shuffled;
   for (AtomId id : order) shuffled.Add(kb.facts().atom(id));
 
-  StatusOr<ChaseResult> permuted =
-      RunChase(shuffled, kb.tgds(), kb.symbols());
-  ASSERT_TRUE(permuted.ok()) << permuted.status();
-  EXPECT_EQ(AliveSignatures(base->facts(), kb.symbols()),
-            AliveSignatures(permuted->facts(), kb.symbols()));
+  IncrementalChase permuted(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(permuted.Initialize(shuffled).ok());
+  EXPECT_EQ(AliveSignatures(base.facts(), kb.symbols()),
+            AliveSignatures(permuted.facts(), kb.symbols()));
 }
 
 TEST_P(DeltaChaseMetamorphic, TgdOrderPermutationInvariance) {
@@ -165,15 +162,14 @@ TEST_P(DeltaChaseMetamorphic, TgdOrderPermutationInvariance) {
   ASSERT_TRUE(generated.ok()) << generated.status();
   KnowledgeBase& kb = generated->kb;
 
-  StatusOr<ChaseResult> base = RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(base.ok()) << base.status();
+  IncrementalChase base(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(base.Initialize(kb.facts()).ok());
 
   std::vector<Tgd> reversed(kb.tgds().rbegin(), kb.tgds().rend());
-  StatusOr<ChaseResult> permuted =
-      RunChase(kb.facts(), reversed, kb.symbols());
-  ASSERT_TRUE(permuted.ok()) << permuted.status();
-  EXPECT_EQ(AliveSignatures(base->facts(), kb.symbols()),
-            AliveSignatures(permuted->facts(), kb.symbols()));
+  IncrementalChase permuted(&kb.symbols(), &reversed);
+  ASSERT_TRUE(permuted.Initialize(kb.facts()).ok());
+  EXPECT_EQ(AliveSignatures(base.facts(), kb.symbols()),
+            AliveSignatures(permuted.facts(), kb.symbols()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DeltaChaseMetamorphic,

@@ -50,6 +50,7 @@
 #include "repair/question.h"
 #include "repair/repairability.h"
 #include "rules/knowledge_base.h"
+#include "support/conflict_finder.h"
 #include "util/rng.h"
 
 namespace kbrepair {

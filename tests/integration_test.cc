@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "gen/durum_wheat.h"
 #include "parser/dlgp_parser.h"
 #include "repair/conflict.h"
 #include "repair/consistency.h"
 #include "repair/inquiry.h"
 #include "repair/user.h"
+#include "support/conflict_finder.h"
 
 namespace kbrepair {
 namespace {
@@ -60,12 +61,11 @@ TEST(IntegrationTest, Example13UpdateRepairF3) {
 
 TEST(IntegrationTest, Example21ChaseResult) {
   KnowledgeBase kb = Parse(kFigure1b);
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
   // Cl(F') = F' ∪ {prescribed(nsaids, john)}.
-  EXPECT_EQ(chased->facts().size(), kb.facts().size() + 1);
-  EXPECT_EQ(chased->facts().atom(6).ToString(kb.symbols()),
+  EXPECT_EQ(chased.facts().size(), kb.facts().size() + 1);
+  EXPECT_EQ(chased.facts().atom(6).ToString(kb.symbols()),
             "prescribed(nsaids,john)");
 }
 

@@ -6,6 +6,7 @@
 #include "repair/consistency.h"
 #include "repair/inquiry.h"
 #include "repair/user.h"
+#include "support/conflict_finder.h"
 #include "util/stats.h"
 
 namespace kbrepair {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "chase/chase.h"
+#include "chase/incremental_chase.h"
 #include "chase/wave.h"
 #include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
@@ -53,16 +53,16 @@ std::string RenderRun(uint64_t seed, size_t num_threads, bool with_cdds) {
   KnowledgeBase& kb = gen->kb;
   ChaseOptions options;
   options.num_threads = num_threads;
-  ChaseEngine engine(&kb.symbols(), &kb.tgds(),
-                     with_cdds ? &kb.cdds() : nullptr, options);
-  StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-  EXPECT_TRUE(chased.ok()) << chased.status();
+  IncrementalChase chased(&kb.symbols(), &kb.tgds(), options,
+                          with_cdds ? &kb.cdds() : nullptr);
+  const Status status = chased.Initialize(kb.facts());
+  EXPECT_TRUE(status.ok()) << status;
   std::string out;
-  for (AtomId id = 0; id < chased->facts().size(); ++id) {
+  for (AtomId id = 0; id < chased.facts().size(); ++id) {
     out += std::to_string(id) + ":" +
-           chased->facts().atom(id).ToString(kb.symbols());
-    if (!chased->IsOriginal(id)) {
-      const Derivation& d = chased->derivation(id);
+           chased.facts().atom(id).ToString(kb.symbols());
+    if (!chased.IsOriginal(id)) {
+      const Derivation& d = *chased.derivation_or_null(id);
       out += "<-tgd" + std::to_string(d.tgd_index) + "(";
       for (AtomId parent : d.parents) {
         out += std::to_string(parent) + ",";
@@ -71,9 +71,9 @@ std::string RenderRun(uint64_t seed, size_t num_threads, bool with_cdds) {
     }
     out += "\n";
   }
-  if (chased->violation().has_value()) {
-    out += "violation:cdd" + std::to_string(chased->violation()->cdd_index);
-    for (AtomId m : chased->violation()->matched) {
+  if (chased.violation().has_value()) {
+    out += "violation:cdd" + std::to_string(chased.violation()->cdd_index);
+    for (AtomId m : chased.violation()->matched) {
       out += "," + std::to_string(m);
     }
     out += "\n";
@@ -110,12 +110,12 @@ TEST(ParallelChaseTest, ExistentialNullsAreThreadCountInvariant) {
     )");
     ChaseOptions options;
     options.num_threads = num_threads;
-    ChaseEngine engine(&kb.symbols(), &kb.tgds(), nullptr, options);
-    StatusOr<ChaseResult> chased = engine.Run(kb.facts());
-    EXPECT_TRUE(chased.ok()) << chased.status();
+    IncrementalChase chased(&kb.symbols(), &kb.tgds(), options);
+    const Status status = chased.Initialize(kb.facts());
+    EXPECT_TRUE(status.ok()) << status;
     std::string out;
-    for (AtomId id = 0; id < chased->facts().size(); ++id) {
-      out += chased->facts().atom(id).ToString(kb.symbols()) + "\n";
+    for (AtomId id = 0; id < chased.facts().size(); ++id) {
+      out += chased.facts().atom(id).ToString(kb.symbols()) + "\n";
     }
     return out;
   };

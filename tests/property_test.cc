@@ -22,6 +22,7 @@
 #include "repair/deletion_repair.h"
 #include "repair/repair_checks.h"
 #include "repair/user.h"
+#include "support/conflict_finder.h"
 
 namespace kbrepair {
 namespace {

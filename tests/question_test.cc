@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "parser/dlgp_parser.h"
+#include "support/conflict_finder.h"
 
 namespace kbrepair {
 namespace {

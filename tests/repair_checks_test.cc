@@ -20,6 +20,17 @@ constexpr const char* kFigure1a = R"(
   ! :- prescribed(X, Y), hasAllergy(Y, X).
 )";
 
+// The only conflicts are reached through an existential TGD: each
+// employee gets a department null, the null is carried into staff/2,
+// and a banned employee on staff violates the CDD. No conflict is naive.
+constexpr const char* kExistentialChain = R"(
+  emp(alice). emp(bob). emp(carol).
+  banned(alice). banned(bob).
+  dept(X, D) :- emp(X).
+  staff(D, X) :- dept(X, D).
+  ! :- staff(D, X), banned(X).
+)";
+
 class RepairChecksTest : public ::testing::Test {
  protected:
   RepairChecksTest() : kb_(Parse(kFigure1a)) {
@@ -108,6 +119,21 @@ TEST_F(RepairChecksTest, GreedyRFixHandlesChaseConflicts) {
   ASSERT_FALSE(fixes->empty());
   ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
   EXPECT_TRUE(IsCFix(kb.facts(), *fixes, checker).value());
+}
+
+TEST_F(RepairChecksTest, GreedyRFixThroughExistentialChain) {
+  // Every fix is replayed on one maintained census, which retracts the
+  // fixed employee's null-carrying derivations before the next round.
+  KnowledgeBase kb = Parse(kExistentialChain);
+  StatusOr<std::vector<Fix>> fixes = GreedyRFix(kb);
+  ASSERT_TRUE(fixes.ok()) << fixes.status();
+  ASSERT_EQ(fixes->size(), 2u);
+  // Hub ties break to the smallest id: emp(alice), then emp(bob).
+  EXPECT_EQ((*fixes)[0].atom, 0u);
+  EXPECT_EQ((*fixes)[1].atom, 1u);
+  ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  EXPECT_TRUE(IsCFix(kb.facts(), *fixes, checker).value());
+  EXPECT_TRUE(IsRFixExhaustive(kb.facts(), *fixes, checker).value());
 }
 
 TEST_F(RepairChecksTest, MakeURepairAppliesFixes) {

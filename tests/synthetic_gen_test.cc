@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "chase/chase.h"
-#include "repair/conflict.h"
+#include "chase/incremental_chase.h"
 #include "rules/weak_acyclicity.h"
+#include "support/conflict_finder.h"
 
 namespace kbrepair {
 namespace {
@@ -109,19 +109,18 @@ TEST(SyntheticGenTest, DepthMeansThatManyChaseSteps) {
   StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
   ASSERT_TRUE(generated.ok());
   KnowledgeBase& kb = generated->kb;
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_GT(chased->num_derived(), 0u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_GT(chased.facts().size(), chased.num_original());
   // Derivation depth of the CDD-feeding atom: walk provenance.
   size_t max_depth = 0;
-  for (AtomId id = static_cast<AtomId>(chased->num_original());
-       id < chased->facts().size(); ++id) {
+  for (AtomId id = static_cast<AtomId>(chased.num_original());
+       id < chased.facts().size(); ++id) {
     size_t depth = 0;
     AtomId cursor = id;
-    while (!chased->IsOriginal(cursor)) {
+    while (!chased.IsOriginal(cursor)) {
       ++depth;
-      cursor = chased->derivation(cursor).parents[0];
+      cursor = chased.derivation_or_null(cursor)->parents[0];
     }
     max_depth = std::max(max_depth, depth);
   }
@@ -154,10 +153,9 @@ TEST(SyntheticGenTest, NoiseTgdsGrowChaseWithoutConflicts) {
   StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
   ASSERT_TRUE(generated.ok());
   KnowledgeBase& kb = generated->kb;
-  StatusOr<ChaseResult> chased =
-      RunChase(kb.facts(), kb.tgds(), kb.symbols());
-  ASSERT_TRUE(chased.ok());
-  EXPECT_GT(chased->num_derived(), 0u);
+  IncrementalChase chased(&kb.symbols(), &kb.tgds());
+  ASSERT_TRUE(chased.Initialize(kb.facts()).ok());
+  EXPECT_GT(chased.facts().size(), chased.num_original());
   ConflictFinder finder(&kb.symbols(), &kb.tgds(), &kb.cdds());
   StatusOr<std::vector<Conflict>> all = finder.AllConflicts(kb.facts());
   ASSERT_TRUE(all.ok());
