@@ -187,9 +187,10 @@ int main(int argc, char** argv) {
     options.routed_violation_share = 0.6;
     options.min_multiplicity = 1;
     options.max_multiplicity = 2;
-    depth_ladder.push_back(Compare(
-        options, "d" + std::to_string(depth) + " (" +
-                     std::to_string(options.num_tgds) + " TGDs)"));
+    const std::string depth_name = std::to_string(depth);
+    const std::string num_tgds = std::to_string(options.num_tgds);
+    depth_ladder.push_back(
+        Compare(options, "d" + depth_name + " (" + num_tgds + " TGDs)"));
     PrintComparison(depth_ladder.back());
   }
 

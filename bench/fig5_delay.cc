@@ -116,7 +116,8 @@ int main() {
     options.max_arity = 6;
     options.min_multiplicity = 1;
     options.max_multiplicity = 2;
-    DelayRow(options, "+" + FormatDouble(100 * growth, 0) + "% (" +
+    const std::string percent = FormatDouble(100 * growth, 0);
+    DelayRow(options, "+" + percent + "% (" +
                           std::to_string(options.num_facts) + ")");
   }
 
@@ -141,7 +142,8 @@ int main() {
     options.routed_violation_share = 0.6;
     options.min_multiplicity = 1;
     options.max_multiplicity = 2;
-    DelayRow(options, "d" + std::to_string(depth) + " (" +
+    const std::string depth_name = std::to_string(depth);
+    DelayRow(options, "d" + depth_name + " (" +
                           std::to_string(options.num_tgds) + " TGDs)");
   }
   return 0;

@@ -3,8 +3,8 @@
 //
 // For each ladder config a live dialogue is recorded through the real
 // InquiryEngine and written to an actual v2 WAL file; the timed unit is
-// then a full cold reconstruction — LoadRecordedSession (parse + CRC
-// check) followed by SessionTimeline::Create (validation replay through
+// then a full cold reconstruction — ReadWalFile (parse + CRC check)
+// followed by SessionTimeline::Create (validation replay through
 // the engine) and ReplayVerify (byte-compare of every regenerated
 // entry). The one series is keyed by the conflict engine's name,
 // "incremental".
@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "debug/recorded_session.h"
 #include "debug/timeline.h"
 #include "repair/inquiry.h"
 #include "repair/session_log.h"
@@ -101,8 +100,8 @@ StatusOr<size_t> RecordWal(const JsonValue& params, const std::string& dir,
 
 // One timed unit: cold load + validation replay + byte-exact verify.
 Status ReplayOnce(const std::string& wal_path, size_t* questions_out) {
-  KBREPAIR_ASSIGN_OR_RETURN(debug::RecordedSession recorded,
-                            debug::LoadRecordedSession(wal_path));
+  KBREPAIR_ASSIGN_OR_RETURN(WalRecovery recorded,
+                            ReadWalFile(wal_path, "bench"));
   debug::TimelineOptions options;
   options.checkpoint_every = 0;  // throughput, not time travel
   KBREPAIR_ASSIGN_OR_RETURN(

@@ -4,7 +4,8 @@
 //
 // Usage:
 //   interactive_repair [kb.dlgp] [strategy]
-//     strategy: random | opti-join | opti-prop | opti-mcd (default)
+//     strategy: random | opti-join | opti-prop | opti-mcd (default) |
+//               opti-learn
 //
 // Each question lists candidate fixes "(atom, position, new-value)";
 // type the number of the fix that is true, or 'q' to abort.
@@ -73,13 +74,6 @@ class ConsoleUser : public kbrepair::User {
   }
 };
 
-kbrepair::Strategy ParseStrategy(const std::string& name) {
-  if (name == "random") return kbrepair::Strategy::kRandom;
-  if (name == "opti-join") return kbrepair::Strategy::kOptiJoin;
-  if (name == "opti-prop") return kbrepair::Strategy::kOptiProp;
-  return kbrepair::Strategy::kOptiMcd;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,8 +90,13 @@ int main(int argc, char** argv) {
     buffer << file.rdbuf();
     text = buffer.str();
   }
-  const Strategy strategy =
-      ParseStrategy(argc > 2 ? argv[2] : "opti-mcd");
+  const StatusOr<Strategy> parsed_strategy =
+      StrategyFromName(argc > 2 ? argv[2] : "opti-mcd");
+  if (!parsed_strategy.ok()) {
+    std::cerr << parsed_strategy.status() << "\n";
+    return 2;
+  }
+  const Strategy strategy = *parsed_strategy;
 
   StatusOr<KnowledgeBase> parsed = ParseDlgp(text);
   if (!parsed.ok()) {

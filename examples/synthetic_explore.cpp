@@ -19,13 +19,6 @@
 
 namespace {
 
-kbrepair::Strategy ParseStrategy(const std::string& name) {
-  if (name == "random") return kbrepair::Strategy::kRandom;
-  if (name == "opti-join") return kbrepair::Strategy::kOptiJoin;
-  if (name == "opti-prop") return kbrepair::Strategy::kOptiProp;
-  return kbrepair::Strategy::kOptiMcd;
-}
-
 void RunOne(const kbrepair::SyntheticKbOptions& options,
             kbrepair::Strategy strategy, const std::string& label) {
   using namespace kbrepair;
@@ -66,7 +59,13 @@ int main(int argc, char** argv) {
   using namespace kbrepair;
 
   const std::string mode = argc > 1 ? argv[1] : "ratio";
-  const Strategy strategy = ParseStrategy(argc > 2 ? argv[2] : "opti-mcd");
+  const StatusOr<Strategy> parsed =
+      StrategyFromName(argc > 2 ? argv[2] : "opti-mcd");
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    return 2;
+  }
+  const Strategy strategy = *parsed;
   std::printf("sweep=%s strategy=%s\n", mode.c_str(),
               StrategyName(strategy));
 

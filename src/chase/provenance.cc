@@ -67,7 +67,8 @@ std::string RenderSupportCone(AtomId root, const IncrementalChase& chase,
                       out += "atom#" + std::to_string(node.id);
                     }
                     out += "  [";
-                    out += "#" + std::to_string(node.id) + ", ";
+                    out += "#";
+                    out += std::to_string(node.id) + ", ";
                     if (node.derivation == nullptr) {
                       out += "original";
                     } else {

@@ -93,6 +93,13 @@ std::vector<std::string> ExpandWalPaths(const std::vector<std::string>& args) {
   return paths;
 }
 
+// Reads `<dir>/<id>.wal`, naming the session `<id>`.
+StatusOr<WalRecovery> LoadWal(const std::string& path) {
+  std::string id = path.substr(path.find_last_of('/') + 1);
+  if (EndsWith(id, ".wal")) id.resize(id.size() - std::strlen(".wal"));
+  return ReadWalFile(path, id);
+}
+
 struct Options {
   TimelineOptions timeline;
   bool replay_verify = false;
@@ -107,7 +114,7 @@ int RunReplayVerify(const Options& options) {
   size_t skipped = 0;
   size_t failed = 0;
   for (const std::string& path : options.paths) {
-    StatusOr<RecordedSession> recorded = LoadRecordedSession(path);
+    StatusOr<WalRecovery> recorded = LoadWal(path);
     if (!recorded.ok()) {
       std::cerr << path << ": FAIL (load): " << recorded.status() << "\n";
       ++failed;
@@ -146,7 +153,7 @@ int RunReplayVerify(const Options& options) {
 int RunDiffEngines(const Options& options) {
   size_t diverged = 0;
   for (const std::string& path : options.paths) {
-    StatusOr<RecordedSession> recorded = LoadRecordedSession(path);
+    StatusOr<WalRecovery> recorded = LoadWal(path);
     if (!recorded.ok()) {
       std::cerr << path << ": load: " << recorded.status() << "\n";
       return 1;
@@ -161,7 +168,7 @@ int RunDiffEngines(const Options& options) {
     }
     if (!result->diverged) {
       std::cout << path << ": census and replay agree on all "
-                << recorded->steps.size() << " entries\n";
+                << recorded->entries.size() << " entries\n";
       continue;
     }
     ++diverged;
@@ -238,7 +245,7 @@ int Main(int argc, char** argv) {
               << options.paths.size() << ")\n";
     return 2;
   }
-  StatusOr<RecordedSession> recorded = LoadRecordedSession(options.paths[0]);
+  StatusOr<WalRecovery> recorded = LoadWal(options.paths[0]);
   if (!recorded.ok()) {
     std::cerr << options.paths[0] << ": " << recorded.status() << "\n";
     return 1;

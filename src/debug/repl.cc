@@ -142,7 +142,7 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     return Status::Ok();
   }
   if (cmd == "info") {
-    const RecordedSession& rec = timeline_->recorded();
+    const WalRecovery& rec = timeline_->recording();
     *out_ << "session: " << (rec.session_id.empty() ? "<in-memory>"
                                                     : rec.session_id);
     if (!rec.path.empty()) *out_ << "  (" << rec.path << ")";
@@ -317,7 +317,7 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     TimelineOptions options;
     options.checkpoint_every = 0;
     KBREPAIR_ASSIGN_OR_RETURN(EngineDivergence divergence,
-                              DiffEngines(timeline_->recorded(), options));
+                              DiffEngines(timeline_->recording(), options));
     if (!divergence.diverged) {
       *out_ << "no divergence: the replay matches the recording and the "
                "reference census at every step\n";

@@ -17,60 +17,53 @@ namespace debug {
 
 namespace {
 
-std::string EntryWhere(const RecordedStep& rec, size_t index) {
-  return "WAL record " + std::to_string(rec.record_index) + " (byte offset " +
-         std::to_string(rec.byte_offset) + ", entry " +
-         std::to_string(index + 1) + ")";
-}
+// What every replay of a recording starts from: the engine options
+// (with overrides) and the KB rebuilt from the create params, frozen
+// into a snapshot that replay engines fork from.
+struct ReplayBase {
+  InquiryOptions options;
+  std::shared_ptr<const SharedKbSnapshot> snapshot;
+};
 
-// Validates the shape shared by every consumer of a recorded entry.
-Status CheckEntryShape(const RecordedStep& rec, size_t index) {
-  const JsonValue& fixes = rec.entry.Get("question").Get("fixes");
-  if (!rec.entry.Get("chosen").is_number() || !fixes.is_array()) {
-    return Status::InvalidArgument(EntryWhere(rec, index) +
-                                   " needs 'chosen' and 'question.fixes'");
-  }
-  const size_t chosen = static_cast<size_t>(rec.entry.Get("chosen").AsInt(0));
-  if (chosen >= fixes.size()) {
-    return Status::InvalidArgument(EntryWhere(rec, index) +
-                                   " chose a fix index out of range");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<SessionTimeline> SessionTimeline::Create(RecordedSession recorded,
-                                                  TimelineOptions options) {
-  if (recorded.create_params.Get("base").is_string()) {
+StatusOr<ReplayBase> OpenReplayBase(const WalRecovery& recording,
+                                    const TimelineOptions& options) {
+  if (recording.create_params.Get("base").is_string()) {
     return Status::InvalidArgument(
         "recording belongs to a base-forked session ('base' in the create "
         "params): the WAL alone cannot rebuild its KB — replay it through "
         "kbrepaird --recover-dir with the base registry present");
   }
-  SessionTimeline timeline;
-  timeline.recorded_ = std::move(recorded);
-  timeline.options_ = std::move(options);
-  KBREPAIR_ASSIGN_OR_RETURN(
-      timeline.inquiry_options_,
-      InquiryOptionsFromParams(timeline.recorded_.create_params));
-  if (timeline.options_.chase_threads > 0) {
-    timeline.inquiry_options_.chase_options.num_threads =
-        timeline.options_.chase_threads;
+  ReplayBase base;
+  KBREPAIR_ASSIGN_OR_RETURN(base.options,
+                            InquiryOptionsFromParams(recording.create_params));
+  if (options.chase_threads > 0) {
+    base.options.chase_options.num_threads = options.chase_threads;
   }
   std::string label;
   KBREPAIR_ASSIGN_OR_RETURN(
-      KnowledgeBase kb,
-      BuildKbFromParams(timeline.recorded_.create_params, &label));
+      KnowledgeBase kb, BuildKbFromParams(recording.create_params, &label));
   KBREPAIR_ASSIGN_OR_RETURN(
-      timeline.snapshot_,
-      BuildSharedKbSnapshot(std::move(kb), label,
-                            timeline.inquiry_options_.chase_options));
+      base.snapshot,
+      BuildSharedKbSnapshot(std::move(kb), label, base.options.chase_options));
+  return base;
+}
+
+}  // namespace
+
+StatusOr<SessionTimeline> SessionTimeline::Create(WalRecovery recording,
+                                                  TimelineOptions options) {
+  KBREPAIR_ASSIGN_OR_RETURN(ReplayBase base,
+                            OpenReplayBase(recording, options));
+  SessionTimeline timeline;
+  timeline.recording_ = std::move(recording);
+  timeline.options_ = std::move(options);
+  timeline.inquiry_options_ = base.options;
+  timeline.snapshot_ = std::move(base.snapshot);
 
   // The validation pass: replay every entry once, collecting the notes.
   KBREPAIR_ASSIGN_OR_RETURN(Cursor cursor, timeline.FreshCursor());
-  timeline.notes_.reserve(timeline.recorded_.steps.size());
-  while (cursor.step < timeline.recorded_.steps.size()) {
+  timeline.notes_.reserve(timeline.num_entries());
+  while (cursor.step < timeline.num_entries()) {
     StepNote note;
     KBREPAIR_RETURN_IF_ERROR(timeline.AdvanceCursor(cursor, &note));
     timeline.notes_.push_back(std::move(note));
@@ -80,8 +73,7 @@ StatusOr<SessionTimeline> SessionTimeline::Create(RecordedSession recorded,
   // Pre-warm the parked-cursor ladder for backward seeks.
   if (timeline.options_.checkpoint_every > 0) {
     for (size_t m = timeline.options_.checkpoint_every;
-         m < timeline.recorded_.steps.size();
-         m += timeline.options_.checkpoint_every) {
+         m < timeline.num_entries(); m += timeline.options_.checkpoint_every) {
       KBREPAIR_ASSIGN_OR_RETURN(Cursor parked, timeline.FreshCursor());
       while (parked.step < m) {
         KBREPAIR_RETURN_IF_ERROR(timeline.AdvanceCursor(parked, nullptr));
@@ -103,71 +95,33 @@ StatusOr<SessionTimeline::Cursor> SessionTimeline::FreshCursor() const {
 
 Status SessionTimeline::AdvanceCursor(Cursor& cursor, StepNote* note) const {
   const size_t i = cursor.step;
-  KBREPAIR_CHECK(i < recorded_.steps.size());
-  const RecordedStep& rec = recorded_.steps[i];
-  if (note == nullptr && i < notes_.size() && notes_[i].ghost) {
-    cursor.step = i + 1;
+  KBREPAIR_CHECK(i < num_entries());
+  KBREPAIR_ASSIGN_OR_RETURN(const EntryReplay step,
+                            ReplayWalStep(*cursor.engine, recording_, i));
+  cursor.step = i + 1;
+  if (note == nullptr) return Status::Ok();
+  note->index = i;
+  if (i < recording_.entry_origins.size()) {
+    note->record_index = recording_.entry_origins[i].record_index;
+    note->byte_offset = recording_.entry_origins[i].byte_offset;
+  }
+  const InquiryResult& progress = cursor.engine->progress();
+  note->question_index = progress.records.size();
+  if (step.outcome == EntryReplay::Outcome::kGhost) {
+    note->ghost = true;
     return Status::Ok();
   }
-  KBREPAIR_RETURN_IF_ERROR(CheckEntryShape(rec, i));
-  const JsonValue& fixes_json = rec.entry.Get("question").Get("fixes");
-  const size_t chosen = static_cast<size_t>(rec.entry.Get("chosen").AsInt(0));
-  const bool duplicate_of_previous =
-      i > 0 && rec.entry.Dump() == recorded_.steps[i - 1].entry.Dump();
-  KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                            cursor.engine->NextQuestion());
-  std::optional<size_t> choice;
-  if (question != nullptr) {
-    choice = MatchRecordedFixJson(fixes_json.at(chosen), *question,
-                                  cursor.engine->View(),
-                                  cursor.kb->symbols());
-  }
-  if (question == nullptr || !choice.has_value()) {
-    // Same ghost rule as daemon recovery: an append whose fsync failed
-    // was rejected, retried verbatim, and logged twice; the regenerated
-    // dialogue has no question for the duplicate.
-    if (duplicate_of_previous) {
-      if (note != nullptr) {
-        note->index = i;
-        note->question_index = cursor.engine->progress().records.size();
-        note->record_index = rec.record_index;
-        note->byte_offset = rec.byte_offset;
-        note->ghost = true;
-      }
-      cursor.step = i + 1;
-      return Status::Ok();
-    }
-    if (question == nullptr) {
-      return Status::Internal(
-          "replay diverged at " + EntryWhere(rec, i) +
-          ": dialogue reached consistency with recorded answers left");
-    }
-    return Status::Internal(
-        "replay diverged at " + EntryWhere(rec, i) +
-        ": recorded fix not offered by the regenerated question");
-  }
-  if (note != nullptr) {
-    note->index = i;
-    note->question_index = cursor.engine->progress().records.size() + 1;
-    note->record_index = rec.record_index;
-    note->byte_offset = rec.byte_offset;
-    note->chosen = *choice;
-    note->num_fixes = question->fixes.size();
-    note->source_cdd = question->source_cdd;
-    const Fix& fix = question->fixes[*choice];
-    note->chosen_atom = fix.atom;
-    note->chosen_arg = fix.arg;
-    note->chosen_text =
-        fix.ToString(cursor.kb->symbols(), cursor.engine->working_facts());
-  }
-  KBREPAIR_RETURN_IF_ERROR(cursor.engine->Answer(*choice));
-  if (note != nullptr) {
-    const QuestionRecord& record = cursor.engine->progress().records.back();
-    note->phase = record.phase;
-    note->conflicts_remaining = record.conflicts_remaining;
-    note->engine_rebuilds = cursor.engine->progress().engine_rebuilds;
-  }
-  cursor.step = i + 1;
+  note->chosen = step.choice;
+  note->num_fixes = step.question.fixes.size();
+  note->source_cdd = step.question.source_cdd;
+  const Fix& fix = step.question.fixes[step.choice];
+  note->chosen_atom = fix.atom;
+  note->chosen_arg = fix.arg;
+  // Rendered against the original facts, as transcripts render fixes.
+  note->chosen_text = fix.ToString(cursor.kb->symbols(), cursor.kb->facts());
+  note->phase = progress.records.back().phase;
+  note->conflicts_remaining = progress.records.back().conflicts_remaining;
+  note->engine_rebuilds = progress.engine_rebuilds;
   return Status::Ok();
 }
 
@@ -214,10 +168,10 @@ size_t SessionTimeline::num_questions() const {
 }
 
 Status SessionTimeline::SeekTo(size_t step) {
-  if (step > recorded_.steps.size()) {
+  if (step > num_entries()) {
     return Status::InvalidArgument(
         "step " + std::to_string(step) + " out of range (recording has " +
-        std::to_string(recorded_.steps.size()) + " entries)");
+        std::to_string(num_entries()) + " entries)");
   }
   if (step == current_.step) return Status::Ok();
   if (step > current_.step) {
@@ -253,40 +207,21 @@ uint64_t SessionTimeline::StateHash() const {
 
 Status SessionTimeline::ReplayVerify() {
   KBREPAIR_ASSIGN_OR_RETURN(Cursor cursor, FreshCursor());
-  for (size_t i = 0; i < recorded_.steps.size(); ++i) {
-    const RecordedStep& rec = recorded_.steps[i];
-    if (notes_[i].ghost) {
-      cursor.step = i + 1;
-      continue;
+  for (size_t i = 0; i < num_entries(); ++i) {
+    KBREPAIR_ASSIGN_OR_RETURN(const EntryReplay step,
+                              ReplayWalStep(*cursor.engine, recording_, i));
+    if (step.outcome == EntryReplay::Outcome::kGhost) continue;
+    const std::string recorded = recording_.entries[i].Dump();
+    const std::string regenerated =
+        SessionTranscript::EntryToJson(
+            TranscriptEntry{step.question, step.choice}, cursor.kb->symbols())
+            .Dump();
+    if (regenerated != recorded) {
+      return Status::Internal("replay not byte-identical at " +
+                              WalEntryWhere(recording_, i) +
+                              "\n  recorded:    " + recorded +
+                              "\n  regenerated: " + regenerated);
     }
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              cursor.engine->NextQuestion());
-    if (question == nullptr) {
-      return Status::Internal(
-          "replay diverged at " + EntryWhere(rec, i) +
-          ": dialogue reached consistency with recorded answers left");
-    }
-    const JsonValue& fixes_json = rec.entry.Get("question").Get("fixes");
-    const size_t chosen =
-        static_cast<size_t>(rec.entry.Get("chosen").AsInt(0));
-    const std::optional<size_t> choice = MatchRecordedFixJson(
-        fixes_json.at(chosen), *question, cursor.engine->View(),
-        cursor.kb->symbols());
-    if (!choice.has_value()) {
-      return Status::Internal(
-          "replay diverged at " + EntryWhere(rec, i) +
-          ": recorded fix not offered by the regenerated question");
-    }
-    const JsonValue regenerated = SessionTranscript::EntryToJson(
-        TranscriptEntry{*question, *choice}, cursor.kb->symbols());
-    if (regenerated.Dump() != rec.entry.Dump()) {
-      return Status::Internal(
-          "replay not byte-identical at " + EntryWhere(rec, i) +
-          "\n  recorded:    " + rec.entry.Dump() +
-          "\n  regenerated: " + regenerated.Dump());
-    }
-    KBREPAIR_RETURN_IF_ERROR(cursor.engine->Answer(*choice));
-    cursor.step = i + 1;
   }
   return Status::Ok();
 }
@@ -307,7 +242,7 @@ StatusOr<ForkBranch> SessionTimeline::Fork(size_t from_step,
   branch.alt_choice = alt_choice;
   branch.user_seed = user_seed;
   for (size_t i = 0; i < from_step; ++i) {
-    if (!notes_[i].ghost) branch.entries.push_back(recorded_.steps[i].entry);
+    if (!notes_[i].ghost) branch.entries.push_back(recording_.entries[i]);
   }
   KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
                             cursor.engine->NextQuestion());
@@ -391,58 +326,41 @@ StatusOr<std::vector<Conflict>> ReferenceCensus(const InquiryEngine& engine,
 
 }  // namespace
 
-StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
+StatusOr<EngineDivergence> DiffEngines(const WalRecovery& recording,
                                        TimelineOptions options) {
-  if (recorded.create_params.Get("base").is_string()) {
-    return Status::InvalidArgument(
-        "recording belongs to a base-forked session; diff-engines needs the "
-        "create params alone to rebuild the KB");
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions opts,
-                            InquiryOptionsFromParams(recorded.create_params));
-  if (options.chase_threads > 0) {
-    opts.chase_options.num_threads = options.chase_threads;
-  }
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase base,
-                            BuildKbFromParams(recorded.create_params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(
-      std::shared_ptr<const SharedKbSnapshot> snapshot,
-      BuildSharedKbSnapshot(std::move(base), label, opts.chase_options));
-  KnowledgeBase kb = snapshot->Fork();
-  InquiryEngine engine(&kb, opts);
-  KBREPAIR_RETURN_IF_ERROR(engine.BeginShared(snapshot->Seed()));
+  KBREPAIR_ASSIGN_OR_RETURN(ReplayBase base,
+                            OpenReplayBase(recording, options));
+  KnowledgeBase kb = base.snapshot->Fork();
+  InquiryEngine engine(&kb, base.options);
+  KBREPAIR_RETURN_IF_ERROR(engine.BeginShared(base.snapshot->Seed()));
 
   EngineDivergence out;
-  for (size_t i = 0; i < recorded.steps.size(); ++i) {
-    const RecordedStep& rec = recorded.steps[i];
-    KBREPAIR_RETURN_IF_ERROR(CheckEntryShape(rec, i));
-    const JsonValue& fixes_json = rec.entry.Get("question").Get("fixes");
-    const size_t chosen =
-        static_cast<size_t>(rec.entry.Get("chosen").AsInt(0));
-    const bool duplicate_of_previous =
-        i > 0 && rec.entry.Dump() == recorded.steps[i - 1].entry.Dump();
+  for (size_t i = 0; i < recording.entries.size(); ++i) {
     out.step = i + 1;
-    out.recorded_entry = rec.entry.Dump();
-
+    out.recorded_entry = recording.entries[i].Dump();
+    // The censuses first: the replay step below answers the question
+    // they are taken before (NextQuestion is idempotent, so the step
+    // regenerates the same one).
     KBREPAIR_ASSIGN_OR_RETURN(const Question* question, engine.NextQuestion());
     KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> maintained,
                               engine.InspectCensus());
     KBREPAIR_ASSIGN_OR_RETURN(const std::vector<Conflict> reference,
-                              ReferenceCensus(engine, kb, opts));
-    std::optional<size_t> choice;
-    if (question == nullptr) {
+                              ReferenceCensus(engine, kb, base.options));
+    KBREPAIR_ASSIGN_OR_RETURN(
+        const EntryReplay step,
+        ReplayRecordedEntry(engine, recording.entries, i));
+    const bool answered = step.outcome == EntryReplay::Outcome::kAnswered;
+    if (answered) {
+      out.replayed_entry = SessionTranscript::EntryToJson(
+                               TranscriptEntry{step.question, step.choice},
+                               kb.symbols())
+                               .Dump();
+    } else if (question == nullptr) {
       out.replayed_entry = "<consistent>";
     } else {
-      choice = MatchRecordedFixJson(fixes_json.at(chosen), *question,
-                                    engine.View(), kb.symbols());
-      out.replayed_entry =
-          choice.has_value()
-              ? SessionTranscript::EntryToJson(
-                    TranscriptEntry{*question, *choice}, kb.symbols())
-                    .Dump()
-              : "<no matching fix> question=" +
-                    QuestionToWireJson(*question, engine.View()).Dump();
+      // Unanswered, so `question` is still the pending one.
+      out.replayed_entry = "<no matching fix> question=" +
+                           QuestionToWireJson(*question, engine.View()).Dump();
     }
 
     const std::string maintained_text = CensusRendering(maintained);
@@ -450,22 +368,20 @@ StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
     if (maintained_text != reference_text) {
       out.diverged = true;
       out.reason = "maintained census diverges from the reference census at " +
-                   EntryWhere(rec, i) + " (" +
+                   WalEntryWhere(recording, i) + " (" +
                    std::to_string(maintained.size()) + " vs " +
                    std::to_string(reference.size()) + " conflicts)";
       out.maintained_census = maintained_text;
       out.reference_census = reference_text;
       return out;
     }
-    // A ghost the replay rejects is skipped, exactly as in recovery.
-    if (!choice.has_value() && duplicate_of_previous) continue;
-    if (!choice.has_value() || out.replayed_entry != out.recorded_entry) {
+    if (step.outcome == EntryReplay::Outcome::kGhost) continue;
+    if (!answered || out.replayed_entry != out.recorded_entry) {
       out.diverged = true;
       out.reason = "replay diverges from the recording at " +
-                   EntryWhere(rec, i) + " (censuses agree)";
+                   WalEntryWhere(recording, i) + " (censuses agree)";
       return out;
     }
-    KBREPAIR_RETURN_IF_ERROR(engine.Answer(*choice));
   }
   return EngineDivergence{};
 }

@@ -3,10 +3,12 @@
 //
 // The inquiry engine is a pure function of (create params, answer
 // sequence), so a session's WAL is not just a recovery recipe — it is a
-// replayable execution. The timeline materializes that execution as a
-// *cursor*: a CoW-forked KnowledgeBase plus a live InquiryEngine,
-// advanced by replaying recorded answers through the same
-// MatchRecordedFixJson validation daemon recovery uses. Stepping
+// replayable execution. The timeline loads it as the WalRecovery that
+// ReadWalFile returns and materializes that execution as a *cursor*: a
+// CoW-forked KnowledgeBase plus a live InquiryEngine, advanced one
+// recorded entry at a time by ReplayRecordedEntry
+// (repair/session_log.h) — the replay step daemon recovery uses, fsync
+// ghost rule included. Stepping
 // forward advances the current cursor; stepping backward re-materializes
 // an earlier step from the nearest parked cursor (a ladder of them is
 // pre-warmed every `checkpoint_every` steps at load, and every backward
@@ -31,10 +33,10 @@
 #include <string>
 #include <vector>
 
-#include "debug/recorded_session.h"
 #include "repair/inquiry.h"
 #include "repair/kb_snapshot.h"
 #include "rules/knowledge_base.h"
+#include "service/wal.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -83,8 +85,9 @@ struct ForkBranch {
   size_t alt_choice = 0;
   uint64_t user_seed = 0;
   // The full branch transcript (prefix + divergence + tail) as
-  // transcript-entry records — RecordedSessionFromEntries turns it into
-  // a replayable session, which is how branches are verified.
+  // transcript-entry records — a WalRecovery holding them and the create
+  // params is a replayable recording, which is how branches are
+  // verified.
   std::vector<JsonValue> entries;
   bool completed = false;  // reached consistency within the question cap
   size_t num_questions = 0;
@@ -116,17 +119,17 @@ class SessionTimeline {
   // the diverging record's index and byte offset if the recording does
   // not replay. Recordings of base-forked sessions ("base" in the
   // create params) are rejected: the WAL alone cannot rebuild their KB.
-  static StatusOr<SessionTimeline> Create(RecordedSession recorded,
+  static StatusOr<SessionTimeline> Create(WalRecovery recording,
                                           TimelineOptions options = {});
 
   SessionTimeline(SessionTimeline&&) = default;
   SessionTimeline& operator=(SessionTimeline&&) = default;
 
-  const RecordedSession& recorded() const { return recorded_; }
+  const WalRecovery& recording() const { return recording_; }
   const InquiryOptions& inquiry_options() const { return inquiry_options_; }
 
   // Recorded entries (ghosts included) / executed questions.
-  size_t num_entries() const { return recorded_.steps.size(); }
+  size_t num_entries() const { return recording_.entries.size(); }
   size_t num_questions() const;
 
   // Current position: number of recorded entries consumed (0 =
@@ -188,9 +191,8 @@ class SessionTimeline {
   // adoption — O(1) KB construction, no re-chase.
   StatusOr<Cursor> FreshCursor() const;
 
-  // Consumes recorded entry `c.step` (ghosts skipped). With `note`, the
-  // initial pass fills it; without, known ghosts shortcut through the
-  // collected notes.
+  // Consumes recorded entry `c.step` (ghosts skipped); with `note`, the
+  // initial pass fills it in.
   Status AdvanceCursor(Cursor& c, StepNote* note) const;
 
   // A cursor at exactly `step`: consumes the nearest parked cursor at
@@ -201,7 +203,7 @@ class SessionTimeline {
   // multiples are preferred when thinning).
   void Park(Cursor c);
 
-  RecordedSession recorded_;
+  WalRecovery recording_;
   TimelineOptions options_;
   InquiryOptions inquiry_options_;
   std::shared_ptr<const SharedKbSnapshot> snapshot_;
@@ -218,7 +220,7 @@ class SessionTimeline {
 // where the two differ or where the replay stops matching the
 // recording. Unlike SessionTimeline, the replay need not *succeed*:
 // where it stops matching is exactly the finding.
-StatusOr<EngineDivergence> DiffEngines(const RecordedSession& recorded,
+StatusOr<EngineDivergence> DiffEngines(const WalRecovery& recording,
                                        TimelineOptions options = {});
 
 // Multi-line report of a divergence: the reason, then the recorded and

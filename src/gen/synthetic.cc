@@ -157,7 +157,8 @@ StatusOr<SyntheticKb> GenerateSyntheticKb(
       // constants all the way to the constraint.
       std::vector<TermId> vars;
       for (int v = 0; v < arity; ++v) {
-        vars.push_back(symbols.InternVariable("X" + std::to_string(v + 1)));
+        const std::string index = std::to_string(v + 1);
+        vars.push_back(symbols.InternVariable("X" + index));
       }
       for (size_t step = 0; step + 1 < chain.predicates.size(); ++step) {
         std::vector<Atom> body = {Atom(chain.predicates[step], vars)};
@@ -177,7 +178,8 @@ StatusOr<SyntheticKb> GenerateSyntheticKb(
   for (const CddBlueprint& bp : blueprints) {
     std::vector<TermId> join_vars;
     for (size_t v = 0; v < bp.num_join_variables; ++v) {
-      join_vars.push_back(symbols.InternVariable("J" + std::to_string(v)));
+      const std::string index = std::to_string(v);
+      join_vars.push_back(symbols.InternVariable("J" + index));
     }
     std::vector<Atom> body;
     int lone_counter = 0;
@@ -187,8 +189,8 @@ StatusOr<SyntheticKb> GenerateSyntheticKb(
         if (slot >= 0) {
           args.push_back(join_vars[static_cast<size_t>(slot)]);
         } else {
-          args.push_back(symbols.InternVariable(
-              "L" + std::to_string(lone_counter++)));
+          const std::string index = std::to_string(lone_counter++);
+          args.push_back(symbols.InternVariable("L" + index));
         }
       }
       body.emplace_back(bp.predicates[j], std::move(args));

@@ -87,7 +87,8 @@ std::string ExplainConflict(const Conflict& conflict,
   }
   out += "  supported by original facts:";
   for (AtomId id : conflict.support) {
-    out += " " + facts.atom(id).ToString(symbols);
+    out += " ";
+    out += facts.atom(id).ToString(symbols);
   }
   out += "\n";
   return out;

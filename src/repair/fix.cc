@@ -9,8 +9,9 @@ namespace kbrepair {
 
 std::string Fix::ToString(const SymbolTable& symbols,
                           const FactBase& facts) const {
-  return "(" + facts.atom(atom).ToString(symbols) + ", " +
-         std::to_string(arg + 1) + ", " + symbols.term_name(value) + ")";
+  const std::string rendered_atom = facts.atom(atom).ToString(symbols);
+  return "(" + rendered_atom + ", " + std::to_string(arg + 1) + ", " +
+         symbols.term_name(value) + ")";
 }
 
 std::vector<Position> AllPositions(const FactBase& facts) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "repair/delta_conflicts.h"
 #include "util/failpoint.h"
@@ -28,20 +29,29 @@ std::vector<Conflict> LiveCensus(const DeltaConflictEngine& engine) {
 
 }  // namespace
 
+namespace {
+
+// The one table of strategy names, in enum order.
+constexpr std::pair<Strategy, const char*> kStrategyNames[] = {
+    {Strategy::kRandom, "random"},     {Strategy::kOptiJoin, "opti-join"},
+    {Strategy::kOptiProp, "opti-prop"}, {Strategy::kOptiMcd, "opti-mcd"},
+    {Strategy::kOptiLearn, "opti-learn"},
+};
+
+}  // namespace
+
 const char* StrategyName(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kRandom:
-      return "random";
-    case Strategy::kOptiJoin:
-      return "opti-join";
-    case Strategy::kOptiProp:
-      return "opti-prop";
-    case Strategy::kOptiMcd:
-      return "opti-mcd";
-    case Strategy::kOptiLearn:
-      return "opti-learn";
+  for (const auto& [value, name] : kStrategyNames) {
+    if (value == strategy) return name;
   }
   return "unknown";
+}
+
+StatusOr<Strategy> StrategyFromName(const std::string& name) {
+  for (const auto& [value, known] : kStrategyNames) {
+    if (name == known) return value;
+  }
+  return Status::InvalidArgument("unknown strategy '" + name + "'");
 }
 
 double InquiryResult::MeanDelaySeconds() const {

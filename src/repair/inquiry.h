@@ -80,8 +80,12 @@ enum class Strategy {
   kOptiLearn,
 };
 
-// "random", "opti-join", "opti-prop", "opti-mcd", "opti-learn".
+// "random", "opti-join", "opti-prop", "opti-mcd", "opti-learn";
+// "unknown" for a value outside the enum.
 const char* StrategyName(Strategy strategy);
+
+// The inverse of StrategyName; InvalidArgument for any other name.
+StatusOr<Strategy> StrategyFromName(const std::string& name);
 
 // How chased conflicts (phase two / Algorithm 3) are computed. One
 // value: the delta-chase conflict engine (repair/delta_conflicts.h), a

@@ -1,5 +1,7 @@
 #include "repair/repair_checks.h"
 
+#include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "repair/delta_conflicts.h"
@@ -63,6 +65,7 @@ StatusOr<std::vector<Fix>> GreedyRFix(KnowledgeBase& kb) {
   KBREPAIR_RETURN_IF_ERROR(census.Initialize(kb.facts()));
 
   std::vector<Fix> fixes;
+  PositionSet nulled;
   // Null a resolving position of the atom supporting the most conflicts
   // (the conflict-hypergraph hub) until consistent. Naive conflicts
   // first, then the chased ones, each tier in canonical order.
@@ -83,20 +86,32 @@ StatusOr<std::vector<Fix>> GreedyRFix(KnowledgeBase& kb) {
       }
     }
 
-    // Find a resolving position of the hub: the argument a CDD body
-    // matched through a join variable or constant in some conflict.
-    Fix fix{hub, 0, kb.symbols().MakeFreshNull()};
-    bool found = false;
+    // A resolving position of the hub not nulled yet: an argument a CDD
+    // body binds to a join variable or constant in a conflict matching
+    // the hub directly, else — the hub reaches the conflicts only through
+    // chase provenance — any argument, the projection
+    // GENERATEQUESTION-CHASE asks about. Positions are never nulled
+    // twice (a second fresh null constrains no less than the first), so
+    // the loop ends.
+    std::optional<int> arg;
+    const auto consider = [&](int a) {
+      if (!arg.has_value() && nulled.count(Position{hub, a}) == 0) arg = a;
+    };
     for (const Conflict& conflict : conflicts) {
       const Cdd& cdd = kb.cdds()[conflict.cdd_index];
-      for (size_t j = 0; j < conflict.matched.size() && !found; ++j) {
+      for (size_t j = 0; j < conflict.matched.size(); ++j) {
         if (conflict.matched[j] != hub) continue;
-        if (cdd.resolving_positions(j).empty()) continue;
-        fix.arg = cdd.resolving_positions(j)[0];
-        found = true;
+        for (int a : cdd.resolving_positions(j)) consider(a);
       }
-      if (found) break;
     }
+    for (int a = 0; a < kb.facts().atom(hub).arity(); ++a) consider(a);
+    if (!arg.has_value()) {
+      const std::string atom = std::to_string(hub);
+      return Status::Internal("greedy r-fix: hub atom " + atom +
+                              " has no resolving position left to null");
+    }
+    const Fix fix{hub, *arg, kb.symbols().MakeFreshNull()};
+    nulled.insert(Position{hub, *arg});
     KBREPAIR_RETURN_IF_ERROR(
         census.OnFixApplied(fix.atom, fix.arg, fix.value));
     fixes.push_back(fix);

@@ -16,7 +16,8 @@ std::string SessionTranscript::Render(const SymbolTable& symbols,
   for (size_t i = 0; i < entries_.size(); ++i) {
     const TranscriptEntry& entry = entries_[i];
     const Fix& chosen = entry.question.fixes[entry.chosen_index];
-    out += "Q" + std::to_string(i + 1) + " (cdd " +
+    const std::string number = std::to_string(i + 1);
+    out += "Q" + number + " (cdd " +
            std::to_string(entry.question.source_cdd) + ", " +
            std::to_string(entry.question.fixes.size()) +
            " fixes): chose [" + std::to_string(entry.chosen_index) + "] " +
@@ -75,6 +76,40 @@ StatusOr<Fix> FixFromJson(const JsonValue& json, SymbolTable& symbols) {
   return fix;
 }
 
+// The shape every consumer of a recorded entry relies on: a numeric
+// "chosen" indexing into a "question.fixes" array. The message names no
+// location; callers prefix it.
+Status ValidateRecordedEntry(const JsonValue& entry) {
+  const JsonValue& fixes = entry.Get("question").Get("fixes");
+  if (!entry.Get("chosen").is_number() || !fixes.is_array()) {
+    return Status::InvalidArgument("needs 'chosen' and 'question.fixes'");
+  }
+  if (entry.Get("chosen").AsInt(-1) < 0 ||
+      static_cast<size_t>(entry.Get("chosen").AsInt()) >= fixes.size()) {
+    return Status::InvalidArgument("chose a fix index out of range");
+  }
+  return Status::Ok();
+}
+
+// The offered fix of `question` that a recorded fix (wire JSON:
+// atom/arg numbers plus kind/value strings) selects, by FindOfferedFix.
+std::optional<size_t> MatchRecordedFixJson(const JsonValue& recorded,
+                                           const Question& question,
+                                           const InquiryView& view) {
+  const SymbolTable& symbols = *view.symbols;
+  const StatusOr<TermKind> kind =
+      TermKindFromTag(recorded.Get("kind").AsString());
+  if (!kind.ok()) return std::nullopt;
+  // FindTerm, not InternTerm: a recorded term the table has never seen
+  // (a null minted under another name) matches nothing exactly, and the
+  // fresh-null counter stays where the original run left it.
+  const Fix wanted{static_cast<AtomId>(recorded.Get("atom").AsInt(-1)),
+                   static_cast<int>(recorded.Get("arg").AsInt(-1)),
+                   symbols.FindTerm(*kind, recorded.Get("value").AsString())};
+  return FindOfferedFix(question, wanted, *kind == TermKind::kNull, symbols,
+                        view);
+}
+
 }  // namespace
 
 JsonValue SessionTranscript::EntryToJson(const TranscriptEntry& entry,
@@ -123,12 +158,13 @@ StatusOr<SessionTranscript> SessionTranscript::FromJson(
   SessionTranscript transcript;
   for (size_t i = 0; i < entries.size(); ++i) {
     const JsonValue& record = entries.at(i);
-    const JsonValue& question_json = record.Get("question");
-    if (!record.Get("chosen").is_number() || !question_json.is_object()) {
-      return Status::InvalidArgument(
-          "transcript entry " + std::to_string(i) +
-          " needs 'chosen' and 'question'");
+    const Status shape = ValidateRecordedEntry(record);
+    if (!shape.ok()) {
+      const std::string index = std::to_string(i);
+      return Status::InvalidArgument("transcript entry " + index + " " +
+                                     shape.message());
     }
+    const JsonValue& question_json = record.Get("question");
     Question question;
     question.source_cdd = static_cast<size_t>(
         question_json.Get("source_cdd").AsInt(0));
@@ -144,25 +180,52 @@ StatusOr<SessionTranscript> SessionTranscript::FromJson(
                    static_cast<int>(pos.at(1).AsInt(0))});
     }
     const JsonValue& fixes = question_json.Get("fixes");
-    if (!fixes.is_array() || fixes.size() == 0) {
-      return Status::InvalidArgument(
-          "transcript entry " + std::to_string(i) + " has no fixes");
-    }
     for (size_t j = 0; j < fixes.size(); ++j) {
       KBREPAIR_ASSIGN_OR_RETURN(Fix fix,
                                 FixFromJson(fixes.at(j), symbols));
       question.fixes.push_back(fix);
     }
-    const size_t chosen =
-        static_cast<size_t>(record.Get("chosen").AsInt(0));
-    if (chosen >= question.fixes.size()) {
-      return Status::InvalidArgument(
-          "transcript entry " + std::to_string(i) +
-          " chose a fix index out of range");
-    }
-    transcript.Record(question, chosen);
+    transcript.Record(question,
+                      static_cast<size_t>(record.Get("chosen").AsInt(0)));
   }
   return transcript;
+}
+
+StatusOr<EntryReplay> ReplayRecordedEntry(InquiryEngine& engine,
+                                          const std::vector<JsonValue>& entries,
+                                          size_t n) {
+  const JsonValue& entry = entries.at(n);
+  EntryReplay out;
+  const Status shape = ValidateRecordedEntry(entry);
+  if (!shape.ok()) {
+    out.reason = shape.message();
+    return out;
+  }
+  KBREPAIR_ASSIGN_OR_RETURN(const Question* question, engine.NextQuestion());
+  std::optional<size_t> choice;
+  if (question != nullptr) {
+    const size_t chosen = static_cast<size_t>(entry.Get("chosen").AsInt());
+    choice = MatchRecordedFixJson(
+        entry.Get("question").Get("fixes").at(chosen), *question,
+        engine.View());
+  }
+  if (!choice.has_value()) {
+    if (n > 0 && entry.Dump() == entries[n - 1].Dump()) {
+      out.outcome = EntryReplay::Outcome::kGhost;
+    } else if (question == nullptr) {
+      const std::string left = std::to_string(entries.size() - n);
+      out.reason = "dialogue reached consistency with " + left +
+                   " recorded answer(s) left";
+    } else {
+      out.reason = "recorded fix not offered by the regenerated question";
+    }
+    return out;
+  }
+  out.question = *question;  // Answer() invalidates the pending question
+  out.choice = *choice;
+  KBREPAIR_RETURN_IF_ERROR(engine.Answer(*choice));
+  out.outcome = EntryReplay::Outcome::kAnswered;
+  return out;
 }
 
 ReplayUser::ReplayUser(const SessionTranscript* transcript,
@@ -181,23 +244,10 @@ std::optional<size_t> ReplayUser::ChooseFix(const Question& question,
   if (next_entry_ >= transcript_->size()) return std::nullopt;
   const TranscriptEntry& entry = transcript_->entries()[next_entry_];
   const Fix& recorded = entry.question.fixes[entry.chosen_index];
-  for (size_t i = 0; i < question.fixes.size(); ++i) {
-    const Fix& offered = question.fixes[i];
-    if (offered.atom != recorded.atom || offered.arg != recorded.arg) {
-      continue;
-    }
-    const bool exact = offered.value == recorded.value;
-    // A re-run mints a different fresh null for the same position; both
-    // denote "unknown unique to the position".
-    const bool both_fresh_nulls =
-        symbols_->IsNull(offered.value) && symbols_->IsNull(recorded.value) &&
-        view.facts != nullptr && view.facts->TermUseCount(offered.value) == 0;
-    if (exact || both_fresh_nulls) {
-      ++next_entry_;
-      return i;
-    }
-  }
-  return std::nullopt;  // divergence
+  const std::optional<size_t> choice = FindOfferedFix(
+      question, recorded, symbols_->IsNull(recorded.value), *symbols_, view);
+  if (choice.has_value()) ++next_entry_;
+  return choice;  // nullopt: divergence
 }
 
 }  // namespace kbrepair

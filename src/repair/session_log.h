@@ -5,17 +5,26 @@
 // Definition 4.1 made tangible: every question with its offered fixes
 // and the index the user chose. Transcripts support
 //  * human-readable rendering (audit trails for data stewards),
-//  * exact replay through ReplayUser — running the same engine
-//    configuration over the same KB with a replayed transcript
-//    reproduces the repair bit for bit, which turns any interactive
-//    session into a regression test.
+//  * exact replay — running the same engine configuration over the same
+//    KB with a replayed transcript reproduces the repair bit for bit
+//    (Prop. 4.8), which turns any interactive session into a regression
+//    test.
+//
+// Replay has one step, ReplayRecordedEntry: it feeds one recorded entry
+// (EntryToJson shape) to an InquiryEngine, matching the recorded fix
+// against the regenerated question and skipping fsync ghosts. Daemon
+// WAL recovery and every kbrepair-debug replay go through it; ReplayUser
+// and the oracle users match offered fixes with the same rule,
+// FindOfferedFix (repair/user.h).
 
 #ifndef KBREPAIR_REPAIR_SESSION_LOG_H_
 #define KBREPAIR_REPAIR_SESSION_LOG_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "repair/inquiry.h"
 #include "repair/question.h"
 #include "repair/user.h"
 #include "util/json.h"
@@ -61,10 +70,41 @@ class SessionTranscript {
   std::vector<TranscriptEntry> entries_;
 };
 
+// What replaying one recorded entry did.
+struct EntryReplay {
+  enum class Outcome {
+    kAnswered,  // the recorded fix was offered and answered
+    kGhost,     // an fsync ghost, skipped; the engine is untouched
+    kDiverged,  // the entry does not replay; the engine is untouched
+  };
+  Outcome outcome = Outcome::kDiverged;
+  // kAnswered: the regenerated question and the index answered on it.
+  Question question;
+  size_t choice = 0;
+  // kDiverged: why, without the entry's location.
+  std::string reason;
+};
+
+// Replays `entries[n]` onto `engine`: checks its shape (a numeric
+// "chosen" indexing into "question.fixes", as FromJson also requires),
+// regenerates the pending question, matches the recorded fix against it
+// with FindOfferedFix (repair/user.h) and answers it. Recorded terms are
+// looked up, never interned: interning would advance the fresh-null
+// counter and break byte-identical replay. An entry that does not
+// replay but is an exact duplicate of `entries[n - 1]` is an fsync
+// ghost — an append whose write landed but whose fsync failed, so the
+// command was rejected and the client's verbatim retry logged it again
+// — and is skipped. A legitimately repeated identical answer still
+// matches its own regenerated question and replays normally. Errors
+// are the engine's own.
+StatusOr<EntryReplay> ReplayRecordedEntry(InquiryEngine& engine,
+                                          const std::vector<JsonValue>& entries,
+                                          size_t n);
+
 // Replays a transcript: the k-th question must offer the recorded
-// chosen fix (same position and value, or both fresh nulls); replay
-// answers with its index. Returns nullopt — aborting the inquiry — on
-// divergence (different engine configuration or a mutated KB).
+// chosen fix (FindOfferedFix); replay answers with its index.
+// Returns nullopt — aborting the inquiry — on divergence (different
+// engine configuration or a mutated KB).
 class ReplayUser : public User {
  public:
   explicit ReplayUser(const SessionTranscript* transcript,

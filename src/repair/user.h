@@ -43,6 +43,27 @@ class User {
                                           const InquiryView& view) = 0;
 };
 
+// The one fix-matching rule, applied by replay and by the oracle users:
+// the index of the first fix of `question` that rewrites `wanted`'s
+// position to `wanted.value` or — when `wanted_is_null` — to a fresh
+// null, i.e. an offered null the working facts do not use yet. Any two
+// fresh nulls denote "an unknown unique to this position", whatever
+// names they were minted under. `wanted.value` may be kInvalidTerm (a
+// recorded term the symbol table has never seen), which matches no
+// term exactly. nullopt when no offered fix matches.
+std::optional<size_t> FindOfferedFix(const Question& question,
+                                     const Fix& wanted, bool wanted_is_null,
+                                     const SymbolTable& symbols,
+                                     const InquiryView& view);
+
+// Answers from target fixes (an oracle's r-fix): the lowest-indexed
+// offered fix that realizes one of `targets` (FindOfferedFix); the
+// first target it realizes is erased. nullopt when none is offered.
+std::optional<size_t> TakeOfferedTarget(const Question& question,
+                                        std::vector<Fix>* targets,
+                                        const SymbolTable& symbols,
+                                        const InquiryView& view);
+
 // The paper's simulated end-user: a uniformly random valid choice.
 class RandomUser : public User {
  public:
@@ -56,10 +77,9 @@ class RandomUser : public User {
 };
 
 // An oracle (Section 4.1): holds the r-fix P_O of a target u-repair and
-// always answers with a fix from it. A question fix matches an oracle fix
-// when positions agree and either the values are equal or both denote a
-// fresh unknown (the question mints its own labeled null, which stands
-// for the oracle's null up to renaming).
+// always answers with a fix from it (TakeOfferedTarget). The question
+// mints its own labeled null, which stands for the oracle's null up to
+// renaming.
 class OracleUser : public User {
  public:
   OracleUser(std::vector<Fix> r_fix, const SymbolTable* symbols);

@@ -17,26 +17,7 @@ NoisyOracleUser::NoisyOracleUser(std::vector<Fix> r_fix,
 
 std::optional<size_t> NoisyOracleUser::OracleChoice(
     const Question& question, const InquiryView& view) {
-  for (size_t i = 0; i < question.fixes.size(); ++i) {
-    const Fix& offered = question.fixes[i];
-    for (size_t j = 0; j < remaining_.size(); ++j) {
-      const Fix& target = remaining_[j];
-      if (offered.atom != target.atom || offered.arg != target.arg) {
-        continue;
-      }
-      const bool exact = offered.value == target.value;
-      const bool both_null = symbols_->IsNull(offered.value) &&
-                             symbols_->IsNull(target.value) &&
-                             view.facts != nullptr &&
-                             view.facts->TermUseCount(offered.value) == 0;
-      if (exact || both_null) {
-        remaining_.erase(remaining_.begin() +
-                         static_cast<std::ptrdiff_t>(j));
-        return i;
-      }
-    }
-  }
-  return std::nullopt;
+  return TakeOfferedTarget(question, &remaining_, *symbols_, view);
 }
 
 std::optional<size_t> NoisyOracleUser::ChooseFix(const Question& question,

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "repair/inquiry.h"
+
 namespace kbrepair {
 
 size_t LatencyHistogram::BucketForMicros(uint64_t micros) {
@@ -176,14 +178,8 @@ JsonValue LatencyHistogram::ToJson() const {
 }
 
 const char* StrategyLabelName(size_t index) {
-  switch (index) {
-    case 0: return "random";
-    case 1: return "opti-join";
-    case 2: return "opti-prop";
-    case 3: return "opti-mcd";
-    case 4: return "opti-learn";
-  }
-  return "unknown";
+  if (index >= kNumStrategyLabels) return "unknown";
+  return StrategyName(static_cast<Strategy>(index));
 }
 
 bool LabeledMetrics::Touched() const {

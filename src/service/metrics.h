@@ -89,9 +89,8 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_micros_{0};
 };
 
-// Label axis for the per-strategy breakdown. The indices are assigned
-// by the session layer (see RepairSession), which maps its Strategy
-// enum onto these names.
+// Label axis for the per-strategy breakdown: index i is the Strategy
+// enum value i, named by StrategyName.
 inline constexpr size_t kNumStrategyLabels = 5;
 const char* StrategyLabelName(size_t index);  // "random", "opti-join", ...
 

@@ -11,15 +11,6 @@ namespace kbrepair {
 
 namespace {
 
-StatusOr<Strategy> StrategyFromName(const std::string& name) {
-  if (name == "random") return Strategy::kRandom;
-  if (name == "opti-join") return Strategy::kOptiJoin;
-  if (name == "opti-prop") return Strategy::kOptiProp;
-  if (name == "opti-mcd") return Strategy::kOptiMcd;
-  if (name == "opti-learn") return Strategy::kOptiLearn;
-  return Status::InvalidArgument("unknown strategy '" + name + "'");
-}
-
 JsonValue FactsToJson(const FactBase& facts, const SymbolTable& symbols) {
   JsonValue out = JsonValue::Array();
   for (AtomId id = 0; id < facts.size(); ++id) {
@@ -27,50 +18,6 @@ JsonValue FactsToJson(const FactBase& facts, const SymbolTable& symbols) {
   }
   return out;
 }
-
-const char* TermKindTag(TermKind kind) {
-  switch (kind) {
-    case TermKind::kConstant:
-      return "constant";
-    case TermKind::kVariable:
-      return "variable";
-    case TermKind::kNull:
-      return "null";
-  }
-  return "?";
-}
-
-}  // namespace
-
-// Comparison stays at the string level: interning the recorded terms
-// into the live symbol table would advance its fresh-null counter, so
-// the replayed dialogue would mint differently named nulls and
-// recovery would no longer be byte-identical with the original run.
-std::optional<size_t> MatchRecordedFixJson(const JsonValue& recorded,
-                                           const Question& question,
-                                           const InquiryView& view,
-                                           const SymbolTable& symbols) {
-  const AtomId atom = static_cast<AtomId>(recorded.Get("atom").AsInt(-1));
-  const int arg = static_cast<int>(recorded.Get("arg").AsInt(-1));
-  const std::string kind = recorded.Get("kind").AsString();
-  const std::string value = recorded.Get("value").AsString();
-  for (size_t i = 0; i < question.fixes.size(); ++i) {
-    const Fix& offered = question.fixes[i];
-    if (offered.atom != atom || offered.arg != arg) continue;
-    const TermKind offered_kind = symbols.term_kind(offered.value);
-    const bool exact = kind == TermKindTag(offered_kind) &&
-                       value == symbols.term_name(offered.value);
-    // A re-run mints a different fresh null for the same position; both
-    // denote "unknown unique to the position".
-    const bool both_fresh_nulls =
-        kind == "null" && offered_kind == TermKind::kNull &&
-        view.facts != nullptr && view.facts->TermUseCount(offered.value) == 0;
-    if (exact || both_fresh_nulls) return i;
-  }
-  return std::nullopt;
-}
-
-namespace {
 
 // Attributes the phase time a command spends to the session's strategy
 // metrics slot when it leaves scope. The manager serializes a session's
@@ -247,10 +194,11 @@ StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
 }
 
 RepairSession::RepairSession(std::string id, std::string kb_label,
-                             KnowledgeBase kb, InquiryOptions options,
-                             JsonValue create_params)
+                             BaseRegistry::Handle base, KnowledgeBase kb,
+                             InquiryOptions options, JsonValue create_params)
     : id_(std::move(id)),
       kb_label_(std::move(kb_label)),
+      base_(std::move(base)),
       kb_(std::move(kb)),
       options_(options),
       create_params_(std::move(create_params)),
@@ -261,125 +209,60 @@ RepairSession::RepairSession(std::string id, std::string kb_label,
   engine_ = std::make_unique<InquiryEngine>(&kb_, options_);
 }
 
-StatusOr<std::unique_ptr<RepairSession>> RepairSession::Create(
-    std::string id, const JsonValue& params, int64_t deadline_ms) {
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  std::unique_ptr<RepairSession> session(new RepairSession(
-      std::move(id), std::move(label), std::move(kb), options, params));
-  session->ArmDeadline(deadline_ms);
-  const Status begun = session->engine_->Begin();
-  session->DisarmDeadline();
-  KBREPAIR_RETURN_IF_ERROR(begun);
-  return session;
+namespace {
+
+// The session's KB: a fork of the shared base, else a private build.
+StatusOr<KnowledgeBase> SessionKb(const JsonValue& params,
+                                  const BaseRegistry::Handle& base,
+                                  std::string* label) {
+  if (!base) return BuildKbFromParams(params, label);
+  *label = base.snapshot()->label;
+  return base.snapshot()->Fork();
 }
 
-StatusOr<std::unique_ptr<RepairSession>> RepairSession::CreateFromBase(
+}  // namespace
+
+StatusOr<std::unique_ptr<RepairSession>> RepairSession::Open(
     std::string id, const JsonValue& params, BaseRegistry::Handle base,
     int64_t deadline_ms) {
-  KBREPAIR_CHECK(static_cast<bool>(base));
+  std::string label;
+  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb, SessionKb(params, base, &label));
   KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
                             InquiryOptionsFromParams(params));
-  const std::shared_ptr<const SharedKbSnapshot>& snapshot = base.snapshot();
   std::unique_ptr<RepairSession> session(
-      new RepairSession(std::move(id), snapshot->label, snapshot->Fork(),
-                        options, params));
-  session->base_ = std::move(base);
+      new RepairSession(std::move(id), std::move(label), std::move(base),
+                        std::move(kb), options, params));
   session->ArmDeadline(deadline_ms);
-  // Adopts the snapshot's precomputed verdict/censuses and arms the
-  // frozen engine prototypes; the seed stays valid because base_ pins
-  // the snapshot for the session's lifetime.
+  // A fork adopts the snapshot's precomputed verdict/censuses and arms
+  // the frozen engine prototypes; the seed stays valid because base_
+  // pins the snapshot for the session's lifetime.
   const Status begun =
-      session->engine_->BeginShared(session->base_.snapshot()->Seed());
+      session->base_
+          ? session->engine_->BeginShared(session->base_.snapshot()->Seed())
+          : session->engine_->Begin();
   session->DisarmDeadline();
   KBREPAIR_RETURN_IF_ERROR(begun);
   return session;
 }
 
-StatusOr<std::unique_ptr<RepairSession>> RepairSession::Recover(
-    std::string id, const JsonValue& create_params,
-    const std::vector<JsonValue>& entries) {
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(create_params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(create_params));
-  std::unique_ptr<RepairSession> session(new RepairSession(
-      std::move(id), std::move(label), std::move(kb), options, create_params));
-  KBREPAIR_RETURN_IF_ERROR(session->engine_->Begin());
-  KBREPAIR_RETURN_IF_ERROR(ReplayWalEntries(session.get(), entries));
-  return session;
+StatusOr<EntryReplay> ReplayWalStep(InquiryEngine& engine,
+                                    const WalRecovery& recording, size_t n) {
+  KBREPAIR_ASSIGN_OR_RETURN(EntryReplay step,
+                            ReplayRecordedEntry(engine, recording.entries, n));
+  if (step.outcome == EntryReplay::Outcome::kDiverged) {
+    return Status::Internal("replay diverged at " +
+                            WalEntryWhere(recording, n) + ": " + step.reason);
+  }
+  return step;
 }
 
-StatusOr<std::unique_ptr<RepairSession>> RepairSession::RecoverFromBase(
-    std::string id, const JsonValue& create_params,
-    BaseRegistry::Handle base, const std::vector<JsonValue>& entries) {
-  KBREPAIR_CHECK(static_cast<bool>(base));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(create_params));
-  const std::shared_ptr<const SharedKbSnapshot>& snapshot = base.snapshot();
-  std::unique_ptr<RepairSession> session(
-      new RepairSession(std::move(id), snapshot->label, snapshot->Fork(),
-                        options, create_params));
-  session->base_ = std::move(base);
-  KBREPAIR_RETURN_IF_ERROR(
-      session->engine_->BeginShared(session->base_.snapshot()->Seed()));
-  KBREPAIR_RETURN_IF_ERROR(ReplayWalEntries(session.get(), entries));
-  return session;
-}
-
-Status RepairSession::ReplayWalEntries(RepairSession* session,
-                                       const std::vector<JsonValue>& entries) {
-  // Replay the WAL's answer records through the restarted engine,
-  // validating each recorded fix against the question the engine
-  // regenerates. The match is done on the wire JSON directly (see
-  // MatchRecordedFixJson) so replay never mutates the symbol table.
-  for (size_t n = 0; n < entries.size(); ++n) {
-    const JsonValue& record = entries[n];
-    const JsonValue& fixes_json = record.Get("question").Get("fixes");
-    if (!record.Get("chosen").is_number() || !fixes_json.is_array()) {
-      return Status::InvalidArgument(
-          "WAL answer record " + std::to_string(n) +
-          " needs 'chosen' and 'question.fixes'");
+Status RepairSession::Replay(const WalRecovery& recording) {
+  for (size_t n = 0; n < recording.entries.size(); ++n) {
+    KBREPAIR_ASSIGN_OR_RETURN(const EntryReplay step,
+                              ReplayWalStep(*engine_, recording, n));
+    if (step.outcome == EntryReplay::Outcome::kAnswered) {
+      transcript_.Record(step.question, step.choice);
     }
-    const size_t chosen = static_cast<size_t>(record.Get("chosen").AsInt(0));
-    if (chosen >= fixes_json.size()) {
-      return Status::InvalidArgument(
-          "WAL answer record " + std::to_string(n) +
-          " chose a fix index out of range");
-    }
-    // An append whose write landed but whose fsync failed leaves a
-    // *ghost* record: the command was rejected (never executed), the
-    // client retried it verbatim, and the retry appended the identical
-    // line again. A ghost is therefore an exact duplicate of its
-    // predecessor that the regenerated dialogue has no question for —
-    // skip it. A legitimately repeated identical answer still matches
-    // the next regenerated question and replays normally.
-    const bool duplicate_of_previous =
-        n > 0 && record.Dump() == entries[n - 1].Dump();
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              session->engine_->NextQuestion());
-    if (question == nullptr) {
-      if (duplicate_of_previous) continue;
-      return Status::Internal(
-          "WAL replay diverged: dialogue reached consistency with " +
-          std::to_string(entries.size() - n) + " recorded answer(s) left");
-    }
-    const std::optional<size_t> choice =
-        MatchRecordedFixJson(fixes_json.at(chosen), *question,
-                             session->engine_->View(), session->kb_.symbols());
-    if (!choice.has_value()) {
-      if (duplicate_of_previous) continue;
-      return Status::Internal(
-          "WAL replay diverged at answer " + std::to_string(n) +
-          ": recorded fix not offered by the regenerated question");
-    }
-    const Question regenerated = *question;
-    KBREPAIR_RETURN_IF_ERROR(session->engine_->Answer(*choice));
-    session->transcript_.Record(regenerated, *choice);
   }
   return Status::Ok();
 }

@@ -10,7 +10,6 @@
 #define KBREPAIR_SERVICE_SESSION_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,18 +46,12 @@ StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
 // (including the retired "scratch") is InvalidArgument.
 StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params);
 
-// Matches a WAL-recorded fix (wire JSON: atom/arg numbers plus
-// kind/value strings) against the fixes of a regenerated question,
-// returning the offered index or nullopt. Comparison stays at the
-// string level and never mutates the symbol table — interning the
-// recorded terms would advance the fresh-null counter and break
-// byte-identical replay. A recorded fresh null matches an offered fresh
-// null of the same position even when their minted names differ.
-// Shared by WAL recovery and the kbrepair-debug timeline.
-std::optional<size_t> MatchRecordedFixJson(const JsonValue& recorded,
-                                           const Question& question,
-                                           const InquiryView& view,
-                                           const SymbolTable& symbols);
+// ReplayRecordedEntry on entry `n` of a WAL recording, with a
+// divergence turned into an Internal error naming the entry's WAL record
+// index and byte offset (WalEntryWhere). The replay step of crash
+// recovery and of kbrepair-debug's timeline.
+StatusOr<EntryReplay> ReplayWalStep(InquiryEngine& engine,
+                                    const WalRecovery& recording, size_t n);
 
 // Sets the daemon-wide chase-thread default applied when a `create`
 // omits "chase_threads" (kbrepaird --chase-threads). Call before serving.
@@ -66,43 +59,28 @@ void SetDefaultChaseThreads(size_t threads);
 
 class RepairSession {
  public:
-  // Builds the KB, starts the dialogue (Π-repairability check + initial
-  // conflict census). Fails without registering anything on bad params
-  // or an unrepairable KB. A positive `deadline_ms` bounds the initial
-  // census (DeadlineExceeded past it).
-  static StatusOr<std::unique_ptr<RepairSession>> Create(
-      std::string id, const JsonValue& params, int64_t deadline_ms = 0);
-
-  // `create` with params["base"]: forks the KB from the registered
-  // snapshot in O(delta) — shared symbol/fact segments, adopted
-  // repairability verdict and conflict censuses — instead of building
-  // and re-chasing a private copy. The handle's refcount keeps the base
-  // alive for the session's lifetime. Fails without side effects when
-  // the snapshot is not Π-repairable.
-  static StatusOr<std::unique_ptr<RepairSession>> CreateFromBase(
-      std::string id, const JsonValue& params, BaseRegistry::Handle base,
+  // Opens a session and starts its dialogue (Π-repairability check +
+  // initial conflict census). Without `base` the KB is built privately
+  // from `params` (BuildKbFromParams); with it, the KB is forked from
+  // the registered snapshot in O(delta) — shared symbol/fact segments,
+  // adopted repairability verdict and conflict censuses — and the
+  // handle's refcount keeps the base alive for the session's lifetime.
+  // Fails without side effects on bad params or an unrepairable KB. A
+  // positive `deadline_ms` bounds the initial census (DeadlineExceeded
+  // past it).
+  static StatusOr<std::unique_ptr<RepairSession>> Open(
+      std::string id, const JsonValue& params, BaseRegistry::Handle base = {},
       int64_t deadline_ms = 0);
 
-  // Crash recovery: rebuilds a session from its WAL — the recorded
-  // create params plus the answer history as transcript-entry records —
-  // by replaying every answer through the restarted engine via
-  // ReplayUser. The engine is deterministic given (params, answers), so
-  // the recovered session is byte-identical to the lost one; divergence
-  // (entries the fresh engine does not offer) returns Internal and the
-  // WAL is left for inspection. Recovery runs without a per-command
+  // Crash recovery, on a session just opened from the recording's create
+  // params: replays every recorded answer through the engine with
+  // ReplayWalStep (fsync ghosts skipped). The engine is
+  // deterministic given (params, answers), so the recovered session is
+  // byte-identical to the lost one; an entry that does not replay
+  // returns an error naming its WAL record index and byte offset, and
+  // the WAL is left for inspection. Runs without a per-command
   // deadline: it is N commands' worth of work by construction.
-  static StatusOr<std::unique_ptr<RepairSession>> Recover(
-      std::string id, const JsonValue& create_params,
-      const std::vector<JsonValue>& entries);
-
-  // Recovery of a base-forked session: the WAL's create record carries
-  // "base":<name>, so instead of rebuilding a private KB the session is
-  // re-forked from the (already recovered) registry snapshot and the
-  // answer history is replayed on top — same replay contract as
-  // Recover().
-  static StatusOr<std::unique_ptr<RepairSession>> RecoverFromBase(
-      std::string id, const JsonValue& create_params,
-      BaseRegistry::Handle base, const std::vector<JsonValue>& entries);
+  Status Replay(const WalRecovery& recording);
 
   // Hands the session its WAL. From now on every accepted answer/close
   // is appended (and fsync'd) before execution, and the log is compacted
@@ -171,15 +149,12 @@ class RepairSession {
   int64_t EstimateMemoryBytes() const;
 
  private:
-  RepairSession(std::string id, std::string kb_label, KnowledgeBase kb,
+  RepairSession(std::string id, std::string kb_label,
+                BaseRegistry::Handle base, KnowledgeBase kb,
                 InquiryOptions options, JsonValue create_params);
 
   // Folds any new engine rebuilds into the metrics (idempotent).
   void ReportEngineRebuilds(size_t total_rebuilds, ServiceMetrics* metrics);
-
-  // Shared WAL-replay loop behind Recover()/RecoverFromBase().
-  static Status ReplayWalEntries(RepairSession* session,
-                                 const std::vector<JsonValue>& entries);
 
   std::string id_;
   std::string kb_label_;

@@ -423,28 +423,8 @@ void SessionManager::RunCreate(Task task) {
     metrics_.wal_appends.fetch_add(1, std::memory_order_relaxed);
   }
   const trace::PhaseTotals phases_before = trace::ThreadPhaseTotals();
-  // A create naming a registered base forks the shared snapshot in
-  // O(delta); everything else builds a private KB the pre-registry way.
-  const std::string base_name = task.request.params.Get("base").AsString();
-  StatusOr<std::unique_ptr<RepairSession>> created = Status::Ok();
-  if (!base_name.empty()) {
-    StatusOr<BaseRegistry::Handle> base = registry_->Acquire(base_name);
-    if (!base.ok()) {
-      created = base.status();
-    } else {
-      WallTimer fork_timer;
-      created = RepairSession::CreateFromBase(id, task.request.params,
-                                              std::move(base).value(),
-                                              config_.deadline_ms);
-      if (created.ok()) {
-        metrics_.base_forks.fetch_add(1, std::memory_order_relaxed);
-        metrics_.base_fork_latency.Observe(fork_timer.ElapsedSeconds());
-      }
-    }
-  } else {
-    created =
-        RepairSession::Create(id, task.request.params, config_.deadline_ms);
-  }
+  StatusOr<std::unique_ptr<RepairSession>> created =
+      OpenSession(id, task.request.params, config_.deadline_ms);
   if (!created.ok()) {
     // Never-registered sessions must not resurrect on recovery.
     if (wal != nullptr) (void)wal->Remove();
@@ -885,6 +865,27 @@ void SessionManager::WriteTranscriptFile(const std::string& session_id,
   }
 }
 
+StatusOr<std::unique_ptr<RepairSession>> SessionManager::OpenSession(
+    const std::string& id, const JsonValue& params, int64_t deadline_ms) {
+  // A session naming a registered base forks the shared snapshot in
+  // O(delta); everything else builds a private KB.
+  const std::string base_name = params.Get("base").AsString();
+  BaseRegistry::Handle base;
+  if (!base_name.empty()) {
+    KBREPAIR_ASSIGN_OR_RETURN(base, registry_->Acquire(base_name));
+  }
+  const bool forked = static_cast<bool>(base);
+  WallTimer fork_timer;
+  KBREPAIR_ASSIGN_OR_RETURN(
+      std::unique_ptr<RepairSession> session,
+      RepairSession::Open(id, params, std::move(base), deadline_ms));
+  if (forked) {
+    metrics_.base_forks.fetch_add(1, std::memory_order_relaxed);
+    metrics_.base_fork_latency.Observe(fork_timer.ElapsedSeconds());
+  }
+  return session;
+}
+
 void SessionManager::RecoverSessions() {
   for (const std::string& id : ListWalSessionIds(config_.wal_dir)) {
     const std::string path = config_.wal_dir + "/" + id + ".wal";
@@ -920,34 +921,13 @@ void SessionManager::RecoverSessions() {
             .With("record", static_cast<uint64_t>(read->torn_record_index))
             .With("offset", read->torn_byte_offset);
       }
-      // A create record carrying "base" re-forks from the registry
-      // (recovered before sessions — see the constructor) instead of
-      // rebuilding a private KB; the replayed dialogue is identical
-      // either way.
-      const std::string base_name =
-          read->create_params.Get("base").AsString();
-      StatusOr<std::unique_ptr<RepairSession>> recovered = Status::Ok();
-      if (!base_name.empty()) {
-        StatusOr<BaseRegistry::Handle> base = registry_->Acquire(base_name);
-        if (base.ok()) {
-          recovered = RepairSession::RecoverFromBase(
-              id, read->create_params, std::move(base).value(),
-              read->entries);
-          if (recovered.ok()) {
-            metrics_.base_forks.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          recovered = base.status();
-        }
-      } else {
-        recovered =
-            RepairSession::Recover(id, read->create_params, read->entries);
-      }
-      if (recovered.ok()) {
-        session = std::move(recovered).value();
-      } else {
-        failure = recovered.status();
-      }
+      // Recovery is "open, then replay": a create record carrying "base"
+      // re-forks from the registry (recovered before sessions — see the
+      // constructor), and the replayed dialogue is identical either way.
+      StatusOr<std::unique_ptr<RepairSession>> opened =
+          OpenSession(id, read->create_params, /*deadline_ms=*/0);
+      failure = opened.ok() ? (*opened)->Replay(*read) : opened.status();
+      if (failure.ok()) session = std::move(opened).value();
     }
     if (session == nullptr) {
       // Keep the daemon up: set the broken log aside for inspection and

@@ -180,6 +180,11 @@ class SessionManager {
   void ReaperLoop();
   void RunIndependent(Task task);
   void RunCreate(Task task);
+  // Opens a session on create params — forked from the registered base
+  // they name ("base"), else on a private KB — and counts the fork.
+  // Shared by create (with the command deadline) and recovery.
+  StatusOr<std::unique_ptr<RepairSession>> OpenSession(
+      const std::string& id, const JsonValue& params, int64_t deadline_ms);
   void RunSessionCommand(const std::string& key);
   StatusOr<JsonValue> DispatchToSession(RepairSession* session,
                                         const ServiceRequest& request);
@@ -192,8 +197,9 @@ class SessionManager {
   void TaskDone();  // decrements tasks_in_flight_, wakes Shutdown
   void WriteTranscriptFile(const std::string& session_id,
                            const std::string& dump);
-  // Startup crash recovery: replays every WAL in config_.wal_dir and
-  // re-registers the sessions. Unreplayable WALs are renamed aside
+  // Startup crash recovery: opens a session from every WAL in
+  // config_.wal_dir, replays its answers (RepairSession::Replay) and
+  // re-registers it. Unreplayable WALs are renamed aside
   // (<file>.corrupt) and counted as failed; the daemon keeps serving.
   void RecoverSessions();
   // Watchdog sweep (runs on the reaper cadence): flags workers that

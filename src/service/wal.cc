@@ -335,6 +335,7 @@ StatusOr<WalRecovery> ReadWalFile(const std::string& path,
 
   WalRecovery recovery;
   recovery.session_id = session_id;
+  recovery.path = path;
   bool saw_create = false;
 
   for (;;) {
@@ -398,6 +399,17 @@ StatusOr<WalRecovery> ReadWalFile(const std::string& path,
                                    ": create record without params");
   }
   return recovery;
+}
+
+std::string WalEntryWhere(const WalRecovery& recording, size_t n) {
+  const std::string index = std::to_string(n + 1);
+  const std::string entry = "entry " + index;
+  if (n >= recording.entry_origins.size()) return entry;
+  const WalEntryOrigin& origin = recording.entry_origins[n];
+  const std::string record = std::to_string(origin.record_index);
+  const std::string offset = std::to_string(origin.byte_offset);
+  return "WAL record " + record + " (byte offset " + offset + ", " + entry +
+         ")";
 }
 
 std::vector<std::string> ListWalSessionIds(const std::string& dir) {

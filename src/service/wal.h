@@ -5,9 +5,11 @@
 // executes, so a crash at any point loses at most the command that had
 // not yet been acknowledged. Because the inquiry engine is
 // deterministic given the create parameters and the sequence of chosen
-// fixes, the WAL is also a complete recovery recipe: replaying the
-// create record and the answer records through ReplayUser rebuilds the
-// session byte-identically (see SessionManager recovery).
+// fixes, the WAL is also a complete recovery recipe: opening a session
+// from the create record and replaying the answer records onto it, one
+// ReplayRecordedEntry step each (repair/session_log.h), rebuilds the
+// session byte-identically (see SessionManager recovery). kbrepair-debug
+// replays the same WalRecovery through the same step.
 //
 // On-disk format (v2): the file opens with a `#kbrepair-wal v2` header
 // line; every record line is framed as
@@ -159,9 +161,11 @@ struct WalEntryOrigin {
   uint64_t byte_offset = 0;
 };
 
-// A WAL read back at recovery time.
+// A WAL read back at recovery time. Recordings built in memory (a
+// debugger fork branch, tests) leave `path` and `entry_origins` empty.
 struct WalRecovery {
   std::string session_id;
+  std::string path;  // the file it was read from
   JsonValue create_params = JsonValue::Null();
   // Transcript-entry records ({"chosen":N,"question":{...}}), in order.
   std::vector<JsonValue> entries;
@@ -181,6 +185,11 @@ struct WalRecovery {
 // dropped_torn_tail + torn_record_index/torn_byte_offset.
 StatusOr<WalRecovery> ReadWalFile(const std::string& path,
                                   const std::string& session_id);
+
+// "WAL record R (byte offset B, entry N)": where entry `n` of
+// `recording` was read from, for replay errors ("entry N" alone when
+// the recording has no origins).
+std::string WalEntryWhere(const WalRecovery& recording, size_t n);
 
 // Session ids with a `<id>.wal` file in `dir`, sorted.
 std::vector<std::string> ListWalSessionIds(const std::string& dir);

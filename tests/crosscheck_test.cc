@@ -38,12 +38,13 @@ RandomInstance MakeRandomFacts(uint64_t seed, size_t num_predicates,
   Rng rng(seed);
   SymbolTable& symbols = instance.kb.symbols();
   for (size_t p = 0; p < num_predicates; ++p) {
+    const std::string index = std::to_string(p);
     instance.predicates.push_back(symbols.InternPredicate(
-        "p" + std::to_string(p), static_cast<int>(rng.UniformInt(1, 3))));
+        "p" + index, static_cast<int>(rng.UniformInt(1, 3))));
   }
   for (size_t c = 0; c < num_constants; ++c) {
-    instance.constants.push_back(
-        symbols.InternConstant("c" + std::to_string(c)));
+    const std::string index = std::to_string(c);
+    instance.constants.push_back(symbols.InternConstant("c" + index));
   }
   for (size_t f = 0; f < num_facts; ++f) {
     const PredicateId pred = rng.Choose(instance.predicates);
@@ -62,7 +63,8 @@ std::vector<Atom> MakeRandomQuery(RandomInstance& instance, Rng& rng,
   SymbolTable& symbols = instance.kb.symbols();
   std::vector<TermId> variables;
   for (size_t v = 0; v < num_variables; ++v) {
-    variables.push_back(symbols.InternVariable("V" + std::to_string(v)));
+    const std::string index = std::to_string(v);
+    variables.push_back(symbols.InternVariable("V" + index));
   }
   std::vector<Atom> query;
   for (size_t j = 0; j < num_atoms; ++j) {
@@ -215,7 +217,8 @@ std::vector<PredicateId> AddLayeredTgds(RandomInstance& instance, Rng& rng) {
   SymbolTable& symbols = instance.kb.symbols();
   std::vector<PredicateId> layer2;
   for (int k = 0; k < 3; ++k) {
-    layer2.push_back(symbols.InternPredicate("d" + std::to_string(k), 2));
+    const std::string index = std::to_string(k);
+    layer2.push_back(symbols.InternPredicate("d" + index, 2));
   }
   const TermId x = symbols.InternVariable("X");
   const TermId y = symbols.InternVariable("Y");

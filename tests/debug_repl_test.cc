@@ -14,6 +14,7 @@
 #include "repair/inquiry.h"
 #include "repair/session_log.h"
 #include "service/session.h"
+#include "service/wal.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -67,8 +68,11 @@ class DebugReplTest : public ::testing::Test {
     params_ = SmallParams();
     entries_ = RecordEntries(params_);
     ASSERT_GE(entries_.size(), 2u);
-    StatusOr<SessionTimeline> timeline = SessionTimeline::Create(
-        RecordedSessionFromEntries(params_, entries_), TimelineOptions{});
+    WalRecovery recording;
+    recording.create_params = params_;
+    recording.entries = entries_;
+    StatusOr<SessionTimeline> timeline =
+        SessionTimeline::Create(std::move(recording), TimelineOptions{});
     ASSERT_TRUE(timeline.ok()) << timeline.status();
     timeline_.emplace(std::move(*timeline));
     repl_.emplace(&*timeline_, &out_);

@@ -12,16 +12,19 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "debug/recorded_session.h"
 #include "debug/timeline.h"
 #include "repair/inquiry.h"
 #include "repair/session_log.h"
+#include "service/base_registry.h"
 #include "service/session.h"
+#include "service/session_manager.h"
 #include "service/wal.h"
 #include "util/failpoint.h"
 #include "util/json.h"
@@ -75,6 +78,15 @@ JsonValue CreateParams(const MatrixCase& c) {
   p.Set("chase_threads",
         JsonValue::Number(static_cast<int64_t>(ChaseThreadsFromEnv())));
   return p;
+}
+
+// An in-memory recording: the create params plus transcript entries,
+// no WAL coordinates.
+WalRecovery Recording(const JsonValue& params, std::vector<JsonValue> entries) {
+  WalRecovery recording;
+  recording.create_params = params;
+  recording.entries = std::move(entries);
+  return recording;
 }
 
 // Engine-deterministic signature of a canonical census (cdd index,
@@ -171,20 +183,22 @@ TEST_P(DebugTimelineMatrix, ReplaysSeeksAndForks) {
       ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(entry)).ok());
     }
   }
-  StatusOr<RecordedSession> recorded = LoadRecordedSession(wal_path);
+  StatusOr<WalRecovery> recorded = ReadWalFile(wal_path, "case");
   ::unlink(wal_path.c_str());
   ::rmdir(dir.c_str());
   ASSERT_TRUE(recorded.ok()) << recorded.status();
   EXPECT_EQ(recorded->session_id, "case");
-  ASSERT_EQ(recorded->steps.size(), live->entries.size());
-  for (size_t i = 0; i < recorded->steps.size(); ++i) {
-    EXPECT_EQ(recorded->steps[i].entry.Dump(), live->entries[i].Dump())
+  ASSERT_EQ(recorded->entries.size(), live->entries.size());
+  ASSERT_EQ(recorded->entry_origins.size(), live->entries.size());
+  for (size_t i = 0; i < recorded->entries.size(); ++i) {
+    EXPECT_EQ(recorded->entries[i].Dump(), live->entries[i].Dump())
         << "entry " << i;
     // Line 1 is the header, line 2 the create record.
-    EXPECT_EQ(recorded->steps[i].record_index, i + 3) << "entry " << i;
+    EXPECT_EQ(recorded->entry_origins[i].record_index, i + 3)
+        << "entry " << i;
     if (i > 0) {
-      EXPECT_GT(recorded->steps[i].byte_offset,
-                recorded->steps[i - 1].byte_offset)
+      EXPECT_GT(recorded->entry_origins[i].byte_offset,
+                recorded->entry_origins[i - 1].byte_offset)
           << "entry " << i;
     }
   }
@@ -258,7 +272,7 @@ TEST_P(DebugTimelineMatrix, ReplaysSeeksAndForks) {
     TimelineOptions branch_options;
     branch_options.checkpoint_every = 0;
     StatusOr<SessionTimeline> verify = SessionTimeline::Create(
-        RecordedSessionFromEntries(params, branch->entries), branch_options);
+        Recording(params, branch->entries), branch_options);
     ASSERT_TRUE(verify.ok()) << verify.status();
     const Status verified = verify->ReplayVerify();
     ASSERT_TRUE(verified.ok()) << verified;
@@ -314,7 +328,7 @@ TEST_F(DebugTimelineTest, GhostDuplicateEntryIsSkipped) {
   entries.insert(entries.begin() + dup_at, entries[dup_at]);
 
   StatusOr<SessionTimeline> timeline = SessionTimeline::Create(
-      RecordedSessionFromEntries(params, entries), TimelineOptions{});
+      Recording(params, entries), TimelineOptions{});
   ASSERT_TRUE(timeline.ok()) << timeline.status();
   EXPECT_EQ(timeline->num_entries(), live->entries.size() + 1);
   EXPECT_EQ(timeline->num_questions(), live->entries.size());
@@ -336,7 +350,7 @@ TEST_F(DebugTimelineTest, NonReplayableRecordingNamesTheRecord) {
   // Out-of-range chosen index: structurally invalid.
   entries[1].Set("chosen", JsonValue::Number(int64_t{999}));
   StatusOr<SessionTimeline> timeline = SessionTimeline::Create(
-      RecordedSessionFromEntries(params, entries), TimelineOptions{});
+      Recording(params, entries), TimelineOptions{});
   ASSERT_FALSE(timeline.ok());
   EXPECT_NE(timeline.status().message().find("entry 2"), std::string::npos)
       << timeline.status();
@@ -345,8 +359,7 @@ TEST_F(DebugTimelineTest, NonReplayableRecordingNamesTheRecord) {
 TEST_F(DebugTimelineTest, BaseForkedRecordingsAreRejected) {
   JsonValue params = CreateParams(BaseCase());
   params.Set("base", JsonValue::String("b-1"));
-  RecordedSession recorded =
-      RecordedSessionFromEntries(params, std::vector<JsonValue>());
+  WalRecovery recorded = Recording(params, std::vector<JsonValue>());
   StatusOr<SessionTimeline> timeline =
       SessionTimeline::Create(std::move(recorded), TimelineOptions{});
   ASSERT_FALSE(timeline.ok());
@@ -358,7 +371,7 @@ TEST_F(DebugTimelineTest, ForkAtConsistentEndIsRejected) {
   StatusOr<LiveRecording> live = RecordDialogue(params);
   ASSERT_TRUE(live.ok()) << live.status();
   StatusOr<SessionTimeline> timeline = SessionTimeline::Create(
-      RecordedSessionFromEntries(params, live->entries), TimelineOptions{});
+      Recording(params, live->entries), TimelineOptions{});
   ASSERT_TRUE(timeline.ok()) << timeline.status();
   StatusOr<ForkBranch> branch =
       timeline->Fork(timeline->num_entries(), 0, 1);
@@ -372,8 +385,8 @@ TEST_F(DebugTimelineTest, DiffEnginesAgreeOnHealthyRecording) {
   const JsonValue params = CreateParams(BaseCase());
   StatusOr<LiveRecording> live = RecordDialogue(params);
   ASSERT_TRUE(live.ok()) << live.status();
-  const RecordedSession recorded =
-      RecordedSessionFromEntries(params, live->entries);
+  const WalRecovery recorded =
+      Recording(params, live->entries);
   StatusOr<EngineDivergence> result = DiffEngines(recorded);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->diverged) << result->reason;
@@ -404,7 +417,7 @@ TEST_F(DebugTimelineTest, DiffEnginesPinpointsTamperedStep) {
   entries[tamper].Set("chosen",
                       JsonValue::Number(static_cast<int64_t>(flipped)));
 
-  const RecordedSession recorded = RecordedSessionFromEntries(params, entries);
+  const WalRecovery recorded = Recording(params, entries);
   StatusOr<EngineDivergence> result = DiffEngines(recorded);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->diverged);
@@ -443,8 +456,8 @@ TEST_F(DebugTimelineTest, DiffEnginesBlamesFailpointedIncrementalEngine) {
     }
   }
   ASSERT_TRUE(live.has_value()) << "no matrix dialogue ends in phase two";
-  const RecordedSession recorded =
-      RecordedSessionFromEntries(params, live->entries);
+  const WalRecovery recorded =
+      Recording(params, live->entries);
 
   failpoint::Arm("delta.census_drop", /*skip=*/0, /*fail=*/-1);
   StatusOr<EngineDivergence> result = DiffEngines(recorded);
@@ -455,8 +468,199 @@ TEST_F(DebugTimelineTest, DiffEnginesBlamesFailpointedIncrementalEngine) {
                                  "reference census"),
             std::string::npos)
       << result->reason;
-  EXPECT_LE(result->step, recorded.steps.size()) << result->reason;
+  EXPECT_LE(result->step, recorded.entries.size()) << result->reason;
   EXPECT_NE(result->maintained_census, result->reference_census);
+}
+
+// Daemon recovery and the debugger timeline consume the same WAL through
+// the same replay step, so they must agree on every recording: skip an
+// fsync ghost identically, and reject an out-of-range `chosen` and a
+// recorded fix the regenerated question does not offer, both naming the
+// same WAL record. Recovery runs twice — on a private KB and forked from
+// a registered shared base; the timeline always forks its replay
+// engines from a shared snapshot of the KB the create params rebuild.
+class ReplayAgreementTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/kbrepair_replay_agreement_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    dir_ = tmpl;
+    params_ = CreateParams({3, Strategy::kOptiMcd, /*two_phase=*/true,
+                            /*with_tgds=*/true});
+    StatusOr<LiveRecording> live = RecordDialogue(params_);
+    ASSERT_TRUE(live.ok()) << live.status();
+    ASSERT_GE(live->entries.size(), 3u);
+    live_ = std::move(*live);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  // Writes `entries` as the WAL of session `id` under a fresh directory
+  // and returns that directory.
+  std::string WriteWal(const std::string& id, const JsonValue& create_params,
+                       const std::vector<JsonValue>& entries) {
+    const std::string dir = dir_ + "/" + id;
+    std::filesystem::create_directories(dir);
+    StatusOr<std::unique_ptr<SessionWal>> wal = SessionWal::Open(dir, id);
+    EXPECT_TRUE(wal.ok()) << wal.status();
+    EXPECT_TRUE((*wal)->Append(SessionWal::CreateRecord(create_params)).ok());
+    for (const JsonValue& entry : entries) {
+      EXPECT_TRUE((*wal)->Append(SessionWal::AnswerRecord(entry)).ok());
+    }
+    return dir;
+  }
+
+  // What daemon recovery made of `entries`, on a private KB or forked
+  // from a shared base: the recovered transcript, or the replay error
+  // (after checking the manager quarantined the WAL).
+  StatusOr<std::vector<std::string>> Recover(
+      const std::vector<JsonValue>& entries, bool forked) {
+    auto registry = std::make_shared<BaseRegistry>();
+    if (forked) {
+      JsonValue base_params = params_;
+      base_params.Set("name", JsonValue::String("shared"));
+      KBREPAIR_RETURN_IF_ERROR(registry->Register(base_params).status());
+    }
+    const JsonValue create_params = SessionParams(forked);
+    const std::string id = forked ? "s-2" : "s-1";
+    const std::string dir = WriteWal(id, create_params, entries);
+    const std::string path = dir + "/" + id + ".wal";
+    KBREPAIR_ASSIGN_OR_RETURN(WalRecovery read, ReadWalFile(path, id));
+
+    // The replay error, from the session opener and replay member the
+    // manager's recovery calls.
+    Status replayed = Status::Ok();
+    {
+      BaseRegistry::Handle base;
+      if (forked) {
+        KBREPAIR_ASSIGN_OR_RETURN(base, registry->Acquire("shared"));
+      }
+      KBREPAIR_ASSIGN_OR_RETURN(
+          std::unique_ptr<RepairSession> session,
+          RepairSession::Open(id, create_params, std::move(base)));
+      replayed = session->Replay(read);
+    }
+
+    ServiceConfig config;
+    config.wal_dir = dir;
+    config.recover = true;
+    config.base_registry = registry;
+    SessionManager manager(config);
+    ServiceRequest snapshot;
+    snapshot.command = "snapshot";
+    snapshot.session_id = id;
+    StatusOr<JsonValue> recovered = manager.Execute(snapshot);
+    const bool quarantined = std::filesystem::exists(path + ".corrupt");
+    EXPECT_EQ(recovered.ok(), replayed.ok()) << replayed;
+    EXPECT_EQ(quarantined, !replayed.ok());
+    KBREPAIR_RETURN_IF_ERROR(replayed);
+    KBREPAIR_RETURN_IF_ERROR(recovered.status());
+    std::vector<std::string> transcript;
+    const JsonValue& recorded = recovered->Get("transcript").Get("entries");
+    for (size_t i = 0; i < recorded.size(); ++i) {
+      transcript.push_back(recorded.at(i).Dump());
+    }
+    return transcript;
+  }
+
+  // The timeline's view of the same WAL: Create's validation replay.
+  StatusOr<SessionTimeline> Load(const std::vector<JsonValue>& entries) {
+    const std::string dir = WriteWal("s-3", params_, entries);
+    KBREPAIR_ASSIGN_OR_RETURN(WalRecovery read,
+                              ReadWalFile(dir + "/s-3.wal", "s-3"));
+    return SessionTimeline::Create(std::move(read), TimelineOptions{});
+  }
+
+  // The create params of a private session, or of one forked from the
+  // base registered as "shared".
+  JsonValue SessionParams(bool forked) const {
+    JsonValue params = params_;
+    if (forked) params.Set("base", JsonValue::String("shared"));
+    return params;
+  }
+
+  // Where entry `n` of the WAL of a session holding `entries` sits.
+  std::string Where(bool forked, const std::vector<JsonValue>& entries,
+                    size_t n) {
+    const std::string dir = WriteWal("where", SessionParams(forked), entries);
+    StatusOr<WalRecovery> read = ReadWalFile(dir + "/where.wal", "where");
+    EXPECT_TRUE(read.ok()) << read.status();
+    std::filesystem::remove_all(dir);
+    return WalEntryWhere(*read, n);
+  }
+
+  // Both recovery modes and the timeline reject `entries`, each naming
+  // entry `n`'s WAL record and byte offset and `why`.
+  void ExpectRejectedByAll(const std::vector<JsonValue>& entries, size_t n,
+                           const std::string& why) {
+    for (const bool forked : {false, true}) {
+      SCOPED_TRACE(forked ? "forked recovery" : "private recovery");
+      const std::string where = Where(forked, entries, n);
+      EXPECT_NE(where.find("byte offset"), std::string::npos) << where;
+      StatusOr<std::vector<std::string>> recovered = Recover(entries, forked);
+      ASSERT_FALSE(recovered.ok());
+      EXPECT_NE(recovered.status().message().find(where), std::string::npos)
+          << recovered.status();
+      EXPECT_NE(recovered.status().message().find(why), std::string::npos)
+          << recovered.status();
+    }
+    StatusOr<SessionTimeline> timeline = Load(entries);
+    ASSERT_FALSE(timeline.ok());
+    const std::string where = Where(/*forked=*/false, entries, n);
+    EXPECT_NE(timeline.status().message().find(where), std::string::npos)
+        << timeline.status();
+    EXPECT_NE(timeline.status().message().find(why), std::string::npos)
+        << timeline.status();
+  }
+
+  std::string dir_;
+  JsonValue params_ = JsonValue::Null();
+  LiveRecording live_;
+};
+
+TEST_F(ReplayAgreementTest, GhostIsSkippedByRecoveryAndTimelineAlike) {
+  std::vector<JsonValue> entries = live_.entries;
+  const size_t dup_at = entries.size() / 2;
+  entries.insert(entries.begin() + dup_at, entries[dup_at]);
+  std::vector<std::string> expected;
+  for (const JsonValue& entry : live_.entries) expected.push_back(entry.Dump());
+
+  for (const bool forked : {false, true}) {
+    SCOPED_TRACE(forked ? "forked recovery" : "private recovery");
+    StatusOr<std::vector<std::string>> recovered = Recover(entries, forked);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(*recovered, expected);
+  }
+  StatusOr<SessionTimeline> timeline = Load(entries);
+  ASSERT_TRUE(timeline.ok()) << timeline.status();
+  EXPECT_TRUE(timeline->note(dup_at + 1).ghost);
+  EXPECT_EQ(timeline->num_questions(), live_.entries.size());
+  ASSERT_TRUE(timeline->ReplayVerify().ok());
+  ASSERT_TRUE(timeline->SeekTo(timeline->num_entries()).ok());
+  EXPECT_EQ(timeline->StateHash(), live_.final_hash);
+}
+
+TEST_F(ReplayAgreementTest, OutOfRangeChoiceIsRejectedByRecoveryAndTimeline) {
+  std::vector<JsonValue> entries = live_.entries;
+  entries[1].Set("chosen", JsonValue::Number(int64_t{999}));
+  ExpectRejectedByAll(entries, 1, "chose a fix index out of range");
+}
+
+TEST_F(ReplayAgreementTest, UnofferedFixIsRejectedByRecoveryAndTimeline) {
+  std::vector<JsonValue> entries = live_.entries;
+  const size_t chosen =
+      static_cast<size_t>(entries[1].Get("chosen").AsInt(0));
+  JsonValue question = entries[1].Get("question");
+  JsonValue fixes = question.Get("fixes");
+  JsonValue fix = fixes.at(chosen);
+  fix.Set("kind", JsonValue::String("constant"));
+  fix.Set("value", JsonValue::String("never-offered"));
+  JsonValue rewritten = JsonValue::Array();
+  for (size_t i = 0; i < fixes.size(); ++i) {
+    rewritten.Append(i == chosen ? fix : fixes.at(i));
+  }
+  question.Set("fixes", std::move(rewritten));
+  entries[1].Set("question", std::move(question));
+  ExpectRejectedByAll(entries, 1, "recorded fix not offered");
 }
 
 }  // namespace

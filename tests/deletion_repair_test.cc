@@ -76,8 +76,8 @@ TEST(DeletionRepairTest, AllDeletionRepairsRefusesLargeKbs) {
   KnowledgeBase kb;
   const PredicateId p = kb.symbols().InternPredicate("p", 1);
   for (int i = 0; i < 30; ++i) {
-    kb.facts().Add(
-        Atom(p, {kb.symbols().InternConstant("c" + std::to_string(i))}));
+    const std::string index = std::to_string(i);
+    kb.facts().Add(Atom(p, {kb.symbols().InternConstant("c" + index)}));
   }
   EXPECT_FALSE(AllDeletionRepairs(kb, /*max_atoms=*/16).ok());
 }

@@ -253,11 +253,12 @@ struct RandomOpsFixture {
 
   RandomOpsFixture() {
     for (int p = 0; p < 4; ++p) {
-      predicates.push_back(
-          symbols.InternPredicate("p" + std::to_string(p), 1 + p % 3));
+      const std::string index = std::to_string(p);
+      predicates.push_back(symbols.InternPredicate("p" + index, 1 + p % 3));
     }
     for (int c = 0; c < 6; ++c) {
-      terms.push_back(symbols.InternConstant("c" + std::to_string(c)));
+      const std::string index = std::to_string(c);
+      terms.push_back(symbols.InternConstant("c" + index));
     }
   }
 

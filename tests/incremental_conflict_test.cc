@@ -181,13 +181,13 @@ std::string RunDialogue(KnowledgeBase& kb, const InquiryOptions& options,
 
     transcript += "q cdd=" + std::to_string(question.source_cdd) + " pos=";
     for (const Position& p : question.considered_positions) {
-      transcript += "(" + std::to_string(p.atom) + "," +
-                    std::to_string(p.arg) + ")";
+      const std::string atom = std::to_string(p.atom);
+      transcript += "(" + atom + "," + std::to_string(p.arg) + ")";
     }
     transcript += " fixes=";
     for (const Fix& fix : question.fixes) {
-      transcript += "(" + std::to_string(fix.atom) + "," +
-                    std::to_string(fix.arg) + "," +
+      const std::string atom = std::to_string(fix.atom);
+      transcript += "(" + atom + "," + std::to_string(fix.arg) + "," +
                     kb.symbols().term_name(fix.value) + ")";
     }
 

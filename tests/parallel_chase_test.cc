@@ -74,7 +74,8 @@ std::string RenderRun(uint64_t seed, size_t num_threads, bool with_cdds) {
   if (chased.violation().has_value()) {
     out += "violation:cdd" + std::to_string(chased.violation()->cdd_index);
     for (AtomId m : chased.violation()->matched) {
-      out += "," + std::to_string(m);
+      out += ",";
+      out += std::to_string(m);
     }
     out += "\n";
   }
@@ -148,8 +149,8 @@ std::string DialogueTranscript(uint64_t seed, size_t num_threads,
     if (!question.ok() || *question == nullptr) break;
     out += "q:cdd" + std::to_string((*question)->source_cdd);
     for (const Fix& fix : (*question)->fixes) {
-      out += " " + std::to_string(fix.atom) + "/" +
-             std::to_string(fix.arg) + "=" +
+      const std::string atom = std::to_string(fix.atom);
+      out += " " + atom + "/" + std::to_string(fix.arg) + "=" +
              kb.symbols().term_name(fix.value);
     }
     out += "\n";

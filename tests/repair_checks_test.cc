@@ -136,6 +136,38 @@ TEST_F(RepairChecksTest, GreedyRFixThroughExistentialChain) {
   EXPECT_TRUE(IsRFixExhaustive(kb.facts(), *fixes, checker).value());
 }
 
+// The hub emp(x1, alice) reaches the conflict only through derived
+// atoms, and its argument 0 is not the one the derivation carries:
+// nulling it leaves the conflict standing, so the next round must move
+// on to argument 1 instead of nulling argument 0 again forever.
+TEST_F(RepairChecksTest, GreedyRFixMovesPastAnUnhelpfulHubArgument) {
+  KnowledgeBase kb = Parse(R"(
+    emp(x1, alice). banned(alice).
+    dept(X, D) :- emp(Y, X).
+    staff(D, X) :- dept(X, D).
+    ! :- staff(D, X), banned(X).
+  )");
+  StatusOr<std::vector<Fix>> fixes = GreedyRFix(kb);
+  ASSERT_TRUE(fixes.ok()) << fixes.status();
+  ASSERT_FALSE(fixes->empty());
+  ConsistencyChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
+  EXPECT_TRUE(IsCFix(kb.facts(), *fixes, checker).value());
+  EXPECT_TRUE(IsRFixExhaustive(kb.facts(), *fixes, checker).value());
+}
+
+// A conflict no fix can break (the CDD fires on whatever value the
+// position takes) exhausts the hub's positions: Internal, not a hang.
+TEST_F(RepairChecksTest, GreedyRFixReportsAnUnbreakableConflict) {
+  KnowledgeBase kb = Parse(R"(
+    p(a).
+    q(X) :- p(X).
+    ! :- p(X), q(X).
+  )");
+  StatusOr<std::vector<Fix>> fixes = GreedyRFix(kb);
+  ASSERT_FALSE(fixes.ok());
+  EXPECT_EQ(fixes.status().code(), StatusCode::kInternal) << fixes.status();
+}
+
 TEST_F(RepairChecksTest, MakeURepairAppliesFixes) {
   StatusOr<FactBase> repaired = MakeURepair(kb_, {Fix{1, 1, x1_}});
   ASSERT_TRUE(repaired.ok());

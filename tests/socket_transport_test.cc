@@ -316,7 +316,10 @@ std::vector<Cell> FullMatrix() {
   return cells;
 }
 
-std::string CellTag(size_t index) { return "c" + std::to_string(index); }
+std::string CellTag(size_t index) {
+  const std::string number = std::to_string(index);
+  return "c" + number;
+}
 
 TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
   const std::vector<Cell> cells = FullMatrix();
@@ -435,7 +438,8 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
       }
       LineChannel channel(*fd, *fd);
       JsonValue create = CreateParams(500 + t, "random", "");
-      create.Set("id", JsonValue::String("t" + std::to_string(t)));
+      const std::string index = std::to_string(t);
+      create.Set("id", JsonValue::String("t" + index));
       if (!channel.WriteLine(create.Dump()).ok()) {
         ++failures;
         ::close(*fd);

@@ -112,8 +112,8 @@ std::vector<std::string> CanonicalizeNulls(std::vector<std::string> facts) {
           ++end;
         }
         const std::string name = fact.substr(i, end - i);
-        auto [it, inserted] = renames.emplace(
-            name, "@" + std::to_string(renames.size()));
+        const std::string index = std::to_string(renames.size());
+        auto [it, inserted] = renames.emplace(name, "@" + index);
         out += it->second;
         i = end;
       } else {

@@ -119,8 +119,9 @@ TEST(WeakAcyclicityWideTest, ArgumentIndicesPast255KeepDistinctNodes) {
   std::string text = "p(";
   std::string body = "p(";
   for (int i = 0; i < 257; ++i) {
-    text += (i > 0 ? ", a" : "a") + std::to_string(i);
-    body += i < 256 ? "V" + std::to_string(i) + ", " : "X";
+    const std::string index = std::to_string(i);
+    text += (i > 0 ? ", a" : "a") + index;
+    body += i < 256 ? "V" + index + ", " : "X";
   }
   text += ").\nq(b, c).\nq(Z, X) :- " + body + ").\n";
   StatusOr<KnowledgeBase> kb = ParseDlgp(text);
