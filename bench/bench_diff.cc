@@ -14,11 +14,15 @@
 // 0.05 ms) that keeps sub-scheduler-quantum noise on tiny configs from
 // flapping the gate. Configs present in only one file are reported and
 // fail the diff (exit 2), and so does a baseline series the fresh row
-// lacks: a silently shrinking ladder is how a gate rots.
+// lacks: a silently shrinking ladder is how a gate rots. A row that
+// records how many questions its dialogue asked ("questions") fails the
+// same way when the fresh row asked a different number: its delays then
+// time another dialogue than the baseline's.
 //
 // Exit codes: 0 = no regression, 1 = regression, 2 = usage/schema.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,8 +44,12 @@ struct EngineResult {
   double max_delay_ms = 0;
 };
 
-// Series name ("incremental", ...) -> result.
-using ConfigResult = std::map<std::string, EngineResult>;
+struct ConfigResult {
+  // Series name ("incremental", ...) -> result.
+  std::map<std::string, EngineResult> series;
+  // The row's "questions" count; -1 when it records none.
+  int64_t questions = -1;
+};
 
 // "size_ladder/400 atoms" -> result
 using ResultMap = std::map<std::string, ConfigResult>;
@@ -79,10 +87,11 @@ Status ParseBenchFile(const JsonValue& json, ResultMap* results) {
       ConfigResult result;
       for (const auto& [name, value] : entry.members()) {
         if (value.is_object() && value.Get("mean_delay_ms").is_number()) {
-          result[name] = ParseEngine(value);
+          result.series[name] = ParseEngine(value);
         }
       }
-      if (result.empty()) {
+      result.questions = entry.Get("questions").AsInt(-1);
+      if (result.series.empty()) {
         return Status::InvalidArgument("config '" + config +
                                        "' has no series with mean_delay_ms");
       }
@@ -154,9 +163,16 @@ int Main(int argc, char** argv) {
       mismatch = true;
       continue;
     }
-    for (const auto& [series, old_run] : base) {
-      auto fresh_series = it->second.find(series);
-      if (fresh_series == it->second.end()) {
+    if (base.questions != it->second.questions) {
+      std::printf("%-34s QUESTIONS %lld in %s, %lld in %s\n", config.c_str(),
+                  static_cast<long long>(base.questions), files[0].c_str(),
+                  static_cast<long long>(it->second.questions),
+                  files[1].c_str());
+      mismatch = true;
+    }
+    for (const auto& [series, old_run] : base.series) {
+      auto fresh_series = it->second.series.find(series);
+      if (fresh_series == it->second.series.end()) {
         std::printf("%-34s %-12s MISSING from %s\n", config.c_str(),
                     series.c_str(), files[1].c_str());
         mismatch = true;
@@ -186,7 +202,8 @@ int Main(int argc, char** argv) {
   if (mismatch) {
     std::fprintf(stderr,
                  "bench_diff: the fresh file lacks a baseline config or "
-                 "series, or adds a config\n");
+                 "series, adds a config, or asks a different number of "
+                 "questions\n");
     return 2;
   }
   if (regression) {

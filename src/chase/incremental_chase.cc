@@ -410,17 +410,37 @@ StatusOr<IncrementalChase::Delta> IncrementalChase::ApplyFix(AtomId atom,
         fired.bindings.data(), fired.bindings.size(), &work));
   }
 
+  KBREPAIR_RETURN_IF_ERROR(Resaturate(std::move(work), size_before, &delta));
+  return delta;
+}
+
+StatusOr<IncrementalChase::Delta> IncrementalChase::AddOriginal(
+    const Atom& atom) {
+  KBREPAIR_CHECK(initialized_);
+  if (violation_.has_value()) {
+    return Status::FailedPrecondition(
+        "chase stopped at a CDD violation; it cannot add atoms");
+  }
+  Delta delta;
+  delta.modified = chased_.Add(atom);
+  derivations_.PushBack(Derivation{kAddedOriginal, {}});
+  KBREPAIR_RETURN_IF_ERROR(
+      Resaturate({delta.modified}, chased_.size(), &delta));
+  return delta;
+}
+
+Status IncrementalChase::Resaturate(std::vector<AtomId> work,
+                                    size_t size_before, Delta* delta) {
   {
     trace::ScopedSpan span("chase.delta_saturate",
                            trace::Phase::kDeltaChase);
     KBREPAIR_RETURN_IF_ERROR(Saturate(std::move(work), "delta chase"));
   }
-
   for (AtomId id = static_cast<AtomId>(size_before); id < chased_.size();
        ++id) {
-    delta.added.push_back(id);
+    delta->added.push_back(id);
   }
-  return delta;
+  return Status::Ok();
 }
 
 std::vector<AtomId> IncrementalChase::OriginalSupport(

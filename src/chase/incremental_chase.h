@@ -30,9 +30,11 @@
 // question (the cost behind the paper's Fig. 5 per-question delay,
 // Prop. 4.10), ApplyFix:
 //
-//   1. *Mirror* — the original atoms [0, num_original) of the maintained
-//      base mirror the caller's working facts; ApplyFix first replays the
-//      rewrite on the mirror.
+//   1. *Mirror* — the original atoms of the maintained base mirror the
+//      caller's working facts; ApplyFix first replays the rewrite on the
+//      mirror. They are the prefix [0, num_original) that Initialize
+//      chased, plus any atom AddOriginal appended since (the reduced
+//      Π-skeleton grows this way, repair/repairability.h).
 //   2. *Retract* — every derived atom whose derivation (transitively)
 //      used A is tombstoned (FactBase::Remove). Provenance suffices: a
 //      derived atom's validity depends only on its parents' current
@@ -124,9 +126,9 @@ struct ChaseOptions {
 
 class IncrementalChase {
  public:
-  // What one ApplyFix changed in the maintained base.
+  // What one ApplyFix or AddOriginal changed in the maintained base.
   struct Delta {
-    AtomId modified = 0;            // the rewritten original atom
+    AtomId modified = 0;            // the rewritten or added original
     std::vector<AtomId> retracted;  // tombstoned derived atoms, ascending
     std::vector<AtomId> added;      // new derived atoms, ascending
   };
@@ -170,12 +172,25 @@ class IncrementalChase {
   // in the layering.)
   StatusOr<Delta> ApplyFix(AtomId atom, int arg, TermId value);
 
+  // The caller's working facts gained `atom`: adds it to the maintained
+  // base as one more original atom and saturates from it. Its id is the
+  // next free one, past every derived atom, so from here on IsOriginal()
+  // — not the num_original() prefix — tells originals apart. Adding an
+  // atom unblocks no suppressed trigger, so nothing is retracted or
+  // re-fired. FailedPrecondition when the chase stopped at a violation.
+  StatusOr<Delta> AddOriginal(const Atom& atom);
+
   // The maintained chased base. Contains tombstoned atoms; check
   // facts().alive(id) before dereferencing scan-independent ids.
   const FactBase& facts() const { return chased_; }
 
+  // The original prefix [0, num_original): the atoms Initialize chased.
   size_t num_original() const { return num_original_; }
-  bool IsOriginal(AtomId id) const { return id < num_original_; }
+  // The original prefix plus every atom AddOriginal appended.
+  bool IsOriginal(AtomId id) const {
+    return id < num_original_ ||
+           derivations_[id - num_original_].tgd_index == kAddedOriginal;
+  }
 
   // The rule set the maintained base is saturated under.
   const std::vector<Tgd>* tgds() const { return tgds_; }
@@ -198,7 +213,7 @@ class IncrementalChase {
   // ApplyFix. Inspection API (kbrepair-debug renders provenance cones
   // from the maintained DAG without re-chasing).
   const Derivation* derivation_or_null(AtomId id) const {
-    if (id < num_original_ || id >= chased_.size() || !chased_.alive(id)) {
+    if (id >= chased_.size() || IsOriginal(id) || !chased_.alive(id)) {
       return nullptr;
     }
     return &derivations_[id - num_original_];
@@ -241,6 +256,12 @@ class IncrementalChase {
   // work in DeadlineExceeded errors.
   Status Saturate(std::vector<AtomId> wave, const char* cancel_label);
 
+  // The tail of ApplyFix and AddOriginal: saturates from `work` (traced
+  // as `chase.delta_saturate`) and appends to delta->added every atom
+  // with id >= `size_before`.
+  Status Resaturate(std::vector<AtomId> work, size_t size_before,
+                    Delta* delta);
+
   // Marks derived atom `id` dead and detaches it from provenance maps.
   void RetractAtom(AtomId id);
 
@@ -263,6 +284,8 @@ class IncrementalChase {
   FactBase chased_;
   size_t num_original_ = 0;
   // Derivation of atom id (valid while alive); index id - num_original_.
+  // An atom AddOriginal appended holds a kAddedOriginal slot instead.
+  static constexpr size_t kAddedOriginal = static_cast<size_t>(-1);
   CowVector<Derivation> derivations_;
   // parent atom -> alive derived children (lazily pruned).
   CowMap<AtomId, std::vector<AtomId>> children_;

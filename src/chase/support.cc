@@ -8,20 +8,17 @@
 namespace kbrepair {
 
 CanonicalSupportResolver::CanonicalSupportResolver(
-    const SymbolTable* symbols, const std::vector<Tgd>* tgds,
-    const FactBase* facts, size_t num_original)
+    const SymbolTable* symbols, const IncrementalChase* chase)
     : symbols_(symbols),
-      tgds_(tgds),
-      facts_(facts),
-      num_original_(num_original),
-      finder_(symbols, facts) {
+      chase_(chase),
+      tgds_(chase->tgds()),
+      facts_(&chase->facts()),
+      finder_(symbols, facts_) {
   KBREPAIR_CHECK(symbols != nullptr);
-  KBREPAIR_CHECK(tgds != nullptr);
-  KBREPAIR_CHECK(facts != nullptr);
 }
 
 std::vector<AtomId> CanonicalSupportResolver::Support(AtomId id) {
-  if (id < num_original_) return {id};
+  if (chase_->IsOriginal(id)) return {id};
   const Result result = Resolve(id);
   // An alive derived atom always has at least one acyclic proof (it
   // would not be in the chased base otherwise).
@@ -60,7 +57,7 @@ bool CanonicalSupportResolver::Unify(
 
 CanonicalSupportResolver::Result CanonicalSupportResolver::Resolve(
     AtomId id) {
-  if (id < num_original_) {
+  if (chase_->IsOriginal(id)) {
     Result result;
     result.support = {id};
     result.found = true;

@@ -31,6 +31,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "chase/incremental_chase.h"
 #include "kb/fact_base.h"
 #include "kb/homomorphism.h"
 #include "kb/symbol_table.h"
@@ -40,12 +41,11 @@ namespace kbrepair {
 
 class CanonicalSupportResolver {
  public:
-  // `facts` is a chased base whose ids [0, num_original) are the
-  // original atoms. All pointers must outlive the resolver; the base
-  // must not change while the resolver is in use (memoization).
+  // Resolves over the maintained base of `chase`, whose IsOriginal()
+  // atoms are the supports. Both pointers must outlive the resolver; the
+  // base must not change while the resolver is in use (memoization).
   CanonicalSupportResolver(const SymbolTable* symbols,
-                           const std::vector<Tgd>* tgds,
-                           const FactBase* facts, size_t num_original);
+                           const IncrementalChase* chase);
 
   // Canonical original support of the alive atom `id` (the atom itself
   // when original). Sorted, deduplicated.
@@ -69,9 +69,9 @@ class CanonicalSupportResolver {
              std::unordered_map<TermId, TermId>& bindings) const;
 
   const SymbolTable* symbols_;
+  const IncrementalChase* chase_;
   const std::vector<Tgd>* tgds_;
   const FactBase* facts_;
-  size_t num_original_;
   HomomorphismFinder finder_;
 
   std::unordered_map<AtomId, std::vector<AtomId>> memo_;

@@ -9,6 +9,7 @@
 #include "chase/provenance.h"
 #include "kb/symbol_table.h"
 #include "repair/conflict.h"
+#include "repair/delta_conflicts.h"
 
 namespace kbrepair {
 namespace debug {
@@ -182,9 +183,10 @@ std::string ProvenanceInspector::PiReport() const {
     if (propagated.count(p) > 0) out << "  [propagated]";
     out << "\n";
   }
-  if (const std::optional<size_t> skeleton = engine_->skeleton_census_size()) {
-    out << "skeleton census: " << *skeleton
-        << (*skeleton == 0 ? " (Pi-repairable)" : "") << "\n";
+  if (const DeltaConflictEngine* skeleton =
+          engine_->repairability().skeleton()) {
+    out << "skeleton census: " << skeleton->size()
+        << (skeleton->empty() ? " (Pi-repairable)" : "") << "\n";
   }
   return out.str();
 }

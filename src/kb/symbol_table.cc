@@ -18,9 +18,17 @@ TermId SymbolTable::FindTerm(TermKind kind, const std::string& name) const {
 }
 
 TermId SymbolTable::MakeFreshNull() {
+  return MintNull("_N", &fresh_null_counter_);
+}
+
+TermId SymbolTable::MakeScratchNull() {
+  return MintNull("_S", &scratch_null_counter_);
+}
+
+TermId SymbolTable::MintNull(const char* prefix, uint64_t* counter) {
   // Loop in case a user-supplied null already claimed the name.
   while (true) {
-    std::string name = "_N" + std::to_string(++fresh_null_counter_);
+    std::string name = prefix + std::to_string(++*counter);
     if (FindTerm(TermKind::kNull, name) == kInvalidTerm) {
       return InternNull(name);
     }
@@ -72,6 +80,7 @@ void SymbolTable::ForkFrom(const SymbolTable& frozen) {
   predicates_ = frozen.predicates_;
   predicate_index_ = frozen.predicate_index_;
   fresh_null_counter_ = frozen.fresh_null_counter_;
+  scratch_null_counter_ = frozen.scratch_null_counter_;
   fresh_variable_counter_ = frozen.fresh_variable_counter_;
 }
 

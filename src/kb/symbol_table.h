@@ -73,6 +73,12 @@ class SymbolTable {
   // Mints a brand-new labeled null (name "_N<k>").
   TermId MakeFreshNull();
 
+  // Mints a brand-new labeled null named "_S<k>" from a counter of its
+  // own, for scratch instances (the Π-skeleton) whose nulls never reach
+  // a transcript: minting them leaves the "_N" labels a dialogue hands
+  // out unchanged.
+  TermId MakeScratchNull();
+
   // Mints a brand-new rule variable (name "_V<k>"), used when renaming
   // rule heads apart ("safe(H)" in the paper).
   TermId MakeFreshVariable();
@@ -152,6 +158,10 @@ class SymbolTable {
   // Copying stays private so it can only happen through Clone().
   SymbolTable(const SymbolTable&) = default;
 
+  // Interns the null "<prefix><k>" for the next k of `*counter` whose
+  // name is still free.
+  TermId MintNull(const char* prefix, uint64_t* counter);
+
   struct TermEntry {
     TermKind kind;
     std::string name;
@@ -172,6 +182,7 @@ class SymbolTable {
   CowVector<PredicateEntry> predicates_;
   CowMap<std::string, PredicateId> predicate_index_;
   uint64_t fresh_null_counter_ = 0;
+  uint64_t scratch_null_counter_ = 0;
   uint64_t fresh_variable_counter_ = 0;
 };
 

@@ -101,8 +101,7 @@ Status DeltaConflictEngine::Initialize(const FactBase& facts) {
 
   trace::ScopedSpan span("conflicts.enumerate", trace::Phase::kConflictScan);
   HomomorphismFinder finder(symbols_, &chase_.facts());
-  CanonicalSupportResolver support(symbols_, chase_.tgds(), &chase_.facts(),
-                                   chase_.num_original());
+  CanonicalSupportResolver support(symbols_, &chase_);
   for (size_t c = 0; c < cdds_->size(); ++c) {
     finder.FindAll((*cdds_)[c].body(), [&](const Homomorphism& hom) {
       Conflict conflict;
@@ -135,23 +134,33 @@ Status DeltaConflictEngine::OnFixApplied(AtomId atom, int arg,
   KBREPAIR_CHECK(initialized());
   KBREPAIR_ASSIGN_OR_RETURN(const IncrementalChase::Delta delta,
                             chase_.ApplyFix(atom, arg, value));
+  return Absorb(delta);
+}
 
+StatusOr<AtomId> DeltaConflictEngine::AddOriginal(const Atom& atom) {
+  KBREPAIR_CHECK(initialized());
+  KBREPAIR_ASSIGN_OR_RETURN(const IncrementalChase::Delta delta,
+                            chase_.AddOriginal(atom));
+  KBREPAIR_RETURN_IF_ERROR(Absorb(delta));
+  return delta.modified;
+}
+
+Status DeltaConflictEngine::Absorb(const IncrementalChase::Delta& delta) {
   // Drop conflicts whose homomorphism used a changed atom. Retracted
   // atoms are gone; homomorphisms through the rewritten atom must be
   // re-proved under its new arguments.
   DropConflictsMatching(delta.modified);
   for (AtomId id : delta.retracted) DropConflictsMatching(id);
 
-  // Re-enumerate pinned at every changed atom: the rewritten original
-  // plus each newly derived atom. (delta.added is ascending and all its
-  // ids exceed the original range, so modified-first keeps the anchor
-  // list sorted.)
+  // Re-enumerate pinned at every changed atom: the rewritten or added
+  // original plus each newly derived atom. (delta.added is ascending and
+  // all its ids exceed the modified atom's, so modified-first keeps the
+  // anchor list sorted.)
   std::vector<AtomId> anchors;
   anchors.reserve(delta.added.size() + 1);
   anchors.push_back(delta.modified);
   anchors.insert(anchors.end(), delta.added.begin(), delta.added.end());
-  CanonicalSupportResolver support(symbols_, chase_.tgds(), &chase_.facts(),
-                                   chase_.num_original());
+  CanonicalSupportResolver support(symbols_, &chase_);
   AddConflictsAnchoredAt(anchors, support);
 
   std::unordered_set<int32_t> changed_preds;
@@ -170,7 +179,6 @@ Status DeltaConflictEngine::OnFixApplied(AtomId atom, int arg,
 }
 
 Status DeltaConflictEngine::VerifyInvariants() const {
-  const size_t num_original = chase_.num_original();
   size_t num_naive = 0;
   for (const auto& [id, conflict] : conflicts_) {
     if (IsNaive(conflict)) ++num_naive;
@@ -180,7 +188,7 @@ Status DeltaConflictEngine::VerifyInvariants() const {
           "support");
     }
     for (const AtomId s : conflict.support) {
-      if (s >= num_original) {
+      if (!chase_.IsOriginal(s)) {
         return Status::Internal(
             "delta conflict engine invariant violated: support atom outside "
             "the original range");
@@ -211,11 +219,10 @@ Status DeltaConflictEngine::VerifyInvariants() const {
 void DeltaConflictEngine::RefreshDerivedSupports(
     const std::unordered_set<int32_t>& changed_preds,
     CanonicalSupportResolver& support) {
-  const size_t num_original = chase_.num_original();
   for (auto& [id, conflict] : conflicts_) {
     bool affected = false;
     for (const AtomId m : conflict.matched) {
-      if (m < num_original) continue;
+      if (chase_.IsOriginal(m)) continue;
       auto it = contributors_.find(chase_.facts().atom(m).predicate);
       if (it == contributors_.end()) continue;
       for (const int32_t pred : changed_preds) {
@@ -270,7 +277,7 @@ void DeltaConflictEngine::AddConflictsAnchoredAt(
 
 bool DeltaConflictEngine::IsNaive(const Conflict& conflict) const {
   for (const AtomId m : conflict.matched) {
-    if (m >= chase_.num_original()) return false;
+    if (!chase_.IsOriginal(m)) return false;
   }
   return true;
 }

@@ -24,11 +24,11 @@
 // coincide with a live conflict: it uses a changed atom, and every live
 // conflict using one was dropped in step 2 (newly derived ids are fresh).
 //
-// Naive conflicts. A conflict whose matched atoms are all original (ids
-// below num_original) is exactly a naive conflict of the working facts:
-// the maintained base restricted to original ids is F. Its canonical
-// support is its distinct matched atoms. The engine keeps these in an
-// ordered index, which is phase one's census (Algorithm 4).
+// Naive conflicts. A conflict whose matched atoms are all original
+// (IncrementalChase::IsOriginal) is exactly a naive conflict of the
+// working facts: the maintained base restricted to original ids is F.
+// Its canonical support is its distinct matched atoms. The engine keeps
+// these in an ordered index, which is phase one's census (Algorithm 4).
 //
 // Cross-engine determinism. Derived-atom ids differ between a maintained
 // base and a from-scratch chase (a rebuilt or cold reference engine, or
@@ -62,6 +62,8 @@ namespace kbrepair {
 // Engine-independent total preorder on conflicts: (cdd index, matched
 // with every derived id replaced by a sentinel, support). `num_original`
 // is the working fact-base size; ids >= num_original are chase-derived.
+// (Atoms AddOriginal appends sort with the derived ones; only the reduced
+// Π-skeleton has any, and only its census' emptiness is read.)
 bool CanonicalConflictLess(const Conflict& a, const Conflict& b,
                            size_t num_original);
 
@@ -102,6 +104,11 @@ class DeltaConflictEngine {
   // The caller has applied the position fix (atom, arg, value) to its
   // working base; replays it here and maintains the conflict set.
   Status OnFixApplied(AtomId atom, int arg, TermId value);
+
+  // The caller's working facts gained `atom`: adds it to the maintained
+  // chase as an original atom (IncrementalChase::AddOriginal) and
+  // maintains the conflict set. Returns its id in chase().facts().
+  StatusOr<AtomId> AddOriginal(const Atom& atom);
 
   bool empty() const { return conflicts_.empty(); }
   size_t size() const { return conflicts_.size(); }
@@ -151,6 +158,10 @@ class DeltaConflictEngine {
   // the surviving homomorphisms. `anchors` must be sorted ascending.
   void AddConflictsAnchoredAt(const std::vector<AtomId>& anchors,
                               CanonicalSupportResolver& support);
+
+  // Maintains the census across one chase delta (steps 2 and 3 of the
+  // file comment, then the support refresh and the self-check).
+  Status Absorb(const IncrementalChase::Delta& delta);
 
   // Re-resolves the support of live conflicts whose homomorphism
   // involves a derived atom that a changed atom could prove. Canonical

@@ -422,11 +422,9 @@ std::optional<std::vector<Conflict>> InquiryEngine::chased_census() const {
   return LiveCensus(*step_->delta);
 }
 
-std::optional<size_t> InquiryEngine::skeleton_census_size() const {
+const RepairabilityChecker& InquiryEngine::repairability() const {
   KBREPAIR_CHECK(step_ != nullptr);
-  const DeltaConflictEngine* skeleton = step_->repairability.skeleton();
-  if (skeleton == nullptr) return std::nullopt;
-  return skeleton->size();
+  return step_->repairability;
 }
 
 StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {

@@ -301,9 +301,10 @@ class InquiryEngine {
   // off its Derivation DAG without re-chasing.
   const IncrementalChase* delta_chase() const;
 
-  // Size of the maintained Π-skeleton census when that engine is live
-  // (0 = Π-repairable), nullopt otherwise.
-  std::optional<size_t> skeleton_census_size() const;
+  // The session's Π-repairability checker. Its skeleton() is the
+  // maintained Π-skeleton engine while live (census empty iff
+  // Π-repairable), null while a dropped one awaits its rebuild.
+  const RepairabilityChecker& repairability() const;
 
  private:
   struct Session;  // per-run mutable state

@@ -12,7 +12,10 @@
 // InquiryEngine::BeginShared() and the two maintained engines via their
 // frozen prototypes, just as a cold Begin leaves its own:
 //
-//  * skeleton_proto — the Π=∅ skeleton engine;
+//  * skeleton_proto — the reduced Π=∅ skeleton engine: one all-null
+//                     atom per predicate of the base facts and no atom
+//                     of them; a fork adds the atoms its dialogue
+//                     touches to its own overlay;
 //  * delta_proto    — the DeltaConflictEngine saturated over the base
 //                     facts; phase one of a fork reads its naive
 //                     conflicts.

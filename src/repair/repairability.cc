@@ -1,5 +1,8 @@
 #include "repair/repairability.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "repair/consistency.h"
 #include "util/logging.h"
 #include "util/trace.h"
@@ -26,7 +29,11 @@ namespace kbrepair {
 // (3) Full check. Position p ∉ Π holds its scratch null in S, so
 // skeleton(F[p:=v], Π ∪ {p}) is exactly S[p:=v]: rewriting p on the
 // maintained skeleton and reading its census decides the candidate, and
-// rewriting p back to the scratch null restores S.
+// rewriting p back to the scratch null restores S. When p's atom is not
+// held yet, it is added carrying v at p, which is S[p:=v] as the reduced
+// skeleton of (F[p:=v], Π ∪ {p}) holds it; the revert leaves it an
+// all-null atom, which by the homomorphic equivalence of the header
+// comment keeps S's verdict.
 
 RepairabilityChecker::RepairabilityChecker(SymbolTable* symbols,
                                            const std::vector<Tgd>* tgds,
@@ -57,40 +64,73 @@ RepairabilityChecker::RepairabilityChecker(SymbolTable* symbols,
 
 TermId RepairabilityChecker::ScratchNull(size_t index) const {
   while (scratch_nulls_.size() <= index) {
-    scratch_nulls_.push_back(symbols_->InternNull(
-        "_S" + std::to_string(scratch_nulls_.size())));
+    scratch_nulls_.push_back(symbols_->MakeScratchNull());
   }
   return scratch_nulls_[index];
 }
 
-FactBase RepairabilityChecker::BuildSkeleton(const FactBase& facts,
-                                             const PositionSet& pi) const {
-  FactBase skeleton = facts;
-  size_t flat = 0;  // flat position index; advances over Π positions too
-  for (AtomId id = 0; id < skeleton.size(); ++id) {
-    const int arity = skeleton.atom(id).arity();
-    for (int arg = 0; arg < arity; ++arg, ++flat) {
-      if (pi.count(Position{id, arg}) == 0) {
-        skeleton.SetArg(id, arg, ScratchNull(flat));
-      }
+Atom RepairabilityChecker::SkeletonValues(const FactBase& facts,
+                                          const PositionSet& pi, AtomId atom,
+                                          size_t first_null) const {
+  Atom values = facts.atom(atom);
+  for (int arg = 0; arg < values.arity(); ++arg) {
+    if (pi.count(Position{atom, arg}) == 0) {
+      values.args[static_cast<size_t>(arg)] =
+          ScratchNull(first_null + static_cast<size_t>(arg));
     }
+  }
+  return values;
+}
+
+FactBase RepairabilityChecker::BuildSkeleton(const FactBase& facts,
+                                             const PositionSet& pi,
+                                             Layout* layout) const {
+  FactBase skeleton;
+  for (PredicateId pred = 0;
+       pred < static_cast<PredicateId>(symbols_->num_predicates()); ++pred) {
+    if (facts.AtomsWithPredicate(pred).empty()) continue;
+    std::vector<TermId> nulls(
+        static_cast<size_t>(symbols_->predicate_arity(pred)));
+    for (TermId& null : nulls) null = ScratchNull(layout->num_nulls++);
+    skeleton.Add(Atom(pred, std::move(nulls)));
+  }
+  std::vector<AtomId> touched;
+  for (const Position& p : pi) {
+    if (p.atom < facts.size()) touched.push_back(p.atom);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const AtomId atom : touched) {
+    const size_t first_null = layout->num_nulls;
+    layout->num_nulls += static_cast<size_t>(facts.atom(atom).arity());
+    const AtomId id =
+        skeleton.Add(SkeletonValues(facts, pi, atom, first_null));
+    layout->atoms.emplace(atom, SkeletonAtom{id, first_null});
   }
   return skeleton;
 }
 
-TermId RepairabilityChecker::SkeletonNullFor(const FactBase& facts,
-                                             const Position& p) const {
-  size_t flat = 0;
-  for (AtomId id = 0; id < p.atom; ++id) {
-    flat += static_cast<size_t>(facts.atom(id).arity());
+StatusOr<RepairabilityChecker::SkeletonAtom>
+RepairabilityChecker::Materialize(const FactBase& facts,
+                                  const PositionSet& pi, AtomId atom,
+                                  const Fix* probe) {
+  KBREPAIR_DCHECK(layout_.atoms.count(atom) == 0);
+  const size_t first_null = layout_.num_nulls;
+  layout_.num_nulls += static_cast<size_t>(facts.atom(atom).arity());
+  Atom values = SkeletonValues(facts, pi, atom, first_null);
+  if (probe != nullptr) {
+    values.args[static_cast<size_t>(probe->arg)] = probe->value;
   }
-  return ScratchNull(flat + static_cast<size_t>(p.arg));
+  KBREPAIR_ASSIGN_OR_RETURN(const AtomId id, skeleton_->AddOriginal(values));
+  return layout_.atoms.emplace(atom, SkeletonAtom{id, first_null})
+      .first->second;
 }
 
 StatusOr<bool> RepairabilityChecker::IsPiRepairable(
     const FactBase& facts, const PositionSet& pi) const {
   trace::ScopedSpan span("repair.repairability", trace::Phase::kRepairability);
-  const FactBase skeleton = BuildSkeleton(facts, pi);
+  Layout layout;
+  const FactBase skeleton = BuildSkeleton(facts, pi, &layout);
   ConsistencyChecker checker(symbols_, tgds_, cdds_, chase_options_);
   return checker.IsConsistentOpt(skeleton);
 }
@@ -101,11 +141,14 @@ Status RepairabilityChecker::EnsureSkeleton(const FactBase& facts,
   trace::ScopedSpan span("repair.repairability", trace::Phase::kRepairability);
   skeleton_ = std::make_unique<DeltaConflictEngine>(symbols_, tgds_, cdds_,
                                                     chase_options_);
-  const Status status = skeleton_->Initialize(BuildSkeleton(facts, pi));
+  layout_ = Layout{};
+  const Status status =
+      skeleton_->Initialize(BuildSkeleton(facts, pi, &layout_));
   // A half-initialized engine must not pass for a live one; a deadline
   // is retried as-is rather than counted.
   if (status.code() == StatusCode::kDeadlineExceeded) {
     skeleton_.reset();
+    layout_ = Layout{};
   } else if (!status.ok()) {
     DropSkeleton();
   }
@@ -117,20 +160,33 @@ void RepairabilityChecker::AdoptSkeleton(
   skeleton_ = std::make_unique<DeltaConflictEngine>(symbols_, tgds_, cdds_,
                                                     chase_options_);
   KBREPAIR_CHECK(skeleton_->InitializeFromShared(prototype).ok());
+  // The prototype's representatives hold the nulls of the checker that
+  // built it; this pool mints its own, so they never collide.
+  layout_ = Layout{};
 }
 
 void RepairabilityChecker::SyncSkeleton(const FactBase& facts,
                                         const PositionSet& pi,
                                         const Position& p) {
   if (skeleton_ == nullptr) return;
-  const TermId value =
-      pi.count(p) > 0 ? facts.atom(p.atom).args[static_cast<size_t>(p.arg)]
-                      : SkeletonNullFor(facts, p);
-  if (!skeleton_->OnFixApplied(p.atom, p.arg, value).ok()) DropSkeleton();
+  Status status;
+  auto it = layout_.atoms.find(p.atom);
+  if (it == layout_.atoms.end()) {
+    // First touch: the atom enters with its skeleton values, p's included.
+    status = Materialize(facts, pi, p.atom, nullptr).status();
+  } else {
+    const SkeletonAtom held = it->second;
+    const TermId value =
+        pi.count(p) > 0 ? facts.atom(p.atom).args[static_cast<size_t>(p.arg)]
+                        : SkeletonNullFor(held, p.arg);
+    status = skeleton_->OnFixApplied(held.id, p.arg, value);
+  }
+  if (!status.ok()) DropSkeleton();
 }
 
 void RepairabilityChecker::DropSkeleton() {
   skeleton_.reset();
+  layout_ = Layout{};
   if (engine_rebuilds_ != nullptr) ++*engine_rebuilds_;
 }
 
@@ -138,17 +194,29 @@ StatusOr<bool> RepairabilityChecker::ProbeSkeleton(const FactBase& facts,
                                                    const PositionSet& pi,
                                                    const Fix& fix) {
   trace::ScopedSpan span("repair.repairability", trace::Phase::kRepairability);
-  const TermId scratch = SkeletonNullFor(facts, fix.position());
   Status status;
   for (int attempt = 0; attempt < 2; ++attempt) {
     KBREPAIR_RETURN_IF_ERROR(EnsureSkeleton(facts, pi));
-    status = skeleton_->OnFixApplied(fix.atom, fix.arg, fix.value);
+    SkeletonAtom held;
+    auto it = layout_.atoms.find(fix.atom);
+    if (it != layout_.atoms.end()) {
+      held = it->second;
+      status = skeleton_->OnFixApplied(held.id, fix.arg, fix.value);
+    } else {
+      // First touch: the atom enters already carrying the candidate, so
+      // it is S[p:=v] as the rewrite would have left it.
+      StatusOr<SkeletonAtom> added = Materialize(facts, pi, fix.atom, &fix);
+      status = added.status();
+      if (status.ok()) held = *added;
+    }
     const bool consistent = skeleton_->empty();
     if (status.ok()) {
-      status = skeleton_->OnFixApplied(fix.atom, fix.arg, scratch);
+      status = skeleton_->OnFixApplied(held.id, fix.arg,
+                                       SkeletonNullFor(held, fix.arg));
     }
     if (status.ok()) return consistent;
-    // A failed rewrite or revert leaves the skeleton stale.
+    // A failed materialization, rewrite or revert leaves the skeleton
+    // stale.
     DropSkeleton();
     if (status.code() == StatusCode::kDeadlineExceeded) break;
   }

@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -386,6 +387,83 @@ TEST(ExistentialFork, AdoptingForkMatchesColdSessionTermForTerm) {
       }
     }
   }
+}
+
+// Original atoms of a skeleton engine: the representatives plus every
+// atom of F it holds.
+size_t SkeletonOriginals(const DeltaConflictEngine& skeleton) {
+  size_t originals = 0;
+  for (AtomId id = 0; id < skeleton.chase().facts().size(); ++id) {
+    originals += skeleton.chase().IsOriginal(id) ? 1 : 0;
+  }
+  return originals;
+}
+
+// The snapshot's skeleton prototype is the reduced skeleton(F, ∅): one
+// all-null atom per predicate of F, no atom of F. The frozen symbol
+// table a fork adopts holds one scratch null per representative
+// position, however large F is. A fork's answers and probes then add at
+// most one atom of F each to its own skeleton, never to the prototype.
+TEST(ForkSkeleton, AdoptedPrototypeIsTheReducedSkeleton) {
+  SyntheticKbOptions kb_options = KbOptions(4, /*with_tgds=*/true);
+  kb_options.num_facts = 600;
+  StatusOr<SyntheticKb> gen = GenerateSyntheticKb(kb_options);
+  ASSERT_TRUE(gen.ok()) << gen.status();
+  std::set<PredicateId> predicates;
+  for (AtomId id = 0; id < gen->kb.facts().size(); ++id) {
+    predicates.insert(gen->kb.facts().atom(id).predicate);
+  }
+  size_t arity_sum = 0;
+  for (const PredicateId pred : predicates) {
+    arity_sum += static_cast<size_t>(gen->kb.symbols().predicate_arity(pred));
+  }
+  StatusOr<std::shared_ptr<const SharedKbSnapshot>> snapshot =
+      BuildSharedKbSnapshot(std::move(gen->kb), "reduced", ChaseOptions{});
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_NE((*snapshot)->skeleton_proto, nullptr);
+  const DeltaConflictEngine& proto = *(*snapshot)->skeleton_proto;
+  const size_t proto_originals = SkeletonOriginals(proto);
+  const size_t proto_atoms = proto.chase().facts().size();
+  EXPECT_EQ(proto_originals, predicates.size());
+  const SymbolTable& base_symbols = (*snapshot)->kb.symbols();
+  size_t scratch_nulls = 0;
+  for (TermId t = 0; t < static_cast<TermId>(base_symbols.num_terms()); ++t) {
+    scratch_nulls += base_symbols.IsNull(t) &&
+                             base_symbols.term_name(t).rfind("_S", 0) == 0
+                         ? 1
+                         : 0;
+  }
+  EXPECT_LE(scratch_nulls, arity_sum);
+
+  KnowledgeBase kb_fork = (*snapshot)->Fork();
+  InquiryOptions options;
+  options.strategy = Strategy::kOptiMcd;
+  options.seed = 23;
+  InquiryEngine forked(&kb_fork, options);
+  ASSERT_TRUE(forked.BeginShared((*snapshot)->Seed()).ok());
+  ASSERT_NE(forked.repairability().skeleton(), nullptr);
+  EXPECT_EQ(SkeletonOriginals(*forked.repairability().skeleton()),
+            proto_originals);
+  Rng chooser(5);
+  size_t answers = 0;
+  for (; answers < 10; ++answers) {
+    StatusOr<const Question*> question = forked.NextQuestion();
+    ASSERT_TRUE(question.ok()) << question.status();
+    if (*question == nullptr) break;
+    ASSERT_TRUE(
+        forked.Answer(chooser.UniformIndex((*question)->fixes.size())).ok());
+  }
+  ASSERT_GT(answers, 0u);
+  ASSERT_NE(forked.repairability().skeleton(), nullptr);
+  const size_t materialized =
+      SkeletonOriginals(*forked.repairability().skeleton()) - proto_originals;
+  EXPECT_GT(materialized, 0u);
+  StatusOr<InquiryResult> result = forked.Finish();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_LE(materialized, answers + result->repairability_full_checks);
+  // The fork materialized into its own overlay, not the prototype.
+  EXPECT_EQ(SkeletonOriginals(proto), proto_originals);
+  EXPECT_EQ(proto.chase().facts().size(), proto_atoms);
 }
 
 // Many siblings of one base interleaved: mutations in one fork must

@@ -108,8 +108,8 @@ void ExpectMatchesReference(const InquiryEngine& engine,
                             size_t round) {
   const std::optional<std::vector<Conflict>> live = engine.chased_census();
   ASSERT_TRUE(live.has_value()) << "round " << round;
-  const std::optional<size_t> skeleton = engine.skeleton_census_size();
-  ASSERT_TRUE(skeleton.has_value()) << "round " << round;
+  const DeltaConflictEngine* skeleton = engine.repairability().skeleton();
+  ASSERT_NE(skeleton, nullptr) << "round " << round;
 
   std::unique_ptr<SymbolTable> symbols = kb.symbols().Clone();
   ConflictFinder finder(symbols.get(), &kb.tgds(), &kb.cdds(),
@@ -127,8 +127,8 @@ void ExpectMatchesReference(const InquiryEngine& engine,
   StatusOr<bool> repairable = repairability.IsPiRepairable(
       engine.working_facts(), engine.current_pi());
   ASSERT_TRUE(repairable.ok()) << repairable.status();
-  EXPECT_EQ(*skeleton == 0, *repairable)
-      << "round " << round << ": skeleton census holds " << *skeleton
+  EXPECT_EQ(skeleton->empty(), *repairable)
+      << "round " << round << ": skeleton census holds " << skeleton->size()
       << " conflicts but the reference Π-repairability verdict is "
       << *repairable;
 }

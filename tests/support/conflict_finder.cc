@@ -42,8 +42,7 @@ StatusOr<std::vector<Conflict>> ConflictFinder::AllConflicts(
   // Supports go through the canonical resolver, not fire-time
   // provenance, so they are a function of the chased base alone and
   // comparable with the incremental engine's (see chase/support.h).
-  CanonicalSupportResolver support(symbols_, tgds_, &chased.facts(),
-                                   chased.num_original());
+  CanonicalSupportResolver support(symbols_, &chased);
   for (size_t c = 0; c < cdds_->size(); ++c) {
     finder.FindAll((*cdds_)[c].body(), [&](const Homomorphism& hom) {
       Conflict conflict;
