@@ -15,10 +15,14 @@
 //    same protocol; stdin is ignored and the daemon runs until
 //    SIGTERM/SIGINT, which drains and exits 0.
 //
-// With --shards N the session registry is split into N independent
-// SessionManagers (sessions routed by a stable hash of their id, WALs
-// under <wal-dir>/shard-<i>/); N defaults to 1, which is byte-identical
-// to the unsharded daemon.
+// One SessionManager front end serves every transport; with --shards N
+// its session registry is split into N independent SessionShards
+// (sessions routed by a stable hash of their id, WALs under
+// <wal-dir>/shard-<i>/ when N > 1).
+//
+// Every integer flag must be a whole decimal number within its range
+// (--workers 1-256, --shards 1-64, ports 0-65535, ...); anything else
+// exits 2 with usage before a single thread starts.
 //
 // Usage:
 //   kbrepaird [--workers N] [--max-queue N] [--ttl-seconds S]
@@ -36,6 +40,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -48,7 +53,7 @@
 #include "service/net/framer.h"
 #include "service/net/line_server.h"
 #include "service/session.h"
-#include "service/sharded_manager.h"
+#include "service/session_manager.h"
 #include "util/failpoint.h"
 #include "util/log.h"
 
@@ -67,38 +72,61 @@ extern "C" void HandleTermSignal(int) {
   }
 }
 
-// "262144", "256K", "64M", "2G" -> bytes; negative on parse failure.
-int64_t ParseByteSize(const std::string& text) {
-  if (text.empty()) return -1;
+// Upper bounds of the thread-count flags: a typo must not start
+// thousands of threads (the daemon runs shards * (workers + 1)).
+constexpr int64_t kMaxShards = 64;
+constexpr int64_t kMaxWorkers = 256;
+
+// The whole of `text` as a decimal integer in [min, max]: no sign,
+// whitespace, suffix or overflow.
+bool ParseInteger(const std::string& text, int64_t min, int64_t max,
+                  int64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
   char* end = nullptr;
   errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || value < 0) return -1;
+  if (errno != 0 || *end != '\0' || value < min || value > max) return false;
+  *out = value;
+  return true;
+}
+
+// "262144", "256K", "64M", "2G" -> bytes; false on a malformed size or
+// one past INT64_MAX bytes.
+bool ParseByteSize(std::string text, int64_t* bytes) {
   int64_t multiplier = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': multiplier = 1024; break;
-      case 'm': case 'M': multiplier = 1024 * 1024; break;
-      case 'g': case 'G': multiplier = 1024 * 1024 * 1024; break;
-      default: return -1;
+  if (!text.empty()) {
+    switch (text.back()) {
+      case 'k': case 'K': multiplier = int64_t{1} << 10; break;
+      case 'm': case 'M': multiplier = int64_t{1} << 20; break;
+      case 'g': case 'G': multiplier = int64_t{1} << 30; break;
+      default: break;
     }
-    if (end[1] != '\0') return -1;
+    if (multiplier != 1) text.pop_back();
   }
-  return value * multiplier;
+  int64_t value = 0;
+  if (!ParseInteger(text, 0, INT64_MAX / multiplier, &value)) return false;
+  *bytes = value * multiplier;
+  return true;
 }
 
 int Usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " [--workers N] [--max-queue N] [--ttl-seconds S]"
-         " [--transcript-dir DIR]\n"
+      << " [--ttl-seconds S] [--transcript-dir DIR]\n"
+         "  [--workers N]            worker threads per shard (1-256,"
+         " default 4)\n"
+         "  [--max-queue N]          commands in flight per shard before"
+         " overload rejections (1-16777216, default 1024)\n"
          "  [--wal-dir DIR]          write-ahead log accepted commands to"
          " DIR/<session>.wal\n"
          "  [--recover-dir DIR]      like --wal-dir, plus replay every WAL"
          " found there at startup\n"
-         "  [--deadline-ms N]        per-command deadline (0 = none)\n"
+         "  [--deadline-ms N]        per-command deadline (0-86400000;"
+         " 0 = none)\n"
          "  [--wal-compact-every N]  snapshot-compact a session WAL every"
-         " N appends\n"
+         " N appends (1-1073741824)\n"
          "  [--mem-budget BYTES]     soft memory ceiling (K/M/G suffix ok;"
          " 0 = unlimited): at the budget new creates are shed and idle"
          " sessions evicted\n"
@@ -107,18 +135,19 @@ int Usage(const char* argv0) {
          "  [--failpoints SPEC]      arm failpoints, e.g."
          " 'wal.fsync=1,chase.saturate' (also via KBREPAIR_FAILPOINTS)\n"
          "  [--shards N]             split the session registry into N"
-         " independent shards (default 1)\n"
+         " independent shards (1-64, default 1)\n"
          "  [--chase-threads N]      default worker threads per session"
          " chase saturation (1-64; create params override; results are"
          " identical for any N)\n"
          "  [--listen-unix PATH]     accept JSON-lines connections on a"
          " Unix-domain socket at PATH\n"
          "  [--listen-tcp PORT]      accept JSON-lines connections on"
-         " 127.0.0.1:PORT (0 = ephemeral)\n"
+         " 127.0.0.1:PORT (0-65535; 0 = ephemeral)\n"
          "  [--listen-tcp-port-file PATH]  write the bound JSON-lines TCP"
          " port to PATH\n"
          "  [--http-port N]          serve /metrics /healthz /readyz"
-         " /statusz on 127.0.0.1:N (0 = ephemeral; port logged on stderr)\n"
+         " /statusz on 127.0.0.1:N (0-65535; 0 = ephemeral; port logged on"
+         " stderr)\n"
          "  [--http-port-file PATH]  write the bound HTTP port to PATH\n"
          "  [--log-level LEVEL]      debug|info|warn|error (default info)\n"
          "  [--log-file PATH]        append JSON log lines to PATH instead"
@@ -130,7 +159,7 @@ int Usage(const char* argv0) {
 // socket transport uses — stdin is literally a single-connection
 // adapter over the shared framing code — while also watching the
 // signal self-pipe so SIGTERM drains instead of killing mid-command.
-void ServeStdio(ShardedSessionManager& manager, int signal_fd) {
+void ServeStdio(SessionManager& manager, int signal_fd) {
   std::mutex stdout_mu;
   auto emit = [&stdout_mu](std::string line) {
     std::lock_guard<std::mutex> lock(stdout_mu);
@@ -173,7 +202,6 @@ void ServeStdio(ShardedSessionManager& manager, int signal_fd) {
 
 int Main(int argc, char** argv) {
   ServiceConfig config;
-  size_t shards = 1;
   std::string listen_unix;
   int listen_tcp = -1;  // -1 = no TCP listener; 0 = ephemeral port
   std::string listen_tcp_port_file;
@@ -188,14 +216,25 @@ int Main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The value of an integer flag, or false (reported) when it is
+    // missing, malformed or outside [min, max].
+    int64_t number = 0;
+    auto next_integer = [&](const char* flag, int64_t min, int64_t max) {
+      const char* v = next_value(flag);
+      if (v == nullptr) return false;
+      if (ParseInteger(v, min, max, &number)) return true;
+      std::cerr << flag << ": expected an integer in [" << min << ", " << max
+                << "], got '" << v << "'\n";
+      return false;
+    };
     if (arg == "--workers") {
-      const char* v = next_value("--workers");
-      if (v == nullptr) return Usage(argv[0]);
-      config.num_workers = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_integer("--workers", 1, kMaxWorkers)) return Usage(argv[0]);
+      config.num_workers = static_cast<size_t>(number);
     } else if (arg == "--max-queue") {
-      const char* v = next_value("--max-queue");
-      if (v == nullptr) return Usage(argv[0]);
-      config.max_queue = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_integer("--max-queue", 1, int64_t{1} << 24)) {
+        return Usage(argv[0]);
+      }
+      config.max_queue = static_cast<size_t>(number);
     } else if (arg == "--ttl-seconds") {
       const char* v = next_value("--ttl-seconds");
       if (v == nullptr) return Usage(argv[0]);
@@ -214,62 +253,45 @@ int Main(int argc, char** argv) {
       config.wal_dir = v;
       config.recover = true;
     } else if (arg == "--deadline-ms") {
-      const char* v = next_value("--deadline-ms");
-      if (v == nullptr) return Usage(argv[0]);
-      config.deadline_ms = std::strtoll(v, nullptr, 10);
+      if (!next_integer("--deadline-ms", 0, 86400000)) return Usage(argv[0]);
+      config.deadline_ms = number;
     } else if (arg == "--wal-compact-every") {
-      const char* v = next_value("--wal-compact-every");
-      if (v == nullptr) return Usage(argv[0]);
-      config.wal_compact_every =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!next_integer("--wal-compact-every", 1, int64_t{1} << 30)) {
+        return Usage(argv[0]);
+      }
+      config.wal_compact_every = static_cast<size_t>(number);
     } else if (arg == "--mem-budget") {
       const char* v = next_value("--mem-budget");
       if (v == nullptr) return Usage(argv[0]);
-      const int64_t bytes = ParseByteSize(v);
-      if (bytes < 0) {
+      if (!ParseByteSize(v, &config.mem_budget_bytes)) {
         std::cerr << "--mem-budget: expected BYTES with optional K/M/G"
-                     " suffix, got '" << v << "'\n";
+                     " suffix, at most 2^63-1 bytes, got '" << v << "'\n";
         return Usage(argv[0]);
       }
-      config.mem_budget_bytes = bytes;
     } else if (arg == "--trace-dir") {
       const char* v = next_value("--trace-dir");
       if (v == nullptr) return Usage(argv[0]);
       config.trace_dir = v;
     } else if (arg == "--shards") {
-      const char* v = next_value("--shards");
-      if (v == nullptr) return Usage(argv[0]);
-      shards = static_cast<size_t>(std::strtoull(v, nullptr, 10));
-      if (shards == 0) {
-        std::cerr << "--shards must be >= 1\n";
-        return Usage(argv[0]);
-      }
+      if (!next_integer("--shards", 1, kMaxShards)) return Usage(argv[0]);
+      config.num_shards = static_cast<size_t>(number);
     } else if (arg == "--chase-threads") {
-      const char* v = next_value("--chase-threads");
-      if (v == nullptr) return Usage(argv[0]);
-      const size_t threads =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
-      if (threads < 1 || threads > 64) {
-        std::cerr << "--chase-threads must be in [1, 64]\n";
-        return Usage(argv[0]);
-      }
-      SetDefaultChaseThreads(threads);
+      if (!next_integer("--chase-threads", 1, 64)) return Usage(argv[0]);
+      SetDefaultChaseThreads(static_cast<size_t>(number));
     } else if (arg == "--listen-unix") {
       const char* v = next_value("--listen-unix");
       if (v == nullptr) return Usage(argv[0]);
       listen_unix = v;
     } else if (arg == "--listen-tcp") {
-      const char* v = next_value("--listen-tcp");
-      if (v == nullptr) return Usage(argv[0]);
-      listen_tcp = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!next_integer("--listen-tcp", 0, 65535)) return Usage(argv[0]);
+      listen_tcp = static_cast<int>(number);
     } else if (arg == "--listen-tcp-port-file") {
       const char* v = next_value("--listen-tcp-port-file");
       if (v == nullptr) return Usage(argv[0]);
       listen_tcp_port_file = v;
     } else if (arg == "--http-port") {
-      const char* v = next_value("--http-port");
-      if (v == nullptr) return Usage(argv[0]);
-      http_port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!next_integer("--http-port", 0, 65535)) return Usage(argv[0]);
+      http_port = static_cast<int>(number);
     } else if (arg == "--http-port-file") {
       const char* v = next_value("--http-port-file");
       if (v == nullptr) return Usage(argv[0]);
@@ -325,15 +347,12 @@ int Main(int argc, char** argv) {
   ::sigaction(SIGTERM, &action, nullptr);
   ::sigaction(SIGINT, &action, nullptr);
 
-  ShardedConfig sharded_config;
-  sharded_config.num_shards = shards;
-  sharded_config.shard = config;
-  ShardedSessionManager manager(sharded_config);
+  SessionManager manager(config);
 
   const bool socket_mode = !listen_unix.empty() || listen_tcp >= 0;
   logging::Info("kbrepaird", "daemon started")
       .With("workers", static_cast<int64_t>(config.num_workers))
-      .With("shards", static_cast<int64_t>(shards))
+      .With("shards", static_cast<int64_t>(config.num_shards))
       .With("transport", socket_mode ? "socket" : "stdio")
       .With("wal", !config.wal_dir.empty())
       .With("mem_budget_bytes", config.mem_budget_bytes)

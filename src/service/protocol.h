@@ -12,8 +12,10 @@
 //   error:    {"id":"r1","ok":false,
 //              "error":{"code":"NotFound","message":"unknown session ..."}}
 //
-// Commands: create, ask, answer, status, snapshot, close, metrics.
-// See docs/SERVICE.md for the full per-command schema.
+// Commands: create, ask, answer, status, snapshot, close, metrics,
+// trace, register-base, list-bases, failpoint (the one command table is
+// LookupCommand in service/session_shard.h). See docs/SERVICE.md for the
+// full per-command schema.
 
 #ifndef KBREPAIR_SERVICE_PROTOCOL_H_
 #define KBREPAIR_SERVICE_PROTOCOL_H_
@@ -32,10 +34,9 @@ struct ServiceRequest {
   std::string command;     // required
   std::string session_id;  // required for session commands
   JsonValue params;        // the full request object (extra fields)
-  // Internal-only (never parsed from the wire): a pre-assigned id for a
-  // `create`. The sharded front-end picks the id so it can route the
-  // session to the shard its id hashes to; a plain SessionManager keeps
-  // assigning its own ids when this is empty.
+  // Internal-only (never parsed from the wire): the id of the session a
+  // `create` opens. The SessionManager front end mints it before routing,
+  // since the id decides which shard owns the session.
   std::string assigned_session_id;
 };
 

@@ -1,208 +1,211 @@
 #include "service/session_manager.h"
 
-#include <stdio.h>
-#include <stdlib.h>
+#include <dirent.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <utility>
 
+#include "service/session_shard.h"
 #include "service/wal.h"
-#include "util/failpoint.h"
-#include "util/fs.h"
 #include "util/log.h"
-#include "util/logging.h"
 #include "util/trace.h"
 
 namespace kbrepair {
 
 namespace {
 
-constexpr char kComponent[] = "session_manager";
-
-// Commands that do not address an existing session.
-bool IsIndependentCommand(const std::string& command) {
-  return command == "create" || command == "metrics" ||
-         command == "trace" || command == "register-base" ||
-         command == "list-bases" || command == "failpoint";
-}
-
-// Root span names must be string literals (ScopedSpan stores the
-// pointer), so map each wire command to a static name.
-const char* RpcSpanName(const std::string& command) {
-  if (command == "create") return "rpc.create";
-  if (command == "metrics") return "rpc.metrics";
-  if (command == "trace") return "rpc.trace";
-  if (command == "register-base") return "rpc.register-base";
-  if (command == "list-bases") return "rpc.list-bases";
-  if (command == "failpoint") return "rpc.failpoint";
-  if (command == "ask") return "rpc.ask";
-  if (command == "answer") return "rpc.answer";
-  if (command == "status") return "rpc.status";
-  if (command == "snapshot") return "rpc.snapshot";
-  if (command == "close") return "rpc.close";
-  return "rpc.other";
-}
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// A worker owning one command for longer than this is considered
-// stalled. With deadlines enabled a handler should finish within one
-// deadline; 4x leaves room for the cancel-poll granularity.
-int64_t StallThresholdMs(int64_t deadline_ms) {
-  return deadline_ms > 0 ? std::max<int64_t>(4 * deadline_ms, 200) : 10000;
-}
+constexpr char kComponent[] = "shard";
 
 }  // namespace
 
+size_t SessionManager::ShardForSession(const std::string& session_id,
+                                       size_t num_shards) {
+  if (num_shards <= 1) return 0;
+  // FNV-1a 64: stable across restarts and standard libraries, which
+  // std::hash is not — recovery re-routes WALs by this value.
+  uint64_t hash = 14695981039346656037ull;
+  for (const char c : session_id) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return static_cast<size_t>(hash % num_shards);
+}
+
+std::string SessionManager::ShardWalDir(const std::string& root,
+                                        size_t shard_index,
+                                        size_t num_shards) {
+  if (num_shards <= 1) return root;  // the pre-shard layout
+  return root + "/shard-" + std::to_string(shard_index);
+}
+
+uint64_t SessionManager::RebalanceWalFiles(const std::string& root,
+                                           size_t num_shards) {
+  // Collect every WAL anywhere in the layout: the root itself (the
+  // 1-shard layout) and any shard-*/ subdirectory a previous run with a
+  // different shard count left behind.
+  std::vector<std::pair<std::string, std::string>> found;  // {dir, id}
+  for (const std::string& id : ListWalSessionIds(root)) {
+    found.emplace_back(root, id);
+  }
+  if (DIR* dir = ::opendir(root.c_str())) {
+    while (dirent* entry = ::readdir(dir)) {
+      const std::string name = entry->d_name;
+      if (name.compare(0, 6, "shard-") != 0) continue;
+      const std::string sub = root + "/" + name;
+      struct stat st{};
+      if (::stat(sub.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) continue;
+      for (const std::string& id : ListWalSessionIds(sub)) {
+        found.emplace_back(sub, id);
+      }
+    }
+    ::closedir(dir);
+  }
+  uint64_t last_session = 0;
+  size_t moved = 0;
+  for (const auto& [dir, id] : found) {
+    // Fresh "s-<n>" ids stay ahead of every WAL ever seen — even ones
+    // recovery quarantines — so a new session never shadows an old log.
+    if (id.size() > 2 && id.compare(0, 2, "s-") == 0) {
+      char* end = nullptr;
+      const unsigned long long n = std::strtoull(id.c_str() + 2, &end, 10);
+      if (*end == '\0') last_session = std::max<uint64_t>(last_session, n);
+    }
+    const std::string target_dir =
+        ShardWalDir(root, ShardForSession(id, num_shards), num_shards);
+    if (dir == target_dir) continue;
+    const std::string from = dir + "/" + id + ".wal";
+    const std::string to = target_dir + "/" + id + ".wal";
+    if (::rename(from.c_str(), to.c_str()) != 0) {
+      logging::Error(kComponent, "WAL rebalance rename failed")
+          .With("from", from)
+          .With("to", to);
+      continue;
+    }
+    ++moved;
+  }
+  if (moved != 0) {
+    logging::Info(kComponent, "rebalanced WALs across shards")
+        .With("moved", static_cast<int64_t>(moved))
+        .With("shards", static_cast<int64_t>(num_shards));
+  }
+  return last_session;
+}
+
 SessionManager::SessionManager(ServiceConfig config)
     : config_(std::move(config)) {
-  if (config_.num_workers == 0) config_.num_workers = 1;
-  if (config_.max_queue == 0) config_.max_queue = 1;
-  if (config_.wal_compact_every == 0) config_.wal_compact_every = 1;
-  worker_busy_since_.reset(new std::atomic<int64_t>[config_.num_workers]);
-  for (size_t i = 0; i < config_.num_workers; ++i) {
-    worker_busy_since_[i].store(0, std::memory_order_relaxed);
-  }
-  stall_flagged_.assign(config_.num_workers, 0);
-  // Memory governor: adopt the (cross-shard) instance from the config,
-  // or own a private one whose gauges land in this manager's metrics.
-  governor_ = config_.governor;
-  if (governor_ == nullptr) {
-    governor_ = std::make_shared<ResourceGovernor>(config_.mem_budget_bytes);
-    governor_->AttachMetrics(&metrics_);
-  }
-  // Shared-base registry: adopt the (cross-shard) instance from the
-  // config, or own a private one whose bases.jsonl lives next to the
-  // WALs. An owned registry recovers its log here — before session
-  // recovery, which may need to re-fork base-backed sessions — and this
-  // manager's metrics carry its gauges.
-  registry_ = config_.base_registry;
-  if (registry_ == nullptr) {
-    registry_ = std::make_shared<BaseRegistry>(config_.wal_dir);
-    if (config_.recover && !config_.wal_dir.empty()) {
-      (void)registry_->RecoverFromLog();
+  config_.num_shards = std::max<size_t>(1, config_.num_shards);
+  config_.num_workers = std::max<size_t>(1, config_.num_workers);
+  config_.max_queue = std::max<size_t>(1, config_.max_queue);
+  config_.wal_compact_every = std::max<size_t>(1, config_.wal_compact_every);
+  const size_t num_shards = config_.num_shards;
+  const std::string& wal_root = config_.wal_dir;
+  const bool recover = config_.recover && !wal_root.empty();
+  if (!wal_root.empty() && num_shards > 1) {
+    for (size_t i = 0; i < num_shards; ++i) {
+      // Best-effort; SessionWal::Open reports a usable error if the
+      // directory is truly unavailable.
+      ::mkdir(ShardWalDir(wal_root, i, num_shards).c_str(), 0755);
     }
-    registry_->AttachMetrics(&metrics_);
-    registry_->AttachGovernor(governor_);
   }
-  // Threads spawn only after every member they read (governor_,
-  // registry_) is in place: the reaper's first sweep can beat the rest
-  // of this constructor on a loaded machine.
-  workers_.reserve(config_.num_workers);
-  for (size_t i = 0; i < config_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  if (recover) {
+    next_session_.store(RebalanceWalFiles(wal_root, num_shards),
+                        std::memory_order_relaxed);
   }
-  reaper_ = std::thread([this] { ReaperLoop(); });
+  // One memory governor: --mem-budget bounds the whole process, so
+  // per-shard budgets would mis-account shared bases and let N shards
+  // each grow to the full limit.
+  governor_ = std::make_shared<ResourceGovernor>(config_.mem_budget_bytes);
+  // One base registry: a base registered through any connection is
+  // forkable by sessions on all shards, and its refcount sees them all.
+  // Its bases.jsonl lives at the WAL root and is replayed before any
+  // shard recovers sessions — a recovered session whose create params
+  // carry "base" re-forks from it. Its bytes count against the budget
+  // (shared bases are real memory).
+  registry_ = std::make_shared<BaseRegistry>(wal_root);
+  if (recover) (void)registry_->RecoverFromLog();
+  registry_->AttachGovernor(governor_);
+  // The span recorder is process-global and Enable() resets its epoch:
+  // enable it once, before shard recovery runs.
   if (!config_.trace_dir.empty()) {
     trace::Recorder::Instance().Enable(config_.trace_dir);
   }
-  // Recovery runs on the constructing thread, before the caller can
-  // submit anything; workers and reaper are already live but see each
-  // session only once it is registered under mu_.
-  if (config_.recover && !config_.wal_dir.empty()) RecoverSessions();
+  shards_.reserve(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
+    ServiceConfig shard_config = config_;
+    if (!wal_root.empty()) {
+      shard_config.wal_dir = ShardWalDir(wal_root, i, num_shards);
+    }
+    shards_.push_back(std::make_unique<SessionShard>(
+        std::move(shard_config), *registry_, *governor_));
+  }
+  // Process-wide counters and gauges (registry, governor, unparseable
+  // lines, `metrics` requests) live on shard 0's metrics only, so the
+  // aggregate counts them once.
+  registry_->AttachMetrics(&shards_[0]->metrics());
+  governor_->AttachMetrics(&shards_[0]->metrics());
+  if (num_shards > 1) {
+    logging::Info(kComponent, "sharded session manager up")
+        .With("shards", static_cast<int64_t>(num_shards))
+        .With("workers_per_shard",
+              static_cast<int64_t>(config_.num_workers));
+  }
 }
 
 SessionManager::~SessionManager() { Shutdown(); }
 
-void SessionManager::Submit(ServiceRequest request, Completion done) {
-  metrics_.requests_total.fetch_add(1, std::memory_order_relaxed);
-  Task task;
-  task.request = std::move(request);
-  task.done = std::move(done);
-
-  Status rejection = Status::Ok();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Shutdown and overload rejections are Unavailable: the command was
-    // never executed, so clients may retry it (with backoff) verbatim.
-    if (stopping_) {
-      metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      rejection = Status::Unavailable("service is shutting down");
-    } else if (tasks_in_flight_ >= config_.max_queue) {
-      metrics_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-      metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      rejection = Status::Unavailable(
-          "service overloaded (" + std::to_string(tasks_in_flight_) +
-          " commands in flight, max " + std::to_string(config_.max_queue) +
-          ")");
-    } else if ((task.request.command == "create" ||
-                task.request.command == "answer") &&
-               WalDegraded()) {
-      // Disk-degraded read-only mode: the commands that must append to
-      // the WAL are shed at admission. status/snapshot/close still run —
-      // closing sessions (WAL unlink) is how disk space comes back.
-      metrics_.rejected_degraded.fetch_add(1, std::memory_order_relaxed);
-      metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      metrics_.wal_degraded.store(1, std::memory_order_relaxed);
-      rejection = Status::ResourceExhausted(
-          "WAL disk degraded (read-only): '" + task.request.command +
-          "' needs a durable log append; retry with backoff once the log "
-          "directory is writable again");
-    } else if (task.request.command == "create" &&
-               governor_->UnderPressure()) {
-      metrics_.rejected_pressure.fetch_add(1, std::memory_order_relaxed);
-      metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      rejection = Status::ResourceExhausted(governor_->ShedMessage());
-      // Start evicting right away instead of on the next reaper tick.
-      reaper_kick_ = true;
-      reaper_cv_.notify_all();
-    } else if (IsIndependentCommand(task.request.command)) {
-      ++tasks_in_flight_;
-      ready_.push_back(std::move(task));
-      work_cv_.notify_one();
-      return;
-    } else if (task.request.session_id.empty()) {
-      rejection = Status::InvalidArgument(
-          "command '" + task.request.command + "' needs a 'session' id");
-    } else {
-      auto it = sessions_.find(task.request.session_id);
-      if (it == sessions_.end()) {
-        rejection = Status::NotFound("unknown session '" +
-                                     task.request.session_id + "'");
-      } else {
-        ++tasks_in_flight_;
-        SessionEntry& entry = it->second;
-        entry.waiting.push_back(std::move(task));
-        // A session key sits in ready_ at most once: it is enqueued only
-        // on the idle -> busy transition, and the owning worker re-enqueues
-        // it (or clears `busy`) when it finishes a command.
-        if (!entry.busy) {
-          entry.busy = true;
-          ready_.push_back(it->first);
-        }
-        work_cv_.notify_one();
-        return;
-      }
-    }
+void SessionManager::Shutdown() {
+  if (stopping_.exchange(true)) return;
+  for (const auto& shard : shards_) shard->Shutdown();
+  // Final span flush: anything still buffered goes to one last trace
+  // file so post-mortem tooling sees the tail of the run.
+  if (!config_.trace_dir.empty() && trace::Recorder::enabled()) {
+    (void)trace::Recorder::Instance().DrainToFile();
   }
-  Complete(task, rejection, JsonValue::Null());
 }
 
-uint64_t SessionManager::LastSessionNumber() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_session_;
-}
-
-size_t SessionManager::CommandsInFlight() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tasks_in_flight_;
-}
-
-size_t SessionManager::SessionsRegistered() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
+void SessionManager::Submit(ServiceRequest request, Completion done) {
+  const CommandSpec& command = LookupCommand(request.command);
+  size_t shard = 0;
+  switch (command.home) {
+    case CommandSpec::Home::kFrontEnd: {
+      // `metrics`, answered inline and never refused. Counted before the
+      // snapshot, so the reply includes itself.
+      trace::ScopedSpan span(command.span);
+      shards_[0]->metrics().requests_total.fetch_add(
+          1, std::memory_order_relaxed);
+      done(Status::Ok(), MetricsJson());
+      return;
+    }
+    case CommandSpec::Home::kShardZero:
+      break;
+    case CommandSpec::Home::kOwningShard:
+      if (!command.addresses_session) {  // create
+        request.assigned_session_id =
+            "s-" + std::to_string(next_session_.fetch_add(
+                                      1, std::memory_order_relaxed) +
+                                  1);
+        shard = ShardForSession(request.assigned_session_id, shards_.size());
+      } else if (!request.session_id.empty()) {
+        // A missing id stays on shard 0, which produces the error.
+        shard = ShardForSession(request.session_id, shards_.size());
+      }
+      break;
+  }
+  shards_[shard]->Submit(std::move(request), command, std::move(done));
 }
 
 void SessionManager::SubmitLine(const std::string& line,
                                 std::function<void(std::string)> emit) {
   StatusOr<ServiceRequest> parsed = ParseRequestLine(line);
   if (!parsed.ok()) {
-    metrics_.requests_total.fetch_add(1, std::memory_order_relaxed);
-    metrics_.errors_total.fetch_add(1, std::memory_order_relaxed);
+    ServiceMetrics& front = shards_[0]->metrics();
+    front.requests_total.fetch_add(1, std::memory_order_relaxed);
+    front.errors_total.fetch_add(1, std::memory_order_relaxed);
     emit(ErrorResponseForLine(line, parsed.status()));
     return;
   }
@@ -237,434 +240,78 @@ StatusOr<JsonValue> SessionManager::Execute(ServiceRequest request) {
   return result;
 }
 
-void SessionManager::Shutdown() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    stopping_ = true;
-    drain_cv_.wait(lock, [this] { return tasks_in_flight_ == 0; });
-    exiting_ = true;
-    shut_down_ = true;
-  }
-  work_cv_.notify_all();
-  reaper_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  if (reaper_.joinable()) reaper_.join();
-  // Final span flush: anything still buffered goes to one last trace
-  // file so post-mortem tooling sees the tail of the run.
-  if (!config_.trace_dir.empty() && trace::Recorder::enabled()) {
-    (void)trace::Recorder::Instance().DrainToFile();
-  }
-  // Workers and reaper are gone, but the HTTP exporter thread may still
-  // call StatuszJson()/ReadinessCauses(); keep touching sessions_ under
-  // the lock. Flush transcripts of sessions that were never closed,
-  // then drop them.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, entry] : sessions_) {
-      if (!config_.transcript_dir.empty() && entry.session != nullptr) {
-        WriteTranscriptFile(id, entry.session->TranscriptJson().Dump());
-      }
-      // The governor may outlive this shard (it is shared); hand the
-      // bytes back so surviving shards see an accurate estimate.
-      ReleaseChargeLocked(entry);
-    }
-    sessions_.clear();
-  }
-  logging::Info(kComponent, "shutdown complete");
-}
-
-void SessionManager::WorkerLoop(size_t worker_index) {
-  std::atomic<int64_t>& busy_since = worker_busy_since_[worker_index];
-  for (;;) {
-    ReadyItem item{std::string()};
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return exiting_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // exiting_ after drain
-      item = std::move(ready_.front());
-      ready_.pop_front();
-    }
-    busy_since.store(SteadyNowNs(), std::memory_order_relaxed);
-    if (std::holds_alternative<Task>(item)) {
-      RunIndependent(std::move(std::get<Task>(item)));
-    } else {
-      RunSessionCommand(std::get<std::string>(item));
-    }
-    busy_since.store(0, std::memory_order_relaxed);
-  }
-}
-
-void SessionManager::RunIndependent(Task task) {
-  metrics_.queue_wait.Observe(task.timer.ElapsedSeconds());
-  trace::ScopedSpan span(RpcSpanName(task.request.command));
-  if (task.request.command == "create") {
-    RunCreate(std::move(task));
-    return;
-  }
-  if (task.request.command == "trace") {
-    Complete(task, Status::Ok(), TraceJson(task.request.params));
-    TaskDone();
-    return;
-  }
-  if (task.request.command == "register-base") {
-    StatusOr<JsonValue> registered =
-        registry_->Register(task.request.params);
-    if (registered.ok()) {
-      Complete(task, Status::Ok(), std::move(registered).value());
-    } else {
-      Complete(task, registered.status(), JsonValue::Null());
-    }
-    TaskDone();
-    return;
-  }
-  if (task.request.command == "list-bases") {
-    Complete(task, Status::Ok(), registry_->ListJson());
-    TaskDone();
-    return;
-  }
-  if (task.request.command == "failpoint") {
-    // Runtime fault-injection control for chaos harnesses driving a
-    // live daemon: arm specs, disarm one point, or reset everything.
-    // Failpoints are process-global, so any shard serves this.
-    const JsonValue& params = task.request.params;
-    Status applied = Status::Ok();
-    if (params.Get("reset").AsBool(false)) failpoint::Reset();
-    if (params.Get("disarm").is_string()) {
-      failpoint::Disarm(params.Get("disarm").AsString());
-    }
-    if (params.Get("spec").is_string()) {
-      applied = failpoint::Configure(params.Get("spec").AsString());
-    }
-    if (!applied.ok()) {
-      Complete(task, applied, JsonValue::Null());
-      TaskDone();
-      return;
-    }
-    JsonValue out = JsonValue::Object();
-    JsonValue armed = JsonValue::Array();
-    for (const std::string& name : failpoint::ArmedNames()) {
-      armed.Append(JsonValue::String(name));
-    }
-    out.Set("armed", std::move(armed));
-    Complete(task, Status::Ok(), std::move(out));
-    TaskDone();
-    return;
-  }
-  // metrics
-  Complete(task, Status::Ok(), MetricsJson());
-  TaskDone();
-}
-
-void SessionManager::RunCreate(Task task) {
-  std::string id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!task.request.assigned_session_id.empty()) {
-      // The sharded front-end already chose the id (so it routes to this
-      // shard). Keep our own counter ahead of it, so a later
-      // self-assigned id can never collide.
-      id = task.request.assigned_session_id;
-      if (id.size() > 2 && id.compare(0, 2, "s-") == 0) {
-        char* end = nullptr;
-        const unsigned long long n = ::strtoull(id.c_str() + 2, &end, 10);
-        if (end != nullptr && *end == '\0' && n > next_session_) {
-          next_session_ = n;
-        }
-      }
-    } else {
-      id = "s-" + std::to_string(++next_session_);
-    }
-  }
-  // Correlate every log line below (WAL failures, engine rebuilds in
-  // the census) with the session being created.
-  logging::ScopedSessionId log_scope(id);
-  // Log the create before building the session: a crash between the two
-  // recovers an empty session instead of losing an acknowledged one. If
-  // the log cannot be made durable the command is rejected outright.
-  std::unique_ptr<SessionWal> wal;
-  if (!config_.wal_dir.empty()) {
-    StatusOr<std::unique_ptr<SessionWal>> opened =
-        SessionWal::Open(config_.wal_dir, id);
-    Status logged = opened.status();
-    bool fsync_failed = false;
-    bool disk_full = false;
-    if (opened.ok()) {
-      wal = std::move(opened).value();
-      logged = wal->Append(SessionWal::CreateRecord(task.request.params),
-                           &fsync_failed, &disk_full);
-    }
-    if (!logged.ok()) {
-      if (fsync_failed) {
-        metrics_.wal_fsync_failures.fetch_add(1, std::memory_order_relaxed);
-        metrics_.last_wal_fsync_failure_ns.store(MonotonicNowNs(),
-                                                 std::memory_order_relaxed);
-      }
-      if (disk_full) {
-        // Flip the shard into disk-degraded mode: further create/answer
-        // traffic is shed at admission until the reaper's write probe
-        // sees the directory writable again.
-        metrics_.wal_disk_full_failures.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        metrics_.last_wal_disk_full_ns.store(MonotonicNowNs(),
-                                             std::memory_order_relaxed);
-        metrics_.wal_degraded.store(1, std::memory_order_relaxed);
-        logged = Status::ResourceExhausted("WAL disk full: " +
-                                           logged.message());
-      }
-      logging::Warn(kComponent, "create rejected: WAL append failed")
-          .With("error", logged.message());
-      metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      if (wal != nullptr) (void)wal->Remove();
-      Complete(task, logged, JsonValue::Null());
-      TaskDone();
-      return;
-    }
-    metrics_.wal_appends.fetch_add(1, std::memory_order_relaxed);
-  }
-  const trace::PhaseTotals phases_before = trace::ThreadPhaseTotals();
-  StatusOr<std::unique_ptr<RepairSession>> created =
-      OpenSession(id, task.request.params, config_.deadline_ms);
-  if (!created.ok()) {
-    // Never-registered sessions must not resurrect on recovery.
-    if (wal != nullptr) (void)wal->Remove();
-    metrics_.sessions_failed.fetch_add(1, std::memory_order_relaxed);
-    Complete(task, created.status(), JsonValue::Null());
-    TaskDone();
-    return;
-  }
-  std::unique_ptr<RepairSession> session = std::move(created).value();
-  // The initial census (Begin) ran on this thread; attribute its phase
-  // time to the session's strategy slot.
-  session->ObservePhases(&metrics_,
-                         trace::ThreadPhaseTotals().Since(phases_before));
-  session->RecordOpened(&metrics_);
-  if (wal != nullptr) {
-    session->AttachWal(std::move(wal), config_.wal_compact_every);
-  }
-  // Compute the response before registering: once the entry is visible,
-  // another worker could legally run a command against it.
-  JsonValue info = session->StatusInfo();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SessionEntry entry;
-    entry.session = std::move(session);
-    entry.last_activity = std::chrono::steady_clock::now();
-    auto emplaced = sessions_.emplace(id, std::move(entry));
-    ChargeSessionLocked(emplaced.first->second);
-    metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_active.fetch_add(1, std::memory_order_relaxed);
-  }
-  Complete(task, Status::Ok(), std::move(info));
-  TaskDone();
-}
-
-void SessionManager::RunSessionCommand(const std::string& key) {
-  Task task;
-  RepairSession* session = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(key);
-    KBREPAIR_DCHECK(it != sessions_.end()) << "scheduled session vanished";
-    KBREPAIR_DCHECK(!it->second.waiting.empty());
-    task = std::move(it->second.waiting.front());
-    it->second.waiting.pop_front();
-    session = it->second.session.get();
-  }
-  // Queue wait includes time parked behind earlier commands of the same
-  // session — that is real scheduling delay, not execution time.
-  metrics_.queue_wait.Observe(task.timer.ElapsedSeconds());
-  // Every log line the handler emits (WAL append, compaction, engine rebuild,
-  // deadline) carries this session id without explicit plumbing.
-  logging::ScopedSessionId log_scope(key);
-
-  // The busy flag keeps every other worker (and the reaper) away from
-  // this session, so the handler runs without holding mu_.
-  StatusOr<JsonValue> outcome = [&]() -> StatusOr<JsonValue> {
-    trace::ScopedSpan span(RpcSpanName(task.request.command));
-    if (span.recording()) span.Annotate("session=" + key);
-    if (failpoint::ShouldFail("worker.stall")) {
-      // Simulate a wedged handler: hold the worker past the watchdog
-      // threshold, then fail the command the way an expired deadline
-      // would (the command had no effect; retrying is safe).
-      const int64_t stall_ms = std::min<int64_t>(
-          std::max<int64_t>(2 * StallThresholdMs(config_.deadline_ms), 1200),
-          3000);
-      std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
-      return Status::DeadlineExceeded("worker stalled (failpoint)");
-    }
-    session->ArmDeadline(config_.deadline_ms);
-    StatusOr<JsonValue> result = DispatchToSession(session, task.request);
-    session->DisarmDeadline();
-    return result;
-  }();
-  const bool closing = task.request.command == "close" && outcome.ok();
-  std::string transcript_dump;
-  if (closing && !config_.transcript_dir.empty()) {
-    transcript_dump = session->TranscriptJson().Dump();
-  }
-
-  std::vector<Task> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(key);
-    KBREPAIR_DCHECK(it != sessions_.end());
-    it->second.last_activity = std::chrono::steady_clock::now();
-    if (closing) {
-      ReleaseChargeLocked(it->second);
-      metrics_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
-      while (!it->second.waiting.empty()) {
-        orphaned.push_back(std::move(it->second.waiting.front()));
-        it->second.waiting.pop_front();
-      }
-      sessions_.erase(it);
-    } else if (!it->second.waiting.empty()) {
-      ready_.push_back(key);
-      work_cv_.notify_one();
-    } else {
-      it->second.busy = false;
-    }
-    if (!closing) ChargeSessionLocked(it->second);
-  }
-
-  if (!transcript_dump.empty()) WriteTranscriptFile(key, transcript_dump);
-  if (outcome.ok()) {
-    Complete(task, Status::Ok(), std::move(outcome).value());
-  } else {
-    Complete(task, outcome.status(), JsonValue::Null());
-  }
-  TaskDone();
-  for (Task& orphan : orphaned) {
-    Complete(orphan, Status::NotFound("session '" + key + "' was closed"),
-             JsonValue::Null());
-    TaskDone();
-  }
-}
-
-StatusOr<JsonValue> SessionManager::DispatchToSession(
-    RepairSession* session, const ServiceRequest& request) {
-  if (request.command == "ask") return session->Ask(&metrics_);
-  if (request.command == "answer") {
-    return session->Answer(request.params, &metrics_);
-  }
-  if (request.command == "status") return session->StatusInfo();
-  if (request.command == "snapshot") return session->Snapshot();
-  if (request.command == "close") {
-    // While the shard is disk-degraded the close record is skipped: the
-    // append would fail anyway, and the WAL unlink is what frees space.
-    return session->Close(request.params, &metrics_, WalDegraded());
-  }
-  return Status::InvalidArgument("unknown command '" + request.command + "'");
-}
-
 JsonValue SessionManager::MetricsJson() {
-  JsonValue out = metrics_.ToJson();
-  JsonValue service = JsonValue::Object();
-  service.Set("workers",
-              JsonValue::Number(static_cast<int64_t>(config_.num_workers)));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    service.Set("commands_in_flight",
-                JsonValue::Number(static_cast<int64_t>(tasks_in_flight_)));
-    service.Set("sessions_registered",
-                JsonValue::Number(static_cast<int64_t>(sessions_.size())));
+  ServiceMetrics aggregate;
+  for (const auto& shard : shards_) aggregate.MergeFrom(shard->metrics());
+  JsonValue out = aggregate.ToJson();
+
+  size_t commands_in_flight = 0;
+  size_t sessions_registered = 0;
+  for (const auto& shard : shards_) {
+    commands_in_flight += shard->CommandsInFlight();
+    sessions_registered += shard->SessionsRegistered();
   }
+  JsonValue service = JsonValue::Object();
+  service.Set("workers", JsonValue::Number(static_cast<int64_t>(
+                             shards_.size() * config_.num_workers)));
+  service.Set("commands_in_flight",
+              JsonValue::Number(static_cast<int64_t>(commands_in_flight)));
+  service.Set("sessions_registered",
+              JsonValue::Number(static_cast<int64_t>(sessions_registered)));
+  service.Set("shards",
+              JsonValue::Number(static_cast<int64_t>(shards_.size())));
   out.Set("service", std::move(service));
+
+  JsonValue per_shard = JsonValue::Array();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    ServiceMetrics& m = shards_[i]->metrics();
+    JsonValue row = JsonValue::Object();
+    row.Set("shard", JsonValue::Number(static_cast<int64_t>(i)));
+    row.Set("sessions_active",
+            JsonValue::Number(
+                m.sessions_active.load(std::memory_order_relaxed)));
+    row.Set("sessions_opened",
+            JsonValue::Number(
+                m.sessions_opened.load(std::memory_order_relaxed)));
+    row.Set("requests_total",
+            JsonValue::Number(
+                m.requests_total.load(std::memory_order_relaxed)));
+    row.Set("turn_delay_count",
+            JsonValue::Number(m.turn_delay.count()));
+    per_shard.Append(std::move(row));
+  }
+  out.Set("per_shard", std::move(per_shard));
   return out;
+}
+
+void SessionManager::AppendMetricsText(std::string* out) {
+  ServiceMetrics aggregate;
+  for (const auto& shard : shards_) aggregate.MergeFrom(shard->metrics());
+  AppendPrometheusText(aggregate, out);
+  if (shards_.size() > 1) {
+    std::vector<const ServiceMetrics*> views;
+    views.reserve(shards_.size());
+    for (const auto& shard : shards_) views.push_back(&shard->metrics());
+    AppendShardPrometheusText(views, out);
+  }
 }
 
 std::vector<std::string> SessionManager::ReadinessCauses() {
   std::vector<std::string> causes;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || shut_down_) causes.push_back("shutdown-in-progress");
+  if (stopping_.load(std::memory_order_relaxed)) {
+    causes.push_back("shutdown-in-progress");
   }
-  // A worker currently past the stall threshold means new commands can
-  // queue behind a wedged one — stop sending traffic here until it
-  // clears.
-  const int64_t threshold_ns =
-      StallThresholdMs(config_.deadline_ms) * 1000000;
-  const int64_t now_ns = SteadyNowNs();
-  for (size_t i = 0; i < config_.num_workers; ++i) {
-    const int64_t since =
-        worker_busy_since_[i].load(std::memory_order_relaxed);
-    if (since != 0 && now_ns - since > threshold_ns) {
-      causes.push_back("worker-stalled: worker " + std::to_string(i) +
-                       " busy " + std::to_string((now_ns - since) / 1000000) +
-                       " ms");
-      break;  // one cause line is enough
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const std::string prefix =
+        shards_.size() > 1 ? "shard " + std::to_string(i) + ": " : "";
+    for (const std::string& cause : shards_[i]->ReadinessCauses()) {
+      causes.push_back(prefix + cause);
     }
   }
-  // A recent fsync failure keeps the instance out of rotation for a
-  // hold-down window: a disk that failed one fsync is likely to fail
-  // the next.
-  const int64_t hold_ns =
-      static_cast<int64_t>(kReadinessHoldDownSeconds * 1e9);
-  const int64_t mono_now = MonotonicNowNs();
-  const int64_t last_fsync =
-      metrics_.last_wal_fsync_failure_ns.load(std::memory_order_relaxed);
-  if (last_fsync != 0 && mono_now - last_fsync < hold_ns) {
-    causes.push_back("recent-wal-fsync-failure");
-  }
-  // Level-based (no hold-down): these clear the instant the condition
-  // does, because the reaper probe / evictions are what resolve them.
-  if (WalDegraded()) causes.push_back("wal-disk-degraded");
+  // Level-based (no hold-down): clears the instant evictions bring the
+  // estimate back under the low watermark.
   if (governor_->UnderPressure()) causes.push_back("memory-pressure");
   return causes;
-}
-
-bool SessionManager::WalDegraded() const {
-  const int64_t last_full =
-      metrics_.last_wal_disk_full_ns.load(std::memory_order_relaxed);
-  return last_full != 0 &&
-         last_full > disk_recovered_ns_.load(std::memory_order_relaxed);
-}
-
-void SessionManager::ChargeSessionLocked(SessionEntry& entry) {
-  if (entry.session == nullptr) return;
-  const int64_t now = entry.session->EstimateMemoryBytes();
-  governor_->AdjustSessionBytes(now - entry.charged_bytes);
-  entry.charged_bytes = now;
-}
-
-void SessionManager::ReleaseChargeLocked(SessionEntry& entry) {
-  governor_->AdjustSessionBytes(-entry.charged_bytes);
-  entry.charged_bytes = 0;
-}
-
-void SessionManager::EvictForPressureLocked(
-    std::vector<std::pair<std::string, std::string>>* flushes) {
-  if (governor_->BytesOverEvictTarget() <= 0) return;
-  // Oldest first: the session idle the longest is the least likely to
-  // come back, and recovery (its WAL survives the eviction) makes the
-  // eviction loss-free for clients that do.
-  std::vector<std::pair<std::chrono::steady_clock::time_point, std::string>>
-      idle;
-  for (const auto& [id, entry] : sessions_) {
-    if (!entry.busy && entry.waiting.empty()) {
-      idle.emplace_back(entry.last_activity, id);
-    }
-  }
-  std::sort(idle.begin(), idle.end());
-  for (const auto& [when, id] : idle) {
-    if (governor_->BytesOverEvictTarget() <= 0) break;
-    (void)when;
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) continue;
-    if (!config_.transcript_dir.empty()) {
-      flushes->emplace_back(id, it->second.session->TranscriptJson().Dump());
-    }
-    const int64_t freed = it->second.charged_bytes;
-    ReleaseChargeLocked(it->second);
-    metrics_.pressure_evictions.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
-    logging::Info(kComponent, "evicted session under memory pressure")
-        .With("session", id)
-        .With("freed_bytes", freed);
-    sessions_.erase(it);
-  }
 }
 
 JsonValue SessionManager::StatuszJson() {
@@ -672,328 +319,41 @@ JsonValue SessionManager::StatuszJson() {
   out.Set("uptime_s", JsonValue::Number(
                           static_cast<double>(MonotonicNowNs() - start_ns_) /
                           1e9));
-  out.Set("workers",
+  out.Set("shards", JsonValue::Number(static_cast<int64_t>(shards_.size())));
+  out.Set("workers_per_shard",
           JsonValue::Number(static_cast<int64_t>(config_.num_workers)));
   out.Set("max_queue",
           JsonValue::Number(static_cast<int64_t>(config_.max_queue)));
   out.Set("deadline_ms", JsonValue::Number(config_.deadline_ms));
   out.Set("idle_ttl_s", JsonValue::Number(config_.idle_ttl_seconds));
   out.Set("wal", JsonValue::Bool(!config_.wal_dir.empty()));
-  out.Set("wal_degraded", JsonValue::Bool(WalDegraded()));
+  out.Set("tracing", JsonValue::Bool(!config_.trace_dir.empty()));
   out.Set("mem_budget_bytes", JsonValue::Number(governor_->budget_bytes()));
   out.Set("mem_estimated_bytes",
           JsonValue::Number(governor_->estimated_bytes()));
   out.Set("mem_pressure", JsonValue::Bool(governor_->UnderPressure()));
-  out.Set("tracing", JsonValue::Bool(!config_.trace_dir.empty()));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.Set("stopping", JsonValue::Bool(stopping_));
-    out.Set("commands_in_flight",
-            JsonValue::Number(static_cast<int64_t>(tasks_in_flight_)));
-    out.Set("queue_depth",
-            JsonValue::Number(static_cast<int64_t>(ready_.size())));
-    JsonValue ids = JsonValue::Array();
-    for (const auto& [id, entry] : sessions_) {
-      (void)entry;
-      ids.Append(JsonValue::String(id));
-    }
-    out.Set("sessions", std::move(ids));
+  out.Set("stopping", JsonValue::Bool(stopping_.load()));
+  int64_t sessions_active = 0;
+  size_t commands_in_flight = 0;
+  JsonValue per_shard = JsonValue::Array();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    sessions_active += shards_[i]->metrics().sessions_active.load(
+        std::memory_order_relaxed);
+    commands_in_flight += shards_[i]->CommandsInFlight();
+    JsonValue row = shards_[i]->StatuszJson();
+    row.Set("shard", JsonValue::Number(static_cast<int64_t>(i)));
+    per_shard.Append(std::move(row));
   }
-  out.Set("sessions_active",
-          JsonValue::Number(
-              metrics_.sessions_active.load(std::memory_order_relaxed)));
+  out.Set("sessions_active", JsonValue::Number(sessions_active));
+  out.Set("commands_in_flight",
+          JsonValue::Number(static_cast<int64_t>(commands_in_flight)));
   JsonValue readiness = JsonValue::Array();
   for (const std::string& cause : ReadinessCauses()) {
     readiness.Append(JsonValue::String(cause));
   }
   out.Set("readiness_causes", std::move(readiness));
+  out.Set("shard", std::move(per_shard));
   return out;
-}
-
-JsonValue SessionManager::TraceJson(const JsonValue& params) {
-  trace::Recorder& recorder = trace::Recorder::Instance();
-  JsonValue out = JsonValue::Object();
-  const bool enabled = trace::Recorder::enabled();
-  out.Set("enabled", JsonValue::Bool(enabled));
-  if (!enabled) {
-    out.Set("spans", JsonValue::Array());
-    return out;
-  }
-  std::vector<trace::SpanRecord> spans;
-  if (recorder.has_sink()) {
-    StatusOr<std::string> file = recorder.DrainToFile(&spans);
-    if (file.ok()) {
-      out.Set("file", JsonValue::String(*file));
-    } else {
-      // The spans were still drained; surface the sink failure.
-      out.Set("file_error", JsonValue::String(file.status().message()));
-    }
-  } else {
-    spans = recorder.Drain();
-  }
-  // Responses are one wire line; cap the inline span list (the full
-  // drain is in the file when a sink is configured).
-  const int64_t limit = params.Get("limit").AsInt(4096);
-  JsonValue array = JsonValue::Array();
-  int64_t emitted = 0;
-  for (const trace::SpanRecord& span : spans) {
-    if (emitted >= limit) break;
-    array.Append(trace::SpanToJson(span));
-    ++emitted;
-  }
-  out.Set("spans", std::move(array));
-  out.Set("total_spans",
-          JsonValue::Number(static_cast<int64_t>(spans.size())));
-  out.Set("dropped",
-          JsonValue::Number(static_cast<int64_t>(recorder.dropped())));
-  return out;
-}
-
-void SessionManager::Complete(Task& task, const Status& status,
-                              JsonValue result) {
-  metrics_.request_latency.Observe(task.timer.ElapsedSeconds());
-  if (!status.ok()) {
-    metrics_.errors_total.fetch_add(1, std::memory_order_relaxed);
-    if (status.code() == StatusCode::kDeadlineExceeded) {
-      metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-      logging::Warn(kComponent, "command deadline exceeded")
-          .With("command", task.request.command)
-          .With("elapsed_s", task.timer.ElapsedSeconds());
-    }
-  }
-  if (task.done) task.done(status, std::move(result));
-}
-
-void SessionManager::TaskDone() {
-  std::lock_guard<std::mutex> lock(mu_);
-  KBREPAIR_DCHECK(tasks_in_flight_ > 0);
-  --tasks_in_flight_;
-  if (tasks_in_flight_ == 0) drain_cv_.notify_all();
-}
-
-void SessionManager::ReaperLoop() {
-  for (;;) {
-    std::vector<std::pair<std::string, std::string>> flushes;
-    bool probe_disk = false;
-    bool pressure = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      auto interval = std::chrono::milliseconds(
-          config_.idle_ttl_seconds > 0
-              ? std::max<int64_t>(
-                    10, static_cast<int64_t>(config_.idle_ttl_seconds * 250))
-              : 500);
-      // React fast while unhealthy: disk-recovery probes and pressure
-      // eviction should land within tens of milliseconds, not half a
-      // second — clients are being shed the whole time.
-      if (WalDegraded() || governor_->BytesOverEvictTarget() > 0) {
-        interval = std::min<std::chrono::milliseconds>(
-            interval, std::chrono::milliseconds(50));
-      }
-      reaper_cv_.wait_for(lock, interval,
-                          [this] { return exiting_ || reaper_kick_; });
-      reaper_kick_ = false;
-      if (exiting_) return;
-      CheckWorkerStalls(std::chrono::steady_clock::now());
-      metrics_.wal_degraded.store(WalDegraded() ? 1 : 0,
-                                  std::memory_order_relaxed);
-      probe_disk = WalDegraded() && !config_.wal_dir.empty();
-      if (config_.idle_ttl_seconds > 0) {
-        const auto now = std::chrono::steady_clock::now();
-        for (auto it = sessions_.begin(); it != sessions_.end();) {
-          SessionEntry& entry = it->second;
-          const double idle =
-              std::chrono::duration<double>(now - entry.last_activity)
-                  .count();
-          if (!entry.busy && entry.waiting.empty() &&
-              idle > config_.idle_ttl_seconds) {
-            if (!config_.transcript_dir.empty()) {
-              flushes.emplace_back(it->first,
-                                   entry.session->TranscriptJson().Dump());
-            }
-            ReleaseChargeLocked(entry);
-            metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
-            metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
-            logging::Info(kComponent, "evicted idle session")
-                .With("session", it->first)
-                .With("idle_s", idle);
-            it = sessions_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      EvictForPressureLocked(&flushes);
-      pressure = governor_->UnderPressure();
-    }
-    for (const auto& [id, dump] : flushes) WriteTranscriptFile(id, dump);
-    if (probe_disk) {
-      // File I/O outside the lock. A successful probe timestamps past
-      // every failure seen so far, so WalDegraded() flips healthy; a
-      // failure that lands after the probe re-degrades, as it should.
-      const Status probed = ProbeWalDirWritable(config_.wal_dir);
-      if (probed.ok()) {
-        disk_recovered_ns_.store(MonotonicNowNs(), std::memory_order_relaxed);
-        metrics_.wal_degraded.store(0, std::memory_order_relaxed);
-        logging::Info(kComponent,
-                      "WAL directory writable again; leaving disk-degraded "
-                      "mode");
-      }
-    }
-    // Orphaned shared bases age out on the same cadence. Refcounts keep
-    // any base with live sessions (on any shard) safe; the sweep is
-    // mutex-serialized, so shards sharing one registry may all drive it.
-    // Under memory pressure every orphaned base goes immediately — they
-    // are pure cache and re-registerable.
-    registry_->SweepExpired(pressure ? 1e-9 : config_.idle_ttl_seconds);
-  }
-}
-
-void SessionManager::WriteTranscriptFile(const std::string& session_id,
-                                         const std::string& dump) {
-  const std::string path =
-      config_.transcript_dir + "/" + session_id + ".json";
-  // Atomic (tmp + fsync + rename): readers never see a torn transcript,
-  // and failures are visible instead of silently dropping the file.
-  const Status status = AtomicWriteFile(path, dump + "\n");
-  if (!status.ok()) {
-    metrics_.transcript_write_failures.fetch_add(1, std::memory_order_relaxed);
-    logging::Error(kComponent, "transcript flush failed")
-        .With("session", session_id)
-        .With("path", path)
-        .With("error", status.message());
-  }
-}
-
-StatusOr<std::unique_ptr<RepairSession>> SessionManager::OpenSession(
-    const std::string& id, const JsonValue& params, int64_t deadline_ms) {
-  // A session naming a registered base forks the shared snapshot in
-  // O(delta); everything else builds a private KB.
-  const std::string base_name = params.Get("base").AsString();
-  BaseRegistry::Handle base;
-  if (!base_name.empty()) {
-    KBREPAIR_ASSIGN_OR_RETURN(base, registry_->Acquire(base_name));
-  }
-  const bool forked = static_cast<bool>(base);
-  WallTimer fork_timer;
-  KBREPAIR_ASSIGN_OR_RETURN(
-      std::unique_ptr<RepairSession> session,
-      RepairSession::Open(id, params, std::move(base), deadline_ms));
-  if (forked) {
-    metrics_.base_forks.fetch_add(1, std::memory_order_relaxed);
-    metrics_.base_fork_latency.Observe(fork_timer.ElapsedSeconds());
-  }
-  return session;
-}
-
-void SessionManager::RecoverSessions() {
-  for (const std::string& id : ListWalSessionIds(config_.wal_dir)) {
-    const std::string path = config_.wal_dir + "/" + id + ".wal";
-    // Keep fresh "s-N" ids ahead of every WAL ever seen — even ones we
-    // quarantine — so a new session never shadows an old log.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (id.size() > 2 && id.compare(0, 2, "s-") == 0) {
-        char* end = nullptr;
-        const unsigned long long n = ::strtoull(id.c_str() + 2, &end, 10);
-        if (end != nullptr && *end == '\0' && n > next_session_) {
-          next_session_ = n;
-        }
-      }
-    }
-    StatusOr<WalRecovery> read = ReadWalFile(path, id);
-    Status failure = read.status();
-    std::unique_ptr<RepairSession> session;
-    if (read.ok()) {
-      if (read->closed) {
-        // The close was logged before it ran, so the session is done as
-        // far as any acknowledged command goes; drop its log.
-        StatusOr<std::unique_ptr<SessionWal>> wal =
-            SessionWal::Open(config_.wal_dir, id);
-        if (wal.ok()) (void)(*wal)->Remove();
-        continue;
-      }
-      if (read->dropped_torn_tail) {
-        logging::Warn(kComponent,
-                      "WAL: dropped torn tail record (crash mid-append)")
-            .With("session", id)
-            .With("path", path)
-            .With("record", static_cast<uint64_t>(read->torn_record_index))
-            .With("offset", read->torn_byte_offset);
-      }
-      // Recovery is "open, then replay": a create record carrying "base"
-      // re-forks from the registry (recovered before sessions — see the
-      // constructor), and the replayed dialogue is identical either way.
-      StatusOr<std::unique_ptr<RepairSession>> opened =
-          OpenSession(id, read->create_params, /*deadline_ms=*/0);
-      failure = opened.ok() ? (*opened)->Replay(*read) : opened.status();
-      if (failure.ok()) session = std::move(opened).value();
-    }
-    if (session == nullptr) {
-      // Keep the daemon up: set the broken log aside for inspection and
-      // carry on recovering the rest.
-      logging::Error(kComponent, "could not recover session; quarantining WAL")
-          .With("session", id)
-          .With("error", failure.message())
-          .With("quarantine", path + ".corrupt");
-      if (::rename(path.c_str(), (path + ".corrupt").c_str()) != 0) {
-        logging::Error(kComponent, "quarantine rename failed")
-            .With("session", id)
-            .With("path", path);
-      }
-      metrics_.sessions_failed.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    StatusOr<std::unique_ptr<SessionWal>> wal =
-        SessionWal::Open(config_.wal_dir, id);
-    if (wal.ok()) {
-      session->AttachWal(std::move(wal).value(), config_.wal_compact_every);
-    } else {
-      logging::Warn(kComponent,
-                    "session recovered but its WAL could not be reopened")
-          .With("session", id)
-          .With("error", wal.status().message());
-    }
-    session->RecordOpened(&metrics_);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SessionEntry entry;
-      entry.session = std::move(session);
-      entry.last_activity = std::chrono::steady_clock::now();
-      auto emplaced = sessions_.emplace(id, std::move(entry));
-      ChargeSessionLocked(emplaced.first->second);
-    }
-    metrics_.sessions_recovered.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_active.fetch_add(1, std::memory_order_relaxed);
-    logging::Info(kComponent, "recovered session")
-        .With("session", id)
-        .With("answers_replayed", read->entries.size());
-  }
-}
-
-void SessionManager::CheckWorkerStalls(
-    std::chrono::steady_clock::time_point now) {
-  const int64_t threshold_ns =
-      StallThresholdMs(config_.deadline_ms) * 1000000;
-  const int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          now.time_since_epoch())
-          .count();
-  for (size_t i = 0; i < config_.num_workers; ++i) {
-    const int64_t since =
-        worker_busy_since_[i].load(std::memory_order_relaxed);
-    if (since != 0 && now_ns - since > threshold_ns &&
-        stall_flagged_[i] != since) {
-      stall_flagged_[i] = since;  // one increment per stuck command
-      metrics_.worker_stalls.fetch_add(1, std::memory_order_relaxed);
-      logging::Warn(kComponent, "worker has owned one command past the "
-                                "stall threshold")
-          .With("worker", i)
-          .With("busy_ms", (now_ns - since) / 1000000)
-          .With("threshold_ms", threshold_ns / 1000000);
-    }
-  }
 }
 
 }  // namespace kbrepair

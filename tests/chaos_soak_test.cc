@@ -22,6 +22,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -35,7 +36,8 @@
 
 #include "repair/inquiry.h"
 #include "service/session.h"
-#include "service/sharded_manager.h"
+#include "service/session_manager.h"
+#include "service/session_shard.h"
 #include "service/wal.h"
 #include "util/failpoint.h"
 #include "util/json.h"
@@ -73,7 +75,7 @@ ServiceRequest SessionCommand(const std::string& command,
   return MakeRequest(std::move(params));
 }
 
-JsonValue GetMetrics(ShardedSessionManager& manager) {
+JsonValue GetMetrics(SessionManager& manager) {
   JsonValue params = JsonValue::Object();
   params.Set("command", JsonValue::String("metrics"));
   StatusOr<JsonValue> metrics = manager.Execute(MakeRequest(std::move(params)));
@@ -117,7 +119,7 @@ bool Retryable(const Status& status) {
 // with a fixed small backoff (deterministic — the jitter under test is
 // the daemon's, not the driver's). ~6s worth of attempts covers the
 // worst chaos window: a degraded shard needs one reaper probe (~50ms).
-StatusOr<JsonValue> ExecuteWithRetry(ShardedSessionManager& manager,
+StatusOr<JsonValue> ExecuteWithRetry(SessionManager& manager,
                                      const ServiceRequest& request) {
   Status last = Status::Ok();
   for (int attempt = 0; attempt < 600; ++attempt) {
@@ -159,10 +161,10 @@ class ChaosSoakTest : public ::testing::Test {
 // live daemon with.
 
 TEST_F(ChaosSoakTest, FailpointCommandArmsListsDisarmsResets) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 2;
-  config.shard.num_workers = 1;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  SessionManager manager(config);
 
   JsonValue arm = JsonValue::Object();
   arm.Set("command", JsonValue::String("failpoint"));
@@ -203,11 +205,11 @@ TEST_F(ChaosSoakTest, FailpointCommandArmsListsDisarmsResets) {
 
 TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
   TempDir wal_root;
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 2;
-  config.shard.num_workers = 1;
-  config.shard.wal_dir = wal_root.path;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  config.wal_dir = wal_root.path;
+  SessionManager manager(config);
 
   // Create sessions until both shards own at least one.
   std::vector<std::string> by_shard(2);
@@ -218,12 +220,12 @@ TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
         manager.Execute(MakeRequest(CreateParams(seed)));
     ASSERT_TRUE(created.ok()) << created.status();
     const std::string id = created->Get("session").AsString();
-    by_shard[ShardedSessionManager::ShardForSession(id, 2)] = id;
+    by_shard[SessionManager::ShardForSession(id, 2)] = id;
   }
   const std::string on_a = by_shard[0];
   const std::string on_b = by_shard[1];
-  SessionManager& shard_a = manager.shard(0);
-  SessionManager& shard_b = manager.shard(1);
+  SessionShard& shard_a = manager.shard(0);
+  SessionShard& shard_b = manager.shard(1);
 
   auto ask_ok = [&](const std::string& id) {
     StatusOr<JsonValue> asked = manager.Execute(SessionCommand("ask", id));
@@ -302,16 +304,16 @@ TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
 // sessions evicted oldest-first, pressure clears under the watermark.
 
 TEST_F(ChaosSoakTest, MemoryPressureShedsThenEvictsThenRecovers) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 1;
-  config.shard.num_workers = 2;
+  config.num_workers = 2;
   // Roughly 10 sessions' worth of estimate: 8 parked sessions later
   // become the eviction fodder that brings the estimate back down.
-  config.shard.mem_budget_bytes = 10 * 20 * 1024;
-  ShardedSessionManager manager(config);
+  config.mem_budget_bytes = 10 * 20 * 1024;
+  SessionManager manager(config);
   const std::shared_ptr<ResourceGovernor>& governor =
-      manager.shard(0).governor();
-  ASSERT_EQ(governor->budget_bytes(), config.shard.mem_budget_bytes);
+      manager.governor();
+  ASSERT_EQ(governor->budget_bytes(), config.mem_budget_bytes);
 
   // Park 8 idle sessions (strictly older last_activity than anything
   // created later — eviction is oldest-first, so these go first).
@@ -375,7 +377,7 @@ TEST_F(ChaosSoakTest, MemoryPressureShedsThenEvictsThenRecovers) {
   EXPECT_GE(metrics.Get("resources").Get("rejected_pressure").AsInt(0), 1);
   EXPECT_GE(metrics.Get("resources").Get("pressure_evictions").AsInt(0), 1);
   EXPECT_EQ(metrics.Get("resources").Get("mem_budget_bytes").AsInt(0),
-            config.shard.mem_budget_bytes);
+            config.mem_budget_bytes);
   EXPECT_EQ(metrics.Get("resources").Get("mem_pressure").AsInt(-1), 0);
 
   // Ledger: everything opened is either still active or was evicted.
@@ -395,6 +397,52 @@ TEST_F(ChaosSoakTest, MemoryPressureShedsThenEvictsThenRecovers) {
 }
 
 // ------------------------------------------------------------------
+// Process-wide readiness causes come from the front end, once, however
+// many shards there are; only shard-local causes carry a shard prefix.
+
+size_t CountCauses(SessionManager& manager, const std::string& cause) {
+  size_t count = 0;
+  for (const std::string& line : manager.ReadinessCauses()) {
+    if (line.find(cause) != std::string::npos) ++count;
+  }
+  return count;
+}
+
+TEST_F(ChaosSoakTest, ProcessWideReadinessCausesAreReportedOnce) {
+  ServiceConfig config;
+  config.num_shards = 2;
+  config.num_workers = 1;
+  config.mem_budget_bytes = 10 * 20 * 1024;
+  SessionManager manager(config);
+  const std::shared_ptr<ResourceGovernor>& governor = manager.governor();
+  ASSERT_TRUE(manager.ReadinessCauses().empty());
+
+  // Hold the estimate at the budget: with no sessions to evict the
+  // pressure stays up until the charge is returned.
+  governor->AdjustSessionBytes(config.mem_budget_bytes);
+  ASSERT_TRUE(governor->UnderPressure());
+  StatusOr<JsonValue> shed = manager.Execute(MakeRequest(CreateParams(1)));
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(CountCauses(manager, "memory-pressure"), 1u);
+  const std::vector<std::string> causes = manager.ReadinessCauses();
+  EXPECT_NE(std::find(causes.begin(), causes.end(), "memory-pressure"),
+            causes.end())
+      << "a process-wide cause carries no shard prefix";
+  const JsonValue statusz = manager.StatuszJson();
+  ASSERT_EQ(statusz.Get("readiness_causes").size(), 1u);
+  EXPECT_EQ(statusz.Get("readiness_causes").at(0).AsString(),
+            "memory-pressure");
+  governor->AdjustSessionBytes(-config.mem_budget_bytes);
+  EXPECT_EQ(CountCauses(manager, "memory-pressure"), 0u);
+
+  manager.Shutdown();
+  EXPECT_EQ(CountCauses(manager, "shutdown-in-progress"), 1u);
+  EXPECT_EQ(manager.ReadinessCauses(),
+            std::vector<std::string>{"shutdown-in-progress"});
+}
+
+// ------------------------------------------------------------------
 // The seeded soak: a chaos controller arms counted fault windows while
 // scripted drivers run dialogues under the retry contract, the whole
 // fleet restarts mid-round and recovers from the WALs, and every
@@ -411,7 +459,7 @@ struct DriverState {
 
 // Advances one dialogue by up to `max_answers` questions. Every command
 // uses the retry contract; any non-retryable error is recorded.
-void DriveSome(ShardedSessionManager& manager, DriverState& st,
+void DriveSome(SessionManager& manager, DriverState& st,
                size_t max_answers) {
   for (size_t n = 0; n < max_answers && !st.done; ++n) {
     StatusOr<JsonValue> asked =
@@ -443,7 +491,7 @@ void DriveSome(ShardedSessionManager& manager, DriverState& st,
 }
 
 // Closes with include_facts and checks byte-identity with the oracle.
-void CloseAndVerify(ShardedSessionManager& manager, DriverState& st) {
+void CloseAndVerify(SessionManager& manager, DriverState& st) {
   ServiceRequest close = SessionCommand("close", st.session);
   close.params.Set("include_facts", JsonValue::Bool(true));
   StatusOr<JsonValue> closed = ExecuteWithRetry(manager, close);
@@ -481,10 +529,10 @@ void RunSoakRound(uint64_t seed) {
   constexpr size_t kDrivers = 6;
   TempDir wal_root;
 
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 2;
-  config.shard.num_workers = 2;
-  config.shard.wal_dir = wal_root.path;
+  config.num_workers = 2;
+  config.wal_dir = wal_root.path;
 
   std::vector<DriverState> states(kDrivers);
   for (size_t i = 0; i < kDrivers; ++i) {
@@ -498,7 +546,7 @@ void RunSoakRound(uint64_t seed) {
   int64_t opened_a = 0;
   int64_t completed_a = 0;
   {
-    auto manager = std::make_unique<ShardedSessionManager>(config);
+    auto manager = std::make_unique<SessionManager>(config);
     std::atomic<bool> stop_chaos{false};
     std::thread chaos([&] {
       Rng chaos_rng(seed ^ 0x9e3779b97f4a7c15ull);
@@ -554,8 +602,8 @@ void RunSoakRound(uint64_t seed) {
   // ---- Phase B: the fleet restarts; open sessions are rebuilt from
   // their WALs and every dialogue continues exactly where it stopped
   // (the drivers keep their Rng state across the restart).
-  config.shard.recover = true;
-  ShardedSessionManager recovered(config);
+  config.recover = true;
+  SessionManager recovered(config);
   const JsonValue mid = GetMetrics(recovered);
   EXPECT_EQ(mid.Get("durability").Get("sessions_recovered").AsInt(-1),
             static_cast<int64_t>(kDrivers) - completed_a);
@@ -586,10 +634,10 @@ void RunSoakRound(uint64_t seed) {
   EXPECT_TRUE(recovered.ReadinessCauses().empty());
   // All WALs were removed on close — nothing left to recover.
   EXPECT_TRUE(
-      ListWalSessionIds(ShardedSessionManager::ShardWalDir(wal_root.path, 0, 2))
+      ListWalSessionIds(SessionManager::ShardWalDir(wal_root.path, 0, 2))
           .empty());
   EXPECT_TRUE(
-      ListWalSessionIds(ShardedSessionManager::ShardWalDir(wal_root.path, 1, 2))
+      ListWalSessionIds(SessionManager::ShardWalDir(wal_root.path, 1, 2))
           .empty());
 }
 
@@ -603,14 +651,14 @@ TEST_F(ChaosSoakTest, FiveSeededRoundsStayByteIdentical) {
 
 TEST_F(ChaosSoakTest, BitRotIsQuarantinedOnRecoveryNotReplayed) {
   TempDir wal_root;
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 1;
-  config.shard.num_workers = 1;
-  config.shard.wal_dir = wal_root.path;
+  config.num_workers = 1;
+  config.wal_dir = wal_root.path;
 
   std::vector<std::string> ids;
   {
-    ShardedSessionManager manager(config);
+    SessionManager manager(config);
     for (uint64_t i = 0; i < 3; ++i) {
       StatusOr<JsonValue> created =
           manager.Execute(MakeRequest(CreateParams(700 + i)));
@@ -643,8 +691,8 @@ TEST_F(ChaosSoakTest, BitRotIsQuarantinedOnRecoveryNotReplayed) {
     std::fclose(f);
   }
 
-  config.shard.recover = true;
-  ShardedSessionManager recovered(config);
+  config.recover = true;
+  SessionManager recovered(config);
   const JsonValue metrics = GetMetrics(recovered);
   EXPECT_EQ(metrics.Get("durability").Get("sessions_recovered").AsInt(-1), 2);
 

@@ -514,10 +514,10 @@ class ReplayAgreementTest : public ::testing::Test {
   // (after checking the manager quarantined the WAL).
   StatusOr<std::vector<std::string>> Recover(
       const std::vector<JsonValue>& entries, bool forked) {
+    JsonValue base_params = params_;
+    base_params.Set("name", JsonValue::String("shared"));
     auto registry = std::make_shared<BaseRegistry>();
     if (forked) {
-      JsonValue base_params = params_;
-      base_params.Set("name", JsonValue::String("shared"));
       KBREPAIR_RETURN_IF_ERROR(registry->Register(base_params).status());
     }
     const JsonValue create_params = SessionParams(forked);
@@ -525,6 +525,18 @@ class ReplayAgreementTest : public ::testing::Test {
     const std::string dir = WriteWal(id, create_params, entries);
     const std::string path = dir + "/" + id + ".wal";
     KBREPAIR_ASSIGN_OR_RETURN(WalRecovery read, ReadWalFile(path, id));
+    if (forked) {
+      // As in the daemon, recovery finds the base in bases.jsonl: a
+      // first manager on the same WAL directory registers it and shuts
+      // down.
+      ServiceConfig first_config;
+      first_config.wal_dir = dir;
+      SessionManager first(first_config);
+      ServiceRequest register_base;
+      register_base.command = "register-base";
+      register_base.params = base_params;
+      KBREPAIR_RETURN_IF_ERROR(first.Execute(register_base).status());
+    }
 
     // The replay error, from the session opener and replay member the
     // manager's recovery calls.
@@ -543,7 +555,6 @@ class ReplayAgreementTest : public ::testing::Test {
     ServiceConfig config;
     config.wal_dir = dir;
     config.recover = true;
-    config.base_registry = registry;
     SessionManager manager(config);
     ServiceRequest snapshot;
     snapshot.command = "snapshot";

@@ -201,7 +201,7 @@ class HttpExporterTest : public ::testing::Test {
                                                   HttpExporter::Options()) {
     HttpExporter::Hooks hooks;
     hooks.append_metrics = [manager](std::string* out) {
-      AppendPrometheusText(manager->metrics(), out);
+      manager->AppendMetricsText(out);
     };
     hooks.readiness_causes = [manager] { return manager->ReadinessCauses(); };
     hooks.statusz = [manager] { return manager->StatuszJson(); };

@@ -1,4 +1,4 @@
-// ShardedSessionManager: routing stability, per-shard WAL layout,
+// SessionManager: routing stability, per-shard WAL layout,
 // recovery across shard-count changes, and aggregate metrics.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "service/session_manager.h"
-#include "service/sharded_manager.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -74,7 +73,7 @@ TEST(ShardRoutingTest, MatchesReferenceFnv1a64) {
   for (uint64_t n = 1; n <= 2000; ++n) {
     const std::string id = "s-" + std::to_string(n);
     for (size_t shards : {2u, 3u, 4u, 8u}) {
-      EXPECT_EQ(ShardedSessionManager::ShardForSession(id, shards),
+      EXPECT_EQ(SessionManager::ShardForSession(id, shards),
                 reference(id, shards))
           << id << " over " << shards << " shards";
     }
@@ -82,8 +81,8 @@ TEST(ShardRoutingTest, MatchesReferenceFnv1a64) {
 }
 
 TEST(ShardRoutingTest, SingleShardAlwaysRoutesToZero) {
-  EXPECT_EQ(ShardedSessionManager::ShardForSession("s-1", 1), 0u);
-  EXPECT_EQ(ShardedSessionManager::ShardForSession("anything", 0), 0u);
+  EXPECT_EQ(SessionManager::ShardForSession("s-1", 1), 0u);
+  EXPECT_EQ(SessionManager::ShardForSession("anything", 0), 0u);
 }
 
 TEST(ShardRoutingTest, SpreadsSessionsAcrossAllShards) {
@@ -91,7 +90,7 @@ TEST(ShardRoutingTest, SpreadsSessionsAcrossAllShards) {
   // consecutive ids must not starve any of 4 shards.
   std::vector<size_t> counts(4, 0);
   for (uint64_t n = 1; n <= 1000; ++n) {
-    ++counts[ShardedSessionManager::ShardForSession(
+    ++counts[SessionManager::ShardForSession(
         "s-" + std::to_string(n), counts.size())];
   }
   for (size_t i = 0; i < counts.size(); ++i) {
@@ -100,18 +99,18 @@ TEST(ShardRoutingTest, SpreadsSessionsAcrossAllShards) {
 }
 
 TEST(ShardRoutingTest, WalDirLayout) {
-  EXPECT_EQ(ShardedSessionManager::ShardWalDir("/w", 0, 1), "/w");
-  EXPECT_EQ(ShardedSessionManager::ShardWalDir("/w", 2, 4), "/w/shard-2");
+  EXPECT_EQ(SessionManager::ShardWalDir("/w", 0, 1), "/w");
+  EXPECT_EQ(SessionManager::ShardWalDir("/w", 2, 4), "/w/shard-2");
 }
 
 // ------------------------------------------------------------------
 // Behavior through the front-end.
 
 TEST(ShardedManagerTest, CreatesGloballyUniqueIdsAcrossShards) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 4;
-  config.shard.num_workers = 1;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  SessionManager manager(config);
   std::set<std::string> ids;
   std::set<size_t> shards_hit;
   for (uint64_t i = 0; i < 16; ++i) {
@@ -120,7 +119,7 @@ TEST(ShardedManagerTest, CreatesGloballyUniqueIdsAcrossShards) {
     ASSERT_TRUE(created.ok()) << created.status();
     const std::string id = created->Get("session").AsString();
     EXPECT_TRUE(ids.insert(id).second) << "duplicate session id " << id;
-    shards_hit.insert(ShardedSessionManager::ShardForSession(id, 4));
+    shards_hit.insert(SessionManager::ShardForSession(id, 4));
     // The owning shard answers this session's commands.
     StatusOr<JsonValue> status =
         manager.Execute(SessionCommand("status", id));
@@ -138,10 +137,10 @@ TEST(ShardedManagerTest, CreatesGloballyUniqueIdsAcrossShards) {
 }
 
 TEST(ShardedManagerTest, UnknownSessionIsNotFoundOnItsOwningShard) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 3;
-  config.shard.num_workers = 1;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  SessionManager manager(config);
   StatusOr<JsonValue> missing =
       manager.Execute(SessionCommand("status", "s-404"));
   ASSERT_FALSE(missing.ok());
@@ -150,32 +149,128 @@ TEST(ShardedManagerTest, UnknownSessionIsNotFoundOnItsOwningShard) {
   manager.Shutdown();
 }
 
-TEST(ShardedManagerTest, SingleShardCreateMatchesPlainManagerByteForByte) {
-  ServiceConfig plain_config;
-  plain_config.num_workers = 1;
-  SessionManager plain(plain_config);
-  StatusOr<JsonValue> want =
-      plain.Execute(MakeRequest(CreateParams(7, "opti-mcd", "incremental")));
-  ASSERT_TRUE(want.ok()) << want.status();
+// `reply` without its wall-clock fields (the close summary's timings).
+JsonValue WithoutTimings(const JsonValue& reply) {
+  if (!reply.is_object()) return reply;
+  JsonValue out = JsonValue::Object();
+  for (const auto& [key, value] : reply.members()) {
+    if (key != "total_seconds" && key != "mean_delay_ms") out.Set(key, value);
+  }
+  return out;
+}
 
-  ShardedConfig config;
-  config.num_shards = 1;
-  config.shard.num_workers = 1;
-  ShardedSessionManager sharded(config);
-  StatusOr<JsonValue> got = sharded.Execute(
-      MakeRequest(CreateParams(7, "opti-mcd", "incremental")));
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->Dump(), want->Dump())
-      << "the 1-shard pass-through changed a create response";
-  plain.Shutdown();
-  sharded.Shutdown();
+// Every reply of one whole dialogue (create, the ask/answer turns,
+// status, snapshot, close with facts), in order, timings dropped.
+std::vector<std::string> DialogueReplies(size_t num_shards) {
+  ServiceConfig config;
+  config.num_shards = num_shards;
+  config.num_workers = 1;
+  SessionManager manager(config);
+  std::vector<std::string> replies;
+  auto run = [&](ServiceRequest request) {
+    StatusOr<JsonValue> reply = manager.Execute(std::move(request));
+    EXPECT_TRUE(reply.ok()) << reply.status();
+    replies.push_back(reply.ok() ? WithoutTimings(*reply).Dump()
+                                 : reply.status().ToString());
+    return reply.ok() ? *reply : JsonValue::Object();
+  };
+  const std::string id =
+      run(MakeRequest(CreateParams(7, "opti-mcd", "incremental")))
+          .Get("session")
+          .AsString();
+  Rng rng(7);
+  for (int turn = 0; turn < 10000; ++turn) {
+    const JsonValue asked = run(SessionCommand("ask", id));
+    if (asked.Get("done").AsBool(true)) break;
+    const int64_t num_fixes = asked.Get("question").Get("num_fixes").AsInt(1);
+    ServiceRequest answer = SessionCommand("answer", id);
+    answer.params.Set("choice", JsonValue::Number(static_cast<int64_t>(
+                                    rng.UniformIndex(
+                                        static_cast<size_t>(num_fixes)))));
+    run(std::move(answer));
+  }
+  run(SessionCommand("status", id));
+  run(SessionCommand("snapshot", id));
+  ServiceRequest close = SessionCommand("close", id);
+  close.params.Set("include_facts", JsonValue::Bool(true));
+  run(std::move(close));
+  manager.Shutdown();
+  return replies;
+}
+
+TEST(ShardedManagerTest, DialogueRepliesAreByteIdenticalAtOneAndThreeShards) {
+  const std::vector<std::string> one = DialogueReplies(1);
+  const std::vector<std::string> three = DialogueReplies(3);
+  ASSERT_GT(one.size(), 4u) << "the dialogue asked no question";
+  ASSERT_EQ(one.size(), three.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i], three[i]) << "reply " << i;
+  }
+}
+
+// Every key path in `value`; array elements share one "[]" path, so
+// the length of an array (one row per shard) does not matter.
+void CollectKeys(const JsonValue& value, const std::string& path,
+                 std::set<std::string>* keys) {
+  if (value.is_object()) {
+    for (const auto& [key, child] : value.members()) {
+      keys->insert(path + "." + key);
+      CollectKeys(child, path + "." + key, keys);
+    }
+  } else if (value.is_array()) {
+    for (size_t i = 0; i < value.size(); ++i) {
+      CollectKeys(value.at(i), path + "[]", keys);
+    }
+  }
+}
+
+struct ReplyShape {
+  std::set<std::string> metrics;
+  std::set<std::string> statusz;
+};
+
+ReplyShape ShapeAt(size_t num_shards) {
+  ServiceConfig config;
+  config.num_shards = num_shards;
+  config.num_workers = 1;
+  SessionManager manager(config);
+  JsonValue metrics_request = JsonValue::Object();
+  metrics_request.Set("command", JsonValue::String("metrics"));
+  StatusOr<JsonValue> metrics =
+      manager.Execute(MakeRequest(std::move(metrics_request)));
+  EXPECT_TRUE(metrics.ok()) << metrics.status();
+  ReplyShape shape;
+  if (metrics.ok()) CollectKeys(*metrics, "", &shape.metrics);
+  CollectKeys(manager.StatuszJson(), "", &shape.statusz);
+  manager.Shutdown();
+  return shape;
+}
+
+TEST(ShardedManagerTest, MetricsAndStatuszHaveOneShapeAtEveryShardCount) {
+  const ReplyShape one = ShapeAt(1);
+  const ReplyShape two = ShapeAt(2);
+  EXPECT_EQ(one.metrics, two.metrics);
+  EXPECT_EQ(one.statusz, two.statusz);
+  for (const ReplyShape* shape : {&one, &two}) {
+    // The fields perfbench reads from the `metrics` reply.
+    for (const char* key :
+         {".queue_wait.count", ".queue_wait.mean_ms",
+          ".traffic.rejected_commands", ".durability.wal_appends",
+          ".service.shards", ".per_shard[].requests_total"}) {
+      EXPECT_EQ(shape->metrics.count(key), 1u) << key;
+    }
+    for (const char* key : {".sessions_active", ".readiness_causes",
+                            ".shard[].sessions", ".shard[].queue_depth"}) {
+      EXPECT_EQ(shape->statusz.count(key), 1u) << key;
+    }
+  }
 }
 
 TEST(ShardedManagerTest, AggregateMetricsKeepSingleShardShape) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = 4;
-  config.shard.num_workers = 1;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  SessionManager manager(config);
   const size_t kSessions = 12;
   for (uint64_t i = 0; i < kSessions; ++i) {
     StatusOr<JsonValue> created =
@@ -228,11 +323,11 @@ TEST(ShardedManagerTest, AggregateMetricsKeepSingleShardShape) {
 std::vector<std::string> StartInterruptedSessions(const std::string& wal_root,
                                                   size_t num_shards,
                                                   size_t count) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = num_shards;
-  config.shard.num_workers = 1;
-  config.shard.wal_dir = wal_root;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  config.wal_dir = wal_root;
+  SessionManager manager(config);
   std::vector<std::string> ids;
   for (uint64_t i = 0; i < count; ++i) {
     StatusOr<JsonValue> created =
@@ -249,12 +344,12 @@ std::vector<std::string> StartInterruptedSessions(const std::string& wal_root,
 
 void ExpectAllRecovered(const std::string& wal_root, size_t num_shards,
                         const std::vector<std::string>& ids) {
-  ShardedConfig config;
+  ServiceConfig config;
   config.num_shards = num_shards;
-  config.shard.num_workers = 1;
-  config.shard.wal_dir = wal_root;
-  config.shard.recover = true;
-  ShardedSessionManager manager(config);
+  config.num_workers = 1;
+  config.wal_dir = wal_root;
+  config.recover = true;
+  SessionManager manager(config);
   for (const std::string& id : ids) {
     SCOPED_TRACE("session " + id + " with " + std::to_string(num_shards) +
                  " shards");
@@ -262,9 +357,9 @@ void ExpectAllRecovered(const std::string& wal_root, size_t num_shards,
     EXPECT_TRUE(status.ok()) << status.status();
     // The WAL landed in the directory the id now hashes to.
     const std::string wal =
-        ShardedSessionManager::ShardWalDir(
+        SessionManager::ShardWalDir(
             wal_root,
-            ShardedSessionManager::ShardForSession(id, num_shards),
+            SessionManager::ShardForSession(id, num_shards),
             num_shards) +
         "/" + id + ".wal";
     struct stat st{};
