@@ -11,6 +11,10 @@
 // format) after the tables; the checked-in baseline is produced with
 //   ./build/bench/delta_chase --json
 //
+// The full size ladder runs 400 to 10,000 atoms; its JSON also reports
+// each row's median delay over the 400-atom row's
+// ("size_median_over_400"), the flatness Cor. 4.11 predicts.
+//
 // `--quick` shrinks both ladders and drops to one repetition — the CI
 // regression gate's configuration (diffed against
 // bench/baselines/BENCH_delta_chase_quick.json by bench/bench_diff).
@@ -138,7 +142,7 @@ int main(int argc, char** argv) {
 
   const std::vector<size_t> sizes =
       quick ? std::vector<size_t>{400, 1000}
-            : std::vector<size_t>{400, 1000, 2000, 3000};
+            : std::vector<size_t>{400, 1000, 2000, 3000, 5000, 10000};
   const int max_depth = quick ? 2 : 4;
 
   std::vector<Comparison> size_ladder;
@@ -203,7 +207,18 @@ int main(int argc, char** argv) {
       json += ComparisonJson(size_ladder[i]);
       json += i + 1 < size_ladder.size() ? ",\n" : "\n";
     }
-    json += "  ],\n  \"depth_ladder\": [\n";
+    json += "  ],\n";
+    if (!quick) {
+      json += "  \"size_median_over_400\": {";
+      for (size_t i = 0; i < size_ladder.size(); ++i) {
+        json += "\"" + size_ladder[i].label + "\": " +
+                FormatDouble(size_ladder[i].incremental.median_delay_ms /
+                                 size_ladder[0].incremental.median_delay_ms,
+                             2);
+        json += i + 1 < size_ladder.size() ? ", " : "},\n";
+      }
+    }
+    json += "  \"depth_ladder\": [\n";
     for (size_t i = 0; i < depth_ladder.size(); ++i) {
       json += ComparisonJson(depth_ladder[i]);
       json += i + 1 < depth_ladder.size() ? ",\n" : "\n";

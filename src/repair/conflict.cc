@@ -1,9 +1,43 @@
 #include "repair/conflict.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 
 namespace kbrepair {
+
+std::vector<Position> RetrievePositions(const Conflict& conflict,
+                                        const std::vector<Cdd>& cdds,
+                                        const FactBase& facts,
+                                        size_t num_original,
+                                        PositionSelection selection) {
+  std::vector<Position> positions;
+  bool naive = true;
+  for (AtomId id : conflict.matched) naive = naive && id < num_original;
+
+  if (naive && selection == PositionSelection::kResolvingPositions) {
+    // A position is resolving when the CDD term it matches is a join
+    // variable or a constant: rewriting it can break the homomorphism,
+    // whereas a lone variable simply rebinds (Section 5, opti-join).
+    const Cdd& cdd = cdds[conflict.cdd_index];
+    for (size_t j = 0; j < conflict.matched.size(); ++j) {
+      for (int arg : cdd.resolving_positions(j)) {
+        positions.push_back(Position{conflict.matched[j], arg});
+      }
+    }
+  } else {
+    for (AtomId id : conflict.support) {
+      const int arity = facts.atom(id).arity();
+      for (int arg = 0; arg < arity; ++arg) {
+        positions.push_back(Position{id, arg});
+      }
+    }
+  }
+  std::sort(positions.begin(), positions.end());
+  positions.erase(std::unique(positions.begin(), positions.end()),
+                  positions.end());
+  return positions;
+}
 
 OverlapIndicators ComputeOverlapIndicators(
     const std::vector<Conflict>& conflicts) {

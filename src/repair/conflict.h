@@ -22,6 +22,7 @@
 #include "chase/incremental_chase.h"
 #include "kb/fact_base.h"
 #include "kb/symbol_table.h"
+#include "repair/fix.h"
 #include "rules/cdd.h"
 
 namespace kbrepair {
@@ -41,6 +42,26 @@ struct Conflict {
     return cdd_index == other.cdd_index && matched == other.matched;
   }
 };
+
+// RETRIEVE-POSITIONS variants (Section 5).
+enum class PositionSelection {
+  kAllPositions,        // random strategy
+  kResolvingPositions,  // opti-join / opti-prop / opti-mcd
+};
+
+// RETRIEVE-POSITIONS: the positions a question about `conflict` covers,
+// ascending and deduplicated. A naive conflict (every matched id below
+// `num_original`) under kResolvingPositions yields the resolving
+// positions of its matched atoms; any other conflict, and every conflict
+// under kAllPositions, yields every position of its original support —
+// GENERATEQUESTION-CHASE's projection of a chase-level violation onto the
+// contributing original facts. `facts` supplies the support atoms'
+// arities; ids below `num_original` must be original atoms in it.
+std::vector<Position> RetrievePositions(const Conflict& conflict,
+                                        const std::vector<Cdd>& cdds,
+                                        const FactBase& facts,
+                                        size_t num_original,
+                                        PositionSelection selection);
 
 // Structure indicators reported in the paper's experiment tables.
 struct OverlapIndicators {

@@ -19,21 +19,96 @@ uint64_t PatternId(AtomId id, size_t num_original) {
                            : static_cast<uint64_t>(-1);
 }
 
-}  // namespace
-
-bool CanonicalConflictLess(const Conflict& a, const Conflict& b,
-                           size_t num_original) {
-  if (a.cdd_index != b.cdd_index) return a.cdd_index < b.cdd_index;
+// Three-way CanonicalConflictLess: negative, zero or positive.
+int CompareCanonical(const Conflict& a, const Conflict& b,
+                     size_t num_original) {
+  if (a.cdd_index != b.cdd_index) return a.cdd_index < b.cdd_index ? -1 : 1;
   const size_t n = std::min(a.matched.size(), b.matched.size());
   for (size_t j = 0; j < n; ++j) {
     const uint64_t pa = PatternId(a.matched[j], num_original);
     const uint64_t pb = PatternId(b.matched[j], num_original);
-    if (pa != pb) return pa < pb;
+    if (pa != pb) return pa < pb ? -1 : 1;
   }
   if (a.matched.size() != b.matched.size()) {
-    return a.matched.size() < b.matched.size();
+    return a.matched.size() < b.matched.size() ? -1 : 1;
   }
-  return a.support < b.support;
+  if (a.support != b.support) return a.support < b.support ? -1 : 1;
+  return 0;
+}
+
+}  // namespace
+
+bool CanonicalConflictLess(const Conflict& a, const Conflict& b,
+                           size_t num_original) {
+  return CompareCanonical(a, b, num_original) < 0;
+}
+
+bool CensusOrder::operator()(const Conflict* a, const Conflict* b) const {
+  const int order = CompareCanonical(*a, *b, num_original);
+  return order != 0 ? order < 0 : a->matched < b->matched;
+}
+
+RankTable::RankTable(CensusOrder order, const Held& held) : order_(order) {
+  for (const auto& [conflict, positions] : held) {
+    for (const Position& p : positions) holders_[p].push_back(conflict);
+  }
+  for (auto& [position, holders] : holders_) {
+    std::sort(holders.begin(), holders.end(), order_);
+    ranking_.insert(Ranked{holders.size(), position});
+  }
+}
+
+const RankTable::Holders* RankTable::holders(
+    const Position& position) const {
+  auto it = holders_.find(position);
+  return it == holders_.end() ? nullptr : &it->second;
+}
+
+const Conflict* RankTable::FirstHolder(const Position& position,
+                                       const Conflict* skip) const {
+  const Holders* holders = this->holders(position);
+  if (holders == nullptr) return nullptr;
+  for (const Conflict* conflict : *holders) {
+    if (conflict != skip) return conflict;
+  }
+  return nullptr;
+}
+
+void RankTable::Add(const Conflict* conflict,
+                    const std::vector<Position>& positions) {
+  for (const Position& p : positions) {
+    Holders& holders = holders_[p];
+    holders.insert(
+        std::lower_bound(holders.begin(), holders.end(), conflict, order_),
+        conflict);
+    Rerank(p, holders.size() - 1, holders.size());
+  }
+}
+
+void RankTable::Remove(const Conflict* conflict,
+                       const std::vector<Position>& positions) {
+  for (const Position& p : positions) {
+    auto it = holders_.find(p);
+    KBREPAIR_CHECK(it != holders_.end());
+    Holders& holders = it->second;
+    auto held = std::find(holders.begin(), holders.end(), conflict);
+    KBREPAIR_CHECK(held != holders.end());
+    holders.erase(held);
+    Rerank(p, holders.size() + 1, holders.size());
+    if (holders.empty()) holders_.erase(it);
+  }
+}
+
+void RankTable::Rerank(const Position& position, size_t from, size_t to) {
+  if (from == 0) {
+    ranking_.insert(Ranked{to, position});
+    return;
+  }
+  // The set node is re-keyed in place instead of being reallocated.
+  Ranking::node_type node = ranking_.extract(Ranked{from, position});
+  if (to == 0) return;
+  node.value().rank = to;
+  ranking_.insert(std::move(node));
 }
 
 void CanonicalizeConflicts(std::vector<Conflict>& conflicts,
@@ -42,12 +117,6 @@ void CanonicalizeConflicts(std::vector<Conflict>& conflicts,
             [num_original](const Conflict& a, const Conflict& b) {
               return CanonicalConflictLess(a, b, num_original);
             });
-}
-
-bool DeltaConflictEngine::NaiveOrder::operator()(const Conflict* a,
-                                                 const Conflict* b) const {
-  if (a->cdd_index != b->cdd_index) return a->cdd_index < b->cdd_index;
-  return a->matched < b->matched;
 }
 
 DeltaConflictEngine::DeltaConflictEngine(SymbolTable* symbols,
@@ -96,8 +165,10 @@ Status DeltaConflictEngine::Initialize(const FactBase& facts) {
   KBREPAIR_RETURN_IF_ERROR(chase_.Initialize(facts));
   conflicts_.clear();
   by_matched_.clear();
-  naive_.clear();
+  by_derived_pred_.reset();
+  naive_ = Census(CensusOrder{chase_.num_original()});
   next_id_ = 0;
+  ResetSelectionIndexes();
 
   trace::ScopedSpan span("conflicts.enumerate", trace::Phase::kConflictScan);
   HomomorphismFinder finder(symbols_, &chase_.facts());
@@ -121,11 +192,13 @@ Status DeltaConflictEngine::InitializeFromShared(
   chase_.AdoptShared(frozen.chase_);
   conflicts_ = frozen.conflicts_;
   by_matched_ = frozen.by_matched_;
+  by_derived_pred_.reset();
   next_id_ = frozen.next_id_;
-  naive_.clear();
+  naive_ = Census(CensusOrder{chase_.num_original()});
   for (const auto& [id, conflict] : conflicts_) {
     if (IsNaive(conflict)) naive_.insert(&conflict);
   }
+  ResetSelectionIndexes();
   return Status::Ok();
 }
 
@@ -161,6 +234,7 @@ Status DeltaConflictEngine::Absorb(const IncrementalChase::Delta& delta) {
   anchors.push_back(delta.modified);
   anchors.insert(anchors.end(), delta.added.begin(), delta.added.end());
   CanonicalSupportResolver support(symbols_, &chase_);
+  const uint64_t first_added = next_id_;
   AddConflictsAnchoredAt(anchors, support);
 
   std::unordered_set<int32_t> changed_preds;
@@ -171,41 +245,93 @@ Status DeltaConflictEngine::Absorb(const IncrementalChase::Delta& delta) {
   for (const AtomId id : delta.added) {
     changed_preds.insert(chase_.facts().atom(id).predicate);
   }
-  RefreshDerivedSupports(changed_preds, support);
+  std::vector<uint64_t> touched;
+  RefreshDerivedSupports(changed_preds, support, touched);
   KBREPAIR_FAILPOINT(
       "delta.corrupt",
       Status::Internal("injected delta conflict-engine divergence"));
-  return VerifyInvariants();
+  // Ids only grow and the drops came first, so every id from
+  // first_added on is a live conflict this fix added.
+  for (uint64_t id = first_added; id < next_id_; ++id) touched.push_back(id);
+  for (const uint64_t id : touched) {
+    KBREPAIR_RETURN_IF_ERROR(VerifyConflict(id, conflicts_.at(id)));
+  }
+#ifndef NDEBUG
+  // Debug builds walk the whole engine after every fix.
+  KBREPAIR_RETURN_IF_ERROR(VerifyInvariants());
+#endif
+  return Status::Ok();
+}
+
+Status DeltaConflictEngine::VerifyConflict(uint64_t id,
+                                           const Conflict& conflict) const {
+  if (conflict.support.empty()) {
+    return Status::Internal(
+        "delta conflict engine invariant violated: conflict with empty "
+        "support");
+  }
+  for (const AtomId s : conflict.support) {
+    if (!chase_.IsOriginal(s)) {
+      return Status::Internal(
+          "delta conflict engine invariant violated: support atom outside "
+          "the original range");
+    }
+  }
+  for (const AtomId m : conflict.matched) {
+    if (m >= chase_.facts().size() || !chase_.facts().alive(m)) {
+      return Status::Internal(
+          "delta conflict engine invariant violated: conflict matches a "
+          "dead atom");
+    }
+    auto it = by_matched_.find(m);
+    if (it == by_matched_.end() || it->second.count(id) == 0) {
+      return Status::Internal(
+          "delta conflict engine invariant violated: matched index out of "
+          "sync with the conflict map");
+    }
+    if (chase_.IsOriginal(m) || !by_derived_pred_.has_value()) continue;
+    auto pred_it = by_derived_pred_->find(chase_.facts().atom(m).predicate);
+    if (pred_it == by_derived_pred_->end() ||
+        pred_it->second.count(id) == 0) {
+      return Status::Internal(
+          "delta conflict engine invariant violated: derived-predicate "
+          "index out of sync with the conflict map");
+    }
+  }
+  return Status::Ok();
 }
 
 Status DeltaConflictEngine::VerifyInvariants() const {
   size_t num_naive = 0;
+  size_t num_derived_refs = 0;
   for (const auto& [id, conflict] : conflicts_) {
+    KBREPAIR_RETURN_IF_ERROR(VerifyConflict(id, conflict));
     if (IsNaive(conflict)) ++num_naive;
-    if (conflict.support.empty()) {
-      return Status::Internal(
-          "delta conflict engine invariant violated: conflict with empty "
-          "support");
-    }
-    for (const AtomId s : conflict.support) {
-      if (!chase_.IsOriginal(s)) {
-        return Status::Internal(
-            "delta conflict engine invariant violated: support atom outside "
-            "the original range");
-      }
-    }
+    std::unordered_set<int32_t> derived_preds;
     for (const AtomId m : conflict.matched) {
-      if (m >= chase_.facts().size() || !chase_.facts().alive(m)) {
-        return Status::Internal(
-            "delta conflict engine invariant violated: conflict matches a "
-            "dead atom");
+      if (!chase_.IsOriginal(m)) {
+        derived_preds.insert(chase_.facts().atom(m).predicate);
       }
-      auto it = by_matched_.find(m);
-      if (it == by_matched_.end() || it->second.count(id) == 0) {
+    }
+    num_derived_refs += derived_preds.size();
+    if (census_.has_value()) {
+      auto it = census_->find(&conflict);
+      if (it == census_->end() || *it != &conflict) {
         return Status::Internal(
-            "delta conflict engine invariant violated: matched index out of "
-            "sync with the conflict map");
+            "delta conflict engine invariant violated: ordered census out "
+            "of sync with the conflict map");
       }
+    }
+  }
+  if (by_derived_pred_.has_value()) {
+    size_t num_derived_entries = 0;
+    for (const auto& [pred, ids] : *by_derived_pred_) {
+      num_derived_entries += ids.size();
+    }
+    if (num_derived_entries != num_derived_refs) {
+      return Status::Internal(
+          "delta conflict engine invariant violated: derived-predicate "
+          "index holds dropped conflicts");
     }
   }
   if (num_naive != naive_.size()) {
@@ -213,27 +339,56 @@ Status DeltaConflictEngine::VerifyInvariants() const {
         "delta conflict engine invariant violated: naive index out of sync "
         "with the conflict map");
   }
+  if (census_.has_value() && census_->size() != conflicts_.size()) {
+    return Status::Internal(
+        "delta conflict engine invariant violated: ordered census out of "
+        "sync with the conflict map");
+  }
+  for (const RankScope scope : {RankScope::kNaive, RankScope::kCensus}) {
+    const RankTable* built = built_ranks(scope);
+    if (built == nullptr) continue;
+    if (!(CountRanks(scope) == *built)) {
+      return Status::Internal(
+          "delta conflict engine invariant violated: opti-mcd rank table "
+          "out of sync with its census");
+    }
+  }
   return Status::Ok();
 }
 
 void DeltaConflictEngine::RefreshDerivedSupports(
     const std::unordered_set<int32_t>& changed_preds,
-    CanonicalSupportResolver& support) {
-  for (auto& [id, conflict] : conflicts_) {
-    bool affected = false;
-    for (const AtomId m : conflict.matched) {
-      if (chase_.IsOriginal(m)) continue;
-      auto it = contributors_.find(chase_.facts().atom(m).predicate);
-      if (it == contributors_.end()) continue;
-      for (const int32_t pred : changed_preds) {
-        if (it->second.count(pred) != 0) {
-          affected = true;
-          break;
-        }
+    CanonicalSupportResolver& support, std::vector<uint64_t>& touched) {
+  if (!by_derived_pred_.has_value()) {
+    by_derived_pred_.emplace();
+    for (const auto& [id, conflict] : conflicts_) IndexDerived(id, conflict);
+  }
+  // Walks the predicates of matched derived atoms, not the census.
+  std::vector<uint64_t> affected;
+  for (const auto& [derived, ids] : *by_derived_pred_) {
+    auto it = contributors_.find(derived);
+    if (it == contributors_.end()) continue;
+    for (const int32_t pred : changed_preds) {
+      if (it->second.count(pred) != 0) {
+        affected.insert(affected.end(), ids.begin(), ids.end());
+        break;
       }
-      if (affected) break;
     }
-    if (affected) conflict.support = support.Support(conflict.matched);
+  }
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+  for (const uint64_t id : affected) {
+    Conflict& conflict = conflicts_.at(id);
+    std::vector<AtomId> fresh = support.Support(conflict.matched);
+    if (fresh == conflict.support) continue;
+    // The support is part of the canonical key and decides a derived
+    // conflict's positions: leave the selection indexes under the old
+    // one. (A conflict matching a derived atom is never naive.)
+    UnindexForSelection(conflict);
+    conflict.support = std::move(fresh);
+    IndexForSelection(conflict);
+    touched.push_back(id);
   }
 }
 
@@ -282,6 +437,14 @@ bool DeltaConflictEngine::IsNaive(const Conflict& conflict) const {
   return true;
 }
 
+void DeltaConflictEngine::IndexDerived(uint64_t id, const Conflict& conflict) {
+  for (const AtomId m : conflict.matched) {
+    if (!chase_.IsOriginal(m)) {
+      (*by_derived_pred_)[chase_.facts().atom(m).predicate].insert(id);
+    }
+  }
+}
+
 bool DeltaConflictEngine::NaiveConflictMatches(AtomId atom) const {
   auto it = by_matched_.find(atom);
   if (it == by_matched_.end()) return false;
@@ -304,7 +467,9 @@ void DeltaConflictEngine::AddConflict(Conflict conflict) {
   for (AtomId m : conflict.matched) by_matched_[m].insert(id);
   const Conflict& live =
       conflicts_.emplace(id, std::move(conflict)).first->second;
+  if (by_derived_pred_.has_value()) IndexDerived(id, live);
   if (IsNaive(live)) naive_.insert(&live);
+  IndexForSelection(live);
 }
 
 void DeltaConflictEngine::DropConflictsMatching(AtomId atom) {
@@ -314,15 +479,86 @@ void DeltaConflictEngine::DropConflictsMatching(AtomId atom) {
   for (const uint64_t id : ids) {
     auto conflict_it = conflicts_.find(id);
     KBREPAIR_CHECK(conflict_it != conflicts_.end());
-    for (AtomId m : conflict_it->second.matched) {
+    const Conflict& conflict = conflict_it->second;
+    for (AtomId m : conflict.matched) {
       auto m_it = by_matched_.find(m);
-      if (m_it == by_matched_.end()) continue;
-      m_it->second.erase(id);
-      if (m_it->second.empty()) by_matched_.erase(m_it);
+      if (m_it != by_matched_.end()) {
+        m_it->second.erase(id);
+        if (m_it->second.empty()) by_matched_.erase(m_it);
+      }
+      if (chase_.IsOriginal(m) || !by_derived_pred_.has_value()) continue;
+      auto pred_it = by_derived_pred_->find(chase_.facts().atom(m).predicate);
+      if (pred_it != by_derived_pred_->end()) {
+        pred_it->second.erase(id);
+        if (pred_it->second.empty()) by_derived_pred_->erase(pred_it);
+      }
     }
-    if (IsNaive(conflict_it->second)) naive_.erase(&conflict_it->second);
+    if (IsNaive(conflict)) naive_.erase(&conflict);
+    UnindexForSelection(conflict);
     conflicts_.erase(conflict_it);
   }
+}
+
+std::vector<Position> DeltaConflictEngine::RankedPositions(
+    const Conflict& conflict) const {
+  return RetrievePositions(conflict, *cdds_, chase_.facts(),
+                           chase_.num_original(),
+                           PositionSelection::kResolvingPositions);
+}
+
+const Census& DeltaConflictEngine::census() {
+  if (!census_.has_value()) {
+    census_.emplace(CensusOrder{chase_.num_original()});
+    for (const auto& [id, conflict] : conflicts_) census_->insert(&conflict);
+  }
+  return *census_;
+}
+
+const RankTable& DeltaConflictEngine::ranks(RankScope scope) {
+  std::optional<RankTable>& table =
+      scope == RankScope::kNaive ? naive_ranks_ : census_ranks_;
+  if (!table.has_value()) table.emplace(CountRanks(scope));
+  return *table;
+}
+
+RankTable DeltaConflictEngine::CountRanks(RankScope scope) const {
+  RankTable::Held held;
+  for (const auto& [id, conflict] : conflicts_) {
+    if (scope == RankScope::kCensus || IsNaive(conflict)) {
+      held.emplace_back(&conflict, RankedPositions(conflict));
+    }
+  }
+  return RankTable(CensusOrder{chase_.num_original()}, held);
+}
+
+const RankTable* DeltaConflictEngine::built_ranks(RankScope scope) const {
+  const std::optional<RankTable>& table =
+      scope == RankScope::kNaive ? naive_ranks_ : census_ranks_;
+  return table.has_value() ? &*table : nullptr;
+}
+
+void DeltaConflictEngine::IndexForSelection(const Conflict& conflict) {
+  if (census_.has_value()) census_->insert(&conflict);
+  const bool naive_ranked = naive_ranks_.has_value() && IsNaive(conflict);
+  if (!naive_ranked && !census_ranks_.has_value()) return;
+  const std::vector<Position> positions = RankedPositions(conflict);
+  if (naive_ranked) naive_ranks_->Add(&conflict, positions);
+  if (census_ranks_.has_value()) census_ranks_->Add(&conflict, positions);
+}
+
+void DeltaConflictEngine::UnindexForSelection(const Conflict& conflict) {
+  if (census_.has_value()) census_->erase(&conflict);
+  const bool naive_ranked = naive_ranks_.has_value() && IsNaive(conflict);
+  if (!naive_ranked && !census_ranks_.has_value()) return;
+  const std::vector<Position> positions = RankedPositions(conflict);
+  if (naive_ranked) naive_ranks_->Remove(&conflict, positions);
+  if (census_ranks_.has_value()) census_ranks_->Remove(&conflict, positions);
+}
+
+void DeltaConflictEngine::ResetSelectionIndexes() {
+  census_.reset();
+  naive_ranks_.reset();
+  census_ranks_.reset();
 }
 
 std::vector<Conflict> DeltaConflictEngine::CanonicalConflicts() const {

@@ -1,8 +1,8 @@
 #include "repair/inquiry.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "repair/delta_conflicts.h"
@@ -12,20 +12,117 @@
 
 namespace kbrepair {
 
+using RankScope = DeltaConflictEngine::RankScope;
+
+// The census one round selects from, read in place: the live engine's
+// naive conflicts in phase one, its whole census in phase two and
+// Algorithm 3 — canonical order either way — less the conflict the
+// `delta.census_drop` failpoint dropped, if any.
+struct CensusView {
+  DeltaConflictEngine* engine = nullptr;
+  RankScope scope = RankScope::kCensus;
+  const Conflict* dropped = nullptr;
+
+  const Census& conflicts() const {
+    return scope == RankScope::kNaive ? engine->naive_conflicts()
+                                      : engine->census();
+  }
+  size_t size() const {
+    const size_t live = scope == RankScope::kNaive ? engine->naive_size()
+                                                   : engine->size();
+    return live - (dropped != nullptr ? 1 : 0);
+  }
+  // The conflicts in order, less `dropped`.
+  std::vector<const Conflict*> Pointers() const {
+    std::vector<const Conflict*> out;
+    out.reserve(size());
+    for (const Conflict* conflict : conflicts()) {
+      if (conflict != dropped) out.push_back(conflict);
+    }
+    return out;
+  }
+  std::vector<Conflict> Copy() const {
+    std::vector<Conflict> out;
+    out.reserve(size());
+    for (const Conflict* conflict : Pointers()) out.push_back(*conflict);
+    return out;
+  }
+};
+
 namespace {
 
-// The live engine's chased census, canonical order — every read of it
-// in this file. Subject to the `delta.census_drop` failpoint, which
-// drops the last canonical conflict when armed: the maintained census
-// then diverges from a cold reference engine's at a deterministic step,
-// the fault drill for kbrepair-debug --diff-engines.
-std::vector<Conflict> LiveCensus(const DeltaConflictEngine& engine) {
-  std::vector<Conflict> census = engine.CanonicalConflicts();
-  if (failpoint::ShouldFail("delta.census_drop") && !census.empty()) {
-    census.pop_back();
-  }
-  return census;
+CensusView NaiveCensus(DeltaConflictEngine& engine) {
+  return CensusView{&engine, RankScope::kNaive, nullptr};
 }
+
+// The live engine's chased census — every read of it in this file. Subject
+// to the `delta.census_drop` failpoint, which drops the last canonical
+// conflict when armed: the maintained census then diverges from a cold
+// reference engine's at a deterministic step, the fault drill for
+// kbrepair-debug --diff-engines.
+CensusView LiveCensus(DeltaConflictEngine& engine) {
+  CensusView view{&engine, RankScope::kCensus, nullptr};
+  if (failpoint::ShouldFail("delta.census_drop") && !engine.empty()) {
+    view.dropped = *engine.census().rbegin();
+  }
+  return view;
+}
+
+// Walks a rank table from the highest rank down, one group of candidate
+// positions at a time, ascending within the group. Π positions are left
+// out, and a conflict the view dropped no longer counts: each position
+// it holds moves one group down.
+class RankWalk {
+ public:
+  RankWalk(const CensusView& census, const RankTable& ranks)
+      : ranking_(ranks.ranking()), next_(ranking_.begin()) {
+    if (census.dropped != nullptr) {
+      dropped_positions_ = census.engine->RankedPositions(*census.dropped);
+      for (const Position& p : dropped_positions_) {
+        const size_t rank = ranks.holders(p)->size();
+        if (rank > 1) demoted_[rank - 1].push_back(p);
+      }
+    }
+    moved_ = demoted_.begin();
+  }
+
+  // Fills `positions` with the next group that has a position outside
+  // `pi`; false once the ranking is exhausted.
+  bool Next(const PositionSet& pi, std::vector<Position>& positions) {
+    while (next_ != ranking_.end() || moved_ != demoted_.end()) {
+      const size_t rank =
+          std::max(next_ != ranking_.end() ? next_->rank : 0,
+                   moved_ != demoted_.end() ? moved_->first : 0);
+      positions.clear();
+      for (; next_ != ranking_.end() && next_->rank == rank; ++next_) {
+        if (pi.count(next_->position) == 0 &&
+            !std::binary_search(dropped_positions_.begin(),
+                                dropped_positions_.end(), next_->position)) {
+          positions.push_back(next_->position);
+        }
+      }
+      if (moved_ != demoted_.end() && moved_->first == rank) {
+        for (const Position& p : moved_->second) {
+          if (pi.count(p) == 0) positions.push_back(p);
+        }
+        std::sort(positions.begin(), positions.end());
+        ++moved_;
+      }
+      if (!positions.empty()) return true;
+    }
+    return false;
+  }
+
+ private:
+  using Demoted =
+      std::map<size_t, std::vector<Position>, std::greater<size_t>>;
+
+  const RankTable::Ranking& ranking_;
+  RankTable::Ranking::const_iterator next_;
+  std::vector<Position> dropped_positions_;  // ascending
+  Demoted demoted_;  // rank without the dropped conflict -> positions
+  Demoted::const_iterator moved_;
+};
 
 }  // namespace
 
@@ -267,43 +364,9 @@ StatusOr<InquiryResult> InquiryEngine::Run(User& user,
   return Finish();
 }
 
-namespace {
-
-// Builds descending-rank groups of candidate positions for opti-mcd.
-// rank(p) = number of conflicts whose retrieved position set contains p.
-// Also remembers one conflict per position (SOUNDQUESTION's X argument).
-struct McdRanking {
-  // (rank desc) -> positions with that rank.
-  std::map<size_t, std::vector<Position>, std::greater<size_t>> groups;
-  std::unordered_map<Position, const Conflict*, PositionHash> conflict_for;
-};
-
-McdRanking RankPositions(const std::vector<const Conflict*>& conflicts,
-                         const FactBase& facts, const std::vector<Cdd>& cdds,
-                         const QuestionGenerator& generator,
-                         const PositionSet& pi) {
-  std::unordered_map<Position, size_t, PositionHash> counts;
-  McdRanking ranking;
-  for (const Conflict* conflict : conflicts) {
-    for (const Position& p : generator.RetrievePositions(
-             facts, *conflict, cdds,
-             PositionSelection::kResolvingPositions)) {
-      if (pi.count(p) > 0) continue;
-      ++counts[p];
-      ranking.conflict_for.emplace(p, conflict);
-    }
-  }
-  for (const auto& [position, rank] : counts) {
-    ranking.groups[rank].push_back(position);
-  }
-  return ranking;
-}
-
-}  // namespace
-
-StatusOr<Question> InquiryEngine::SelectQuestion(
-    Session& session, const std::vector<const Conflict*>& conflicts) {
-  KBREPAIR_CHECK(!conflicts.empty());
+StatusOr<Question> InquiryEngine::SelectQuestion(Session& session,
+                                                  const CensusView& census) {
+  KBREPAIR_CHECK(census.size() > 0);
   trace::ScopedSpan span("inquiry.select_question",
                          trace::Phase::kQuestionGen);
 
@@ -312,31 +375,36 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
   KBREPAIR_RETURN_IF_ERROR(
       session.repairability.EnsureSkeleton(session.facts, session.pi));
 
+  auto finalize = [&](Question question) {
+    if (options_.strategy == Strategy::kOptiLearn) {
+      session.preferences.OrderQuestion(question, session.facts);
+    }
+    return question;
+  };
+
   if (options_.strategy == Strategy::kOptiMcd ||
       options_.strategy == Strategy::kOptiLearn) {
     // Ask about the maximally-contained position; walk down the ranking
-    // until some position yields a non-empty sound question.
-    McdRanking ranking = RankPositions(conflicts, session.facts,
-                                       *session.cdds, session.generator,
-                                       session.pi);
-    for (auto& [rank, positions] : ranking.groups) {
-      // The paper breaks ties randomly; sorting first keeps the draw
-      // independent of hash-map layout.
-      std::sort(positions.begin(), positions.end());
+    // until some position yields a non-empty sound question. The ranks
+    // are the engine's maintained ones for this census.
+    const RankTable& ranks = census.engine->ranks(census.scope);
+    RankWalk walk(census, ranks);
+    std::vector<Position> positions;
+    while (walk.Next(session.pi, positions)) {
+      // The paper breaks ties randomly; drawing from the ascending group
+      // keeps the draw independent of hash-map layout.
       session.rng.Shuffle(positions);
       for (const Position& position : positions) {
-        const Conflict* conflict = ranking.conflict_for[position];
+        // SOUNDQUESTION's X: the first conflict in census order holding
+        // the position.
+        const Conflict* conflict =
+            ranks.FirstHolder(position, census.dropped);
         KBREPAIR_ASSIGN_OR_RETURN(
             Question question,
             session.generator.SoundQuestion(
                 session.facts, session.pi, *conflict, *session.cdds,
                 PositionSelection::kResolvingPositions, position));
-        if (!question.fixes.empty()) {
-          if (options_.strategy == Strategy::kOptiLearn) {
-            session.preferences.OrderQuestion(question, session.facts);
-          }
-          return question;
-        }
+        if (!question.fixes.empty()) return finalize(std::move(question));
       }
     }
     // Fall through to the conflict-based fallbacks below.
@@ -349,16 +417,11 @@ StatusOr<Question> InquiryEngine::SelectQuestion(
           ? PositionSelection::kAllPositions
           : PositionSelection::kResolvingPositions;
 
+  const std::vector<const Conflict*> conflicts = census.Pointers();
   std::vector<size_t> order(conflicts.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   session.rng.Shuffle(order);
 
-  auto finalize = [&](Question question) {
-    if (options_.strategy == Strategy::kOptiLearn) {
-      session.preferences.OrderQuestion(question, session.facts);
-    }
-    return question;
-  };
   for (size_t index : order) {
     const Conflict& conflict = *conflicts[index];
     KBREPAIR_ASSIGN_OR_RETURN(
@@ -416,10 +479,15 @@ const IncrementalChase* InquiryEngine::delta_chase() const {
   return step_->delta != nullptr ? &step_->delta->chase() : nullptr;
 }
 
+const DeltaConflictEngine* InquiryEngine::conflict_engine() const {
+  KBREPAIR_CHECK(step_ != nullptr);
+  return step_->delta.get();
+}
+
 std::optional<std::vector<Conflict>> InquiryEngine::chased_census() const {
   KBREPAIR_CHECK(step_ != nullptr);
   if (step_->delta == nullptr) return std::nullopt;
-  return LiveCensus(*step_->delta);
+  return LiveCensus(*step_->delta).Copy();
 }
 
 const RepairabilityChecker& InquiryEngine::repairability() const {
@@ -434,7 +502,7 @@ StatusOr<std::vector<Conflict>> InquiryEngine::InspectCensus() const {
   const bool naive = session.mode == Session::Mode::kPhaseOne;
   if (session.delta != nullptr) {
     return naive ? session.delta->CanonicalNaiveConflicts()
-                 : LiveCensus(*session.delta);
+                 : LiveCensus(*session.delta).Copy();
   }
   // No live engine (dropped, awaiting its rebuild): the census of a
   // cold engine, chased against a cloned symbol table so inspection
@@ -456,10 +524,8 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
     session.census_owed = false;
   }
   while (true) {
-    std::vector<Conflict> chase_conflicts;  // owns phase-2/basic conflicts
-    std::vector<const Conflict*> conflicts;
-
     KBREPAIR_RETURN_IF_ERROR(EnsureDeltaEngine(session));
+    CensusView census;
     if (session.mode == Session::Mode::kPhaseOne) {
       // --- Phase one: the maintained naive conflicts, in canonical
       // order.
@@ -467,20 +533,20 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
         session.mode = Session::Mode::kPhaseTwo;
         continue;
       }
-      conflicts.assign(session.delta->naive_conflicts().begin(),
-                       session.delta->naive_conflicts().end());
+      census = NaiveCensus(*session.delta);
     } else {
       // --- Phase two / Algorithm 3: the chased census. Selection sees
       // the whole set.
-      chase_conflicts = LiveCensus(*session.delta);
-      if (chase_conflicts.empty()) {
+      census = LiveCensus(*session.delta);
+      if (census.size() == 0) {
         session.done = true;
         return Status::Ok();
       }
       if (options_.strategy == Strategy::kOptiProp) {
         ApplyPendingPropagation(session, [&](AtomId atom) {
-          for (const Conflict& c : chase_conflicts) {
-            if (std::binary_search(c.support.begin(), c.support.end(),
+          for (const Conflict* c : census.conflicts()) {
+            if (c != census.dropped &&
+                std::binary_search(c->support.begin(), c->support.end(),
                                    atom)) {
               return true;
             }
@@ -488,12 +554,10 @@ Status InquiryEngine::ComputeNextQuestion(Session& session) {
           return false;
         });
       }
-      conflicts.reserve(chase_conflicts.size());
-      for (const Conflict& c : chase_conflicts) conflicts.push_back(&c);
     }
 
     KBREPAIR_ASSIGN_OR_RETURN(Question question,
-                              SelectQuestion(session, conflicts));
+                              SelectQuestion(session, census));
     if (question.fixes.empty()) {
       if (UnfreezePropagated(session)) continue;
       return Status::Internal(

@@ -193,6 +193,9 @@ struct InquiryResult {
   double MaxDelaySeconds() const;
 };
 
+// The census one round selects from (inquiry.cc).
+struct CensusView;
+
 class InquiryEngine {
  public:
   // `kb` supplies the rules and symbol table (mutated: fresh nulls) and
@@ -301,6 +304,11 @@ class InquiryEngine {
   // off its Derivation DAG without re-chasing.
   const IncrementalChase* delta_chase() const;
 
+  // The live delta engine itself (its census and any opti-mcd rank
+  // table question selection has built), or nullptr while a dropped
+  // engine awaits its rebuild.
+  const DeltaConflictEngine* conflict_engine() const;
+
   // The session's Π-repairability checker. Its skeleton() is the
   // maintained Π-skeleton engine while live (census empty iff
   // Π-repairable), null while a dropped one awaits its rebuild.
@@ -327,11 +335,11 @@ class InquiryEngine {
   Status ComputeNextQuestion(Session& session);
   Status ApplyAnswer(Session& session, size_t choice);
 
-  // Picks a conflict + question for the current round from `conflicts`.
+  // Picks a conflict + question for the current round from `census`.
   // Returns an empty question when no sound question exists (the caller
   // then unfreezes propagated positions or errors out).
   StatusOr<Question> SelectQuestion(Session& session,
-                                    const std::vector<const Conflict*>& conflicts);
+                                    const CensusView& census);
 
   // Removes every propagation-frozen position from Π. Returns true if
   // anything was unfrozen. The skeleton engine replays each unfreeze as

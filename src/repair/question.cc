@@ -16,40 +16,8 @@ QuestionGenerator::QuestionGenerator(
 std::vector<Position> QuestionGenerator::RetrievePositions(
     const FactBase& facts, const Conflict& conflict,
     const std::vector<Cdd>& cdds, PositionSelection selection) const {
-  std::vector<Position> positions;
-
-  // Detect whether the conflict's homomorphism lies entirely inside the
-  // original fact base. Matched ids of a chase conflict refer to Cl(F);
-  // ids below |F| coincide with original atoms.
-  bool naive = true;
-  for (AtomId id : conflict.matched) naive = naive && id < facts.size();
-
-  if (naive && selection == PositionSelection::kResolvingPositions) {
-    // Join positions of the matched atoms, per CDD body structure. A
-    // position is resolving when the CDD term it matches is a join
-    // variable or a constant: rewriting it can break the homomorphism,
-    // whereas a lone variable simply rebinds (Section 5, opti-join).
-    const Cdd& cdd = cdds[conflict.cdd_index];
-    for (size_t j = 0; j < conflict.matched.size(); ++j) {
-      for (int arg : cdd.resolving_positions(j)) {
-        positions.push_back(Position{conflict.matched[j], arg});
-      }
-    }
-  } else {
-    // All positions of the (original-)support atoms. This covers both
-    // the random strategy and GENERATEQUESTION-CHASE, which projects a
-    // chase-level violation onto the contributing original facts.
-    for (AtomId id : conflict.support) {
-      const int arity = facts.atom(id).arity();
-      for (int arg = 0; arg < arity; ++arg) {
-        positions.push_back(Position{id, arg});
-      }
-    }
-  }
-  std::sort(positions.begin(), positions.end());
-  positions.erase(std::unique(positions.begin(), positions.end()),
-                  positions.end());
-  return positions;
+  return kbrepair::RetrievePositions(conflict, cdds, facts, facts.size(),
+                                     selection);
 }
 
 StatusOr<Question> QuestionGenerator::SoundQuestion(

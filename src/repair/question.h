@@ -29,12 +29,6 @@
 
 namespace kbrepair {
 
-// RETRIEVE-POSITIONS variants (Section 5).
-enum class PositionSelection {
-  kAllPositions,        // random strategy
-  kResolvingPositions,  // opti-join / opti-prop / opti-mcd
-};
-
 struct Question {
   std::vector<Fix> fixes;
   // The positions Algorithm 2 considered (Π'' in the paper) — the
@@ -62,10 +56,9 @@ class QuestionGenerator {
       const std::vector<Cdd>& cdds, PositionSelection selection,
       std::optional<Position> restrict_to = std::nullopt) const;
 
-  // The positions RETRIEVE-POSITIONS yields for a conflict (deduplicated).
-  // For conflicts whose homomorphism involves chase-derived atoms, the
-  // paper's GENERATEQUESTION-CHASE falls back to every position of the
-  // original support set, regardless of `selection`.
+  // The positions RETRIEVE-POSITIONS yields for a conflict
+  // (repair/conflict.h) whose matched ids below facts.size() are the
+  // original atoms of `facts`.
   std::vector<Position> RetrievePositions(const FactBase& facts,
                                           const Conflict& conflict,
                                           const std::vector<Cdd>& cdds,

@@ -39,8 +39,9 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -88,6 +89,21 @@ bool ParseInteger(const std::string& text, int64_t min, int64_t max,
   errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
   if (errno != 0 || *end != '\0' || value < min || value > max) return false;
+  *out = value;
+  return true;
+}
+
+// The whole of `text` as a finite, non-negative decimal number of
+// seconds ("0", "30", "2.5"): no sign, whitespace, suffix, nan, inf or
+// overflow.
+bool ParseSeconds(const std::string& text, double* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
   *out = value;
   return true;
 }
@@ -238,7 +254,12 @@ int Main(int argc, char** argv) {
     } else if (arg == "--ttl-seconds") {
       const char* v = next_value("--ttl-seconds");
       if (v == nullptr) return Usage(argv[0]);
-      config.idle_ttl_seconds = std::strtod(v, nullptr);
+      if (!ParseSeconds(v, &config.idle_ttl_seconds)) {
+        std::cerr << "--ttl-seconds: expected a non-negative number of "
+                     "seconds, got '"
+                  << v << "'\n";
+        return Usage(argv[0]);
+      }
     } else if (arg == "--transcript-dir") {
       const char* v = next_value("--transcript-dir");
       if (v == nullptr) return Usage(argv[0]);

@@ -306,6 +306,24 @@ std::vector<DifferentialCase> MakeCases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialInquiry,
                          ::testing::ValuesIn(MakeCases()), CaseName);
 
+// opti-learn shares opti-mcd's position ranking and adds the learned
+// re-ordering of each question's fixes: 2 modes x 2 workloads x 13
+// seeds more, whose digests follow the 208 rows above.
+std::vector<DifferentialCase> MakeLearnCases() {
+  std::vector<DifferentialCase> cases;
+  for (const bool two_phase : {false, true}) {
+    for (const bool with_tgds : {false, true}) {
+      for (uint64_t seed = 1; seed <= 13; ++seed) {
+        cases.push_back({seed, Strategy::kOptiLearn, two_phase, with_tgds});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(LearnSweep, DifferentialInquiry,
+                         ::testing::ValuesIn(MakeLearnCases()), CaseName);
+
 // --- Existential TGDs -------------------------------------------------------
 
 InquiryOptions ExistentialOptions(Strategy strategy, bool two_phase,

@@ -1,10 +1,10 @@
-// kbrepaird's integer flags are strict: the whole token must be a
+// kbrepaird's numeric flags are strict: the whole token must be a
 // decimal number inside the flag's range, or the daemon exits 2 with
 // usage during argument parsing — before a single thread starts. The
 // regressions covered: non-numeric values silently becoming 0 (one
-// worker, an ephemeral port), `--mem-budget` multiplications that
-// overflowed into "unlimited" or wrapped to a small budget, and an
-// unbounded `--shards`.
+// worker, an ephemeral port, idle eviction switched off by a malformed
+// `--ttl-seconds`), `--mem-budget` multiplications that overflowed into
+// "unlimited" or wrapped to a small budget, and an unbounded `--shards`.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -85,6 +85,12 @@ TEST(KbrepairdFlagsTest, MalformedOrOutOfRangeIntegersExitWithUsage) {
       {"--mem-budget", "12Q"},
       {"--mem-budget", "G"},
       {"--mem-budget", "-1"},
+      {"--ttl-seconds", "abc"},
+      {"--ttl-seconds", "-1"},
+      {"--ttl-seconds", "nan"},
+      {"--ttl-seconds", "inf"},
+      {"--ttl-seconds", "1e999"},
+      {"--ttl-seconds", "5x"},
       {"--workers"},
   };
   for (const std::vector<std::string>& args : bad) {
@@ -102,6 +108,8 @@ TEST(KbrepairdFlagsTest, RangeBoundsAreAccepted) {
                        "0", "--mem-budget", "8589934591G", "--deadline-ms",
                        "0", "--help"}),
             0);
+  EXPECT_EQ(RunDaemon({"--ttl-seconds", "0", "--help"}), 0);
+  EXPECT_EQ(RunDaemon({"--ttl-seconds", "2.5", "--help"}), 0);
 }
 
 #endif  // KBREPAIRD_PATH
