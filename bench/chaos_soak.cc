@@ -22,31 +22,26 @@
 // replayable. The in-process composition of the same faults (runnable
 // under ASan/UBSan) lives in tests/chaos_soak_test.cc.
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "repair/inquiry.h"
-#include "service/net/framer.h"
+#include "service/daemon_client.h"
 #include "service/session.h"
 #include "util/json.h"
-#include "util/net.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -74,163 +69,78 @@ std::atomic<uint64_t> g_reconciles{0}; // status-based answer reconciles
 std::atomic<uint64_t> g_windows{0};    // failpoint windows armed
 
 // ------------------------------------------------------------------
-// Daemon process management.
-
-pid_t SpawnDaemon(const std::vector<std::string>& args) {
-  const pid_t pid = fork();
-  if (pid != 0) return pid;
-  const int devnull = ::open("/dev/null", O_RDONLY);
-  if (devnull >= 0) {
-    dup2(devnull, STDIN_FILENO);
-    close(devnull);
-  }
-  std::vector<char*> argv;
-  for (const std::string& arg : args) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-  execv(argv[0], argv.data());
-  std::cerr << "exec " << args[0] << " failed: " << std::strerror(errno)
-            << "\n";
-  _exit(127);
-}
-
-int ReadPortFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return 0;
-  int port = 0;
-  if (std::fscanf(f, "%d", &port) != 1) port = 0;
-  std::fclose(f);
-  return port;
-}
-
-// ------------------------------------------------------------------
-// One synchronous JSON-lines connection. A single command is in
-// flight at a time, so responses match trivially; every transport
-// error poisons the socket and the next call reconnects via the port
-// file (which the respawned daemon rewrites after a kill -9).
+// A reconnecting connection. Every transport failure drops it, and the
+// next call reconnects via the port file (which the respawned daemon
+// rewrites after a kill -9).
 
 class Client {
  public:
-  explicit Client(std::string port_file) : port_file_(std::move(port_file)) {}
-  ~Client() { Drop(); }
-
-  void Drop() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    framer_ = net::LineFramer(1 << 20);
+  explicit Client(const std::string& port_file) {
+    endpoint_.port_file = port_file;
   }
 
-  // Executes one command. A non-ok return means the transport failed
-  // and the command's outcome is unknown; server-side rejections come
-  // back ok() with the error envelope in *response.
-  Status Call(const JsonValue& params, JsonValue* response,
-              bool drop_before_read = false) {
-    KBREPAIR_RETURN_IF_ERROR(EnsureConnected());
-    JsonValue request = params;
-    const std::string id = "c" + std::to_string(next_id_++);
-    request.Set("id", JsonValue::String(id));
-    const std::string line = request.Dump() + "\n";
-    for (size_t off = 0; off < line.size();) {
-      const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        Drop();
-        return Status::Unavailable("write to daemon failed");
+  // Executes one command in a single attempt; the retry and reconcile
+  // policy is the caller's. Returns false when the transport failed and
+  // the command's outcome is unknown; otherwise *result holds the
+  // server's result or its rejection. `drop_before_read` simulates a
+  // client crash: the command reaches the kernel but the response is
+  // lost, so the caller must reconcile via `status`.
+  bool Call(const JsonValue& params, StatusOr<JsonValue>* result,
+            bool drop_before_read = false) {
+    if (connection_ == nullptr) {
+      // Generous budget: a restart must finish WAL replay for the whole
+      // fleet before the listener accepts again.
+      StatusOr<int> fd = client::ConnectWhenReady(
+          endpoint_, nullptr, std::chrono::seconds(30));
+      if (!fd.ok()) {
+        *result = fd.status();
+        return false;
       }
-      off += static_cast<size_t>(n);
+      connection_ = std::make_unique<client::Connection>(*fd);
+    }
+    StatusOr<std::string> id = connection_->Send(params);
+    if (!id.ok()) {
+      *result = id.status();
+      connection_.reset();
+      return false;
     }
     if (drop_before_read) {
-      // Simulated client crash: the command reached the kernel but the
-      // response is lost, so the caller must reconcile via `status`.
       g_resets.fetch_add(1, std::memory_order_relaxed);
-      Drop();
-      return Status::Unavailable("connection reset after send");
+      *result = Status::Unavailable("connection reset after send");
+      connection_.reset();
+      return false;
     }
-    std::vector<std::string> lines;
-    char chunk[1 << 16];
-    while (lines.empty()) {
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        Drop();
-        return Status::Unavailable("daemon connection closed");
-      }
-      if (!framer_.Feed(chunk, static_cast<size_t>(n), &lines)) {
-        Drop();
-        return Status::Internal("oversized response line");
-      }
-    }
-    KBREPAIR_ASSIGN_OR_RETURN(JsonValue parsed, JsonValue::Parse(lines[0]));
-    if (parsed.Get("id").AsString() != id) {
-      Drop();
-      return Status::Internal("response for wrong correlation id");
-    }
-    *response = std::move(parsed);
-    return Status::Ok();
+    *result = connection_->Await(*id);
+    if (!connection_->closed()) return true;
+    // An id still unanswered after Await was lost with the connection.
+    const std::vector<std::string> lost = connection_->UnansweredIds();
+    connection_.reset();
+    return std::find(lost.begin(), lost.end(), *id) == lost.end();
   }
 
  private:
-  Status EnsureConnected() {
-    if (fd_ >= 0) return Status::Ok();
-    // Generous budget: a restart must finish WAL replay for the whole
-    // fleet before the listener accepts again.
-    for (int i = 0; i < 3000; ++i) {
-      const int port = ReadPortFile(port_file_);
-      if (port > 0) {
-        StatusOr<int> fd = net::ConnectTcp("127.0.0.1", port);
-        if (fd.ok()) {
-          fd_ = *fd;
-          return Status::Ok();
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return Status::Unavailable("daemon not reachable after 30s");
-  }
-
-  const std::string port_file_;
-  int fd_ = -1;
-  uint64_t next_id_ = 0;
-  net::LineFramer framer_{1 << 20};
+  client::Endpoint endpoint_;
+  std::unique_ptr<client::Connection> connection_;
 };
-
-// True for rejection codes the retry contract promises were never
-// executed, so a verbatim resend is safe.
-bool RetryableCode(const std::string& code) {
-  return code == "Unavailable" || code == "ResourceExhausted" ||
-         code == "DeadlineExceeded";
-}
 
 // Retries a command until the server acknowledges it. Only safe for
 // idempotent commands (ask, status, metrics, failpoint, close):
 // transport failures are retried blindly alongside retryable
 // rejections. Non-retryable rejections surface as the final status.
 StatusOr<JsonValue> CallIdempotent(Client& client, const JsonValue& params) {
-  Status last = Status::Unavailable("never attempted");
+  StatusOr<JsonValue> result = Status::Unavailable("never attempted");
   for (int attempt = 0; attempt < 1200; ++attempt) {
     if (attempt > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    JsonValue response;
-    const Status sent = client.Call(params, &response);
-    if (!sent.ok()) {
-      last = sent;
-      continue;
+    const bool delivered = client.Call(params, &result);
+    if (result.ok()) return result;
+    if (delivered && !client::IsRetryableCode(result.status().code())) {
+      return result;
     }
-    if (response.Get("ok").AsBool(false)) {
-      return response.Get("result");
-    }
-    const std::string code = response.Get("error").Get("code").AsString();
-    const std::string message =
-        response.Get("error").Get("message").AsString();
-    last = Status::Internal("[" + code + "] " + message);
-    if (!RetryableCode(code)) return last;
-    g_retries.fetch_add(1, std::memory_order_relaxed);
+    if (delivered) g_retries.fetch_add(1, std::memory_order_relaxed);
   }
-  return last;
+  return result;
 }
 
 JsonValue SessionCommand(const std::string& command,
@@ -312,17 +222,15 @@ void AnswerWithReconcile(Client& client, Driver& st, int64_t choice) {
     // Roughly one answer in six loses its connection before the
     // response arrives, covering both reconcile verdicts.
     const bool drop = st.chaos.UniformIndex(6) == 0;
-    JsonValue response;
-    const Status sent = client.Call(params, &response, drop);
-    if (sent.ok() && response.Get("ok").AsBool(false)) {
+    StatusOr<JsonValue> answered = Status::Unavailable("never attempted");
+    const bool delivered = client.Call(params, &answered, drop);
+    if (answered.ok()) {
       ++st.answered;
       return;
     }
-    if (sent.ok()) {
-      const std::string code = response.Get("error").Get("code").AsString();
-      if (!RetryableCode(code)) {
-        st.failure = "answer rejected [" + code + "] " +
-                     response.Get("error").Get("message").AsString();
+    if (delivered) {
+      if (!client::IsRetryableCode(answered.status().code())) {
+        st.failure = "answer rejected " + answered.status().ToString();
         return;
       }
       // Rejected before execution: resend the identical answer.
@@ -432,43 +340,14 @@ void ChaosLoop(const std::string& port_file, uint64_t seed,
     JsonValue params = JsonValue::Object();
     params.Set("command", JsonValue::String("failpoint"));
     params.Set("spec", JsonValue::String(kSpecs[rng.UniformIndex(4)]));
-    JsonValue response;
-    if (client.Call(params, &response).ok()) {
+    StatusOr<JsonValue> armed = Status::Unavailable("never attempted");
+    if (client.Call(params, &armed) && armed.ok()) {
       g_windows.fetch_add(1, std::memory_order_relaxed);
     }
     // 1-9ms between windows keeps several faults per dialogue turn.
     std::this_thread::sleep_for(
         std::chrono::milliseconds(1 + rng.UniformIndex(9)));
   }
-}
-
-// ------------------------------------------------------------------
-// HTTP /readyz scrape via the daemon's published HTTP port.
-
-StatusOr<std::string> HttpGet(int port, const std::string& path) {
-  KBREPAIR_ASSIGN_OR_RETURN(int fd, net::ConnectTcp("127.0.0.1", port));
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: localhost\r\n"
-                              "Connection: close\r\n\r\n";
-  for (size_t off = 0; off < request.size();) {
-    const ssize_t n = ::write(fd, request.data() + off, request.size() - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return Status::Unavailable("http write failed");
-    }
-    off += static_cast<size_t>(n);
-  }
-  std::string body;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    body.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return body;
 }
 
 // ------------------------------------------------------------------
@@ -491,15 +370,11 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
     }
     wal_dir = wal_tmpl;
   }
-  char port_tmpl[] = "/tmp/kbrepair_chaos_port_XXXXXX";
-  char http_tmpl[] = "/tmp/kbrepair_chaos_http_XXXXXX";
-  for (char* tmpl : {port_tmpl, http_tmpl}) {
-    const int fd = ::mkstemp(tmpl);
-    if (fd < 0) return Status::Internal("mkstemp failed");
-    ::close(fd);
+  const std::string port_file = client::MakeTempPath("kbrepair_chaos_port_");
+  const std::string http_file = client::MakeTempPath("kbrepair_chaos_http_");
+  if (port_file.empty() || http_file.empty()) {
+    return Status::Internal("mkstemp failed");
   }
-  const std::string port_file = port_tmpl;
-  const std::string http_file = http_tmpl;
 
   const auto daemon_args = [&](bool recover) {
     std::vector<std::string> args = {
@@ -512,25 +387,26 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
     };
     return args;
   };
-  pid_t daemon = SpawnDaemon(daemon_args(/*recover=*/false));
-  if (daemon < 0) return Status::Internal("fork failed");
-  const auto kill_daemon = [&](int sig) {
-    if (daemon > 0) {
-      ::kill(daemon, sig);
-      int wstatus = 0;
-      ::waitpid(daemon, &wstatus, 0);
-    }
-  };
+  client::Daemon daemon;
   const auto cleanup = [&] {
+    daemon.Kill9();
     if (options.keep_wal_dir.empty()) {
-      const std::string cmd = "rm -rf '" + wal_dir + "'";
-      if (std::system(cmd.c_str()) != 0) {
-        std::cerr << "warning: cleanup of " << wal_dir << " failed\n";
+      std::error_code error;
+      std::filesystem::remove_all(wal_dir, error);
+      if (error) {
+        std::cerr << "warning: cleanup of " << wal_dir
+                  << " failed: " << error.message() << "\n";
       }
     }
     ::unlink(port_file.c_str());
     ::unlink(http_file.c_str());
   };
+  if (Status started = daemon.Start(daemon_args(/*recover=*/false),
+                                    client::Stdio::kDetached);
+      !started.ok()) {
+    cleanup();
+    return started;
+  }
 
   // The fleet: one driver (thread + connection) per session.
   std::vector<Driver> fleet(options.sessions);
@@ -549,7 +425,6 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
       StatusOr<JsonValue> created = CallIdempotent(
           client, CreateParams(st.seed, options.num_facts));
       if (!created.ok()) {
-        kill_daemon(SIGKILL);
         cleanup();
         return Status::Internal("create: " + created.status().ToString());
       }
@@ -578,7 +453,6 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
   chaos.join();
   for (const Driver& st : fleet) {
     if (!st.failure.empty()) {
-      kill_daemon(SIGKILL);
       cleanup();
       return Status::Internal("phase A " + st.session + ": " + st.failure);
     }
@@ -586,19 +460,16 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
 
   // The crash: no warning, no flush — recovery must rebuild every
   // still-open session from its WAL alone.
-  ::kill(daemon, SIGKILL);
-  {
-    int wstatus = 0;
-    ::waitpid(daemon, &wstatus, 0);
-  }
+  daemon.Kill9();
   // Truncate the port file so drivers cannot reconnect to the dead
   // listener's port before the new daemon publishes its own.
   if (FILE* f = std::fopen(port_file.c_str(), "w")) std::fclose(f);
   if (FILE* f = std::fopen(http_file.c_str(), "w")) std::fclose(f);
-  daemon = SpawnDaemon(daemon_args(/*recover=*/true));
-  if (daemon < 0) {
+  if (Status started = daemon.Start(daemon_args(/*recover=*/true),
+                                    client::Stdio::kDetached);
+      !started.ok()) {
     cleanup();
-    return Status::Internal("respawn fork failed");
+    return started;
   }
   ++*kills_out;
 
@@ -637,7 +508,6 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
   chaos_b.join();
   for (const Driver& st : fleet) {
     if (!st.failure.empty()) {
-      kill_daemon(SIGKILL);
       cleanup();
       return Status::Internal("phase B " + st.session + ": " + st.failure);
     }
@@ -673,22 +543,25 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
           return Status::Internal("shards still degraded at round end: " +
                                   std::to_string(degraded));
         }
-        const int http_port = ReadPortFile(http_file);
+        const int http_port = client::ReadPortFile(http_file);
         if (http_port <= 0) return Status::Internal("no http port published");
-        KBREPAIR_ASSIGN_OR_RETURN(std::string readyz,
-                                  HttpGet(http_port, "/readyz"));
+        KBREPAIR_ASSIGN_OR_RETURN(
+            client::HttpResponse readyz,
+            client::HttpGet("127.0.0.1", http_port, "/readyz"));
         // The level-based causes must have cleared with the faults. The
         // 30s `recent-*` hold-down causes may legitimately linger (the
         // last injected fsync failure was moments ago), so a 503 carrying
         // only those is correct degraded-mode reporting, not a failure.
-        if (readyz.find("wal-disk-degraded") != std::string::npos ||
-            readyz.find("memory-pressure") != std::string::npos) {
+        if (readyz.body.find("wal-disk-degraded") != std::string::npos ||
+            readyz.body.find("memory-pressure") != std::string::npos) {
           return Status::Internal("readyz still degraded at round end: " +
-                                  readyz);
+                                  readyz.body);
         }
-        if (readyz.find(" 200 ") == std::string::npos &&
-            readyz.find("recent-") == std::string::npos) {
-          return Status::Internal("readyz not ready at round end: " + readyz);
+        if (readyz.status != 200 &&
+            readyz.body.find("recent-") == std::string::npos) {
+          return Status::Internal("readyz not ready at round end: HTTP " +
+                                  std::to_string(readyz.status) + " " +
+                                  readyz.body);
         }
         return Status::Ok();
       }();
@@ -697,11 +570,7 @@ Status RunRound(const SoakOptions& options, uint64_t round_seed,
     return last;
   }();
 
-  ::kill(daemon, SIGTERM);
-  int wstatus = 0;
-  const bool clean = ::waitpid(daemon, &wstatus, 0) == daemon &&
-                     WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
-  daemon = -1;
+  const bool clean = daemon.Terminate() == 0;
   cleanup();
   if (!verdict.ok()) return verdict;
   if (!clean) return Status::Internal("daemon did not exit cleanly");
@@ -768,7 +637,6 @@ int Main(int argc, char** argv) {
   }
   if (options.sessions == 0) options.sessions = 1;
   if (options.rounds == 0) options.rounds = 1;
-  ::signal(SIGPIPE, SIG_IGN);
 
   size_t kills = 0;
   for (size_t round = 0; round < options.rounds; ++round) {

@@ -19,10 +19,8 @@
 // configuration sustains 10k concurrent sessions against a 4-shard
 // daemon.
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,10 +36,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/metrics.h"
 #include "service/net/framer.h"
 #include "util/json.h"
-#include "util/net.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -60,58 +58,6 @@ struct LoadOptions {
   std::string label;  // config name in the emitted ladder
   bool quick = false;
 };
-
-// ------------------------------------------------------------------
-// Daemon process (socket mode, SIGTERM to stop).
-
-pid_t SpawnDaemon(const std::vector<std::string>& args) {
-  const pid_t pid = fork();
-  if (pid != 0) return pid;
-  const int devnull = ::open("/dev/null", O_RDONLY);
-  if (devnull >= 0) {
-    dup2(devnull, STDIN_FILENO);
-    close(devnull);
-  }
-  std::vector<char*> argv;
-  for (const std::string& arg : args) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-  execv(argv[0], argv.data());
-  std::cerr << "exec " << args[0] << " failed: " << std::strerror(errno)
-            << "\n";
-  _exit(127);
-}
-
-StatusOr<int> ConnectWithRetry(const std::string& transport,
-                               const std::string& unix_path,
-                               const std::string& port_file, pid_t daemon) {
-  Status last = Status::Unavailable("never attempted");
-  for (int i = 0; i < 1000; ++i) {
-    StatusOr<int> fd = Status::Unavailable("pending");
-    if (transport == "unix") {
-      fd = net::ConnectUnix(unix_path);
-    } else {
-      FILE* f = std::fopen(port_file.c_str(), "r");
-      int port = 0;
-      if (f != nullptr) {
-        if (std::fscanf(f, "%d", &port) != 1) port = 0;
-        std::fclose(f);
-      }
-      fd = port > 0 ? net::ConnectTcp("127.0.0.1", port)
-                    : StatusOr<int>(
-                          Status::Unavailable("port not published yet"));
-    }
-    if (fd.ok()) return fd;
-    last = fd.status();
-    int wstatus = 0;
-    if (daemon > 0 && ::waitpid(daemon, &wstatus, WNOHANG) == daemon) {
-      return Status::Internal("daemon exited before accepting connections");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return last;
-}
 
 // ------------------------------------------------------------------
 // One driver thread: a partition of sessions pipelined over one
@@ -370,14 +316,11 @@ struct RunResult {
 };
 
 Status RunOnce(const LoadOptions& options, RunResult* out) {
-  // Listener endpoints under mkstemp names; the daemon replaces both.
-  char sock_tmpl[] = "/tmp/kbrepair_load_sock_XXXXXX";
-  char port_tmpl[] = "/tmp/kbrepair_load_port_XXXXXX";
-  for (char* tmpl : {sock_tmpl, port_tmpl}) {
-    const int fd = ::mkstemp(tmpl);
-    if (fd < 0) return Status::Internal("mkstemp failed");
-    ::close(fd);
-  }
+  // The listener endpoint under a mkstemp name; the daemon replaces it.
+  const bool over_unix = options.transport == "unix";
+  const std::string listen_path = client::MakeTempPath(
+      over_unix ? "kbrepair_load_sock_" : "kbrepair_load_port_");
+  if (listen_path.empty()) return Status::Internal("mkstemp failed");
   std::vector<std::string> args = {
       options.server_path,
       "--workers", std::to_string(options.workers),
@@ -386,22 +329,24 @@ Status RunOnce(const LoadOptions& options, RunResult* out) {
       // path still covers bursts past this.
       "--max-queue", std::to_string(std::max<size_t>(options.sessions, 1024)),
   };
-  if (options.transport == "unix") {
-    args.insert(args.end(), {"--listen-unix", sock_tmpl});
+  client::Endpoint endpoint;
+  if (over_unix) {
+    endpoint.unix_path = listen_path;
+    args.insert(args.end(), {"--listen-unix", listen_path});
   } else {
+    endpoint.port_file = listen_path;
     args.insert(args.end(),
-                {"--listen-tcp", "0", "--listen-tcp-port-file", port_tmpl});
+                {"--listen-tcp", "0", "--listen-tcp-port-file", listen_path});
   }
-  const pid_t daemon = SpawnDaemon(args);
-  if (daemon < 0) return Status::Internal("fork failed");
+  client::Daemon daemon;
+  KBREPAIR_RETURN_IF_ERROR(daemon.Start(args, client::Stdio::kDetached));
 
   std::vector<int> fds;
   for (size_t i = 0; i < options.connections; ++i) {
-    StatusOr<int> fd =
-        ConnectWithRetry(options.transport, sock_tmpl, port_tmpl, daemon);
+    StatusOr<int> fd = client::ConnectWhenReady(endpoint, &daemon);
     if (!fd.ok()) {
       for (const int open_fd : fds) ::close(open_fd);
-      ::kill(daemon, SIGKILL);
+      ::unlink(listen_path.c_str());
       return fd.status();
     }
     fds.push_back(*fd);
@@ -441,32 +386,18 @@ Status RunOnce(const LoadOptions& options, RunResult* out) {
     out->retries += driver->retries();
   }
 
-  // Ledger check on the first connection: every session opened was
+  // Ledger check on a fresh connection: every session opened was
   // closed, none leaked.
   if (failure.ok()) {
-    const std::string metrics_line =
-        "{\"id\":\"final\",\"command\":\"metrics\"}\n";
     failure = [&]() -> Status {
-      for (size_t off = 0; off < metrics_line.size();) {
-        const ssize_t n = ::write(fds[0], metrics_line.data() + off,
-                                  metrics_line.size() - off);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) return Status::Unavailable("metrics write failed");
-        off += static_cast<size_t>(n);
-      }
-      net::LineFramer framer(1 << 20);
-      std::vector<std::string> lines;
-      char chunk[1 << 16];
-      while (lines.empty()) {
-        const ssize_t n = ::read(fds[0], chunk, sizeof chunk);
-        if (n <= 0) return Status::Unavailable("metrics read failed");
-        if (!framer.Feed(chunk, static_cast<size_t>(n), &lines)) {
-          return Status::Internal("oversized metrics line");
-        }
-      }
-      KBREPAIR_ASSIGN_OR_RETURN(JsonValue response,
-                                JsonValue::Parse(lines[0]));
-      const JsonValue& sessions = response.Get("result").Get("sessions");
+      KBREPAIR_ASSIGN_OR_RETURN(const int fd,
+                                client::ConnectWhenReady(endpoint, &daemon));
+      client::Connection ledger(fd);
+      JsonValue request = JsonValue::Object();
+      request.Set("command", JsonValue::String("metrics"));
+      KBREPAIR_ASSIGN_OR_RETURN(JsonValue metrics,
+                                ledger.Call(std::move(request)));
+      const JsonValue& sessions = metrics.Get("sessions");
       const int64_t opened = sessions.Get("opened").AsInt(-1);
       const int64_t active = sessions.Get("active").AsInt(-1);
       if (opened != static_cast<int64_t>(options.sessions) || active != 0) {
@@ -483,12 +414,8 @@ Status RunOnce(const LoadOptions& options, RunResult* out) {
     ::shutdown(fd, SHUT_WR);
     ::close(fd);
   }
-  ::kill(daemon, SIGTERM);
-  int wstatus = 0;
-  const bool clean = ::waitpid(daemon, &wstatus, 0) == daemon &&
-                     WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
-  ::unlink(sock_tmpl);
-  ::unlink(port_tmpl);
+  const bool clean = daemon.Terminate() == 0;
+  ::unlink(listen_path.c_str());
   if (!failure.ok()) return failure;
   if (!clean) return Status::Internal("daemon did not exit cleanly");
   return Status::Ok();

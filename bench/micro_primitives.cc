@@ -170,8 +170,9 @@ void BM_PiRepOptScopeFastPath(benchmark::State& state) {
   SyntheticKb generated = MakeKb(1000, 0.2);
   KnowledgeBase& kb = generated.kb;
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  KBREPAIR_CHECK(checker.EnsureSkeleton(kb.facts(), {}).ok());
-  RepairabilityChecker::Scope scope(&checker, kb.facts(), {});
+  const PositionSet pi;
+  KBREPAIR_CHECK(checker.EnsureSkeleton(kb.facts(), pi).ok());
+  RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
   const TermId fresh = kb.symbols().MakeFreshNull();
   const Fix fix{0, 0, fresh};
   for (auto _ : state) {

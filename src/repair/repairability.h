@@ -122,6 +122,9 @@ class RepairabilityChecker {
    public:
     Scope(RepairabilityChecker* checker, const FactBase& facts,
           const PositionSet& pi);
+    // The scope keeps a pointer to `pi`; a temporary would dangle.
+    Scope(RepairabilityChecker* checker, const FactBase& facts,
+          PositionSet&& pi) = delete;
 
     // True iff the skeleton is consistent, i.e., K is Π-repairable.
     // When false, every FixKeepsRepairable call answers false.

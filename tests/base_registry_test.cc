@@ -23,6 +23,7 @@
 
 #include "service/base_registry.h"
 #include "service/session_manager.h"
+#include "support/temp_dir.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -45,18 +46,6 @@ size_t SweepAll(BaseRegistry& registry) {
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   return registry.SweepExpired(1e-6);
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_basereg_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 TEST(BaseRegistryTest, RegisterAcquireReleaseLifecycle) {
   auto registry = std::make_shared<BaseRegistry>();
@@ -234,7 +223,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BaseRegistryMetamorphic,
 // --- Durability log -------------------------------------------------------
 
 TEST(BaseRegistryLogTest, RecoveryRestoresLiveSetAndCompacts) {
-  TempDir dir;
+  TempDir dir("kbrepair_basereg_");
   uint64_t hash_b1 = 0;
   uint64_t hash_b3 = 0;
   {
@@ -285,7 +274,7 @@ TEST(BaseRegistryLogTest, RecoveryRestoresLiveSetAndCompacts) {
 }
 
 TEST(BaseRegistryLogTest, HashMismatchIsDroppedNotFatal) {
-  TempDir dir;
+  TempDir dir("kbrepair_basereg_");
   {
     std::ofstream log(dir.path + "/bases.jsonl");
     // A record whose hash cannot match the rebuilt KB: recovery must

@@ -39,6 +39,7 @@
 #include "service/session_manager.h"
 #include "service/session_shard.h"
 #include "service/wal.h"
+#include "support/temp_dir.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -138,18 +139,6 @@ StatusOr<JsonValue> ExecuteWithRetry(SessionManager& manager,
   return last;
 }
 
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_chaos_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
-
 class ChaosSoakTest : public ::testing::Test {
  protected:
   void SetUp() override { failpoint::Reset(); }
@@ -204,7 +193,7 @@ TEST_F(ChaosSoakTest, FailpointCommandArmsListsDisarmsResets) {
 // the reaper's write probe recovers it without operator action.
 
 TEST_F(ChaosSoakTest, EnospcDegradesOnlyTheOwningShardAndAutoRecovers) {
-  TempDir wal_root;
+  TempDir wal_root("kbrepair_chaos_");
   ServiceConfig config;
   config.num_shards = 2;
   config.num_workers = 1;
@@ -527,7 +516,7 @@ void CloseAndVerify(SessionManager& manager, DriverState& st) {
 void RunSoakRound(uint64_t seed) {
   SCOPED_TRACE("soak seed " + std::to_string(seed));
   constexpr size_t kDrivers = 6;
-  TempDir wal_root;
+  TempDir wal_root("kbrepair_chaos_");
 
   ServiceConfig config;
   config.num_shards = 2;
@@ -650,7 +639,7 @@ TEST_F(ChaosSoakTest, FiveSeededRoundsStayByteIdentical) {
 // aside, never replayed) while every healthy session recovers.
 
 TEST_F(ChaosSoakTest, BitRotIsQuarantinedOnRecoveryNotReplayed) {
-  TempDir wal_root;
+  TempDir wal_root("kbrepair_chaos_");
   ServiceConfig config;
   config.num_shards = 1;
   config.num_workers = 1;

@@ -29,10 +29,7 @@
 //    to an uninterrupted private run.
 
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <map>
@@ -48,7 +45,9 @@
 #include "repair/kb_snapshot.h"
 #include "repair/question.h"
 #include "rules/knowledge_base.h"
+#include "service/daemon_client.h"
 #include "service/session_manager.h"
+#include "support/temp_dir.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -532,18 +531,6 @@ ServiceRequest SessionCommand(const std::string& command,
   return MakeRequest(std::move(params));
 }
 
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_cow_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
-
 std::string CloseFingerprint(const JsonValue& closed) {
   JsonValue out = JsonValue::Object();
   out.Set("session", closed.Get("session"));
@@ -673,105 +660,6 @@ TEST(ServiceForkEquivalence, UnknownBaseIsNotFound) {
 // --- Daemon-level: kill -9 mid-dialogue, re-fork from the recovered
 // registry, finish byte-identical to an uninterrupted private run.
 
-class DaemonHandle {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    int to_child[2];
-    int from_child[2];
-    if (pipe(to_child) != 0 || pipe(from_child) != 0) return false;
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      dup2(to_child[0], STDIN_FILENO);
-      dup2(from_child[1], STDOUT_FILENO);
-      close(to_child[0]);
-      close(to_child[1]);
-      close(from_child[0]);
-      close(from_child[1]);
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    close(to_child[0]);
-    close(from_child[1]);
-    write_fd_ = to_child[1];
-    read_fd_ = from_child[0];
-    return true;
-  }
-
-  StatusOr<JsonValue> Call(JsonValue request) {
-    const std::string id = "r-" + std::to_string(++next_id_);
-    request.Set("id", JsonValue::String(id));
-    const std::string line = request.Dump() + "\n";
-    size_t off = 0;
-    while (off < line.size()) {
-      const ssize_t n =
-          ::write(write_fd_, line.data() + off, line.size() - off);
-      if (n <= 0) return Status::Unavailable("daemon pipe closed");
-      off += static_cast<size_t>(n);
-    }
-    for (;;) {
-      size_t pos;
-      while ((pos = buffer_.find('\n')) != std::string::npos) {
-        const std::string response_line = buffer_.substr(0, pos);
-        buffer_.erase(0, pos + 1);
-        StatusOr<JsonValue> parsed = JsonValue::Parse(response_line);
-        if (!parsed.ok() || parsed->Get("id").AsString() != id) continue;
-        if (!parsed->Get("ok").AsBool(false)) {
-          return Status::Internal(
-              "daemon error: " +
-              parsed->Get("error").Get("message").AsString());
-        }
-        return parsed->Get("result");
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(read_fd_, chunk, sizeof chunk);
-      if (n <= 0) return Status::Unavailable("daemon hung up");
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  void Kill9() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    CloseFds();
-  }
-
-  int ShutdownAndWait() {
-    CloseFds();
-    if (pid_ <= 0) return -1;
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~DaemonHandle() {
-    if (pid_ > 0) Kill9();
-  }
-
- private:
-  void CloseFds() {
-    if (write_fd_ >= 0) ::close(write_fd_);
-    if (read_fd_ >= 0) ::close(read_fd_);
-    write_fd_ = read_fd_ = -1;
-    buffer_.clear();
-  }
-
-  pid_t pid_ = -1;
-  int write_fd_ = -1;
-  int read_fd_ = -1;
-  uint64_t next_id_ = 0;
-  std::string buffer_;
-};
-
 TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   const uint64_t seed = 424242;
 
@@ -788,15 +676,19 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   // leave something to recover.
   ASSERT_GT(ref->transcript.size(), 6u) << "dialogue too short to interrupt";
 
-  TempDir wal_dir;
-  DaemonHandle daemon;
-  ASSERT_TRUE(daemon.Start(
-      {KBREPAIRD_PATH, "--workers", "2", "--wal-dir", wal_dir.path}));
-  ASSERT_TRUE(daemon.Call(RegisterBaseCommand("crash-base", seed)).ok());
+  TempDir wal_dir("kbrepair_cow_");
+  client::Daemon daemon;
+  ASSERT_TRUE(daemon
+                  .Start({KBREPAIRD_PATH, "--workers", "2", "--wal-dir",
+                          wal_dir.path},
+                         client::Stdio::kPipes)
+                  .ok());
+  client::Connection conn(daemon);
+  ASSERT_TRUE(conn.Call(RegisterBaseCommand("crash-base", seed)).ok());
 
   JsonValue create = SessionParams(seed, "random");
   create.Set("base", JsonValue::String("crash-base"));
-  StatusOr<JsonValue> created = daemon.Call(std::move(create));
+  StatusOr<JsonValue> created = conn.Call(std::move(create));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
 
@@ -805,7 +697,7 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   size_t transcript_at = 0;
   for (size_t i = 0; i < 2; ++i) {
     StatusOr<JsonValue> asked =
-        daemon.Call(SessionCommand("ask", session).params);
+        conn.Call(SessionCommand("ask", session).params);
     ASSERT_TRUE(asked.ok()) << asked.status();
     ASSERT_EQ(asked->Dump(), ref->transcript[transcript_at++]);
     const int64_t num_fixes =
@@ -816,20 +708,24 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
     answer.Set("choice",
                JsonValue::Number(static_cast<int64_t>(
                    rng.UniformIndex(static_cast<size_t>(num_fixes)))));
-    StatusOr<JsonValue> answered = daemon.Call(MakeRequest(answer).params);
+    StatusOr<JsonValue> answered = conn.Call(MakeRequest(answer).params);
     ASSERT_TRUE(answered.ok()) << answered.status();
     ASSERT_EQ(answered->Dump(), ref->transcript[transcript_at++]);
   }
 
   daemon.Kill9();  // no drain, no flush — a genuine crash
 
-  DaemonHandle revived;
-  ASSERT_TRUE(revived.Start(
-      {KBREPAIRD_PATH, "--workers", "2", "--recover-dir", wal_dir.path}));
+  client::Daemon revived;
+  ASSERT_TRUE(revived
+                  .Start({KBREPAIRD_PATH, "--workers", "2", "--recover-dir",
+                          wal_dir.path},
+                         client::Stdio::kPipes)
+                  .ok());
+  client::Connection revived_conn(revived);
 
   // The registry came back, and the session re-forked from it (not a
   // rebuilt private KB): its status names the base.
-  StatusOr<JsonValue> bases = revived.Call([] {
+  StatusOr<JsonValue> bases = revived_conn.Call([] {
     JsonValue params = JsonValue::Object();
     params.Set("command", JsonValue::String("list-bases"));
     return params;
@@ -840,7 +736,7 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   EXPECT_EQ(bases->Get("bases").at(0).Get("refcount").AsInt(-1), 1);
 
   StatusOr<JsonValue> status =
-      revived.Call(SessionCommand("status", session).params);
+      revived_conn.Call(SessionCommand("status", session).params);
   ASSERT_TRUE(status.ok()) << status.status();
   EXPECT_EQ(status->Get("base").AsString(), "crash-base");
 
@@ -848,7 +744,7 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   // uninterrupted reference byte for byte.
   for (;;) {
     StatusOr<JsonValue> asked =
-        revived.Call(SessionCommand("ask", session).params);
+        revived_conn.Call(SessionCommand("ask", session).params);
     ASSERT_TRUE(asked.ok()) << asked.status();
     ASSERT_LT(transcript_at, ref->transcript.size());
     ASSERT_EQ(asked->Dump(), ref->transcript[transcript_at++]);
@@ -861,7 +757,8 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
     answer.Set("choice",
                JsonValue::Number(static_cast<int64_t>(
                    rng.UniformIndex(static_cast<size_t>(num_fixes)))));
-    StatusOr<JsonValue> answered = revived.Call(MakeRequest(answer).params);
+    StatusOr<JsonValue> answered =
+        revived_conn.Call(MakeRequest(answer).params);
     ASSERT_TRUE(answered.ok()) << answered.status();
     ASSERT_EQ(answered->Dump(), ref->transcript[transcript_at++]);
   }
@@ -871,11 +768,12 @@ TEST(DaemonForkRecovery, KillNineReforksFromRecoveredRegistry) {
   close.Set("command", JsonValue::String("close"));
   close.Set("session", JsonValue::String(session));
   close.Set("include_facts", JsonValue::Bool(true));
-  StatusOr<JsonValue> closed = revived.Call(std::move(close));
+  StatusOr<JsonValue> closed = revived_conn.Call(std::move(close));
   ASSERT_TRUE(closed.ok()) << closed.status();
   EXPECT_EQ(CloseFingerprint(*closed), ref->close_output)
       << "post-crash forked repair diverged from the uninterrupted run";
-  EXPECT_EQ(revived.ShutdownAndWait(), 0);
+  revived_conn.Close();
+  EXPECT_EQ(revived.CloseStdinAndWait(), 0);
 }
 #endif  // KBREPAIRD_PATH
 

@@ -13,10 +13,7 @@
 //    the repaired fact base must match the uninterrupted run exactly.
 
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -24,8 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/session_manager.h"
 #include "service/wal.h"
+#include "support/temp_dir.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -71,19 +70,6 @@ ServiceRequest AnswerCommand(const std::string& session, int64_t choice) {
   params.Set("choice", JsonValue::Number(choice));
   return MakeRequest(std::move(params));
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_recovery_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    // Best-effort cleanup of anything the tests left behind.
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 // The deterministic part of a close response: everything except the
 // wall-clock timing fields, which legitimately differ between runs.
@@ -163,7 +149,7 @@ void RoundTrip(const std::string& strategy, bool rebuild,
       << "dialogue too short to interrupt (" << ref->choices.size()
       << " questions) — pick a larger num_facts for this strategy";
 
-  TempDir wal_dir;
+  TempDir wal_dir("kbrepair_recovery_");
   std::string session;
   {
     // Phase one: a WAL-backed manager that "crashes" (is destroyed)
@@ -279,7 +265,7 @@ TEST(CrashRecoveryTest, RecoversThroughCompactedWal) {
 }
 
 TEST(CrashRecoveryTest, CorruptWalIsQuarantinedNotFatal) {
-  TempDir wal_dir;
+  TempDir wal_dir("kbrepair_recovery_");
   {
     std::ofstream out(wal_dir.path + "/s-9.wal");
     out << "{\"op\":\"create\",\"params\":{\"kb\":\"synthetic\"}}\n"
@@ -304,7 +290,7 @@ TEST(CrashRecoveryTest, CorruptWalIsQuarantinedNotFatal) {
 }
 
 TEST(CrashRecoveryTest, ClosedWalIsDroppedOnRecovery) {
-  TempDir wal_dir;
+  TempDir wal_dir("kbrepair_recovery_");
   std::string session;
   {
     ServiceConfig config;
@@ -338,7 +324,7 @@ TEST(CrashRecoveryTest, ClosedWalIsDroppedOnRecovery) {
 // log, and a pre-upgrade v2 log whose create params name the retired
 // scratch engine. A log naming "incremental" still recovers.
 TEST(CrashRecoveryTest, V1AndScratchWalsAreQuarantined) {
-  TempDir wal_dir;
+  TempDir wal_dir("kbrepair_recovery_");
   {
     std::ofstream out(wal_dir.path + "/s-1.wal");
     out << SessionWal::CreateRecord(CreateParams(3, "random")).Dump() << "\n";
@@ -373,106 +359,6 @@ TEST(CrashRecoveryTest, V1AndScratchWalsAreQuarantined) {
 // ------------------------------------------------------------------
 // Daemon-level: the real binary, a real SIGKILL, a real restart.
 
-class DaemonHandle {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    int to_child[2];
-    int from_child[2];
-    if (pipe(to_child) != 0 || pipe(from_child) != 0) return false;
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      dup2(to_child[0], STDIN_FILENO);
-      dup2(from_child[1], STDOUT_FILENO);
-      close(to_child[0]);
-      close(to_child[1]);
-      close(from_child[0]);
-      close(from_child[1]);
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    close(to_child[0]);
-    close(from_child[1]);
-    write_fd_ = to_child[1];
-    read_fd_ = from_child[0];
-    return true;
-  }
-
-  // One synchronous request/response exchange.
-  StatusOr<JsonValue> Call(JsonValue request) {
-    const std::string id = "r-" + std::to_string(++next_id_);
-    request.Set("id", JsonValue::String(id));
-    const std::string line = request.Dump() + "\n";
-    size_t off = 0;
-    while (off < line.size()) {
-      const ssize_t n =
-          ::write(write_fd_, line.data() + off, line.size() - off);
-      if (n <= 0) return Status::Unavailable("daemon pipe closed");
-      off += static_cast<size_t>(n);
-    }
-    for (;;) {
-      size_t pos;
-      while ((pos = buffer_.find('\n')) != std::string::npos) {
-        const std::string response_line = buffer_.substr(0, pos);
-        buffer_.erase(0, pos + 1);
-        StatusOr<JsonValue> parsed = JsonValue::Parse(response_line);
-        if (!parsed.ok() || parsed->Get("id").AsString() != id) continue;
-        if (!parsed->Get("ok").AsBool(false)) {
-          return Status::Internal(
-              "daemon error: " +
-              parsed->Get("error").Get("message").AsString());
-        }
-        return parsed->Get("result");
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(read_fd_, chunk, sizeof chunk);
-      if (n <= 0) return Status::Unavailable("daemon hung up");
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  void Kill9() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-      pid_ = -1;
-    }
-    CloseFds();
-  }
-
-  int ShutdownAndWait() {
-    CloseFds();
-    if (pid_ <= 0) return -1;
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~DaemonHandle() {
-    if (pid_ > 0) Kill9();
-  }
-
- private:
-  void CloseFds() {
-    if (write_fd_ >= 0) ::close(write_fd_);
-    if (read_fd_ >= 0) ::close(read_fd_);
-    write_fd_ = read_fd_ = -1;
-    buffer_.clear();
-  }
-
-  pid_t pid_ = -1;
-  int write_fd_ = -1;
-  int read_fd_ = -1;
-  uint64_t next_id_ = 0;
-  std::string buffer_;
-};
-
 TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
   const uint64_t seed = 424242;
   const JsonValue create_params = CreateParams(seed, "random");
@@ -483,43 +369,52 @@ TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
     GTEST_SKIP() << "dialogue too short to interrupt";
   }
 
-  TempDir wal_dir;
-  DaemonHandle daemon;
-  ASSERT_TRUE(daemon.Start(
-      {KBREPAIRD_PATH, "--workers", "2", "--wal-dir", wal_dir.path}));
+  TempDir wal_dir("kbrepair_recovery_");
+  client::Daemon daemon;
+  ASSERT_TRUE(daemon
+                  .Start({KBREPAIRD_PATH, "--workers", "2", "--wal-dir",
+                          wal_dir.path},
+                         client::Stdio::kPipes)
+                  .ok());
+  client::Connection conn(daemon);
 
   JsonValue create = create_params;
-  StatusOr<JsonValue> created = daemon.Call(std::move(create));
+  StatusOr<JsonValue> created = conn.Call(std::move(create));
   ASSERT_TRUE(created.ok()) << created.status();
   const std::string session = created->Get("session").AsString();
   for (size_t i = 0; i < 2; ++i) {
     StatusOr<JsonValue> asked =
-        daemon.Call(SessionCommand("ask", session).params);
+        conn.Call(SessionCommand("ask", session).params);
     ASSERT_TRUE(asked.ok()) << asked.status();
     ASSERT_TRUE(
-        daemon.Call(AnswerCommand(session, ref->choices[i]).params).ok());
+        conn.Call(AnswerCommand(session, ref->choices[i]).params).ok());
   }
 
   daemon.Kill9();  // no drain, no flush — a genuine crash
 
-  DaemonHandle revived;
-  ASSERT_TRUE(revived.Start(
-      {KBREPAIRD_PATH, "--workers", "2", "--recover-dir", wal_dir.path}));
+  client::Daemon revived;
+  ASSERT_TRUE(revived
+                  .Start({KBREPAIRD_PATH, "--workers", "2", "--recover-dir",
+                          wal_dir.path},
+                         client::Stdio::kPipes)
+                  .ok());
+  client::Connection revived_conn(revived);
   StatusOr<JsonValue> snap =
-      revived.Call(SessionCommand("snapshot", session).params);
+      revived_conn.Call(SessionCommand("snapshot", session).params);
   ASSERT_TRUE(snap.ok()) << snap.status();
   EXPECT_EQ(snap->Dump(), ref->mid_snapshot);
 
   size_t next_choice = 2;
   for (;;) {
     StatusOr<JsonValue> asked =
-        revived.Call(SessionCommand("ask", session).params);
+        revived_conn.Call(SessionCommand("ask", session).params);
     ASSERT_TRUE(asked.ok()) << asked.status();
     if (asked->Get("done").AsBool(false)) break;
     ASSERT_LT(next_choice, ref->choices.size());
-    ASSERT_TRUE(
-        revived.Call(AnswerCommand(session, ref->choices[next_choice]).params)
-            .ok());
+    ASSERT_TRUE(revived_conn
+                    .Call(AnswerCommand(session, ref->choices[next_choice])
+                              .params)
+                    .ok());
     ++next_choice;
   }
   EXPECT_EQ(next_choice, ref->choices.size());
@@ -527,11 +422,12 @@ TEST(CrashRecoveryTest, DaemonKillDashNineAndRestart) {
   close.Set("command", JsonValue::String("close"));
   close.Set("session", JsonValue::String(session));
   close.Set("include_facts", JsonValue::Bool(true));
-  StatusOr<JsonValue> closed = revived.Call(std::move(close));
+  StatusOr<JsonValue> closed = revived_conn.Call(std::move(close));
   ASSERT_TRUE(closed.ok()) << closed.status();
   EXPECT_EQ(CloseFingerprint(*closed), ref->close_output)
       << "post-crash repair diverged from the uninterrupted run";
-  EXPECT_EQ(revived.ShutdownAndWait(), 0);
+  revived_conn.Close();
+  EXPECT_EQ(revived.CloseStdinAndWait(), 0);
 }
 #endif  // KBREPAIRD_PATH
 

@@ -24,6 +24,7 @@
 #include "service/protocol.h"
 #include "service/session.h"
 #include "service/session_manager.h"
+#include "support/temp_dir.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
@@ -74,18 +75,6 @@ JsonValue GetMetrics(SessionManager& manager) {
   EXPECT_TRUE(metrics.ok()) << metrics.status();
   return metrics.ok() ? *metrics : JsonValue::Object();
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_fault_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 // Failpoints are process-global; every test starts and ends clean.
 class FaultInjectionTest : public ::testing::Test {
@@ -170,7 +159,7 @@ TEST_F(FaultInjectionTest, ChaseHonorsCancelToken) {
 // Filesystem failpoints.
 
 TEST_F(FaultInjectionTest, AtomicWriteFailpointsLeaveTargetIntact) {
-  TempDir dir;
+  TempDir dir("kbrepair_fault_");
   const std::string path = dir.path + "/file.json";
   ASSERT_TRUE(AtomicWriteFile(path, "original\n").ok());
 
@@ -184,7 +173,7 @@ TEST_F(FaultInjectionTest, AtomicWriteFailpointsLeaveTargetIntact) {
 }
 
 TEST_F(FaultInjectionTest, TranscriptWriteFailureIsCountedNotFatal) {
-  TempDir transcripts;
+  TempDir transcripts("kbrepair_fault_");
   ServiceConfig config;
   config.num_workers = 1;
   config.transcript_dir = transcripts.path;
@@ -213,7 +202,7 @@ TEST_F(FaultInjectionTest, TranscriptWriteFailureIsCountedNotFatal) {
 // rejected, never half-applied.
 
 TEST_F(FaultInjectionTest, WalAppendFailureRejectsCreate) {
-  TempDir wal_dir;
+  TempDir wal_dir("kbrepair_fault_");
   ServiceConfig config;
   config.num_workers = 1;
   config.wal_dir = wal_dir.path;
@@ -237,7 +226,7 @@ TEST_F(FaultInjectionTest, WalAppendFailureRejectsCreate) {
 }
 
 TEST_F(FaultInjectionTest, WalFsyncFailureRejectsAnswerRetryably) {
-  TempDir wal_dir;
+  TempDir wal_dir("kbrepair_fault_");
   ServiceConfig config;
   config.num_workers = 1;
   config.wal_dir = wal_dir.path;

@@ -11,18 +11,10 @@
 #include "service/http_exporter.h"
 
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -30,8 +22,10 @@
 #include <thread>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/metrics.h"
 #include "service/session_manager.h"
+#include "support/temp_dir.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -39,103 +33,17 @@
 namespace kbrepair {
 namespace {
 
-struct HttpResponse {
-  bool ok = false;  // a complete status line + head/body split was read
-  int status = 0;
-  std::string head;
-  std::string body;
-};
+using client::HttpResponse;
+using client::ValidateExposition;
 
-// Sends `raw` to the exporter and reads to EOF. Deliberately tiny and
-// independent of the exporter's own parsing, so a bug can't hide on
-// both sides.
-HttpResponse SendRaw(int port, const std::string& raw) {
-  HttpResponse response;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return response;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return response;
-  }
-  size_t off = 0;
-  while (off < raw.size()) {
-    const ssize_t n = ::send(fd, raw.data() + off, raw.size() - off, 0);
-    if (n <= 0) break;
-    off += static_cast<size_t>(n);
-  }
-  std::string wire;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-    if (n <= 0) break;
-    wire.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (wire.compare(0, 9, "HTTP/1.1 ") != 0) return response;
-  response.status = std::atoi(wire.c_str() + 9);
-  const size_t split = wire.find("\r\n\r\n");
-  if (response.status == 0 || split == std::string::npos) return response;
-  response.head = wire.substr(0, split);
-  response.body = wire.substr(split + 4);
-  response.ok = true;
-  return response;
+StatusOr<HttpResponse> SendRaw(int port, const std::string& raw) {
+  return client::HttpExchange("127.0.0.1", port, raw);
 }
 
-HttpResponse Get(int port, const std::string& path) {
+// No "Connection: close": the exporter must close after one response on
+// its own, or the read to EOF never ends.
+StatusOr<HttpResponse> Get(int port, const std::string& path) {
   return SendRaw(port, "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n");
-}
-
-// Line-by-line Prometheus 0.0.4 validation, mirroring what a strict
-// scraper enforces: only # HELP / # TYPE comments, metric-name charset,
-// fully-consumed numeric values, balanced label braces, no duplicate
-// series. On success fills `series` (full series key -> value).
-// Returns "" or a description of the first offending line.
-std::string ValidateExposition(const std::string& body,
-                               std::map<std::string, double>* series) {
-  if (body.empty() || body.back() != '\n') return "missing trailing newline";
-  size_t start = 0;
-  while (start < body.size()) {
-    const size_t end = body.find('\n', start);
-    const std::string line = body.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) return "blank line";
-    if (line[0] == '#') {
-      if (line.compare(0, 7, "# HELP ") != 0 &&
-          line.compare(0, 7, "# TYPE ") != 0) {
-        return "bad comment: " + line;
-      }
-      continue;
-    }
-    const size_t space = line.rfind(' ');
-    if (space == std::string::npos) return "no value: " + line;
-    const std::string key = line.substr(0, space);
-    const std::string value = line.substr(space + 1);
-    char* value_end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &value_end);
-    if (value_end == value.c_str() || *value_end != '\0') {
-      return "bad value: " + line;
-    }
-    if (!series->insert({key, parsed}).second) {
-      return "duplicate series: " + key;
-    }
-    std::string name = key;
-    const size_t brace = key.find('{');
-    if (brace != std::string::npos) {
-      if (key.back() != '}') return "unbalanced labels: " + line;
-      name = key.substr(0, brace);
-    }
-    for (const char c : name) {
-      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
-          c != ':') {
-        return "bad metric name: " + line;
-      }
-    }
-  }
-  return "";
 }
 
 JsonValue CreateRequestParams(uint64_t seed) {
@@ -228,12 +136,12 @@ TEST_F(HttpExporterTest, ConcurrentScrapesDuringLoadStayValidAndMatchJson) {
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     while (!stop.load()) {
-      const HttpResponse response = Get(port, "/metrics");
-      ASSERT_TRUE(response.ok);
-      EXPECT_EQ(response.status, 200);
-      EXPECT_NE(response.head.find("version=0.0.4"), std::string::npos);
+      const StatusOr<HttpResponse> response = Get(port, "/metrics");
+      ASSERT_TRUE(response.ok()) << response.status();
+      EXPECT_EQ(response->status, 200);
+      EXPECT_NE(response->head.find("version=0.0.4"), std::string::npos);
       std::map<std::string, double> series;
-      EXPECT_EQ(ValidateExposition(response.body, &series), "");
+      EXPECT_EQ(ValidateExposition(response->body, &series), "");
       scrapes.fetch_add(1);
     }
   });
@@ -261,10 +169,10 @@ TEST_F(HttpExporterTest, ConcurrentScrapesDuringLoadStayValidAndMatchJson) {
   StatusOr<JsonValue> json = manager.Execute(MakeRequest(metrics_params));
   ASSERT_TRUE(json.ok()) << json.status();
 
-  const HttpResponse response = Get(port, "/metrics");
-  ASSERT_TRUE(response.ok);
+  const StatusOr<HttpResponse> response = Get(port, "/metrics");
+  ASSERT_TRUE(response.ok()) << response.status();
   std::map<std::string, double> series;
-  ASSERT_EQ(ValidateExposition(response.body, &series), "");
+  ASSERT_EQ(ValidateExposition(response->body, &series), "");
 
   const double turn_count = series.at("kbrepair_turn_delay_seconds_count");
   EXPECT_EQ(turn_count, json->Get("turn_delay").Get("count").AsDouble(-1));
@@ -296,10 +204,8 @@ TEST_F(HttpExporterTest, ConcurrentScrapesDuringLoadStayValidAndMatchJson) {
 }
 
 TEST_F(HttpExporterTest, HealthzStatuszAndPortFile) {
-  char port_file[] = "/tmp/kbrepair-http-test-XXXXXX";
-  const int fd = ::mkstemp(port_file);
-  ASSERT_GE(fd, 0);
-  ::close(fd);
+  const std::string port_file = client::MakeTempPath("kbrepair-http-test-");
+  ASSERT_FALSE(port_file.empty());
 
   ServiceConfig config;
   config.num_workers = 1;
@@ -314,68 +220,63 @@ TEST_F(HttpExporterTest, HealthzStatuszAndPortFile) {
   in >> written_port;
   EXPECT_EQ(written_port, exporter->port());
 
-  const HttpResponse health = Get(exporter->port(), "/healthz");
-  ASSERT_TRUE(health.ok);
-  EXPECT_EQ(health.status, 200);
-  EXPECT_EQ(health.body, "ok\n");
+  const StatusOr<HttpResponse> health = Get(exporter->port(), "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status, 200);
+  EXPECT_EQ(health->body, "ok\n");
 
-  const HttpResponse ready = Get(exporter->port(), "/readyz");
-  ASSERT_TRUE(ready.ok);
-  EXPECT_EQ(ready.status, 200);
-  EXPECT_EQ(ready.body, "ready\n");
+  const StatusOr<HttpResponse> ready = Get(exporter->port(), "/readyz");
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->status, 200);
+  EXPECT_EQ(ready->body, "ready\n");
 
-  const HttpResponse statusz = Get(exporter->port(), "/statusz");
-  ASSERT_TRUE(statusz.ok);
-  EXPECT_EQ(statusz.status, 200);
-  EXPECT_NE(statusz.head.find("application/json"), std::string::npos);
-  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz.body);
-  ASSERT_TRUE(parsed.ok()) << statusz.body;
+  const StatusOr<HttpResponse> statusz = Get(exporter->port(), "/statusz");
+  ASSERT_TRUE(statusz.ok()) << statusz.status();
+  EXPECT_EQ(statusz->status, 200);
+  EXPECT_NE(statusz->head.find("application/json"), std::string::npos);
+  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz->body);
+  ASSERT_TRUE(parsed.ok()) << statusz->body;
   EXPECT_TRUE(parsed->is_object());
   EXPECT_EQ(parsed->Get("sessions_active").AsInt(-1), 0);
   EXPECT_GE(parsed->Get("uptime_s").AsDouble(-1), 0);
   EXPECT_TRUE(parsed->Get("readiness_causes").is_array());
   EXPECT_EQ(parsed->Get("readiness_causes").size(), 0u);
 
-  ::unlink(port_file);
+  ::unlink(port_file.c_str());
 }
 
 TEST_F(HttpExporterTest, ReadyzDegradesOnWalFsyncFailureWithCause) {
-  char wal_dir[] = "/tmp/kbrepair-http-wal-XXXXXX";
-  ASSERT_NE(::mkdtemp(wal_dir), nullptr);
+  TempDir wal_dir("kbrepair-http-wal-");
 
   ServiceConfig config;
   config.num_workers = 1;
-  config.wal_dir = wal_dir;
+  config.wal_dir = wal_dir.path;
   SessionManager manager(config);
   auto exporter = StartExporter(&manager);
   ASSERT_NE(exporter, nullptr);
 
-  EXPECT_EQ(Get(exporter->port(), "/readyz").status, 200);
+  EXPECT_EQ(Get(exporter->port(), "/readyz")->status, 200);
 
   failpoint::Arm("wal.fsync", /*skip=*/0, /*fail=*/1);
   StatusOr<JsonValue> created =
       manager.Execute(MakeRequest(CreateRequestParams(7)));
   EXPECT_FALSE(created.ok());  // durability failed -> create rejected
 
-  const HttpResponse ready = Get(exporter->port(), "/readyz");
-  ASSERT_TRUE(ready.ok);
-  EXPECT_EQ(ready.status, 503);
-  EXPECT_NE(ready.body.find("not ready"), std::string::npos);
-  EXPECT_NE(ready.body.find("recent-wal-fsync-failure"), std::string::npos);
+  const StatusOr<HttpResponse> ready = Get(exporter->port(), "/readyz");
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->status, 503);
+  EXPECT_NE(ready->body.find("not ready"), std::string::npos);
+  EXPECT_NE(ready->body.find("recent-wal-fsync-failure"), std::string::npos);
   EXPECT_GE(exporter->errors_served(), 1u);
 
   // /statusz reports the same causes.
-  const HttpResponse statusz = Get(exporter->port(), "/statusz");
-  ASSERT_TRUE(statusz.ok);
-  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz.body);
+  const StatusOr<HttpResponse> statusz = Get(exporter->port(), "/statusz");
+  ASSERT_TRUE(statusz.ok()) << statusz.status();
+  StatusOr<JsonValue> parsed = JsonValue::Parse(statusz->body);
   ASSERT_TRUE(parsed.ok());
   ASSERT_GE(parsed->Get("readiness_causes").size(), 1u);
   EXPECT_EQ(parsed->Get("readiness_causes").at(0).AsString(),
             "recent-wal-fsync-failure");
-
-  std::string cleanup = "rm -rf ";
-  cleanup += wal_dir;
-  ASSERT_EQ(std::system(cleanup.c_str()), 0);
 }
 
 TEST_F(HttpExporterTest, ReadyzDegradesOnShutdown) {
@@ -385,14 +286,14 @@ TEST_F(HttpExporterTest, ReadyzDegradesOnShutdown) {
   auto exporter = StartExporter(&manager);
   ASSERT_NE(exporter, nullptr);
 
-  EXPECT_EQ(Get(exporter->port(), "/readyz").status, 200);
+  EXPECT_EQ(Get(exporter->port(), "/readyz")->status, 200);
   manager.Shutdown();
-  const HttpResponse ready = Get(exporter->port(), "/readyz");
-  ASSERT_TRUE(ready.ok);
-  EXPECT_EQ(ready.status, 503);
-  EXPECT_NE(ready.body.find("shutdown-in-progress"), std::string::npos);
+  const StatusOr<HttpResponse> ready = Get(exporter->port(), "/readyz");
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->status, 503);
+  EXPECT_NE(ready->body.find("shutdown-in-progress"), std::string::npos);
   // Liveness is the exporter's own business and stays green.
-  EXPECT_EQ(Get(exporter->port(), "/healthz").status, 200);
+  EXPECT_EQ(Get(exporter->port(), "/healthz")->status, 200);
 }
 
 TEST_F(HttpExporterTest, ProtocolEdgesGet400To413) {
@@ -405,33 +306,33 @@ TEST_F(HttpExporterTest, ProtocolEdgesGet400To413) {
   ASSERT_NE(exporter, nullptr);
   const int port = exporter->port();
 
-  const HttpResponse garbage = SendRaw(port, "GARBAGE\r\n\r\n");
-  ASSERT_TRUE(garbage.ok);
-  EXPECT_EQ(garbage.status, 400);
+  const StatusOr<HttpResponse> garbage = SendRaw(port, "GARBAGE\r\n\r\n");
+  ASSERT_TRUE(garbage.ok()) << garbage.status();
+  EXPECT_EQ(garbage->status, 400);
 
-  const HttpResponse bad_proto =
+  const StatusOr<HttpResponse> bad_proto =
       SendRaw(port, "GET /metrics SPDY/9\r\n\r\n");
-  ASSERT_TRUE(bad_proto.ok);
-  EXPECT_EQ(bad_proto.status, 400);
+  ASSERT_TRUE(bad_proto.ok()) << bad_proto.status();
+  EXPECT_EQ(bad_proto->status, 400);
 
-  const HttpResponse post =
+  const StatusOr<HttpResponse> post =
       SendRaw(port, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-  ASSERT_TRUE(post.ok);
-  EXPECT_EQ(post.status, 405);
+  ASSERT_TRUE(post.ok()) << post.status();
+  EXPECT_EQ(post->status, 405);
 
-  const HttpResponse missing = Get(port, "/nope");
-  ASSERT_TRUE(missing.ok);
-  EXPECT_EQ(missing.status, 404);
+  const StatusOr<HttpResponse> missing = Get(port, "/nope");
+  ASSERT_TRUE(missing.ok()) << missing.status();
+  EXPECT_EQ(missing->status, 404);
 
-  const HttpResponse oversized = SendRaw(
+  const StatusOr<HttpResponse> oversized = SendRaw(
       port, "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(1024, 'x') +
                 "\r\n\r\n");
-  ASSERT_TRUE(oversized.ok);
-  EXPECT_EQ(oversized.status, 413);
+  ASSERT_TRUE(oversized.ok()) << oversized.status();
+  EXPECT_EQ(oversized->status, 413);
 
   EXPECT_GE(exporter->errors_served(), 5u);
   // Query strings are stripped, not 404'd.
-  EXPECT_EQ(Get(port, "/healthz?probe=1").status, 200);
+  EXPECT_EQ(Get(port, "/healthz?probe=1")->status, 200);
 }
 
 TEST_F(HttpExporterTest, AcceptAndWriteFailpointsDropOneScrapeEach) {
@@ -443,18 +344,18 @@ TEST_F(HttpExporterTest, AcceptAndWriteFailpointsDropOneScrapeEach) {
   const int port = exporter->port();
 
   failpoint::Arm("http.accept", /*skip=*/0, /*fail=*/1);
-  const HttpResponse dropped = Get(port, "/healthz");
-  EXPECT_FALSE(dropped.ok);  // connection closed before any response
+  const StatusOr<HttpResponse> dropped = Get(port, "/healthz");
+  EXPECT_FALSE(dropped.ok());  // connection closed before any response
   EXPECT_GE(exporter->errors_served(), 1u);
 
   failpoint::Arm("http.write", /*skip=*/0, /*fail=*/1);
-  const HttpResponse unwritten = Get(port, "/healthz");
-  EXPECT_FALSE(unwritten.ok);
+  const StatusOr<HttpResponse> unwritten = Get(port, "/healthz");
+  EXPECT_FALSE(unwritten.ok());
 
   // The exporter survives both and keeps serving.
-  const HttpResponse after = Get(port, "/healthz");
-  ASSERT_TRUE(after.ok);
-  EXPECT_EQ(after.status, 200);
+  const StatusOr<HttpResponse> after = Get(port, "/healthz");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->status, 200);
 }
 
 }  // namespace

@@ -6,16 +6,13 @@
 // `--ttl-seconds`), `--mem-budget` multiplications that overflowed into
 // "unlimited" or wrapped to a small budget, and an unbounded `--shards`.
 
-#include <fcntl.h>
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "service/daemon_client.h"
 
 namespace kbrepair {
 namespace {
@@ -26,33 +23,11 @@ namespace {
 // and returns its exit status, or -1 if it did not exit on its own
 // within 10 s.
 int RunDaemon(const std::vector<std::string>& args) {
-  const pid_t pid = fork();
-  if (pid < 0) return -1;
-  if (pid == 0) {
-    const int null_fd = open("/dev/null", O_RDWR);
-    dup2(null_fd, STDIN_FILENO);
-    dup2(null_fd, STDOUT_FILENO);
-    dup2(null_fd, STDERR_FILENO);
-    std::vector<char*> argv{const_cast<char*>(KBREPAIRD_PATH)};
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(127);
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  int status = 0;
-  while (waitpid(pid, &status, WNOHANG) == 0) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      kill(pid, SIGKILL);
-      waitpid(pid, &status, 0);
-      return -1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::vector<std::string> argv = {KBREPAIRD_PATH};
+  argv.insert(argv.end(), args.begin(), args.end());
+  client::Daemon daemon;
+  if (!daemon.Start(argv, client::Stdio::kSilent).ok()) return -1;
+  return daemon.WaitFor(std::chrono::seconds(10));
 }
 
 TEST(KbrepairdFlagsTest, MalformedOrOutOfRangeIntegersExitWithUsage) {

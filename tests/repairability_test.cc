@@ -179,8 +179,9 @@ TEST(RepairabilityScopeTest, FreshNullFastPath) {
     ! :- p(X, Y), q(Y, Z).
   )");
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), {}).ok());
-  RepairabilityChecker::Scope scope(&checker, kb.facts(), {});
+  const PositionSet pi;
+  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), pi).ok());
+  RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
   EXPECT_TRUE(scope.BaseRepairable());
   const TermId fresh = kb.symbols().MakeFreshNull();
   EXPECT_TRUE(scope.FixKeepsRepairable(Fix{0, 1, fresh}).value());
@@ -240,8 +241,9 @@ TEST(RepairabilityScopeTest, RuleConstantCollisionChecksFully) {
   const TermId shipped =
       kb.symbols().FindTerm(TermKind::kConstant, "shipped");
   RepairabilityChecker checker(&kb.symbols(), &kb.tgds(), &kb.cdds());
-  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), {}).ok());
-  RepairabilityChecker::Scope scope(&checker, kb.facts(), {});
+  const PositionSet pi;
+  ASSERT_TRUE(checker.EnsureSkeleton(kb.facts(), pi).ok());
+  RepairabilityChecker::Scope scope(&checker, kb.facts(), pi);
   ASSERT_TRUE(scope.BaseRepairable());
   EXPECT_TRUE(scope.FixKeepsRepairable(Fix{1, 1, shipped}).value());
   EXPECT_EQ(scope.num_full_checks(), 1u);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "service/session_manager.h"
+#include "support/temp_dir.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -44,18 +45,6 @@ ServiceRequest SessionCommand(const std::string& command,
   params.Set("session", JsonValue::String(session));
   return MakeRequest(std::move(params));
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_shard_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 // ------------------------------------------------------------------
 // Routing.
@@ -376,7 +365,7 @@ void ExpectAllRecovered(const std::string& wal_root, size_t num_shards,
 }
 
 TEST(ShardedRecoveryTest, SameShardCount) {
-  TempDir wal;
+  TempDir wal("kbrepair_shard_");
   const std::vector<std::string> ids =
       StartInterruptedSessions(wal.path, 2, 6);
   ASSERT_EQ(ids.size(), 6u);
@@ -384,21 +373,21 @@ TEST(ShardedRecoveryTest, SameShardCount) {
 }
 
 TEST(ShardedRecoveryTest, ScaleUpRebalancesWals) {
-  TempDir wal;
+  TempDir wal("kbrepair_shard_");
   const std::vector<std::string> ids =
       StartInterruptedSessions(wal.path, 2, 6);
   ExpectAllRecovered(wal.path, 4, ids);
 }
 
 TEST(ShardedRecoveryTest, ScaleDownToSingleShardUsesRootLayout) {
-  TempDir wal;
+  TempDir wal("kbrepair_shard_");
   const std::vector<std::string> ids =
       StartInterruptedSessions(wal.path, 3, 6);
   ExpectAllRecovered(wal.path, 1, ids);
 }
 
 TEST(ShardedRecoveryTest, UnshardedWalsMoveIntoShardDirs) {
-  TempDir wal;
+  TempDir wal("kbrepair_shard_");
   // The pre-sharding layout: WALs directly in the root.
   const std::vector<std::string> ids =
       StartInterruptedSessions(wal.path, 1, 6);

@@ -11,10 +11,6 @@
 // byte at a time, proving reassembly does not change a single byte.
 
 #include <gtest/gtest.h>
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -24,9 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "service/daemon_client.h"
 #include "service/net/framer.h"
 #include "util/json.h"
-#include "util/net.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -35,119 +31,13 @@ namespace {
 
 #ifdef KBREPAIRD_PATH
 
-// ------------------------------------------------------------------
-// Process plumbing.
-
-// The daemon behind stdio pipes (the pre-socket transport).
-class StdioDaemon {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    int to_child[2];
-    int from_child[2];
-    if (pipe(to_child) != 0 || pipe(from_child) != 0) return false;
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      dup2(to_child[0], STDIN_FILENO);
-      dup2(from_child[1], STDOUT_FILENO);
-      close(to_child[0]);
-      close(to_child[1]);
-      close(from_child[0]);
-      close(from_child[1]);
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    close(to_child[0]);
-    close(from_child[1]);
-    write_fd_ = to_child[1];
-    read_fd_ = from_child[0];
-    return true;
-  }
-
-  int write_fd() const { return write_fd_; }
-  int read_fd() const { return read_fd_; }
-
-  int ShutdownAndWait() {
-    if (write_fd_ >= 0) ::close(write_fd_);
-    if (read_fd_ >= 0) ::close(read_fd_);
-    write_fd_ = read_fd_ = -1;
-    if (pid_ <= 0) return -1;
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~StdioDaemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-    }
-  }
-
- private:
-  pid_t pid_ = -1;
-  int write_fd_ = -1;
-  int read_fd_ = -1;
-};
-
-// The daemon behind a Unix socket listener; stopped with SIGTERM.
-class SocketDaemon {
- public:
-  bool Start(const std::vector<std::string>& args) {
-    pid_ = fork();
-    if (pid_ < 0) return false;
-    if (pid_ == 0) {
-      const int devnull = ::open("/dev/null", O_RDONLY);
-      if (devnull >= 0) {
-        dup2(devnull, STDIN_FILENO);
-        close(devnull);
-      }
-      std::vector<char*> argv;
-      for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-      }
-      argv.push_back(nullptr);
-      execv(argv[0], argv.data());
-      _exit(127);
-    }
-    return true;
-  }
-
-  int SigtermAndWait() {
-    if (pid_ <= 0) return -1;
-    ::kill(pid_, SIGTERM);
-    int wstatus = 0;
-    ::waitpid(pid_, &wstatus, 0);
-    pid_ = -1;
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-  }
-
-  ~SocketDaemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, nullptr, 0);
-    }
-  }
-
- private:
-  pid_t pid_ = -1;
-};
-
-StatusOr<int> ConnectWithRetry(const std::string& path) {
-  Status last = Status::Unavailable("never attempted");
-  for (int i = 0; i < 500; ++i) {
-    StatusOr<int> fd = net::ConnectUnix(path);
-    if (fd.ok()) return fd;
-    last = fd.status();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return last;
+// `daemon` (may be null) is polled for an early exit; only one thread
+// may poll a daemon.
+StatusOr<int> ConnectToDaemon(const std::string& path,
+                              client::Daemon* daemon) {
+  client::Endpoint endpoint;
+  endpoint.unix_path = path;
+  return client::ConnectWhenReady(endpoint, daemon);
 }
 
 // ------------------------------------------------------------------
@@ -329,9 +219,12 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
   // single pipe pair.
   std::vector<std::vector<std::string>> stdio_transcripts;
   {
-    StdioDaemon daemon;
-    ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2"}));
-    LineChannel channel(daemon.read_fd(), daemon.write_fd());
+    client::Daemon daemon;
+    ASSERT_TRUE(daemon
+                    .Start({KBREPAIRD_PATH, "--workers", "2"},
+                           client::Stdio::kPipes)
+                    .ok());
+    LineChannel channel(daemon.stdout_fd(), daemon.stdin_fd());
     for (size_t i = 0; i < cells.size(); ++i) {
       SCOPED_TRACE(cells[i].strategy + "/" + cells[i].engine);
       StatusOr<std::vector<std::string>> transcript =
@@ -340,27 +233,25 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
       ASSERT_TRUE(transcript.ok()) << transcript.status();
       stdio_transcripts.push_back(std::move(transcript).value());
     }
-    EXPECT_EQ(daemon.ShutdownAndWait(), 0);
+    EXPECT_EQ(daemon.CloseStdinAndWait(), 0);
   }
 
   // Candidate: the same cells over a sharded socket daemon, spread
   // round-robin across three concurrent connections. Sequential cell
   // execution keeps the front-end's session-id sequence identical to
   // the stdio run's, so even the create responses must match.
-  char sock_tmpl[] = "/tmp/kbrepair_sock_test_XXXXXX";
-  {
-    const int fd = ::mkstemp(sock_tmpl);
-    ASSERT_GE(fd, 0);
-    ::close(fd);
-  }
-  const std::string sock_path = sock_tmpl;
-  SocketDaemon daemon;
-  ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2", "--shards",
-                            "2", "--listen-unix", sock_path}));
+  const std::string sock_path = client::MakeTempPath("kbrepair_sock_test_");
+  ASSERT_FALSE(sock_path.empty());
+  client::Daemon daemon;
+  ASSERT_TRUE(daemon
+                  .Start({KBREPAIRD_PATH, "--workers", "2", "--shards", "2",
+                          "--listen-unix", sock_path},
+                         client::Stdio::kDetached)
+                  .ok());
   std::vector<int> fds;
   std::vector<std::unique_ptr<LineChannel>> channels;
   for (int i = 0; i < 3; ++i) {
-    StatusOr<int> fd = ConnectWithRetry(sock_path);
+    StatusOr<int> fd = ConnectToDaemon(sock_path, &daemon);
     ASSERT_TRUE(fd.ok()) << fd.status();
     fds.push_back(*fd);
     channels.push_back(std::make_unique<LineChannel>(*fd, *fd));
@@ -380,7 +271,7 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
   // session id is expected — the daemon numbers it after the matrix —
   // so compare from the first ask onward and check lengths match.)
   {
-    StatusOr<int> fd = ConnectWithRetry(sock_path);
+    StatusOr<int> fd = ConnectToDaemon(sock_path, &daemon);
     ASSERT_TRUE(fd.ok()) << fd.status();
     fds.push_back(*fd);
     LineChannel dribble(*fd, *fd, /*write_chunk=*/1);
@@ -408,21 +299,19 @@ TEST(SocketTransportTest, DialoguesByteIdenticalToStdioAcrossMatrix) {
   }
 
   for (const int fd : fds) ::close(fd);
-  EXPECT_EQ(daemon.SigtermAndWait(), 0);
+  EXPECT_EQ(daemon.Terminate(), 0);
   ::unlink(sock_path.c_str());
 }
 
 TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
-  char sock_tmpl[] = "/tmp/kbrepair_sock_conc_XXXXXX";
-  {
-    const int fd = ::mkstemp(sock_tmpl);
-    ASSERT_GE(fd, 0);
-    ::close(fd);
-  }
-  const std::string sock_path = sock_tmpl;
-  SocketDaemon daemon;
-  ASSERT_TRUE(daemon.Start({KBREPAIRD_PATH, "--workers", "2", "--shards",
-                            "4", "--listen-unix", sock_path}));
+  const std::string sock_path = client::MakeTempPath("kbrepair_sock_conc_");
+  ASSERT_FALSE(sock_path.empty());
+  client::Daemon daemon;
+  ASSERT_TRUE(daemon
+                  .Start({KBREPAIRD_PATH, "--workers", "2", "--shards", "4",
+                          "--listen-unix", sock_path},
+                         client::Stdio::kDetached)
+                  .ok());
 
   constexpr size_t kThreads = 6;
   std::vector<std::thread> threads;
@@ -431,7 +320,7 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
   std::atomic<int> failures{0};
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      StatusOr<int> fd = ConnectWithRetry(sock_path);
+      StatusOr<int> fd = ConnectToDaemon(sock_path, nullptr);
       if (!fd.ok()) {
         ++failures;
         return;
@@ -469,7 +358,7 @@ TEST(SocketTransportTest, ConcurrentConnectionsGetDistinctSessions) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(ids.size(), kThreads)
       << "concurrent creates collided on a session id";
-  EXPECT_EQ(daemon.SigtermAndWait(), 0);
+  EXPECT_EQ(daemon.Terminate(), 0);
   ::unlink(sock_path.c_str());
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "service/session_manager.h"
+#include "support/temp_dir.h"
 #include "util/json.h"
 #include "util/trace.h"
 
@@ -57,18 +58,6 @@ ServiceRequest AnswerCommand(const std::string& session, int64_t choice) {
   params.Set("choice", JsonValue::Number(choice));
   return MakeRequest(std::move(params));
 }
-
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/kbrepair_trace_svc_XXXXXX";
-    path = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    std::string cmd = "rm -rf '" + path + "'";
-    (void)::system(cmd.c_str());
-  }
-  std::string path;
-};
 
 // Drives one session for up to `turns` questions and closes it.
 void DriveSession(SessionManager& manager, uint64_t seed, int turns) {
@@ -133,8 +122,8 @@ void ExpectQuantilesCoherent(const JsonValue& histogram) {
 }
 
 TEST(TraceServiceTest, ThreeSessionRunYieldsSpanTreeAndLabeledMetrics) {
-  TempDir trace_dir;
-  TempDir wal_dir;
+  TempDir trace_dir("kbrepair_trace_svc_");
+  TempDir wal_dir("kbrepair_trace_svc_");
   ServiceConfig config;
   config.num_workers = 2;
   config.trace_dir = trace_dir.path;

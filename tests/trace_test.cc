@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/temp_dir.h"
 #include "util/json.h"
 
 // Counting global allocator for the zero-allocation contract below.
@@ -50,24 +51,6 @@ void BusyWork() {
          std::chrono::microseconds(50)) {
   }
 }
-
-class TempDir {
- public:
-  TempDir() {
-    char templ[] = "/tmp/kbrepair_trace_XXXXXX";
-    char* made = mkdtemp(templ);
-    EXPECT_NE(made, nullptr);
-    path_ = made != nullptr ? made : "/tmp";
-  }
-  ~TempDir() {
-    const std::string cmd = "rm -rf " + path_;
-    (void)std::system(cmd.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(PhaseTotalsTest, SinceAndAddAreComponentWise) {
   PhaseTotals a;
@@ -242,8 +225,8 @@ TEST(RecorderTest, SpanOpenAcrossDisableIsDropped) {
 }
 
 TEST(RecorderTest, DrainToFileWritesParseableJsonLines) {
-  TempDir dir;
-  Recorder::Instance().Enable(dir.path());
+  TempDir dir("kbrepair_trace_");
+  Recorder::Instance().Enable(dir.path);
   ASSERT_TRUE(Recorder::Instance().has_sink());
   {
     ScopedSpan outer("test.file_outer");
