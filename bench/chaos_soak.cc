@@ -164,34 +164,6 @@ JsonValue CreateParams(uint64_t seed, size_t num_facts) {
   return params;
 }
 
-// Single-threaded oracle: the same dialogue against an in-process
-// engine; completed service dialogues must match byte-for-byte.
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed,
-                                                    size_t num_facts) {
-  const JsonValue params = CreateParams(seed, num_facts);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
-}
-
 // ------------------------------------------------------------------
 // Driver: one scripted dialogue following the retry contract, with
 // seeded connection drops and status-based reconciliation.
@@ -299,7 +271,7 @@ void CloseAndVerify(Client& client, Driver& st, size_t num_facts) {
     return;
   }
   StatusOr<std::vector<std::string>> oracle =
-      PlainEngineFacts(st.seed, num_facts);
+      OracleFacts(CreateParams(st.seed, num_facts), st.seed);
   if (!oracle.ok()) {
     st.failure = "oracle: " + oracle.status().ToString();
     return;

@@ -234,35 +234,6 @@ JsonValue OracleParams(const ClientOptions& options, uint64_t seed_i) {
   return params;
 }
 
-// Replays the exact inquiry locally: same KB params, same options, same
-// per-turn draw. Returns the repaired facts rendered as strings.
-StatusOr<std::vector<std::string>> OracleFacts(const ClientOptions& options,
-                                               uint64_t seed_i) {
-  const JsonValue params = OracleParams(options, seed_i);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions inquiry_options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, inquiry_options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed_i);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  facts.reserve(result.facts.size());
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
-}
-
 // ------------------------------------------------------------------
 
 // Fetches all four endpoints from a healthy daemon and cross-checks
@@ -390,7 +361,7 @@ StatusOr<size_t> DriveSession(Connection& server,
 
   // Byte-for-byte comparison against the single-threaded engine.
   KBREPAIR_ASSIGN_OR_RETURN(std::vector<std::string> oracle,
-                            OracleFacts(options, seed_i));
+                            OracleFacts(OracleParams(options, seed_i), seed_i));
   const JsonValue& facts = closed.Get("facts");
   if (!facts.is_array() || facts.size() != oracle.size()) {
     return Status::Internal(

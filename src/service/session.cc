@@ -1,11 +1,13 @@
 #include "service/session.h"
 
-#include "util/log.h"
 #include <utility>
 
 #include "gen/durum_wheat.h"
 #include "gen/synthetic.h"
 #include "parser/dlgp_parser.h"
+#include "repair/user.h"
+#include "service/wal.h"
+#include "util/trace.h"
 
 namespace kbrepair {
 
@@ -18,29 +20,6 @@ JsonValue FactsToJson(const FactBase& facts, const SymbolTable& symbols) {
   }
   return out;
 }
-
-// Attributes the phase time a command spends to the session's strategy
-// metrics slot when it leaves scope. The manager serializes a session's
-// commands on one worker thread, so the thread-local accumulator delta
-// is exactly this command's work.
-class ScopedPhaseAttribution {
- public:
-  ScopedPhaseAttribution(const RepairSession& session, ServiceMetrics* metrics)
-      : session_(session),
-        metrics_(metrics),
-        before_(trace::ThreadPhaseTotals()) {}
-  ~ScopedPhaseAttribution() {
-    session_.ObservePhases(metrics_, trace::ThreadPhaseTotals().Since(before_));
-  }
-
-  ScopedPhaseAttribution(const ScopedPhaseAttribution&) = delete;
-  ScopedPhaseAttribution& operator=(const ScopedPhaseAttribution&) = delete;
-
- private:
-  const RepairSession& session_;
-  ServiceMetrics* metrics_;
-  trace::PhaseTotals before_;
-};
 
 }  // namespace
 
@@ -193,15 +172,32 @@ StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
   return options;
 }
 
+StatusOr<std::vector<std::string>> OracleFacts(const JsonValue& params,
+                                               uint64_t answer_seed) {
+  std::string label;
+  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
+                            BuildKbFromParams(params, &label));
+  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
+                            InquiryOptionsFromParams(params));
+  InquiryEngine engine(&kb, options);
+  RandomUser user(answer_seed);
+  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Run(user));
+  std::vector<std::string> facts;
+  facts.reserve(result.facts.size());
+  for (AtomId id = 0; id < result.facts.size(); ++id) {
+    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
+  }
+  return facts;
+}
+
 RepairSession::RepairSession(std::string id, std::string kb_label,
                              BaseRegistry::Handle base, KnowledgeBase kb,
-                             InquiryOptions options, JsonValue create_params)
+                             InquiryOptions options)
     : id_(std::move(id)),
       kb_label_(std::move(kb_label)),
       base_(std::move(base)),
       kb_(std::move(kb)),
       options_(options),
-      create_params_(std::move(create_params)),
       cancel_(std::make_shared<CancelToken>()) {
   // Every chase-running component the engine builds shares this token,
   // so arming it bounds a whole command.
@@ -231,7 +227,7 @@ StatusOr<std::unique_ptr<RepairSession>> RepairSession::Open(
                             InquiryOptionsFromParams(params));
   std::unique_ptr<RepairSession> session(
       new RepairSession(std::move(id), std::move(label), std::move(base),
-                        std::move(kb), options, params));
+                        std::move(kb), options));
   session->ArmDeadline(deadline_ms);
   // A fork adopts the snapshot's precomputed verdict/censuses and arms
   // the frozen engine prototypes; the seed stays valid because base_
@@ -267,52 +263,13 @@ Status RepairSession::Replay(const WalRecovery& recording) {
   return Status::Ok();
 }
 
-void RepairSession::AttachWal(std::unique_ptr<SessionWal> wal,
-                              size_t compact_every) {
-  wal_ = std::move(wal);
-  if (compact_every > 0) wal_compact_every_ = compact_every;
-}
-
 void RepairSession::ArmDeadline(int64_t budget_ms) {
   if (budget_ms > 0) cancel_->ArmDeadline(budget_ms);
 }
 
 void RepairSession::DisarmDeadline() { cancel_->Disarm(); }
 
-void RepairSession::ReportEngineRebuilds(size_t total_rebuilds,
-                                         ServiceMetrics* metrics) {
-  if (total_rebuilds <= reported_rebuilds_) return;
-  if (metrics != nullptr) {
-    metrics->engine_rebuilds.fetch_add(total_rebuilds - reported_rebuilds_,
-                                       std::memory_order_relaxed);
-  }
-  logging::Warn("session", "conflict engine dropped for a cold rebuild")
-      .With("session", id_)
-      .With("rebuilds", total_rebuilds - reported_rebuilds_);
-  reported_rebuilds_ = total_rebuilds;
-}
-
-size_t RepairSession::strategy_label() const {
-  return static_cast<size_t>(options_.strategy);
-}
-
-void RepairSession::RecordOpened(ServiceMetrics* metrics) const {
-  if (metrics == nullptr) return;
-  metrics->ForLabels(strategy_label())
-      .sessions.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RepairSession::ObservePhases(ServiceMetrics* metrics,
-                                  const trace::PhaseTotals& delta) const {
-  if (metrics == nullptr) return;
-  LabeledMetrics& labeled =
-      metrics->ForLabels(strategy_label());
-  for (size_t p = 0; p < trace::kNumPhases; ++p) {
-    if (delta.seconds[p] > 0.0) labeled.phases[p].Observe(delta.seconds[p]);
-  }
-}
-
-StatusOr<JsonValue> RepairSession::Ask(ServiceMetrics* metrics) {
+StatusOr<JsonValue> RepairSession::Ask() {
   trace::ScopedSpan span("session.ask");
   // `step` is the 1-based question index the command works on; per
   // session it is non-decreasing, which kbrepair-client --trace-dir
@@ -321,10 +278,8 @@ StatusOr<JsonValue> RepairSession::Ask(ServiceMetrics* metrics) {
     span.Annotate("session=" + id_ + " step=" +
                   std::to_string(engine_->progress().records.size() + 1));
   }
-  ScopedPhaseAttribution attribution(*this, metrics);
   KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
                             engine_->NextQuestion());
-  ReportEngineRebuilds(engine_->progress().engine_rebuilds, metrics);
   JsonValue out = JsonValue::Object();
   out.Set("session", JsonValue::String(id_));
   const size_t answered = engine_->progress().records.size();
@@ -335,11 +290,7 @@ StatusOr<JsonValue> RepairSession::Ask(ServiceMetrics* metrics) {
   }
   if (!question_outstanding_) {
     question_outstanding_ = true;
-    if (metrics != nullptr) {
-      metrics->questions_served.fetch_add(1, std::memory_order_relaxed);
-      metrics->ForLabels(strategy_label())
-          .questions.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++totals_.questions_served;
   }
   out.Set("done", JsonValue::Bool(false));
   out.Set("turn", JsonValue::Number(static_cast<int64_t>(answered + 1)));
@@ -348,13 +299,12 @@ StatusOr<JsonValue> RepairSession::Ask(ServiceMetrics* metrics) {
 }
 
 StatusOr<JsonValue> RepairSession::Answer(const JsonValue& params,
-                                          ServiceMetrics* metrics) {
+                                          const LogBeforeExecute& log) {
   trace::ScopedSpan span("session.answer");
   if (span.recording()) {
     span.Annotate("session=" + id_ + " step=" +
                   std::to_string(engine_->progress().records.size() + 1));
   }
-  ScopedPhaseAttribution attribution(*this, metrics);
   if (!params.Get("choice").is_number() ||
       params.Get("choice").AsInt() < 0) {
     return Status::InvalidArgument(
@@ -373,85 +323,19 @@ StatusOr<JsonValue> RepairSession::Answer(const JsonValue& params,
   }
   // Copy before Answer() invalidates the pending question.
   const Question recorded = *question;
-
-  // WAL-before-execute: the accepted answer is durable before it takes
-  // effect. On append failure the command is *rejected* — the engine was
-  // not touched, so the client can safely retry.
-  if (wal_ != nullptr) {
-    const JsonValue record = SessionWal::AnswerRecord(
+  // Log-before-execute: the accepted answer is durable before it takes
+  // effect; a rejected append leaves the engine untouched.
+  if (log) {
+    KBREPAIR_RETURN_IF_ERROR(log(SessionWal::AnswerRecord(
         SessionTranscript::EntryToJson(TranscriptEntry{recorded, choice},
-                                       kb_.symbols()));
-    bool fsync_failed = false;
-    bool disk_full = false;
-    const Status appended = wal_->Append(record, &fsync_failed, &disk_full);
-    if (!appended.ok()) {
-      if (metrics != nullptr) {
-        if (fsync_failed) {
-          metrics->wal_fsync_failures.fetch_add(1, std::memory_order_relaxed);
-          metrics->last_wal_fsync_failure_ns.store(MonotonicNowNs(),
-                                                   std::memory_order_relaxed);
-        }
-        if (disk_full) {
-          metrics->wal_disk_full_failures.fetch_add(1,
-                                                    std::memory_order_relaxed);
-          metrics->last_wal_disk_full_ns.store(MonotonicNowNs(),
-                                               std::memory_order_relaxed);
-        }
-        metrics->rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      }
-      logging::Warn("session", "answer rejected: WAL append failed")
-          .With("session", id_)
-          .With("error", appended.message());
-      // Disk-full is a resource condition, not transient flakiness: the
-      // owning shard is about to flip degraded, so hand the client the
-      // code that tells it to back off harder.
-      if (disk_full) {
-        return Status::ResourceExhausted("WAL disk full: " +
-                                         appended.message());
-      }
-      return appended;
-    }
-    if (metrics != nullptr) {
-      metrics->wal_appends.fetch_add(1, std::memory_order_relaxed);
-    }
+                                       kb_.symbols()))));
   }
-
   KBREPAIR_RETURN_IF_ERROR(engine_->Answer(choice));
   transcript_.Record(recorded, choice);
   question_outstanding_ = false;
-  ReportEngineRebuilds(engine_->progress().engine_rebuilds, metrics);
-
-  if (wal_ != nullptr &&
-      wal_->appends_since_compaction() >= wal_compact_every_) {
-    std::vector<JsonValue> entry_records;
-    entry_records.reserve(transcript_.size());
-    for (const TranscriptEntry& entry : transcript_.entries()) {
-      entry_records.push_back(
-          SessionTranscript::EntryToJson(entry, kb_.symbols()));
-    }
-    const Status compacted = wal_->Compact(create_params_, entry_records);
-    if (compacted.ok()) {
-      if (metrics != nullptr) {
-        metrics->wal_compactions.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      // The pre-compaction log is still intact and replayable; keep
-      // serving and try again after the next answer.
-      logging::Warn("session", "WAL compaction failed")
-          .With("session", id_)
-          .With("error", compacted.message());
-    }
-  }
+  ++totals_.answers_applied;
 
   const QuestionRecord& record = engine_->progress().records.back();
-  if (metrics != nullptr) {
-    metrics->answers_applied.fetch_add(1, std::memory_order_relaxed);
-    metrics->turn_delay.Observe(record.delay_seconds);
-    LabeledMetrics& labeled =
-        metrics->ForLabels(strategy_label());
-    labeled.answers.fetch_add(1, std::memory_order_relaxed);
-    labeled.turn_delay.Observe(record.delay_seconds);
-  }
   JsonValue out = JsonValue::Object();
   out.Set("session", JsonValue::String(id_));
   out.Set("applied", JsonValue::Bool(true));
@@ -508,76 +392,20 @@ StatusOr<JsonValue> RepairSession::Snapshot() const {
 }
 
 StatusOr<JsonValue> RepairSession::Close(const JsonValue& params,
-                                         ServiceMetrics* metrics,
-                                         bool wal_degraded) {
+                                         const LogBeforeExecute& log) {
   trace::ScopedSpan span("session.close");
   if (span.recording()) span.Annotate("session=" + id_);
-  ScopedPhaseAttribution attribution(*this, metrics);
   if (closed_) {
     return Status::FailedPrecondition("session is already closed");
   }
   // Log the close before executing it; if the daemon dies in between,
   // recovery sees the close record and discards the WAL instead of
-  // resurrecting a session the client was told nothing about. In
-  // disk-degraded mode the append is skipped outright: close must keep
-  // working on a full disk (Remove() below is what frees space), at the
-  // cost of the resurrection window documented on Close() in the header.
-  if (wal_ != nullptr && !wal_degraded) {
-    bool fsync_failed = false;
-    bool disk_full = false;
-    const Status appended = wal_->Append(SessionWal::CloseRecord(),
-                                         &fsync_failed, &disk_full);
-    if (!appended.ok()) {
-      if (metrics != nullptr) {
-        if (fsync_failed) {
-          metrics->wal_fsync_failures.fetch_add(1, std::memory_order_relaxed);
-          metrics->last_wal_fsync_failure_ns.store(MonotonicNowNs(),
-                                                   std::memory_order_relaxed);
-        }
-        if (disk_full) {
-          metrics->wal_disk_full_failures.fetch_add(1,
-                                                    std::memory_order_relaxed);
-          metrics->last_wal_disk_full_ns.store(MonotonicNowNs(),
-                                               std::memory_order_relaxed);
-        }
-      }
-      if (disk_full) {
-        // First sign of a full disk on a close: fall through and serve
-        // it degraded-style anyway. Rejecting would wedge the client —
-        // closing sessions is exactly how disk space comes back.
-        logging::Warn("session",
-                      "close record hit a full disk; closing without it")
-            .With("session", id_)
-            .With("error", appended.message());
-      } else {
-        if (metrics != nullptr) {
-          metrics->rejected_commands.fetch_add(1, std::memory_order_relaxed);
-        }
-        logging::Warn("session", "close rejected: WAL append failed")
-            .With("session", id_)
-            .With("error", appended.message());
-        return appended;
-      }
-    } else {
-      if (metrics != nullptr) {
-        metrics->wal_appends.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+  // resurrecting a session the client was told nothing about.
+  if (log) KBREPAIR_RETURN_IF_ERROR(log(SessionWal::CloseRecord()));
   const bool consistent = engine_->finished();
   KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine_->Finish());
   closed_ = true;
-  ReportEngineRebuilds(result.engine_rebuilds, metrics);
-  // The session ended cleanly; there is nothing left to recover.
-  if (wal_ != nullptr) {
-    const Status removed = wal_->Remove();
-    if (!removed.ok()) {
-      logging::Warn("session", "WAL removal failed")
-          .With("session", id_)
-          .With("error", removed.message());
-    }
-    wal_.reset();
-  }
+  totals_.engine_rebuilds = result.engine_rebuilds;
   JsonValue out = JsonValue::Object();
   out.Set("session", JsonValue::String(id_));
   out.Set("closed", JsonValue::Bool(true));
@@ -595,7 +423,7 @@ StatusOr<JsonValue> RepairSession::Close(const JsonValue& params,
   return out;
 }
 
-int64_t RepairSession::EstimateMemoryBytes() const {
+int64_t RepairSession::EstimateMemoryBytes(size_t wal_backlog) const {
   // Calibrated against heap profiles of synthetic sessions: an overlay
   // atom plus its provenance node lands near 128 bytes, a transcript
   // entry (question copy + fix strings) near 512, and each un-compacted
@@ -613,10 +441,7 @@ int64_t RepairSession::EstimateMemoryBytes() const {
   }
   estimate +=
       static_cast<int64_t>(transcript_.size()) * kBytesPerTranscriptEntry;
-  if (wal_ != nullptr) {
-    estimate += static_cast<int64_t>(wal_->appends_since_compaction()) *
-                kBytesPerWalRecord;
-  }
+  estimate += static_cast<int64_t>(wal_backlog) * kBytesPerWalRecord;
   return estimate;
 }
 
@@ -628,6 +453,27 @@ JsonValue RepairSession::TranscriptJson() const {
   out.Set("seed", JsonValue::Number(static_cast<int64_t>(options_.seed)));
   out.Set("transcript", transcript_.ToJson(kb_.symbols()));
   return out;
+}
+
+std::vector<JsonValue> RepairSession::EntryRecords() const {
+  std::vector<JsonValue> records;
+  records.reserve(transcript_.size());
+  for (const TranscriptEntry& entry : transcript_.entries()) {
+    records.push_back(SessionTranscript::EntryToJson(entry, kb_.symbols()));
+  }
+  return records;
+}
+
+RepairSession::Totals RepairSession::totals() const {
+  Totals totals = totals_;
+  if (engine_->started()) {
+    totals.engine_rebuilds = engine_->progress().engine_rebuilds;
+  }
+  return totals;
+}
+
+double RepairSession::last_turn_delay_seconds() const {
+  return engine_->progress().records.back().delay_seconds;
 }
 
 }  // namespace kbrepair

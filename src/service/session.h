@@ -5,10 +5,13 @@
 // sessions share no mutable state and can run on different workers
 // concurrently. Within one session, the SessionManager serializes
 // command execution — handlers here assume single-threaded access.
+// Durability and accounting are the owning SessionShard's: it logs each
+// accepted command through the LogBeforeExecute hook and meters Totals.
 
 #ifndef KBREPAIR_SERVICE_SESSION_H_
 #define KBREPAIR_SERVICE_SESSION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,14 +20,14 @@
 #include "repair/session_log.h"
 #include "rules/knowledge_base.h"
 #include "service/base_registry.h"
-#include "service/metrics.h"
 #include "service/protocol.h"
-#include "service/wal.h"
 #include "util/cancel.h"
 #include "util/json.h"
 #include "util/status.h"
 
 namespace kbrepair {
+
+struct WalRecovery;  // service/wal.h
 
 // Parses a `create` request's KB source:
 //   "kb": "durum_wheat_v1" | "durum_wheat_v2" | "synthetic"
@@ -46,6 +49,15 @@ StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
 // (including the retired "scratch") is InvalidArgument.
 StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params);
 
+// The harnesses' oracle: the repair an in-process engine reaches on a
+// `create`'s params (BuildKbFromParams + InquiryOptionsFromParams) when
+// RandomUser(answer_seed) answers every question, rendered one fact
+// per string. A service dialogue answered with the same seeded draws
+// closes on exactly these facts (Prop. 4.8: the inquiry is a function
+// of the KB, the options and the chosen fixes).
+StatusOr<std::vector<std::string>> OracleFacts(const JsonValue& params,
+                                               uint64_t answer_seed);
+
 // ReplayRecordedEntry on entry `n` of a WAL recording, with a
 // divergence turned into an Internal error naming the entry's WAL record
 // index and byte offset (WalEntryWhere). The replay step of crash
@@ -59,6 +71,21 @@ void SetDefaultChaseThreads(size_t threads);
 
 class RepairSession {
  public:
+  // Makes an accepted command durable before it executes: the owning
+  // shard's WAL append of `record`. A non-OK status rejects the command
+  // with the dialogue untouched, so the client may retry it. Empty when
+  // the session has no log.
+  using LogBeforeExecute = std::function<Status(const JsonValue& record)>;
+
+  // Dialogue totals over the session's life, which the owning shard
+  // meters by difference after every command. Replayed answers are not
+  // counted: they were metered by the process that served them.
+  struct Totals {
+    size_t questions_served = 0;  // distinct questions handed out by `ask`
+    size_t answers_applied = 0;
+    size_t engine_rebuilds = 0;   // conflict engines dropped and rebuilt
+  };
+
   // Opens a session and starts its dialogue (Π-repairability check +
   // initial conflict census). Without `base` the KB is built privately
   // from `params` (BuildKbFromParams); with it, the KB is forked from
@@ -82,29 +109,23 @@ class RepairSession {
   // deadline: it is N commands' worth of work by construction.
   Status Replay(const WalRecovery& recording);
 
-  // Hands the session its WAL. From now on every accepted answer/close
-  // is appended (and fsync'd) before execution, and the log is compacted
-  // to a snapshot record every `compact_every` appends.
-  void AttachWal(std::unique_ptr<SessionWal> wal, size_t compact_every);
-
-  // Per-command deadline plumbing (manager-driven). Arming with a
+  // Per-command deadline plumbing (shard-driven). Arming with a
   // non-positive budget is a no-op.
   void ArmDeadline(int64_t budget_ms);
   void DisarmDeadline();
 
   const std::string& id() const { return id_; }
-  const std::string& kb_label() const { return kb_label_; }
-  // Name of the shared base this session was forked from ("" for a
-  // private-KB session).
-  const std::string& base_name() const { return base_.name(); }
+  Strategy strategy() const { return options_.strategy; }
 
   // `ask`: the pending question (generating it if necessary), or
   // {"done":true} once consistent. Idempotent between answers.
-  StatusOr<JsonValue> Ask(ServiceMetrics* metrics);
+  StatusOr<JsonValue> Ask();
 
   // `answer`: applies params["choice"], records the transcript entry.
+  // `log` receives the answer's WAL record once the choice is validated
+  // and before the engine moves.
   StatusOr<JsonValue> Answer(const JsonValue& params,
-                             ServiceMetrics* metrics);
+                             const LogBeforeExecute& log);
 
   // `status`: cheap introspection; never advances the dialogue.
   JsonValue StatusInfo() const;
@@ -113,48 +134,37 @@ class RepairSession {
   StatusOr<JsonValue> Snapshot() const;
 
   // `close`: finalizes the inquiry and reports totals; with
-  // params["include_facts"] the repaired fact base rides along. With
-  // `wal_degraded` (the owning shard is in disk-degraded mode) the
-  // close record is not appended — unlink still works on a full disk,
-  // so closing is how clients free space. A crash between execute and
-  // Remove() can then resurrect a session whose close was never acked;
-  // the retry contract covers that (the client re-issues the close).
-  StatusOr<JsonValue> Close(const JsonValue& params, ServiceMetrics* metrics,
-                            bool wal_degraded = false);
+  // params["include_facts"] the repaired fact base rides along. `log`
+  // receives the close record before the inquiry is finalized.
+  StatusOr<JsonValue> Close(const JsonValue& params,
+                            const LogBeforeExecute& log);
 
-  // Transcript + identity, written to disk by the manager on close or
-  // shutdown (when a transcript directory is configured).
+  // Transcript + identity, written to disk by the owning shard when the
+  // session retires (when a transcript directory is configured).
   JsonValue TranscriptJson() const;
 
-  // Index into the metrics label axis (StrategyLabelName) for this
-  // session's strategy.
-  size_t strategy_label() const;
+  // Every accepted answer as a transcript entry record
+  // (SessionTranscript::EntryToJson), in order: the entries a compacted
+  // WAL snapshot holds.
+  std::vector<JsonValue> EntryRecords() const;
 
-  // Bumps the labeled session counter; the manager calls this once when
-  // the session is registered (create or recovery).
-  void RecordOpened(ServiceMetrics* metrics) const;
+  Totals totals() const;
 
-  // Folds a per-command phase-time delta (see trace::ThreadPhaseTotals)
-  // into this session's labeled phase histograms. Zero phases are
-  // skipped so untouched histograms stay empty.
-  void ObservePhases(ServiceMetrics* metrics,
-                     const trace::PhaseTotals& delta) const;
-
-  bool closed() const { return closed_; }
+  // Engine delay of the latest answered question (Prop. 4.10). Valid
+  // right after a successful Answer.
+  double last_turn_delay_seconds() const;
 
   // Rough resident-byte estimate for the memory governor: working
-  // overlay atoms + provenance, transcript entries, and un-compacted
-  // WAL backlog, plus a fixed per-session overhead. Deliberately cheap
-  // (a few size() reads) — it runs after every session command.
-  int64_t EstimateMemoryBytes() const;
+  // overlay atoms + provenance, transcript entries, and the
+  // `wal_backlog` records the session's WAL holds un-compacted, plus a
+  // fixed per-session overhead. Deliberately cheap (a few size() reads)
+  // — it runs after every session command.
+  int64_t EstimateMemoryBytes(size_t wal_backlog) const;
 
  private:
   RepairSession(std::string id, std::string kb_label,
                 BaseRegistry::Handle base, KnowledgeBase kb,
-                InquiryOptions options, JsonValue create_params);
-
-  // Folds any new engine rebuilds into the metrics (idempotent).
-  void ReportEngineRebuilds(size_t total_rebuilds, ServiceMetrics* metrics);
+                InquiryOptions options);
 
   std::string id_;
   std::string kb_label_;
@@ -164,9 +174,6 @@ class RepairSession {
   BaseRegistry::Handle base_;
   KnowledgeBase kb_;
   InquiryOptions options_;
-  // The create request params, kept verbatim for WAL records (recovery
-  // rebuilds the KB and options from them).
-  JsonValue create_params_;
   // Shared with options_.chase_options so every chase the engine runs
   // honours the armed deadline.
   std::shared_ptr<CancelToken> cancel_;
@@ -174,9 +181,9 @@ class RepairSession {
   // KnowledgeBase*).
   std::unique_ptr<InquiryEngine> engine_;
   SessionTranscript transcript_;
-  std::unique_ptr<SessionWal> wal_;
-  size_t wal_compact_every_ = 64;
-  size_t reported_rebuilds_ = 0;
+  // engine_rebuilds is the engine's own count until Close, then the
+  // finished inquiry's.
+  Totals totals_;
   bool question_outstanding_ = false;  // served but not yet answered
   bool closed_ = false;
 };

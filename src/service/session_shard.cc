@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "service/wal.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/log.h"
@@ -18,18 +17,34 @@ namespace {
 
 constexpr char kComponent[] = "session_manager";
 
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // A worker owning one command for longer than this is considered
 // stalled. With deadlines enabled a handler should finish within one
 // deadline; 4x leaves room for the cancel-poll granularity.
 int64_t StallThresholdMs(int64_t deadline_ms) {
   return deadline_ms > 0 ? std::max<int64_t>(4 * deadline_ms, 200) : 10000;
 }
+
+// The phase time (trace::Phase) the calling worker spends between
+// construction and ObserveInto, folded into one strategy's labeled
+// phase histograms; zero phases are skipped so untouched histograms stay
+// empty. A session's commands run serially on one worker, so the
+// thread-local accumulator's delta is exactly the measured work.
+class PhaseMeter {
+ public:
+  PhaseMeter() : start_(Read()) {}
+
+  void ObserveInto(LabeledMetrics& labeled) const {
+    const trace::PhaseTotals spent = Read().Since(start_);
+    for (size_t p = 0; p < trace::kNumPhases; ++p) {
+      if (spent.seconds[p] > 0.0) labeled.phases[p].Observe(spent.seconds[p]);
+    }
+  }
+
+ private:
+  static trace::PhaseTotals Read() { return trace::ThreadPhaseTotals(); }
+
+  trace::PhaseTotals start_;
+};
 
 // `trace`: drains the span recorder (to a file when a sink directory is
 // configured) and returns the spans.
@@ -252,20 +267,16 @@ void SessionShard::Shutdown() {
   if (reaper_.joinable()) reaper_.join();
   // Workers and reaper are gone, but the HTTP exporter thread may still
   // call StatuszJson()/ReadinessCauses(); keep touching sessions_ under
-  // the lock. Flush transcripts of sessions that were never closed,
-  // then drop them.
+  // the lock, and flush the transcripts of sessions that were never
+  // closed outside it.
+  std::vector<SessionEntry> retired;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, entry] : sessions_) {
-      if (!config_.transcript_dir.empty() && entry.session != nullptr) {
-        WriteTranscriptFile(id, entry.session->TranscriptJson().Dump());
-      }
-      // The governor is the front end's and outlives this shard; hand
-      // the bytes back so the other shards see an accurate estimate.
-      ReleaseChargeLocked(entry);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      it = RetireLocked(it, Retirement::kShutdown, &retired);
     }
-    sessions_.clear();
   }
+  FlushRetired(retired);
   logging::Info(kComponent, "shutdown complete");
 }
 
@@ -280,7 +291,7 @@ void SessionShard::WorkerLoop(size_t worker_index) {
       item = std::move(ready_.front());
       ready_.pop_front();
     }
-    busy_since.store(SteadyNowNs(), std::memory_order_relaxed);
+    busy_since.store(MonotonicNowNs(), std::memory_order_relaxed);
     if (std::holds_alternative<Task>(item)) {
       RunIndependent(std::move(std::get<Task>(item)));
     } else {
@@ -310,86 +321,53 @@ void SessionShard::RunCreate(Task task) {
   // Log the create before building the session: a crash between the two
   // recovers an empty session instead of losing an acknowledged one. If
   // the log cannot be made durable the command is rejected outright.
-  std::unique_ptr<SessionWal> wal;
-  if (!config_.wal_dir.empty()) {
-    StatusOr<std::unique_ptr<SessionWal>> opened =
-        SessionWal::Open(config_.wal_dir, id);
-    Status logged = opened.status();
-    bool fsync_failed = false;
-    bool disk_full = false;
-    if (opened.ok()) {
-      wal = std::move(opened).value();
-      logged = wal->Append(SessionWal::CreateRecord(task.request.params),
-                           &fsync_failed, &disk_full);
+  SessionEntry entry;
+  Status status =
+      AppendWalRecord(id, entry, WalRecord::kCreate,
+                      SessionWal::CreateRecord(task.request.params));
+  if (status.ok()) {
+    const PhaseMeter phases;
+    StatusOr<std::unique_ptr<RepairSession>> created =
+        OpenSession(id, task.request.params, config_.deadline_ms);
+    if (created.ok()) {
+      entry.session = std::move(created).value();
+      // The initial census (Begin) ran on this thread.
+      phases.ObserveInto(Labeled(*entry.session));
+    } else {
+      metrics_.sessions_failed.fetch_add(1, std::memory_order_relaxed);
+      status = created.status();
     }
-    if (!logged.ok()) {
-      if (fsync_failed) {
-        metrics_.wal_fsync_failures.fetch_add(1, std::memory_order_relaxed);
-        metrics_.last_wal_fsync_failure_ns.store(MonotonicNowNs(),
-                                                 std::memory_order_relaxed);
-      }
-      if (disk_full) {
-        // Flip the shard into disk-degraded mode: further create/answer
-        // traffic is shed at admission until the reaper's write probe
-        // sees the directory writable again.
-        metrics_.wal_disk_full_failures.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        metrics_.last_wal_disk_full_ns.store(MonotonicNowNs(),
-                                             std::memory_order_relaxed);
-        metrics_.wal_degraded.store(1, std::memory_order_relaxed);
-        logged = Status::ResourceExhausted("WAL disk full: " +
-                                           logged.message());
-      }
-      logging::Warn(kComponent, "create rejected: WAL append failed")
-          .With("error", logged.message());
-      metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
-      if (wal != nullptr) (void)wal->Remove();
-      Complete(task, logged, JsonValue::Null());
-      TaskDone();
-      return;
-    }
-    metrics_.wal_appends.fetch_add(1, std::memory_order_relaxed);
   }
-  const trace::PhaseTotals phases_before = trace::ThreadPhaseTotals();
-  StatusOr<std::unique_ptr<RepairSession>> created =
-      OpenSession(id, task.request.params, config_.deadline_ms);
-  if (!created.ok()) {
+  if (!status.ok()) {
     // Never-registered sessions must not resurrect on recovery.
-    if (wal != nullptr) (void)wal->Remove();
-    metrics_.sessions_failed.fetch_add(1, std::memory_order_relaxed);
-    Complete(task, created.status(), JsonValue::Null());
+    RemoveWal(entry);
+    Complete(task, status, JsonValue::Null());
     TaskDone();
     return;
   }
-  std::unique_ptr<RepairSession> session = std::move(created).value();
-  // The initial census (Begin) ran on this thread; attribute its phase
-  // time to the session's strategy slot.
-  session->ObservePhases(&metrics_,
-                         trace::ThreadPhaseTotals().Since(phases_before));
-  session->RecordOpened(&metrics_);
-  if (wal != nullptr) {
-    session->AttachWal(std::move(wal), config_.wal_compact_every);
+  if (entry.wal != nullptr) {
+    entry.create_params = std::move(task.request.params);
   }
   // Compute the response before registering: once the entry is visible,
   // another worker could legally run a command against it.
-  JsonValue info = session->StatusInfo();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SessionEntry entry;
-    entry.session = std::move(session);
-    entry.last_activity = std::chrono::steady_clock::now();
-    auto emplaced = sessions_.emplace(id, std::move(entry));
-    ChargeSessionLocked(emplaced.first->second);
-    metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_active.fetch_add(1, std::memory_order_relaxed);
-  }
+  JsonValue info = entry.session->StatusInfo();
+  RegisterSession(id, std::move(entry));
   Complete(task, Status::Ok(), std::move(info));
   TaskDone();
 }
 
+void SessionShard::RegisterSession(const std::string& id, SessionEntry entry) {
+  Labeled(*entry.session).sessions.fetch_add(1, std::memory_order_relaxed);
+  entry.last_activity = std::chrono::steady_clock::now();
+  std::lock_guard<std::mutex> lock(mu_);
+  ChargeSessionLocked(sessions_.emplace(id, std::move(entry)).first->second);
+  metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
+  metrics_.sessions_active.fetch_add(1, std::memory_order_relaxed);
+}
+
 void SessionShard::RunSessionCommand(const std::string& key) {
   Task task;
-  RepairSession* session = nullptr;
+  SessionEntry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(key);
@@ -397,7 +375,7 @@ void SessionShard::RunSessionCommand(const std::string& key) {
     KBREPAIR_DCHECK(!it->second.waiting.empty());
     task = std::move(it->second.waiting.front());
     it->second.waiting.pop_front();
-    session = it->second.session.get();
+    entry = &it->second;
   }
   // Queue wait includes time parked behind earlier commands of the same
   // session — that is real scheduling delay, not execution time.
@@ -421,65 +399,198 @@ void SessionShard::RunSessionCommand(const std::string& key) {
       std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
       return Status::DeadlineExceeded("worker stalled (failpoint)");
     }
-    session->ArmDeadline(config_.deadline_ms);
-    StatusOr<JsonValue> result = DispatchToSession(session, task.request);
-    session->DisarmDeadline();
-    return result;
+    return DispatchToSession(*entry, task.request);
   }();
   const bool closing = task.request.command == "close" && outcome.ok();
-  std::string transcript_dump;
-  if (closing && !config_.transcript_dir.empty()) {
-    transcript_dump = session->TranscriptJson().Dump();
-  }
 
-  std::vector<Task> orphaned;
+  std::vector<SessionEntry> retired;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(key);
     KBREPAIR_DCHECK(it != sessions_.end());
     it->second.last_activity = std::chrono::steady_clock::now();
     if (closing) {
-      ReleaseChargeLocked(it->second);
-      metrics_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
-      while (!it->second.waiting.empty()) {
-        orphaned.push_back(std::move(it->second.waiting.front()));
-        it->second.waiting.pop_front();
-      }
-      sessions_.erase(it);
-    } else if (!it->second.waiting.empty()) {
-      ready_.push_back(key);
-      work_cv_.notify_one();
+      RetireLocked(it, Retirement::kClosed, &retired);
     } else {
-      it->second.busy = false;
+      if (!it->second.waiting.empty()) {
+        ready_.push_back(key);
+        work_cv_.notify_one();
+      } else {
+        it->second.busy = false;
+      }
+      ChargeSessionLocked(it->second);
     }
-    if (!closing) ChargeSessionLocked(it->second);
   }
 
-  if (!transcript_dump.empty()) WriteTranscriptFile(key, transcript_dump);
+  FlushRetired(retired);
   Complete(task, std::move(outcome));
   TaskDone();
-  for (Task& orphan : orphaned) {
-    Complete(orphan, Status::NotFound("session '" + key + "' was closed"),
-             JsonValue::Null());
-    TaskDone();
+  // Commands queued behind the close complete, not vanish.
+  for (SessionEntry& closed : retired) {
+    for (Task& orphan : closed.waiting) {
+      Complete(orphan, Status::NotFound("session '" + key + "' was closed"),
+               JsonValue::Null());
+      TaskDone();
+    }
   }
 }
 
 StatusOr<JsonValue> SessionShard::DispatchToSession(
-    RepairSession* session, const ServiceRequest& request) {
-  if (request.command == "ask") return session->Ask(&metrics_);
-  if (request.command == "answer") {
-    return session->Answer(request.params, &metrics_);
+    SessionEntry& entry, const ServiceRequest& request) {
+  RepairSession& session = *entry.session;
+  const std::string& command = request.command;
+  // The session runs this between validation and execution.
+  const auto log = [&](WalRecord kind) -> RepairSession::LogBeforeExecute {
+    if (entry.wal == nullptr) return nullptr;
+    return [this, &entry, kind](const JsonValue& record) {
+      return AppendWalRecord(entry.session->id(), entry, kind, record);
+    };
+  };
+  const PhaseMeter phases;
+  session.ArmDeadline(config_.deadline_ms);
+  StatusOr<JsonValue> outcome = [&]() -> StatusOr<JsonValue> {
+    if (command == "ask") return session.Ask();
+    if (command == "answer") {
+      return session.Answer(request.params, log(WalRecord::kAnswer));
+    }
+    if (command == "status") return session.StatusInfo();
+    if (command == "snapshot") return session.Snapshot();
+    if (command == "close") {
+      return session.Close(request.params, log(WalRecord::kClose));
+    }
+    return Status::InvalidArgument("unknown command '" + command + "'");
+  }();
+  session.DisarmDeadline();
+  phases.ObserveInto(Labeled(session));
+  MeterTotals(entry);
+  if (!outcome.ok() || entry.wal == nullptr) return outcome;
+  if (command == "close") {
+    // The session ended cleanly; there is nothing left to recover.
+    RemoveWal(entry);
+  } else if (command == "answer" &&
+             entry.wal->appends_since_compaction() >=
+                 config_.wal_compact_every) {
+    const Status compacted =
+        entry.wal->Compact(entry.create_params, session.EntryRecords());
+    if (compacted.ok()) {
+      metrics_.wal_compactions.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // The pre-compaction log is still intact and replayable; keep
+      // serving and try again after the next answer.
+      logging::Warn(kComponent, "WAL compaction failed")
+          .With("session", session.id())
+          .With("error", compacted.message());
+    }
   }
-  if (request.command == "status") return session->StatusInfo();
-  if (request.command == "snapshot") return session->Snapshot();
-  if (request.command == "close") {
-    // While the shard is disk-degraded the close record is skipped: the
-    // append would fail anyway, and the WAL unlink is what frees space.
-    return session->Close(request.params, &metrics_, WalDegraded());
+  return outcome;
+}
+
+Status SessionShard::AppendWalRecord(const std::string& id,
+                                     SessionEntry& entry, WalRecord kind,
+                                     const JsonValue& record) {
+  Status logged = Status::Ok();
+  if (kind == WalRecord::kCreate && !config_.wal_dir.empty()) {
+    StatusOr<std::unique_ptr<SessionWal>> opened =
+        SessionWal::Open(config_.wal_dir, id);
+    if (opened.ok()) {
+      entry.wal = std::move(opened).value();
+    } else {
+      logged = opened.status();
+    }
   }
-  return Status::InvalidArgument("unknown command '" + request.command + "'");
+  bool fsync_failed = false;
+  bool disk_full = false;
+  if (logged.ok()) {
+    // A degraded shard skips the close record outright: the append would
+    // fail anyway, and the WAL unlink after the close frees space.
+    if (entry.wal == nullptr ||
+        (kind == WalRecord::kClose && WalDegraded())) {
+      return Status::Ok();
+    }
+    logged = entry.wal->Append(record, &fsync_failed, &disk_full);
+    if (logged.ok()) {
+      metrics_.wal_appends.fetch_add(1, std::memory_order_relaxed);
+      return logged;
+    }
+  }
+  if (fsync_failed) {
+    metrics_.wal_fsync_failures.fetch_add(1, std::memory_order_relaxed);
+    metrics_.last_wal_fsync_failure_ns.store(MonotonicNowNs(),
+                                             std::memory_order_relaxed);
+  }
+  if (disk_full) {
+    // Flip the shard into disk-degraded mode: further create/answer
+    // traffic is shed at admission until the reaper's write probe sees
+    // the directory writable again.
+    metrics_.wal_disk_full_failures.fetch_add(1, std::memory_order_relaxed);
+    metrics_.last_wal_disk_full_ns.store(MonotonicNowNs(),
+                                         std::memory_order_relaxed);
+    metrics_.wal_degraded.store(1, std::memory_order_relaxed);
+    if (kind == WalRecord::kClose) {
+      // Rejecting would wedge the client: closing sessions is exactly how
+      // disk space comes back. A crash before the WAL is removed can
+      // resurrect a session whose close was never acked; the client's
+      // close retry covers that.
+      logging::Warn(kComponent,
+                    "close record hit a full disk; closing without it")
+          .With("session", id)
+          .With("error", logged.message());
+      return Status::Ok();
+    }
+    // A resource condition, not transient flakiness: hand the client
+    // the code that tells it to back off harder.
+    logged = Status::ResourceExhausted("WAL disk full: " + logged.message());
+  }
+  metrics_.rejected_commands.fetch_add(1, std::memory_order_relaxed);
+  static constexpr const char* kCommandName[] = {"create", "answer", "close"};
+  logging::Warn(kComponent, std::string(kCommandName[static_cast<int>(kind)]) +
+                                " rejected: WAL append failed")
+      .With("session", id)
+      .With("error", logged.message());
+  return logged;
+}
+
+void SessionShard::RemoveWal(SessionEntry& entry) {
+  if (entry.wal == nullptr) return;
+  const Status removed = entry.wal->Remove();
+  if (!removed.ok()) {
+    logging::Warn(kComponent, "WAL removal failed")
+        .With("path", entry.wal->path())
+        .With("error", removed.message());
+  }
+  entry.wal.reset();
+}
+
+void SessionShard::MeterTotals(SessionEntry& entry) {
+  const RepairSession& session = *entry.session;
+  const RepairSession::Totals now = session.totals();
+  LabeledMetrics& labeled = Labeled(session);
+  const size_t served =
+      now.questions_served - entry.metered.questions_served;
+  if (served > 0) {
+    metrics_.questions_served.fetch_add(served, std::memory_order_relaxed);
+    labeled.questions.fetch_add(served, std::memory_order_relaxed);
+  }
+  // One command applies at most one answer.
+  if (now.answers_applied > entry.metered.answers_applied) {
+    const double delay = session.last_turn_delay_seconds();
+    metrics_.answers_applied.fetch_add(1, std::memory_order_relaxed);
+    metrics_.turn_delay.Observe(delay);
+    labeled.answers.fetch_add(1, std::memory_order_relaxed);
+    labeled.turn_delay.Observe(delay);
+  }
+  const size_t rebuilds = now.engine_rebuilds - entry.metered.engine_rebuilds;
+  if (rebuilds > 0) {
+    metrics_.engine_rebuilds.fetch_add(rebuilds, std::memory_order_relaxed);
+    logging::Warn("session", "conflict engine dropped for a cold rebuild")
+        .With("session", session.id())
+        .With("rebuilds", rebuilds);
+  }
+  entry.metered = now;
+}
+
+LabeledMetrics& SessionShard::Labeled(const RepairSession& session) {
+  return metrics_.ForLabels(static_cast<size_t>(session.strategy()));
 }
 
 std::vector<std::string> SessionShard::ReadinessCauses() {
@@ -489,7 +600,7 @@ std::vector<std::string> SessionShard::ReadinessCauses() {
   // clears.
   const int64_t threshold_ns =
       StallThresholdMs(config_.deadline_ms) * 1000000;
-  const int64_t now_ns = SteadyNowNs();
+  const int64_t now_ns = MonotonicNowNs();
   for (size_t i = 0; i < config_.num_workers; ++i) {
     const int64_t since =
         worker_busy_since_[i].load(std::memory_order_relaxed);
@@ -505,10 +616,9 @@ std::vector<std::string> SessionShard::ReadinessCauses() {
   // the next.
   const int64_t hold_ns =
       static_cast<int64_t>(kReadinessHoldDownSeconds * 1e9);
-  const int64_t mono_now = MonotonicNowNs();
   const int64_t last_fsync =
       metrics_.last_wal_fsync_failure_ns.load(std::memory_order_relaxed);
-  if (last_fsync != 0 && mono_now - last_fsync < hold_ns) {
+  if (last_fsync != 0 && now_ns - last_fsync < hold_ns) {
     causes.push_back("recent-wal-fsync-failure");
   }
   // Level-based (no hold-down): clears the instant the reaper's write
@@ -525,19 +635,75 @@ bool SessionShard::WalDegraded() const {
 }
 
 void SessionShard::ChargeSessionLocked(SessionEntry& entry) {
-  if (entry.session == nullptr) return;
-  const int64_t now = entry.session->EstimateMemoryBytes();
+  const int64_t now = entry.session->EstimateMemoryBytes(
+      entry.wal == nullptr ? 0 : entry.wal->appends_since_compaction());
   governor_->AdjustSessionBytes(now - entry.charged_bytes);
   entry.charged_bytes = now;
 }
 
-void SessionShard::ReleaseChargeLocked(SessionEntry& entry) {
+SessionShard::SessionMap::iterator SessionShard::RetireLocked(
+    SessionMap::iterator it, Retirement why,
+    std::vector<SessionEntry>* retired) {
+  SessionEntry& entry = it->second;
+  // The governor is the front end's and outlives this shard; hand the
+  // bytes back so the other shards see an accurate estimate.
   governor_->AdjustSessionBytes(-entry.charged_bytes);
-  entry.charged_bytes = 0;
+  switch (why) {
+    case Retirement::kClosed:
+      metrics_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case Retirement::kIdle:
+      metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
+      logging::Info(kComponent, "evicted idle session")
+          .With("session", it->first)
+          .With("idle_s", std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() -
+                              entry.last_activity)
+                              .count());
+      break;
+    case Retirement::kPressure:
+      metrics_.pressure_evictions.fetch_add(1, std::memory_order_relaxed);
+      metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
+      logging::Info(kComponent, "evicted session under memory pressure")
+          .With("session", it->first)
+          .With("freed_bytes", entry.charged_bytes);
+      break;
+    case Retirement::kShutdown:
+      break;
+  }
+  if (why != Retirement::kShutdown) {
+    metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
+  }
+  retired->push_back(std::move(entry));
+  return sessions_.erase(it);
+}
+
+void SessionShard::FlushRetired(std::vector<SessionEntry>& retired) {
+  for (SessionEntry& entry : retired) {
+    const std::string& id = entry.session->id();
+    if (!config_.transcript_dir.empty()) {
+      const std::string path = config_.transcript_dir + "/" + id + ".json";
+      // Atomic (tmp + fsync + rename): readers never see a torn
+      // transcript, and failures are visible instead of silently
+      // dropping the file.
+      const Status status = AtomicWriteFile(
+          path, entry.session->TranscriptJson().Dump() + "\n");
+      if (!status.ok()) {
+        metrics_.transcript_write_failures.fetch_add(
+            1, std::memory_order_relaxed);
+        logging::Error(kComponent, "transcript flush failed")
+            .With("session", id)
+            .With("path", path)
+            .With("error", status.message());
+      }
+    }
+    entry.session.reset();
+    entry.wal.reset();
+  }
 }
 
 void SessionShard::EvictForPressureLocked(
-    std::vector<std::pair<std::string, std::string>>* flushes) {
+    std::vector<SessionEntry>* retired) {
   if (governor_->BytesOverEvictTarget() <= 0) return;
   // Oldest first: the session idle the longest is the least likely to
   // come back, and recovery (its WAL survives the eviction) makes the
@@ -554,19 +720,7 @@ void SessionShard::EvictForPressureLocked(
     if (governor_->BytesOverEvictTarget() <= 0) break;
     (void)when;
     auto it = sessions_.find(id);
-    if (it == sessions_.end()) continue;
-    if (!config_.transcript_dir.empty()) {
-      flushes->emplace_back(id, it->second.session->TranscriptJson().Dump());
-    }
-    const int64_t freed = it->second.charged_bytes;
-    ReleaseChargeLocked(it->second);
-    metrics_.pressure_evictions.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
-    logging::Info(kComponent, "evicted session under memory pressure")
-        .With("session", id)
-        .With("freed_bytes", freed);
-    sessions_.erase(it);
+    if (it != sessions_.end()) RetireLocked(it, Retirement::kPressure, retired);
   }
 }
 
@@ -631,7 +785,7 @@ void SessionShard::TaskDone() {
 
 void SessionShard::ReaperLoop() {
   for (;;) {
-    std::vector<std::pair<std::string, std::string>> flushes;
+    std::vector<SessionEntry> retired;
     bool probe_disk = false;
     bool pressure = false;
     {
@@ -652,39 +806,27 @@ void SessionShard::ReaperLoop() {
                           [this] { return exiting_ || reaper_kick_; });
       reaper_kick_ = false;
       if (exiting_) return;
-      CheckWorkerStalls(std::chrono::steady_clock::now());
+      CheckWorkerStalls();
       metrics_.wal_degraded.store(WalDegraded() ? 1 : 0,
                                   std::memory_order_relaxed);
       probe_disk = WalDegraded() && !config_.wal_dir.empty();
       if (config_.idle_ttl_seconds > 0) {
         const auto now = std::chrono::steady_clock::now();
         for (auto it = sessions_.begin(); it != sessions_.end();) {
-          SessionEntry& entry = it->second;
+          const SessionEntry& entry = it->second;
           const double idle =
               std::chrono::duration<double>(now - entry.last_activity)
                   .count();
-          if (!entry.busy && entry.waiting.empty() &&
-              idle > config_.idle_ttl_seconds) {
-            if (!config_.transcript_dir.empty()) {
-              flushes.emplace_back(it->first,
-                                   entry.session->TranscriptJson().Dump());
-            }
-            ReleaseChargeLocked(entry);
-            metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
-            metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
-            logging::Info(kComponent, "evicted idle session")
-                .With("session", it->first)
-                .With("idle_s", idle);
-            it = sessions_.erase(it);
-          } else {
-            ++it;
-          }
+          it = !entry.busy && entry.waiting.empty() &&
+                       idle > config_.idle_ttl_seconds
+                   ? RetireLocked(it, Retirement::kIdle, &retired)
+                   : std::next(it);
         }
       }
-      EvictForPressureLocked(&flushes);
+      EvictForPressureLocked(&retired);
       pressure = governor_->UnderPressure();
     }
-    for (const auto& [id, dump] : flushes) WriteTranscriptFile(id, dump);
+    FlushRetired(retired);
     if (probe_disk) {
       // File I/O outside the lock. A successful probe timestamps past
       // every failure seen so far, so WalDegraded() flips healthy; a
@@ -704,22 +846,6 @@ void SessionShard::ReaperLoop() {
     // Under memory pressure every orphaned base goes immediately — they
     // are pure cache and re-registerable.
     registry_->SweepExpired(pressure ? 1e-9 : config_.idle_ttl_seconds);
-  }
-}
-
-void SessionShard::WriteTranscriptFile(const std::string& session_id,
-                                         const std::string& dump) {
-  const std::string path =
-      config_.transcript_dir + "/" + session_id + ".json";
-  // Atomic (tmp + fsync + rename): readers never see a torn transcript,
-  // and failures are visible instead of silently dropping the file.
-  const Status status = AtomicWriteFile(path, dump + "\n");
-  if (!status.ok()) {
-    metrics_.transcript_write_failures.fetch_add(1, std::memory_order_relaxed);
-    logging::Error(kComponent, "transcript flush failed")
-        .With("session", session_id)
-        .With("path", path)
-        .With("error", status.message());
   }
 }
 
@@ -790,42 +916,31 @@ void SessionShard::RecoverSessions() {
       metrics_.sessions_failed.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
+    SessionEntry entry;
+    entry.session = std::move(session);
     StatusOr<std::unique_ptr<SessionWal>> wal =
         SessionWal::Open(config_.wal_dir, id);
     if (wal.ok()) {
-      session->AttachWal(std::move(wal).value(), config_.wal_compact_every);
+      entry.wal = std::move(wal).value();
+      entry.create_params = read->create_params;
     } else {
       logging::Warn(kComponent,
                     "session recovered but its WAL could not be reopened")
           .With("session", id)
           .With("error", wal.status().message());
     }
-    session->RecordOpened(&metrics_);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SessionEntry entry;
-      entry.session = std::move(session);
-      entry.last_activity = std::chrono::steady_clock::now();
-      auto emplaced = sessions_.emplace(id, std::move(entry));
-      ChargeSessionLocked(emplaced.first->second);
-    }
+    RegisterSession(id, std::move(entry));
     metrics_.sessions_recovered.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-    metrics_.sessions_active.fetch_add(1, std::memory_order_relaxed);
     logging::Info(kComponent, "recovered session")
         .With("session", id)
         .With("answers_replayed", read->entries.size());
   }
 }
 
-void SessionShard::CheckWorkerStalls(
-    std::chrono::steady_clock::time_point now) {
+void SessionShard::CheckWorkerStalls() {
   const int64_t threshold_ns =
       StallThresholdMs(config_.deadline_ms) * 1000000;
-  const int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          now.time_since_epoch())
-          .count();
+  const int64_t now_ns = MonotonicNowNs();
   for (size_t i = 0; i < config_.num_workers; ++i) {
     const int64_t since =
         worker_busy_since_[i].load(std::memory_order_relaxed);

@@ -2,7 +2,10 @@
 // SessionManager front end (service/session_manager.h).
 //
 // A shard owns admission, a ready queue, a worker pool, a reaper, one
-// WAL directory and the sessions whose ids hash to it. Everything
+// WAL directory and the sessions whose ids hash to it, and it is the one
+// owner of each session's durability and accounting: it opens, appends,
+// compacts and removes the session's WAL, and makes every ServiceMetrics
+// write a session command causes. Everything
 // process-wide — parsing, `s-<n>` ids, the base registry, the memory
 // governor, the span recorder and the aggregate observability — lives in
 // the front end; a shard only borrows the registry and governor.
@@ -40,8 +43,10 @@
 #include <variant>
 #include <vector>
 
+#include "service/metrics.h"
 #include "service/session.h"
 #include "service/session_manager.h"
+#include "service/wal.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -126,6 +131,14 @@ class SessionShard {
   };
   struct SessionEntry {
     std::unique_ptr<RepairSession> session;
+    // The session's write-ahead log; null without a WAL directory, or
+    // when recovery could not reopen it.
+    std::unique_ptr<SessionWal> wal;
+    // The create params, kept for WAL compaction snapshots (set only
+    // with a WAL).
+    JsonValue create_params = JsonValue::Null();
+    // The session's Totals already folded into metrics_.
+    RepairSession::Totals metered;
     std::deque<Task> waiting;
     bool busy = false;  // a worker owns this session right now
     std::chrono::steady_clock::time_point last_activity;
@@ -134,8 +147,14 @@ class SessionShard {
     // tracks the session as it grows.
     int64_t charged_bytes = 0;
   };
+  using SessionMap = std::unordered_map<std::string, SessionEntry>;
   // An independent task, or the key of a session with queued commands.
   using ReadyItem = std::variant<Task, std::string>;
+  // The record a WAL append guards; it decides what a failed append
+  // means (docs/SERVICE.md, "Write-ahead log").
+  enum class WalRecord { kCreate, kAnswer, kClose };
+  // Why a session leaves the registry.
+  enum class Retirement { kClosed, kIdle, kPressure, kShutdown };
 
   void WorkerLoop(size_t worker_index);
   void ReaperLoop();
@@ -146,15 +165,29 @@ class SessionShard {
   // Shared by create (with the command deadline) and recovery.
   StatusOr<std::unique_ptr<RepairSession>> OpenSession(
       const std::string& id, const JsonValue& params, int64_t deadline_ms);
+  // Makes an opened session addressable (create and recovery): counts
+  // it opened and active and charges the governor.
+  void RegisterSession(const std::string& id, SessionEntry entry);
   void RunSessionCommand(const std::string& key);
-  StatusOr<JsonValue> DispatchToSession(RepairSession* session,
+  // Runs one command on a session this worker owns, then meters it:
+  // phase time, Totals deltas, WAL compaction and removal.
+  StatusOr<JsonValue> DispatchToSession(SessionEntry& entry,
                                         const ServiceRequest& request);
+  // The one WAL append of a session command, log-before-execute: `kind`
+  // picks the failure policy, and every outcome is metered here. A
+  // create opens entry.wal first. OK without a WAL, and for a close
+  // skipped or proceeding on a full disk.
+  Status AppendWalRecord(const std::string& id, SessionEntry& entry,
+                         WalRecord kind, const JsonValue& record);
+  // Deletes entry.wal (session closed, or create failed).
+  void RemoveWal(SessionEntry& entry);
+  // Folds the session's new Totals into metrics_.
+  void MeterTotals(SessionEntry& entry);
+  LabeledMetrics& Labeled(const RepairSession& session);
   // Finishes one task: records latency/error metrics, fires `done`.
   void Complete(Task& task, const Status& status, JsonValue result);
   void Complete(Task& task, StatusOr<JsonValue> outcome);
   void TaskDone();  // decrements tasks_in_flight_, wakes Shutdown
-  void WriteTranscriptFile(const std::string& session_id,
-                           const std::string& dump);
   // Startup crash recovery: opens a session from every WAL in
   // config_.wal_dir, replays its answers (RepairSession::Replay) and
   // re-registers it. Unreplayable WALs are renamed aside
@@ -162,18 +195,23 @@ class SessionShard {
   void RecoverSessions();
   // Watchdog sweep (runs on the reaper cadence): flags workers that
   // have owned one command longer than the stall threshold.
-  void CheckWorkerStalls(std::chrono::steady_clock::time_point now);
+  void CheckWorkerStalls();
   // Re-estimates `entry`'s bytes and reports the delta to the governor
   // (call with mu_ held and the session not owned by another worker).
   void ChargeSessionLocked(SessionEntry& entry);
-  // Returns the session's charge to the governor before the entry is
-  // dropped (close, eviction, shutdown).
-  void ReleaseChargeLocked(SessionEntry& entry);
+  // The one way out of the registry (close, idle TTL, memory pressure,
+  // shutdown): returns the governor charge, counts the retirement and
+  // moves the entry to `retired` for the caller to finish outside mu_
+  // (FlushRetired). Returns the next iterator.
+  SessionMap::iterator RetireLocked(SessionMap::iterator it, Retirement why,
+                                    std::vector<SessionEntry>* retired);
+  // Writes each retired session's transcript to transcript_dir (if
+  // set), then drops the session, releasing its base and WAL. The
+  // entries keep their queued commands for the caller.
+  void FlushRetired(std::vector<SessionEntry>& retired);
   // Evicts idle sessions oldest-first until the estimate is back under
-  // the governor's low watermark. Appends transcript flushes for the
-  // caller to write outside the lock. Call with mu_ held.
-  void EvictForPressureLocked(
-      std::vector<std::pair<std::string, std::string>>* flushes);
+  // the governor's low watermark. Call with mu_ held.
+  void EvictForPressureLocked(std::vector<SessionEntry>* retired);
 
   const ServiceConfig config_;
   ServiceMetrics metrics_;
@@ -189,7 +227,7 @@ class SessionShard {
   std::condition_variable drain_cv_;   // Shutdown waits for in-flight 0
   std::condition_variable reaper_cv_;  // reaper interval / exit
   std::deque<ReadyItem> ready_;
-  std::unordered_map<std::string, SessionEntry> sessions_;
+  SessionMap sessions_;
   size_t tasks_in_flight_ = 0;  // queued + executing
   bool stopping_ = false;  // intake closed
   bool exiting_ = false;   // drain finished; threads may return

@@ -42,9 +42,10 @@ Status WriteFully(int fd, const std::string& data, const std::string& path,
   while (written < data.size()) {
     const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
     if (n < 0) {
-      if (errno == EINTR) continue;
-      if (disk_full != nullptr && IsDiskFullErrno(errno)) *disk_full = true;
-      return Status::Unavailable("WAL write " + path + ": " + ErrnoText());
+      const int err = errno;
+      if (err == EINTR) continue;
+      if (disk_full != nullptr && IsDiskFullErrno(err)) *disk_full = true;
+      return Status::Unavailable("WAL write " + path + ": " + ErrnoText(err));
     }
     written += static_cast<size_t>(n);
   }
@@ -159,10 +160,18 @@ Status SessionWal::Append(const JsonValue& record, bool* fsync_failed,
   std::string data = FrameRecordLine(record.Dump());
   if (needs_header_) data = std::string(kWalHeaderV2) + "\n" + data;
   KBREPAIR_RETURN_IF_ERROR(WriteFully(fd_, data, path_, disk_full));
-  if (::fsync(fd_) != 0 || failpoint::ShouldFail("wal.fsync")) {
+  if (::fsync(fd_) != 0) {
+    const int err = errno;
     if (fsync_failed != nullptr) *fsync_failed = true;
-    if (disk_full != nullptr && IsDiskFullErrno(errno)) *disk_full = true;
-    return Status::Unavailable("WAL fsync " + path_ + ": " + ErrnoText());
+    if (disk_full != nullptr && IsDiskFullErrno(err)) *disk_full = true;
+    return Status::Unavailable("WAL fsync " + path_ + ": " + ErrnoText(err));
+  }
+  // An injected failure follows a successful fsync, so errno is stale:
+  // it is a plain fsync failure, never a full disk.
+  if (failpoint::ShouldFail("wal.fsync")) {
+    if (fsync_failed != nullptr) *fsync_failed = true;
+    return Status::Unavailable("WAL fsync " + path_ +
+                               ": injected fsync failure");
   }
   needs_header_ = false;
   ++appends_since_compaction_;

@@ -84,31 +84,6 @@ JsonValue GetMetrics(SessionManager& manager) {
   return metrics.ok() ? *metrics : JsonValue::Object();
 }
 
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed) {
-  const JsonValue params = CreateParams(seed);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
-}
-
 // True for the status codes the retry contract promises were never
 // executed (so a verbatim retry is safe).
 bool Retryable(const Status& status) {
@@ -493,7 +468,7 @@ void CloseAndVerify(SessionManager& manager, DriverState& st) {
     st.failure = "closed inconsistent";
     return;
   }
-  StatusOr<std::vector<std::string>> oracle = PlainEngineFacts(st.seed);
+  StatusOr<std::vector<std::string>> oracle = OracleFacts(CreateParams(st.seed), st.seed);
   if (!oracle.ok()) {
     st.failure = "oracle: " + oracle.status().ToString();
     return;

@@ -6,6 +6,8 @@
 // Registered failpoints:
 //   wal.append      WAL write fails      -> command rejected Unavailable
 //   wal.fsync       WAL durability fails -> rejected + counted, retryable
+//   fs.enospc       WAL disk full        -> create/answer ResourceExhausted,
+//                                          close proceeds, shard degraded
 //   chase.saturate  chase blows up       -> error envelope, no crash
 //   delta.corrupt   delta engine diverges-> dropped and rebuilt cold,
 //                                          dialogue continues unchanged
@@ -17,13 +19,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "repair/inquiry.h"
 #include "service/protocol.h"
 #include "service/session.h"
 #include "service/session_manager.h"
+#include "service/wal.h"
 #include "support/temp_dir.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
@@ -258,6 +263,113 @@ TEST_F(FaultInjectionTest, WalFsyncFailureRejectsAnswerRetryably) {
   const JsonValue metrics = GetMetrics(manager);
   EXPECT_GE(metrics.Get("durability").Get("wal_fsync_failures").AsInt(0), 1);
   EXPECT_GE(metrics.Get("traffic").Get("rejected_commands").AsInt(0), 1);
+}
+
+// The WAL failure policy (docs/SERVICE.md, "Write-ahead log"), one cell
+// per {create, answer, close} x {wal.append, wal.fsync, fs.enospc}: the
+// reply code, the metric deltas, and the degraded gauge read straight
+// after the reply.
+
+struct WalPolicyCell {
+  const char* command;
+  const char* failpoint;
+  StatusCode code;
+  int64_t fsync_failures;
+  int64_t disk_full_failures;
+  int64_t rejected;
+  int64_t degraded;
+};
+
+constexpr WalPolicyCell kWalPolicy[] = {
+    {"create", "wal.append", StatusCode::kUnavailable, 0, 0, 1, 0},
+    {"create", "wal.fsync", StatusCode::kUnavailable, 1, 0, 1, 0},
+    {"create", "fs.enospc", StatusCode::kResourceExhausted, 0, 1, 1, 1},
+    {"answer", "wal.append", StatusCode::kUnavailable, 0, 0, 1, 0},
+    {"answer", "wal.fsync", StatusCode::kUnavailable, 1, 0, 1, 0},
+    {"answer", "fs.enospc", StatusCode::kResourceExhausted, 0, 1, 1, 1},
+    {"close", "wal.append", StatusCode::kUnavailable, 0, 0, 1, 0},
+    {"close", "wal.fsync", StatusCode::kUnavailable, 1, 0, 1, 0},
+    // Close proceeds without its record: closing frees the disk.
+    {"close", "fs.enospc", StatusCode::kOk, 0, 1, 0, 1},
+};
+
+TEST_F(FaultInjectionTest, WalFailurePolicyTable) {
+  for (const WalPolicyCell& cell : kWalPolicy) {
+    const std::string command = cell.command;
+    SCOPED_TRACE(command + " x " + cell.failpoint);
+    failpoint::Reset();
+    TempDir wal_dir("kbrepair_fault_");
+    ServiceConfig config;
+    config.num_workers = 1;
+    config.wal_dir = wal_dir.path;
+    SessionManager manager(config);
+
+    std::string session;
+    std::string question_dump;
+    if (command != "create") {
+      StatusOr<JsonValue> created =
+          manager.Execute(MakeRequest(CreateParams(5)));
+      ASSERT_TRUE(created.ok()) << created.status();
+      session = created->Get("session").AsString();
+      StatusOr<JsonValue> asked =
+          manager.Execute(SessionCommand("ask", session));
+      ASSERT_TRUE(asked.ok()) << asked.status();
+      ASSERT_FALSE(asked->Get("done").AsBool(false));
+      question_dump = asked->Get("question").Dump();
+    }
+    const auto request = [&] {
+      if (command == "create") return MakeRequest(CreateParams(5));
+      if (command == "answer") return AnswerCommand(session, 0);
+      return SessionCommand("close", session);
+    };
+
+    const JsonValue before = GetMetrics(manager);
+    // Armed for good until the metrics are read, so the reaper's write
+    // probe cannot clear the degraded gauge first.
+    failpoint::Arm(cell.failpoint, 0, -1);
+    StatusOr<JsonValue> reply = manager.Execute(request());
+    const JsonValue after = GetMetrics(manager);
+    failpoint::Reset();
+
+    EXPECT_EQ(reply.status().code(), cell.code) << reply.status();
+    const auto delta = [&](const char* group, const char* name) {
+      return after.Get(group).Get(name).AsInt(0) -
+             before.Get(group).Get(name).AsInt(0);
+    };
+    EXPECT_EQ(delta("durability", "wal_appends"), 0);
+    EXPECT_EQ(delta("durability", "wal_fsync_failures"), cell.fsync_failures);
+    EXPECT_EQ(delta("durability", "wal_disk_full_failures"),
+              cell.disk_full_failures);
+    EXPECT_EQ(delta("traffic", "rejected_commands"), cell.rejected);
+    EXPECT_EQ(after.Get("durability").Get("wal_degraded").AsInt(-1),
+              cell.degraded);
+
+    if (command == "answer") {
+      // Nothing was applied: the same question is still pending.
+      StatusOr<JsonValue> re_asked =
+          manager.Execute(SessionCommand("ask", session));
+      ASSERT_TRUE(re_asked.ok()) << re_asked.status();
+      EXPECT_EQ(re_asked->Get("question").Dump(), question_dump);
+    }
+    if (command == "create" || cell.code == StatusCode::kOk) {
+      // A rejected create leaves no WAL to resurrect, and a close that
+      // ran removed its WAL.
+      EXPECT_TRUE(ListWalSessionIds(wal_dir.path).empty());
+    }
+    if (cell.code == StatusCode::kOk) continue;
+    // The rejected command retries cleanly once the disk is back (a
+    // disk-full shard sheds it until the reaper's probe succeeds).
+    StatusOr<JsonValue> retried = manager.Execute(request());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!retried.ok() &&
+           retried.status().code() == StatusCode::kResourceExhausted &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      retried = manager.Execute(request());
+    }
+    EXPECT_TRUE(retried.ok()) << retried.status();
+  }
 }
 
 // ------------------------------------------------------------------

@@ -55,31 +55,6 @@ ServiceRequest SessionCommand(const std::string& command,
   return MakeRequest(std::move(params));
 }
 
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed) {
-  const JsonValue params = CreateParams(seed);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
-}
-
 // Drives one full scripted session and compares against the oracle.
 Status DriveAndVerify(SessionManager& manager, uint64_t seed) {
   KBREPAIR_ASSIGN_OR_RETURN(JsonValue created,
@@ -112,7 +87,7 @@ Status DriveAndVerify(SessionManager& manager, uint64_t seed) {
   }
 
   KBREPAIR_ASSIGN_OR_RETURN(std::vector<std::string> oracle,
-                            PlainEngineFacts(seed));
+                            OracleFacts(CreateParams(seed), seed));
   const JsonValue& facts = closed.Get("facts");
   if (facts.size() != oracle.size()) {
     return Status::Internal("fact count diverged: service " +

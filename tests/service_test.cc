@@ -53,32 +53,6 @@ ServiceRequest SessionCommand(const std::string& command,
   return MakeRequest(std::move(params));
 }
 
-// The oracle: same KB, same options, same per-turn draw, no service.
-StatusOr<std::vector<std::string>> PlainEngineFacts(uint64_t seed) {
-  const JsonValue params = CreateRequestParams(seed);
-  std::string label;
-  KBREPAIR_ASSIGN_OR_RETURN(KnowledgeBase kb,
-                            BuildKbFromParams(params, &label));
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryOptions options,
-                            InquiryOptionsFromParams(params));
-  InquiryEngine engine(&kb, options);
-  KBREPAIR_RETURN_IF_ERROR(engine.Begin());
-  Rng rng(seed);
-  for (;;) {
-    KBREPAIR_ASSIGN_OR_RETURN(const Question* question,
-                              engine.NextQuestion());
-    if (question == nullptr) break;
-    KBREPAIR_RETURN_IF_ERROR(
-        engine.Answer(rng.UniformIndex(question->fixes.size())));
-  }
-  KBREPAIR_ASSIGN_OR_RETURN(InquiryResult result, engine.Finish());
-  std::vector<std::string> facts;
-  for (AtomId id = 0; id < result.facts.size(); ++id) {
-    facts.push_back(result.facts.atom(id).ToString(kb.symbols()));
-  }
-  return facts;
-}
-
 TEST(ServiceTest, LifecycleMatchesPlainEngineBitForBit) {
   constexpr uint64_t kSeed = 77;
   ServiceConfig config;
@@ -148,7 +122,7 @@ TEST(ServiceTest, LifecycleMatchesPlainEngineBitForBit) {
   EXPECT_EQ(closed->Get("questions").AsInt(),
             static_cast<int64_t>(answered));
 
-  StatusOr<std::vector<std::string>> oracle = PlainEngineFacts(kSeed);
+  StatusOr<std::vector<std::string>> oracle = OracleFacts(CreateRequestParams(kSeed), kSeed);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   const JsonValue& facts = closed->Get("facts");
   ASSERT_EQ(facts.size(), oracle->size());

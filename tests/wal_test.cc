@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "util/crc32c.h"
+#include "util/failpoint.h"
 #include "util/json.h"
 
 namespace kbrepair {
@@ -354,6 +355,25 @@ TEST_F(WalTest, DiskFullErrnoClassification) {
   EXPECT_TRUE(IsDiskFullErrno(EIO));
   EXPECT_FALSE(IsDiskFullErrno(EINTR));
   EXPECT_FALSE(IsDiskFullErrno(EBADF));
+}
+
+TEST_F(WalTest, InjectedFsyncFailureIsNeverDiskFull) {
+  auto wal = SessionWal::Open(dir_, "fsync-1");
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  // The injected failure follows a successful fsync; an errno left over
+  // from an earlier call must not make it look like a failing disk.
+  failpoint::Arm("wal.fsync", /*skip=*/0, /*fail=*/1);
+  errno = EIO;
+  bool fsync_failed = false;
+  bool disk_full = true;
+  const Status appended = (*wal)->Append(SessionWal::CreateRecord(Params(1)),
+                                         &fsync_failed, &disk_full);
+  failpoint::Reset();
+  EXPECT_FALSE(appended.ok());
+  EXPECT_TRUE(fsync_failed);
+  EXPECT_FALSE(disk_full);
+  EXPECT_NE(appended.message().find("injected"), std::string::npos)
+      << appended;
 }
 
 TEST_F(WalTest, ProbeWalDirWritableRoundtrips) {
