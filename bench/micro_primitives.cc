@@ -7,7 +7,9 @@
 //  * Π-repairability: Algorithm 1 vs. the Π-REPOPT fast path;
 //  * UPDATECONFLICTS vs. full naive-conflict recomputation;
 //  * sound-question generation delay as the KB grows — the observable
-//    side of the polynomial-delay result (Corollary 4.11).
+//    side of the polynomial-delay result (Corollary 4.11);
+//  * cold KB load: DLGP parse of a session-churn-shaped KB plus its
+//    teardown, the text-handling share of a kbrepaird create.
 
 // `--quick [--out FILE]` bypasses google-benchmark and emits a reduced
 // join + saturation ladder in the BENCH_*.json schema bench_diff
@@ -34,6 +36,7 @@
 #include "chase/incremental_chase.h"
 #include "gen/synthetic.h"
 #include "kb/homomorphism.h"
+#include "parser/dlgp_parser.h"
 #include "repair/conflict.h"
 #include "repair/consistency.h"
 #include "repair/delta_conflicts.h"
@@ -269,6 +272,37 @@ BENCHMARK(BM_SoundQuestionGeneration)
     ->Arg(1000)
     ->Arg(2000)
     ->Arg(4000);
+
+// Cold KB load as a kbrepaird create runs it: ParseDlgp of the printed
+// text of a KB shaped like the session-churn benchmark's (arities 2-4,
+// 60 TGDs, 20 CDDs), and the parsed KB's teardown, both timed.
+void BM_ParseDlgp(benchmark::State& state) {
+  SyntheticKbOptions options;
+  options.seed = 1;
+  options.num_facts = static_cast<size_t>(state.range(0));
+  options.inconsistency_ratio = 0.01;
+  options.num_cdds = 20;
+  options.cdd_min_atoms = 2;
+  options.cdd_max_atoms = 3;
+  options.min_arity = 2;
+  options.max_arity = 4;
+  options.num_tgds = 60;
+  options.conflict_depth = 2;
+  options.routed_violation_share = 0.6;
+  options.min_multiplicity = 1;
+  options.max_multiplicity = 2;
+  StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
+  KBREPAIR_CHECK(generated.ok()) << generated.status();
+  const std::string text = PrintDlgp(generated->kb);
+  for (auto _ : state) {
+    StatusOr<KnowledgeBase> kb = ParseDlgp(text);
+    KBREPAIR_CHECK(kb.ok()) << kb.status();
+    benchmark::DoNotOptimize(kb->facts().size());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseDlgp)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // --quick gate mode (bench_diff schema; see file comment).

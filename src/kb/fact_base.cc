@@ -4,14 +4,15 @@
 
 namespace kbrepair {
 
-AtomId FactBase::Add(const Atom& atom) {
+AtomId FactBase::Add(Atom atom) {
   const AtomId id = static_cast<AtomId>(atoms_.size());
-  atoms_.PushBack(atom);
-  by_predicate_.Mutable(atom.predicate).push_back(id);
+  const PredicateId pred = atom.predicate;
+  by_predicate_.Mutable(pred).push_back(id);
   for (int pos = 0; pos < atom.arity(); ++pos) {
-    IndexArg(id, pos, atom.args[static_cast<size_t>(pos)]);
+    IndexArg(id, pred, pos, atom.args[static_cast<size_t>(pos)]);
   }
   num_positions_ += static_cast<size_t>(atom.arity());
+  atoms_.PushBack(std::move(atom));
   return id;
 }
 
@@ -21,9 +22,10 @@ void FactBase::SetArg(AtomId id, int pos, TermId term) {
   KBREPAIR_DCHECK(pos >= 0 && pos < atoms_[id].arity());
   const TermId old_term = atoms_[id].args[static_cast<size_t>(pos)];
   if (old_term == term) return;
-  UnindexArg(id, pos, old_term);
+  const PredicateId pred = atoms_[id].predicate;
+  UnindexArg(id, pred, pos, old_term);
   atoms_.Mutable(id).args[static_cast<size_t>(pos)] = term;
-  IndexArg(id, pos, term);
+  IndexArg(id, pred, pos, term);
 }
 
 void FactBase::Remove(AtomId id) {
@@ -31,7 +33,7 @@ void FactBase::Remove(AtomId id) {
   KBREPAIR_DCHECK(alive(id));
   const Atom& atom = atoms_[id];
   for (int pos = 0; pos < atom.arity(); ++pos) {
-    UnindexArg(id, pos, atom.args[static_cast<size_t>(pos)]);
+    UnindexArg(id, atom.predicate, pos, atom.args[static_cast<size_t>(pos)]);
   }
   std::vector<AtomId>* postings = by_predicate_.FindMutable(atom.predicate);
   KBREPAIR_DCHECK(postings != nullptr);
@@ -84,8 +86,8 @@ std::vector<TermId> FactBase::ActiveDomain(PredicateId pred,
 }
 
 size_t FactBase::TermUseCount(TermId term) const {
-  const size_t* count = term_use_count_.Find(term);
-  return count == nullptr ? 0 : *count;
+  const size_t index = static_cast<size_t>(term);
+  return index < term_use_count_.size() ? term_use_count_[index] : 0;
 }
 
 uint64_t FactBase::ContentHash(const SymbolTable& symbols) const {
@@ -131,23 +133,26 @@ void FactBase::FreezeSharedBase() {
   dead_.clear();
 }
 
-void FactBase::IndexArg(AtomId id, int pos, TermId term) {
-  by_probe_.Mutable(ProbeKey(atoms_[id].predicate, pos, term)).push_back(id);
-  ++term_use_count_.Mutable(term);
+void FactBase::IndexArg(AtomId id, PredicateId pred, int pos, TermId term) {
+  by_probe_.Mutable(ProbeKey(pred, pos, term)).push_back(id);
+  const size_t index = static_cast<size_t>(term);
+  while (term_use_count_.size() <= index) term_use_count_.PushBack(0);
+  ++term_use_count_.Mutable(index);
 }
 
-void FactBase::UnindexArg(AtomId id, int pos, TermId term) {
+void FactBase::UnindexArg(AtomId id, PredicateId pred, int pos,
+                          TermId term) {
   std::vector<AtomId>* postings =
-      by_probe_.FindMutable(ProbeKey(atoms_[id].predicate, pos, term));
+      by_probe_.FindMutable(ProbeKey(pred, pos, term));
   KBREPAIR_DCHECK(postings != nullptr);
   auto entry = std::find(postings->begin(), postings->end(), id);
   KBREPAIR_DCHECK(entry != postings->end());
   // Swap-erase: posting lists are unordered multisets.
   *entry = postings->back();
   postings->pop_back();
-  size_t* count = term_use_count_.FindMutable(term);
-  KBREPAIR_DCHECK(count != nullptr);
-  if (--*count == 0) term_use_count_.Erase(term);
+  uint32_t& count = term_use_count_.Mutable(static_cast<size_t>(term));
+  KBREPAIR_DCHECK(count > 0);
+  --count;
 }
 
 }  // namespace kbrepair

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kb/atom.h"
@@ -50,7 +49,7 @@ class FactBase {
 
   // Appends a fact; all args must be constants or nulls (facts freeze
   // existential variables into labeled nulls before insertion).
-  AtomId Add(const Atom& atom);
+  AtomId Add(Atom atom);
 
   size_t size() const { return atoms_.size(); }
   bool empty() const { return atoms_.empty(); }
@@ -140,13 +139,15 @@ class FactBase {
            static_cast<uint32_t>(term);
   }
 
-  void IndexArg(AtomId id, int pos, TermId term);
-  void UnindexArg(AtomId id, int pos, TermId term);
+  void IndexArg(AtomId id, PredicateId pred, int pos, TermId term);
+  void UnindexArg(AtomId id, PredicateId pred, int pos, TermId term);
 
   CowVector<Atom> atoms_;
   PostingIndex<int32_t> by_predicate_;
   PostingIndex<uint64_t> by_probe_;
-  CowMap<int32_t, size_t> term_use_count_;
+  // Uses of each term, indexed by its dense TermId; ids past the end
+  // count zero.
+  CowVector<uint32_t> term_use_count_;
   size_t num_positions_ = 0;
   // Tombstone flags; lazily sized on the first Remove() so bases that
   // never retract (the common case) pay nothing.

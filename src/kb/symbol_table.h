@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "util/cow.h"
@@ -55,20 +55,25 @@ class SymbolTable {
   // Interns (creating if absent) a term with the given kind and name.
   // The same name may exist with different kinds ("X" the constant and
   // "X" the variable are distinct terms).
-  TermId InternTerm(TermKind kind, const std::string& name);
+  TermId InternTerm(TermKind kind, std::string_view name) {
+    bool inserted = false;
+    return Intern(kind, name, &inserted);
+  }
 
-  TermId InternConstant(const std::string& name) {
+  TermId InternConstant(std::string_view name) {
     return InternTerm(TermKind::kConstant, name);
   }
-  TermId InternVariable(const std::string& name) {
+  TermId InternVariable(std::string_view name) {
     return InternTerm(TermKind::kVariable, name);
   }
-  TermId InternNull(const std::string& name) {
+  TermId InternNull(std::string_view name) {
     return InternTerm(TermKind::kNull, name);
   }
 
   // Returns the id of an existing term, or kInvalidTerm.
-  TermId FindTerm(TermKind kind, const std::string& name) const;
+  TermId FindTerm(TermKind kind, std::string_view name) const {
+    return FindTerm(kind, name, TermHash(kind, name));
+  }
 
   // Mints a brand-new labeled null (name "_N<k>").
   TermId MakeFreshNull();
@@ -105,10 +110,12 @@ class SymbolTable {
 
   // Interns a predicate. Re-interning an existing name with a different
   // arity is a CHECK failure (the DLGP format has no arity overloading).
-  PredicateId InternPredicate(const std::string& name, int arity);
+  PredicateId InternPredicate(std::string_view name, int arity);
 
   // Returns the id of an existing predicate, or kInvalidPredicate.
-  PredicateId FindPredicate(const std::string& name) const;
+  PredicateId FindPredicate(std::string_view name) const {
+    return FindPredicate(name, PredicateHash(name));
+  }
 
   const std::string& predicate_name(PredicateId id) const {
     KBREPAIR_DCHECK(id >= 0 &&
@@ -158,6 +165,79 @@ class SymbolTable {
   // Copying stays private so it can only happen through Clone().
   SymbolTable(const SymbolTable&) = default;
 
+  // Open-addressing index from names to dense ids: a flat power-of-two
+  // array of (hash, id) slots with linear probing. Names live only in the
+  // owning table's entries, so a probe compares the stored 32-bit hash
+  // first and asks the owner (`matches(id)`) only on a hash hit. Growth
+  // re-slots the stored hashes and never re-hashes a name.
+  //
+  // Freeze() moves the slots into an immutable shared base; copies share
+  // it through a shared_ptr and index only the ids they append in a local
+  // array of their own, so a copy of a frozen index is O(1). Find() is
+  // const and never writes, so concurrent readers need no lock.
+  class Index {
+   public:
+    // The id among those stored under `hash` for which `matches(id)`
+    // holds, or -1.
+    template <typename Matches>
+    int32_t Find(uint32_t hash, const Matches& matches) const {
+      if (base_ != nullptr) {
+        const int32_t found = Probe(*base_, hash, matches);
+        if (found >= 0) return found;
+      }
+      return local_.empty() ? -1 : Probe(local_, hash, matches);
+    }
+
+    // Stores `id` under `hash`; the caller has checked it is absent.
+    void Insert(uint32_t hash, int32_t id);
+
+    // Makes the current contents the immutable shared base.
+    void Freeze();
+
+   private:
+    struct Slot {
+      uint32_t hash;
+      int32_t id;  // -1: empty
+    };
+
+    template <typename Matches>
+    static int32_t Probe(const std::vector<Slot>& slots, uint32_t hash,
+                         const Matches& matches) {
+      const size_t mask = slots.size() - 1;
+      for (size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot& slot = slots[i];
+        if (slot.id < 0) return -1;
+        if (slot.hash == hash && matches(slot.id)) return slot.id;
+      }
+    }
+
+    static void Place(std::vector<Slot>& slots, Slot slot);
+
+    std::shared_ptr<const std::vector<Slot>> base_;  // never empty
+    size_t base_count_ = 0;
+    std::vector<Slot> local_;
+    size_t local_count_ = 0;
+  };
+
+  static uint32_t TermHash(TermKind kind, std::string_view name);
+  static uint32_t PredicateHash(std::string_view name);
+
+  TermId FindTerm(TermKind kind, std::string_view name,
+                  uint32_t hash) const {
+    return term_index_.Find(hash, [&](int32_t id) {
+      const TermEntry& entry = terms_[static_cast<size_t>(id)];
+      return entry.kind == kind && entry.name == name;
+    });
+  }
+  PredicateId FindPredicate(std::string_view name, uint32_t hash) const {
+    return predicate_index_.Find(hash, [&](int32_t id) {
+      return predicates_[static_cast<size_t>(id)].name == name;
+    });
+  }
+
+  // InternTerm with one probe: *inserted tells whether the term is new.
+  TermId Intern(TermKind kind, std::string_view name, bool* inserted);
+
   // Interns the null "<prefix><k>" for the next k of `*counter` whose
   // name is still free.
   TermId MintNull(const char* prefix, uint64_t* counter);
@@ -171,16 +251,10 @@ class SymbolTable {
     int arity;
   };
 
-  static std::string TermKey(TermKind kind, const std::string& name) {
-    std::string key(1, static_cast<char>('0' + static_cast<int>(kind)));
-    key += name;
-    return key;
-  }
-
   CowVector<TermEntry> terms_;
-  CowMap<std::string, TermId> term_index_;
+  Index term_index_;  // hashed on (kind, name)
   CowVector<PredicateEntry> predicates_;
-  CowMap<std::string, PredicateId> predicate_index_;
+  Index predicate_index_;  // hashed on name
   uint64_t fresh_null_counter_ = 0;
   uint64_t scratch_null_counter_ = 0;
   uint64_t fresh_variable_counter_ = 0;

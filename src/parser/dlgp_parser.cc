@@ -1,36 +1,25 @@
 #include "parser/dlgp_parser.h"
 
-#include <cctype>
+#include <cstdint>
 #include <fstream>
-#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace kbrepair {
 
 namespace {
 
-enum class TokenKind {
-  kIdentifier,
-  kQuoted,
-  kLeftParen,
-  kRightParen,
-  kLeftBracket,
-  kRightBracket,
-  kComma,
-  kDot,
-  kImplies,  // ":-"
-  kBang,     // "!"
-  kEquals,   // "="
-  kEnd,
-};
-
-struct Token {
-  TokenKind kind;
-  std::string text;
-  int line;
-  int column;
-};
+// Character classes of the C locale, which the DLGP grammar is written in.
+bool IsSpace(unsigned char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsUpper(unsigned char c) { return c >= 'A' && c <= 'Z'; }
+bool IsAlnum(unsigned char c) {
+  return IsUpper(c) || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
+}
+bool IsIdentifierStart(unsigned char c) { return IsAlnum(c) || c == '_'; }
+bool IsIdentifierChar(unsigned char c) {
+  return IsIdentifierStart(c) || c == '-' || c == '/';
+}
 
 // Renders one input byte for an error message: printable ASCII is shown
 // quoted, anything else (control bytes, NUL, UTF-8 lead bytes) as hex so
@@ -47,393 +36,446 @@ std::string DescribeByte(char c) {
   return out;
 }
 
+enum class Lex : uint8_t {
+  kIdentifier,
+  kQuoted,  // text() is the content between the quotes
+  kLeftParen,
+  kRightParen,
+  kLeftBracket,
+  kRightBracket,
+  kComma,
+  kDot,
+  kImplies,  // ":-"
+  kBang,     // "!"
+  kEquals,   // "="
+  kEnd,
+  kError,  // a lexical error (ScanRest() returns it); the lexer stays here
+};
+
+// Pulls one token at a time from the text: the current token is kind(),
+// text(), line() and column(), and Next() moves to the following one.
+// Token texts are views into the input; nothing is copied.
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) { Next(); }
 
-  StatusOr<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      const int column = Column();
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-        line_start_ = pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '%') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '(') {
-        tokens.push_back({TokenKind::kLeftParen, "(", line_, column});
-        ++pos_;
-      } else if (c == ')') {
-        tokens.push_back({TokenKind::kRightParen, ")", line_, column});
-        ++pos_;
-      } else if (c == '[') {
-        tokens.push_back({TokenKind::kLeftBracket, "[", line_, column});
-        ++pos_;
-      } else if (c == ']') {
-        tokens.push_back({TokenKind::kRightBracket, "]", line_, column});
-        ++pos_;
-      } else if (c == ',') {
-        tokens.push_back({TokenKind::kComma, ",", line_, column});
-        ++pos_;
-      } else if (c == '.') {
-        tokens.push_back({TokenKind::kDot, ".", line_, column});
-        ++pos_;
-      } else if (c == '!') {
-        tokens.push_back({TokenKind::kBang, "!", line_, column});
-        ++pos_;
-      } else if (c == '=') {
-        tokens.push_back({TokenKind::kEquals, "=", line_, column});
-        ++pos_;
-      } else if (c == ':') {
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
-          tokens.push_back({TokenKind::kImplies, ":-", line_, column});
-          pos_ += 2;
-        } else {
-          return ErrorAt("expected ':-'");
-        }
-      } else if (c == '"') {
-        ++pos_;
-        std::string value;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-          if (text_[pos_] == '\n') return ErrorAt("unterminated string");
-          value += text_[pos_++];
-        }
-        if (pos_ >= text_.size()) return ErrorAt("unterminated string");
-        ++pos_;  // closing quote
-        tokens.push_back({TokenKind::kQuoted, value, line_, column});
-      } else if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        std::string value;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '_' || text_[pos_] == '-' ||
-                text_[pos_] == '/')) {
-          value += text_[pos_++];
-        }
-        tokens.push_back({TokenKind::kIdentifier, value, line_, column});
-      } else {
-        return ErrorAt("unexpected character " + DescribeByte(c));
-      }
+  Lex kind() const { return kind_; }
+  std::string_view text() const { return token_; }
+  int line() const { return token_line_; }
+  int column() const { return token_column_; }
+
+  void Next() {
+    if (kind_ == Lex::kError) return;
+    SkipSpaceAndComments();
+    token_line_ = line_;
+    token_column_ = Column();
+    token_ = {};
+    if (pos_ >= text_.size()) {
+      kind_ = Lex::kEnd;
+      return;
     }
-    tokens.push_back({TokenKind::kEnd, "", line_, Column()});
-    return tokens;
+    const char c = text_[pos_];
+    switch (c) {
+      case '(':
+        return Punctuation(Lex::kLeftParen);
+      case ')':
+        return Punctuation(Lex::kRightParen);
+      case '[':
+        return Punctuation(Lex::kLeftBracket);
+      case ']':
+        return Punctuation(Lex::kRightBracket);
+      case ',':
+        return Punctuation(Lex::kComma);
+      case '.':
+        return Punctuation(Lex::kDot);
+      case '!':
+        return Punctuation(Lex::kBang);
+      case '=':
+        return Punctuation(Lex::kEquals);
+      case ':':
+        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
+          kind_ = Lex::kImplies;
+          pos_ += 2;
+          return;
+        }
+        return Fail("expected ':-'");
+      case '"':
+        return Quoted();
+      default:
+        break;
+    }
+    if (!IsIdentifierStart(static_cast<unsigned char>(c))) {
+      return Fail("unexpected character " + DescribeByte(c));
+    }
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           IsIdentifierChar(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    kind_ = Lex::kIdentifier;
+    token_ = text_.substr(start, pos_ - start);
+  }
+
+  // Lexes the rest of the text: the first lexical error from the current
+  // token on, or Ok.
+  Status ScanRest() {
+    while (kind_ != Lex::kEnd && kind_ != Lex::kError) Next();
+    return kind_ == Lex::kError ? error_ : Status::Ok();
   }
 
  private:
   int Column() const { return static_cast<int>(pos_ - line_start_) + 1; }
 
-  Status ErrorAt(const std::string& message) {
-    return Status::InvalidArgument("line " + std::to_string(line_) +
-                                   ", column " + std::to_string(Column()) +
-                                   ": " + message);
+  void SkipSpaceAndComments() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c == '\n') {
+        ++line_;
+        ++pos_;
+        line_start_ = pos_;
+      } else if (IsSpace(static_cast<unsigned char>(c))) {
+        ++pos_;
+      } else if (c == '%') {
+        const size_t newline = text_.find('\n', pos_);
+        pos_ = newline == std::string_view::npos ? text_.size() : newline;
+      } else {
+        return;
+      }
+    }
   }
 
-  const std::string& text_;
+  void Punctuation(Lex kind) {
+    kind_ = kind;
+    ++pos_;
+  }
+
+  void Quoted() {
+    const size_t start = ++pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      if (text_[pos_] == '\n') return Fail("unterminated string");
+      ++pos_;
+    }
+    if (pos_ >= text_.size()) return Fail("unterminated string");
+    kind_ = Lex::kQuoted;
+    token_ = text_.substr(start, pos_ - start);
+    ++pos_;  // closing quote
+  }
+
+  // Reports `message` at the current position and stops the lexer.
+  void Fail(const std::string& message) {
+    kind_ = Lex::kError;
+    error_ = Status::InvalidArgument("line " + std::to_string(line_) +
+                                     ", column " + std::to_string(Column()) +
+                                     ": " + message);
+  }
+
+  std::string_view text_;
   size_t pos_ = 0;
   size_t line_start_ = 0;
   int line_ = 1;
+  Lex kind_ = Lex::kEnd;
+  std::string_view token_;
+  int token_line_ = 1;
+  int token_column_ = 1;
+  Status error_;
 };
 
-// One parsed term before symbol resolution.
-struct RawTerm {
-  std::string text;
-  bool quoted = false;
-  int line = 0;
-};
-
-// One parsed atom or equality.
-struct RawAtom {
-  std::string predicate;  // empty for equalities
-  std::vector<RawTerm> args;
-  bool is_equality = false;
-  int line = 0;
-};
-
-struct RawStatement {
-  enum class Kind { kFact, kTgd, kCdd } kind;
-  std::string label;          // "[name]" prefix; empty if absent
-  std::vector<RawAtom> head;  // facts store their atom here
-  std::vector<RawAtom> body;
-  int line = 0;
-};
-
+// One pass over the text: each statement is parsed into flat scratch
+// lists of token views (reused from statement to statement) and then
+// resolved into the KB at once, facts straight into the SymbolTable and
+// FactBase, so terms and predicates are interned in statement order.
+//
+// Errors keep the priority of a lex-everything, parse-everything,
+// resolve-everything reading: the first lexical error anywhere in the
+// text, else the first syntax error, else the first semantic error. The
+// pass stops at its first error; text before it is known to be clean,
+// so only the rest is re-scanned, in check-only mode.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::string_view text, KnowledgeBase& kb)
+      : lexer_(text), kb_(kb), symbols_(kb.symbols()) {}
 
-  StatusOr<std::vector<RawStatement>> ParseAll() {
-    std::vector<RawStatement> statements;
-    while (Peek().kind != TokenKind::kEnd) {
-      auto statement = ParseStatement();
-      if (!statement.ok()) return statement.status();
-      statements.push_back(std::move(statement).value());
+  Status ParseAll() {
+    while (lexer_.kind() != Lex::kEnd) {
+      KBREPAIR_RETURN_IF_ERROR(ParseStatement());
+      if (check_only_) continue;
+      const Status resolved = ResolveStatement();
+      if (!resolved.ok()) return RestOutranks(resolved);
     }
-    return statements;
+    return Status::Ok();
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Advance() { return tokens_[pos_++]; }
+  enum class StatementKind { kFact, kTgd, kCdd };
 
-  Status ErrorHere(const std::string& message) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(Peek().line) + ", column " +
-        std::to_string(Peek().column) + ": " + message);
+  struct TermText {
+    std::string_view text;
+    bool quoted;
+  };
+  // An atom or, when `equality`, the two sides of "term = term"; its
+  // terms are terms_[first_term, end_term).
+  struct AtomText {
+    std::string_view predicate;
+    size_t first_term;
+    size_t end_term;
+    int line;
+    bool equality;
+  };
+
+  // A syntax error at the current token, unless the rest of the text
+  // holds a lexical error, which outranks it.
+  Status SyntaxError(const std::string& message) {
+    const Status syntax = Status::InvalidArgument(
+        "line " + std::to_string(lexer_.line()) + ", column " +
+        std::to_string(lexer_.column()) + ": " + message);
+    const Status lexical = lexer_.ScanRest();
+    return lexical.ok() ? syntax : lexical;
   }
 
-  StatusOr<RawStatement> ParseStatement() {
-    RawStatement statement;
-    statement.line = Peek().line;
-    if (Peek().kind == TokenKind::kLeftBracket) {
-      Advance();
-      if (Peek().kind != TokenKind::kIdentifier) {
-        return ErrorHere("expected rule label after '['");
+  // `semantic` unless the statements after it hold a lexical or syntax
+  // error, which outrank it.
+  Status RestOutranks(const Status& semantic) {
+    const Lexer rest = lexer_;
+    KBREPAIR_RETURN_IF_ERROR(lexer_.ScanRest());
+    lexer_ = rest;
+    check_only_ = true;
+    KBREPAIR_RETURN_IF_ERROR(ParseAll());
+    return semantic;
+  }
+
+  bool AtTerm() const {
+    return lexer_.kind() == Lex::kIdentifier || lexer_.kind() == Lex::kQuoted;
+  }
+  TermText CurrentTerm() const {
+    return {lexer_.text(), lexer_.kind() == Lex::kQuoted};
+  }
+
+  Status ParseStatement() {
+    terms_.clear();
+    head_.clear();
+    body_.clear();
+    label_ = {};
+    statement_line_ = lexer_.line();
+    if (lexer_.kind() == Lex::kLeftBracket) {
+      lexer_.Next();
+      if (lexer_.kind() != Lex::kIdentifier) {
+        return SyntaxError("expected rule label after '['");
       }
-      statement.label = Advance().text;
-      if (Peek().kind != TokenKind::kRightBracket) {
-        return ErrorHere("expected ']' after rule label");
+      label_ = lexer_.text();
+      lexer_.Next();
+      if (lexer_.kind() != Lex::kRightBracket) {
+        return SyntaxError("expected ']' after rule label");
       }
-      Advance();
+      lexer_.Next();
     }
-    if (Peek().kind == TokenKind::kBang) {
+    if (lexer_.kind() == Lex::kBang) {
       // CDD: ! :- body .
-      Advance();
-      if (Peek().kind != TokenKind::kImplies) {
-        return ErrorHere("expected ':-' after '!'");
+      lexer_.Next();
+      if (lexer_.kind() != Lex::kImplies) {
+        return SyntaxError("expected ':-' after '!'");
       }
-      Advance();
-      statement.kind = RawStatement::Kind::kCdd;
-      auto body = ParseAtomList();
-      if (!body.ok()) return body.status();
-      statement.body = std::move(body).value();
+      lexer_.Next();
+      kind_ = StatementKind::kCdd;
+      KBREPAIR_RETURN_IF_ERROR(ParseAtomList(&body_));
     } else {
-      auto first = ParseAtomList();
-      if (!first.ok()) return first.status();
-      if (Peek().kind == TokenKind::kImplies) {
-        Advance();
-        statement.kind = RawStatement::Kind::kTgd;
-        statement.head = std::move(first).value();
-        auto body = ParseAtomList();
-        if (!body.ok()) return body.status();
-        statement.body = std::move(body).value();
+      KBREPAIR_RETURN_IF_ERROR(ParseAtomList(&head_));
+      if (lexer_.kind() == Lex::kImplies) {
+        lexer_.Next();
+        kind_ = StatementKind::kTgd;
+        KBREPAIR_RETURN_IF_ERROR(ParseAtomList(&body_));
       } else {
-        statement.kind = RawStatement::Kind::kFact;
-        statement.head = std::move(first).value();
+        kind_ = StatementKind::kFact;
       }
     }
-    if (Peek().kind != TokenKind::kDot) {
-      return ErrorHere("expected '.' at end of statement");
+    if (lexer_.kind() != Lex::kDot) {
+      return SyntaxError("expected '.' at end of statement");
     }
-    Advance();
-    return statement;
+    lexer_.Next();
+    return Status::Ok();
   }
 
-  StatusOr<std::vector<RawAtom>> ParseAtomList() {
-    std::vector<RawAtom> atoms;
+  Status ParseAtomList(std::vector<AtomText>* atoms) {
     while (true) {
-      auto atom = ParseAtomOrEquality();
-      if (!atom.ok()) return atom.status();
-      atoms.push_back(std::move(atom).value());
-      if (Peek().kind == TokenKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
+      KBREPAIR_RETURN_IF_ERROR(ParseAtomOrEquality(atoms));
+      if (lexer_.kind() != Lex::kComma) return Status::Ok();
+      lexer_.Next();
     }
-    return atoms;
   }
 
-  StatusOr<RawAtom> ParseAtomOrEquality() {
-    RawAtom atom;
-    atom.line = Peek().line;
-    if (Peek().kind != TokenKind::kIdentifier &&
-        Peek().kind != TokenKind::kQuoted) {
-      return ErrorHere("expected predicate or term");
-    }
-    const Token first = Advance();
-    if (Peek().kind == TokenKind::kEquals) {
+  Status ParseAtomOrEquality(std::vector<AtomText>* atoms) {
+    AtomText atom{{}, terms_.size(), 0, lexer_.line(), false};
+    if (!AtTerm()) return SyntaxError("expected predicate or term");
+    const TermText first = CurrentTerm();
+    lexer_.Next();
+    if (lexer_.kind() == Lex::kEquals) {
       // Equality: term = term.
-      Advance();
-      if (Peek().kind != TokenKind::kIdentifier &&
-          Peek().kind != TokenKind::kQuoted) {
-        return ErrorHere("expected term after '='");
-      }
-      const Token second = Advance();
-      atom.is_equality = true;
-      atom.args.push_back(
-          {first.text, first.kind == TokenKind::kQuoted, first.line});
-      atom.args.push_back(
-          {second.text, second.kind == TokenKind::kQuoted, second.line});
-      return atom;
+      lexer_.Next();
+      if (!AtTerm()) return SyntaxError("expected term after '='");
+      terms_.push_back(first);
+      terms_.push_back(CurrentTerm());
+      lexer_.Next();
+      atom.equality = true;
+      atom.end_term = terms_.size();
+      atoms->push_back(atom);
+      return Status::Ok();
     }
-    if (first.kind == TokenKind::kQuoted) {
-      return ErrorHere("predicate names cannot be quoted");
+    if (first.quoted) {
+      return SyntaxError("predicate names cannot be quoted");
     }
     atom.predicate = first.text;
-    if (Peek().kind != TokenKind::kLeftParen) {
-      return ErrorHere("expected '(' after predicate " + first.text);
+    if (lexer_.kind() != Lex::kLeftParen) {
+      return SyntaxError("expected '(' after predicate " +
+                         std::string(first.text));
     }
-    Advance();
+    lexer_.Next();
     while (true) {
-      if (Peek().kind != TokenKind::kIdentifier &&
-          Peek().kind != TokenKind::kQuoted) {
-        return ErrorHere("expected term");
-      }
-      const Token term = Advance();
-      atom.args.push_back(
-          {term.text, term.kind == TokenKind::kQuoted, term.line});
-      if (Peek().kind == TokenKind::kComma) {
-        Advance();
+      if (!AtTerm()) return SyntaxError("expected term");
+      terms_.push_back(CurrentTerm());
+      lexer_.Next();
+      if (lexer_.kind() == Lex::kComma) {
+        lexer_.Next();
         continue;
       }
-      if (Peek().kind == TokenKind::kRightParen) {
-        Advance();
+      if (lexer_.kind() == Lex::kRightParen) {
+        lexer_.Next();
         break;
       }
-      return ErrorHere("expected ',' or ')' in argument list");
+      return SyntaxError("expected ',' or ')' in argument list");
+    }
+    atom.end_term = terms_.size();
+    atoms->push_back(atom);
+    return Status::Ok();
+  }
+
+  // Rule context: uppercase-initial identifiers are variables.
+  TermId ResolveRuleTerm(const TermText& term) {
+    if (!term.quoted && IsUpper(static_cast<unsigned char>(term.text[0]))) {
+      return symbols_.InternVariable(term.text);
+    }
+    return symbols_.InternConstant(term.text);
+  }
+
+  // Fact context: '_'-initial identifiers are labeled nulls.
+  TermId ResolveFactTerm(const TermText& term) {
+    if (!term.quoted && term.text[0] == '_') {
+      return symbols_.InternNull(term.text);
+    }
+    return symbols_.InternConstant(term.text);
+  }
+
+  StatusOr<Atom> ResolveAtom(const AtomText& text, bool rule_context) {
+    if (text.equality) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(text.line) +
+          ": equalities are only allowed in CDD bodies");
+    }
+    const int arity = static_cast<int>(text.end_term - text.first_term);
+    PredicateId pred = symbols_.FindPredicate(text.predicate);
+    if (pred == kInvalidPredicate) {
+      pred = symbols_.InternPredicate(text.predicate, arity);
+    } else if (symbols_.predicate_arity(pred) != arity) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(text.line) + ": predicate " +
+          std::string(text.predicate) + " used with arity " +
+          std::to_string(arity) + " but previously had arity " +
+          std::to_string(symbols_.predicate_arity(pred)));
+    }
+    Atom atom;
+    atom.predicate = pred;
+    atom.args.reserve(static_cast<size_t>(arity));
+    for (size_t i = text.first_term; i < text.end_term; ++i) {
+      atom.args.push_back(rule_context ? ResolveRuleTerm(terms_[i])
+                                       : ResolveFactTerm(terms_[i]));
     }
     return atom;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-};
-
-bool IsVariableName(const RawTerm& term) {
-  return !term.quoted && !term.text.empty() &&
-         std::isupper(static_cast<unsigned char>(term.text[0]));
-}
-
-bool IsNullName(const RawTerm& term) {
-  return !term.quoted && !term.text.empty() && term.text[0] == '_';
-}
-
-// Resolves a term in rule context (uppercase-initial = variable).
-TermId ResolveRuleTerm(const RawTerm& term, SymbolTable& symbols) {
-  if (IsVariableName(term)) return symbols.InternVariable(term.text);
-  return symbols.InternConstant(term.text);
-}
-
-// Resolves a term in fact context ('_'-initial = labeled null).
-TermId ResolveFactTerm(const RawTerm& term, SymbolTable& symbols) {
-  if (IsNullName(term)) return symbols.InternNull(term.text);
-  return symbols.InternConstant(term.text);
-}
-
-StatusOr<Atom> ResolveAtom(const RawAtom& raw, bool rule_context,
-                           SymbolTable& symbols) {
-  const int arity = static_cast<int>(raw.args.size());
-  const PredicateId existing = symbols.FindPredicate(raw.predicate);
-  if (existing != kInvalidPredicate &&
-      symbols.predicate_arity(existing) != arity) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(raw.line) + ": predicate " +
-        raw.predicate + " used with arity " + std::to_string(arity) +
-        " but previously had arity " +
-        std::to_string(symbols.predicate_arity(existing)));
+  StatusOr<std::vector<Atom>> ResolveRuleAtoms(
+      const std::vector<AtomText>& texts) {
+    std::vector<Atom> atoms;
+    atoms.reserve(texts.size());
+    for (const AtomText& text : texts) {
+      KBREPAIR_ASSIGN_OR_RETURN(Atom atom,
+                                ResolveAtom(text, /*rule_context=*/true));
+      atoms.push_back(std::move(atom));
+    }
+    return atoms;
   }
-  const PredicateId pred = symbols.InternPredicate(raw.predicate, arity);
-  Atom atom;
-  atom.predicate = pred;
-  atom.args.reserve(raw.args.size());
-  for (const RawTerm& term : raw.args) {
-    atom.args.push_back(rule_context ? ResolveRuleTerm(term, symbols)
-                                     : ResolveFactTerm(term, symbols));
-  }
-  return atom;
-}
 
-}  // namespace
-
-Status ParseDlgpInto(const std::string& text, KnowledgeBase& kb) {
-  Lexer lexer(text);
-  KBREPAIR_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  Parser parser(std::move(tokens));
-  KBREPAIR_ASSIGN_OR_RETURN(std::vector<RawStatement> statements,
-                            parser.ParseAll());
-
-  SymbolTable& symbols = kb.symbols();
-  for (const RawStatement& statement : statements) {
-    switch (statement.kind) {
-      case RawStatement::Kind::kFact: {
-        if (!statement.label.empty()) {
+  Status ResolveStatement() {
+    switch (kind_) {
+      case StatementKind::kFact: {
+        if (!label_.empty()) {
           return Status::InvalidArgument(
-              "line " + std::to_string(statement.line) +
+              "line " + std::to_string(statement_line_) +
               ": labels are only supported on rules and constraints");
         }
-        for (const RawAtom& raw : statement.head) {
-          if (raw.is_equality) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(raw.line) +
-                ": equalities are only allowed in CDD bodies");
-          }
+        for (const AtomText& text : head_) {
           KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom,
-              ResolveAtom(raw, /*rule_context=*/false, symbols));
-          kb.facts().Add(atom);
+              Atom atom, ResolveAtom(text, /*rule_context=*/false));
+          kb_.facts().Add(std::move(atom));
         }
-        break;
+        return Status::Ok();
       }
-      case RawStatement::Kind::kTgd: {
-        std::vector<Atom> head;
-        std::vector<Atom> body;
-        for (const RawAtom& raw : statement.head) {
-          if (raw.is_equality) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(raw.line) +
-                ": equalities are only allowed in CDD bodies");
-          }
-          KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom, ResolveAtom(raw, /*rule_context=*/true, symbols));
-          head.push_back(std::move(atom));
-        }
-        for (const RawAtom& raw : statement.body) {
-          if (raw.is_equality) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(raw.line) +
-                ": equalities are only allowed in CDD bodies");
-          }
-          KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom, ResolveAtom(raw, /*rule_context=*/true, symbols));
-          body.push_back(std::move(atom));
-        }
+      case StatementKind::kTgd: {
+        KBREPAIR_ASSIGN_OR_RETURN(std::vector<Atom> head,
+                                  ResolveRuleAtoms(head_));
+        KBREPAIR_ASSIGN_OR_RETURN(std::vector<Atom> body,
+                                  ResolveRuleAtoms(body_));
         KBREPAIR_ASSIGN_OR_RETURN(
-            Tgd tgd, Tgd::Create(std::move(body), std::move(head), symbols));
-        tgd.set_label(statement.label);
-        kb.tgds().push_back(std::move(tgd));
-        break;
+            Tgd tgd, Tgd::Create(std::move(body), std::move(head), symbols_));
+        tgd.set_label(std::string(label_));
+        kb_.tgds().push_back(std::move(tgd));
+        return Status::Ok();
       }
-      case RawStatement::Kind::kCdd: {
+      case StatementKind::kCdd: {
         std::vector<Atom> body;
         std::vector<TermEquality> equalities;
-        for (const RawAtom& raw : statement.body) {
-          if (raw.is_equality) {
+        for (const AtomText& text : body_) {
+          if (text.equality) {
             TermEquality eq;
-            eq.left = ResolveRuleTerm(raw.args[0], symbols);
-            eq.right = ResolveRuleTerm(raw.args[1], symbols);
+            eq.left = ResolveRuleTerm(terms_[text.first_term]);
+            eq.right = ResolveRuleTerm(terms_[text.first_term + 1]);
             equalities.push_back(eq);
             continue;
           }
-          KBREPAIR_ASSIGN_OR_RETURN(
-              Atom atom, ResolveAtom(raw, /*rule_context=*/true, symbols));
+          KBREPAIR_ASSIGN_OR_RETURN(Atom atom,
+                                    ResolveAtom(text, /*rule_context=*/true));
           body.push_back(std::move(atom));
         }
         KBREPAIR_ASSIGN_OR_RETURN(
             Cdd cdd,
-            Cdd::Create(std::move(body), symbols, std::move(equalities)));
-        cdd.set_label(statement.label);
-        kb.cdds().push_back(std::move(cdd));
-        break;
+            Cdd::Create(std::move(body), symbols_, std::move(equalities)));
+        cdd.set_label(std::string(label_));
+        kb_.cdds().push_back(std::move(cdd));
+        return Status::Ok();
       }
     }
+    return Status::Ok();
   }
-  return Status::Ok();
+
+  Lexer lexer_;
+  KnowledgeBase& kb_;
+  SymbolTable& symbols_;
+  // After a semantic error: parse the rest for outranking errors only.
+  bool check_only_ = false;
+
+  // The current statement.
+  StatementKind kind_ = StatementKind::kFact;
+  int statement_line_ = 0;
+  std::string_view label_;  // "[name]" prefix; empty if absent
+  std::vector<TermText> terms_;
+  std::vector<AtomText> head_;  // a fact's atoms, or a TGD head
+  std::vector<AtomText> body_;
+};
+
+}  // namespace
+
+Status ParseDlgpInto(std::string_view text, KnowledgeBase& kb) {
+  return Parser(text, kb).ParseAll();
 }
 
-StatusOr<KnowledgeBase> ParseDlgp(const std::string& text) {
+StatusOr<KnowledgeBase> ParseDlgp(std::string_view text) {
   KnowledgeBase kb;
   KBREPAIR_RETURN_IF_ERROR(ParseDlgpInto(text, kb));
   return kb;
@@ -446,10 +488,10 @@ namespace {
 bool LexesAsIdentifier(const std::string& name) {
   if (name.empty()) return false;
   const unsigned char first = static_cast<unsigned char>(name[0]);
-  if (!std::isalnum(first) && first != '_') return false;
+  if (!IsIdentifierStart(first)) return false;
   for (const char c : name) {
     const unsigned char byte = static_cast<unsigned char>(c);
-    if (!std::isalnum(byte) && c != '_' && c != '-' && c != '/') {
+    if (!IsIdentifierChar(byte)) {
       return false;
     }
   }
@@ -464,7 +506,7 @@ std::string PrintTerm(const SymbolTable& symbols, TermId term,
     case TermKind::kConstant: {
       const bool looks_variable =
           rule_context && !name.empty() &&
-          std::isupper(static_cast<unsigned char>(name[0]));
+          IsUpper(static_cast<unsigned char>(name[0]));
       const bool looks_null = !name.empty() && name[0] == '_';
       if (looks_variable || looks_null || !LexesAsIdentifier(name)) {
         return '"' + name + '"';

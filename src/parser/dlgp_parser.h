@@ -23,6 +23,7 @@
 #define KBREPAIR_PARSER_DLGP_PARSER_H_
 
 #include <string>
+#include <string_view>
 
 #include "rules/knowledge_base.h"
 #include "util/status.h"
@@ -32,10 +33,17 @@ namespace kbrepair {
 // Parses `text` into a fresh KnowledgeBase. Errors carry 1-based line
 // numbers. The result is syntactically validated but Validate() (weak
 // acyclicity etc.) is left to the caller.
-StatusOr<KnowledgeBase> ParseDlgp(const std::string& text);
+//
+// When a text has several errors, the first lexical error (a byte no
+// token starts with, an unterminated string) is reported, else the
+// first syntax error, else the first semantic one (arity, labels on
+// facts, equalities outside CDD bodies, rule validation) in statement
+// order.
+StatusOr<KnowledgeBase> ParseDlgp(std::string_view text);
 
 // Parses `text` and appends to an existing KnowledgeBase (same syntax).
-Status ParseDlgpInto(const std::string& text, KnowledgeBase& kb);
+// On error, `kb` keeps the statements before the failing one.
+Status ParseDlgpInto(std::string_view text, KnowledgeBase& kb);
 
 // Serializes a KnowledgeBase back to the syntax above. Round-trips with
 // ParseDlgp (modulo whitespace).

@@ -197,9 +197,6 @@ class CowMap {
     return flat;
   }
 
-  bool has_base() const { return base_ != nullptr; }
-  size_t overlay_size() const { return local_.size(); }
-
  private:
   std::shared_ptr<const Map> base_;
   Map local_;

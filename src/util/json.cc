@@ -74,7 +74,16 @@ std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 2);
   out += '"';
-  for (const char c : text) {
+  // Bytes that need no escape (UTF-8 included) are appended a run at a
+  // time.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -91,17 +100,15 @@ std::string JsonEscape(const std::string& text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through untouched
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buf;
+      }
     }
   }
+  out.append(text, run, std::string::npos);
   out += '"';
   return out;
 }
@@ -264,14 +271,17 @@ class JsonParser {
 
   Status ParseRawString(std::string& value) {
     ++pos_;  // opening quote
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_];
-      if (c != '\\') {
-        value += c;
-        ++pos_;
-        continue;
+    while (true) {
+      // Everything up to the next quote or backslash, in one append.
+      size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' &&
+             text_[stop] != '\\') {
+        ++stop;
       }
-      ++pos_;
+      value.append(text_, pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ >= text_.size() || text_[pos_] == '"') break;
+      ++pos_;  // backslash
       if (pos_ >= text_.size()) return Error("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {

@@ -428,6 +428,35 @@ TEST_F(FactBaseTest, FreezePreservesPostingListOrder) {
   EXPECT_EQ(fork.AtomsWithTermAt(p_, 0, a_).size(), 1u);
 }
 
+// Use counts are dense per TermId: a fork copies only the counts it
+// changes, counts terms interned after the freeze, and leaves the
+// prototype's counts alone.
+TEST_F(FactBaseTest, TermUseCountsUnderForking) {
+  facts_.Add(Atom(p_, {a_, b_}));
+  facts_.Add(Atom(p_, {a_, a_}));
+  facts_.FreezeSharedBase();
+  EXPECT_EQ(facts_.overlay_size(), 0u);
+
+  FactBase fork = facts_;
+  EXPECT_EQ(fork.overlay_size(), 0u);
+  EXPECT_EQ(fork.TermUseCount(a_), 3u);
+  EXPECT_EQ(fork.TermUseCount(c_), 0u);  // interned, never used
+  fork.SetArg(1, 1, c_);
+  const TermId late = symbols_.InternConstant("interned-after-freeze");
+  EXPECT_EQ(fork.TermUseCount(late), 0u);  // past the counted ids
+  fork.Add(Atom(p_, {late, late}));
+  EXPECT_EQ(fork.TermUseCount(a_), 2u);
+  EXPECT_EQ(fork.TermUseCount(c_), 1u);
+  EXPECT_EQ(fork.TermUseCount(late), 2u);
+  fork.Remove(2);
+  EXPECT_EQ(fork.TermUseCount(late), 0u);
+
+  EXPECT_EQ(facts_.TermUseCount(a_), 3u);
+  EXPECT_EQ(facts_.TermUseCount(c_), 0u);
+  EXPECT_EQ(facts_.TermUseCount(late), 0u);
+  EXPECT_EQ(facts_.overlay_size(), 0u);
+}
+
 TEST(AtomTest, EqualityAndHash) {
   SymbolTable symbols;
   const PredicateId p = symbols.InternPredicate("p", 2);

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "util/rng.h"
+
 namespace kbrepair {
 namespace {
 
@@ -104,6 +106,127 @@ TEST(JsonTest, DumpIsSingleLine) {
   const std::string dumped = value.Dump();
   EXPECT_EQ(dumped.find('\n'), std::string::npos);
   EXPECT_EQ(dumped.find('\r'), std::string::npos);
+}
+
+// The byte-at-a-time encoder the codec replaced; output must not change.
+std::string ReferenceEscape(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[static_cast<unsigned char>(c) >> 4];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out + "\"";
+}
+
+// Plain runs of every length (empty included) between single bytes of
+// every escape class: quote, backslash, the named controls, every other
+// control byte, and multi-byte UTF-8 characters.
+std::string MixedPayload(Rng& rng, size_t min_size) {
+  static const char* const kSpecials[] = {
+      "\"", "\\", "\n", "\r", "\t", "/",
+      "\xc3\xa9",          // é
+      "\xe2\x8a\xa5",      // ⊥
+      "\xf0\x9f\x98\x80",  // 4-byte emoji
+  };
+  std::string out;
+  while (out.size() < min_size) {
+    const size_t run = rng.UniformIndex(48);
+    for (size_t i = 0; i < run; ++i) {
+      out += static_cast<char>(' ' + rng.UniformIndex(95));
+    }
+    if (rng.Bernoulli(0.3)) {
+      out += static_cast<char>(rng.UniformIndex(0x20));  // \u00XX class
+    } else {
+      out += kSpecials[rng.UniformIndex(std::size(kSpecials))];
+    }
+  }
+  return out;
+}
+
+TEST(JsonTest, LongStringRoundTripsWithEveryEscapeClass) {
+  Rng rng(20180326);
+  const std::string payload = MixedPayload(rng, 64 * 1024);
+  const std::string encoded = JsonEscape(payload);
+  EXPECT_EQ(encoded, ReferenceEscape(payload));
+  StatusOr<JsonValue> decoded = JsonValue::Parse(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->AsString(), payload);
+
+  // Inside an object, as a create line carries its KB text.
+  JsonValue line = JsonValue::Object();
+  line.Set("kb_dlgp", JsonValue::String(payload));
+  StatusOr<JsonValue> reparsed = JsonValue::Parse(line.Dump());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(reparsed->Get("kb_dlgp").AsString(), payload);
+}
+
+// Escapes the encoder never writes (\/, \b, \f, \u with upper-case or
+// non-ASCII code points) decode at any offset between plain runs.
+TEST(JsonTest, DecodesEveryEscapeBetweenRuns) {
+  struct Escape {
+    const char* json;
+    const char* decoded;
+  };
+  static const Escape kEscapes[] = {
+      {"\\/", "/"},           {"\\b", "\b"},
+      {"\\f", "\f"},         {"\\u0041", "A"},
+      {"\\u001F", "\x1f"},   {"\\u00e9", "\xc3\xa9"},
+      {"\\u22A5", "\xe2\x8a\xa5"}, {"\\\"", "\""},
+      {"\\\\", "\\"},
+  };
+  Rng rng(7);
+  std::string json = "\"";
+  std::string expected;
+  while (expected.size() < 64 * 1024) {
+    const size_t run = rng.UniformIndex(32);
+    for (size_t i = 0; i < run; ++i) {
+      const char c = static_cast<char>('0' + rng.UniformIndex(43));
+      json += c;
+      expected += c;
+    }
+    const Escape& escape = kEscapes[rng.UniformIndex(std::size(kEscapes))];
+    json += escape.json;
+    expected += escape.decoded;
+  }
+  json += "\"";
+  StatusOr<JsonValue> decoded = JsonValue::Parse(json);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->AsString(), expected);
+}
+
+TEST(JsonTest, UnterminatedStringsReportTheEnd) {
+  for (const std::string text : {"\"abc", "\"abc\\"}) {
+    StatusOr<JsonValue> parsed = JsonValue::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find(
+                  "byte " + std::to_string(text.size())),
+              std::string::npos)
+        << parsed.status();
+  }
 }
 
 }  // namespace
