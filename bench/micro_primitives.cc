@@ -9,7 +9,8 @@
 //  * sound-question generation delay as the KB grows — the observable
 //    side of the polynomial-delay result (Corollary 4.11);
 //  * cold KB load: DLGP parse of a session-churn-shaped KB plus its
-//    teardown, the text-handling share of a kbrepaird create.
+//    teardown, the text-handling share of a kbrepaird create, and the
+//    FactBase build, copy and teardown a cold session makes.
 
 // `--quick [--out FILE]` bypasses google-benchmark and emits a reduced
 // join + saturation ladder in the BENCH_*.json schema bench_diff
@@ -21,7 +22,7 @@
 //   depth_ladder "saturation ..."  scratch = chase at --chase-threads 1,
 //                                  incremental = chase at 2 threads.
 // Each row therefore gates one hot primitive of the cache-dense chase
-// path (columnar candidate scan / arena-backed wave saturation).
+// path (flat posting-table candidate scan / arena-backed wave saturation).
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,7 +101,7 @@ void BM_ChaseSaturation(benchmark::State& state) {
 BENCHMARK(BM_ChaseSaturation)->Arg(500)->Arg(1000)->Arg(2000);
 
 // The raw backtracking join: enumerate every homomorphism of every CDD
-// body, no conflict materialization — the candidate scan the columnar
+// body, no conflict materialization — the candidate scan the flat
 // posting index feeds.
 void BM_CddBodyJoin(benchmark::State& state) {
   SyntheticKb generated = MakeKb(static_cast<size_t>(state.range(0)), 0.3);
@@ -273,13 +275,12 @@ BENCHMARK(BM_SoundQuestionGeneration)
     ->Arg(2000)
     ->Arg(4000);
 
-// Cold KB load as a kbrepaird create runs it: ParseDlgp of the printed
-// text of a KB shaped like the session-churn benchmark's (arities 2-4,
-// 60 TGDs, 20 CDDs), and the parsed KB's teardown, both timed.
-void BM_ParseDlgp(benchmark::State& state) {
+// A KB shaped like the session-churn benchmark's (arities 2-4, 60 TGDs,
+// 20 CDDs).
+SyntheticKb ChurnShapedKb(size_t num_facts) {
   SyntheticKbOptions options;
   options.seed = 1;
-  options.num_facts = static_cast<size_t>(state.range(0));
+  options.num_facts = num_facts;
   options.inconsistency_ratio = 0.01;
   options.num_cdds = 20;
   options.cdd_min_atoms = 2;
@@ -293,7 +294,15 @@ void BM_ParseDlgp(benchmark::State& state) {
   options.max_multiplicity = 2;
   StatusOr<SyntheticKb> generated = GenerateSyntheticKb(options);
   KBREPAIR_CHECK(generated.ok()) << generated.status();
-  const std::string text = PrintDlgp(generated->kb);
+  return std::move(*generated);
+}
+
+// Cold KB load as a kbrepaird create runs it: ParseDlgp of the printed
+// text of a session-churn-shaped KB, and the parsed KB's teardown, both
+// timed.
+void BM_ParseDlgp(benchmark::State& state) {
+  const std::string text =
+      PrintDlgp(ChurnShapedKb(static_cast<size_t>(state.range(0))).kb);
   for (auto _ : state) {
     StatusOr<KnowledgeBase> kb = ParseDlgp(text);
     KBREPAIR_CHECK(kb.ok()) << kb.status();
@@ -303,6 +312,52 @@ void BM_ParseDlgp(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_ParseDlgp)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
+
+// The FactBase side of a cold session: building F with Add, one copy
+// (InquiryEngine::Begin copies F twice), and the teardown of both. Each
+// stage is timed on its own and reported per iteration as add_ms,
+// copy_ms and teardown_ms; the benchmark's time is their sum.
+void BM_FactBaseLifecycle(benchmark::State& state) {
+  const SyntheticKb generated =
+      ChurnShapedKb(static_cast<size_t>(state.range(0)));
+  const FactBase& source = generated.kb.facts();
+  std::vector<Atom> atoms;
+  for (AtomId id = 0; id < source.size(); ++id) {
+    atoms.push_back(source.atom(id));
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::duration elapsed) {
+    return std::chrono::duration<double, std::milli>(elapsed).count();
+  };
+  double add_ms = 0;
+  double copy_ms = 0;
+  double teardown_ms = 0;
+  for (auto _ : state) {
+    const Clock::time_point start = Clock::now();
+    auto facts = std::make_unique<FactBase>();
+    for (const Atom& atom : atoms) facts->Add(atom);
+    const Clock::time_point built = Clock::now();
+    auto copy = std::make_unique<FactBase>(*facts);
+    const Clock::time_point copied = Clock::now();
+    benchmark::DoNotOptimize(copy->size());
+    facts.reset();
+    copy.reset();
+    const Clock::time_point freed = Clock::now();
+    add_ms += ms(built - start);
+    copy_ms += ms(copied - built);
+    teardown_ms += ms(freed - copied);
+  }
+  state.counters["add_ms"] =
+      benchmark::Counter(add_ms, benchmark::Counter::kAvgIterations);
+  state.counters["copy_ms"] =
+      benchmark::Counter(copy_ms, benchmark::Counter::kAvgIterations);
+  state.counters["teardown_ms"] =
+      benchmark::Counter(teardown_ms, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FactBaseLifecycle)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // --quick gate mode (bench_diff schema; see file comment).

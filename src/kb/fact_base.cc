@@ -7,7 +7,7 @@ namespace kbrepair {
 AtomId FactBase::Add(Atom atom) {
   const AtomId id = static_cast<AtomId>(atoms_.size());
   const PredicateId pred = atom.predicate;
-  by_predicate_.Mutable(pred).push_back(id);
+  by_predicate_.Append(pred, id);
   for (int pos = 0; pos < atom.arity(); ++pos) {
     IndexArg(id, pred, pos, atom.args[static_cast<size_t>(pos)]);
   }
@@ -35,13 +35,7 @@ void FactBase::Remove(AtomId id) {
   for (int pos = 0; pos < atom.arity(); ++pos) {
     UnindexArg(id, atom.predicate, pos, atom.args[static_cast<size_t>(pos)]);
   }
-  std::vector<AtomId>* postings = by_predicate_.FindMutable(atom.predicate);
-  KBREPAIR_DCHECK(postings != nullptr);
-  auto entry = std::find(postings->begin(), postings->end(), id);
-  KBREPAIR_DCHECK(entry != postings->end());
-  *entry = postings->back();
-  postings->pop_back();
-  if (postings->empty()) by_predicate_.Erase(atom.predicate);
+  by_predicate_.SwapErase(atom.predicate, id);
   num_positions_ -= static_cast<size_t>(atom.arity());
   if (dead_.size() < atoms_.size()) dead_.resize(atoms_.size(), false);
   dead_[id] = true;
@@ -54,7 +48,7 @@ AtomSpan FactBase::AtomsWithPredicate(PredicateId pred) const {
 
 AtomSpan FactBase::AtomsWithTermAt(PredicateId pred, int pos,
                                    TermId term) const {
-  return by_probe_.Find(ProbeKey(pred, pos, term));
+  return by_probe_.Find(ProbeKey{pred, pos, term});
 }
 
 bool FactBase::Contains(const Atom& atom, AtomId* found) const {
@@ -134,7 +128,7 @@ void FactBase::FreezeSharedBase() {
 }
 
 void FactBase::IndexArg(AtomId id, PredicateId pred, int pos, TermId term) {
-  by_probe_.Mutable(ProbeKey(pred, pos, term)).push_back(id);
+  by_probe_.Append(ProbeKey{pred, pos, term}, id);
   const size_t index = static_cast<size_t>(term);
   while (term_use_count_.size() <= index) term_use_count_.PushBack(0);
   ++term_use_count_.Mutable(index);
@@ -142,14 +136,7 @@ void FactBase::IndexArg(AtomId id, PredicateId pred, int pos, TermId term) {
 
 void FactBase::UnindexArg(AtomId id, PredicateId pred, int pos,
                           TermId term) {
-  std::vector<AtomId>* postings =
-      by_probe_.FindMutable(ProbeKey(pred, pos, term));
-  KBREPAIR_DCHECK(postings != nullptr);
-  auto entry = std::find(postings->begin(), postings->end(), id);
-  KBREPAIR_DCHECK(entry != postings->end());
-  // Swap-erase: posting lists are unordered multisets.
-  *entry = postings->back();
-  postings->pop_back();
+  by_probe_.SwapErase(ProbeKey{pred, pos, term}, id);
   uint32_t& count = term_use_count_.Mutable(static_cast<size_t>(term));
   KBREPAIR_DCHECK(count > 0);
   --count;

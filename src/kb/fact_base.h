@@ -131,20 +131,31 @@ class FactBase {
   }
 
  private:
-  // Packs a (pred, pos, term) probe into a 64-bit map key.
-  static uint64_t ProbeKey(PredicateId pred, int pos, TermId term) {
-    return ((static_cast<uint64_t>(static_cast<uint32_t>(pred)) << 4 |
-             static_cast<uint64_t>(pos))
-            << 32) |
-           static_cast<uint32_t>(term);
-  }
+  // One (predicate, position, term) probe. Every field keeps its full
+  // width, so keys stay distinct at any arity.
+  struct ProbeKey {
+    PredicateId predicate;
+    int32_t position;
+    TermId term;
+
+    bool operator==(const ProbeKey&) const = default;
+  };
+  struct ProbeKeyHash {
+    uint64_t operator()(const ProbeKey& key) const {
+      return (static_cast<uint64_t>(static_cast<uint32_t>(key.predicate))
+                  << 32 |
+              static_cast<uint32_t>(key.term)) ^
+             static_cast<uint64_t>(static_cast<uint32_t>(key.position)) *
+                 0xc2b2ae3d27d4eb4full;
+    }
+  };
 
   void IndexArg(AtomId id, PredicateId pred, int pos, TermId term);
   void UnindexArg(AtomId id, PredicateId pred, int pos, TermId term);
 
   CowVector<Atom> atoms_;
   PostingIndex<int32_t> by_predicate_;
-  PostingIndex<uint64_t> by_probe_;
+  PostingIndex<ProbeKey, ProbeKeyHash> by_probe_;
   // Uses of each term, indexed by its dense TermId; ids past the end
   // count zero.
   CowVector<uint32_t> term_use_count_;

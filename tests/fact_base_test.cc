@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "parser/dlgp_parser.h"
 #include "util/rng.h"
 
 namespace kbrepair {
@@ -143,6 +146,28 @@ TEST_F(FactBaseTest, ToStringListsAtoms) {
   EXPECT_EQ(facts_.ToString(symbols_), "p(a,b)\n");
 }
 
+// Probe keys keep the position at full width: position 16 of one
+// predicate must not alias position 0 of the next predicate's id.
+TEST(FactBaseProbeKeyTest, WideArityProbesStayDistinct) {
+  StatusOr<KnowledgeBase> kb = ParseDlgp(
+      "p(a,a,a,a,a,a,a,a,a,a,a,a,a,a,a,a,b). q(b,c).");
+  ASSERT_TRUE(kb.ok()) << kb.status();
+  const SymbolTable& symbols = kb->symbols();
+  const FactBase& facts = kb->facts();
+  const PredicateId p = symbols.FindPredicate("p");
+  const PredicateId q = symbols.FindPredicate("q");
+  const TermId b = symbols.FindTerm(TermKind::kConstant, "b");
+  ASSERT_EQ(symbols.predicate_arity(p), 17);
+  const AtomSpan wide = facts.AtomsWithTermAt(p, 16, b);
+  EXPECT_EQ(std::vector<AtomId>(wide.begin(), wide.end()),
+            std::vector<AtomId>{0});
+  const AtomSpan narrow = facts.AtomsWithTermAt(q, 0, b);
+  EXPECT_EQ(std::vector<AtomId>(narrow.begin(), narrow.end()),
+            std::vector<AtomId>{1});
+  EXPECT_TRUE(facts.AtomsWithTermAt(p, 0, b).empty());
+  EXPECT_TRUE(facts.AtomsWithTermAt(q, 16, b).empty());
+}
+
 // --- Randomized index invariants vs. a naive rescan model ---------------
 //
 // The secondary indexes (predicate scan lists, (pred,pos,term) probe
@@ -252,6 +277,9 @@ struct RandomOpsFixture {
   std::vector<TermId> terms;
 
   RandomOpsFixture() {
+    // Interned first, so its position 16 sits next to p0's position 0
+    // in any key that packs the position into too few bits.
+    predicates.push_back(symbols.InternPredicate("wide", 17));
     for (int p = 0; p < 4; ++p) {
       const std::string index = std::to_string(p);
       predicates.push_back(symbols.InternPredicate("p" + index, 1 + p % 3));
@@ -272,7 +300,7 @@ struct RandomOpsFixture {
   }
 
   // One random mutation applied to both the fact base and the model.
-  void Step(FactBase& facts, IndexModel& model, Rng& rng) {
+  void Step(FactBase& facts, IndexModel& model, Rng& rng) const {
     std::vector<AtomId> live;
     for (AtomId id = 0; id < model.atoms.size(); ++id) {
       if (model.alive[id]) live.push_back(id);
@@ -390,7 +418,7 @@ TEST_P(FactBaseIndexProperty, SiblingForksAreIndependent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FactBaseIndexProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
-// Freezing flattens posting lists into the columnar base; reads must
+// Freezing packs posting lists into the frozen base table; reads must
 // return the exact same id sequences before and after (candidate
 // enumeration order is observable in chase transcripts).
 TEST_F(FactBaseTest, FreezePreservesPostingListOrder) {
@@ -455,6 +483,42 @@ TEST_F(FactBaseTest, TermUseCountsUnderForking) {
   EXPECT_EQ(facts_.TermUseCount(c_), 0u);
   EXPECT_EQ(facts_.TermUseCount(late), 0u);
   EXPECT_EQ(facts_.overlay_size(), 0u);
+}
+
+// Four threads fork one frozen base and read it through their forks
+// while each rewrites its own overlay; the base is shared, never written.
+// Run under TSan in CI.
+TEST(FactBaseConcurrencyTest, SiblingForksReadOneFrozenBase) {
+  const RandomOpsFixture fixture;
+  Rng rng(2024);
+  FactBase base;
+  IndexModel model;
+  for (int i = 0; i < 300; ++i) {
+    const Atom atom = fixture.RandomAtom(rng);
+    base.Add(atom);
+    model.atoms.push_back(atom);
+    model.alive.push_back(true);
+  }
+  base.FreezeSharedBase();
+
+  std::vector<std::thread> readers;
+  for (uint64_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&fixture, &base, &model, t] {
+      FactBase fork = base;
+      IndexModel fork_model = model;
+      Rng fork_rng(t * 97 + 13);
+      for (int op = 0; op < 150; ++op) {
+        fixture.Step(fork, fork_model, fork_rng);
+        if (op % 50 == 49) {
+          CheckIndexesAgainstModel(fork, fork_model, fixture.predicates,
+                                   fixture.terms, fixture.symbols);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  CheckIndexesAgainstModel(base, model, fixture.predicates, fixture.terms,
+                           fixture.symbols);
 }
 
 TEST(AtomTest, EqualityAndHash) {
