@@ -15,12 +15,12 @@
 // `--quick [--out FILE]` bypasses google-benchmark and emits a reduced
 // join + saturation ladder in the BENCH_*.json schema bench_diff
 // understands (baseline: bench/baselines/BENCH_micro_primitives_quick
-// .json). The schema's two engine columns are reused per ladder:
+// .json). The schema's engine columns are reused per ladder:
 //   size_ladder  "join ..."        scratch = full naive-conflict rescan,
 //                                  incremental = one UPDATECONFLICTS step
 //                                  (DeltaConflictEngine::OnFixApplied);
-//   depth_ladder "saturation ..."  scratch = chase at --chase-threads 1,
-//                                  incremental = chase at 2 threads.
+//   depth_ladder "saturation ..."  scratch = the full chase
+//                                  (IncrementalChase::Initialize).
 // Each row therefore gates one hot primitive of the cache-dense chase
 // path (flat posting-table candidate scan / arena-backed wave saturation).
 
@@ -369,8 +369,7 @@ struct QuickStats {
 };
 
 // Times `reps` calls of `fn` (after one untimed warmup call, so cold
-// caches and lazy pool spin-up don't skew the gated mean) and
-// summarizes per-call wall time.
+// caches don't skew the gated mean) and summarizes per-call wall time.
 template <typename Fn>
 QuickStats MeasureMs(int reps, Fn&& fn) {
   fn();
@@ -434,27 +433,22 @@ std::string JoinRow(size_t num_facts) {
                  incremental);
 }
 
-// One saturation row: the wave chase at 1 thread (scratch column) and
-// 2 threads (incremental column) over a TGD-heavy workload. Workloads
-// are sized so each run is a few milliseconds — on an oversubscribed
-// runner a scheduler preemption then shifts the 16-sample mean by a
-// few percent instead of doubling it.
+// One saturation row: the full chase (scratch column) over a TGD-heavy
+// workload. Workloads are sized so each run is a few milliseconds — on
+// an oversubscribed runner a scheduler preemption then shifts the
+// 16-sample mean by a few percent instead of doubling it.
 std::string SaturationRow(size_t num_facts) {
   SyntheticKb generated =
       MakeKb(num_facts, 0.1, /*num_tgds=*/20, /*depth=*/2);
   KnowledgeBase& kb = generated.kb;
-  const auto run_at = [&kb](size_t threads) {
-    ChaseOptions options;
-    options.num_threads = threads;
-    return MeasureMs(16, [&] {
-      IncrementalChase chase(&kb.symbols(), &kb.tgds(), options);
-      const Status status = chase.Initialize(kb.facts());
-      KBREPAIR_CHECK(status.ok()) << status;
-      benchmark::DoNotOptimize(chase.facts().size());
-    });
-  };
-  return RowJson("saturation " + std::to_string(num_facts) + " facts d2",
-                 run_at(1), run_at(2));
+  const QuickStats scratch = MeasureMs(16, [&] {
+    IncrementalChase chase(&kb.symbols(), &kb.tgds());
+    const Status status = chase.Initialize(kb.facts());
+    KBREPAIR_CHECK(status.ok()) << status;
+    benchmark::DoNotOptimize(chase.facts().size());
+  });
+  return "    {\"config\": \"saturation " + std::to_string(num_facts) +
+         " facts d2\",\n     \"scratch\": " + StatsJson(scratch) + "}";
 }
 
 int RunQuickGate(const std::string& out_path) {

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "chase/wave.h"
 #include "kb/homomorphism.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -14,6 +13,15 @@
 namespace kbrepair {
 
 namespace {
+
+// A trigger Phase A found, pending its Phase B head-satisfaction check.
+// The spans point into the wave's scratch arena, which is reset once
+// Phase B has consumed the wave.
+struct PendingTrigger {
+  size_t tgd_index = 0;
+  ArenaSpan<AtomId> matched;    // body-matched atoms, body order
+  ArenaSpan<Binding> bindings;  // frontier bindings, flat
+};
 
 // Anchors of the rule bodies for semi-naive evaluation: predicate ->
 // [(rule index, body position)].
@@ -173,14 +181,11 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave,
     KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
   }
   HomomorphismFinder finder(symbols_, &chased_);
-  WaveExecutor exec(options_.num_threads);
-  // Per-slot Phase A findings; written by one worker each, merged in
-  // slot order by Phase B.
-  struct Slot {
-    std::vector<PendingTrigger> triggers;
-    std::optional<ChaseViolation> violation;  // slot's first, body order
-  };
-  std::vector<Slot> slots;
+  Arena scratch;
+  // Phase A's findings, in slot order: the wave's triggers, and the
+  // first violation, which ends the enumeration at its slot.
+  std::vector<PendingTrigger> triggers;
+  std::optional<ChaseViolation> violation;
   std::vector<AtomId> next;
   std::vector<Atom> head_query;
   size_t steps = 0;
@@ -189,94 +194,86 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave,
     if (options_.cancel != nullptr) {
       KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
     }
-    if (slots.size() < wave.size()) slots.resize(wave.size());
 
     // --- Phase A: enumerate the CDD violations and TGD triggers anchored
     // at each wave atom against the wave-start snapshot (read-only).
-    exec.ForEachSlot(wave.size(), [&](size_t s, Arena& arena) {
-      Slot& slot = slots[s];
-      slot.triggers.clear();
-      slot.violation.reset();
-      const AtomId current = wave[s];
-      if (!chased_.alive(current)) return;
+    triggers.clear();
+    for (const AtomId current : wave) {
+      if (!chased_.alive(current)) continue;
       const PredicateId pred = chased_.atom(current).predicate;
 
       // ⊥-detection: does a CDD body have a homomorphism using the
-      // current atom? (CHECKCONSISTENCY-OPT.)
+      // current atom? (CHECKCONSISTENCY-OPT.) Phase B stops at this
+      // slot before firing its triggers, so later slots are moot.
       auto cdd_it = cdd_anchor_index_.find(pred);
       if (cdd_it != cdd_anchor_index_.end()) {
         for (const auto& [cdd_index, body_pos] : cdd_it->second) {
           finder.FindAllPinnedViews(
               (*cdds_)[cdd_index].body(), body_pos, current,
               [&, cdd_index = cdd_index](const HomomorphismView& view) {
-                slot.violation = ChaseViolation{
+                violation = ChaseViolation{
                     cdd_index, std::vector<AtomId>(
                                    view.matched,
                                    view.matched + view.num_matched)};
-                return false;  // first violation per slot suffices
+                return false;  // the slot's first violation suffices
               });
-          if (slot.violation.has_value()) break;
+          if (violation.has_value()) break;
         }
+        if (violation.has_value()) break;
       }
 
       auto it = anchor_index_->find(pred);
-      if (it == anchor_index_->end()) return;
+      if (it == anchor_index_->end()) continue;
       for (const auto& [tgd_index, body_pos] : it->second) {
         finder.FindAllPinnedViews(
             (*tgds_)[tgd_index].body(), body_pos, current,
             [&, tgd_index = tgd_index](const HomomorphismView& view) {
-              PendingTrigger trigger;
-              trigger.tgd_index = tgd_index;
-              trigger.matched = arena.Copy(view.matched, view.num_matched);
-              trigger.bindings =
-                  arena.Copy(view.bindings, view.num_bindings);
-              slot.triggers.push_back(trigger);
+              triggers.push_back(PendingTrigger{
+                  tgd_index, scratch.Copy(view.matched, view.num_matched),
+                  scratch.Copy(view.bindings, view.num_bindings)});
               return true;
             });
       }
-    });
+    }
 
-    // --- Phase B: deterministic sequential merge in slot order against
-    // the live base. All mutation (violation recording, restricted test,
-    // fresh nulls, atom insertion) happens here, so the output is
-    // independent of how Phase A was scheduled.
+    // --- Phase B: fire in slot order against the live base. All
+    // mutation (restricted test, fresh nulls, atom insertion) happens
+    // here, and this order fixes atom ids, null names and provenance.
     next.clear();
-    for (size_t s = 0; s < wave.size(); ++s) {
+    for (const PendingTrigger& trigger : triggers) {
       if (options_.cancel != nullptr && (++steps & 63) == 0) {
         KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
       }
-      if (slots[s].violation.has_value()) {
-        violation_ = std::move(slots[s].violation);
-        return Status::Ok();
+      const Tgd& tgd = (*tgds_)[trigger.tgd_index];
+      // Restricted-chase test: skip if the head is already satisfied
+      // under the trigger's frontier bindings (existentials free) —
+      // including by atoms fired earlier this wave.
+      head_query.clear();
+      for (const Atom& head_atom : tgd.head()) {
+        head_query.push_back(SubstituteTerms(
+            head_atom, trigger.bindings.ptr, trigger.bindings.len));
       }
-      for (const PendingTrigger& trigger : slots[s].triggers) {
-        const Tgd& tgd = (*tgds_)[trigger.tgd_index];
-        // Restricted-chase test: skip if the head is already satisfied
-        // under the trigger's frontier bindings (existentials free) —
-        // including by atoms fired earlier this wave.
-        head_query.clear();
-        for (const Atom& head_atom : tgd.head()) {
-          head_query.push_back(SubstituteTerms(
-              head_atom, trigger.bindings.ptr, trigger.bindings.len));
-        }
-        std::optional<Homomorphism> witness = finder.FindFirst(head_query);
-        if (witness.has_value()) {
-          RecordSuppressed(
-              trigger.tgd_index,
-              std::vector<AtomId>(trigger.matched.begin(),
-                                  trigger.matched.end()),
-              std::vector<Binding>(trigger.bindings.begin(),
-                                   trigger.bindings.end()),
-              witness->matched);
-          continue;
-        }
-        KBREPAIR_RETURN_IF_ERROR(FireTrigger(
-            trigger.tgd_index, trigger.matched.ptr, trigger.matched.len,
-            trigger.bindings.ptr, trigger.bindings.len, &next));
+      std::optional<Homomorphism> witness = finder.FindFirst(head_query);
+      if (witness.has_value()) {
+        RecordSuppressed(
+            trigger.tgd_index,
+            std::vector<AtomId>(trigger.matched.begin(),
+                                trigger.matched.end()),
+            std::vector<Binding>(trigger.bindings.begin(),
+                                 trigger.bindings.end()),
+            witness->matched);
+        continue;
       }
+      KBREPAIR_RETURN_IF_ERROR(FireTrigger(
+          trigger.tgd_index, trigger.matched.ptr, trigger.matched.len,
+          trigger.bindings.ptr, trigger.bindings.len, &next));
+    }
+    if (violation.has_value()) {
+      violation_ = std::move(violation);
+      return Status::Ok();
     }
 
-    exec.ResetArenas();
+    scratch.Reset();
     wave.swap(next);
   }
   return Status::Ok();

@@ -117,10 +117,8 @@ struct ChaseOptions {
   // delta engines), so one armed deadline bounds a whole engine command.
   std::shared_ptr<CancelToken> cancel;
 
-  // Worker threads for the wave-parallel trigger enumeration (Phase A of
-  // each saturation wave); 1 = fully sequential. The wave algorithm is
-  // identical for every value, so atom ids, fresh-null names, provenance
-  // and transcripts are byte-identical across thread counts.
+  // Read by nothing: the chase is single-threaded. Kept only because
+  // perfbench's dialogue-large workload still sets it.
   size_t num_threads = 1;
 };
 
@@ -250,10 +248,16 @@ class IncrementalChase {
                         std::vector<Binding> bindings,
                         const std::vector<AtomId>& witnesses);
 
-  // The saturation loop (chase/wave.h): runs waves until the work
-  // frontier empties, or until the first CDD violation when the chase
-  // has CDDs. The caller opens the trace span; `cancel_label` names the
-  // work in DeadlineExceeded errors.
+  // The saturation loop: runs waves until the work frontier empties, or
+  // until the first CDD violation when the chase has CDDs. A wave is the
+  // snapshot of the work queue, saturated in two phases. Phase A
+  // enumerates the triggers (and CDD violations) anchored at each slot's
+  // atom against the wave-start base. Phase B then fires or suppresses
+  // them in slot order against the live base; that order fixes atom ids,
+  // null names and provenance. A homomorphism that uses an atom added in
+  // this wave's Phase B is found in the next wave, anchored at its
+  // last-arriving atom (the semi-naive argument). The caller opens the
+  // trace span; `cancel_label` names the work in DeadlineExceeded errors.
   Status Saturate(std::vector<AtomId> wave, const char* cancel_label);
 
   // The tail of ApplyFix and AddOriginal: saturates from `work` (traced

@@ -32,7 +32,6 @@ int Usage(const char* argv0) {
       << "usage: " << argv0 << " [options] SESSION.wal|WALDIR...\n"
 
          "  --checkpoint-every N          parked-cursor ladder stride (default 8)\n"
-         "  --chase-threads N             override the recording's chase threads\n"
          "  --replay-verify               check each recording replays to a\n"
          "                                byte-identical transcript, then exit\n"
          "  --diff-engines                replay checking the maintained census\n"
@@ -158,10 +157,7 @@ int RunDiffEngines(const Options& options) {
       std::cerr << path << ": load: " << recorded.status() << "\n";
       return 1;
     }
-    TimelineOptions timeline_options = options.timeline;
-    timeline_options.checkpoint_every = 0;
-    const StatusOr<EngineDivergence> result =
-        DiffEngines(*recorded, timeline_options);
+    const StatusOr<EngineDivergence> result = DiffEngines(*recorded);
     if (!result.ok()) {
       std::cerr << path << ": diff-engines: " << result.status() << "\n";
       return 1;
@@ -193,11 +189,6 @@ int Main(int argc, char** argv) {
       const char* v = next_value(i, "--checkpoint-every");
       if (v == nullptr) return Usage(argv[0]);
       options.timeline.checkpoint_every =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--chase-threads") {
-      const char* v = next_value(i, "--chase-threads");
-      if (v == nullptr) return Usage(argv[0]);
-      options.timeline.chase_threads =
           static_cast<size_t>(std::strtoull(v, nullptr, 10));
     } else if (arg == "--replay-verify") {
       options.replay_verify = true;

@@ -314,10 +314,8 @@ Status DebugRepl::ExecLine(const std::string& line, bool* quit) {
     return Status::Ok();
   }
   if (cmd == "diff") {
-    TimelineOptions options;
-    options.checkpoint_every = 0;
     KBREPAIR_ASSIGN_OR_RETURN(EngineDivergence divergence,
-                              DiffEngines(timeline_->recording(), options));
+                              DiffEngines(timeline_->recording()));
     if (!divergence.diverged) {
       *out_ << "no divergence: the replay matches the recording and the "
                "reference census at every step\n";

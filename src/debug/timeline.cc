@@ -18,15 +18,14 @@ namespace debug {
 namespace {
 
 // What every replay of a recording starts from: the engine options
-// (with overrides) and the KB rebuilt from the create params, frozen
-// into a snapshot that replay engines fork from.
+// and the KB rebuilt from the create params, frozen into a snapshot
+// that replay engines fork from.
 struct ReplayBase {
   InquiryOptions options;
   std::shared_ptr<const SharedKbSnapshot> snapshot;
 };
 
-StatusOr<ReplayBase> OpenReplayBase(const WalRecovery& recording,
-                                    const TimelineOptions& options) {
+StatusOr<ReplayBase> OpenReplayBase(const WalRecovery& recording) {
   if (recording.create_params.Get("base").is_string()) {
     return Status::InvalidArgument(
         "recording belongs to a base-forked session ('base' in the create "
@@ -36,9 +35,6 @@ StatusOr<ReplayBase> OpenReplayBase(const WalRecovery& recording,
   ReplayBase base;
   KBREPAIR_ASSIGN_OR_RETURN(base.options,
                             InquiryOptionsFromParams(recording.create_params));
-  if (options.chase_threads > 0) {
-    base.options.chase_options.num_threads = options.chase_threads;
-  }
   std::string label;
   KBREPAIR_ASSIGN_OR_RETURN(
       KnowledgeBase kb, BuildKbFromParams(recording.create_params, &label));
@@ -52,8 +48,7 @@ StatusOr<ReplayBase> OpenReplayBase(const WalRecovery& recording,
 
 StatusOr<SessionTimeline> SessionTimeline::Create(WalRecovery recording,
                                                   TimelineOptions options) {
-  KBREPAIR_ASSIGN_OR_RETURN(ReplayBase base,
-                            OpenReplayBase(recording, options));
+  KBREPAIR_ASSIGN_OR_RETURN(ReplayBase base, OpenReplayBase(recording));
   SessionTimeline timeline;
   timeline.recording_ = std::move(recording);
   timeline.options_ = std::move(options);
@@ -326,10 +321,8 @@ StatusOr<std::vector<Conflict>> ReferenceCensus(const InquiryEngine& engine,
 
 }  // namespace
 
-StatusOr<EngineDivergence> DiffEngines(const WalRecovery& recording,
-                                       TimelineOptions options) {
-  KBREPAIR_ASSIGN_OR_RETURN(ReplayBase base,
-                            OpenReplayBase(recording, options));
+StatusOr<EngineDivergence> DiffEngines(const WalRecovery& recording) {
+  KBREPAIR_ASSIGN_OR_RETURN(ReplayBase base, OpenReplayBase(recording));
   KnowledgeBase kb = base.snapshot->Fork();
   InquiryEngine engine(&kb, base.options);
   KBREPAIR_RETURN_IF_ERROR(engine.BeginShared(base.snapshot->Seed()));

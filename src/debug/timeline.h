@@ -48,8 +48,6 @@ struct TimelineOptions {
   // pre-warming; backward seeks then replay from step 0 or from
   // cursors parked by earlier seeks).
   size_t checkpoint_every = 8;
-  // 0 = honour the WAL's create params.
-  size_t chase_threads = 0;
 };
 
 // What the initial replay pass learned about one recorded entry.
@@ -220,8 +218,7 @@ class SessionTimeline {
 // where the two differ or where the replay stops matching the
 // recording. Unlike SessionTimeline, the replay need not *succeed*:
 // where it stops matching is exactly the finding.
-StatusOr<EngineDivergence> DiffEngines(const WalRecovery& recording,
-                                       TimelineOptions options = {});
+StatusOr<EngineDivergence> DiffEngines(const WalRecovery& recording);
 
 // Multi-line report of a divergence: the reason, then the recorded and
 // replayed entries and, for a census split, both censuses.

@@ -152,9 +152,7 @@ int Usage(const char* argv0) {
          " 'wal.fsync=1,chase.saturate' (also via KBREPAIR_FAILPOINTS)\n"
          "  [--shards N]             split the session registry into N"
          " independent shards (1-64, default 1)\n"
-         "  [--chase-threads N]      default worker threads per session"
-         " chase saturation (1-64; create params override; results are"
-         " identical for any N)\n"
+         "  [--chase-threads N]      accepted and ignored (1-64)\n"
          "  [--listen-unix PATH]     accept JSON-lines connections on a"
          " Unix-domain socket at PATH\n"
          "  [--listen-tcp PORT]      accept JSON-lines connections on"
@@ -297,8 +295,8 @@ int Main(int argc, char** argv) {
       if (!next_integer("--shards", 1, kMaxShards)) return Usage(argv[0]);
       config.num_shards = static_cast<size_t>(number);
     } else if (arg == "--chase-threads") {
+      // Ignored (the chase is single-threaded); perfbench still passes it.
       if (!next_integer("--chase-threads", 1, 64)) return Usage(argv[0]);
-      SetDefaultChaseThreads(static_cast<size_t>(number));
     } else if (arg == "--listen-unix") {
       const char* v = next_value("--listen-unix");
       if (v == nullptr) return Usage(argv[0]);

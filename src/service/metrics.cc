@@ -134,12 +134,16 @@ LatencyHistogram::CumulativeBuckets() const {
 }
 
 void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
+  // The merged count is the sum of the buckets merged, not a separate
+  // read of other.count_ that an Observe() could slip between: the
+  // merged histogram's buckets always sum to its count.
+  uint64_t merged = 0;
   for (size_t i = 0; i < kNumBuckets; ++i) {
     const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
     if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
+    merged += n;
   }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
+  count_.fetch_add(merged, std::memory_order_relaxed);
   sum_micros_.fetch_add(other.sum_micros_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
   const uint64_t other_max = other.max_micros_.load(std::memory_order_relaxed);
@@ -447,17 +451,17 @@ JsonValue ServiceMetrics::ToJson() const {
 }
 
 void ServiceMetrics::MergeFrom(const ServiceMetrics& other) {
-  for (const MetricRow& row : kMetricRows) {
+  const auto merge = [&](const MetricRow& row) {
     switch (row.type) {
       case MetricType::kCounter:
         (this->*row.counter)
-            .fetch_add((other.*row.counter).load(std::memory_order_relaxed),
+            .fetch_add((other.*row.counter).load(std::memory_order_acquire),
                        std::memory_order_relaxed);
         break;
       case MetricType::kGauge: {
         std::atomic<int64_t>& into = this->*row.gauge;
         const int64_t from =
-            (other.*row.gauge).load(std::memory_order_relaxed);
+            (other.*row.gauge).load(std::memory_order_acquire);
         if (row.merge == MergeRule::kSum) {
           into.fetch_add(from, std::memory_order_relaxed);
           break;
@@ -473,6 +477,17 @@ void ServiceMetrics::MergeFrom(const ServiceMetrics& other) {
         (this->*row.histogram).MergeFrom(other.*row.histogram);
         break;
     }
+  };
+  // The session ledger is read in the reverse of the order its writers
+  // publish it: the table puts completed and evicted before active, and
+  // opened is merged last. A retirement leaves `active` before it is
+  // counted, and an open is counted before it joins `active`, so every
+  // merged snapshot keeps active + completed + evicted <= opened.
+  for (const MetricRow& row : kMetricRows) {
+    if (row.counter != &M::sessions_opened) merge(row);
+  }
+  for (const MetricRow& row : kMetricRows) {
+    if (row.counter == &M::sessions_opened) merge(row);
   }
   for (size_t s = 0; s < kNumStrategyLabels; ++s) {
     by_label[s].MergeFrom(other.by_label[s]);

@@ -77,8 +77,9 @@ class LatencyHistogram {
 
   // Adds `other`'s observations into this histogram (bucket-wise adds,
   // min/max folds). Used to aggregate per-shard histograms into one
-  // service-wide view; each side's counters are read relaxed, so the
-  // merge is a consistent-enough snapshot, not a linearizable one.
+  // service-wide view. The added count is the sum of the buckets read,
+  // so the merged buckets always sum to the merged count; sum, min and
+  // max are read on their own and may miss an observation in flight.
   void MergeFrom(const LatencyHistogram& other);
 
  private:
@@ -204,7 +205,8 @@ struct ServiceMetrics {
   // and gauges add, readiness timestamps take the most recent, and
   // every histogram merges bucket-wise. The sharded daemon uses this to
   // answer the `metrics` command with the same shape a single-shard
-  // daemon produces.
+  // daemon produces. Every merged snapshot keeps the session ledger
+  // balanced: active + completed + evicted <= opened.
   void MergeFrom(const ServiceMetrics& other);
 };
 

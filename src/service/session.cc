@@ -111,21 +111,8 @@ StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
   return Status::InvalidArgument("unknown kb '" + name + "'");
 }
 
-namespace {
-// Daemon-wide default for sessions that do not pass "chase_threads";
-// set once at startup from kbrepaird's --chase-threads flag. Safe to
-// vary across restarts: chase output is thread-count-invariant, so a
-// WAL replayed under a different default reproduces the same state.
-size_t g_default_chase_threads = 1;
-}  // namespace
-
-void SetDefaultChaseThreads(size_t threads) {
-  g_default_chase_threads = threads < 1 ? 1 : threads;
-}
-
 StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
   InquiryOptions options;
-  options.chase_options.num_threads = g_default_chase_threads;
   if (params.Get("strategy").is_string()) {
     KBREPAIR_ASSIGN_OR_RETURN(
         options.strategy, StrategyFromName(params.Get("strategy").AsString()));
@@ -162,12 +149,13 @@ StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params) {
           "' (expected 'off', 'total', or 'discovered')");
     }
   }
+  // Validated, then ignored (the chase is single-threaded), so WALs
+  // whose create carries it still recover.
   if (params.Get("chase_threads").is_number()) {
     const int64_t threads = params.Get("chase_threads").AsInt();
     if (threads < 1 || threads > 64) {
       return Status::InvalidArgument("chase_threads must be in [1, 64]");
     }
-    options.chase_options.num_threads = static_cast<size_t>(threads);
   }
   return options;
 }

@@ -46,7 +46,8 @@ StatusOr<KnowledgeBase> BuildKbFromParams(const JsonValue& params,
 // Parses strategy/seed/two_phase/max_questions/engine/chase_threads/
 // record_convergence ("off" | "total" | "discovered") from `create`
 // params. "engine" may be absent or "incremental"; anything else
-// (including the retired "scratch") is InvalidArgument.
+// (including the retired "scratch") is InvalidArgument. "chase_threads"
+// must be in [1, 64] and is otherwise ignored.
 StatusOr<InquiryOptions> InquiryOptionsFromParams(const JsonValue& params);
 
 // The harnesses' oracle: the repair an in-process engine reaches on a
@@ -64,10 +65,6 @@ StatusOr<std::vector<std::string>> OracleFacts(const JsonValue& params,
 // recovery and of kbrepair-debug's timeline.
 StatusOr<EntryReplay> ReplayWalStep(InquiryEngine& engine,
                                     const WalRecovery& recording, size_t n);
-
-// Sets the daemon-wide chase-thread default applied when a `create`
-// omits "chase_threads" (kbrepaird --chase-threads). Call before serving.
-void SetDefaultChaseThreads(size_t threads);
 
 class RepairSession {
  public:

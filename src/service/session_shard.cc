@@ -361,8 +361,11 @@ void SessionShard::RegisterSession(const std::string& id, SessionEntry entry) {
   entry.last_activity = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
   ChargeSessionLocked(sessions_.emplace(id, std::move(entry)).first->second);
+  // Counted before it is active, and published with release: a
+  // snapshot that sees the session active also sees it opened
+  // (ServiceMetrics::MergeFrom).
   metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-  metrics_.sessions_active.fetch_add(1, std::memory_order_relaxed);
+  metrics_.sessions_active.fetch_add(1, std::memory_order_release);
 }
 
 void SessionShard::RunSessionCommand(const std::string& key) {
@@ -648,12 +651,18 @@ SessionShard::SessionMap::iterator SessionShard::RetireLocked(
   // The governor is the front end's and outlives this shard; hand the
   // bytes back so the other shards see an accurate estimate.
   governor_->AdjustSessionBytes(-entry.charged_bytes);
+  // Gone from `active` before the retirement is counted, and the count
+  // is published with release: a snapshot that sees the retirement also
+  // sees the session gone (ServiceMetrics::MergeFrom).
+  if (why != Retirement::kShutdown) {
+    metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
+  }
   switch (why) {
     case Retirement::kClosed:
-      metrics_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
+      metrics_.sessions_completed.fetch_add(1, std::memory_order_release);
       break;
     case Retirement::kIdle:
-      metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
+      metrics_.sessions_evicted.fetch_add(1, std::memory_order_release);
       logging::Info(kComponent, "evicted idle session")
           .With("session", it->first)
           .With("idle_s", std::chrono::duration<double>(
@@ -663,16 +672,13 @@ SessionShard::SessionMap::iterator SessionShard::RetireLocked(
       break;
     case Retirement::kPressure:
       metrics_.pressure_evictions.fetch_add(1, std::memory_order_relaxed);
-      metrics_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
+      metrics_.sessions_evicted.fetch_add(1, std::memory_order_release);
       logging::Info(kComponent, "evicted session under memory pressure")
           .With("session", it->first)
           .With("freed_bytes", entry.charged_bytes);
       break;
     case Retirement::kShutdown:
       break;
-  }
-  if (why != Retirement::kShutdown) {
-    metrics_.sessions_active.fetch_sub(1, std::memory_order_relaxed);
   }
   retired->push_back(std::move(entry));
   return sessions_.erase(it);

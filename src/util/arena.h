@@ -7,8 +7,8 @@
 // chunks that are freed (or reset) all at once when the owning chase
 // generation ends:
 //
-//  * per-worker scratch arenas hold the trigger frontier of one wave of
-//    parallel enumeration and are Reset() between waves;
+//  * a scratch arena holds the trigger frontier of one saturation wave
+//    and is Reset() between waves;
 //  * a per-result arena owns every Derivation's parent list for the
 //    lifetime of the IncrementalChase that minted it.
 //
@@ -16,10 +16,9 @@
 // supported (AtomId, TermId, small PODs) — nothing in the arena is ever
 // destroyed individually, so destructors would silently not run.
 //
-// Not thread-safe: one arena per owner (one per pool worker during
-// parallel enumeration). ArenaSpan is a plain {pointer, length} view —
-// valid for as long as the arena that produced it is neither Reset() nor
-// destroyed.
+// Not thread-safe: one arena per owner. ArenaSpan is a plain {pointer,
+// length} view — valid for as long as the arena that produced it is
+// neither Reset() nor destroyed.
 
 #ifndef KBREPAIR_UTIL_ARENA_H_
 #define KBREPAIR_UTIL_ARENA_H_
@@ -133,7 +132,10 @@ class Arena {
     }
     Chunk chunk;
     chunk.size = min_bytes > chunk_bytes_ ? min_bytes : chunk_bytes_;
-    chunk.bytes = std::make_unique<char[]>(chunk.size);
+    // Left uninitialized: every byte is written before it is read, and
+    // zero-filling would fault in every page of a chunk that a small
+    // saturation wave barely uses.
+    chunk.bytes = std::make_unique_for_overwrite<char[]>(chunk.size);
     chunks_.push_back(std::move(chunk));
     AdoptChunk(chunks_.size() - 1);
   }

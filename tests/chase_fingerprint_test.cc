@@ -2,8 +2,7 @@
 // Initialize) must reproduce, byte for byte, the chased bases recorded
 // in tests/data/chase_fingerprints.txt — atom ids and renderings
 // (fresh-null names included), every derivation's TGD index and
-// parents, and the first CDD violation — at one and at four chase
-// threads.
+// parents, and the first CDD violation.
 //
 // Inputs: the knowledge bases of chase_test, tombstoned working bases,
 // four synthetic seeds with and without existential noise TGDs (plain,
@@ -117,10 +116,9 @@ SyntheticKbOptions SyntheticOptions(uint64_t seed, size_t num_noise_tgds,
 // One chase of `facts`, rendered: every atom in id order (dead input
 // atoms marked), each derived atom's trigger, and the first violation.
 std::string Fingerprint(KnowledgeBase& kb, const FactBase& facts,
-                        bool with_cdds, size_t num_threads) {
+                        bool with_cdds) {
   ChaseOptions options;
   options.max_atoms = 5000;
-  options.num_threads = num_threads;
   IncrementalChase chased(&kb.symbols(), &kb.tgds(), options,
                           with_cdds ? &kb.cdds() : nullptr);
   const Status status = chased.Initialize(facts);
@@ -160,13 +158,12 @@ using Section = std::pair<std::string, std::string>;  // title, body
 // of the KB so the two see the same symbol table state.
 void AddRuns(std::vector<Section>* sections, const std::string& name,
              const std::function<KnowledgeBase()>& make_kb,
-             const std::function<FactBase(const FactBase&)>& working,
-             size_t num_threads) {
+             const std::function<FactBase(const FactBase&)>& working) {
   for (const bool with_cdds : {false, true}) {
     KnowledgeBase kb = make_kb();
     const FactBase facts = working(kb.facts());
     sections->emplace_back(name + (with_cdds ? " cdds" : " tgds-only"),
-                           Fingerprint(kb, facts, with_cdds, num_threads));
+                           Fingerprint(kb, facts, with_cdds));
   }
 }
 
@@ -199,35 +196,34 @@ KnowledgeBase DurumWheatV1() {
   return std::move(gen->kb);
 }
 
-std::vector<Section> AllFingerprints(size_t num_threads) {
+std::vector<Section> AllFingerprints() {
   std::vector<Section> sections;
   const size_t num_kbs = sizeof(kChaseTestKbs) / sizeof(kChaseTestKbs[0]);
   for (size_t k = 0; k < num_kbs; ++k) {
     const char* text = kChaseTestKbs[k];
     AddRuns(&sections, "chase_test kb " + std::to_string(k),
-            [text] { return ParseKb(text); }, AsIs, num_threads);
+            [text] { return ParseKb(text); }, AsIs);
   }
   AddRuns(&sections, "tombstoned chase_test kb 7",
-          [] { return ParseKb(kChaseTestKbs[7]); }, Tombstoned, num_threads);
+          [] { return ParseKb(kChaseTestKbs[7]); }, Tombstoned);
   AddRuns(&sections, "tombstoned chase_test kb 13",
-          [] { return ParseKb(kChaseTestKbs[13]); }, Tombstoned,
-          num_threads);
+          [] { return ParseKb(kChaseTestKbs[13]); }, Tombstoned);
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     for (const size_t noise : {size_t{0}, size_t{4}}) {
       const std::string name = "synthetic seed " + std::to_string(seed) +
                                " noise " + std::to_string(noise);
       AddRuns(&sections, name,
               [seed, noise] { return SyntheticKbFor(seed, noise, false); },
-              AsIs, num_threads);
+              AsIs);
       AddRuns(&sections, "tombstoned " + name,
               [seed, noise] { return SyntheticKbFor(seed, noise, false); },
-              Tombstoned, num_threads);
+              Tombstoned);
       AddRuns(&sections, "routed " + name,
               [seed, noise] { return SyntheticKbFor(seed, noise, true); },
-              AsIs, num_threads);
+              AsIs);
     }
   }
-  AddRuns(&sections, "durum wheat v1", DurumWheatV1, AsIs, num_threads);
+  AddRuns(&sections, "durum wheat v1", DurumWheatV1, AsIs);
   return sections;
 }
 
@@ -262,21 +258,16 @@ std::string ReadGolden() {
   return text.str();
 }
 
-void ExpectMatchesGolden(size_t num_threads) {
+TEST(ChaseFingerprintTest, GoldenAtOneThread) {
   const std::vector<Section> golden = ParseGolden(ReadGolden());
-  const std::vector<Section> actual = AllFingerprints(num_threads);
+  const std::vector<Section> actual = AllFingerprints();
   ASSERT_EQ(golden.size(), actual.size());
   for (size_t i = 0; i < golden.size(); ++i) {
     ASSERT_EQ(golden[i].first, actual[i].first);
-    EXPECT_EQ(golden[i].second, actual[i].second)
-        << golden[i].first << " at " << num_threads << " thread(s)";
+    EXPECT_EQ(golden[i].second, actual[i].second) << golden[i].first;
   }
   EXPECT_EQ(ReadGolden(), Render(actual));
 }
-
-TEST(ChaseFingerprintTest, GoldenAtOneThread) { ExpectMatchesGolden(1); }
-
-TEST(ChaseFingerprintTest, GoldenAtFourThreads) { ExpectMatchesGolden(4); }
 
 }  // namespace
 }  // namespace kbrepair

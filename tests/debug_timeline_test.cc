@@ -34,13 +34,6 @@ namespace kbrepair {
 namespace debug {
 namespace {
 
-size_t ChaseThreadsFromEnv() {
-  const char* env = std::getenv("KBREPAIR_CHASE_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const unsigned long long threads = std::strtoull(env, nullptr, 10);
-  return threads < 1 ? 1 : static_cast<size_t>(threads);
-}
-
 struct MatrixCase {
   uint64_t seed;
   Strategy strategy;
@@ -75,8 +68,12 @@ JsonValue CreateParams(const MatrixCase& c) {
   p.Set("seed", JsonValue::Number(static_cast<int64_t>(c.seed * 17 + 3)));
   // Keeps the chased census live from the first answer on.
   p.Set("record_convergence", JsonValue::String("total"));
-  p.Set("chase_threads",
-        JsonValue::Number(static_cast<int64_t>(ChaseThreadsFromEnv())));
+  // One configuration's create carries "chase_threads", as WALs recorded
+  // while the chase had worker threads do: it must replay byte-exactly.
+  if (c.seed == 3 && c.strategy == Strategy::kOptiMcd && c.two_phase &&
+      c.with_tgds) {
+    p.Set("chase_threads", JsonValue::Number(int64_t{4}));
+  }
   return p;
 }
 
@@ -337,6 +334,37 @@ TEST_F(DebugTimelineTest, GhostDuplicateEntryIsSkipped) {
   ASSERT_TRUE(verified.ok()) << verified;
   ASSERT_TRUE(timeline->SeekTo(timeline->num_entries()).ok());
   EXPECT_EQ(timeline->StateHash(), live->final_hash);
+}
+
+// "chase_threads" in a recorded create is validated and then ignored:
+// the dialogue is the one recorded without it, and an out-of-range
+// value still makes the recording unreadable.
+TEST_F(DebugTimelineTest, RecordedChaseThreadsIsValidatedAndIgnored) {
+  const JsonValue params = CreateParams(BaseCase());
+  ASSERT_EQ(params.Get("chase_threads").AsInt(), 4);
+  JsonValue without = JsonValue::Object();
+  for (const auto& [key, value] : params.members()) {
+    if (key != "chase_threads") without.Set(key, value);
+  }
+  StatusOr<LiveRecording> with_threads = RecordDialogue(params);
+  StatusOr<LiveRecording> plain = RecordDialogue(without);
+  ASSERT_TRUE(with_threads.ok()) << with_threads.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_EQ(with_threads->entries.size(), plain->entries.size());
+  for (size_t i = 0; i < plain->entries.size(); ++i) {
+    EXPECT_EQ(with_threads->entries[i].Dump(), plain->entries[i].Dump())
+        << "entry " << i;
+  }
+  EXPECT_EQ(with_threads->final_hash, plain->final_hash);
+
+  for (const int64_t threads : {int64_t{0}, int64_t{65}}) {
+    JsonValue bad = params;
+    bad.Set("chase_threads", JsonValue::Number(threads));
+    StatusOr<SessionTimeline> timeline = SessionTimeline::Create(
+        Recording(bad, with_threads->entries), TimelineOptions{});
+    ASSERT_FALSE(timeline.ok()) << "chase_threads " << threads;
+    EXPECT_EQ(timeline.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // A recording that does not replay (tampered answer payload) fails

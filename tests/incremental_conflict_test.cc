@@ -56,17 +56,6 @@
 namespace kbrepair {
 namespace {
 
-// The whole sweep re-runs under a parallel chase when
-// KBREPAIR_CHASE_THREADS is set (CI runs it at 4 under TSan): wave
-// saturation promises byte-identical output for any thread count, so
-// the digests must match verbatim.
-size_t ChaseThreadsFromEnv() {
-  const char* env = std::getenv("KBREPAIR_CHASE_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const unsigned long long threads = std::strtoull(env, nullptr, 10);
-  return threads < 1 ? 1 : static_cast<size_t>(threads);
-}
-
 SyntheticKbOptions KbOptions(uint64_t seed, bool with_tgds) {
   SyntheticKbOptions options;
   options.seed = seed;
@@ -265,7 +254,6 @@ TEST_P(DifferentialInquiry, EnginesProduceIdenticalDialogues) {
   options.two_phase = param.two_phase;
   options.seed = param.seed * 17 + 3;
   options.record_convergence = ConvergenceRecording::kTotalConflicts;
-  options.chase_options.num_threads = ChaseThreadsFromEnv();
 
   const std::string transcript =
       RunDialogue(gen->kb, options, param.seed * 101 + 13);
@@ -333,7 +321,6 @@ InquiryOptions ExistentialOptions(Strategy strategy, bool two_phase,
   options.two_phase = two_phase;
   options.seed = seed;
   options.record_convergence = ConvergenceRecording::kTotalConflicts;
-  options.chase_options.num_threads = ChaseThreadsFromEnv();
   return options;
 }
 

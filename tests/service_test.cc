@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -324,6 +328,176 @@ TEST(ServiceTest, IdleSessionsAreEvicted) {
     }
   }
   FAIL() << "session was never evicted";
+}
+
+// Session-ledger and histogram invariants of one metrics snapshot, or
+// "" when it holds them. `final` demands the ledger balance exactly.
+std::string SnapshotViolation(const JsonValue& metrics, bool final) {
+  const JsonValue& sessions = metrics.Get("sessions");
+  const int64_t opened = sessions.Get("opened").AsInt(-1);
+  const int64_t retired = sessions.Get("completed").AsInt(-1) +
+                          sessions.Get("evicted").AsInt(-1);
+  const int64_t active = sessions.Get("active").AsInt(-1);
+  if (active < 0 || active + retired > opened ||
+      (final && active + retired != opened)) {
+    return "session ledger: " + sessions.Dump();
+  }
+  // Every histogram: cumulative buckets never shrink, and the +Inf
+  // bucket (their total) equals the histogram's count.
+  std::vector<const JsonValue*> stack = {&metrics};
+  while (!stack.empty()) {
+    const JsonValue& value = *stack.back();
+    stack.pop_back();
+    if (!value.is_object()) continue;
+    const JsonValue& buckets = value.Get("buckets");
+    if (buckets.is_array() && buckets.size() > 0) {
+      int64_t running = 0;
+      for (size_t i = 0; i < buckets.size(); ++i) {
+        const int64_t cumulative = buckets.at(i).Get("count").AsInt(-1);
+        if (cumulative < running) return "buckets shrink: " + value.Dump();
+        running = cumulative;
+      }
+      if (!buckets.at(buckets.size() - 1).Get("le_ms").is_string() ||
+          running != value.Get("count").AsInt(-1)) {
+        return "buckets do not sum to count: " + value.Dump();
+      }
+    }
+    for (const auto& member : value.members()) stack.push_back(&member.second);
+  }
+  return "";
+}
+
+// The same ledger read from the Prometheus rendering.
+std::string PrometheusViolation(const std::string& text) {
+  const auto value = [&](const std::string& name) -> int64_t {
+    const size_t at = text.find("\n" + name + " ");
+    if (at == std::string::npos) return -1;
+    return std::strtoll(text.c_str() + at + name.size() + 2, nullptr, 10);
+  };
+  const int64_t opened = value("kbrepair_sessions_opened_total");
+  const int64_t active = value("kbrepair_sessions_active");
+  const int64_t retired = value("kbrepair_sessions_completed_total") +
+                          value("kbrepair_sessions_evicted_total");
+  if (opened < 0 || active < 0 || active + retired > opened) {
+    return "prometheus ledger: opened " + std::to_string(opened) +
+           " active " + std::to_string(active) + " retired " +
+           std::to_string(retired);
+  }
+  return "";
+}
+
+// Sessions retire by close, by idle TTL and by memory-pressure eviction
+// while another thread scrapes `metrics` and the Prometheus text: no
+// snapshot may count a retirement before the session leaves `active`,
+// or show a histogram whose buckets disagree with its count.
+TEST(ServiceTest, MetricsSnapshotsStayConsistentWhileSessionsRetire) {
+  ServiceConfig config;
+  config.num_shards = 2;
+  config.num_workers = 2;
+  config.idle_ttl_seconds = 1.0;
+  config.mem_budget_bytes = int64_t{1} << 30;
+  SessionManager manager(config);
+  const auto metrics_snapshot = [&manager] {
+    JsonValue params = JsonValue::Object();
+    params.Set("command", JsonValue::String("metrics"));
+    StatusOr<JsonValue> metrics = manager.Execute(MakeRequest(params));
+    EXPECT_TRUE(metrics.ok()) << metrics.status();
+    return metrics.ok() ? *metrics : JsonValue::Object();
+  };
+
+  std::atomic<bool> stop_scraping{false};
+  std::atomic<size_t> snapshots{0};
+  std::mutex violation_mu;
+  std::string violation;
+  std::thread scraper([&] {
+    while (!stop_scraping.load()) {
+      std::string found = SnapshotViolation(metrics_snapshot(), false);
+      if (found.empty()) {
+        std::string text;
+        manager.AppendMetricsText(&text);
+        found = PrometheusViolation("\n" + text);
+      }
+      ++snapshots;
+      if (!found.empty()) {
+        std::lock_guard<std::mutex> lock(violation_mu);
+        if (violation.empty()) violation = found;
+      }
+    }
+  });
+
+  // Opened in retirement order: `idle` ages out first, `closed` is
+  // closed right away, `pressured` is kept alive until the pressure
+  // eviction takes it.
+  constexpr size_t kPerGroup = 4;
+  std::vector<std::string> idle, closed, pressured;
+  uint64_t seed = 40;
+  for (std::vector<std::string>* group : {&idle, &closed, &pressured}) {
+    for (size_t i = 0; i < kPerGroup; ++i) {
+      StatusOr<JsonValue> created =
+          manager.Execute(MakeRequest(CreateRequestParams(seed++)));
+      ASSERT_TRUE(created.ok()) << created.status();
+      group->push_back(created->Get("session").AsString());
+    }
+  }
+  std::atomic<bool> keep_alive{true};
+  std::thread toucher([&] {
+    while (keep_alive.load()) {
+      // `status` refreshes the idle clock. A host stalled past the TTL
+      // may still evict one; the ledger must balance either way.
+      for (const std::string& session : pressured) {
+        (void)manager.Execute(SessionCommand("status", session));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+  for (const std::string& session : closed) {
+    StatusOr<JsonValue> result =
+        manager.Execute(SessionCommand("close", session));
+    // A slow host may let the TTL take it first.
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+    }
+  }
+
+  const auto wait_for = [&](const std::function<bool(const JsonValue&)>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (done(metrics_snapshot().Get("sessions"))) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    return false;
+  };
+  const bool idle_gone = wait_for([&](const JsonValue& sessions) {
+    return sessions.Get("completed").AsInt() + sessions.Get("evicted").AsInt() >=
+           static_cast<int64_t>(idle.size() + closed.size());
+  });
+  keep_alive = false;
+  toucher.join();
+  ASSERT_TRUE(idle_gone) << "idle sessions were never evicted";
+
+  // Charge the whole budget: the reaper evicts every idle session.
+  manager.governor()->AdjustSessionBytes(config.mem_budget_bytes);
+  const bool all_gone = wait_for([](const JsonValue& sessions) {
+    return sessions.Get("active").AsInt(-1) == 0;
+  });
+  manager.governor()->AdjustSessionBytes(-config.mem_budget_bytes);
+  stop_scraping = true;
+  scraper.join();
+  ASSERT_TRUE(all_gone) << "pressure never evicted the kept-alive sessions";
+
+  EXPECT_EQ(violation, "");
+  EXPECT_GE(snapshots.load(), 2u);
+  const JsonValue final_metrics = metrics_snapshot();
+  EXPECT_EQ(SnapshotViolation(final_metrics, true), "");
+  const JsonValue& sessions = final_metrics.Get("sessions");
+  EXPECT_EQ(sessions.Get("opened").AsInt(), 3 * static_cast<int64_t>(kPerGroup));
+  EXPECT_GE(sessions.Get("completed").AsInt(), 1);
+  const int64_t pressure_evictions =
+      final_metrics.Get("resources").Get("pressure_evictions").AsInt();
+  EXPECT_GE(pressure_evictions, 1);
+  EXPECT_GE(sessions.Get("evicted").AsInt() - pressure_evictions, 1)
+      << "no idle-TTL eviction";
 }
 
 TEST(ServiceTest, ShutdownRejectsNewWork) {
