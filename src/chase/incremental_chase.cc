@@ -181,7 +181,8 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave,
     KBREPAIR_RETURN_IF_ERROR(options_.cancel->Check(cancel_label));
   }
   HomomorphismFinder finder(symbols_, &chased_);
-  Arena scratch;
+  // A call that returned early (error, violation) left its spans here.
+  scratch_.Reset();
   // Phase A's findings, in slot order: the wave's triggers, and the
   // first violation, which ends the enumeration at its slot.
   std::vector<PendingTrigger> triggers;
@@ -229,8 +230,8 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave,
             (*tgds_)[tgd_index].body(), body_pos, current,
             [&, tgd_index = tgd_index](const HomomorphismView& view) {
               triggers.push_back(PendingTrigger{
-                  tgd_index, scratch.Copy(view.matched, view.num_matched),
-                  scratch.Copy(view.bindings, view.num_bindings)});
+                  tgd_index, scratch_.Copy(view.matched, view.num_matched),
+                  scratch_.Copy(view.bindings, view.num_bindings)});
               return true;
             });
       }
@@ -273,7 +274,7 @@ Status IncrementalChase::Saturate(std::vector<AtomId> wave,
       return Status::Ok();
     }
 
-    scratch.Reset();
+    scratch_.Reset();
     wave.swap(next);
   }
   return Status::Ok();

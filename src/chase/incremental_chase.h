@@ -306,6 +306,12 @@ class IncrementalChase {
   std::shared_ptr<Arena> derivation_arena_;
   std::vector<std::shared_ptr<Arena>> retained_arenas_;
 
+  // Saturate's trigger scratch (Phase A spans), reset at the start of
+  // every call and after every wave, so steady-state saturations reuse
+  // its chunks instead of allocating 64 KB per call. Owned by this chase
+  // alone: neither copied nor adopted (the class is not copyable).
+  Arena scratch_;
+
   // FireTrigger scratch (frontier bindings + fresh-null tail).
   std::vector<Binding> head_scratch_;
 

@@ -16,6 +16,13 @@ AtomId FactBase::Add(Atom atom) {
   return id;
 }
 
+void FactBase::Reserve(size_t atoms, size_t positions) {
+  if (!atoms_.empty() || atoms_.has_base()) return;
+  atoms_.Reserve(atoms);
+  by_probe_.Reserve(positions);
+  term_use_count_.Reserve(positions);
+}
+
 void FactBase::SetArg(AtomId id, int pos, TermId term) {
   KBREPAIR_DCHECK(id < atoms_.size());
   KBREPAIR_DCHECK(alive(id));

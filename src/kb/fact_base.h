@@ -54,6 +54,12 @@ class FactBase {
   size_t size() const { return atoms_.size(); }
   bool empty() const { return atoms_.empty(); }
 
+  // Sizes an empty fact base for up to `atoms` atoms over `positions`
+  // argument positions, with term ids below `positions`: loading that
+  // much runs no growth step of the atoms, the (predicate, position,
+  // term) index or the term-use counts. No effect on a non-empty base.
+  void Reserve(size_t atoms, size_t positions);
+
   const Atom& atom(AtomId id) const {
     KBREPAIR_DCHECK(id < atoms_.size());
     return atoms_[id];
@@ -114,12 +120,14 @@ class FactBase {
 
   // --- Shared-base forking -----------------------------------------------
 
-  // Flattens atoms and every index into an immutable shared base
-  // segment. Afterwards plain copies of this FactBase share the segment
-  // in O(1) and carry only their own delta overlay (rewritten args,
-  // appended atoms, tombstones, touched posting lists). Requires no
-  // tombstones: a shared base must be all-alive so per-fork tombstones
-  // stay a private, lazily-sized bitmap.
+  // Makes atoms and every index an immutable shared base segment.
+  // Afterwards plain copies of this FactBase share the segment in O(1)
+  // and carry only their own delta overlay (rewritten args, appended
+  // atoms, tombstones, touched posting lists). A base with no shared
+  // segment yet hands its storage over by move (an index more than half
+  // full is repacked); a frozen base with an empty overlay is left as
+  // it is. Requires no tombstones: a shared base must be all-alive so
+  // per-fork tombstones stay a private, lazily-sized bitmap.
   void FreezeSharedBase();
 
   bool has_shared_base() const { return atoms_.has_base(); }

@@ -21,11 +21,21 @@
 // both, so the first insert after a copy reallocates only where the
 // source would have; a teardown is two frees.
 //
-// Freeze() packs base ∪ overlay into a fresh Table, every list back to
-// back at its exact length, and shares it const: copies made afterwards
-// share it in O(1). A mutation copies the touched frozen list into the
-// copy's own overlay Table first, so Find probes the overlay and then
-// the frozen base, and an emptied overlay list shadows its frozen key.
+// Reserve() sizes an empty index for a known number of keys, so a load
+// of that many runs no growth step.
+//
+// Freeze() shares the index's contents const: copies made afterwards
+// share them in O(1). An index with no frozen base that is at most half
+// full, the load a reserved or freshly grown table has, is adopted as
+// the frozen Table by move, without copying a slot. Any other index,
+// and an index that already has a frozen base and a non-empty overlay,
+// packs base ∪ overlay into a fresh Table at most half full, every list
+// back to back at its exact length. An index with a frozen base and an
+// empty overlay is left as it is. A mutation copies the touched frozen
+// list into the copy's own overlay Table first, so Find probes the
+// overlay and then the frozen base, and an emptied overlay list shadows
+// its frozen key; an emptied list adopted into the frozen Table reads
+// as absent.
 //
 // Append is push_back and SwapErase moves the list's last id into the
 // erased one's place; copies, growth and Freeze() keep every list's
@@ -99,12 +109,24 @@ class PostingIndex {
     local_.Clear(local_.FindOrAdd(key, base_.get(), &added));
   }
 
-  // Packs base + overlay into a fresh frozen Table and adopts it as the
-  // shared base; the overlay starts over empty.
+  // Sizes an empty index for `keys` keys: adding that many keys runs no
+  // growth step. No effect on a non-empty index.
+  void Reserve(size_t keys) {
+    if (base_ == nullptr && local_.size() == 0) local_.Reserve(keys);
+  }
+
+  // Makes the contents the frozen shared base; the overlay starts over
+  // empty. An unshared table at most half full is adopted by move; a
+  // frozen index with an empty overlay stays as it is; anything else is
+  // packed into a fresh Table.
   void Freeze() {
-    auto frozen = std::make_shared<Table>();
-    frozen->PackFrom(base_.get(), local_);
-    base_ = std::move(frozen);
+    if (base_ == nullptr && 2 * local_.size() <= local_.capacity()) {
+      base_ = std::make_shared<const Table>(std::move(local_));
+    } else if (base_ == nullptr || local_.size() > 0) {
+      auto frozen = std::make_shared<Table>();
+      frozen->PackFrom(base_.get(), local_);
+      base_ = std::move(frozen);
+    }
     local_ = Table();
   }
 
@@ -158,6 +180,10 @@ class PostingIndex {
     }
 
     size_t size() const { return count_; }
+    size_t capacity() const { return slots_.size(); }
+
+    // Sizes this empty table at most half full with `keys` keys.
+    void Reserve(size_t keys) { Reshape(CapacityFor(keys)); }
 
     const Slot* Lookup(const Key& key) const {
       if (count_ == 0) return nullptr;

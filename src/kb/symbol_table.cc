@@ -27,14 +27,18 @@ void SymbolTable::Index::Place(std::vector<Slot>& slots, Slot slot) {
   slots[i] = slot;
 }
 
-void SymbolTable::Index::Insert(uint32_t hash, int32_t id) {
-  if (2 * (local_count_ + 1) > local_.size()) {
-    std::vector<Slot> grown(CapacityFor(local_count_ + 1), Slot{0, -1});
-    for (const Slot& slot : local_) {
-      if (slot.id >= 0) Place(grown, slot);
-    }
-    local_.swap(grown);
+void SymbolTable::Index::Reserve(size_t count) {
+  const size_t capacity = CapacityFor(local_count_ + count);
+  if (capacity <= local_.size()) return;
+  std::vector<Slot> grown(capacity, Slot{0, -1});
+  for (const Slot& slot : local_) {
+    if (slot.id >= 0) Place(grown, slot);
   }
+  local_.swap(grown);
+}
+
+void SymbolTable::Index::Insert(uint32_t hash, int32_t id) {
+  if (2 * (local_count_ + 1) > local_.size()) Reserve(1);
   Place(local_, Slot{hash, id});
   ++local_count_;
 }
@@ -124,6 +128,11 @@ PredicateId SymbolTable::InternPredicate(std::string_view name, int arity) {
   predicates_.PushBack(PredicateEntry{std::string(name), arity});
   predicate_index_.Insert(hash, id);
   return id;
+}
+
+void SymbolTable::ReserveTerms(size_t count) {
+  terms_.Reserve(count);
+  term_index_.Reserve(count);
 }
 
 void SymbolTable::FreezeSharedBase() {

@@ -106,6 +106,10 @@ class SymbolTable {
 
   size_t num_terms() const { return terms_.size(); }
 
+  // Room for `count` more terms: interning that many runs no growth
+  // step of the term entries or their index.
+  void ReserveTerms(size_t count);
+
   // --- Predicates --------------------------------------------------------
 
   // Interns a predicate. Re-interning an existing name with a different
@@ -190,6 +194,9 @@ class SymbolTable {
 
     // Stores `id` under `hash`; the caller has checked it is absent.
     void Insert(uint32_t hash, int32_t id);
+
+    // Room for `count` more Inserts without a growth step.
+    void Reserve(size_t count);
 
     // Makes the current contents the immutable shared base.
     void Freeze();

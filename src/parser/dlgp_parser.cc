@@ -1,5 +1,6 @@
 #include "parser/dlgp_parser.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -469,15 +470,49 @@ class Parser {
   std::vector<AtomText> body_;
 };
 
+// Sizes an empty KB's tables for `text` from one count of '(' and ','
+// (each atom opens one parenthesis; its arguments are separated by
+// commas), so the load runs no growth step. The counts bound what a
+// valid text holds: at most `(` atoms and `(` + `,` argument positions,
+// and every term is first interned at a position. Comments, strings
+// and rule bodies only make them larger.
+//
+// The text is untrusted, so the counts are capped by what a valid text
+// of its length could need: an atom takes at least five bytes ("p(a)"
+// and the ',' or '.' after it), an argument at least two (a one-byte
+// term and the ',' or ')' after it). Worst case, a 1 MiB text
+// (kbrepaird's line cap) of '(' reserves 209,715 atoms and 524,288
+// positions (one of ',' only the positions): the probe table and the
+// term index, which are written when sized, take 20 MiB and 8 MiB (2^20
+// slots of 20 and 8 bytes), and the atom, term and term-use vectors
+// reserve 28 MiB more that stays untouched, before the first byte fails
+// to parse.
+void ReserveFor(std::string_view text, KnowledgeBase& kb) {
+  const size_t opens = static_cast<size_t>(
+      std::count(text.begin(), text.end(), '('));
+  const size_t commas = static_cast<size_t>(
+      std::count(text.begin(), text.end(), ','));
+  const size_t atoms = std::min(opens, text.size() / 5);
+  const size_t positions = std::min(opens + commas, text.size() / 2);
+  kb.symbols().ReserveTerms(positions);
+  kb.facts().Reserve(atoms, positions);
+}
+
 }  // namespace
 
 Status ParseDlgpInto(std::string_view text, KnowledgeBase& kb) {
+  if (kb.symbols().num_terms() == 0 && kb.facts().empty()) {
+    ReserveFor(text, kb);
+  }
   return Parser(text, kb).ParseAll();
 }
 
 StatusOr<KnowledgeBase> ParseDlgp(std::string_view text) {
   KnowledgeBase kb;
   KBREPAIR_RETURN_IF_ERROR(ParseDlgpInto(text, kb));
+  // F is read-only input to every session built on it: freezing it here
+  // makes the working facts and the chase base O(1) forks of this copy.
+  kb.facts().FreezeSharedBase();
   return kb;
 }
 

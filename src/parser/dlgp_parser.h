@@ -32,7 +32,9 @@ namespace kbrepair {
 
 // Parses `text` into a fresh KnowledgeBase. Errors carry 1-based line
 // numbers. The result is syntactically validated but Validate() (weak
-// acyclicity etc.) is left to the caller.
+// acyclicity etc.) is left to the caller. The tables are sized from the
+// text before the load, and the facts come back frozen
+// (FactBase::FreezeSharedBase), so every copy of them is an O(1) fork.
 //
 // When a text has several errors, the first lexical error (a byte no
 // token starts with, an unterminated string) is reported, else the
@@ -42,7 +44,8 @@ namespace kbrepair {
 StatusOr<KnowledgeBase> ParseDlgp(std::string_view text);
 
 // Parses `text` and appends to an existing KnowledgeBase (same syntax).
-// On error, `kb` keeps the statements before the failing one.
+// On error, `kb` keeps the statements before the failing one. Only an
+// empty `kb` has its tables sized from the text; nothing is frozen.
 Status ParseDlgpInto(std::string_view text, KnowledgeBase& kb);
 
 // Serializes a KnowledgeBase back to the syntax above. Round-trips with

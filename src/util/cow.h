@@ -16,16 +16,20 @@
 //    Erase() shadows a base entry with an empty value, which every
 //    consumer in this codebase treats identically to an absent key.
 //
-// Freeze() flattens the current contents into a new immutable shared
-// segment and re-adopts it, so `frozen; copy = frozen;` forks in O(1) and
-// each copy then accumulates only its own delta. Plain (never-frozen)
-// instances behave like the underlying std containers with one extra
-// branch per access.
+// Freeze() makes the current contents an immutable shared segment and
+// adopts it, so `frozen; copy = frozen;` forks in O(1) and each copy then
+// accumulates only its own delta. A container with no shared segment yet
+// hands its storage over by move (O(1), no element copied); one that is
+// already frozen with an empty overlay is left as it is; only a frozen
+// container with a delta is flattened into a fresh segment. Plain
+// (never-frozen) instances behave like the underlying std containers with
+// one extra branch per access.
 
 #ifndef KBREPAIR_UTIL_COW_H_
 #define KBREPAIR_UTIL_COW_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -44,10 +48,7 @@ class CowVector {
   const T& operator[](size_t i) const {
     KBREPAIR_DCHECK(i < size());
     if (i < base_size_) {
-      if (!modified_.empty()) {
-        auto it = modified_.find(i);
-        if (it != modified_.end()) return it->second;
-      }
+      if (IsModified(i)) return modified_.find(i)->second;
       return (*base_)[i];
     }
     return tail_[i - base_size_];
@@ -59,37 +60,49 @@ class CowVector {
   T& Mutable(size_t i) {
     KBREPAIR_DCHECK(i < size());
     if (i < base_size_) {
-      auto it = modified_.find(i);
-      if (it == modified_.end()) {
-        it = modified_.emplace(i, (*base_)[i]).first;
-      }
-      return it->second;
+      if (IsModified(i)) return modified_.find(i)->second;
+      const size_t word = i / 64;
+      if (word >= modified_bits_.size()) modified_bits_.resize(word + 1);
+      modified_bits_[word] |= uint64_t{1} << (i % 64);
+      return modified_.emplace(i, (*base_)[i]).first->second;
     }
     return tail_[i - base_size_];
   }
 
   void PushBack(T value) { tail_.push_back(std::move(value)); }
 
+  // Room for `n` more appended elements without reallocation.
+  void Reserve(size_t n) { tail_.reserve(tail_.size() + n); }
+
   void Clear() {
     base_.reset();
     base_size_ = 0;
     modified_.clear();
+    modified_bits_.clear();
     tail_.clear();
   }
 
-  // Flattens the current contents into a new immutable shared segment,
-  // adopts it (dropping the overlay and tail) and returns it. Copies
-  // made afterwards share the segment and carry only their own deltas.
+  // Makes the current contents an immutable shared segment, adopts it
+  // (dropping the overlay and tail) and returns it. Copies made
+  // afterwards share the segment and carry only their own deltas.
   std::shared_ptr<const std::vector<T>> Freeze() {
-    auto flat = std::make_shared<std::vector<T>>();
-    flat->reserve(size());
-    for (size_t i = 0; i < size(); ++i) flat->push_back((*this)[i]);
+    if (modified_.empty() && tail_.empty() && base_ != nullptr) return base_;
+    std::shared_ptr<std::vector<T>> flat;
+    if (base_ == nullptr) {
+      // Nothing shared yet: the tail is the whole contents; adopt it.
+      flat = std::make_shared<std::vector<T>>(std::move(tail_));
+    } else {
+      flat = std::make_shared<std::vector<T>>();
+      flat->reserve(size());
+      for (size_t i = 0; i < size(); ++i) flat->push_back((*this)[i]);
+    }
     // Swap-with-empty, not clear(): clear() keeps the grown bucket /
     // heap arrays, and libstdc++'s copy constructor reproduces the
     // source's bucket count — every post-freeze copy would re-allocate
     // the full-size (empty) overlay and forking would silently scale
     // with base size instead of delta size.
     std::unordered_map<size_t, T>().swap(modified_);
+    std::vector<uint64_t>().swap(modified_bits_);
     std::vector<T>().swap(tail_);
     base_ = flat;
     base_size_ = flat->size();
@@ -102,9 +115,20 @@ class CowVector {
   size_t overlay_size() const { return modified_.size() + tail_.size(); }
 
  private:
+  bool IsModified(size_t i) const {
+    const size_t word = i / 64;
+    return word < modified_bits_.size() &&
+           (modified_bits_[word] >> (i % 64) & 1) != 0;
+  }
+
   std::shared_ptr<const std::vector<T>> base_;
   size_t base_size_ = 0;
   std::unordered_map<size_t, T> modified_;
+  // One bit per base index, set when modified_ holds it: a read of an
+  // unmodified base element tests a bit instead of hashing. Sized up to
+  // the highest modified index on first write (like FactBase's
+  // tombstones), so an unwritten copy stays O(1).
+  std::vector<uint64_t> modified_bits_;
   std::vector<T> tail_;
 };
 
@@ -183,10 +207,16 @@ class CowMap {
   // Flattens base + overlay into a new immutable shared base map and
   // adopts it. Empty shadow values are kept — equivalent to absent keys.
   std::shared_ptr<const Map> Freeze() {
-    auto flat = std::make_shared<Map>();
-    if (base_ != nullptr) *flat = *base_;
-    for (auto& [key, value] : local_) {
-      flat->insert_or_assign(key, std::move(value));
+    if (local_.empty() && base_ != nullptr) return base_;
+    std::shared_ptr<Map> flat;
+    if (base_ == nullptr) {
+      // Nothing shared yet: the overlay is the whole map; adopt it.
+      flat = std::make_shared<Map>(std::move(local_));
+    } else {
+      flat = std::make_shared<Map>(*base_);
+      for (auto& [key, value] : local_) {
+        flat->insert_or_assign(key, std::move(value));
+      }
     }
     // Swap-with-empty, not clear(): see CowVector::Freeze() — a copied
     // empty map inherits the source's bucket count, so a cleared-but-

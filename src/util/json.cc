@@ -70,12 +70,14 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+namespace {
+
+// Appends `text` to `out` as a JSON string literal, quotes included, in
+// one pass: bytes that need no escape (UTF-8 included) are appended a
+// run at a time.
+void EscapeTo(const std::string& text, std::string& out) {
+  out.reserve(out.size() + text.size() + 2);
   out += '"';
-  // Bytes that need no escape (UTF-8 included) are appended a run at a
-  // time.
   size_t run = 0;
   for (size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
@@ -110,6 +112,13 @@ std::string JsonEscape(const std::string& text) {
   }
   out.append(text, run, std::string::npos);
   out += '"';
+}
+
+}  // namespace
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  EscapeTo(text, out);
   return out;
 }
 
@@ -145,7 +154,7 @@ void JsonValue::DumpTo(std::string& out) const {
       out += FormatNumber(number_);
       break;
     case Kind::kString:
-      out += JsonEscape(string_);
+      EscapeTo(string_, out);
       break;
     case Kind::kArray: {
       out += '[';
@@ -160,7 +169,7 @@ void JsonValue::DumpTo(std::string& out) const {
       out += '{';
       for (size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ',';
-        out += JsonEscape(members_[i].first);
+        EscapeTo(members_[i].first, out);
         out += ':';
         members_[i].second.DumpTo(out);
       }

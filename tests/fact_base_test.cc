@@ -456,6 +456,137 @@ TEST_F(FactBaseTest, FreezePreservesPostingListOrder) {
   EXPECT_EQ(fork.AtomsWithTermAt(p_, 0, a_).size(), 1u);
 }
 
+// A random DLGP fact text: `num_atoms` atoms over 12 predicates of arity
+// 1-4 and 300 constants and nulls, some statements with several atoms.
+std::string RandomFactText(Rng& rng, int num_atoms) {
+  std::string text;
+  for (int i = 0; i < num_atoms; ++i) {
+    const int pred = static_cast<int>(rng.UniformIndex(12));
+    text += 'p';
+    text += std::to_string(pred);
+    text += '(';
+    for (int pos = 0; pos <= pred % 4; ++pos) {
+      if (pos > 0) text += ", ";
+      const size_t term = rng.UniformIndex(300);
+      text += term % 7 == 0 ? "_n" : "c";
+      text += std::to_string(term);
+    }
+    text += rng.UniformIndex(4) == 0 ? "), " : ").\n";
+  }
+  return text + "p0(c0).\n";
+}
+
+// Every read of `facts` over `symbols`, in id and posting-list order.
+std::string Dump(const FactBase& facts, const SymbolTable& symbols) {
+  std::string out;
+  for (TermId term = 0; term < static_cast<TermId>(symbols.num_terms());
+       ++term) {
+    out += symbols.term_name(term);
+    out += '#';
+    out += std::to_string(facts.TermUseCount(term));
+    out += ' ';
+  }
+  for (PredicateId pred = 0;
+       pred < static_cast<PredicateId>(symbols.num_predicates()); ++pred) {
+    out += '\n';
+    out += symbols.predicate_name(pred);
+    out += ':';
+    for (const AtomId id : facts.AtomsWithPredicate(pred)) {
+      out += ' ';
+      out += std::to_string(id);
+    }
+  }
+  for (AtomId id = 0; id < facts.size(); ++id) {
+    const Atom& atom = facts.atom(id);
+    out += '\n';
+    out += atom.ToString(symbols);
+    out += " ->";
+    for (int pos = 0; pos < atom.arity(); ++pos) {
+      out += " [";
+      for (const AtomId other : facts.AtomsWithTermAt(
+               atom.predicate, pos, atom.args[static_cast<size_t>(pos)])) {
+        out += ' ';
+        out += std::to_string(other);
+      }
+      out += " ]";
+    }
+  }
+  return out;
+}
+
+// ParseDlgp sizes the tables of its empty KB from the text before the
+// load; ParseDlgpInto into a KB that already holds a statement grows
+// them step by step. Both must give the same term ids, posting-list
+// order, use counts and ContentHash, and so must the frozen result, its
+// forks and the same text loaded straight into a reserved FactBase.
+TEST(FactBaseLoadTest, PresizedAndUnreservedLoadsAgree) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7727);
+    const std::string text =
+        RandomFactText(rng, 200 + static_cast<int>(seed) * 400);
+    const size_t first_statement = text.find(".\n") + 2;
+
+    StatusOr<KnowledgeBase> presized = ParseDlgp(text);
+    ASSERT_TRUE(presized.ok()) << presized.status();
+    KnowledgeBase unreserved;
+    ASSERT_TRUE(
+        ParseDlgpInto(text.substr(0, first_statement), unreserved).ok());
+    ASSERT_TRUE(ParseDlgpInto(text.substr(first_statement), unreserved).ok());
+
+    const FactBase& frozen = presized->facts();
+    EXPECT_TRUE(frozen.has_shared_base());
+    EXPECT_EQ(frozen.overlay_size(), 0u);
+    EXPECT_FALSE(unreserved.facts().has_shared_base());
+    const std::string expected =
+        Dump(unreserved.facts(), unreserved.symbols());
+    ASSERT_EQ(Dump(frozen, presized->symbols()), expected);
+    EXPECT_EQ(frozen.ContentHash(presized->symbols()),
+              unreserved.facts().ContentHash(unreserved.symbols()));
+
+    // The same atoms added to a reserved and an unreserved FactBase,
+    // then frozen: the reserved one's tables are adopted, the other's
+    // repacked where they are more than half full.
+    FactBase reserved;
+    reserved.Reserve(frozen.size(), frozen.NumPositions());
+    FactBase plain;
+    for (AtomId id = 0; id < frozen.size(); ++id) {
+      reserved.Add(frozen.atom(id));
+      plain.Add(frozen.atom(id));
+    }
+    ASSERT_EQ(Dump(reserved, presized->symbols()), expected);
+    reserved.FreezeSharedBase();
+    plain.FreezeSharedBase();
+    ASSERT_EQ(Dump(reserved, presized->symbols()), expected);
+    ASSERT_EQ(Dump(plain, presized->symbols()), expected);
+
+    // Freezing again leaves the frozen base as it is.
+    const AtomSpan before = reserved.AtomsWithPredicate(0);
+    reserved.FreezeSharedBase();
+    EXPECT_EQ(reserved.AtomsWithPredicate(0).ptr, before.ptr);
+
+    // Forks of every frozen copy take the same rewrites alike.
+    FactBase forks[] = {frozen, reserved, plain, unreserved.facts()};
+    const TermId fresh = presized->symbols().MakeFreshNull();
+    ASSERT_EQ(unreserved.symbols().MakeFreshNull(), fresh);
+    for (FactBase& fork : forks) {
+      for (AtomId id = 0; id < fork.size(); id += 5) {
+        fork.SetArg(id, 0, fresh);
+      }
+      Atom added = frozen.atom(0);
+      added.args.assign(added.args.size(), fresh);
+      fork.Add(std::move(added));
+    }
+    const std::string forked = Dump(forks[3], unreserved.symbols());
+    for (const FactBase& fork : forks) {
+      ASSERT_EQ(Dump(fork, presized->symbols()), forked);
+    }
+    // The forks left the parsed base alone.
+    ASSERT_EQ(Dump(frozen, presized->symbols()),
+              Dump(unreserved.facts(), unreserved.symbols()));
+  }
+}
+
 // Use counts are dense per TermId: a fork copies only the counts it
 // changes, counts terms interned after the freeze, and leaves the
 // prototype's counts alone.

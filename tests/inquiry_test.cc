@@ -75,6 +75,36 @@ TEST(InquiryTest, OriginalKbIsNotMutated) {
   EXPECT_EQ(kb.facts().ToString(kb.symbols()), before);
 }
 
+// ParseDlgp returns F frozen, so a cold Begin holds it once: the
+// working facts and the chase base are O(1) forks of the parsed F, and
+// stay so after an answer. A return to copies loses the shared base.
+TEST(InquiryTest, ColdBeginSharesTheParsedFacts) {
+  KnowledgeBase kb = Parse(kHospital);
+  ASSERT_TRUE(kb.facts().has_shared_base());
+  const size_t num_facts = kb.facts().size();
+  InquiryEngine engine(&kb, InquiryOptions{});
+  ASSERT_TRUE(engine.Begin().ok());
+
+  const FactBase& working = engine.working_facts();
+  EXPECT_TRUE(working.has_shared_base());
+  EXPECT_EQ(working.shared_base_size(), num_facts);
+  EXPECT_EQ(working.overlay_size(), 0u);
+  const IncrementalChase* chase = engine.delta_chase();
+  ASSERT_NE(chase, nullptr);
+  EXPECT_EQ(chase->num_original(), num_facts);
+  EXPECT_TRUE(chase->facts().has_shared_base());
+  EXPECT_EQ(chase->facts().shared_base_size(), chase->num_original());
+  EXPECT_GT(chase->facts().size(), num_facts);  // derived atoms
+
+  StatusOr<const Question*> question = engine.NextQuestion();
+  ASSERT_TRUE(question.ok()) << question.status();
+  ASSERT_NE(*question, nullptr);
+  ASSERT_TRUE(engine.Answer(0).ok());
+  EXPECT_EQ(engine.working_facts().shared_base_size(), num_facts);
+  EXPECT_GT(engine.working_facts().overlay_size(), 0u);
+  EXPECT_EQ(engine.delta_chase()->facts().shared_base_size(), num_facts);
+}
+
 TEST(InquiryTest, ConsistentKbNeedsNoQuestions) {
   KnowledgeBase kb = Parse(R"(
     p(a, b). q(c, d).

@@ -184,6 +184,33 @@ TEST(JsonTest, LongStringRoundTripsWithEveryEscapeClass) {
   EXPECT_EQ(reparsed->Get("kb_dlgp").AsString(), payload);
 }
 
+// Dump() escapes strings and keys straight into its output: the bytes
+// are exactly JsonEscape's, in and out of a container.
+TEST(JsonTest, DumpEscapesExactlyAsJsonEscape) {
+  Rng rng(20260327);
+  const std::string payload = MixedPayload(rng, 16 * 1024);
+  const std::string key = MixedPayload(rng, 64);
+  EXPECT_EQ(JsonValue::String(payload).Dump(), ReferenceEscape(payload));
+
+  JsonValue object = JsonValue::Object();
+  object.Set(key, JsonValue::String(payload));
+  object.Set("n", JsonValue::Number(int64_t{3}));
+  std::string expected = "{";
+  expected += ReferenceEscape(key);
+  expected += ':';
+  expected += ReferenceEscape(payload);
+  expected += ",\"n\":3}";
+  EXPECT_EQ(object.Dump(), expected);
+
+  JsonValue array = JsonValue::Array();
+  array.Append(JsonValue::String(key));
+  array.Append(JsonValue::String(""));
+  expected = "[";
+  expected += JsonEscape(key);
+  expected += ",\"\"]";
+  EXPECT_EQ(array.Dump(), expected);
+}
+
 // Escapes the encoder never writes (\/, \b, \f, \u with upper-case or
 // non-ASCII code points) decode at any offset between plain runs.
 TEST(JsonTest, DecodesEveryEscapeBetweenRuns) {

@@ -152,6 +152,26 @@ TEST(ParserTest, UnbalancedParensReportPosition) {
   EXPECT_FALSE(ParseDlgp("p(a, b. q(c).").ok());
 }
 
+// The load is sized from the text's '(' and ',' counts before parsing.
+// A text of nothing else, as long as kbrepaird's line cap, sizes the
+// tables for what a valid text of that length could hold and still
+// fails with the diagnostic of its first byte.
+TEST(ParserTest, PunctuationFloodReportsItsFirstByte) {
+  for (const char c : {'(', ','}) {
+    StatusOr<KnowledgeBase> kb = ParseDlgp(std::string(1 << 20, c));
+    ASSERT_FALSE(kb.ok());
+    EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(kb.status().message(),
+              "line 1, column 1: expected predicate or term");
+  }
+  // After a valid statement, the flood fails at its own first byte.
+  StatusOr<KnowledgeBase> kb = ParseDlgp("p(a, b).\n" +
+                                         std::string(1 << 20, '('));
+  ASSERT_FALSE(kb.ok());
+  EXPECT_EQ(kb.status().message(),
+            "line 2, column 1: expected predicate or term");
+}
+
 TEST(ParserTest, StrayBottomSymbolReportsHexByte) {
   // "⊥" (U+22A5) is not part of the DLGP syntax; the CDD head marker is
   // '!'. The error must name the offending byte in printable hex.

@@ -144,6 +144,84 @@ TEST_P(PostingIndexModel, ForksFreezesAndCopiesMatchModel) {
   ExpectMatches(base.index, base.model, keys);
 }
 
+// Freeze() of a reserved index with no frozen base adopts its table by
+// move: every list keeps its address. The adopted base then takes
+// appends, swap-erases, copies, forks and a second freeze like a packed
+// one, and freezing a frozen index with an empty overlay moves nothing.
+TEST_P(PostingIndexModel, MoveFreezeOfUnsharedIndexMatchesModel) {
+  Rng rng(GetParam() * 15485863 + 29);
+  const std::vector<Key> keys = MakeKeys(400);
+  AtomId next_id = 0;
+
+  Replica base;
+  base.index.Reserve(keys.size());
+  for (int op = 0; op < 3000; ++op) Step(base, keys, rng, &next_id);
+  std::vector<const AtomId*> addresses;
+  for (const Key key : keys) addresses.push_back(base.index.Find(key).ptr);
+  base.index.Freeze();
+  EXPECT_EQ(base.index.overlay_size(), 0u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(base.index.Find(keys[i]).ptr, addresses[i]) << "key " << keys[i];
+  }
+  ExpectMatches(base.index, base.model, keys);
+  base.index.Freeze();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(base.index.Find(keys[i]).ptr, addresses[i]) << "key " << keys[i];
+  }
+
+  // Forks of the adopted base diverge without seeing each other.
+  Replica left = base;
+  Replica right = base;
+  for (int op = 0; op < 1500; ++op) {
+    Step(left, keys, rng, &next_id);
+    Step(right, keys, rng, &next_id);
+  }
+  ExpectMatches(left.index, left.model, keys);
+  ExpectMatches(right.index, right.model, keys);
+  ExpectMatches(base.index, base.model, keys);
+
+  // A copy of a fork carries its overlay; both go on independently.
+  Replica copy = left;
+  for (int op = 0; op < 500; ++op) {
+    Step(copy, keys, rng, &next_id);
+    Step(left, keys, rng, &next_id);
+  }
+  ExpectMatches(copy.index, copy.model, keys);
+  ExpectMatches(left.index, left.model, keys);
+
+  // Freezing a fork packs the adopted base and its overlay.
+  right.index.Freeze();
+  EXPECT_EQ(right.index.overlay_size(), 0u);
+  Replica grandchild = right;
+  for (int op = 0; op < 1500; ++op) {
+    Step(grandchild, keys, rng, &next_id);
+    Step(right, keys, rng, &next_id);
+  }
+  ExpectMatches(grandchild.index, grandchild.model, keys);
+  ExpectMatches(right.index, right.model, keys);
+  ExpectMatches(base.index, base.model, keys);
+}
+
+// An index grown past half full is packed, not adopted, and reads the
+// same.
+TEST_P(PostingIndexModel, FreezeOfAFullIndexPacksIt) {
+  Rng rng(GetParam() * 32452843 + 3);
+  const std::vector<Key> keys = MakeKeys(400);
+  AtomId next_id = 0;
+  Replica replica;
+  // The table grows at three quarters full: 90 keys sit in 128 slots.
+  for (size_t i = 0; i < 90; ++i) {
+    replica.index.Append(keys[i], next_id);
+    replica.model[keys[i]].push_back(next_id++);
+  }
+  const AtomId* before = replica.index.Find(keys[0]).ptr;
+  replica.index.Freeze();
+  EXPECT_NE(replica.index.Find(keys[0]).ptr, before);
+  ExpectMatches(replica.index, replica.model, keys);
+  for (int op = 0; op < 1000; ++op) Step(replica, keys, rng, &next_id);
+  ExpectMatches(replica.index, replica.model, keys);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PostingIndexModel,
                          ::testing::Values(1u, 2u, 3u, 4u));
 

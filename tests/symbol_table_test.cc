@@ -155,6 +155,36 @@ TEST(SymbolTableTest, GrowthKeepsEveryIdFindable) {
   EXPECT_EQ(symbols.num_terms(), 60000u);
 }
 
+// ReserveTerms only sizes the tables: a reserved table hands out the
+// same ids as an unreserved one, finds every term, and keeps both when
+// interning runs past the reservation or a non-empty table reserves.
+TEST(SymbolTableTest, ReservedTableAssignsTheSameIds) {
+  const TermKind kinds[] = {TermKind::kConstant, TermKind::kVariable,
+                            TermKind::kNull};
+  SymbolTable reserved;
+  reserved.ReserveTerms(3000);
+  SymbolTable plain;
+  for (int i = 0; i < 2000; ++i) {
+    const TermKind kind = kinds[i % 3];
+    ASSERT_EQ(reserved.InternTerm(kind, Name("t", i % 1500)),
+              plain.InternTerm(kind, Name("t", i % 1500)));
+  }
+  reserved.ReserveTerms(5000);
+  for (int i = 2000; i < 6000; ++i) {
+    const TermKind kind = kinds[i % 3];
+    ASSERT_EQ(reserved.InternTerm(kind, Name("t", i)),
+              plain.InternTerm(kind, Name("t", i)));
+  }
+  ASSERT_EQ(reserved.num_terms(), plain.num_terms());
+  for (TermId id = 0; id < static_cast<TermId>(plain.num_terms()); ++id) {
+    ASSERT_EQ(reserved.term_kind(id), plain.term_kind(id));
+    ASSERT_EQ(reserved.term_name(id), plain.term_name(id));
+    ASSERT_EQ(reserved.FindTerm(plain.term_kind(id), plain.term_name(id)),
+              id);
+  }
+  EXPECT_EQ(reserved.FindTerm(TermKind::kConstant, "t6000"), kInvalidTerm);
+}
+
 TEST(SymbolTableTest, ForkSharesTheFrozenBase) {
   SymbolTable base;
   std::vector<TermId> ids;
