@@ -21,7 +21,8 @@
 //                                  kUpdateConflictsBatch UPDATECONFLICTS
 //                                  steps (DeltaConflictEngine::
 //                                  OnFixApplied);
-//   depth_ladder "saturation ..."  scratch = the full chase
+//   depth_ladder "saturation ..."  scratch = a batch of
+//                                  kSaturationBatch full chases
 //                                  (IncrementalChase::Initialize).
 // Each row therefore gates one hot primitive of the cache-dense chase
 // path (flat posting-table candidate scan / arena-backed wave saturation).
@@ -444,19 +445,28 @@ std::string JoinRow(size_t num_facts) {
                  incremental);
 }
 
-// One saturation row: the full chase (scratch column) over a TGD-heavy
-// workload. Workloads are sized so each run is a few milliseconds — on
-// an oversubscribed runner a scheduler preemption then shifts the
+// Full chases per saturation sample. One chase of these workloads takes
+// a tenth to a third of a millisecond, under bench_diff's
+// quarter-millisecond absolute floor, so a sample times a batch: its
+// mean clears the floor several times over and a 2x slowdown of the
+// chase fails the gate.
+constexpr int kSaturationBatch = 8;
+
+// One saturation row: a batch of full chases (scratch column) over a
+// TGD-heavy workload. A batch takes a few milliseconds — on an
+// oversubscribed runner a scheduler preemption then shifts the
 // 16-sample mean by a few percent instead of doubling it.
 std::string SaturationRow(size_t num_facts) {
   SyntheticKb generated =
       MakeKb(num_facts, 0.1, /*num_tgds=*/20, /*depth=*/2);
   KnowledgeBase& kb = generated.kb;
   const QuickStats scratch = MeasureMs(16, [&] {
-    IncrementalChase chase(&kb.symbols(), &kb.tgds());
-    const Status status = chase.Initialize(kb.facts());
-    KBREPAIR_CHECK(status.ok()) << status;
-    benchmark::DoNotOptimize(chase.facts().size());
+    for (int run = 0; run < kSaturationBatch; ++run) {
+      IncrementalChase chase(&kb.symbols(), &kb.tgds());
+      const Status status = chase.Initialize(kb.facts());
+      KBREPAIR_CHECK(status.ok()) << status;
+      benchmark::DoNotOptimize(chase.facts().size());
+    }
   });
   return "    {\"config\": \"saturation " + std::to_string(num_facts) +
          " facts d2\",\n     \"scratch\": " + StatsJson(scratch) + "}";

@@ -12,7 +12,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "debug/repl.h"
 #include "debug/timeline.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 
 namespace kbrepair {
 namespace debug {
@@ -31,7 +31,8 @@ int Usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " [options] SESSION.wal|WALDIR...\n"
 
-         "  --checkpoint-every N          parked-cursor ladder stride (default 8)\n"
+         "  --checkpoint-every N          parked-cursor ladder stride (default 8;\n"
+         "                                0 = none)\n"
          "  --replay-verify               check each recording replays to a\n"
          "                                byte-identical transcript, then exit\n"
          "  --diff-engines                replay checking the maintained census\n"
@@ -187,9 +188,12 @@ int Main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--checkpoint-every") {
       const char* v = next_value(i, "--checkpoint-every");
-      if (v == nullptr) return Usage(argv[0]);
-      options.timeline.checkpoint_every =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      int64_t every = 0;
+      if (v == nullptr ||
+          !ParseInteger(v, 0, INT64_MAX, &every, "--checkpoint-every")) {
+        return Usage(argv[0]);
+      }
+      options.timeline.checkpoint_every = static_cast<size_t>(every);
     } else if (arg == "--replay-verify") {
       options.replay_verify = true;
     } else if (arg == "--diff-engines") {

@@ -99,9 +99,9 @@ enum class ConflictEngineKind {
 enum class ConvergenceRecording {
   // Cheap default: the engine's naive-conflict count (phase one only).
   kOff,
-  // allconflicts(K) — chase included — recomputed after every answer.
-  // The omniscient convergence series. Costly; leave off for delay
-  // measurements.
+  // allconflicts(K) — chase included — after every answer: the
+  // omniscient convergence series. An O(1) read of the census the
+  // conflict engine maintains anyway, in both phases.
   kTotalConflicts,
   // Conflicts as the two-phase algorithm *discovers* them: the naive
   // conflicts during phase one, the full chased census in phase two. This

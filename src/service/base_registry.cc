@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <stdio.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <fstream>
@@ -118,19 +119,22 @@ std::string BaseRegistry::LogPath() const {
 Status BaseRegistry::AppendLogRecord(const JsonValue& record) {
   if (log_dir_.empty()) return Status::Ok();
   const std::string path = LogPath();
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
+  if (log_closed_) {
+    return Status::Unavailable(path + " ends in a fragment of a failed "
+                               "append; nothing more is appended to it");
+  }
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  struct stat st {};
+  if (fd < 0 || ::fstat(fd, &st) != 0) {
+    if (fd >= 0) ::close(fd);
     return Status::Unavailable("could not open " + path);
   }
-  const std::string line = record.Dump() + "\n";
-  Status status = Status::Ok();
-  if (::write(fd, line.data(), line.size()) !=
-      static_cast<ssize_t>(line.size())) {
-    status = Status::Unavailable("short write to " + path);
-  } else if (::fsync(fd) != 0) {
+  Status status = AppendFully(&fd, record.Dump() + "\n", st.st_size, path);
+  log_closed_ = fd < 0;
+  if (status.ok() && ::fsync(fd) != 0) {
     status = Status::Unavailable("fsync failed for " + path);
   }
-  ::close(fd);
+  if (fd >= 0) ::close(fd);
   return status;
 }
 

@@ -52,6 +52,7 @@
 #include "service/daemon_client.h"
 #include "service/protocol.h"
 #include "service/session.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -64,6 +65,21 @@ using client::Daemon;
 using client::HttpGet;
 using client::HttpResponse;
 
+// "HOST:PORT", ":PORT" or bare "PORT" (host defaults to loopback).
+bool ParseTcpTarget(const std::string& target, std::string* host,
+                    int* port) {
+  const size_t colon = target.rfind(':');
+  const std::string port_text =
+      colon == std::string::npos ? target : target.substr(colon + 1);
+  *host = (colon == std::string::npos || colon == 0)
+              ? "127.0.0.1"
+              : target.substr(0, colon);
+  int64_t number = 0;
+  if (!ParseInteger(port_text, 1, 65535, &number)) return false;
+  *port = static_cast<int>(number);
+  return true;
+}
+
 // Parses "[http://]HOST:PORT[/path]" (default path /statusz).
 bool ParseScrapeUrl(std::string url, std::string* host, int* port,
                     std::string* path) {
@@ -75,13 +91,8 @@ bool ParseScrapeUrl(std::string url, std::string* host, int* port,
   *path = slash == std::string::npos ? "/statusz" : url.substr(slash);
   const std::string host_port =
       slash == std::string::npos ? url : url.substr(0, slash);
-  const size_t colon = host_port.rfind(':');
-  if (colon == std::string::npos) return false;
-  *host = host_port.substr(0, colon);
-  if (host->empty()) *host = "127.0.0.1";
-  *port = static_cast<int>(
-      std::strtol(host_port.c_str() + colon + 1, nullptr, 10));
-  return *port > 0;
+  return host_port.find(':') != std::string::npos &&
+         ParseTcpTarget(host_port, host, port);
 }
 
 // Two-space-indented JSON rendering (Dump() is single-line by design).
@@ -127,7 +138,7 @@ int ScrapeMain(const std::string& url) {
   int port = 0;
   if (!ParseScrapeUrl(url, &host, &port, &path)) {
     std::cerr << "--scrape: cannot parse '" << url
-              << "' (expected [http://]HOST:PORT[/path])\n";
+              << "' (expected [http://]HOST:PORT[/path], PORT 1-65535)\n";
     return 2;
   }
   StatusOr<HttpResponse> response = HttpGet(host, port, path);
@@ -543,22 +554,6 @@ std::string CheckAndPrintTrace(const JsonValue& result, bool expect_wal,
 
 // ------------------------------------------------------------------
 
-// "HOST:PORT", ":PORT" or bare "PORT" (host defaults to loopback).
-bool ParseTcpTarget(const std::string& target, std::string* host,
-                    int* port) {
-  const size_t colon = target.rfind(':');
-  const std::string port_text =
-      colon == std::string::npos ? target : target.substr(colon + 1);
-  *host = (colon == std::string::npos || colon == 0)
-              ? "127.0.0.1"
-              : target.substr(0, colon);
-  char* end = nullptr;
-  const long value = std::strtol(port_text.c_str(), &end, 10);
-  if (end == port_text.c_str() || *end != '\0') return false;
-  *port = static_cast<int>(value);
-  return *port > 0 && *port < 65536;
-}
-
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--server PATH] [--server-arg ARG]... [--sessions N]"
@@ -567,6 +562,9 @@ int Usage(const char* argv0) {
                " [--trace-dir DIR] [--http-port N]"
                " [--transport stdio|unix|tcp] [--connections N]"
                " [--connect TARGET] [--shards N] [--retry-seed S] [--quiet]\n"
+               "       integers are checked: sessions 1-1024, connections"
+               " 1-64, workers 1-256, shards 1-64, ports 0-65535,"
+               " seeds 0-2^63-1 (also KBREPAIR_RETRY_SEED)\n"
                "       "
             << argv0
             << " --scrape [http://]HOST:PORT[/path]   fetch one"
@@ -590,14 +588,20 @@ int Main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    int64_t number = 0;  // the value of an integer flag
+    auto integer = [&](int64_t min, int64_t max) {
+      return ParseInteger(v, min, max, &number, arg);
+    };
     if (arg == "--server" && (v = next_value())) {
       options.server_path = v;
     } else if (arg == "--server-arg" && (v = next_value())) {
       options.server_args.push_back(v);
     } else if (arg == "--sessions" && (v = next_value())) {
-      options.sessions = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!integer(1, 1024)) return Usage(argv[0]);  // a thread each
+      options.sessions = static_cast<size_t>(number);
     } else if (arg == "--workers" && (v = next_value())) {
-      options.workers = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!integer(1, 256)) return Usage(argv[0]);
+      options.workers = static_cast<size_t>(number);
     } else if (arg == "--kb" && (v = next_value())) {
       options.kb = v;
     } else if (arg == "--strategy" && (v = next_value())) {
@@ -605,22 +609,26 @@ int Main(int argc, char** argv) {
     } else if (arg == "--base" && (v = next_value())) {
       options.base = v;
     } else if (arg == "--seed" && (v = next_value())) {
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!integer(0, INT64_MAX)) return Usage(argv[0]);
+      options.seed = static_cast<uint64_t>(number);
     } else if (arg == "--trace-dir" && (v = next_value())) {
       options.trace_dir = v;
     } else if (arg == "--http-port" && (v = next_value())) {
-      options.http_port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!integer(0, 65535)) return Usage(argv[0]);
+      options.http_port = static_cast<int>(number);
     } else if (arg == "--transport" && (v = next_value())) {
       options.transport = v;
     } else if (arg == "--connect" && (v = next_value())) {
       options.connect = v;
     } else if (arg == "--connections" && (v = next_value())) {
-      options.connections =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!integer(1, 64)) return Usage(argv[0]);  // a socket each
+      options.connections = static_cast<size_t>(number);
     } else if (arg == "--shards" && (v = next_value())) {
-      options.shards = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!integer(1, 64)) return Usage(argv[0]);
+      options.shards = static_cast<size_t>(number);
     } else if (arg == "--retry-seed" && (v = next_value())) {
-      options.retry_seed = std::strtoull(v, nullptr, 10);
+      if (!integer(0, INT64_MAX)) return Usage(argv[0]);
+      options.retry_seed = static_cast<uint64_t>(number);
       options.retry_seed_set = true;
     } else if (arg == "--scrape" && (v = next_value())) {
       return ScrapeMain(v);
@@ -634,8 +642,16 @@ int Main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (options.sessions == 0) options.sessions = 1;
-  if (options.connections == 0) options.connections = 1;
+  if (!options.retry_seed_set) {
+    if (const char* env = std::getenv("KBREPAIR_RETRY_SEED")) {
+      int64_t seed = 0;
+      if (!ParseInteger(env, 0, INT64_MAX, &seed, "KBREPAIR_RETRY_SEED")) {
+        return Usage(argv[0]);
+      }
+      options.retry_seed = static_cast<uint64_t>(seed);
+      options.retry_seed_set = true;
+    }
+  }
   const bool external = !options.connect.empty();
   if (external && options.transport == "stdio") {
     // Infer the transport from the target: a path is a Unix socket,
@@ -747,12 +763,6 @@ int Main(int argc, char** argv) {
       conns.push_back(std::make_unique<Connection>(*fd));
     }
     if (!endpoint.port_file.empty()) ::unlink(endpoint.port_file.c_str());
-  }
-  if (!options.retry_seed_set) {
-    if (const char* env = std::getenv("KBREPAIR_RETRY_SEED")) {
-      options.retry_seed = std::strtoull(env, nullptr, 10);
-      options.retry_seed_set = true;
-    }
   }
   if (options.retry_seed_set) {
     // Decorrelate per connection so parallel links do not jitter in

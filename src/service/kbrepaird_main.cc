@@ -27,7 +27,7 @@
 // Usage:
 //   kbrepaird [--workers N] [--max-queue N] [--ttl-seconds S]
 //             [--transcript-dir DIR] [--wal-dir DIR] [--recover-dir DIR]
-//             [--deadline-ms N] [--wal-compact-every N]
+//             [--deadline-ms N]
 //             [--mem-budget BYTES[K|M|G]]
 //             [--trace-dir DIR] [--failpoints SPEC]
 //             [--shards N] [--listen-unix PATH]
@@ -56,6 +56,7 @@
 #include "service/session.h"
 #include "service/session_manager.h"
 #include "util/failpoint.h"
+#include "util/flags.h"
 #include "util/log.h"
 
 namespace kbrepair {
@@ -77,21 +78,6 @@ extern "C" void HandleTermSignal(int) {
 // thousands of threads (the daemon runs shards * (workers + 1)).
 constexpr int64_t kMaxShards = 64;
 constexpr int64_t kMaxWorkers = 256;
-
-// The whole of `text` as a decimal integer in [min, max]: no sign,
-// whitespace, suffix or overflow.
-bool ParseInteger(const std::string& text, int64_t min, int64_t max,
-                  int64_t* out) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0' || value < min || value > max) return false;
-  *out = value;
-  return true;
-}
 
 // The whole of `text` as a finite, non-negative decimal number of
 // seconds ("0", "30", "2.5"): no sign, whitespace, suffix, nan, inf or
@@ -141,8 +127,6 @@ int Usage(const char* argv0) {
          " found there at startup\n"
          "  [--deadline-ms N]        per-command deadline (0-86400000;"
          " 0 = none)\n"
-         "  [--wal-compact-every N]  snapshot-compact a session WAL every"
-         " N appends (1-1073741824)\n"
          "  [--mem-budget BYTES]     soft memory ceiling (K/M/G suffix ok;"
          " 0 = unlimited): at the budget new creates are shed and idle"
          " sessions evicted\n"
@@ -235,11 +219,7 @@ int Main(int argc, char** argv) {
     int64_t number = 0;
     auto next_integer = [&](const char* flag, int64_t min, int64_t max) {
       const char* v = next_value(flag);
-      if (v == nullptr) return false;
-      if (ParseInteger(v, min, max, &number)) return true;
-      std::cerr << flag << ": expected an integer in [" << min << ", " << max
-                << "], got '" << v << "'\n";
-      return false;
+      return v != nullptr && ParseInteger(v, min, max, &number, flag);
     };
     if (arg == "--workers") {
       if (!next_integer("--workers", 1, kMaxWorkers)) return Usage(argv[0]);
@@ -274,11 +254,6 @@ int Main(int argc, char** argv) {
     } else if (arg == "--deadline-ms") {
       if (!next_integer("--deadline-ms", 0, 86400000)) return Usage(argv[0]);
       config.deadline_ms = number;
-    } else if (arg == "--wal-compact-every") {
-      if (!next_integer("--wal-compact-every", 1, int64_t{1} << 30)) {
-        return Usage(argv[0]);
-      }
-      config.wal_compact_every = static_cast<size_t>(number);
     } else if (arg == "--mem-budget") {
       const char* v = next_value("--mem-budget");
       if (v == nullptr) return Usage(argv[0]);

@@ -328,8 +328,6 @@ constexpr MetricRow kMetricRows[] = {
             "kbrepair_wal_fsync_failures_total",
             "WAL appends whose fsync failed (command rejected).",
             &M::wal_fsync_failures),
-    Counter("durability", "wal_compactions", "kbrepair_wal_compactions_total",
-            "Session WALs snapshot-compacted.", &M::wal_compactions),
     Counter("durability", "transcript_write_failures",
             "kbrepair_transcript_write_failures_total",
             "Transcript flushes that failed.",
@@ -504,7 +502,7 @@ namespace {
 
 // --- Prometheus text exposition (format 0.0.4) -------------------------
 
-std::string FormatDoubleCompact(double value) {
+std::string FormatDouble9g(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.9g", value);
   return buffer;
@@ -571,13 +569,13 @@ void AppendHistogramSeries(
        histogram.CumulativeBuckets()) {
     const std::string le = bucket.infinite
                                ? std::string("+Inf")
-                               : FormatDoubleCompact(bucket.le_seconds);
+                               : FormatDouble9g(bucket.le_seconds);
     *out += name + "_bucket" + LabelSetWithLe(labels, le) + " " +
             std::to_string(bucket.cumulative_count) + "\n";
     total = bucket.cumulative_count;
   }
   *out += name + "_sum" + LabelSet(labels) + " " +
-          FormatDoubleCompact(histogram.SumSeconds()) + "\n";
+          FormatDouble9g(histogram.SumSeconds()) + "\n";
   // _count must equal the +Inf bucket; derive it from the same snapshot
   // rather than re-reading the (racing) count_ counter.
   *out += name + "_count" + LabelSet(labels) + " " + std::to_string(total) +

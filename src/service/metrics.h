@@ -140,7 +140,6 @@ struct ServiceMetrics {
   // Durability and degradation.
   std::atomic<uint64_t> wal_appends{0};
   std::atomic<uint64_t> wal_fsync_failures{0};
-  std::atomic<uint64_t> wal_compactions{0};
   std::atomic<uint64_t> transcript_write_failures{0};
   std::atomic<uint64_t> sessions_recovered{0};   // rebuilt from WALs
   std::atomic<uint64_t> engine_rebuilds{0};      // dropped conflict engines

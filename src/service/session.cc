@@ -411,17 +411,15 @@ StatusOr<JsonValue> RepairSession::Close(const JsonValue& params,
   return out;
 }
 
-int64_t RepairSession::EstimateMemoryBytes(size_t wal_backlog) const {
+int64_t RepairSession::EstimateMemoryBytes() const {
   // Calibrated against heap profiles of synthetic sessions: an overlay
-  // atom plus its provenance node lands near 128 bytes, a transcript
-  // entry (question copy + fix strings) near 512, and each un-compacted
-  // WAL record keeps a framed JSON line (~256 bytes) alive in the page
-  // cache and replay cost. The fixed overhead covers the engine, symbol
-  // table delta, and bookkeeping of an idle session.
+  // atom plus its provenance node lands near 128 bytes and a transcript
+  // entry (question copy + fix strings) near 512. The fixed overhead
+  // covers the engine, symbol table delta, and bookkeeping of an idle
+  // session.
   constexpr int64_t kSessionOverheadBytes = 16 * 1024;
   constexpr int64_t kBytesPerFact = 128;
   constexpr int64_t kBytesPerTranscriptEntry = 512;
-  constexpr int64_t kBytesPerWalRecord = 256;
   int64_t estimate = kSessionOverheadBytes;
   if (engine_ != nullptr && engine_->started()) {
     estimate += static_cast<int64_t>(engine_->working_facts().size()) *
@@ -429,7 +427,6 @@ int64_t RepairSession::EstimateMemoryBytes(size_t wal_backlog) const {
   }
   estimate +=
       static_cast<int64_t>(transcript_.size()) * kBytesPerTranscriptEntry;
-  estimate += static_cast<int64_t>(wal_backlog) * kBytesPerWalRecord;
   return estimate;
 }
 
@@ -441,15 +438,6 @@ JsonValue RepairSession::TranscriptJson() const {
   out.Set("seed", JsonValue::Number(static_cast<int64_t>(options_.seed)));
   out.Set("transcript", transcript_.ToJson(kb_.symbols()));
   return out;
-}
-
-std::vector<JsonValue> RepairSession::EntryRecords() const {
-  std::vector<JsonValue> records;
-  records.reserve(transcript_.size());
-  for (const TranscriptEntry& entry : transcript_.entries()) {
-    records.push_back(SessionTranscript::EntryToJson(entry, kb_.symbols()));
-  }
-  return records;
 }
 
 RepairSession::Totals RepairSession::totals() const {

@@ -140,11 +140,6 @@ class RepairSession {
   // session retires (when a transcript directory is configured).
   JsonValue TranscriptJson() const;
 
-  // Every accepted answer as a transcript entry record
-  // (SessionTranscript::EntryToJson), in order: the entries a compacted
-  // WAL snapshot holds.
-  std::vector<JsonValue> EntryRecords() const;
-
   Totals totals() const;
 
   // Engine delay of the latest answered question (Prop. 4.10). Valid
@@ -152,11 +147,10 @@ class RepairSession {
   double last_turn_delay_seconds() const;
 
   // Rough resident-byte estimate for the memory governor: working
-  // overlay atoms + provenance, transcript entries, and the
-  // `wal_backlog` records the session's WAL holds un-compacted, plus a
-  // fixed per-session overhead. Deliberately cheap (a few size() reads)
-  // — it runs after every session command.
-  int64_t EstimateMemoryBytes(size_t wal_backlog) const;
+  // overlay atoms + provenance and transcript entries, plus a fixed
+  // per-session overhead. Deliberately cheap (a few size() reads) — it
+  // runs after every session command.
+  int64_t EstimateMemoryBytes() const;
 
  private:
   RepairSession(std::string id, std::string kb_label,

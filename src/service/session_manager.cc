@@ -101,7 +101,6 @@ SessionManager::SessionManager(ServiceConfig config)
   config_.num_shards = std::max<size_t>(1, config_.num_shards);
   config_.num_workers = std::max<size_t>(1, config_.num_workers);
   config_.max_queue = std::max<size_t>(1, config_.max_queue);
-  config_.wal_compact_every = std::max<size_t>(1, config_.wal_compact_every);
   const size_t num_shards = config_.num_shards;
   const std::string& wal_root = config_.wal_dir;
   const bool recover = config_.recover && !wal_root.empty();

@@ -80,8 +80,6 @@ struct ServiceConfig {
   // Per-command deadline; <= 0 disables. Commands past it fail with
   // DeadlineExceeded instead of wedging a worker.
   int64_t deadline_ms = 0;
-  // Compact a session's WAL into one snapshot record every N appends.
-  size_t wal_compact_every = 64;
   // When non-empty, the process-wide span recorder is enabled with this
   // directory as its sink: every instrumented region records a span, the
   // `trace` command drains them to <trace_dir>/trace-NNNNN.jsonl, and

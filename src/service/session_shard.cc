@@ -345,9 +345,6 @@ void SessionShard::RunCreate(Task task) {
     TaskDone();
     return;
   }
-  if (entry.wal != nullptr) {
-    entry.create_params = std::move(task.request.params);
-  }
   // Compute the response before registering: once the entry is visible,
   // another worker could legally run a command against it.
   JsonValue info = entry.session->StatusInfo();
@@ -383,7 +380,7 @@ void SessionShard::RunSessionCommand(const std::string& key) {
   // Queue wait includes time parked behind earlier commands of the same
   // session — that is real scheduling delay, not execution time.
   metrics_.queue_wait.Observe(task.timer.ElapsedSeconds());
-  // Every log line the handler emits (WAL append, compaction, engine rebuild,
+  // Every log line the handler emits (WAL append, engine rebuild,
   // deadline) carries this session id without explicit plumbing.
   logging::ScopedSessionId log_scope(key);
 
@@ -467,24 +464,8 @@ StatusOr<JsonValue> SessionShard::DispatchToSession(
   phases.ObserveInto(Labeled(session));
   MeterTotals(entry);
   if (!outcome.ok() || entry.wal == nullptr) return outcome;
-  if (command == "close") {
-    // The session ended cleanly; there is nothing left to recover.
-    RemoveWal(entry);
-  } else if (command == "answer" &&
-             entry.wal->appends_since_compaction() >=
-                 config_.wal_compact_every) {
-    const Status compacted =
-        entry.wal->Compact(entry.create_params, session.EntryRecords());
-    if (compacted.ok()) {
-      metrics_.wal_compactions.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // The pre-compaction log is still intact and replayable; keep
-      // serving and try again after the next answer.
-      logging::Warn(kComponent, "WAL compaction failed")
-          .With("session", session.id())
-          .With("error", compacted.message());
-    }
-  }
+  // The session ended cleanly; there is nothing left to recover.
+  if (command == "close") RemoveWal(entry);
   return outcome;
 }
 
@@ -638,8 +619,7 @@ bool SessionShard::WalDegraded() const {
 }
 
 void SessionShard::ChargeSessionLocked(SessionEntry& entry) {
-  const int64_t now = entry.session->EstimateMemoryBytes(
-      entry.wal == nullptr ? 0 : entry.wal->appends_since_compaction());
+  const int64_t now = entry.session->EstimateMemoryBytes();
   governor_->AdjustSessionBytes(now - entry.charged_bytes);
   entry.charged_bytes = now;
 }
@@ -924,11 +904,12 @@ void SessionShard::RecoverSessions() {
     }
     SessionEntry entry;
     entry.session = std::move(session);
-    StatusOr<std::unique_ptr<SessionWal>> wal =
-        SessionWal::Open(config_.wal_dir, id);
+    StatusOr<std::unique_ptr<SessionWal>> wal = SessionWal::Open(
+        config_.wal_dir, id,
+        read->dropped_torn_tail ? static_cast<off_t>(read->torn_byte_offset)
+                                : -1);
     if (wal.ok()) {
       entry.wal = std::move(wal).value();
-      entry.create_params = read->create_params;
     } else {
       logging::Warn(kComponent,
                     "session recovered but its WAL could not be reopened")

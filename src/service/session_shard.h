@@ -134,9 +134,6 @@ class SessionShard {
     // The session's write-ahead log; null without a WAL directory, or
     // when recovery could not reopen it.
     std::unique_ptr<SessionWal> wal;
-    // The create params, kept for WAL compaction snapshots (set only
-    // with a WAL).
-    JsonValue create_params = JsonValue::Null();
     // The session's Totals already folded into metrics_.
     RepairSession::Totals metered;
     std::deque<Task> waiting;

@@ -36,22 +36,6 @@ std::string FrameRecordLine(const std::string& payload) {
          payload + "\n";
 }
 
-Status WriteFully(int fd, const std::string& data, const std::string& path,
-                  bool* disk_full) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      const int err = errno;
-      if (err == EINTR) continue;
-      if (disk_full != nullptr && IsDiskFullErrno(err)) *disk_full = true;
-      return Status::Unavailable("WAL write " + path + ": " + ErrnoText(err));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 // Outcome of interpreting one line as a v2 framed record.
 enum class FrameParse {
   kNotFramed,  // no leading length digits: not a v2 record line
@@ -119,23 +103,22 @@ bool IsDiskFullErrno(int err) {
 }
 
 StatusOr<std::unique_ptr<SessionWal>> SessionWal::Open(
-    const std::string& dir, const std::string& session_id) {
+    const std::string& dir, const std::string& session_id,
+    off_t intact_size) {
   const std::string path = dir + "/" + session_id + kWalSuffix;
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) {
     return Status::Unavailable("WAL open " + path + ": " + ErrnoText());
   }
   struct stat st {};
-  if (::fstat(fd, &st) != 0) {
+  if ((intact_size >= 0 && ::ftruncate(fd, intact_size) != 0) ||
+      ::fstat(fd, &st) != 0) {
     const Status status =
-        Status::Unavailable("WAL stat " + path + ": " + ErrnoText());
+        Status::Unavailable("WAL cut/stat " + path + ": " + ErrnoText());
     ::close(fd);
     return status;
   }
-  // Only a fresh (empty) file gets the v2 header; a non-empty one
-  // already carries it.
-  return std::unique_ptr<SessionWal>(
-      new SessionWal(path, fd, /*needs_header=*/st.st_size == 0));
+  return std::unique_ptr<SessionWal>(new SessionWal(path, fd, st.st_size));
 }
 
 SessionWal::~SessionWal() {
@@ -158,8 +141,18 @@ Status SessionWal::Append(const JsonValue& record, bool* fsync_failed,
   KBREPAIR_FAILPOINT("wal.append",
                      Status::Unavailable("injected WAL append failure"));
   std::string data = FrameRecordLine(record.Dump());
-  if (needs_header_) data = std::string(kWalHeaderV2) + "\n" + data;
-  KBREPAIR_RETURN_IF_ERROR(WriteFully(fd_, data, path_, disk_full));
+  // Only a fresh (empty) file gets the v2 header; a non-empty one
+  // already carries it.
+  if (acked_size_ == 0) data = std::string(kWalHeaderV2) + "\n" + data;
+  int write_errno = 0;
+  const Status written =
+      AppendFully(&fd_, data, acked_size_, path_, &write_errno);
+  if (!written.ok()) {
+    if (disk_full != nullptr && IsDiskFullErrno(write_errno)) {
+      *disk_full = true;
+    }
+    return Status::Unavailable("WAL " + written.message());
+  }
   if (::fsync(fd_) != 0) {
     const int err = errno;
     if (fsync_failed != nullptr) *fsync_failed = true;
@@ -173,35 +166,7 @@ Status SessionWal::Append(const JsonValue& record, bool* fsync_failed,
     return Status::Unavailable("WAL fsync " + path_ +
                                ": injected fsync failure");
   }
-  needs_header_ = false;
-  ++appends_since_compaction_;
-  return Status::Ok();
-}
-
-Status SessionWal::Compact(const JsonValue& create_params,
-                           const std::vector<JsonValue>& entries) {
-  JsonValue snapshot = JsonValue::Object();
-  snapshot.Set("op", JsonValue::String("snapshot"));
-  snapshot.Set("params", create_params);
-  JsonValue entry_array = JsonValue::Array();
-  for (const JsonValue& entry : entries) entry_array.Append(entry);
-  snapshot.Set("entries", std::move(entry_array));
-
-  KBREPAIR_RETURN_IF_ERROR(
-      AtomicWriteFile(path_, std::string(kWalHeaderV2) + "\n" +
-                                 FrameRecordLine(snapshot.Dump())));
-
-  // The rename orphaned the inode behind the old fd: close it *before*
-  // checking the reopen, so a reopen failure leaves the WAL closed
-  // (Append then rejects commands) instead of silently appending to the
-  // unlinked inode.
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-  if (fd_ < 0) {
-    return Status::Unavailable("WAL reopen " + path_ + ": " + ErrnoText());
-  }
-  needs_header_ = false;
-  appends_since_compaction_ = 0;
+  acked_size_ += static_cast<off_t>(data.size());
   return Status::Ok();
 }
 
@@ -364,8 +329,8 @@ StatusOr<WalRecovery> ReadWalFile(const std::string& path,
       saw_create = true;
       recovery.create_params = ref.record.Get("params");
     } else if (op == "snapshot") {
-      // A snapshot restates the whole history; it can only legally be
-      // the first record (compaction rewrites the file).
+      // Written only by older daemons that compacted their logs; still
+      // read. It restates the whole history, so it must come first.
       if (saw_create || !recovery.entries.empty()) {
         return Status::InvalidArgument(where + ": snapshot after other records");
       }
@@ -435,17 +400,16 @@ Status ProbeWalDirWritable(const std::string& dir) {
                                ": injected ENOSPC (no space left on device)");
   }
   const std::string path = dir + "/.disk-probe";
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::Unavailable("WAL probe open " + path + ": " + ErrnoText());
   }
   static const std::string kProbe = "kbrepair disk probe\n";
-  bool disk_full = false;
-  Status status = WriteFully(fd, kProbe, path, &disk_full);
+  Status status = AppendFully(&fd, kProbe, 0, path);
   if (status.ok() && ::fsync(fd) != 0) {
     status = Status::Unavailable("WAL probe fsync " + path + ": " + ErrnoText());
   }
-  ::close(fd);
+  if (fd >= 0) ::close(fd);
   ::unlink(path.c_str());
   return status;
 }

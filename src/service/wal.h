@@ -32,16 +32,17 @@
 //                                           SessionTranscript::EntryToJson
 //   {"op":"close"}                          the session ended cleanly
 //   {"op":"snapshot","params":{...},"entries":[...]}
-//                                           compaction: create + all
-//                                           answers folded into one line
+//                                           create + answers in one line,
+//                                           as older daemons compacted
+//                                           logs; still read
 //
-// Compaction (every `compact_every` appends) rewrites the log as a
-// single snapshot record via tmp + fsync + rename, so the file never
-// holds more than compact_every + 1 meaningful lines and readers never
-// observe a partial rewrite.
+// The log is append-only and never rewritten: the create record plus
+// one record per answer is already the smallest complete recording.
 
 #ifndef KBREPAIR_SERVICE_WAL_H_
 #define KBREPAIR_SERVICE_WAL_H_
+
+#include <sys/types.h>
 
 #include <memory>
 #include <string>
@@ -55,9 +56,12 @@ namespace kbrepair {
 class SessionWal {
  public:
   // Opens `<dir>/<session_id>.wal` for appending, creating or continuing
-  // it (`dir` must exist). Unavailable on I/O failure.
+  // it (`dir` must exist). A non-negative `intact_size` first cuts the
+  // file to that length: recovery passes the offset of a dropped torn
+  // tail. Unavailable on I/O failure.
   static StatusOr<std::unique_ptr<SessionWal>> Open(
-      const std::string& dir, const std::string& session_id);
+      const std::string& dir, const std::string& session_id,
+      off_t intact_size = -1);
 
   ~SessionWal();
   SessionWal(const SessionWal&) = delete;
@@ -68,24 +72,19 @@ class SessionWal {
   // (log-before-execute). `fsync_failed` (optional) is set when the
   // failure was at the durability step rather than the write, for
   // metrics. `disk_full` (optional) is set when the failure was
-  // ENOSPC/EDQUOT/EIO (or the `fs.enospc` failpoint): the disk itself
-  // is out of space or failing, so the owning shard should enter
-  // degraded mode rather than hope the next append fares better.
+  // ENOSPC/EDQUOT/EIO (or the `fs.enospc` / `wal.torn_write`
+  // failpoints): the disk itself is out of space or failing, so the
+  // owning shard should enter degraded mode rather than hope the next
+  // append fares better. A write that fails part-way is cut back off
+  // the file (see AppendFully); if that cut fails, the log is closed.
   Status Append(const JsonValue& record, bool* fsync_failed = nullptr,
                 bool* disk_full = nullptr);
-
-  // Atomically replaces the log with a single snapshot record holding
-  // the create params and the full answer history. Resets the append
-  // counter. On failure the old log remains valid.
-  Status Compact(const JsonValue& create_params,
-                 const std::vector<JsonValue>& entries);
 
   // Closes and deletes the log (session completed; nothing to recover).
   // Works on a full disk — unlink frees space, never needs it.
   Status Remove();
 
   const std::string& path() const { return path_; }
-  size_t appends_since_compaction() const { return appends_since_compaction_; }
 
   // Record constructors.
   static JsonValue CreateRecord(const JsonValue& params);
@@ -93,16 +92,15 @@ class SessionWal {
   static JsonValue CloseRecord();
 
  private:
-  SessionWal(std::string path, int fd, bool needs_header)
-      : path_(std::move(path)), fd_(fd), needs_header_(needs_header) {}
+  SessionWal(std::string path, int fd, off_t acked_size)
+      : path_(std::move(path)), fd_(fd), acked_size_(acked_size) {}
 
   std::string path_;
   int fd_ = -1;
-  // True until the v2 header line has been written (new/empty file);
-  // the first append carries it so an empty create never costs an
-  // extra fsync.
-  bool needs_header_ = false;
-  size_t appends_since_compaction_ = 0;
+  // Bytes of the file every successful append has made durable; a
+  // failed write is cut back to it. 0 until the first append, which
+  // carries the v2 header so an empty create never costs an extra fsync.
+  off_t acked_size_ = 0;
 };
 
 // One record yielded by WalReader, with its location in the file so
@@ -123,8 +121,9 @@ struct WalRecordRef {
 // error carrying the record index and byte offset.
 class WalReader {
  public:
-  // Reads the whole file up front (WALs are bounded by compaction);
-  // Unavailable on I/O failure.
+  // Reads the whole file up front (a WAL holds one session: its create
+  // record plus one short record per answer); Unavailable on I/O
+  // failure.
   static StatusOr<WalReader> Open(const std::string& path);
 
   // Yields the next record. Sets `*done` and leaves `*out` untouched at

@@ -23,6 +23,35 @@ std::string ParentDir(const std::string& path) {
 
 }  // namespace
 
+Status AppendFully(int* fd, const std::string& data, off_t acked_size,
+                   const std::string& path, int* write_errno) {
+  // The injected tear lands a real prefix, so the cut below is what
+  // keeps it out of the file.
+  const bool tear = failpoint::ShouldFail("wal.torn_write");
+  const size_t goal = tear ? data.size() / 2 : data.size();
+  size_t written = 0;
+  int err = ENOSPC;
+  while (written < goal) {
+    const ssize_t n = ::write(*fd, data.data() + written, goal - written);
+    if (n >= 0) {
+      written += static_cast<size_t>(n);
+    } else if (errno != EINTR) {
+      err = errno;
+      break;
+    }
+  }
+  if (written == data.size()) return Status::Ok();
+  if (write_errno != nullptr) *write_errno = err;
+  std::string message = "write " + path + ": " +
+                        (tear ? "injected torn write: " : "") + ErrnoText(err);
+  if (written > 0 && ::ftruncate(*fd, acked_size) != 0) {
+    message += "; cutting the partial record failed: " + ErrnoText();
+    ::close(*fd);
+    *fd = -1;
+  }
+  return Status::Unavailable(message);
+}
+
 Status AtomicWriteFile(const std::string& path, const std::string& contents) {
   const std::string tmp = path + ".tmp";
   KBREPAIR_FAILPOINT("fs.atomic_write",

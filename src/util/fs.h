@@ -1,9 +1,12 @@
-// Small durable-file helpers shared by the WAL and the transcript
-// flusher: atomic whole-file replacement (tmp + fsync + rename) and
-// directory fsync, with failpoint hooks for the fault-injection suite.
+// Small durable-file helpers shared by the WAL, the base registry's log
+// and the transcript flusher: appends that never leave a fragment,
+// atomic whole-file replacement (tmp + fsync + rename) and directory
+// fsync, with failpoint hooks for the fault-injection suite.
 
 #ifndef KBREPAIR_UTIL_FS_H_
 #define KBREPAIR_UTIL_FS_H_
+
+#include <sys/types.h>
 
 #include <string>
 #include <vector>
@@ -11,6 +14,15 @@
 #include "util/status.h"
 
 namespace kbrepair {
+
+// Writes all of `data` to `*fd` (O_APPEND, last acknowledged length
+// `acked_size`) without fsync. A write that fails part-way, like a short
+// write and then ENOSPC or the `wal.torn_write` failpoint, is cut back
+// to `acked_size`; if that cut fails too, `*fd` is closed and set to -1,
+// so nothing is ever appended after a fragment. Unavailable on failure,
+// with the write's errno in `*write_errno` (optional).
+Status AppendFully(int* fd, const std::string& data, off_t acked_size,
+                   const std::string& path, int* write_errno = nullptr);
 
 // Writes `contents` to `path` atomically: the data lands in
 // `path + ".tmp"` first, is fsync'd, then renamed over `path`, and the

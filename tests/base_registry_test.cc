@@ -24,6 +24,7 @@
 #include "service/base_registry.h"
 #include "service/session_manager.h"
 #include "support/temp_dir.h"
+#include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -271,6 +272,26 @@ TEST(BaseRegistryLogTest, RecoveryRestoresLiveSetAndCompacts) {
   }
   EXPECT_EQ(registers, 2u);
   EXPECT_EQ(others, 0u);
+}
+
+TEST(BaseRegistryLogTest, TornRegisterAppendIsCutBack) {
+  // Half the register record lands, then the disk is full: the register
+  // is rejected, and the next records must not land on the fragment.
+  TempDir dir("kbrepair_basereg_");
+  {
+    auto registry = std::make_shared<BaseRegistry>(dir.path);
+    failpoint::Arm("wal.torn_write", /*skip=*/0, /*fail=*/1);
+    const StatusOr<JsonValue> torn = registry->Register(BaseParams("b1", 1));
+    failpoint::Reset();
+    EXPECT_FALSE(torn.ok());
+    EXPECT_FALSE(registry->Has("b1"));
+    ASSERT_TRUE(registry->Register(BaseParams("b1", 1)).ok());
+    ASSERT_TRUE(registry->Register(BaseParams("b2", 2)).ok());
+  }
+  auto recovered = std::make_shared<BaseRegistry>(dir.path);
+  ASSERT_TRUE(recovered->RecoverFromLog().ok());
+  EXPECT_TRUE(recovered->Has("b1"));
+  EXPECT_TRUE(recovered->Has("b2"));
 }
 
 TEST(BaseRegistryLogTest, HashMismatchIsDroppedNotFatal) {

@@ -7,7 +7,9 @@
 //    snapshots and close outputs byte-for-byte against an uninterrupted
 //    reference — across three strategies, each once with the conflict
 //    engine rebuilt from scratch before the crash (the "Scratch"
-//    cases, via the delta.corrupt failpoint) and once without.
+//    cases, via the delta.corrupt failpoint) and once without; plus a
+//    log folded into the compacted form older daemons wrote, and one
+//    whose second answer append was torn and retried.
 //  * Daemon-level: spawn the real kbrepaird (KBREPAIRD_PATH), kill -9 it
 //    mid-dialogue, restart with --recover-dir, and finish the dialogue;
 //    the repaired fact base must match the uninterrupted run exactly.
@@ -15,16 +17,20 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "debug/timeline.h"
 #include "service/daemon_client.h"
 #include "service/session_manager.h"
 #include "service/wal.h"
 #include "support/temp_dir.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -129,14 +135,48 @@ StatusOr<ReferenceRun> RunReference(const JsonValue& create_params,
   return run;
 }
 
+// The WAL's framing: "<len> <crc32c-hex8> <payload>\n".
+std::string Framed(const std::string& payload) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32c(payload));
+  return std::to_string(payload.size()) + " " + crc + " " + payload + "\n";
+}
+
+// Rewrites a three-answer WAL in the compacted form older daemons
+// wrote: the header, one snapshot record of the create params and the
+// first two answers, then the third answer's own record.
+void FoldIntoCompactedForm(const std::string& path, const std::string& id) {
+  StatusOr<WalRecovery> read = ReadWalFile(path, id);
+  ASSERT_TRUE(read.ok()) << read.status();
+  ASSERT_EQ(read->entries.size(), 3u);
+  JsonValue snapshot = JsonValue::Object();
+  snapshot.Set("op", JsonValue::String("snapshot"));
+  snapshot.Set("params", read->create_params);
+  JsonValue entries = JsonValue::Array();
+  entries.Append(read->entries[0]);
+  entries.Append(read->entries[1]);
+  snapshot.Set("entries", std::move(entries));
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << "#kbrepair-wal v2\n"
+      << Framed(snapshot.Dump())
+      << Framed(SessionWal::AnswerRecord(read->entries[2]).Dump());
+}
+
+// What phase one leaves in the WAL for recovery.
+enum class WalShape {
+  kAppended,    // as the daemon writes it: create + one record per answer
+  kCompacted,   // folded afterwards into FoldIntoCompactedForm's shape
+  kTornAppend,  // the second answer's append torn (wal.torn_write), retried
+};
+
 // With `rebuild`, the conflict engine is dropped and rebuilt from
 // scratch on the second answer before the crash (and the create names
 // no engine); otherwise the create names "incremental" explicitly.
 void RoundTrip(const std::string& strategy, bool rebuild,
-               size_t wal_compact_every, int64_t num_facts = 40) {
+               WalShape shape = WalShape::kAppended, int64_t num_facts = 40) {
   SCOPED_TRACE("strategy=" + strategy +
                " rebuild=" + (rebuild ? "yes" : "no") +
-               " compact_every=" + std::to_string(wal_compact_every));
+               " shape=" + std::to_string(static_cast<int>(shape)));
   const uint64_t seed = 20180326;
   const JsonValue create_params = CreateParams(
       seed, strategy, rebuild ? "" : "incremental", num_facts);
@@ -157,7 +197,6 @@ void RoundTrip(const std::string& strategy, bool rebuild,
     ServiceConfig config;
     config.num_workers = 2;
     config.wal_dir = wal_dir.path;
-    config.wal_compact_every = wal_compact_every;
     SessionManager manager(config);
     StatusOr<JsonValue> created = manager.Execute(MakeRequest(create_params));
     ASSERT_TRUE(created.ok()) << created.status();
@@ -168,6 +207,26 @@ void RoundTrip(const std::string& strategy, bool rebuild,
           manager.Execute(SessionCommand("ask", session));
       ASSERT_TRUE(asked.ok()) << asked.status();
       ASSERT_FALSE(asked->Get("done").AsBool(false));
+      if (shape == WalShape::kTornAppend && i == 1) {
+        // Half the record lands, then the disk is full: the answer is
+        // rejected and the shard sheds answers until its write probe
+        // passes. The retry must not land on the fragment.
+        failpoint::Arm("wal.torn_write", /*skip=*/0, /*fail=*/1);
+        StatusOr<JsonValue> torn =
+            manager.Execute(AnswerCommand(session, ref->choices[i]));
+        ASSERT_EQ(torn.status().code(), StatusCode::kResourceExhausted)
+            << torn.status();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        StatusOr<JsonValue> retried = torn;
+        while (retried.status().code() == StatusCode::kResourceExhausted &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          retried = manager.Execute(AnswerCommand(session, ref->choices[i]));
+        }
+        ASSERT_TRUE(retried.ok()) << retried.status();
+        continue;
+      }
       ASSERT_TRUE(
           manager.Execute(AnswerCommand(session, ref->choices[i])).ok());
     }
@@ -182,12 +241,26 @@ void RoundTrip(const std::string& strategy, bool rebuild,
               rebuild ? 1 : 0);
   }
 
+  if (shape == WalShape::kCompacted) {
+    const std::string path = wal_dir.path + "/" + session + ".wal";
+    FoldIntoCompactedForm(path, session);
+    if (::testing::Test::HasFatalFailure()) return;
+    // The debugger's replay-verify accepts the folded log too.
+    StatusOr<WalRecovery> folded = ReadWalFile(path, session);
+    ASSERT_TRUE(folded.ok()) << folded.status();
+    debug::TimelineOptions verify_only;
+    verify_only.checkpoint_every = 0;
+    StatusOr<debug::SessionTimeline> timeline =
+        debug::SessionTimeline::Create(std::move(*folded), verify_only);
+    ASSERT_TRUE(timeline.ok()) << timeline.status();
+    EXPECT_TRUE(timeline->ReplayVerify().ok());
+  }
+
   // Phase two: recover from the WAL and finish the dialogue.
   ServiceConfig config;
   config.num_workers = 2;
   config.wal_dir = wal_dir.path;
   config.recover = true;
-  config.wal_compact_every = wal_compact_every;
   SessionManager manager(config);
 
   StatusOr<JsonValue> metrics =
@@ -240,28 +313,72 @@ void RoundTrip(const std::string& strategy, bool rebuild,
 }
 
 // "Scratch": the engine is rebuilt from scratch before the crash.
-TEST(CrashRecoveryTest, RandomScratch) { RoundTrip("random", true, 64); }
-TEST(CrashRecoveryTest, RandomIncremental) {
-  RoundTrip("random", false, 64);
-}
+TEST(CrashRecoveryTest, RandomScratch) { RoundTrip("random", true); }
+TEST(CrashRecoveryTest, RandomIncremental) { RoundTrip("random", false); }
 // The opti-* dialogues converge in ≤3 questions on the 40-fact KB, so
 // they run on a larger one that leaves room to crash mid-dialogue.
 TEST(CrashRecoveryTest, OptiMcdScratch) {
-  RoundTrip("opti-mcd", true, 64, 80);
+  RoundTrip("opti-mcd", true, WalShape::kAppended, 80);
 }
 TEST(CrashRecoveryTest, OptiMcdIncremental) {
-  RoundTrip("opti-mcd", false, 64, 80);
+  RoundTrip("opti-mcd", false, WalShape::kAppended, 80);
 }
 TEST(CrashRecoveryTest, OptiPropScratch) {
-  RoundTrip("opti-prop", true, 64, 80);
+  RoundTrip("opti-prop", true, WalShape::kAppended, 80);
 }
 TEST(CrashRecoveryTest, OptiPropIncremental) {
-  RoundTrip("opti-prop", false, 64, 80);
+  RoundTrip("opti-prop", false, WalShape::kAppended, 80);
 }
 
-// Compaction every 2 appends forces recovery through snapshot records.
+// A log in the compacted form older daemons wrote still recovers.
 TEST(CrashRecoveryTest, RecoversThroughCompactedWal) {
-  RoundTrip("random", false, 2);
+  RoundTrip("random", false, WalShape::kCompacted);
+}
+
+// A torn answer append is cut back off the log, so the retried answer
+// and the ones after it all recover.
+TEST(CrashRecoveryTest, TornAnswerAppendKeepsEveryAcknowledgedAnswer) {
+  RoundTrip("random", false, WalShape::kTornAppend);
+}
+
+// A crash mid-append leaves a torn tail. Recovery drops it, and the
+// recovered session's next appends must not land on it: a second crash
+// still recovers every acknowledged answer.
+TEST(CrashRecoveryTest, TornTailIsCutBeforeTheRecoveredSessionAppends) {
+  const uint64_t seed = 20180326;
+  const JsonValue create_params = CreateParams(seed, "random");
+  StatusOr<ReferenceRun> ref = RunReference(create_params, seed, 2);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_GT(ref->choices.size(), 2u);
+
+  TempDir wal_dir("kbrepair_recovery_");
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.wal_dir = wal_dir.path;
+  std::string session;
+  {
+    SessionManager manager(config);
+    StatusOr<JsonValue> created = manager.Execute(MakeRequest(create_params));
+    ASSERT_TRUE(created.ok()) << created.status();
+    session = created->Get("session").AsString();
+    ASSERT_TRUE(manager.Execute(AnswerCommand(session, ref->choices[0])).ok());
+  }
+  {
+    // The crash tore the next (never acknowledged) append.
+    std::ofstream out(wal_dir.path + "/" + session + ".wal",
+                      std::ios::app | std::ios::binary);
+    out << "97 0badc0de {\"op\":\"answer\",\"cho";
+  }
+  config.recover = true;
+  {
+    SessionManager manager(config);
+    ASSERT_TRUE(manager.Execute(AnswerCommand(session, ref->choices[1])).ok());
+  }
+  SessionManager manager(config);
+  StatusOr<JsonValue> snap =
+      manager.Execute(SessionCommand("snapshot", session));
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->Dump(), ref->mid_snapshot);
 }
 
 TEST(CrashRecoveryTest, CorruptWalIsQuarantinedNotFatal) {

@@ -8,10 +8,12 @@
 //   wal.fsync       WAL durability fails -> rejected + counted, retryable
 //   fs.enospc       WAL disk full        -> create/answer ResourceExhausted,
 //                                          close proceeds, shard degraded
+//   wal.torn_write  short write + ENOSPC -> as fs.enospc, and the partial
+//                                          record is cut back off the log
 //   chase.saturate  chase blows up       -> error envelope, no crash
 //   delta.corrupt   delta engine diverges-> dropped and rebuilt cold,
 //                                          dialogue continues unchanged
-//   fs.atomic_write transcript/compaction write fails -> counted, logged
+//   fs.atomic_write transcript / bases.jsonl rewrite fails -> counted, logged
 //   fs.fsync        durability step of atomic writes fails
 //   worker.stall    wedged worker        -> DeadlineExceeded + watchdog
 
@@ -266,9 +268,9 @@ TEST_F(FaultInjectionTest, WalFsyncFailureRejectsAnswerRetryably) {
 }
 
 // The WAL failure policy (docs/SERVICE.md, "Write-ahead log"), one cell
-// per {create, answer, close} x {wal.append, wal.fsync, fs.enospc}: the
-// reply code, the metric deltas, and the degraded gauge read straight
-// after the reply.
+// per {create, answer, close} x {wal.append, wal.fsync, fs.enospc,
+// wal.torn_write}: the reply code, the metric deltas, and the degraded
+// gauge read straight after the reply.
 
 struct WalPolicyCell {
   const char* command;
@@ -291,6 +293,10 @@ constexpr WalPolicyCell kWalPolicy[] = {
     {"close", "wal.fsync", StatusCode::kUnavailable, 1, 0, 1, 0},
     // Close proceeds without its record: closing frees the disk.
     {"close", "fs.enospc", StatusCode::kOk, 0, 1, 0, 1},
+    // A short write and then a full disk fares exactly like a full disk.
+    {"create", "wal.torn_write", StatusCode::kResourceExhausted, 0, 1, 1, 1},
+    {"answer", "wal.torn_write", StatusCode::kResourceExhausted, 0, 1, 1, 1},
+    {"close", "wal.torn_write", StatusCode::kOk, 0, 1, 0, 1},
 };
 
 TEST_F(FaultInjectionTest, WalFailurePolicyTable) {

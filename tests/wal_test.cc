@@ -1,6 +1,7 @@
-// SessionWal unit tests: append/recover roundtrips, snapshot
-// compaction, torn-tail tolerance, and the malformed-log error paths
-// recovery depends on to quarantine corrupt files instead of crashing.
+// SessionWal unit tests: append/recover roundtrips, the snapshot
+// records older daemons wrote, torn-tail tolerance, torn appends cut
+// back off the log, and the malformed-log error paths recovery depends
+// on to quarantine corrupt files instead of crashing.
 
 #include "service/wal.h"
 
@@ -17,6 +18,7 @@
 
 #include "util/crc32c.h"
 #include "util/failpoint.h"
+#include "util/fs.h"
 #include "util/json.h"
 
 namespace kbrepair {
@@ -40,6 +42,7 @@ class WalTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    failpoint::Reset();
     for (const std::string& name : ListWalSessionIds(dir_)) {
       ::unlink((dir_ + "/" + name + ".wal").c_str());
     }
@@ -102,42 +105,110 @@ TEST_F(WalTest, CloseRecordMarksSessionDone) {
   EXPECT_TRUE(recovered->closed);
 }
 
-TEST_F(WalTest, CompactionCollapsesLogToOneSnapshotRecord) {
+TEST_F(WalTest, CompactedLogFromOlderDaemonsRecovers) {
+  // Older daemons compacted a log into one snapshot record: the create
+  // params plus every answer so far. Such a file still recovers, entries
+  // after the snapshot follow it, and appends continue it.
+  JsonValue snapshot = JsonValue::Object();
+  snapshot.Set("op", JsonValue::String("snapshot"));
+  snapshot.Set("params", Params(9));
+  JsonValue entries = JsonValue::Array();
+  for (int64_t i = 0; i < 5; ++i) entries.Append(Entry(i));
+  snapshot.Set("entries", std::move(entries));
+  const std::string snapshot_line = Framed(snapshot.Dump());
+  WriteRaw("s-3", kHeaderV2 + snapshot_line +
+                      Framed(SessionWal::AnswerRecord(Entry(5)).Dump()));
+
   auto wal = SessionWal::Open(dir_, "s-3");
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)->Append(SessionWal::CreateRecord(Params(9))).ok());
-  std::vector<JsonValue> entries;
-  for (int64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(i))).ok());
-    entries.push_back(Entry(i));
-  }
-  EXPECT_EQ((*wal)->appends_since_compaction(), 6u);
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(42))).ok());
 
-  ASSERT_TRUE((*wal)->Compact(Params(9), entries).ok());
-  EXPECT_EQ((*wal)->appends_since_compaction(), 0u);
-
-  // The compacted file holds exactly the header plus one snapshot line
-  // and recovers identically.
-  std::ifstream in(WalPath("s-3"));
-  std::string line;
-  size_t lines = 0;
-  while (std::getline(in, line)) ++lines;
-  EXPECT_EQ(lines, 2u);
   StatusOr<WalRecovery> recovered = ReadWalFile(WalPath("s-3"), "s-3");
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(recovered->create_params.Dump(), Params(9).Dump());
-  ASSERT_EQ(recovered->entries.size(), 5u);
-  for (int64_t i = 0; i < 5; ++i) {
+  ASSERT_EQ(recovered->entries.size(), 7u);
+  for (int64_t i = 0; i < 6; ++i) {
     EXPECT_EQ(recovered->entries[static_cast<size_t>(i)].Dump(),
               Entry(i).Dump());
   }
+  EXPECT_EQ(recovered->entries[6].Get("chosen").AsInt(-1), 42);
+  // Entries unpacked from the snapshot share its coordinates (line 2,
+  // right after the header); the records after it have their own.
+  ASSERT_EQ(recovered->entry_origins.size(), 7u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(recovered->entry_origins[i].record_index, 2u);
+    EXPECT_EQ(recovered->entry_origins[i].byte_offset,
+              std::string(kHeaderV2).size());
+  }
+  EXPECT_EQ(recovered->entry_origins[5].record_index, 3u);
+  EXPECT_EQ(recovered->entry_origins[5].byte_offset,
+            std::string(kHeaderV2).size() + snapshot_line.size());
+  EXPECT_EQ(recovered->entry_origins[6].record_index, 4u);
+}
 
-  // Appends continue on the compacted file.
-  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(42))).ok());
-  recovered = ReadWalFile(WalPath("s-3"), "s-3");
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_EQ(recovered->entries.size(), 6u);
-  EXPECT_EQ(recovered->entries[5].Get("chosen").AsInt(-1), 42);
+TEST_F(WalTest, SnapshotAfterOtherRecordsIsAnError) {
+  JsonValue snapshot = JsonValue::Object();
+  snapshot.Set("op", JsonValue::String("snapshot"));
+  snapshot.Set("params", Params(9));
+  snapshot.Set("entries", JsonValue::Array());
+  WriteRaw("s-3b", kHeaderV2 +
+                       Framed(SessionWal::CreateRecord(Params(9)).Dump()) +
+                       Framed(snapshot.Dump()));
+  EXPECT_FALSE(ReadWalFile(WalPath("s-3b"), "s-3b").ok());
+}
+
+TEST_F(WalTest, TornAppendIsCutBackAndLaterAppendsRecover) {
+  auto wal = SessionWal::Open(dir_, "torn-1");
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  // A torn first append takes the header with it; the retry rewrites it.
+  failpoint::Arm("wal.torn_write", /*skip=*/0, /*fail=*/1);
+  bool disk_full = false;
+  EXPECT_FALSE((*wal)->Append(SessionWal::CreateRecord(Params(3)), nullptr,
+                              &disk_full)
+                   .ok());
+  EXPECT_TRUE(disk_full);
+  struct stat st {};
+  ASSERT_EQ(::stat(WalPath("torn-1").c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 0);
+  ASSERT_TRUE((*wal)->Append(SessionWal::CreateRecord(Params(3))).ok());
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(1))).ok());
+  ASSERT_EQ(::stat(WalPath("torn-1").c_str(), &st), 0);
+  const off_t acked = st.st_size;
+
+  // A rejected answer leaves no fragment for the next record to land on.
+  failpoint::Arm("wal.torn_write", /*skip=*/0, /*fail=*/1);
+  EXPECT_FALSE((*wal)->Append(SessionWal::AnswerRecord(Entry(2))).ok());
+  ASSERT_EQ(::stat(WalPath("torn-1").c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, acked);
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(2))).ok());
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(3))).ok());
+
+  StatusOr<WalRecovery> recovered = ReadWalFile(WalPath("torn-1"), "torn-1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_FALSE(recovered->dropped_torn_tail);
+  EXPECT_EQ(recovered->create_params.Dump(), Params(3).Dump());
+  ASSERT_EQ(recovered->entries.size(), 3u);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(recovered->entries[static_cast<size_t>(i)].Dump(),
+              Entry(i + 1).Dump());
+  }
+}
+
+TEST_F(WalTest, FragmentThatCannotBeCutClosesTheFile) {
+  // A pipe takes the torn prefix but cannot be truncated: the helper
+  // closes it, so nothing can ever be appended after the fragment.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  failpoint::Arm("wal.torn_write", /*skip=*/0, /*fail=*/1);
+  int write_fd = fds[1];
+  int write_errno = 0;
+  const Status written =
+      AppendFully(&write_fd, "0123456789\n", 0, "pipe", &write_errno);
+  ::close(fds[0]);
+  EXPECT_FALSE(written.ok());
+  EXPECT_EQ(write_errno, ENOSPC);
+  EXPECT_EQ(write_fd, -1);
+  EXPECT_NE(::close(fds[1]), 0) << "the write end was left open";
 }
 
 TEST_F(WalTest, TornTailIsDroppedNotFatal) {
