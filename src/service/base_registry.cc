@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <stdio.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <fstream>
@@ -119,22 +118,25 @@ std::string BaseRegistry::LogPath() const {
 Status BaseRegistry::AppendLogRecord(const JsonValue& record) {
   if (log_dir_.empty()) return Status::Ok();
   const std::string path = LogPath();
-  if (log_closed_) {
-    return Status::Unavailable(path + " ends in a fragment of a failed "
-                               "append; nothing more is appended to it");
-  }
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  struct stat st {};
-  if (fd < 0 || ::fstat(fd, &st) != 0) {
-    if (fd >= 0) ::close(fd);
+  if (fd < 0) {
     return Status::Unavailable("could not open " + path);
   }
-  Status status = AppendFully(&fd, record.Dump() + "\n", st.st_size, path);
-  log_closed_ = fd < 0;
+  Status status = AppendFully(&fd, record.Dump() + "\n", path);
+  if (fd < 0) {
+    // The fragment could not be cut off; rewriting the live set drops
+    // it. The failed record is not applied, so the live set is right.
+    const Status compacted = CompactLogLocked();
+    if (!compacted.ok()) {
+      status = Status::Unavailable(status.message() + "; " +
+                                   compacted.message());
+    }
+    return status;
+  }
   if (status.ok() && ::fsync(fd) != 0) {
     status = Status::Unavailable("fsync failed for " + path);
   }
-  if (fd >= 0) ::close(fd);
+  ::close(fd);
   return status;
 }
 

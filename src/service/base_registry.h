@@ -134,7 +134,8 @@ class BaseRegistry : public std::enable_shared_from_this<BaseRegistry> {
   void UpdateGaugesLocked();
   std::string LogPath() const;
   // Appends one fsync'd line to bases.jsonl (under mu_). Ok when no
-  // log_dir. A write that fails part-way is cut back off the log.
+  // log_dir. A write that fails part-way is cut back off the log, or
+  // the log is rewritten as the live set when the cut fails.
   Status AppendLogRecord(const JsonValue& record);
   // Rewrites the log as the live set (atomic replace).
   Status CompactLogLocked();
@@ -146,9 +147,6 @@ class BaseRegistry : public std::enable_shared_from_this<BaseRegistry> {
   std::mutex mu_;
   // Ordered so ListJson and the compacted log are deterministic.
   std::map<std::string, Entry> bases_;
-  // Set when a failed append could not be cut back off bases.jsonl:
-  // every later append is refused rather than land after the fragment.
-  bool log_closed_ = false;
   ServiceMetrics* metrics_ = nullptr;
   std::shared_ptr<ResourceGovernor> governor_;
 };

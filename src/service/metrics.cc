@@ -502,7 +502,7 @@ namespace {
 
 // --- Prometheus text exposition (format 0.0.4) -------------------------
 
-std::string FormatDouble9g(double value) {
+std::string FormatDoubleCompact(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.9g", value);
   return buffer;
@@ -569,13 +569,13 @@ void AppendHistogramSeries(
        histogram.CumulativeBuckets()) {
     const std::string le = bucket.infinite
                                ? std::string("+Inf")
-                               : FormatDouble9g(bucket.le_seconds);
+                               : FormatDoubleCompact(bucket.le_seconds);
     *out += name + "_bucket" + LabelSetWithLe(labels, le) + " " +
             std::to_string(bucket.cumulative_count) + "\n";
     total = bucket.cumulative_count;
   }
   *out += name + "_sum" + LabelSet(labels) + " " +
-          FormatDouble9g(histogram.SumSeconds()) + "\n";
+          FormatDoubleCompact(histogram.SumSeconds()) + "\n";
   // _count must equal the +Inf bucket; derive it from the same snapshot
   // rather than re-reading the (racing) count_ counter.
   *out += name + "_count" + LabelSet(labels) + " " + std::to_string(total) +

@@ -110,15 +110,13 @@ StatusOr<std::unique_ptr<SessionWal>> SessionWal::Open(
   if (fd < 0) {
     return Status::Unavailable("WAL open " + path + ": " + ErrnoText());
   }
-  struct stat st {};
-  if ((intact_size >= 0 && ::ftruncate(fd, intact_size) != 0) ||
-      ::fstat(fd, &st) != 0) {
+  if (intact_size >= 0 && ::ftruncate(fd, intact_size) != 0) {
     const Status status =
-        Status::Unavailable("WAL cut/stat " + path + ": " + ErrnoText());
+        Status::Unavailable("WAL cut " + path + ": " + ErrnoText());
     ::close(fd);
     return status;
   }
-  return std::unique_ptr<SessionWal>(new SessionWal(path, fd, st.st_size));
+  return std::unique_ptr<SessionWal>(new SessionWal(path, fd));
 }
 
 SessionWal::~SessionWal() {
@@ -141,12 +139,15 @@ Status SessionWal::Append(const JsonValue& record, bool* fsync_failed,
   KBREPAIR_FAILPOINT("wal.append",
                      Status::Unavailable("injected WAL append failure"));
   std::string data = FrameRecordLine(record.Dump());
-  // Only a fresh (empty) file gets the v2 header; a non-empty one
-  // already carries it.
-  if (acked_size_ == 0) data = std::string(kWalHeaderV2) + "\n" + data;
+  // Only a fresh (empty) file gets the v2 header, so an empty create
+  // never costs an extra fsync; a non-empty one already carries it.
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  if (end < 0) {
+    return Status::Unavailable("WAL seek " + path_ + ": " + ErrnoText());
+  }
+  if (end == 0) data = std::string(kWalHeaderV2) + "\n" + data;
   int write_errno = 0;
-  const Status written =
-      AppendFully(&fd_, data, acked_size_, path_, &write_errno);
+  const Status written = AppendFully(&fd_, data, path_, &write_errno);
   if (!written.ok()) {
     if (disk_full != nullptr && IsDiskFullErrno(write_errno)) {
       *disk_full = true;
@@ -166,7 +167,6 @@ Status SessionWal::Append(const JsonValue& record, bool* fsync_failed,
     return Status::Unavailable("WAL fsync " + path_ +
                                ": injected fsync failure");
   }
-  acked_size_ += static_cast<off_t>(data.size());
   return Status::Ok();
 }
 
@@ -405,7 +405,7 @@ Status ProbeWalDirWritable(const std::string& dir) {
     return Status::Unavailable("WAL probe open " + path + ": " + ErrnoText());
   }
   static const std::string kProbe = "kbrepair disk probe\n";
-  Status status = AppendFully(&fd, kProbe, 0, path);
+  Status status = AppendFully(&fd, kProbe, path);
   if (status.ok() && ::fsync(fd) != 0) {
     status = Status::Unavailable("WAL probe fsync " + path + ": " + ErrnoText());
   }

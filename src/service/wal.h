@@ -92,15 +92,10 @@ class SessionWal {
   static JsonValue CloseRecord();
 
  private:
-  SessionWal(std::string path, int fd, off_t acked_size)
-      : path_(std::move(path)), fd_(fd), acked_size_(acked_size) {}
+  SessionWal(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
 
   std::string path_;
   int fd_ = -1;
-  // Bytes of the file every successful append has made durable; a
-  // failed write is cut back to it. 0 until the first append, which
-  // carries the v2 header so an empty create never costs an extra fsync.
-  off_t acked_size_ = 0;
 };
 
 // One record yielded by WalReader, with its location in the file so

@@ -23,8 +23,11 @@ std::string ParentDir(const std::string& path) {
 
 }  // namespace
 
-Status AppendFully(int* fd, const std::string& data, off_t acked_size,
-                   const std::string& path, int* write_errno) {
+Status AppendFully(int* fd, const std::string& data, const std::string& path,
+                   int* write_errno) {
+  // The file's real end, not a running count: a record whose fsync
+  // failed stays in the file and later appends follow it.
+  const off_t start = ::lseek(*fd, 0, SEEK_END);
   // The injected tear lands a real prefix, so the cut below is what
   // keeps it out of the file.
   const bool tear = failpoint::ShouldFail("wal.torn_write");
@@ -44,7 +47,7 @@ Status AppendFully(int* fd, const std::string& data, off_t acked_size,
   if (write_errno != nullptr) *write_errno = err;
   std::string message = "write " + path + ": " +
                         (tear ? "injected torn write: " : "") + ErrnoText(err);
-  if (written > 0 && ::ftruncate(*fd, acked_size) != 0) {
+  if (written > 0 && (start < 0 || ::ftruncate(*fd, start) != 0)) {
     message += "; cutting the partial record failed: " + ErrnoText();
     ::close(*fd);
     *fd = -1;

@@ -15,14 +15,14 @@
 
 namespace kbrepair {
 
-// Writes all of `data` to `*fd` (O_APPEND, last acknowledged length
-// `acked_size`) without fsync. A write that fails part-way, like a short
-// write and then ENOSPC or the `wal.torn_write` failpoint, is cut back
-// to `acked_size`; if that cut fails too, `*fd` is closed and set to -1,
-// so nothing is ever appended after a fragment. Unavailable on failure,
+// Writes all of `data` to the end of `*fd` (O_APPEND) without fsync. A
+// write that fails part-way, like a short write and then ENOSPC or the
+// `wal.torn_write` failpoint, is cut back to where the file ended
+// before it; if that cut fails too, `*fd` is closed and set to -1, so
+// nothing is ever appended after a fragment. Unavailable on failure,
 // with the write's errno in `*write_errno` (optional).
-Status AppendFully(int* fd, const std::string& data, off_t acked_size,
-                   const std::string& path, int* write_errno = nullptr);
+Status AppendFully(int* fd, const std::string& data, const std::string& path,
+                   int* write_errno = nullptr);
 
 // Writes `contents` to `path` atomically: the data lands in
 // `path + ".tmp"` first, is fsync'd, then renamed over `path`, and the

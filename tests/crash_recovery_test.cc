@@ -167,6 +167,10 @@ enum class WalShape {
   kAppended,    // as the daemon writes it: create + one record per answer
   kCompacted,   // folded afterwards into FoldIntoCompactedForm's shape
   kTornAppend,  // the second answer's append torn (wal.torn_write), retried
+  // The first answer's fsync fails (wal.fsync) and is retried, leaving
+  // an fsync ghost before it; the third answer's append is torn and
+  // retried.
+  kGhostThenTornAppend,
 };
 
 // With `rebuild`, the conflict engine is dropped and rebuilt from
@@ -207,7 +211,23 @@ void RoundTrip(const std::string& strategy, bool rebuild,
           manager.Execute(SessionCommand("ask", session));
       ASSERT_TRUE(asked.ok()) << asked.status();
       ASSERT_FALSE(asked->Get("done").AsBool(false));
-      if (shape == WalShape::kTornAppend && i == 1) {
+      if (shape == WalShape::kGhostThenTornAppend && i == 0) {
+        // The record lands but its fsync fails: the answer is rejected
+        // as transient and the verbatim retry goes through.
+        failpoint::Arm("wal.fsync", /*skip=*/0, /*fail=*/1);
+        StatusOr<JsonValue> ghost =
+            manager.Execute(AnswerCommand(session, ref->choices[i]));
+        ASSERT_EQ(ghost.status().code(), StatusCode::kUnavailable)
+            << ghost.status();
+        ASSERT_TRUE(
+            manager.Execute(AnswerCommand(session, ref->choices[i])).ok());
+        continue;
+      }
+      const size_t torn_at =
+          shape == WalShape::kGhostThenTornAppend ? 2 : 1;
+      if ((shape == WalShape::kTornAppend ||
+           shape == WalShape::kGhostThenTornAppend) &&
+          i == torn_at) {
         // Half the record lands, then the disk is full: the answer is
         // rejected and the shard sheds answers until its write probe
         // passes. The retry must not land on the fragment.
@@ -339,6 +359,12 @@ TEST(CrashRecoveryTest, RecoversThroughCompactedWal) {
 // and the ones after it all recover.
 TEST(CrashRecoveryTest, TornAnswerAppendKeepsEveryAcknowledgedAnswer) {
   RoundTrip("random", false, WalShape::kTornAppend);
+}
+
+// A torn append after an fsync ghost is cut back to the file's real
+// end, so the ghost's retry and the answer after it survive too.
+TEST(CrashRecoveryTest, TornAppendAfterFsyncGhostKeepsEveryAcknowledgedAnswer) {
+  RoundTrip("random", false, WalShape::kGhostThenTornAppend);
 }
 
 // A crash mid-append leaves a torn tail. Recovery drops it, and the

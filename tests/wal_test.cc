@@ -194,6 +194,40 @@ TEST_F(WalTest, TornAppendIsCutBackAndLaterAppendsRecover) {
   }
 }
 
+TEST_F(WalTest, TornAppendAfterAnFsyncGhostKeepsEveryRecord) {
+  // A record whose fsync failed stays in the file (an fsync ghost; its
+  // verbatim retry is skipped at replay). A later torn write must be
+  // cut back to the file's real end, not into the records after it.
+  auto wal = SessionWal::Open(dir_, "ghost-1");
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_TRUE((*wal)->Append(SessionWal::CreateRecord(Params(3))).ok());
+  failpoint::Arm("wal.fsync", /*skip=*/0, /*fail=*/1);
+  bool fsync_failed = false;
+  EXPECT_FALSE(
+      (*wal)->Append(SessionWal::AnswerRecord(Entry(1)), &fsync_failed).ok());
+  EXPECT_TRUE(fsync_failed);
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(1))).ok());
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(2))).ok());
+  struct stat st {};
+  ASSERT_EQ(::stat(WalPath("ghost-1").c_str(), &st), 0);
+  const off_t acked = st.st_size;
+  failpoint::Arm("wal.torn_write", /*skip=*/0, /*fail=*/1);
+  EXPECT_FALSE((*wal)->Append(SessionWal::AnswerRecord(Entry(3))).ok());
+  ASSERT_EQ(::stat(WalPath("ghost-1").c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, acked);
+  ASSERT_TRUE((*wal)->Append(SessionWal::AnswerRecord(Entry(3))).ok());
+
+  StatusOr<WalRecovery> recovered =
+      ReadWalFile(WalPath("ghost-1"), "ghost-1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_FALSE(recovered->dropped_torn_tail);
+  const std::vector<int64_t> chosen = {1, 1, 2, 3};  // ghost, then A, B, C
+  ASSERT_EQ(recovered->entries.size(), chosen.size());
+  for (size_t i = 0; i < chosen.size(); ++i) {
+    EXPECT_EQ(recovered->entries[i].Dump(), Entry(chosen[i]).Dump());
+  }
+}
+
 TEST_F(WalTest, FragmentThatCannotBeCutClosesTheFile) {
   // A pipe takes the torn prefix but cannot be truncated: the helper
   // closes it, so nothing can ever be appended after the fragment.
@@ -203,7 +237,7 @@ TEST_F(WalTest, FragmentThatCannotBeCutClosesTheFile) {
   int write_fd = fds[1];
   int write_errno = 0;
   const Status written =
-      AppendFully(&write_fd, "0123456789\n", 0, "pipe", &write_errno);
+      AppendFully(&write_fd, "0123456789\n", "pipe", &write_errno);
   ::close(fds[0]);
   EXPECT_FALSE(written.ok());
   EXPECT_EQ(write_errno, ENOSPC);
